@@ -49,10 +49,13 @@ fi
 if [[ "${ASAN:-0}" == "1" ]]; then
   # Address+UBSan gate for the memory-heavy paths: COW extent buffers and
   # chains, write-privatization bitmaps, snapshot capture/restore, pool
-  # residency accounting.  Separate build dir: sanitizer objects don't mix.
+  # residency accounting — and the compiler: vcc's parser, register
+  # allocator and code generator, the vrt runtime library, and the codegen
+  # differential oracle.  Separate build dir: sanitizer objects don't mix.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   ASAN_TESTS=(test_snapshot_engine test_wasp test_wasp_concurrency test_governance
-              test_cpu test_isa test_fault_injection test_recovery test_listener)
+              test_cpu test_isa test_fault_injection test_recovery test_listener
+              test_vcc test_vcc_deep test_vcc_oracle test_vrt)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"

@@ -94,6 +94,9 @@ std::vector<std::string> SplitOperands(const std::string& s) {
   return out;
 }
 
+// Whether `v` fits a sign-extended imm32/disp32 field.
+bool FitsI32(int64_t v) { return v >= INT32_MIN && v <= INT32_MAX; }
+
 std::optional<int> ParseReg(const std::string& tok) {
   std::string t = Lower(tok);
   if (t == "fp") {
@@ -716,6 +719,9 @@ class Assembler {
       if (!mem.ok()) {
         return mem.status();
       }
+      if (!FitsI32(mem->disp)) {
+        return Err(st, "displacement out of 32-bit range: " + std::to_string(mem->disp));
+      }
       emit_mem(it->second, reg(0), mem->base, mem->disp);
       return vbase::Status::Ok();
     }
@@ -730,6 +736,9 @@ class Assembler {
       auto mem = ParseMem(st, ops[0], true);
       if (!mem.ok()) {
         return mem.status();
+      }
+      if (!FitsI32(mem->disp)) {
+        return Err(st, "displacement out of 32-bit range: " + std::to_string(mem->disp));
       }
       // Store encoding: a = base register, b = source register.
       emit_mem(it->second, mem->base, reg(1), mem->disp);
@@ -750,6 +759,10 @@ class Assembler {
         auto v = expr(1);
         if (!v.ok()) {
           return v.status();
+        }
+        if (!FitsI32(*v)) {
+          return Err(st, "immediate out of 32-bit range: " + std::to_string(*v) +
+                             " (load it with mov first)");
         }
         emit_ri32(it->second.second, reg(0), *v);
       }

@@ -147,9 +147,13 @@ vbase::Result<Program> Parse(const std::string& source);
 
 // Generates VBC assembly for the subset of `program` reachable from `entry`
 // (the call-graph cut), with a `virtine_main` alias for the CRT.
-// `word_bytes` is the target environment word size.
+// `word_bytes` is the target environment word size.  `reference` selects
+// the plain generator — no register allocation and no fast paths, every
+// variable accessed through its address and every binary operand staged
+// through the stack — which the differential tests compare the default
+// (optimizing) output against.
 vbase::Result<std::string> Generate(const Program& program, const std::string& entry,
-                                    int word_bytes);
+                                    int word_bytes, bool reference = false);
 
 }  // namespace vcc
 

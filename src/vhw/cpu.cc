@@ -677,22 +677,15 @@ Exit Cpu::Run(uint64_t max_insns) {
         SetFlagsLogic(st_.regs[ra]);
         break;
       }
+      // The low word of a product is the same whether the operands are read
+      // signed or unsigned, so imul shares mul's unsigned (overflow-defined)
+      // multiply.
       case Op::kMulRr:
+      case Op::kImulRr:
         cycles_ += cost_.mul;
         st_.regs[ra] = (st_.regs[ra] * st_.regs[rb]) & mask;
         SetFlagsLogic(st_.regs[ra]);
         break;
-      case Op::kImulRr: {
-        cycles_ += cost_.mul;
-        const int bits = WordSize() * 8;
-        auto sext = [&](uint64_t v) {
-          return static_cast<int64_t>(v << (64 - bits)) >> (64 - bits);
-        };
-        st_.regs[ra] =
-            static_cast<uint64_t>(sext(st_.regs[ra]) * sext(st_.regs[rb])) & mask;
-        SetFlagsLogic(st_.regs[ra]);
-        break;
-      }
       case Op::kUdivRr:
       case Op::kUmodRr: {
         cycles_ += cost_.div;

@@ -34,7 +34,11 @@ gdt_desc64:
 
 // Shared CRT: optional snapshot point, argument unmarshalling, call, result
 // store, halt.  Uses only word-sized operations so the same code runs in
-// any final mode.
+// any final mode.  Register convention shared with vcc output: r0 holds the
+// result, r1-r3 are scratch and hypercall arguments, r4-r13 are
+// callee-saved (and allocatable by vcc), r14 is fp and r15 is sp.  The CRT
+// uses r8-r11 only before `call virtine_main` and after it returns, so it
+// saves nothing.
 constexpr char kCrt[] = R"asm(
 crt_begin:
   mov r8, BOOTINFO

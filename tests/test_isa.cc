@@ -113,6 +113,15 @@ TEST(Assembler, ErrorsAreDiagnosed) {
   EXPECT_FALSE(visa::Assemble("  ldw r0, r1\n").ok());   // not a memory operand
   EXPECT_FALSE(visa::Assemble("  cset r0, zz\n").ok());  // bad condition
   EXPECT_FALSE(visa::Assemble("  ljmp bogus, x\nx:\n").ok());
+  // A 32-bit immediate or displacement field is never silently truncated;
+  // wider values load with mov's 64-bit immediate.
+  EXPECT_FALSE(visa::Assemble("  add r0, 4294967296\n").ok());
+  EXPECT_FALSE(visa::Assemble("  cmp r0, 2147483648\n").ok());
+  EXPECT_FALSE(visa::Assemble("  ldw r0, [r1+4294967296]\n").ok());
+  EXPECT_FALSE(visa::Assemble("  stw [r1-2147483649], r0\n").ok());
+  EXPECT_TRUE(
+      visa::Assemble("  add r0, 2147483647\n  sub r0, -2147483648\n  mov r0, 4294967296\n")
+          .ok());
 }
 
 TEST(Assembler, CommentsAndWhitespace) {

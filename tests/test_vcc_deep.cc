@@ -252,36 +252,76 @@ TEST(VccDeep, RandomizedExpressionDifferentialTest) {
   // Generate random arithmetic expressions over safe operators, evaluate
   // them with a host-side reference evaluator at 64-bit width, and compare
   // against the compiled guest result (classic compiler differential test).
+  // Operands include literals wider than the 32-bit immediate field, which
+  // must be loaded whole rather than folded into an ALU form.
   vbase::Rng rng(2024);
-  for (int trial = 0; trial < 12; ++trial) {
-    std::vector<int64_t> vals;
+  const int64_t kWide[] = {4294967296, 2147483648, 4294967295, 8589934597, 1099511627776};
+  for (int trial = 0; trial < 24; ++trial) {
     std::string expr;
-    int64_t expect = 0;
+    uint64_t expect = 0;  // wrapping, like the guest
     // Build "v0 op v1 op v2 ..." left-associated with + - * | & ^.
     const int terms = 3 + static_cast<int>(rng.Below(4));
     for (int i = 0; i < terms; ++i) {
-      const int64_t v = static_cast<int64_t>(rng.Below(1000)) - 500;
-      vals.push_back(v);
+      const int64_t v = rng.Below(3) == 0 ? kWide[rng.Below(5)]
+                                          : static_cast<int64_t>(rng.Below(1000)) - 500;
+      const std::string lit = "(" + std::to_string(v) + ")";
       if (i == 0) {
-        expr = "(" + std::to_string(v) + ")";
-        expect = v;
+        expr = lit;
+        expect = static_cast<uint64_t>(v);
         continue;
       }
       const char* ops[] = {"+", "-", "*", "|", "&", "^"};
       const char* op = ops[rng.Below(6)];
-      expr = "(" + expr + " " + op + " (" + std::to_string(v) + "))";
+      expr = "(" + expr + " " + op + " " + lit + ")";
+      const uint64_t u = static_cast<uint64_t>(v);
       switch (op[0]) {
-        case '+': expect = expect + v; break;
-        case '-': expect = expect - v; break;
-        case '*': expect = expect * v; break;
-        case '|': expect = expect | v; break;
-        case '&': expect = expect & v; break;
-        case '^': expect = expect ^ v; break;
+        case '+': expect = expect + u; break;
+        case '-': expect = expect - u; break;
+        case '*': expect = expect * u; break;
+        case '|': expect = expect | u; break;
+        case '&': expect = expect & u; break;
+        case '^': expect = expect ^ u; break;
       }
     }
     const std::string src = "int main() { return " + expr + "; }";
-    EXPECT_EQ(Run64(src), expect) << "expr: " << expr;
+    EXPECT_EQ(Run64(src), static_cast<int64_t>(expect)) << "expr: " << expr;
   }
+}
+
+// A literal that does not fit the 32-bit immediate field must never be
+// folded into an ALU, compare or index form (where it would be cut to 32
+// bits); it is loaded whole.
+TEST(VccDeep, WideLiteralsAreNotTruncated) {
+  EXPECT_EQ(Run64("int main() { int a; a = 5; return a - 4294967296; }"), 5 - 4294967296);
+  EXPECT_EQ(Run64("int main() { int a; a = 5; return a + 4294967296; }"), 5 + 4294967296);
+  EXPECT_EQ(Run64("int main() { int a; a = 5; return a < 4294967296; }"), 1);
+  EXPECT_EQ(Run64("int main() { int a; a = 5; if (a < 4294967296) { return 1; } return 0; }"),
+            1);
+  EXPECT_EQ(Run64("int main() { int a; a = 5; a += 4294967296; return a; }"), 5 + 4294967296);
+  EXPECT_EQ(Run64("int main() { int a; a = 4294967301; return a & 4294967296; }"), 4294967296);
+  EXPECT_EQ(Run64("int main() { int a; a = 1; return a << 33 == 8589934592; }"), 1);
+  // An index wide enough to wrap the address space back onto the array.
+  EXPECT_EQ(Run64(R"(
+    int A[4];
+    int main() {
+      int *p;
+      A[0] = 77;
+      p = A - 4294967296;
+      return p[4294967296];
+    })"),
+            77);
+  // The microjs engine's PUSH sign fix-up: a 32-bit pattern with bit 31 set
+  // becomes a negative word.
+  EXPECT_EQ(Run64(R"(
+    int main() {
+      int a;
+      a = 4294967291;
+      if (a & 2147483648) {
+        a = a - 4294967296;
+      }
+      return a;
+    })"),
+            -5);
 }
 
 }  // namespace
