@@ -139,6 +139,10 @@ class Cpu {
   // hypervisor to validate guest pointers in hypercall handlers.
   vbase::Result<uint64_t> Translate(uint64_t va);
 
+  // Bytes in a machine word under the current mode (2, 4 or 8): the width
+  // of guest words a hypercall handler reads from guest memory.
+  int WordSize() const { return visa::WordBytes(st_.mode); }
+
  private:
   struct TlbEntry {
     uint64_t vpn = ~0ULL;  // va >> 12
@@ -172,7 +176,6 @@ class Cpu {
     }
     return ~0ULL;
   }
-  int WordSize() const { return visa::WordBytes(st_.mode); }
 
   void SetFlagsLogic(uint64_t result);
   void SetFlagsAddSub(uint64_t a, uint64_t b, uint64_t result, bool is_sub);

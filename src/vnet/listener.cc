@@ -264,6 +264,16 @@ void Listener::ProcessInbuf(Conn* conn) {
       conn->forward_remaining -= take;
       continue;
     }
+    if (copts.max_requests > 0 && conn->requests >= copts.max_requests) {
+      // The cap-th request is fully forwarded: drop whatever follows it and
+      // close the forward direction, so the server ends the connection at a
+      // clean request boundary; Tick closes the socket once the responses
+      // have drained.
+      conn->closing = true;
+      conn->inbuf.clear();
+      CloseChannelWrite(conn);
+      return;
+    }
     if (conn->inbuf.empty()) {
       return;
     }
@@ -295,6 +305,7 @@ void Listener::ProcessInbuf(Conn* conn) {
     // forwarding this request's exact byte count.
     EnsureSubmitted(conn);
     conn->forward_remaining = *need;
+    ++conn->requests;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.requests_forwarded;

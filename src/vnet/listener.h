@@ -18,7 +18,10 @@
 // * The server job serves the whole connection: with keep-alive enabled one
 //   SubmitConnection dispatch (= one acquired, snapshot-affine shell in the
 //   virtine modes) serves every request of the connection until EOF,
-//   "Connection: close", or the max-requests cap.
+//   "Connection: close", or the max-requests cap.  The listener enforces
+//   the cap for every mode: after forwarding the cap-th request it drops the
+//   rest of the stream and closes the channel's forward direction, so the
+//   server sees a clean EOF after the last request it may serve.
 //
 // * Lazy dispatch starves slowloris: a connection occupies no executor lane
 //   until its first complete request has been framed; a half-sent head only
@@ -114,6 +117,7 @@ class Listener {
     // Bytes of the current framed request (head+declared body) still to be
     // forwarded into the channel; body streaming in bounded chunks.
     size_t forward_remaining = 0;
+    int requests = 0;         // requests forwarded (counts toward max_requests)
     bool submitted = false;   // SubmitConnection has been called
     bool job_done = false;    // the server job's future has resolved
     bool peer_eof = false;    // the client closed its write half

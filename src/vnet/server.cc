@@ -273,23 +273,30 @@ std::string KeepAliveHandlerSource() {
   // paid once per connection instead of once per request.  Each iteration
   // frames one request off the channel (growable within the 2 KB head
   // window — a head that does not terminate inside it is answered 413, not
-  // truncated), streams any Content-Length body through recv in 1 KB chunks
-  // (bodies are not capped by the head window), streams the response body
-  // from the file in 1 KB chunks, and honors Connection: close /
-  // keep-alive.  Exit reports [requests, 2xx, 4xx, clean] via return_data
-  // so the host can account per-request statuses without parsing the byte
-  // stream.  Framing trust: the host front end (listener or native parser)
-  // rejects smuggling-shaped heads before forwarding, so this guest keeps
-  // the simple first-match Content-Length scan.
+  // truncated), drains any Content-Length body through the channel in
+  // bounded chunks (bodies are not capped by the head window), serves the
+  // file, and honors Connection: close / keep-alive.  Exit reports
+  // [requests, 2xx, 4xx, clean] via return_data so the host can account
+  // per-request statuses without parsing the byte stream.  Framing trust:
+  // the host front end (listener or native parser) rejects smuggling-shaped
+  // heads before forwarding, so this guest keeps the simple first-match
+  // Content-Length scan.
   //
-  // Interpreted guest cycles are the per-request currency keep-alive is
-  // amortizing against, so the head is parsed in ONE pass (validity,
-  // version, Host, Content-Length, Connection all extracted while the bytes
-  // are hot) instead of one helper scan per fact, the terminator search
-  // resumes where the previous recv left off, and the 200 response head is
-  // cached across the connection's requests (rebuilt only when the path or
-  // file size changes) so the itoa/strcat string loops run once, not per
-  // request.
+  // Hypercall exits are the per-request currency keep-alive amortizes
+  // against, so a kept-alive GET costs two: readfile (size and bytes in one
+  // exit), and the send_recv that sends its response and receives the next
+  // request.  Each response is built whole and held pending in the
+  // send_recv message; whatever happens next flushes it first — the next
+  // receive (request bytes or a body drain), a plain send when the next
+  // head is already buffered, or the exit.  So responses leave in request
+  // order, and every request is served with nothing pending.  N requests on
+  // a file that fits the window cost 2N+3 exits: the first receive, N
+  // readfiles, N flushes (the last may be a send_recv that sees EOF),
+  // return_data and exit.  Interpreted guest cycles are the other
+  // per-request cost: the head is parsed in ONE pass (validity, version,
+  // Host, Content-Length, Connection), the terminator search resumes where
+  // the previous receive left off, and the 200 head is cached across the
+  // connection's requests (rebuilt only when the file size changes).
   return HandlerHelpersSource() + R"vc(
 int vn_lc(int c) {
   if (c >= 'A' && c <= 'Z') {
@@ -444,117 +451,135 @@ int vn_parse_head(char *req, int he, int *out) {
   return 1;
 }
 
-// Serves one parsed request.  ph is vn_parse_head's output; cpath/chdr/cmeta
-// carry the connection's cached 200 head (cmeta = [head len, file size,
-// cache valid]).
-int vn_serve(char *req, int *ph, char *cpath, char *chdr, int *cmeta) {
+// Writes "HTTP/1.1 200 OK\r\nContent-Length: <sz>\r\n\r\n" so that it ends
+// just before `end`; returns its length.
+int vn_head200(char *end, int sz) {
+  int n;
+  memcpy(end - 4, "\r\n\r\n", 4);
+  n = 4;
+  while (n == 4 || sz > 0) {
+    n = n + 1;
+    end[0 - n] = '0' + sz % 10;
+    sz = sz / 10;
+  }
+  memcpy(end - n - 33, "HTTP/1.1 200 OK\r\nContent-Length: ", 33);
+  return n + 33;
+}
+
+// Serves one parsed request (ph is vn_parse_head's output) and leaves its
+// response pending in io[0..1].  A 200 is one buffer: readfile fills the
+// 4 KB body window `win`, and the head sits right-aligned in the 64 bytes
+// before it, cached across requests as hc = [file size, head length].  A
+// file larger than the window streams through open/read/send/close, the
+// head riding with the first chunk.
+int vn_serve(char *req, int *ph, char *win, int *hc, int *io) {
   char path[256];
-  char num[24];
-  char fbuf[1024];
   int sz;
   int fd;
+  int hl;
   int m;
-  int total;
-  int want;
-  if (!ph[0]) {
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
+  if (!ph[0] || (ph[1] && !ph[2]) || parse_path(req, path) < 0) {
+    io[0] = "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n";
+    io[1] = 47;
     return 400;
   }
-  if (ph[1] && !ph[2]) {
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    return 400;
-  }
-  if (parse_path(req, path) < 0) {
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    return 400;
-  }
-  sz = stat_size(path);
+  sz = readfile(path, win, 4096);
   if (sz < 0) {
-    send("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n", 45);
+    io[0] = "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n";
+    io[1] = 45;
     return 404;
   }
-  if (!cmeta[2] || sz != cmeta[1] || strcmp(path, cpath) != 0) {
-    strcpy(chdr, "HTTP/1.1 200 OK\r\nContent-Length: ");
-    itoa(num, sz);
-    strcat(chdr, num);
-    strcat(chdr, "\r\n\r\n");
-    cmeta[0] = strlen(chdr);
-    cmeta[1] = sz;
-    cmeta[2] = 1;
-    strcpy(cpath, path);
+  if (sz != hc[0]) {
+    hc[0] = sz;
+    hc[1] = vn_head200(win, sz);
+  }
+  hl = hc[1];
+  if (sz <= 4096) {
+    io[0] = win - hl;
+    io[1] = hl + sz;
+    return 200;
   }
   fd = open(path);
-  send(chdr, cmeta[0]);
-  total = 0;
-  while (total < sz) {
-    want = sz - total;
-    if (want > 1024) {
-      want = 1024;
+  while (sz > 0) {
+    m = sz;
+    if (m > 4096) {
+      m = 4096;
     }
-    m = read(fd, fbuf, want);
+    m = read(fd, win, m);
     if (m <= 0) {
       close(fd);
       return 500;
     }
-    send(fbuf, m);
-    total = total + m;
+    send(win - hl, hl + m);
+    hl = 0;
+    sz = sz - m;
   }
   close(fd);
   return 200;
 }
 
+// Flushes the pending response, reports the counters and exits.
+int vn_finish(int *io, int *stats, int code) {
+  if (io[1]) {
+    send(io[0], io[1]);
+  }
+  return_data(stats, sizeof(int) * 4);
+  exit(code);
+  return code;
+}
+
 int main() {
   char req[2048];
-  char bbuf[1024];
-  char cpath[256];
-  char chdr[320];
-  int cmeta[3];
+  char resp[4160];
   int ph[5];
   int stats[4];
+  int hc[2];
+  int io[4];
   int n;
   int m;
   int he;
   int body;
   int rem;
-  int take;
   int st;
   int ka;
   int i;
   int j;
   int sp;
   n = 0;
-  cmeta[0] = 0;
-  cmeta[1] = 0;
-  cmeta[2] = 0;
+  hc[0] = 0 - 1;
+  io[1] = 0;
   stats[0] = 0;
   stats[1] = 0;
   stats[2] = 0;
   stats[3] = 0;
   while (1) {
     he = vn_headers_end_from(req, 0, n);
+    if (he >= 0 && io[1]) {
+      send(io[0], io[1]);
+      io[1] = 0;
+    }
     while (he < 0) {
       if (n >= 2047) {
-        send("HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n", 53);
+        io[0] = "HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n";
+        io[1] = 53;
         stats[0] = stats[0] + 1;
         stats[2] = stats[2] + 1;
-        return_data(stats, sizeof(int) * 4);
-        exit(3);
-        return 3;
+        return vn_finish(io, stats, 3);
       }
-      m = recv(req + n, 2047 - n);
+      io[2] = req + n;
+      io[3] = 2047 - n;
+      m = send_recv(io);
+      io[1] = 0;
       if (m <= 0) {
         if (n == 0) {
           stats[3] = 1;
-          return_data(stats, sizeof(int) * 4);
-          exit(0);
-          return 0;
+          return vn_finish(io, stats, 0);
         }
-        send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
+        io[0] = "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n";
+        io[1] = 47;
         stats[0] = stats[0] + 1;
         stats[2] = stats[2] + 1;
-        return_data(stats, sizeof(int) * 4);
-        exit(1);
-        return 1;
+        return vn_finish(io, stats, 1);
       }
       sp = n - 3;
       n = n + m;
@@ -562,7 +587,7 @@ int main() {
     }
     req[n] = 0;
     vn_parse_head(req, he, ph);
-    st = vn_serve(req, ph, cpath, chdr, cmeta);
+    st = vn_serve(req, ph, resp + 64, hc, io);
     stats[0] = stats[0] + 1;
     if (st == 200) {
       stats[1] = stats[1] + 1;
@@ -570,25 +595,25 @@ int main() {
       stats[2] = stats[2] + 1;
     }
     if (st == 400) {
-      return_data(stats, sizeof(int) * 4);
-      exit(1);
-      return 1;
+      return vn_finish(io, stats, 1);
     }
     body = n - (he + 4);
     if (body > ph[3]) {
       body = ph[3];
     }
+    // A body still owed by the channel is drained into req: when any
+    // remains, every byte req holds belongs to this request.
     rem = ph[3] - body;
     while (rem > 0) {
-      take = rem;
-      if (take > 1024) {
-        take = 1024;
+      io[2] = req;
+      io[3] = rem;
+      if (rem > 2047) {
+        io[3] = 2047;
       }
-      m = recv(bbuf, take);
+      m = send_recv(io);
+      io[1] = 0;
       if (m <= 0) {
-        return_data(stats, sizeof(int) * 4);
-        exit(1);
-        return 1;
+        return vn_finish(io, stats, 1);
       }
       rem = rem - m;
     }
@@ -606,9 +631,7 @@ int main() {
     n = j;
     if (!ka) {
       stats[3] = 1;
-      return_data(stats, sizeof(int) * 4);
-      exit(0);
-      return 0;
+      return vn_finish(io, stats, 0);
     }
   }
   return 0;

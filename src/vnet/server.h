@@ -45,9 +45,12 @@ namespace vnet {
 std::string EchoHandlerSource();
 std::string StaticHandlerSource();
 // Keep-alive variant: one invocation serves every request of a connection
-// (recv -> frame -> serve loop until EOF or "Connection: close"), streaming
-// request bodies through the channel in bounded chunks and reporting
-// [requests, 2xx, 4xx, clean] through return_data on exit.
+// (receive -> frame -> serve loop until EOF or "Connection: close"),
+// draining request bodies through the channel in bounded chunks and
+// reporting [requests, 2xx, 4xx, clean] through return_data on exit.  A
+// GET of a file within its 4 KB body window costs two exits — readfile,
+// and the send_recv that sends the response and receives the next request
+// — so N requests cost 2N+3.
 std::string KeepAliveHandlerSource();
 
 enum class ServeMode {
@@ -66,8 +69,11 @@ struct ConnectionOptions {
   // Serve requests in a loop until EOF, "Connection: close", or
   // max_requests; off, exactly one request is served.
   bool keep_alive = false;
-  // Keep-alive request cap per connection (host-enforced: the native loop
-  // stops serving and the listener closes the stream); 0 = unlimited.
+  // Keep-alive request cap per connection; 0 = unlimited.  Host-enforced:
+  // the native loop stops serving at the cap, and the listener stops
+  // forwarding after the cap-th request and closes the channel, so a
+  // virtine guest exits at that clean boundary.  (A direct HandleConnection
+  // caller in a virtine mode enforces it by what it writes.)
   int max_requests = 64;
   // A request head that has not terminated within this many bytes is
   // answered 413 (matches the guest handler's receive window, so every

@@ -182,8 +182,10 @@ std::string AsmPrelude(Env env) {
   os << ".equ HC_WRITE, " << wasp::kHcWrite << "\n";
   os << ".equ HC_CLOSE, " << wasp::kHcClose << "\n";
   os << ".equ HC_STAT, " << wasp::kHcStat << "\n";
+  os << ".equ HC_READFILE, " << wasp::kHcReadFile << "\n";
   os << ".equ HC_SEND, " << wasp::kHcSend << "\n";
   os << ".equ HC_RECV, " << wasp::kHcRecv << "\n";
+  os << ".equ HC_SEND_RECV, " << wasp::kHcSendRecv << "\n";
   return os.str();
 }
 

@@ -16,8 +16,11 @@ int open(char *path)                  { return __hc1(16, path); }
 int read(int fd, char *buf, int n)    { return __hc3(17, fd, buf, n); }
 int write(int fd, char *buf, int n)   { return __hc3(18, fd, buf, n); }
 int close(int fd)                     { return __hc1(19, fd); }
+int readfile(char *path, char *buf, int cap) { return __hc3(21, path, buf, cap); }
 int send(char *buf, int n)            { return __hc2(32, buf, n); }
 int recv(char *buf, int cap)          { return __hc2(33, buf, cap); }
+// msg = [out, out_len, in, in_cap]: sends out_len bytes, then receives.
+int send_recv(int *msg)               { return __hc1(34, msg); }
 
 int stat_size(char *path) {
   int st[2];

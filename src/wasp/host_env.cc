@@ -37,6 +37,19 @@ vbase::Result<std::vector<uint8_t>> HostEnv::GetFile(const std::string& path) co
   return it->second;
 }
 
+vbase::Result<uint64_t> HostEnv::ReadPrefix(const std::string& path, uint64_t cap,
+                                            std::vector<uint8_t>* prefix) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = files_.find(path);
+  if (it == files_.end()) {
+    return vbase::NotFound("no such file: " + path);
+  }
+  const std::vector<uint8_t>& content = it->second;
+  prefix->assign(content.begin(),
+                 content.begin() + static_cast<ptrdiff_t>(std::min<uint64_t>(cap, content.size())));
+  return static_cast<uint64_t>(content.size());
+}
+
 vbase::Result<int64_t> FdTable::Open(const std::string& path) {
   auto content = env_->GetFile(path);
   if (!content.ok()) {

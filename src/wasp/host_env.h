@@ -32,6 +32,11 @@ class HostEnv {
   bool FileExists(const std::string& path) const;
   vbase::Result<uint64_t> FileSize(const std::string& path) const;
   vbase::Result<std::vector<uint8_t>> GetFile(const std::string& path) const;
+  // Copies the first min(cap, size) bytes of the file into *prefix and
+  // returns its full size, both under one lock hold, so the size and the
+  // bytes always describe the same version of the file.
+  vbase::Result<uint64_t> ReadPrefix(const std::string& path, uint64_t cap,
+                                     std::vector<uint8_t>* prefix) const;
 
  private:
   friend class FdTable;

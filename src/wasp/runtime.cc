@@ -16,6 +16,29 @@ namespace {
 constexpr uint64_t kMaxIoLen = 1ULL << 24;        // 16 MB
 constexpr uint64_t kMaxPathLen = 4096;
 
+// The two halves of the stream hypercalls, shared by send, recv and
+// send_recv.  The caller has checked that a channel is attached.
+//
+// Sends `len` guest bytes at `va`; returns len, or -1 if the peer closed.
+vbase::Result<int64_t> ChannelSend(HypercallFrame& frame, uint64_t va, uint64_t len) {
+  if (len > kMaxIoLen) {
+    return vbase::InvalidArgument("send too large");
+  }
+  std::vector<uint8_t> buf(len);
+  VB_RETURN_IF_ERROR(frame.vm.ReadVirt(va, buf.data(), len));
+  return frame.spec.channel->Write(buf.data(), len) ? static_cast<int64_t>(len) : -1;
+}
+
+// Receives up to `cap` bytes into guest memory at `va`, blocking until some
+// arrive; returns the count (0 on EOF).
+vbase::Result<int64_t> ChannelRecv(HypercallFrame& frame, uint64_t va, uint64_t cap) {
+  cap = std::min(cap, kMaxIoLen);
+  std::vector<uint8_t> buf(cap);
+  const uint64_t n = frame.spec.channel->Read(buf.data(), cap);
+  VB_RETURN_IF_ERROR(frame.vm.WriteVirt(va, buf.data(), n));
+  return static_cast<int64_t>(n);
+}
+
 PoolOptions MakePoolOptions(const RuntimeOptions& options) {
   PoolOptions pool;
   pool.mode = options.clean_mode;
@@ -304,8 +327,7 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
       if (!path.ok()) {
         return path.status();
       }
-      HostEnv* env = frame.spec.env != nullptr ? frame.spec.env : &env_;
-      auto size = env->FileSize(*path);
+      auto size = frame.env->FileSize(*path);
       if (!size.ok()) {
         return -1;
       }
@@ -315,30 +337,52 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
       return 0;
     }
 
-    case kHcSend: {
+    case kHcReadFile: {
+      auto path = vm.ReadCString(frame.arg(0), kMaxPathLen);
+      if (!path.ok()) {
+        return path.status();
+      }
+      std::vector<uint8_t> prefix;
+      auto size = frame.env->ReadPrefix(*path, std::min(frame.arg(2), kMaxIoLen), &prefix);
+      if (!size.ok()) {
+        return -1;
+      }
+      VB_RETURN_IF_ERROR(vm.WriteVirt(frame.arg(1), prefix.data(), prefix.size()));
+      return static_cast<int64_t>(*size);
+    }
+
+    case kHcSend:
       if (frame.spec.channel == nullptr) {
         return vbase::FailedPrecondition("send: no channel attached");
       }
-      const uint64_t va = frame.arg(0);
-      const uint64_t len = frame.arg(1);
-      if (len > kMaxIoLen) {
-        return vbase::InvalidArgument("send too large");
-      }
-      std::vector<uint8_t> buf(len);
-      VB_RETURN_IF_ERROR(vm.ReadVirt(va, buf.data(), len));
-      return frame.spec.channel->Write(buf.data(), len) ? static_cast<int64_t>(len) : -1;
-    }
+      return ChannelSend(frame, frame.arg(0), frame.arg(1));
 
-    case kHcRecv: {
+    case kHcRecv:
       if (frame.spec.channel == nullptr) {
         return vbase::FailedPrecondition("recv: no channel attached");
       }
-      const uint64_t va = frame.arg(0);
-      const uint64_t cap = std::min<uint64_t>(frame.arg(1), kMaxIoLen);
-      std::vector<uint8_t> buf(cap);
-      const uint64_t n = frame.spec.channel->Read(buf.data(), cap);
-      VB_RETURN_IF_ERROR(vm.WriteVirt(va, buf.data(), n));
-      return static_cast<int64_t>(n);
+      return ChannelRecv(frame, frame.arg(0), frame.arg(1));
+
+    case kHcSendRecv: {
+      if (frame.spec.channel == nullptr) {
+        return vbase::FailedPrecondition("send_recv: no channel attached");
+      }
+      // The message is [out va, out len, in va, in cap] in guest words of
+      // the vCPU's current width.
+      const int w = vm.cpu().WordSize();
+      uint8_t raw[4 * sizeof(uint64_t)] = {};
+      VB_RETURN_IF_ERROR(vm.ReadVirt(frame.arg(0), raw, 4 * static_cast<uint64_t>(w)));
+      uint64_t msg[4] = {0, 0, 0, 0};
+      for (int i = 0; i < 4; ++i) {
+        std::memcpy(&msg[i], raw + i * w, static_cast<size_t>(w));
+      }
+      if (msg[1] > 0) {
+        auto sent = ChannelSend(frame, msg[0], msg[1]);
+        if (!sent.ok() || *sent < 0) {
+          return sent;
+        }
+      }
+      return ChannelRecv(frame, msg[2], msg[3]);
     }
 
     default:

@@ -5,9 +5,9 @@
 // runtime owns:
 //   * a shell Pool (cached VM contexts, optionally cleaned asynchronously),
 //   * a SnapshotStore (post-boot/post-init images keyed per virtine),
-//   * the canned hypercall handlers (console, POSIX-like file I/O against a
-//     sandboxed HostEnv, send/recv against a ByteChannel, snapshot,
-//     get_data/return_data), and
+//   * the canned hypercall handlers (console, POSIX-like file I/O and
+//     readfile against a sandboxed HostEnv, send/recv/send_recv against a
+//     ByteChannel, snapshot, get_data/return_data), and
 //   * the default-deny policy enforcement: a hypercall whose policy bit is
 //     clear terminates the virtine.
 //
@@ -117,12 +117,14 @@ struct HypercallFrame {
   // Chaos injection: the next return_data hypercall is treated as exceeding
   // the I/O ceiling regardless of its actual length.
   bool inject_oversized_reply = false;
-  // Per-invocation fd table for the file hypercalls.
+  // The sandboxed filesystem the file hypercalls read (the spec's override
+  // or the runtime's own), and the per-invocation fd table over it.
+  HostEnv* env;
   FdTable fds;
 
   HypercallFrame(vkvm::Vm& v, Runtime& r, const struct VirtineSpec& s, RunOutcome& o,
-                 HostEnv* env)
-      : vm(v), runtime(r), spec(s), outcome(o), fds(env) {}
+                 HostEnv* e)
+      : vm(v), runtime(r), spec(s), outcome(o), env(e), fds(e) {}
 };
 
 // A client-provided hypercall handler: returns the value placed in r0, or an

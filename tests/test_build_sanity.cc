@@ -28,12 +28,15 @@ static_assert(wasp::kHcRead == 17);
 static_assert(wasp::kHcWrite == 18);
 static_assert(wasp::kHcClose == 19);
 static_assert(wasp::kHcStat == 20);
+static_assert(wasp::kHcReadFile == 21);
 static_assert(wasp::kHcSend == 32);
 static_assert(wasp::kHcRecv == 33);
+static_assert(wasp::kHcSendRecv == 34);
 
 // All ports must fit in the 64-bit policy mask, 1 bit per port.
 static_assert(wasp::kMaxHypercall == 64);
 static_assert(wasp::kHcRecv < wasp::kMaxHypercall);
+static_assert(wasp::kHcSendRecv < wasp::kMaxHypercall);
 static_assert(std::is_same_v<wasp::HypercallMask, uint64_t>);
 
 // --- Policy masks ------------------------------------------------------------
@@ -42,8 +45,9 @@ static_assert(wasp::kPolicyAllowAll == ~0ULL);
 static_assert(wasp::kPolicyFileIo ==
               (wasp::MaskOf(wasp::kHcOpen) | wasp::MaskOf(wasp::kHcRead) |
                wasp::MaskOf(wasp::kHcWrite) | wasp::MaskOf(wasp::kHcClose) |
-               wasp::MaskOf(wasp::kHcStat)));
-static_assert(wasp::kPolicyStream == (wasp::MaskOf(wasp::kHcSend) | wasp::MaskOf(wasp::kHcRecv)));
+               wasp::MaskOf(wasp::kHcStat) | wasp::MaskOf(wasp::kHcReadFile)));
+static_assert(wasp::kPolicyStream == (wasp::MaskOf(wasp::kHcSend) | wasp::MaskOf(wasp::kHcRecv) |
+                                      wasp::MaskOf(wasp::kHcSendRecv)));
 static_assert(wasp::kPolicyManaged == (wasp::MaskOf(wasp::kHcSnapshot) |
                                        wasp::MaskOf(wasp::kHcGetData) |
                                        wasp::MaskOf(wasp::kHcReturnData)));

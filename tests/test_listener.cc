@@ -83,13 +83,20 @@ int ReadResponse(int fd, std::string* stream) {
   }
 }
 
-// Blocks until the peer closes (returns true) or ~2s pass (false).
-bool WaitForEof(int fd) {
+// Blocks until the peer closes (returns true) or ~2s pass (false).  Bytes
+// that arrive first are appended to *rest when it is given.
+bool WaitForEof(int fd, std::string* rest = nullptr) {
   char buf[256];
   for (int i = 0; i < 400; ++i) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
     if (n == 0) {
       return true;
+    }
+    if (n > 0) {
+      if (rest != nullptr) {
+        rest->append(buf, static_cast<size_t>(n));
+      }
+      continue;
     }
     if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
       return true;  // reset counts as closed
@@ -163,6 +170,30 @@ TEST_P(ListenerModeTest, KeepAliveReusesOneConnectionForManyRequests) {
   EXPECT_EQ(counters.keepalive_reused, 4u);  // 4 of 5 reused the shell
   EXPECT_EQ(counters.accepted, 1u);          // one connection, one dispatch
   EXPECT_EQ(stack.listener->stats().requests_forwarded, 5u);
+}
+
+TEST_P(ListenerModeTest, MaxRequestsCapEndsTheConnectionAfterTheCapthResponse) {
+  // The cap holds in every mode: the listener forwards exactly max_requests
+  // requests, drops the rest of the stream, and closes once the responses
+  // drain — a virtine guest sees a clean EOF after its last request.
+  vnet::ListenerOptions lopts;
+  lopts.connection.max_requests = 2;
+  Stack stack(GetParam(), {}, lopts);
+  const int fd = ConnectTo(stack.listener->port());
+  ASSERT_GE(fd, 0);
+  const std::string request = "GET /static.html HTTP/1.1\r\nHost: t\r\n\r\n";
+  ASSERT_TRUE(SendAll(fd, request + request + request));
+  std::string stream;
+  EXPECT_EQ(ReadResponse(fd, &stream), 200);
+  EXPECT_EQ(ReadResponse(fd, &stream), 200);
+  EXPECT_TRUE(WaitForEof(fd, &stream));
+  EXPECT_EQ(stream, "") << "a response past the cap";
+  ::close(fd);
+  stack.listener->Stop();
+  EXPECT_EQ(stack.listener->stats().requests_forwarded, 2u);
+  const auto counters = stack.server->counters(GetParam());
+  EXPECT_EQ(counters.requests, 2u);
+  EXPECT_EQ(counters.status_2xx, 2u);
 }
 
 TEST_P(ListenerModeTest, OversizedHeadIsRejectedAtTheEdgeWith413) {

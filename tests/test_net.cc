@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <map>
 
 #include "src/base/rng.h"
@@ -446,6 +447,188 @@ TEST_P(ServerModeTest, KeepAliveHttp10DefaultsToClose) {
   auto stats = server.HandleConnection(channel, GetParam(), conn);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->requests, 1u);
+}
+
+// --- Keep-alive guest paths and exit counts --------------------------------------
+// The keep-alive guest serves a file of at most one 4 KB body window from a
+// single readfile and holds the response pending until its next receive;
+// larger files stream.  Every mode must put the same bytes on the wire.
+
+constexpr size_t kGuestWindow = 4096;
+
+// Body bytes with a position-dependent pattern, so a misplaced chunk shows.
+std::string PatternBody(size_t n, int seed) {
+  std::string body(n, 'a');
+  for (size_t i = 0; i < n; ++i) {
+    body[i] = static_cast<char>('a' + (i * 7 + i / 251 + static_cast<size_t>(seed)) % 26);
+  }
+  return body;
+}
+
+std::string Get(const std::string& path, bool close = false) {
+  return "GET " + path + " HTTP/1.1\r\nHost: x\r\n" + (close ? "Connection: close\r\n" : "") +
+         "\r\n";
+}
+
+std::string Drained(wasp::ByteChannel& channel) {
+  const auto bytes = channel.host().Drain();
+  return std::string(bytes.begin(), bytes.end());
+}
+
+vnet::ConnectionOptions KeepAlive() {
+  vnet::ConnectionOptions conn;
+  conn.keep_alive = true;
+  return conn;
+}
+
+TEST_P(ServerModeTest, KeepAliveServesFilesAroundTheBodyWindowByteExact) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  const size_t sizes[] = {kGuestWindow - 1, kGuestWindow, kGuestWindow + 1,
+                          3 * kGuestWindow + 5};
+  std::vector<std::string> bodies;
+  for (size_t i = 0; i < 4; ++i) {
+    bodies.push_back(PatternBody(sizes[i], static_cast<int>(i)));
+    files.PutFile("/f" + std::to_string(i), bodies.back());
+  }
+  vnet::StaticHttpServer server(&runtime, &files);
+  for (size_t i = 0; i < 4; ++i) {
+    wasp::ByteChannel channel;
+    channel.host().WriteString(Get("/f" + std::to_string(i), /*close=*/true));
+    auto stats = server.HandleConnection(channel, GetParam(), KeepAlive());
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->r2xx, 1u) << sizes[i];
+    EXPECT_TRUE(Drained(channel) == vnet::BuildResponse(200, bodies[i])) << sizes[i] << " B";
+  }
+  // All of them on one connection, alternating the window path and the
+  // streaming path, so the cached 200 head is rebuilt as the size changes.
+  wasp::ByteChannel channel;
+  std::string expected;
+  const size_t order[] = {2, 0, 3, 1, 0};
+  for (size_t k = 0; k < 5; ++k) {
+    channel.host().WriteString(Get("/f" + std::to_string(order[k]), /*close=*/k == 4));
+    expected += vnet::BuildResponse(200, bodies[order[k]]);
+  }
+  auto stats = server.HandleConnection(channel, GetParam(), KeepAlive());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->r2xx, 5u);
+  EXPECT_TRUE(Drained(channel) == expected);
+}
+
+TEST_P(ServerModeTest, KeepAliveServes404Then200OnOneConnection) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  const std::string body = PatternBody(100, 3);
+  files.PutFile("/f.txt", body);
+  vnet::StaticHttpServer server(&runtime, &files);
+  wasp::ByteChannel channel;
+  channel.host().WriteString(Get("/missing") + Get("/f.txt", /*close=*/true));
+  auto stats = server.HandleConnection(channel, GetParam(), KeepAlive());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->requests, 2u);
+  EXPECT_EQ(stats->r2xx, 1u);
+  EXPECT_EQ(stats->r4xx, 1u);
+  EXPECT_EQ(Drained(channel), vnet::BuildResponse(404, "") + vnet::BuildResponse(200, body));
+}
+
+TEST_P(ServerModeTest, KeepAlivePipelinedResponsesLeaveInRequestOrder) {
+  // A window-sized file, a request with a body that must be drained (its
+  // pending response flushes on the drain's first receive) for a streamed
+  // file, a 404, and a final close — answered strictly in request order.
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  const std::string a = PatternBody(300, 1);
+  const std::string b = PatternBody(kGuestWindow + 904, 2);
+  files.PutFile("/a", a);
+  files.PutFile("/b", b);
+  vnet::StaticHttpServer server(&runtime, &files);
+  wasp::ByteChannel channel;
+  channel.host().WriteString(Get("/a") +
+                             "POST /b HTTP/1.1\r\nHost: x\r\nContent-Length: 3000\r\n\r\n" +
+                             std::string(3000, 'p') + Get("/missing") + Get("/a", true));
+  auto stats = server.HandleConnection(channel, GetParam(), KeepAlive());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->requests, 4u);
+  EXPECT_EQ(stats->r2xx, 3u);
+  EXPECT_EQ(stats->r4xx, 1u);
+  EXPECT_TRUE(Drained(channel) == vnet::BuildResponse(200, a) + vnet::BuildResponse(200, b) +
+                                      vnet::BuildResponse(404, "") + vnet::BuildResponse(200, a));
+}
+
+// Reads one Content-Length-framed response off the channel's host end
+// (leftover bytes stay in *stream); true iff it is a 200.
+bool Read200(wasp::ByteChannel& channel, std::string* stream) {
+  char buf[4096];
+  while (true) {
+    auto head = vnet::FrameResponseHead(*stream);
+    if (head.ok() && stream->size() >= head->head_bytes + head->content_length) {
+      stream->erase(0, head->head_bytes + head->content_length);
+      return head->status == 200;
+    }
+    if (!head.ok() && head.status().code() != vbase::Code::kFailedPrecondition) {
+      return false;
+    }
+    const uint64_t n = channel.host().Read(buf, sizeof(buf));
+    if (n == 0) {
+      return false;
+    }
+    stream->append(buf, n);
+  }
+}
+
+// Serves `n` GETs of /f.txt on one keep-alive connection.  Pipelined: every
+// request is written before the server starts; otherwise each is written
+// once the previous response has arrived.  The connection ends with
+// Connection: close on the last request, or with the client's EOF.
+vbase::Result<vnet::ServeStats> ServeGets(vnet::StaticHttpServer& server, vnet::ServeMode mode,
+                                          int n, bool pipelined, bool close) {
+  wasp::ByteChannel channel;
+  const auto request = [&](int k) { return Get("/f.txt", close && k + 1 == n); };
+  for (int k = 0; k < (pipelined ? n : 1); ++k) {
+    channel.host().WriteString(request(k));
+  }
+  if (pipelined && !close) {
+    channel.host().CloseWrite();
+  }
+  auto served = std::async(std::launch::async,
+                           [&] { return server.HandleConnection(channel, mode, KeepAlive()); });
+  std::string stream;
+  bool ok = true;
+  for (int k = 1; k <= n && ok; ++k) {
+    ok = Read200(channel, &stream);
+    if (ok && !pipelined && k < n) {
+      channel.host().WriteString(request(k));
+    }
+  }
+  EXPECT_TRUE(ok) << "a response was not a 200";
+  if (!pipelined && (!close || !ok)) {
+    channel.host().CloseWrite();
+  }
+  return served.get();
+}
+
+TEST_P(ServerModeTest, KeepAliveGetsCostTwoExitsEachPlusThree) {
+  // A kept-alive GET of a window-sized file costs two exits (readfile, and
+  // the send_recv or send that flushes its response); a connection adds
+  // three (its first receive, and return_data + exit).  2N+3 holds however
+  // the connection ends and however the requests arrive.
+  constexpr int kRequests = 5;
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/f.txt", PatternBody(512, 4));
+  vnet::StaticHttpServer server(&runtime, &files);
+  // Warm-up: the first snapshot-mode invocation also takes the snapshot.
+  ASSERT_TRUE(ServeGets(server, GetParam(), 1, true, true).ok());
+  const uint64_t want = GetParam() == vnet::ServeMode::kNative ? 0 : 2 * kRequests + 3;
+  for (const bool pipelined : {true, false}) {
+    for (const bool close : {true, false}) {
+      auto stats = ServeGets(server, GetParam(), kRequests, pipelined, close);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(stats->r2xx, static_cast<uint64_t>(kRequests));
+      EXPECT_EQ(stats->io_exits, want) << (pipelined ? "pipelined" : "one at a time")
+                                       << (close ? ", Connection: close" : ", EOF");
+    }
+  }
 }
 
 TEST(Server, KeepAliveNativeEnforcesMaxRequests) {

@@ -40,8 +40,10 @@ TEST(Env, PreludeConstantsMirrorAbi) {
   expect_equ("HC_WRITE", wasp::kHcWrite);
   expect_equ("HC_CLOSE", wasp::kHcClose);
   expect_equ("HC_STAT", wasp::kHcStat);
+  expect_equ("HC_READFILE", wasp::kHcReadFile);
   expect_equ("HC_SEND", wasp::kHcSend);
   expect_equ("HC_RECV", wasp::kHcRecv);
+  expect_equ("HC_SEND_RECV", wasp::kHcSendRecv);
   expect_equ("BOOTINFO", wasp::kBootInfoAddr);
   expect_equ("WORD", 8);
 }
@@ -62,6 +64,14 @@ TEST(Env, VlibcPortsMatchAbi) {
       if (read(fd, buf, 8) != 2) { return 4; }   // read (port 17)
       write(1, buf, 2);                // write (port 18)
       if (close(fd) != 0) { return 5; }          // close (port 19)
+      if (readfile("/p", buf, 1) != 2) { return 6; }  // readfile (port 21)
+      if (buf[0] != 'x') { return 7; }
+      int msg[4];
+      msg[0] = "ab";
+      msg[1] = 2;
+      msg[2] = buf;
+      msg[3] = 8;
+      if (send_recv(msg) != 3) { return 8; }     // send_recv (port 34)
       return 0;
     })";
   auto image = vcc::CompileProgram(vrt::VlibcSource() + probe, "main", vrt::Env::kLong64);
@@ -73,12 +83,17 @@ TEST(Env, VlibcPortsMatchAbi) {
   spec.policy = wasp::kPolicyAllowAll;
   std::vector<uint8_t> input = {7, 8, 9};
   spec.input = &input;
+  wasp::ByteChannel channel;
+  channel.host().WriteString("xyz");
+  spec.channel = &channel.guest();
   auto outcome = runtime.Invoke(spec);
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.result_word, 0u) << "vlibc probe failed at step " << outcome.result_word;
   EXPECT_EQ(outcome.console, "c");
   EXPECT_EQ(outcome.output.size(), 3u);
   EXPECT_EQ(outcome.fd_writes.size(), 2u);
+  const auto sent = channel.host().Drain();
+  EXPECT_EQ(std::string(sent.begin(), sent.end()), "ab");
 }
 
 TEST(Env, ImagesStayVirtineSized) {

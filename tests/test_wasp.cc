@@ -451,6 +451,202 @@ path:
   EXPECT_EQ(outcome.result_word, 0xffffu);
 }
 
+// --- readfile and send_recv ---------------------------------------------------------
+
+TEST(Policy, ReadFileAndSendRecvAreDefaultDenied) {
+  // Each new call is denied without its own bit — under default-deny and
+  // under the other canned set alike.
+  const struct {
+    const char* port;
+    wasp::HypercallMask other_set;
+  } cases[] = {{"HC_READFILE", wasp::kPolicyStream}, {"HC_SEND_RECV", wasp::kPolicyFileIo}};
+  for (const auto& c : cases) {
+    auto image = RawImage(std::string("start:\n  mov r0, 0\n  out ") + c.port + ", r0\n  hlt\n");
+    for (const wasp::HypercallMask policy : {wasp::kPolicyDenyAll, c.other_set}) {
+      wasp::Runtime runtime;
+      wasp::ByteChannel channel;
+      wasp::VirtineSpec spec;
+      spec.image = &image;
+      spec.policy = policy;
+      spec.channel = &channel.guest();
+      auto outcome = runtime.Invoke(spec);
+      EXPECT_TRUE(outcome.denied) << c.port;
+      EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied) << c.port;
+      EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied) << c.port;
+    }
+  }
+}
+
+// A long-mode guest that fills 16 bytes at `buf` with '#' (when it is the
+// probe buffer), calls readfile(path, buf, cap), returns 16 bytes of the
+// probe buffer through return_data, and returns readfile's result.
+wasp::RunOutcome RunReadFile(wasp::Runtime& runtime, const std::string& path,
+                             const std::string& buf, int cap) {
+  auto image = vrt::BuildImage(vrt::Env::kLong64, R"(
+virtine_main:
+  mov r1, 0x40000
+  mov r2, 0x2323232323232323
+  st64 [r1+0], r2
+  st64 [r1+8], r2
+  mov r1, path
+  mov r2, )" + buf + R"(
+  mov r3, )" + std::to_string(cap) + R"(
+  mov r0, 0
+  out HC_READFILE, r0
+  mov r9, r0
+  mov r1, 0x40000
+  mov r2, 16
+  mov r0, 0
+  out HC_RETURN_DATA, r0
+  mov r0, r9
+  ret
+path:
+  .asciz ")" + path + "\"\n");
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  wasp::VirtineSpec spec;
+  spec.image = &image.value();
+  spec.policy = wasp::kPolicyFileIo | wasp::MaskOf(wasp::kHcReturnData);
+  return runtime.Invoke(spec);
+}
+
+std::string OutputOf(const wasp::RunOutcome& outcome) {
+  return std::string(outcome.output.begin(), outcome.output.end());
+}
+
+TEST(ReadFile, CopiesAtMostCapBytesAndReturnsTheFullSize) {
+  wasp::Runtime runtime;
+  runtime.env().PutFile("/greeting", std::string("hello file"));
+  auto small = RunReadFile(runtime, "/greeting", "0x40000", 4);
+  ASSERT_TRUE(small.status.ok()) << small.status.ToString();
+  EXPECT_EQ(small.result_word, 10u);  // the full size, not the bytes copied
+  EXPECT_EQ(OutputOf(small), "hell############");
+  auto whole = RunReadFile(runtime, "/greeting", "0x40000", 64);
+  ASSERT_TRUE(whole.status.ok()) << whole.status.ToString();
+  EXPECT_EQ(whole.result_word, 10u);
+  EXPECT_EQ(OutputOf(whole), "hello file######");
+  EXPECT_EQ(whole.stats.io_exits, 2u);  // readfile + return_data
+}
+
+TEST(ReadFile, MissingPathReturnsMinusOne) {
+  wasp::Runtime runtime;
+  auto outcome = RunReadFile(runtime, "/does-not-exist", "0x40000", 16);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.result_word, ~0ULL);
+  EXPECT_EQ(OutputOf(outcome), std::string(16, '#'));  // nothing copied
+}
+
+TEST(ReadFile, OutOfRangeBufferIsAHypercallError) {
+  // A mapped virtual address whose physical target is beyond guest memory:
+  // the copy-out fails, the virtine dies classified, and the host is
+  // untouched — the file is intact and the runtime keeps serving.
+  wasp::Runtime runtime;
+  runtime.env().PutFile("/greeting", std::string("hello file"));
+  auto outcome = RunReadFile(runtime, "/greeting", "0x20000000", 10);
+  EXPECT_FALSE(outcome.status.ok());
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kHypercallError);
+  auto file = runtime.env().GetFile("/greeting");
+  ASSERT_TRUE(file.ok());
+  EXPECT_EQ(std::string(file->begin(), file->end()), "hello file");
+  auto again = RunReadFile(runtime, "/greeting", "0x40000", 64);
+  ASSERT_TRUE(again.status.ok()) << again.status.ToString();
+  EXPECT_EQ(OutputOf(again), "hello file######");
+}
+
+// A guest of `env` that puts "ok" at 0x40100, stores the send_recv message
+// [0x40100, out_len, 0x40200, 8] at 0x40000 as four words with `store`,
+// calls send_recv, returns the 8 bytes at 0x40200 through return_data, and
+// returns send_recv's result.
+visa::Image SendRecvImage(vrt::Env env, const char* store, uint64_t out_len) {
+  const int w = vrt::WordBytes(env);
+  const uint64_t msg[4] = {0x40100, out_len, 0x40200, 8};
+  std::string source =
+      "virtine_main:\n  mov r1, 0x40100\n  mov r2, 0x6b6f\n  st16 [r1+0], r2\n"
+      "  mov r1, 0x40000\n";
+  for (int i = 0; i < 4; ++i) {
+    source += "  mov r2, " + std::to_string(msg[i]) + "\n  " + store + " [r1+" +
+              std::to_string(i * w) + "], r2\n";
+  }
+  source += R"(  mov r0, 0
+  out HC_SEND_RECV, r0
+  mov r9, r0
+  mov r1, 0x40200
+  mov r2, 8
+  mov r0, 0
+  out HC_RETURN_DATA, r0
+  mov r0, r9
+  ret
+)";
+  auto image = vrt::BuildImage(env, source);
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  return std::move(*image);
+}
+
+TEST(SendRecv, SendsThenReceivesInOneExit) {
+  auto image = SendRecvImage(vrt::Env::kLong64, "st64", 2);
+  wasp::Runtime runtime;
+  wasp::ByteChannel channel;
+  channel.host().WriteString("ping");
+  wasp::VirtineSpec spec;
+  spec.image = &image;
+  spec.policy = wasp::kPolicyStream | wasp::MaskOf(wasp::kHcReturnData);
+  spec.channel = &channel.guest();
+  auto outcome = runtime.Invoke(spec);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.result_word, 4u);
+  EXPECT_EQ(OutputOf(outcome).substr(0, 4), "ping");
+  const auto sent = channel.host().Drain();
+  EXPECT_EQ(std::string(sent.begin(), sent.end()), "ok");
+  EXPECT_EQ(outcome.stats.io_exits, 2u);  // send_recv + return_data
+}
+
+TEST(SendRecv, Prot32GuestUsesFourByteMessageWords) {
+  // Four 4-byte words: read as 8-byte words they would pair up into two
+  // garbage pointers.
+  auto image = SendRecvImage(vrt::Env::kProt32, "st32", 2);
+  wasp::Runtime runtime;
+  wasp::ByteChannel channel;
+  channel.host().WriteString("ping");
+  wasp::VirtineSpec spec;
+  spec.image = &image;
+  spec.word_bytes = 4;
+  spec.policy = wasp::kPolicyStream | wasp::MaskOf(wasp::kHcReturnData);
+  spec.channel = &channel.guest();
+  auto outcome = runtime.Invoke(spec);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.result_word, 4u);
+  EXPECT_EQ(OutputOf(outcome).substr(0, 4), "ping");
+  const auto sent = channel.host().Drain();
+  EXPECT_EQ(std::string(sent.begin(), sent.end()), "ok");
+}
+
+TEST(SendRecv, WithoutChannelOrWithOversizedSendIsRejected) {
+  auto image = SendRecvImage(vrt::Env::kLong64, "st64", 2);
+  {
+    wasp::Runtime runtime;
+    wasp::VirtineSpec spec;
+    spec.image = &image;
+    spec.policy = wasp::kPolicyStream | wasp::MaskOf(wasp::kHcReturnData);
+    auto outcome = runtime.Invoke(spec);
+    EXPECT_EQ(outcome.status.code(), vbase::Code::kFailedPrecondition);
+    EXPECT_EQ(outcome.fault, wasp::FaultKind::kHypercallError);
+  }
+  // One byte past the 16 MB I/O ceiling: rejected before anything moves.
+  auto oversized = SendRecvImage(vrt::Env::kLong64, "st64", (1 << 24) + 1);
+  wasp::Runtime runtime;
+  wasp::ByteChannel channel;
+  channel.host().WriteString("ping");
+  wasp::VirtineSpec spec;
+  spec.image = &oversized;
+  spec.policy = wasp::kPolicyStream | wasp::MaskOf(wasp::kHcReturnData);
+  spec.channel = &channel.guest();
+  auto outcome = runtime.Invoke(spec);
+  EXPECT_EQ(outcome.status.code(), vbase::Code::kInvalidArgument);
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kHypercallError);
+  EXPECT_TRUE(channel.host().Drain().empty());
+  char buf[8];
+  EXPECT_EQ(channel.guest().Read(buf, sizeof(buf)), 4u) << "the request was consumed";
+}
+
 // --- Channels ---------------------------------------------------------------------
 
 TEST(Channel, RoundTripAndEof) {
