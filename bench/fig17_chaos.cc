@@ -422,7 +422,11 @@ int RunSoakPhase(bool quick, bool soak) {
   int failures = 0;
   uint64_t total_faulted = 0;
   uint64_t census_after_first = 0;
-  wasp::Executor executor(&runtime, wasp::ExecutorOptions{kLanes, 0, true});
+  wasp::ExecutorOptions executor_options;
+  executor_options.workers = kLanes;
+  executor_options.max_queue_depth = 0;
+  executor_options.block_when_full = true;
+  wasp::Executor executor(&runtime, executor_options);
   vbase::Table table({"round", "replayed", "faulted", "resident B", "census",
                       "quarantined now", "queued", "in flight"});
   for (int round = 0; round < rounds; ++round) {

@@ -25,14 +25,15 @@ count_gtests() {
 if [[ "${TSAN:-0}" == "1" ]]; then
   # ThreadSanitizer gate for the concurrent invocation engine (lock-free
   # shell fast path: lane caches + tagged Treiber stacks, cleaner crew,
-  # executor, governance layer).  test_wasp_concurrency carries the PR 7
-  # stress suite — the mixed-op conservation stress and the Treiber-stack
-  # ABA/conservation regressions run under TSan here.  Separate build dir:
-  # TSan objects don't mix.
+  # executor, governance layer, the admission policy's executor-vs-replay
+  # differential).  test_wasp_concurrency carries the stress suite —
+  # the mixed-op conservation stress and the Treiber-stack ABA/conservation
+  # regressions run under TSan here.  Separate build dir: TSan objects don't
+  # mix.
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
   TSAN_TESTS=(test_wasp test_wasp_concurrency test_snapshot_engine test_governance
               test_net test_http_server_concurrency test_fault_injection test_recovery
-              test_listener)
+              test_listener test_admission)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
@@ -52,12 +53,13 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # residency accounting — and the compiler: vcc's parser, register
   # allocator and code generator, the vrt runtime library, and the codegen
   # differential oracle — and the HTTP guests driven directly through
-  # HandleConnection (pipelining, bodies, streamed files, exit counts).
+  # HandleConnection (pipelining, bodies, streamed files, exit counts) — and
+  # the admission policy (differential and property tests).
   # Separate build dir: sanitizer objects don't mix.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   ASAN_TESTS=(test_snapshot_engine test_wasp test_wasp_concurrency test_governance
               test_cpu test_isa test_fault_injection test_recovery test_listener
-              test_net test_vcc test_vcc_deep test_vcc_oracle test_vrt)
+              test_net test_vcc test_vcc_deep test_vcc_oracle test_vrt test_admission)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"

@@ -22,6 +22,9 @@ constexpr const char* kStaticHandlerKey = "http-static-handler";
 // boot different binaries, so they must never share a snapshot generation.
 constexpr const char* kKeepAliveHandlerKey = "http-keepalive-handler";
 
+// Executor key of a routed connection: its quota, class and breaker unit.
+std::string RouteKey(const std::string& route) { return "route:" + route; }
+
 }  // namespace
 
 std::string EchoHandlerSource() {
@@ -876,13 +879,14 @@ ConcurrentHttpServer::ConcurrentHttpServer(wasp::Runtime* runtime, wasp::HostEnv
       inner_(runtime, env),
       executor_(runtime, [&options] {
         wasp::ExecutorOptions opts;
+        static_cast<wasp::AdmissionOptions&>(opts) = options;
         opts.workers = options.lanes;
-        opts.max_queue_depth = options.max_queue_depth;
         opts.block_when_full = options.block_when_full;
-        opts.key_quota = options.key_quota;
-        opts.key_quota_overrides = options.key_quota_overrides;
-        opts.batch_weight = options.batch_weight;
-        opts.recovery = options.recovery;
+        // Overrides name routes; the executor keys routed jobs RouteKey(route).
+        opts.key_quota_overrides.clear();
+        for (const auto& [route, quota] : options.key_quota_overrides) {
+          opts.key_quota_overrides.emplace(RouteKey(route), quota);
+        }
         return opts;
       }()) {}
 
@@ -908,7 +912,7 @@ std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
   // restores the one static-handler snapshot, so distinct route keys give
   // up some cross-route affinity-scan locality in exchange for per-route
   // quota isolation.
-  return Dispatch(channel, mode, "route:" + route, klass, options_.connection);
+  return Dispatch(channel, mode, RouteKey(route), klass, options_.connection);
 }
 
 std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
@@ -917,7 +921,7 @@ std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
   auto it = options_.route_classes.find(route);
   const wasp::KeyClass klass =
       it != options_.route_classes.end() ? it->second : wasp::KeyClass::kLatency;
-  return Dispatch(channel, mode, "route:" + route, klass, conn);
+  return Dispatch(channel, mode, RouteKey(route), klass, conn);
 }
 
 std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::Dispatch(

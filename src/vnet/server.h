@@ -34,6 +34,7 @@
 
 #include "src/base/status.h"
 #include "src/isa/image.h"
+#include "src/wasp/admission.h"
 #include "src/wasp/channel.h"
 #include "src/wasp/executor.h"
 #include "src/wasp/host_env.h"
@@ -145,32 +146,22 @@ class StaticHttpServer {
   visa::Image keepalive_image_;
 };
 
-struct ConcurrentServerOptions {
-  int lanes = 4;                // executor workers serving connections
-  size_t max_queue_depth = 0;   // bounded admission; 0 = unbounded
+// The serving stack's settings: the executor's admission settings
+// (wasp::AdmissionOptions) plus the lanes, the full-queue policy and the
+// route table.  Admission maps onto HTTP: a quota or open-breaker shed is a
+// 429 (the breaker's carries Retry-After), a global-bound shed a 503.
+// Routed submissions are keyed per route, and key_quota_overrides names
+// routes.  Unrouted snapshot-mode submissions all share the handler's
+// affinity key and therefore one quota pool — leave key_quota 0 if that path
+// should only ever shed 503.
+struct ConcurrentServerOptions : wasp::AdmissionOptions {
+  int lanes = 4;  // executor workers serving connections
   // Full-queue policy: block the submitter until a lane frees (closed-loop
   // clients) or answer the connection with an immediate 503 (load shedding).
   bool block_when_full = true;
-  // Per-key admission quota (jobs queued + in flight under one key); 0 =
-  // unlimited.  Exceeding it answers the connection with 429 instead of
-  // 503.  Routed submissions are keyed per route; unrouted snapshot-mode
-  // submissions all share the handler's affinity key and therefore one
-  // quota pool — leave this 0 if that path should only ever shed 503.
-  size_t key_quota = 0;
-  // Per-key overrides of key_quota for routed submissions (keys are route
-  // names); forwarded to ExecutorOptions::key_quota_overrides.  A listed
-  // route uses its override (0 = unlimited); unlisted routes use key_quota.
-  std::map<std::string, size_t> key_quota_overrides = {};
   // Route -> scheduling class for routed submissions; unlisted routes are
-  // latency-sensitive.  Weighted dequeue (ExecutorOptions::batch_weight)
-  // keeps batch routes from starving interactive ones and vice versa.
+  // latency-sensitive.
   std::map<std::string, wasp::KeyClass> route_classes;
-  int batch_weight = 4;  // forwarded to ExecutorOptions::batch_weight
-  // Fault-recovery policy forwarded to ExecutorOptions::recovery.  With the
-  // breaker enabled, a route whose sustained fault rate trips its breaker is
-  // shed with a fast 429 carrying a Retry-After header — no shell is burned
-  // probing a key that is currently killing every invocation.
-  wasp::RecoveryOptions recovery = {};
   // Default per-connection policy for SubmitConnection (overridable per
   // submission); the listener passes its own.
   ConnectionOptions connection = {};

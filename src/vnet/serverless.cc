@@ -6,11 +6,14 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <optional>
 #include <queue>
+#include <set>
 #include <thread>
 #include <tuple>
 
 #include "src/base/clock.h"
+#include "src/base/log.h"
 #include "src/base/rng.h"
 #include "src/vcc/vcc.h"
 #include "src/vjs/vjs.h"
@@ -188,7 +191,9 @@ vbase::Result<Vespid::ReplayResult> Vespid::ReplayBurstyLoad(
   std::vector<double> service_us;
   std::vector<bool> cold;
   {
-    wasp::Executor executor(runtime_, wasp::ExecutorOptions{lanes, 0, true});
+    wasp::ExecutorOptions executor_options;
+    executor_options.workers = lanes;
+    wasp::Executor executor(runtime_, executor_options);
     std::vector<std::future<wasp::RunOutcome>> futures;
     futures.reserve(arrivals.size());
     const auto pace_origin = std::chrono::steady_clock::now();
@@ -263,6 +268,13 @@ vbase::Result<MeasuredTrace> Vespid::MeasureMultiTenant(const std::vector<Tenant
   if (tenants.empty()) {
     return vbase::InvalidArgument("MeasureMultiTenant needs at least one tenant");
   }
+  // Tenant names become GovernTrace's admission keys, so they must differ.
+  std::set<std::string> names;
+  for (const TenantSpec& tenant : tenants) {
+    if (!names.insert(tenant.name).second) {
+      return vbase::InvalidArgument("MeasureMultiTenant: duplicate tenant " + tenant.name);
+    }
+  }
   MeasuredTrace trace;
   std::vector<const Fn*> fns;
   fns.reserve(tenants.size());
@@ -299,8 +311,9 @@ vbase::Result<MeasuredTrace> Vespid::MeasureMultiTenant(const std::vector<Tenant
   // carries real cross-tenant restore effects (affine hit vs full copy).
   vbase::WallTimer timer;
   {
-    wasp::Executor executor(runtime_,
-                            wasp::ExecutorOptions{std::max(concurrency, 1), 0, true});
+    wasp::ExecutorOptions executor_options;
+    executor_options.workers = std::max(concurrency, 1);
+    wasp::Executor executor(runtime_, executor_options);
     std::vector<std::future<wasp::RunOutcome>> futures;
     futures.reserve(merged.size());
     for (const auto& [at, idx] : merged) {
@@ -331,107 +344,59 @@ vbase::Result<MeasuredTrace> Vespid::MeasureMultiTenant(const std::vector<Tenant
 }
 
 GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& options) {
-  const int lanes = std::max(options.lanes, 1);
-  // Same floor as the executor: weight 1 would pick batch on every
-  // contended dequeue (priority inversion), so positive weights start at
-  // alternation.
-  const int batch_weight =
-      options.batch_weight > 0 ? std::max(options.batch_weight, 2) : options.batch_weight;
+  // MeasuredTrace is a public struct that tests and benches build by hand, so
+  // check its shape once instead of reading past a short vector.  Names are
+  // the policy's keys: same-named tenants would share a quota and a breaker.
   const size_t n = trace.arrivals_us.size();
+  VB_CHECK(trace.tenant.size() == n && trace.service_us.size() == n && trace.cold.size() == n,
+           "MeasuredTrace: arrivals_us, tenant, service_us and cold differ in length");
+  VB_CHECK(trace.faulted.empty() || trace.faulted.size() == n,
+           "MeasuredTrace: faulted must be empty or one flag per arrival");
+  VB_CHECK(trace.classes.size() == trace.names.size(),
+           "MeasuredTrace: classes and names differ in length");
+  for (int t : trace.tenant) {
+    VB_CHECK(t >= 0 && static_cast<size_t>(t) < trace.names.size(),
+             "MeasuredTrace: tenant index " << t << " out of range");
+  }
+  const std::set<std::string> distinct(trace.names.begin(), trace.names.end());
+  VB_CHECK(distinct.size() == trace.names.size() && distinct.count("") == 0,
+           "MeasuredTrace: tenant names must be non-empty and distinct");
+
+  const int lanes = std::max(options.lanes, 1);
   GovernedReplay replay;
   replay.tenants.resize(trace.names.size());
   for (size_t t = 0; t < trace.names.size(); ++t) {
     replay.tenants[t].name = trace.names[t];
   }
 
-  // Virtual-time replica of the executor's admission and dequeue policy:
-  // at each arrival, quota then global bound decide admission; lanes drain
-  // the two class queues with the same weighted (or FIFO) pick rule the
-  // workers use.  Everything is integer/double arithmetic over the measured
-  // services, so a given trace always governs identically.
+  // The executor's admission policy stepped over virtual time: each arrival
+  // is admitted or shed by it, lanes drain the two class queues in the
+  // order it picks, and each virtual completion feeds it back.  Everything
+  // is integer/double arithmetic over the measured services, so a given
+  // trace always governs identically.
+  wasp::AdmissionPolicy policy(options);
   std::vector<double> lane_free(static_cast<size_t>(lanes), 0.0);
   std::deque<size_t> queues[2];  // by KeyClass, request indices in arrival order
-  std::vector<size_t> tenant_load(trace.names.size(), 0);  // queued + running
-  // Tier-resolved effective quota per tenant (0 = unlimited), fixed for the
-  // whole replay.
-  std::vector<size_t> tenant_quota(trace.names.size(), 0);
-  for (size_t t = 0; t < trace.names.size(); ++t) {
-    tenant_quota[t] = options.QuotaFor(trace.names[t]);
-  }
-  // (done_us, tenant, faulted, probe) — faulted/probe ride along so the
-  // recovery discipline can feed the breaker at each virtual completion.
+  // (done_us, tenant, faulted, probe) — faulted/probe ride along so each
+  // virtual completion can feed the policy.
   using Completion = std::tuple<double, size_t, bool, bool>;
   std::priority_queue<Completion, std::vector<Completion>, std::greater<Completion>>
       completions;
-  int batch_credit = 0;
-
   std::vector<double> start_us(n, -1.0);  // -1 = shed
   std::vector<double> done_us(n, -1.0);
-
-  // Per-tenant virtual breaker: the executor's exact state machine (EWMA at
-  // completion, count-based cooldown, single half-open probe) evaluated over
-  // virtual completion events instead of worker-thread ones.
-  const wasp::RecoveryOptions& ro = options.recovery;
-  struct VBreaker {
-    double ewma = 0.0;
-    uint64_t samples = 0;
-    wasp::BreakerState state = wasp::BreakerState::kClosed;
-    uint64_t sheds = 0;
-    bool probe_in_flight = false;
-  };
-  std::vector<VBreaker> breakers(trace.names.size());
   std::vector<char> is_probe(n, 0);
-  auto record_attempt = [&](size_t t, bool faulted, bool probe) {
-    VBreaker& b = breakers[t];
-    b.ewma = ro.breaker_alpha * (faulted ? 1.0 : 0.0) + (1.0 - ro.breaker_alpha) * b.ewma;
-    ++b.samples;
-    if (!ro.breaker_enabled) {
-      return;
-    }
-    if (probe) {
-      b.probe_in_flight = false;
-      if (faulted) {
-        b.state = wasp::BreakerState::kOpen;
-        b.sheds = 0;
-        ++replay.tenants[t].breaker_opens;
-      } else {
-        b.state = wasp::BreakerState::kClosed;
-        b.ewma = 0.0;  // clean slate, as in the executor
-      }
-      return;
-    }
-    if (b.state == wasp::BreakerState::kClosed && b.samples >= ro.breaker_min_samples &&
-        b.ewma >= ro.breaker_open_threshold) {
-      b.state = wasp::BreakerState::kOpen;
-      b.sheds = 0;
-      ++replay.tenants[t].breaker_opens;
-    }
-  };
+  auto faulted_at = [&](size_t i) { return !trace.faulted.empty() && trace.faulted[i]; };
 
   auto advance_completions = [&](double now) {
     while (!completions.empty() && std::get<0>(completions.top()) <= now) {
       const auto [done, t, faulted, probe] = completions.top();
       (void)done;
-      --tenant_load[t];
-      record_attempt(t, faulted, probe);
+      policy.OnComplete(trace.names[t], faulted, probe);
       completions.pop();
     }
   };
-  auto pick_class = [&]() -> size_t {
-    const bool have_latency = !queues[0].empty();
-    const bool have_batch = !queues[1].empty();
-    if (have_latency && have_batch) {
-      if (batch_weight <= 0) {
-        return queues[0].front() < queues[1].front() ? 0 : 1;  // FIFO by arrival
-      }
-      if (batch_credit >= batch_weight - 1) {
-        batch_credit = 0;
-        return 1;
-      }
-      ++batch_credit;
-      return 0;
-    }
-    return have_latency ? 0 : 1;
+  auto head = [&](size_t cls) {
+    return queues[cls].empty() ? std::nullopt : std::optional<uint64_t>(queues[cls].front());
   };
   // Dispatches queued requests onto lanes that free up strictly before
   // `horizon` (infinity for the final drain).
@@ -442,15 +407,14 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& 
       if (lane_free[lane] >= horizon) {
         break;
       }
-      const size_t cls = pick_class();
+      const size_t cls = static_cast<size_t>(policy.PickNext(head(0), head(1)));
       const size_t idx = queues[cls].front();
       queues[cls].pop_front();
       const double start = std::max(lane_free[lane], trace.arrivals_us[idx]);
       start_us[idx] = start;
       done_us[idx] = start + trace.service_us[idx];
       lane_free[lane] = done_us[idx];
-      const bool faulted = idx < trace.faulted.size() && trace.faulted[idx];
-      completions.emplace(done_us[idx], static_cast<size_t>(trace.tenant[idx]), faulted,
+      completions.emplace(done_us[idx], static_cast<size_t>(trace.tenant[idx]), faulted_at(idx),
                           is_probe[idx] != 0);
     }
   };
@@ -462,60 +426,23 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& 
     advance_completions(now);
     TenantOutcome& tenant = replay.tenants[t];
     ++tenant.offered;
-    // Breaker first (mirrors Executor::Enqueue): an open breaker is the
-    // cheapest shed, checked before any queue or quota math.
-    if (ro.breaker_enabled) {
-      VBreaker& b = breakers[t];
-      bool admit = true;
-      bool probe = false;
-      if (b.state == wasp::BreakerState::kOpen) {
-        if (b.sheds >= ro.breaker_open_sheds) {
-          b.state = wasp::BreakerState::kHalfOpen;
-          b.probe_in_flight = true;
-          probe = true;
-        } else {
-          ++b.sheds;
-          admit = false;
-        }
-      } else if (b.state == wasp::BreakerState::kHalfOpen) {
-        if (b.probe_in_flight) {
-          admit = false;
-        } else {
-          b.probe_in_flight = true;
-          probe = true;
-        }
-      }
-      if (!admit) {
+    bool probe = false;
+    switch (policy.Admit(trace.names[t], queues[0].size() + queues[1].size(), &probe)) {
+      case wasp::Admission::kAccepted:
+        queues[static_cast<size_t>(trace.classes[t])].push_back(i);
+        policy.OnEnqueue(trace.names[t]);
+        is_probe[i] = probe ? 1 : 0;
+        break;
+      case wasp::Admission::kCircuitOpen:
         ++tenant.shed_breaker;
-        continue;
-      }
-      if (probe) {
-        is_probe[i] = 1;
-      }
+        break;
+      case wasp::Admission::kQuotaExceeded:
+        ++tenant.shed_quota;
+        break;
+      default:
+        ++tenant.shed_overload;
+        break;
     }
-    // A probe shed by a later admission stage hands back its reservation, or
-    // the breaker would wait forever on a probe that never ran.
-    auto release_probe = [&] {
-      if (is_probe[i] != 0) {
-        breakers[t].probe_in_flight = false;
-        is_probe[i] = 0;
-      }
-    };
-    // Quota next: the per-key signal beats the global one so a hot key is
-    // told to back off, not that the server is full.
-    if (tenant_quota[t] > 0 && tenant_load[t] >= tenant_quota[t]) {
-      ++tenant.shed_quota;
-      release_probe();
-      continue;
-    }
-    if (options.max_queue_depth > 0 &&
-        queues[0].size() + queues[1].size() >= options.max_queue_depth) {
-      ++tenant.shed_overload;
-      release_probe();
-      continue;
-    }
-    queues[static_cast<size_t>(trace.classes[t])].push_back(i);
-    ++tenant_load[t];
   }
   dispatch_until(std::numeric_limits<double>::infinity());
 
@@ -536,7 +463,7 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& 
     }
     const size_t t = static_cast<size_t>(trace.tenant[i]);
     TenantOutcome& tenant = replay.tenants[t];
-    if (i < trace.faulted.size() && trace.faulted[i]) {
+    if (faulted_at(i)) {
       ++tenant.faulted;
       last_done = std::max(last_done, done_us[i]);  // the lane was occupied
       continue;
@@ -558,6 +485,8 @@ GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& 
   double active_tenants = 0;  // tenants with offered load; idle ones don't dilute
   for (size_t t = 0; t < replay.tenants.size(); ++t) {
     TenantOutcome& tenant = replay.tenants[t];
+    tenant.recovery = policy.Recovery(tenant.name);
+    tenant.breaker_opens = tenant.recovery.opens;
     if (tenant.completed > 0) {
       tenant.mean_queue_wait_us /= static_cast<double>(tenant.completed);
       tenant.mean_latency_us /= static_cast<double>(tenant.completed);

@@ -21,7 +21,6 @@
 #define SRC_VNET_SERVERLESS_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -29,6 +28,7 @@
 #include "src/base/status.h"
 #include "src/isa/image.h"
 #include "src/vnet/loadgen.h"
+#include "src/wasp/admission.h"
 #include "src/wasp/executor.h"
 #include "src/wasp/runtime.h"
 
@@ -100,35 +100,14 @@ struct MeasuredTrace {
   uint64_t wall_ns = 0;                    // real elapsed time of the measuring run
 };
 
-// The admission/dequeue discipline GovernTrace applies — the executor's
-// policy knobs, evaluated in virtual time so results are deterministic.
-struct GovernanceOptions {
-  int lanes = 2;               // virtual serving lanes
-  size_t max_queue_depth = 0;  // global queued bound; 0 = unbounded
-  size_t key_quota = 0;        // per-tenant queued+running cap; 0 = unlimited
-  // Weighted class dequeue (one batch per `batch_weight` dequeues under
-  // contention); <= 0 = no classes, strict FIFO (the ungoverned baseline).
-  int batch_weight = 4;
-  // Tiered quotas: per-tenant (by TenantSpec name) overrides of key_quota,
-  // mirroring ExecutorOptions::key_quota_overrides.  A listed tenant uses
-  // its override (0 = explicitly unlimited); unlisted tenants fall back to
-  // key_quota.  Three entries (premium/standard/free) make the three-tier
-  // discipline fig16 sweeps.
-  std::map<std::string, size_t> key_quota_overrides = {};
-
-  // Effective quota for `tenant` (0 = unlimited) after override resolution.
-  size_t QuotaFor(const std::string& tenant) const {
-    auto it = key_quota_overrides.find(tenant);
-    return it != key_quota_overrides.end() ? it->second : key_quota;
-  }
-
-  // The recovery discipline: a per-tenant circuit breaker evaluated in
-  // virtual time with the executor's exact state machine (EWMA over attempt
-  // outcomes at completion events, count-based open -> half-open cooldown,
-  // single probe).  Retry is deliberately *not* modeled here — it changes
-  // the measured services, so it belongs to the measuring run; the replay
-  // isolates what shedding alone does to the co-tenants.
-  wasp::RecoveryOptions recovery = {};
+// The discipline GovernTrace applies: the executor's admission settings
+// (quota, overrides, global bound, class weight, breaker) over `lanes`
+// virtual serving lanes.  Quota overrides are keyed by tenant name.
+// Retry is not replayed — it changes the measured services, so it belongs
+// to the measuring run; the replay isolates what shedding alone does to
+// the co-tenants.
+struct GovernanceOptions : wasp::AdmissionOptions {
+  int lanes = 2;  // virtual serving lanes
 };
 
 // Per-tenant outcome of a governed replay.
@@ -142,6 +121,7 @@ struct TenantOutcome {
   uint64_t shed_overload = 0;  // rejected by the global queue bound
   uint64_t shed_breaker = 0;   // rejected by the tenant's open circuit breaker
   uint64_t breaker_opens = 0;  // times the tenant's breaker tripped open
+  wasp::KeyRecoverySnapshot recovery;  // the tenant's policy ledger after the last arrival
   double shed_rate = 0;        // (shed_quota + shed_overload + shed_breaker) / offered
   double mean_queue_wait_us = 0;
   double p99_queue_wait_us = 0;  // the governance claim's currency
@@ -159,10 +139,15 @@ struct GovernedReplay {
   double makespan_s = 0;     // first arrival to last completion
 };
 
-// Applies `options` to the measured trace in virtual time: per-key quota
-// and global bound at each arrival, weighted (or FIFO) dequeue onto
-// `lanes` serving lanes, measured service per admitted request.
-// Deterministic for a given trace.
+// Applies `options` to the measured trace in virtual time: at each arrival
+// the wasp::AdmissionPolicy the executor uses admits or sheds it (breaker,
+// quota, global bound), the same policy picks the class each lane serves
+// next, and each admitted request holds its lane for its measured service.
+// What the replay does not model: the executor's affinity scan (requests of
+// one class dispatch in arrival order) and retry-once.  Deterministic for a
+// given trace.  Tenant names are the policy's keys, so a trace with empty or
+// duplicate names, an out-of-range tenant index, or per-arrival vectors of
+// unequal length fails a VB_CHECK.
 GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& options);
 
 // --- Vespid: virtine-backed function platform -------------------------------
@@ -244,7 +229,8 @@ class Vespid {
   // order — mixed snapshot keys contending for shells and affine
   // generations — recording each arrival's measured modeled service cost
   // and cold/warm outcome.  The result feeds GovernTrace, which evaluates
-  // admission disciplines over it deterministically.
+  // admission disciplines over it deterministically.  Tenant names must be
+  // distinct (InvalidArgument otherwise).
   vbase::Result<MeasuredTrace> MeasureMultiTenant(const std::vector<TenantSpec>& tenants,
                                                   int concurrency, uint64_t seed = 42);
 

@@ -1,8 +1,8 @@
 #include "src/wasp/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "src/base/clock.h"
@@ -11,19 +11,17 @@
 namespace wasp {
 
 Executor::Executor(Runtime* runtime, int workers)
-    : Executor(runtime, ExecutorOptions{workers, 0, true}) {}
+    : Executor(runtime, [workers] {
+        ExecutorOptions options;
+        options.workers = workers;
+        return options;
+      }()) {}
 
 Executor::Executor(Runtime* runtime, ExecutorOptions options)
-    : runtime_(runtime), options_(options) {
+    : runtime_(runtime), options_(std::move(options)), policy_(options_) {
   VB_CHECK(runtime_ != nullptr, "Executor requires a runtime");
   const int n = std::max(options_.workers, 1);
   options_.workers = n;
-  if (options_.batch_weight > 0) {
-    // Weight 1 would pick batch on *every* contended dequeue — priority
-    // inversion, the opposite of the knob's promise — so the floor is
-    // alternation.
-    options_.batch_weight = std::max(options_.batch_weight, 2);
-  }
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(static_cast<uint32_t>(i)); });
@@ -44,152 +42,58 @@ Executor::~Executor() {
   }
 }
 
-bool Executor::BreakerAdmitLocked(const std::string& key, bool* probe) {
-  auto it = recovery_.find(key);
-  if (it == recovery_.end()) {
-    return true;  // no evidence yet: closed by definition
-  }
-  KeyRecovery& r = it->second;
-  switch (r.state) {
-    case BreakerState::kClosed:
-      return true;
-    case BreakerState::kOpen:
-      // Count-based cooldown: after breaker_open_sheds requests have been
-      // shed, the next one is admitted as the half-open probe.  Counting
-      // requests instead of wall time keeps replays deterministic and makes
-      // the cooldown proportional to the key's own arrival rate.
-      if (r.sheds >= options_.recovery.breaker_open_sheds) {
-        r.state = BreakerState::kHalfOpen;
-        r.probe_in_flight = true;
-        *probe = true;
-        return true;
-      }
-      ++r.sheds;
-      return false;
-    case BreakerState::kHalfOpen:
-      if (!r.probe_in_flight) {
-        r.probe_in_flight = true;
-        *probe = true;
-        return true;
-      }
-      return false;  // one probe at a time; everything else sheds
-  }
-  return true;
-}
-
-void Executor::RecordAttemptLocked(const std::string& key, bool faulted, bool probe) {
-  const RecoveryOptions& ro = options_.recovery;
-  KeyRecovery& r = recovery_[key];
-  r.ewma = ro.breaker_alpha * (faulted ? 1.0 : 0.0) + (1.0 - ro.breaker_alpha) * r.ewma;
-  ++r.samples;
-  if (!ro.breaker_enabled) {
-    return;  // EWMA tracking is unconditional; the state machine is opt-in
-  }
-  if (probe) {
-    r.probe_in_flight = false;
-    if (faulted) {
-      r.state = BreakerState::kOpen;
-      r.sheds = 0;
-      ++r.opens;
-      ++stats_.breaker_opens;
-    } else {
-      // Clean probe: close and forget.  The EWMA resets so re-tripping needs
-      // fresh consecutive evidence, not the tail of the old storm.
-      r.state = BreakerState::kClosed;
-      r.ewma = 0.0;
-    }
-    return;
-  }
-  if (r.state == BreakerState::kClosed && r.samples >= ro.breaker_min_samples &&
-      r.ewma >= ro.breaker_open_threshold) {
-    r.state = BreakerState::kOpen;
-    r.sheds = 0;
-    ++r.opens;
-    ++stats_.breaker_opens;
-  }
-}
-
 Admission Executor::Enqueue(Job job, bool may_reject, std::future<RunOutcome>* future) {
   std::future<RunOutcome> resolved = job.promise.get_future();
   Admission admission = Admission::kAccepted;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    // Circuit breaker: checked before everything else — an open breaker is
-    // the cheapest possible shed (no queue slot, no quota math, no park).
-    // Blocking Submit/SubmitTask bypasses it, like the quota (trusted
-    // closed-loop path).
-    if (may_reject && !stop_ && options_.recovery.breaker_enabled && !job.key.empty()) {
-      bool probe = false;
-      if (!BreakerAdmitLocked(job.key, &probe)) {
-        ++stats_.breaker_rejected;
-        return Admission::kCircuitOpen;  // job (and its promise) dropped
-      }
-      job.probe = probe;
-    }
-    // If this job was just marked as its key's half-open probe but a later
-    // admission stage rejects it, the probe reservation must be handed back —
-    // otherwise the breaker waits forever on a probe that never ran.
-    auto release_probe = [&] {
-      if (job.probe) {
-        auto it = recovery_.find(job.key);
-        if (it != recovery_.end()) {
-          it->second.probe_in_flight = false;
-        }
-        job.probe = false;
-      }
-    };
-    // Per-key quota: rejected before (and independent of) the global bound,
-    // and always immediately — a hot key must shed, not park submitters.
-    // The effective cap is tier-resolved (key_quota_overrides, falling back
-    // to key_quota), so premium keys can carry a looser bound than free ones.
-    const size_t quota = job.key.empty() ? 0 : options_.QuotaFor(job.key);
-    if (may_reject && !stop_ && quota > 0) {
-      auto it = key_load_.find(job.key);
-      if (it != key_load_.end() && it->second >= quota) {
-        ++stats_.quota_rejected;
-        release_probe();
-        return Admission::kQuotaExceeded;  // job (and its promise) dropped
+    // Checked submissions face the policy: breaker, quota, global bound.  A
+    // blocking executor parks on the bound below instead of shedding, so it
+    // shows the policy no queue.  Blocking Submit/SubmitTask skip the policy
+    // (trusted closed-loop path) and only wait for space.
+    if (may_reject && !stop_) {
+      admission = policy_.Admit(job.key, options_.block_when_full ? 0 : TotalQueuedLocked(),
+                                &job.probe);
+      switch (admission) {
+        case Admission::kAccepted:
+          break;
+        case Admission::kCircuitOpen:
+          ++stats_.breaker_rejected;
+          return admission;  // job (and its promise) dropped
+        case Admission::kQuotaExceeded:
+          ++stats_.quota_rejected;
+          return admission;
+        default:
+          ++stats_.rejected;
+          return admission;  // caller sheds load
       }
     }
     if (!stop_ && options_.max_queue_depth > 0) {
-      if (may_reject && !options_.block_when_full &&
-          TotalQueuedLocked() >= options_.max_queue_depth) {
-        ++stats_.rejected;
-        release_probe();
-        return Admission::kQueueFull;  // caller sheds load
-      }
       cv_space_.wait(lock, [this] {
         return stop_ || TotalQueuedLocked() < options_.max_queue_depth;
       });
       // Re-check the quota after a blocking park: sibling submitters of the
       // same key passed the entry check while this one waited for global
-      // space, so enqueueing blindly here would overshoot the cap.  The
-      // quota is a hard invariant; a woken waiter that would break it is
-      // rejected at wake instead.
-      if (may_reject && !stop_ && quota > 0) {
-        auto it = key_load_.find(job.key);
-        if (it != key_load_.end() && it->second >= quota) {
-          ++stats_.quota_rejected;
-          release_probe();
-          // This reject consumed a dequeue's notify_one without taking the
-          // freed slot; pass the wakeup on or another parked submitter
-          // could sleep forever beside an open slot.
-          cv_space_.notify_one();
-          return Admission::kQuotaExceeded;
-        }
+      // space, so enqueueing blindly here would overshoot the cap.
+      if (may_reject && !stop_ && !policy_.UnderQuota(job.key)) {
+        ++stats_.quota_rejected;
+        policy_.Withdraw(job.key, job.probe);
+        // This reject consumed a dequeue's notify_one without taking the
+        // freed slot; pass the wakeup on or another parked submitter
+        // could sleep forever beside an open slot.
+        cv_space_.notify_one();
+        return Admission::kQuotaExceeded;
       }
     }
     if (stop_) {
       // Teardown raced the submission (blocking admission makes long parks
       // inside Enqueue routine): fail it recoverably instead of aborting.
       ++stats_.rejected;
-      release_probe();
+      policy_.Withdraw(job.key, job.probe);
       admission = Admission::kStopped;
     } else {
       job.seq = next_seq_++;
-      if (!job.key.empty()) {
-        ++key_load_[job.key];
-      }
+      policy_.OnEnqueue(job.key);
       queues_[static_cast<size_t>(job.klass)].push_back(std::move(job));
       ++stats_.submitted;
       stats_.peak_queue_depth =
@@ -270,6 +174,7 @@ size_t Executor::queue_depth() const {
 ExecutorStats Executor::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ExecutorStats out = stats_;
+  out.breaker_opens = policy_.breaker_opens();
   out.queued = TotalQueuedLocked();
   out.in_flight = in_flight_;
   // Debug-build audit of the conservation law at *every* snapshot, not just
@@ -283,45 +188,16 @@ ExecutorStats Executor::stats() const {
 
 size_t Executor::KeyLoad(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = key_load_.find(key);
-  return it == key_load_.end() ? 0 : it->second;
+  return policy_.Load(key);
 }
 
 KeyRecoverySnapshot Executor::KeyRecoveryState(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  KeyRecoverySnapshot snap;
-  auto it = recovery_.find(key);
-  if (it != recovery_.end()) {
-    snap.fault_rate = it->second.ewma;
-    snap.samples = it->second.samples;
-    snap.state = it->second.state;
-    snap.opens = it->second.opens;
-  }
-  return snap;
+  return policy_.Recovery(key);
 }
 
 double Executor::KeyFaultRate(const std::string& key) const {
   return KeyRecoveryState(key).fault_rate;
-}
-
-size_t Executor::PickClass() {
-  const bool have_latency = !queues_[0].empty();
-  const bool have_batch = !queues_[1].empty();
-  if (have_latency && have_batch) {
-    if (options_.batch_weight <= 0) {
-      // Ungoverned: strict FIFO across classes by submission order.
-      return queues_[0].front().seq < queues_[1].front().seq ? 0 : 1;
-    }
-    // Weighted priority: latency first, but one batch job per batch_weight
-    // dequeues under contention, so batch cannot starve.
-    if (batch_credit_ >= options_.batch_weight - 1) {
-      batch_credit_ = 0;
-      return 1;
-    }
-    ++batch_credit_;
-    return 0;
-  }
-  return have_latency ? 0 : 1;
 }
 
 void Executor::WorkerLoop(uint32_t worker_index) {
@@ -336,7 +212,7 @@ void Executor::WorkerLoop(uint32_t worker_index) {
   // image copy).  The scan is bounded and fairness-capped: after a few
   // consecutive out-of-order picks the worker must take the queue head, so
   // no job can starve behind a stream of matching keys.  The scan stays
-  // within the class PickClass chose, so affinity can never invert the
+  // within the class the policy picked, so affinity can never invert the
   // latency-vs-batch weighting.
   constexpr size_t kAffinityScan = 8;
   constexpr int kMaxConsecutiveSkips = 4;
@@ -350,7 +226,10 @@ void Executor::WorkerLoop(uint32_t worker_index) {
       if (TotalQueuedLocked() == 0) {
         return;  // stop requested and nothing left to drain
       }
-      const size_t cls = PickClass();
+      auto head = [](const std::deque<Job>& q) {
+        return q.empty() ? std::nullopt : std::optional<uint64_t>(q.front().seq);
+      };
+      const size_t cls = static_cast<size_t>(policy_.PickNext(head(queues_[0]), head(queues_[1])));
       std::deque<Job>& queue = queues_[cls];
       size_t pick = 0;
       if (!last_key.empty() && skips < kMaxConsecutiveSkips) {
@@ -393,17 +272,9 @@ void Executor::WorkerLoop(uint32_t worker_index) {
         }
       }
       // The final attempt's outcome resolves the key's probe (if this job
-      // was one) and feeds the fault-rate EWMA.
-      if (!job.key.empty()) {
-        RecordAttemptLocked(job.key, faulted, job.probe);
-      }
+      // was one), feeds the fault-rate EWMA, and frees the quota slot.
+      policy_.OnComplete(job.key, faulted, job.probe);
       --in_flight_;
-      if (!job.key.empty()) {
-        auto it = key_load_.find(job.key);
-        if (it != key_load_.end() && --it->second == 0) {
-          key_load_.erase(it);
-        }
-      }
     }
     job.promise.set_value(std::move(outcome));
   }
@@ -425,9 +296,7 @@ RunOutcome Executor::RunJob(Job& job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.retries;
-    if (!job.key.empty()) {
-      RecordAttemptLocked(job.key, /*faulted=*/true, /*probe=*/false);
-    }
+    policy_.OnRetry(job.key);
   }
   const FaultKind first = outcome.fault;
   VirtineSpec retry_spec = job.spec;

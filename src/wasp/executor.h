@@ -24,35 +24,27 @@
 // generator dropping requests).  ExecutorStats counts accepts, rejections,
 // completions, and the peak queue depth so tests can assert the policy.
 //
-// Key-scoped governance sits on top of bounded admission.  A job's affinity
-// key is not just a locality hint any more — it is the unit the executor
-// accounts and polices:
+// Key-scoped governance sits on top: a job's affinity key is also the unit
+// the executor accounts and polices.  The rules — per-key quotas (a 429
+// upstream, distinct from a global-full 503), weighted latency/batch
+// dequeue, the per-key fault-rate EWMA and circuit breaker — are
+// wasp::AdmissionPolicy's (admission.h), which GovernTrace also drives in
+// virtual time.  The executor calls it under its lock and keeps only what
+// threads need: the class queues, the block_when_full park, the affinity
+// scan, retry-once, and ExecutorStats.  Four thread-side rules:
 //
-//   * key_quota caps one key's jobs in the system (queued + in flight), so a
-//     hot snapshot key cannot monopolize the whole queue.  A quota rejection
-//     is classified separately from a global-full rejection (Admission /
-//     ExecutorStats.quota_rejected) so a serving front end can answer 429
-//     (per-tenant back off) instead of 503 (server overloaded).  The cap is
-//     hard: a submission over quota rejects immediately (never parks — a
-//     blocked hot-key submitter would keep dominating; shedding is the
-//     point), and a block_when_full waiter whose key filled while it was
-//     parked for global space is quota-rejected at wake instead of
-//     overshooting the cap.
-//   * Every job carries a KeyClass: latency-sensitive or batch.  Workers
-//     dequeue latency jobs first, but with a weighted escape hatch — under
-//     contention one batch job is taken per `batch_weight` dequeues — so
-//     priority never becomes batch starvation.  batch_weight <= 0 disables
-//     the classes entirely (strict cross-class FIFO by submission order):
-//     the ungoverned baseline the governance benchmarks compare against.
-//
-// Fault recovery rides the same key ledger.  Every completed attempt feeds a
-// per-key fault-rate EWMA; a recoverable fault (kWorkerDeath /
-// kPoisonedSnapshot — the guest never observably ran) on a key declared
-// idempotent is retried exactly once on a fresh, non-affine shell while the
-// job stays in flight (counted once in `submitted`, key-quota slot held
-// across the retry); and a sustained fault rate trips a per-key circuit
-// breaker that sheds admission-checked submissions (Admission::kCircuitOpen —
-// a fast 429 upstream) until a half-open probe proves the key healthy again.
+//   * Blocking Submit/SubmitTask skip the breaker and the quota (trusted
+//     closed-loop path) but still count toward the key's load.
+//   * A block_when_full waiter whose key filled while it was parked for
+//     global space is quota-rejected at wake instead of overshooting the cap
+//     (it hands back any probe it held and passes the wakeup on).
+//   * A job's quota slot is released before its future resolves, so a caller
+//     that resubmits on the same key finds the slot free.
+//   * A recoverable fault (kWorkerDeath / kPoisonedSnapshot — the guest
+//     never observably ran) on a key declared idempotent is retried exactly
+//     once on a fresh, non-affine shell while the job stays in flight
+//     (counted once in `submitted`, quota slot held); the first attempt
+//     still feeds the EWMA, so a retry-masked storm trips the breaker too.
 //
 // Invocations are independent by construction (each owns its shell, its
 // hypercall frame, and its fd table), so the only shared state a worker
@@ -75,70 +67,26 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/wasp/admission.h"
 #include "src/wasp/runtime.h"
 
 namespace wasp {
 
-// Scheduling class of a submitted job.  Latency-sensitive jobs are dequeued
-// preferentially; batch jobs fill the remaining capacity (weighted so they
-// cannot be starved either).
-enum class KeyClass {
-  kLatency = 0,  // interactive / latency-sensitive (the default)
-  kBatch = 1,    // throughput-oriented background work
-};
-
-// Why an admission-checked submission was (or was not) accepted.
-enum class Admission {
-  kAccepted,       // enqueued; the future resolves with the job's outcome
-  kQueueFull,      // global max_queue_depth reached under the reject policy
-  kQuotaExceeded,  // the job's key is at its per-key quota
-  kCircuitOpen,    // the job's key's circuit breaker is open (fast shed)
-  kStopped,        // the submission raced executor shutdown
-};
-
-// Bounded-admission knobs (the backpressure half of the scale-out engine).
-struct ExecutorOptions {
+// Executor settings: the admission policy's (AdmissionOptions) plus the two
+// only threads need.
+struct ExecutorOptions : AdmissionOptions {
   int workers = 2;
-  // Maximum queued (not yet running) jobs; 0 = unbounded.
-  size_t max_queue_depth = 0;
   // Full-queue policy for TrySubmit / TrySubmitTask: block until a slot
   // frees (never reject — closed-loop semantics) or refuse the job so the
   // caller sheds load (open-loop semantics).  Blocking Submit/SubmitTask
-  // always wait for space regardless of this flag.
+  // always wait for space regardless of this flag.  The per-key quota is
+  // hard under either policy.
   bool block_when_full = true;
-  // Per-key cap on jobs in the system (queued + in flight) for keyed
-  // admission-checked submissions; 0 = unlimited.  The cap is hard in every
-  // full-queue policy: a submission over it rejects immediately at entry
-  // (kQuotaExceeded), and a block_when_full waiter whose key filled up
-  // while it was parked for global space is rejected at wake.
-  size_t key_quota = 0;
-  // Tiered governance: per-key overrides of key_quota.  A key present here
-  // uses its override (0 = explicitly unlimited — a premium tier can opt a
-  // key out of the default cap); absent keys fall back to key_quota.  With a
-  // few tier-default entries (premium/standard/free) this turns the single
-  // global cap into a three-tier discipline (the fig16 setup).
-  std::map<std::string, size_t> key_quota_overrides = {};
-
-  // Effective quota for `key` (0 = unlimited) after override resolution.
-  size_t QuotaFor(const std::string& key) const {
-    auto it = key_quota_overrides.find(key);
-    return it != key_quota_overrides.end() ? it->second : key_quota;
-  }
-  // Weighted dequeue: under contention (both classes queued), one batch job
-  // is dequeued per `batch_weight` dequeues; the rest are latency-class.
-  // <= 0 disables class priority: strict FIFO by submission order.  Values
-  // above 0 are clamped to at least 2 (a weight of 1 would pick batch on
-  // every contended dequeue — priority inversion, not weighting).
-  int batch_weight = 4;
-  // Fault-recovery policy: retry-once eligibility (idempotent_keys) and the
-  // per-key circuit breaker.  See RecoveryOptions in fault.h.
-  RecoveryOptions recovery = {};
 };
 
 // Monotone admission/progress counters (BatchStats' sibling for the
@@ -162,16 +110,6 @@ struct ExecutorStats {
   uint64_t dequeued_batch = 0;    // jobs dequeued from the batch class
   uint64_t queued = 0;            // gauge: jobs waiting right now
   uint64_t in_flight = 0;         // gauge: jobs running right now
-};
-
-// Point-in-time recovery view of one key: its fault-rate EWMA (over
-// attempts, including retry attempts) and its breaker position.  A key the
-// executor has never completed an attempt for reads as all-zero / closed.
-struct KeyRecoverySnapshot {
-  double fault_rate = 0.0;                     // EWMA over attempts
-  uint64_t samples = 0;                        // attempts observed
-  BreakerState state = BreakerState::kClosed;  // breaker position
-  uint64_t opens = 0;                          // times this key's breaker opened
 };
 
 class Executor {
@@ -211,9 +149,9 @@ class Executor {
   std::future<RunOutcome> Submit(VirtineSpec spec, KeyClass klass = KeyClass::kLatency);
 
   // Admission-checked enqueue.  Returns false — and does not enqueue — when
-  // the queue is at max_queue_depth and the policy is reject, when the
-  // job's key is at its quota, or when the submission races executor
-  // shutdown; otherwise (including blocking until space in block_when_full
+  // the job's key's breaker is open, when the key is at its quota, when the
+  // queue is at max_queue_depth and the policy is reject, or when the
+  // submission races executor shutdown; otherwise (including blocking until space in block_when_full
   // mode) stores the outcome future in `*future` and returns true.
   // `admission` (optional) receives the classified decision, so callers can
   // distinguish per-key shedding (429) from global overload (503).
@@ -235,8 +173,8 @@ class Executor {
   // Jobs in the system (queued + in flight) under `key` right now.
   size_t KeyLoad(const std::string& key) const;
   // Recovery view of `key`: fault-rate EWMA and breaker position.  Unlike
-  // key_load_, recovery state persists after the key's jobs drain — a storm's
-  // evidence must outlive the storm.
+  // the key's load, recovery state persists after the key's jobs drain — a
+  // storm's evidence must outlive the storm.
   KeyRecoverySnapshot KeyRecoveryState(const std::string& key) const;
   // Convenience: KeyRecoveryState(key).fault_rate.
   double KeyFaultRate(const std::string& key) const;
@@ -263,17 +201,6 @@ class Executor {
     std::promise<RunOutcome> promise;
   };
 
-  // Per-key recovery ledger entry (mu_ held).  Entries persist at zero load —
-  // the fault-rate EWMA and breaker position are evidence, not a gauge.
-  struct KeyRecovery {
-    double ewma = 0.0;       // fault-rate EWMA over attempts
-    uint64_t samples = 0;    // attempts observed
-    BreakerState state = BreakerState::kClosed;
-    uint64_t opens = 0;      // transitions into kOpen
-    uint64_t sheds = 0;      // requests shed since the breaker last opened
-    bool probe_in_flight = false;  // a half-open probe is queued or running
-  };
-
   // Shared enqueue path.  `may_reject` selects TrySubmit semantics (honor
   // the breaker, the quota, and the configured full-queue policy) over
   // Submit semantics (always block for space, no breaker, no quota).
@@ -281,17 +208,6 @@ class Executor {
   // Runs a job's work — the stored task, or an invocation of its spec — and
   // applies the retry-once policy for recoverable faults on idempotent keys.
   RunOutcome RunJob(Job& job);
-  // Breaker admission for `key` (mu_ held).  Returns false to shed; on an
-  // admit, sets *probe when this request is the key's half-open probe.
-  bool BreakerAdmitLocked(const std::string& key, bool* probe);
-  // Feeds one attempt outcome into `key`'s fault-rate EWMA and drives the
-  // breaker state machine (mu_ held).  `probe` marks the resolution of a
-  // half-open probe: clean closes the breaker (EWMA reset — re-tripping
-  // requires fresh evidence), faulted re-opens it.
-  void RecordAttemptLocked(const std::string& key, bool faulted, bool probe);
-  // Picks the class queue the next dequeue should serve (mu_ held; at least
-  // one queue non-empty).
-  size_t PickClass();
   void WorkerLoop(uint32_t worker_index);
 
   size_t TotalQueuedLocked() const { return queues_[0].size() + queues_[1].size(); }
@@ -303,14 +219,9 @@ class Executor {
   std::condition_variable cv_space_;  // queue slot freed
   std::deque<Job> queues_[2];         // indexed by KeyClass
   uint64_t next_seq_ = 0;
-  int batch_credit_ = 0;  // latency dequeues since the last forced batch pick
   size_t in_flight_ = 0;
-  // Per-key jobs in the system (queued + in flight); entries erased at zero
-  // so the map tracks only live keys.
-  std::map<std::string, size_t> key_load_;
-  // Per-key fault-rate EWMA + breaker state; entries persist (see KeyRecovery).
-  std::map<std::string, KeyRecovery> recovery_;
-  ExecutorStats stats_;
+  AdmissionPolicy policy_;  // per-key load, EWMA, breaker; class-pick credit
+  ExecutorStats stats_;     // breaker_opens is read from policy_
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

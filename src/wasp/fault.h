@@ -90,8 +90,10 @@ enum class BreakerState : uint8_t {
 // Stable short name ("closed", "open", "half-open") for logs and benches.
 const char* BreakerStateName(BreakerState state);
 
-// Recovery policy shared by the executor, the HTTP front end, and the
-// GovernTrace recovery discipline.  All breaker transitions are driven by
+// Recovery settings: the `recovery` field of AdmissionOptions (admission.h).
+// AdmissionPolicy runs the EWMA and breaker for both of its callers (the
+// executor and GovernTrace), the executor alone applies retry-once, and the
+// HTTP front end reads retry_after_s.  All breaker transitions are driven by
 // counts (attempts observed, requests shed), never wall-clock time, so a
 // fixed submission order reproduces the same open/half-open/close sequence.
 struct RecoveryOptions {

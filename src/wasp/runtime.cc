@@ -67,10 +67,7 @@ std::future<RunOutcome> Runtime::InvokeAsync(VirtineSpec spec) {
     if (workers <= 0) {
       workers = static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
     }
-    ExecutorOptions opts;
-    opts.workers = workers;
-    opts.recovery = options_.recovery;
-    executor_ = std::make_unique<Executor>(this, opts);
+    executor_ = std::make_unique<Executor>(this, workers);
   });
   return executor_->Submit(std::move(spec));
 }

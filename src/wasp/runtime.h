@@ -202,11 +202,6 @@ struct RuntimeOptions {
   // invocation indices or with seeded probabilities.  Empty = no injection
   // (zero cost on the invoke path).
   FaultPlan fault_plan;
-  // Fault-recovery policy for the InvokeAsync executor: retry-once
-  // eligibility (idempotent keys) and the per-key circuit breaker.  Callers
-  // that build their own Executor pass a RecoveryOptions directly through
-  // ExecutorOptions instead.
-  RecoveryOptions recovery;
   // Verify the snapshot checksum on every restore; a mismatch classifies as
   // kPoisonedSnapshot and quarantines the shell.  Off by default: snapshots
   // are immutable in-process, so this guards against bugs, not physics.

@@ -288,6 +288,51 @@ TEST(ConcurrentServer, RouteQuotaShedsWith429WhileOverloadSheds503) {
   EXPECT_EQ(xstats.dequeued_batch, 2u);  // the /hot route is batch-classed
 }
 
+TEST(ConcurrentServer, RouteQuotaOverridesAreKeyedByRouteName) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/file.txt", std::string(kBodySize, 'q'));
+  vnet::ConcurrentServerOptions options;
+  options.lanes = 1;
+  options.max_queue_depth = 8;
+  options.block_when_full = false;
+  options.key_quota = 1;
+  options.key_quota_overrides = {{"/vip", 4}};  // spelled as the route, as documented
+  vnet::ConcurrentHttpServer server(&runtime, &files, options);
+
+  // Plug the single lane so every routed connection below stays queued.
+  wasp::ByteChannel plug;
+  auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative);
+  for (int i = 0; i < 5000 && server.queue_depth() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.queue_depth(), 0u);
+
+  // /vip rides its override of 4: three queued connections all fit.  /std
+  // falls back to key_quota 1: its second connection is shed with 429.
+  std::vector<std::unique_ptr<wasp::ByteChannel>> held;
+  std::vector<std::future<vbase::Result<vnet::ServeStats>>> futures;
+  for (const char* route : {"/vip", "/vip", "/vip", "/std", "/std"}) {
+    held.push_back(std::make_unique<wasp::ByteChannel>());
+    held.back()->host().WriteString(kRequest);
+    futures.push_back(server.SubmitConnection(*held.back(), vnet::ServeMode::kNative, route));
+  }
+  EXPECT_EQ(server.queue_depth(), 4u);
+
+  plug.host().WriteString(kRequest);
+  ASSERT_TRUE(plug_future.get().ok());
+  std::vector<int> statuses;
+  for (auto& future : futures) {
+    auto stats = future.get();
+    ASSERT_TRUE(stats.ok());
+    statuses.push_back(stats->status);
+  }
+  EXPECT_EQ(statuses, (std::vector<int>{200, 200, 200, 200, 429}));
+  const vnet::ServerCounters ctr = server.counters(vnet::ServeMode::kNative);
+  EXPECT_EQ(ctr.quota_rejected, 1u);
+  EXPECT_EQ(ctr.accepted, 5u);  // plug + 3 /vip + 1 /std
+}
+
 TEST(ConcurrentServer, GuestFaultAnswers500WithReasonAndCountsFaulted) {
   // Every virtine invocation of this runtime takes an injected guest trap:
   // the connection must be answered with a 500 whose reason phrase names

@@ -346,7 +346,11 @@ TEST(Concurrency, ExecutorQueueFillsToDepthThenTrySubmitRejects) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::Add2Source());
   ASSERT_TRUE(image.ok());
   wasp::Runtime runtime;
-  wasp::Executor executor(&runtime, wasp::ExecutorOptions{1, 2, /*block_when_full=*/false});
+  wasp::ExecutorOptions options;
+  options.workers = 1;
+  options.max_queue_depth = 2;
+  options.block_when_full = false;
+  wasp::Executor executor(&runtime, options);
   std::promise<void> gate;
   auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
   AwaitWorkerParked(executor);
@@ -388,7 +392,11 @@ TEST(Concurrency, ExecutorQueueFillsToDepthThenTrySubmitRejects) {
 
 TEST(Concurrency, ExecutorBlockingModeNeverRejects) {
   wasp::Runtime runtime;
-  wasp::Executor executor(&runtime, wasp::ExecutorOptions{1, 1, /*block_when_full=*/true});
+  wasp::ExecutorOptions options;
+  options.workers = 1;
+  options.max_queue_depth = 1;
+  options.block_when_full = true;
+  wasp::Executor executor(&runtime, options);
   std::promise<void> gate;
   auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
   AwaitWorkerParked(executor);
@@ -430,7 +438,11 @@ TEST(Concurrency, ExecutorDestructionDrainsAllAcceptedFutures) {
   std::vector<std::future<wasp::RunOutcome>> futures;
   std::vector<wasp::VirtineSpec> specs(kJobs);
   {
-    wasp::Executor executor(&runtime, wasp::ExecutorOptions{2, 0, true});
+    wasp::ExecutorOptions options;
+    options.workers = 2;
+    options.max_queue_depth = 0;
+    options.block_when_full = true;
+    wasp::Executor executor(&runtime, options);
     for (int i = 0; i < kJobs; ++i) {
       wasp::VirtineSpec& spec = specs[static_cast<size_t>(i)];
       spec.image = &image.value();
@@ -454,7 +466,11 @@ TEST(Concurrency, ExecutorDestructionDrainsAllAcceptedFutures) {
 
 TEST(Concurrency, ExecutorRejectionCountersMatchObservedRejections) {
   wasp::Runtime runtime;
-  wasp::Executor executor(&runtime, wasp::ExecutorOptions{1, 1, /*block_when_full=*/false});
+  wasp::ExecutorOptions options;
+  options.workers = 1;
+  options.max_queue_depth = 1;
+  options.block_when_full = false;
+  wasp::Executor executor(&runtime, options);
   std::promise<void> gate;
   auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
   AwaitWorkerParked(executor);
@@ -769,7 +785,12 @@ TEST(Concurrency, TrySubmitThenTeardownResolvesEveryAcceptedFuture) {
   constexpr int kSubmitters = 4;
   constexpr int kPerSubmitter = 500;
   {
-    wasp::Executor executor(&runtime, wasp::ExecutorOptions{2, 8, false, 4});
+    wasp::ExecutorOptions options;
+    options.workers = 2;
+    options.max_queue_depth = 8;
+    options.block_when_full = false;
+    options.key_quota = 4;
+    wasp::Executor executor(&runtime, options);
     std::vector<std::thread> submitters;
     submitters.reserve(kSubmitters);
     std::atomic<uint64_t> accepted_count{0};
