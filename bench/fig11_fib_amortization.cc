@@ -32,9 +32,6 @@ Sample RunOnce(wasp::Runtime* runtime, const vcc::CompiledVirtine& cv, bool snap
   auto result = fib.Call(n);
   VB_CHECK(result.ok(), result.status().ToString());
   const auto& stats = fib.last_outcome().stats;
-  const auto& costs = runtime->options().vm_defaults.guest_costs;
-  const uint64_t exit_charges =
-      stats.io_exits * (costs.io_exit + costs.io_entry) + costs.hlt_exit;
   Sample s;
   s.total_cycles = static_cast<double>(stats.total_cycles);
   // Native equivalent: guest work only, minus exit/boot charges.  For the
@@ -42,7 +39,7 @@ Sample RunOnce(wasp::Runtime* runtime, const vcc::CompiledVirtine& cv, bool snap
   // CRT + fib; for non-snapshot runs this subtraction is approximate and we
   // only use the snapshot-run-derived value.
   s.native_cycles = static_cast<double>(
-      stats.guest_cycles > exit_charges ? stats.guest_cycles - exit_charges : 0);
+      stats.guest_cycles > stats.exit_cycles ? stats.guest_cycles - stats.exit_cycles : 0);
   return s;
 }
 

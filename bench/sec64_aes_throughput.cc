@@ -1,14 +1,14 @@
 // Section 6.4: AES-128-CBC in a virtine (the OpenSSL `speed` experiment).
 //
 // For each block size, one virtine invocation encrypts the buffer
-// (get_data -> CBC -> return_data) with snapshotting enabled.  Isolation
-// overhead = everything the virtine adds on top of the cipher itself
-// (shell provisioning, snapshot restore of the ~20 KB image, argument
-// marshalling, 3 hypercall round trips).  The paper's 17x slowdown at 16 KB
-// compares that overhead against a hardware-accelerated native cipher; we
-// report both our measured plain-C++ native wall time and the slowdown
-// computed against an AES-NI-class baseline (16 GB/s), which is the
-// apples-to-apples counterpart of the paper's number.
+// (snapshot_get_data -> CBC -> return_exit) with snapshotting enabled.
+// Isolation overhead = everything the virtine adds on top of the cipher
+// itself (shell provisioning, snapshot restore of the ~20 KB image, input
+// delivery, and the VM exits the footer reports).  The paper's 17x
+// slowdown at 16 KB compares that overhead against a hardware-accelerated
+// native cipher; we report both our measured plain-C++ native wall time and
+// the slowdown computed against an AES-NI-class baseline (16 GB/s), which
+// is the apples-to-apples counterpart of the paper's number.
 #include "bench/bench_util.h"
 #include "src/base/rng.h"
 #include "src/vaes/aes.h"
@@ -34,6 +34,7 @@ int main() {
   vbase::Rng rng(3);
 
   wasp::Runtime runtime;
+  uint64_t warm_exits = 0;  // VM exits per warm invocation, the same at every size
   vbase::Table table({"block", "overhead us", "native C++ us", "slowdown (ours)",
                       "slowdown vs AES-NI-class"});
   for (uint64_t size : {16ULL, 256ULL, 1024ULL, 4096ULL, 16384ULL}) {
@@ -51,6 +52,7 @@ int main() {
     spec.key = "aes-speed";
     spec.policy = wasp::kPolicyManaged;
     spec.use_snapshot = true;
+    spec.crt_snapshot = false;  // the guest snapshots inside its input call
     spec.input = &input;
 
     double overhead_us = 0;
@@ -67,12 +69,12 @@ int main() {
         continue;  // the cold run pays snapshot capture; skip it
       }
       // Everything except the interpreted cipher itself.
-      const auto& costs = runtime.options().vm_defaults.guest_costs;
-      const uint64_t exits =
-          outcome.stats.io_exits * (costs.io_exit + costs.io_entry) + costs.hlt_exit;
+      const auto& st = outcome.stats;
       const uint64_t cipher =
-          outcome.stats.guest_cycles > exits ? outcome.stats.guest_cycles - exits : 0;
-      overhead_us = vbase::CyclesToMicros(outcome.stats.total_cycles - cipher);
+          st.guest_cycles > st.exit_cycles ? st.guest_cycles - st.exit_cycles : 0;
+      overhead_us = vbase::CyclesToMicros(st.total_cycles - cipher);
+      VB_CHECK(warm_exits == 0 || warm_exits == st.io_exits, "warm exit count varies");
+      warm_exits = st.io_exits;
     }
 
     // Native C++ AES on this host (no AES-NI): wall time.
@@ -91,7 +93,9 @@ int main() {
                   vbase::Fmt((aesni_us + overhead_us) / aesni_us, 1) + "x"});
   }
   table.Print();
-  std::printf("\noverhead = shell + snapshot restore + marshalling + 3 hypercalls; the\n"
-              "AES-NI-class column is the paper's comparison point (hot, hardware cipher).\n");
+  std::printf("\noverhead = shell + snapshot restore + input delivery + %llu VM exit(s) per\n"
+              "warm invocation (measured); the AES-NI-class column is the paper's comparison\n"
+              "point (hot, hardware cipher).\n",
+              static_cast<unsigned long long>(warm_exits));
   return 0;
 }

@@ -54,12 +54,15 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # allocator and code generator, the vrt runtime library, and the codegen
   # differential oracle — and the HTTP guests driven directly through
   # HandleConnection (pipelining, bodies, streamed files, exit counts) — and
-  # the admission policy (differential and property tests).
+  # the admission policy (differential and property tests) — and both
+  # managed guests (microjs engine, AES) through Invoke, whose restores write
+  # each call's input into guest memory before the first vmrun.
   # Separate build dir: sanitizer objects don't mix.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   ASAN_TESTS=(test_snapshot_engine test_wasp test_wasp_concurrency test_governance
               test_cpu test_isa test_fault_injection test_recovery test_listener
-              test_net test_vcc test_vcc_deep test_vcc_oracle test_vrt test_admission)
+              test_net test_vcc test_vcc_deep test_vcc_oracle test_vrt test_admission
+              test_aes_js)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"

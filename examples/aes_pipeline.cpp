@@ -1,6 +1,7 @@
 // AES-128-CBC in a virtine (the Section 6.4 OpenSSL case study): the block
-// cipher runs inside an isolated VM fed through get_data/return_data, and
-// the ciphertext is validated against the host reference implementation.
+// cipher runs inside an isolated VM fed through snapshot_get_data and
+// answering through return_exit, and the ciphertext is validated against
+// the host reference implementation.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,7 +29,7 @@ int main() {
   const std::vector<uint8_t> plaintext =
       vaes::Pkcs7Pad(std::vector<uint8_t>(message.begin(), message.end()));
 
-  // Marshal key | iv | plaintext through get_data.
+  // Marshal key | iv | plaintext as the call's input.
   std::vector<uint8_t> input;
   input.insert(input.end(), key.begin(), key.end());
   input.insert(input.end(), iv.begin(), iv.end());
@@ -40,6 +41,7 @@ int main() {
   spec.key = "aes-cbc";
   spec.policy = wasp::kPolicyManaged;
   spec.use_snapshot = true;
+  spec.crt_snapshot = false;  // the guest snapshots inside its input call
   spec.input = &input;
 
   for (int i = 0; i < 2; ++i) {

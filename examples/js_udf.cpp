@@ -1,7 +1,8 @@
 // Managed-language UDFs in virtines (the Section 6.5 / Figure 15 scenario):
 // register a JavaScript (microjs) function with the Vespid serverless
 // platform and invoke it; every invocation runs the script engine inside an
-// isolated VM with only three hypercalls (snapshot, get_data, return_data).
+// isolated VM permitted only snapshot, get_data and return_data, which the
+// engine folds so a warm call takes one VM entry and one exit.
 #include <cstdio>
 #include <string>
 #include <vector>

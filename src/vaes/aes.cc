@@ -223,15 +223,19 @@ int encrypt_block(char *rk, char *s) {
   return 0;
 }
 
-// Protocol: get_data = key(16) | iv(16) | plaintext(16*k); CBC-encrypt in
-// place and return the ciphertext.
+// Protocol: input = key(16) | iv(16) | plaintext(16*k); CBC-encrypt in
+// place and exit with the ciphertext.  The snapshot point is inside the
+// input call, snapshot_get_data, so a warm call enters the VM once and
+// exits once.  The call is issued inline: the resumed frame is then main's
+// own, which no later call overwrites, and main rewrites every local it
+// reads after it, so a re-captured snapshot still resumes cleanly.
 int main() {
   char rk[176];
   char iv[16];
   char *buf;
   int n; int i; int j;
   buf = malloc(16448);
-  n = get_data(buf, 16448);
+  n = __hc2(6, buf, 16448);  // snapshot_get_data
   if (n < 32) {
     return -1;
   }
@@ -248,7 +252,7 @@ int main() {
       iv[i] = buf[j + i];
     }
   }
-  return_data(buf + 32, n - 32);
+  return_exit(n - 32, buf + 32, n - 32);
   return n - 32;
 }
 )vc";

@@ -2,7 +2,8 @@
 //   * a host C++ reference implementation (the "native OpenSSL" baseline of
 //     Section 6.4), validated against FIPS/NIST vectors, and
 //   * a guest implementation in the vcc dialect (GuestAesSource) that runs
-//     the same cipher inside a virtine, fed through get_data/return_data.
+//     the same cipher inside a virtine, fed through snapshot_get_data and
+//     answering through return_exit.
 //
 // The paper isolates OpenSSL's 128-bit AES block cipher in a virtine to
 // study the cost of isolating a deeply buried, heavily optimized function;
@@ -33,9 +34,11 @@ std::vector<uint8_t> EncryptCbc(const Key& key, const Block& iv,
 // PKCS#7 pad to a 16-byte multiple.
 std::vector<uint8_t> Pkcs7Pad(const std::vector<uint8_t>& data);
 
-// The guest AES-128-CBC program (vcc dialect).  Protocol: get_data delivers
-// key(16) | iv(16) | plaintext(n*16); the program encrypts and ships the
-// ciphertext back via return_data.  Entry point: main().
+// The guest AES-128-CBC program (vcc dialect).  Protocol: snapshot_get_data
+// delivers key(16) | iv(16) | plaintext(n*16); the program encrypts and
+// ships the ciphertext back via return_exit, exit code = its length.  The
+// snapshot is taken inside the input call, so callers that snapshot set
+// VirtineSpec::crt_snapshot = false.  Entry point: main().
 std::string GuestAesSource();
 
 }  // namespace vaes

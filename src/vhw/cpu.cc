@@ -40,6 +40,7 @@ void Cpu::Reset(uint64_t entry) {
   cycles_ = 0;
   insns_ = 0;
   io_exits_ = 0;
+  exit_cycles_ = 0;
   first_insn_pending_ = true;
   pending_entry_charge_ = false;
   fault_.clear();
@@ -437,6 +438,7 @@ bool Cpu::DoLjmp(Mode target) {
 Exit Cpu::Run(uint64_t max_insns) {
   if (pending_entry_charge_) {
     cycles_ += cost_.io_entry;
+    exit_cycles_ += cost_.io_entry;
     pending_entry_charge_ = false;
   }
   if (first_insn_pending_) {
@@ -530,6 +532,7 @@ Exit Cpu::Run(uint64_t max_insns) {
         break;
       case Op::kHlt: {
         cycles_ += cost_.hlt_exit;
+        exit_cycles_ += cost_.hlt_exit;
         LogEvent(BootEvent::kHlt);
         Exit e;
         e.kind = ExitKind::kHlt;
@@ -817,6 +820,7 @@ Exit Cpu::Run(uint64_t max_insns) {
         std::memcpy(&port, code + 1, 2);
         ++io_exits_;
         cycles_ += cost_.io_exit;
+        exit_cycles_ += cost_.io_exit;
         pending_entry_charge_ = true;
         Exit e;
         e.kind = ExitKind::kIo;

@@ -102,6 +102,7 @@ class Cpu {
     // pool's vCPU Reset, so the retire/exit/milestone counters restart here.
     insns_ = 0;
     io_exits_ = 0;
+    exit_cycles_ = 0;
     milestones_.clear();
   }
 
@@ -120,6 +121,10 @@ class Cpu {
   void AddCycles(uint64_t c) { cycles_ += c; }
   uint64_t insns_retired() const { return insns_; }
   uint64_t io_exits() const { return io_exits_; }
+  // Cycles charged for exits and re-entries (io_exit, io_entry, hlt_exit)
+  // since the last Reset/RestoreArch: exactly what leaving the VM cost,
+  // whether or not the last exit was re-entered.
+  uint64_t exit_cycles() const { return exit_cycles_; }
 
   const std::vector<BootMilestone>& milestones() const { return milestones_; }
   void ClearMilestones() { milestones_.clear(); }
@@ -195,6 +200,7 @@ class Cpu {
   uint64_t cycles_ = 0;
   uint64_t insns_ = 0;
   uint64_t io_exits_ = 0;
+  uint64_t exit_cycles_ = 0;
   bool first_insn_pending_ = true;
   bool pending_entry_charge_ = false;
   std::string fault_;

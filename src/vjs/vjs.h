@@ -2,7 +2,9 @@
 //
 // The paper embeds the Duktape JavaScript engine in a virtine and runs a
 // base64-encoding function with exactly three hypercalls (snapshot,
-// get_data, return_data).  This module reproduces that structure with
+// get_data, return_data).  Here they are folded into two,
+// snapshot_get_data and return_exit, so a warm call enters the VM once and
+// exits once.  This module reproduces that structure with
 // "microjs": a JavaScript-like scripting language compiled host-side to a
 // compact stack bytecode, interpreted by an engine written in the vcc
 // dialect that runs *inside* the virtine.  The engine deliberately mirrors
@@ -12,14 +14,14 @@
 //                    allocations, Duktape-context analogue), and builtin
 //                    tables;
 //   run(script)    — interprets the script bytecode over the input fetched
-//                    with get_data;
+//                    with snapshot_get_data (the snapshot point);
 //   teardown()     — walks and releases the object heap (skippable: the
 //                    paper's "NT" no-teardown optimization, safe because the
 //                    hypervisor wipes the shell after every invocation).
 //
-// The guest's main() returns the in-guest cycle count for init+run+teardown
-// (measured with rdtsc), which serves as the "native engine" baseline:
-// the same work with zero virtualization overhead.
+// The guest exits with the in-guest cycle count for init+run+teardown
+// (measured with rdtsc) as its exit code, which serves as the "native
+// engine" baseline: the same work with zero virtualization overhead.
 #ifndef SRC_VJS_VJS_H_
 #define SRC_VJS_VJS_H_
 

@@ -861,13 +861,11 @@ vbase::Result<ServeStats> StaticHttpServer::HandleVirtine(wasp::ByteChannel& cha
   stats.guest_cycles = outcome.stats.guest_cycles;
   stats.io_exits = outcome.stats.io_exits;
   stats.wall_ns = timer.ElapsedNanos();
-  // Strip VM-exit charges to approximate the same handler logic running
-  // natively in the host process (Figure 13's baseline denominator).
-  const auto& costs = runtime_->options().vm_defaults.guest_costs;
-  const uint64_t exit_charges =
-      outcome.stats.io_exits * (costs.io_exit + costs.io_entry) + costs.hlt_exit;
-  stats.deisolated_cycles =
-      outcome.stats.guest_cycles > exit_charges ? outcome.stats.guest_cycles - exit_charges : 0;
+  // Strip the VM-exit charges the vCPU made to approximate the same handler
+  // logic running natively in the host process (Figure 13's baseline
+  // denominator).
+  const wasp::InvokeStats& st = outcome.stats;
+  stats.deisolated_cycles = st.guest_cycles > st.exit_cycles ? st.guest_cycles - st.exit_cycles : 0;
   return stats;
 }
 

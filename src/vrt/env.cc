@@ -177,6 +177,8 @@ std::string AsmPrelude(Env env) {
   os << ".equ HC_SNAPSHOT, " << wasp::kHcSnapshot << "\n";
   os << ".equ HC_GET_DATA, " << wasp::kHcGetData << "\n";
   os << ".equ HC_RETURN_DATA, " << wasp::kHcReturnData << "\n";
+  os << ".equ HC_SNAPSHOT_GET_DATA, " << wasp::kHcSnapshotGetData << "\n";
+  os << ".equ HC_RETURN_EXIT, " << wasp::kHcReturnExit << "\n";
   os << ".equ HC_OPEN, " << wasp::kHcOpen << "\n";
   os << ".equ HC_READ, " << wasp::kHcRead << "\n";
   os << ".equ HC_WRITE, " << wasp::kHcWrite << "\n";

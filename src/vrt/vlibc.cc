@@ -12,6 +12,11 @@ int console_write(char *s, int n)     { return __hc2(2, s, n); }
 int v_snapshot()                      { return __hc0(3); }
 int get_data(char *buf, int cap)      { return __hc2(4, buf, cap); }
 int return_data(char *buf, int n)     { return __hc2(5, buf, n); }
+// return_data(buf, n) then exit(code), in one exit; never returns.
+// Its input-side partner, snapshot_get_data (port 6), has no wrapper: a
+// restore resumes inside that call, so a guest issues it inline as
+// __hc2(6, buf, cap) from a frame no later call overwrites.
+int return_exit(int code, char *buf, int n) { return __hc3(7, code, buf, n); }
 int open(char *path)                  { return __hc1(16, path); }
 int read(int fd, char *buf, int n)    { return __hc3(17, fd, buf, n); }
 int write(int fd, char *buf, int n)   { return __hc3(18, fd, buf, n); }

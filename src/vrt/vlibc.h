@@ -7,8 +7,10 @@
 // Wasp hypercalls (ports from src/wasp/abi.h, hard-coded as literals because
 // hypercall ports are immediate operands).
 //
-// Provided: hypercall wrappers (exit/console/snapshot/get_data/return_data/
-// open/read/write/close/stat_size/send/recv), string and memory routines
+// Provided: hypercall wrappers (exit/console/snapshot/get_data/return_data,
+// return_exit — the folded return_data+exit a function virtine leaves
+// through — and open/read/write/close/stat_size/readfile/send/recv/
+// send_recv), string and memory routines
 // (strlen/strcmp/strcpy/strcat/memcpy/memset/memcmp/atoi/itoa/uitoa_hex),
 // console printing helpers (puts/print_int), and a bump-pointer malloc with
 // a trivial free list.

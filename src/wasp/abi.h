@@ -15,7 +15,19 @@
 // a port whose bit is clear terminates the virtine (Section 2: virtines
 // exist in a default-deny environment).  kHcExit is always permitted — the
 // only externally observable behavior Wasp provides by default is the
-// ability to exit.
+// ability to exit.  kHcSnapshot is permitted too: it is hypervisor-internal
+// and once-only.
+//
+// Folded calls never widen the policy: a folded call is permitted exactly
+// when every call it folds is.  snapshot_get_data needs the get_data bit;
+// return_exit needs the return_data bit when it carries bytes (len > 0) and
+// nothing otherwise.  Their own ports' bits are never consulted.
+//
+// A function virtine's warm call is one VM entry and one VM exit.
+// snapshot_get_data takes the snapshot *inside* the input call, so every
+// restore resumes with that call pending: the runtime writes the new
+// invocation's input and sets the result register before the first vmrun.
+// return_exit (return_data then exit) hands the output back in the exit.
 #ifndef SRC_WASP_ABI_H_
 #define SRC_WASP_ABI_H_
 
@@ -29,6 +41,10 @@ inline constexpr uint16_t kHcConsole = 2;     // r1 = buf va, r2 = len
 inline constexpr uint16_t kHcSnapshot = 3;    // take a snapshot (once only)
 inline constexpr uint16_t kHcGetData = 4;     // r1 = dst va, r2 = cap -> r0 = len (once only)
 inline constexpr uint16_t kHcReturnData = 5;  // r1 = src va, r2 = len
+// snapshot() then get_data() in one exit, with get_data's registers; the
+// snapshot it captures resumes inside this call (see above).
+inline constexpr uint16_t kHcSnapshotGetData = 6;
+inline constexpr uint16_t kHcReturnExit = 7;  // r1 = exit code, r2 = src va, r3 = len
 inline constexpr uint16_t kHcOpen = 16;       // r1 = path va -> r0 = fd | -1
 inline constexpr uint16_t kHcRead = 17;       // r1 = fd, r2 = buf va, r3 = len -> r0 = n | -1
 inline constexpr uint16_t kHcWrite = 18;      // r1 = fd, r2 = buf va, r3 = len -> r0 = n | -1
@@ -66,10 +82,30 @@ inline constexpr HypercallMask kPolicyFileIo = MaskOf(kHcOpen) | MaskOf(kHcRead)
 // send_recv, which is one send followed by one recv).
 inline constexpr HypercallMask kPolicyStream =
     MaskOf(kHcSend) | MaskOf(kHcRecv) | MaskOf(kHcSendRecv);
-// The managed-runtime set used by the JavaScript case study (Section 6.5):
-// snapshot + get_data + return_data only.
+// The managed-runtime set used by the JavaScript and AES case studies
+// (Sections 6.4, 6.5): snapshot + get_data + return_data only.  It also
+// admits the folded snapshot_get_data and return_exit, which need nothing
+// beyond these bits.
 inline constexpr HypercallMask kPolicyManaged =
     MaskOf(kHcSnapshot) | MaskOf(kHcGetData) | MaskOf(kHcReturnData);
+
+// The policy bits a call on `port` needs: none for exit and snapshot, the
+// folded calls' bits for a folded call, its own bit otherwise.  `out_len` is
+// return_exit's byte count (r3); other ports ignore it.  Ports past the mask
+// need no bit: they reach dispatch and fail as illegal hypercalls.
+inline constexpr HypercallMask RequiredPolicy(uint16_t port, uint64_t out_len) {
+  switch (port) {
+    case kHcExit:
+    case kHcSnapshot:
+      return 0;
+    case kHcSnapshotGetData:
+      return MaskOf(kHcGetData);
+    case kHcReturnExit:
+      return out_len > 0 ? MaskOf(kHcReturnData) : 0;
+    default:
+      return port < kMaxHypercall ? MaskOf(port) : 0;
+  }
+}
 
 // --- Guest physical layout ---------------------------------------------------
 // [0x000 ..]        argument/result page (see below)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/base/clock.h"
 #include "src/base/log.h"
 #include "src/wasp/abi.h"
 
@@ -646,12 +645,10 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config,
 
 std::unique_ptr<vkvm::Vm> Pool::Acquire(const vkvm::VmConfig& config, bool* from_pool) {
   stats_.acquires.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t t0 = vbase::NowNanos();
   auto vm = TryFastClean(config, from_pool);
   if (vm == nullptr) {
     vm = AcquireSlow(config, /*generation=*/0, nullptr, from_pool);
   }
-  RecordAcquireNs(vbase::NowNanos() - t0);
   return vm;
 }
 
@@ -659,7 +656,6 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireAffine(const vkvm::VmConfig& config,
                                               uint64_t generation, bool* affine_hit,
                                               bool* from_pool) {
   stats_.acquires.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t t0 = vbase::NowNanos();
   if (affine_hit != nullptr) {
     *affine_hit = false;
   }
@@ -676,7 +672,6 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireAffine(const vkvm::VmConfig& config,
   if (vm == nullptr) {
     vm = AcquireSlow(config, generation, affine_hit, from_pool);
   }
-  RecordAcquireNs(vbase::NowNanos() - t0);
   return vm;
 }
 
@@ -898,49 +893,6 @@ void Pool::Prewarm(const vkvm::VmConfig& config, int count) {
     ShellNode* node = WrapShell(std::move(vm), 0, 0, nullptr);
     shards_[static_cast<size_t>(i) % shards_.size()]->free.Push(node);
   }
-}
-
-void Pool::RecordAcquireNs(uint64_t ns) {
-  int bucket = 0;
-  if (ns > 0) {
-    bucket = 64 - __builtin_clzll(ns);  // bit_width: ns in [2^(b-1), 2^b)
-    bucket = std::min(bucket, kLatBuckets - 1);
-  }
-  lat_buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-}
-
-AcquireLatency Pool::acquire_latency() const {
-  uint64_t counts[kLatBuckets];
-  uint64_t total = 0;
-  for (int i = 0; i < kLatBuckets; ++i) {
-    counts[i] = lat_buckets_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  AcquireLatency out;
-  out.samples = total;
-  if (total == 0) {
-    return out;
-  }
-  // Bucket upper bounds as the reported value: pessimistic by at most 2x,
-  // monotone in the true percentile.
-  auto percentile = [&](double q) -> uint64_t {
-    const uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total - 1)) + 1;
-    uint64_t cumulative = 0;
-    for (int i = 0; i < kLatBuckets; ++i) {
-      cumulative += counts[i];
-      if (cumulative >= rank) {
-        return i == 0 ? 0 : (uint64_t{1} << i);
-      }
-    }
-    return uint64_t{1} << (kLatBuckets - 1);
-  };
-  out.p50_ns = percentile(0.50);
-  out.p99_ns = percentile(0.99);
-  out.p50_cycles =
-      static_cast<uint64_t>(static_cast<double>(out.p50_ns) * vbase::kReferenceGhz);
-  out.p99_cycles =
-      static_cast<uint64_t>(static_cast<double>(out.p99_ns) * vbase::kReferenceGhz);
-  return out;
 }
 
 PoolStats Pool::stats() const {

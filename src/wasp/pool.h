@@ -68,9 +68,8 @@
 // prefers same-node shards, so an affine shell's pages are reused by the
 // lane — or at worst the node — that dirtied them.  PoolStats separates
 // lane-cache hits, free-list hits, slow-path acquires, and cross-shard /
-// cross-node steals, and the pool keeps a log2-bucketed acquire-latency
-// histogram (p50/p99 in wall ns and modeled cycles) so the fast path's
-// flatness under lane count is observable, not asserted.
+// cross-node steals, so the fast path's share is observable, not asserted;
+// callers time acquires themselves (InvokeStats::acquire_ns).
 #ifndef SRC_WASP_POOL_H_
 #define SRC_WASP_POOL_H_
 
@@ -134,17 +133,6 @@ struct PoolStats {
   uint64_t quarantine_scrubbed = 0;    // scrubbed + readmitted by the crew
   uint64_t quarantine_destroyed = 0;   // destroyed (no crew to scrub)
   uint64_t quarantined_now = 0;        // gauge: awaiting the crew's scrub
-};
-
-// Acquire-latency summary from the pool's log2-bucketed histogram: wall
-// nanoseconds per Acquire/AcquireAffine call (bucket upper bounds), plus the
-// same figure converted to modeled cycles at the reference clock rate.
-struct AcquireLatency {
-  uint64_t samples = 0;
-  uint64_t p50_ns = 0;
-  uint64_t p99_ns = 0;
-  uint64_t p50_cycles = 0;
-  uint64_t p99_cycles = 0;
 };
 
 // A consistent point-in-time breakdown of the affine residency gauge.  The
@@ -262,8 +250,6 @@ class Pool {
   void Prewarm(const vkvm::VmConfig& config, int count);
 
   PoolStats stats() const;
-  // Acquire-latency percentiles from the histogram (see AcquireLatency).
-  AcquireLatency acquire_latency() const;
   // Consistent snapshot of the residency breakdown (see AffineAccounting).
   AffineAccounting affine_accounting() const;
   // Clean shells of `mem_size` across all shards and lane slots.  Exact on
@@ -421,8 +407,6 @@ class Pool {
   // the configured budget again (no-op when unlimited).
   void EnforceAffineBudget();
 
-  void RecordAcquireNs(uint64_t ns);
-
   const PoolOptions options_;
   size_t lane_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -465,10 +449,6 @@ class Pool {
   mutable std::shared_mutex gen_mu_;
   std::map<uint64_t, std::unique_ptr<GenInfo>> generations_;
   std::atomic<uint64_t> use_tick_{0};
-
-  // Acquire-latency histogram: log2(ns) buckets.
-  static constexpr int kLatBuckets = 40;
-  mutable std::atomic<uint64_t> lat_buckets_[kLatBuckets] = {};
 
   struct AtomicStats {
     std::atomic<uint64_t> acquires{0};

@@ -39,6 +39,46 @@ vbase::Result<int64_t> ChannelRecv(HypercallFrame& frame, uint64_t va, uint64_t 
   return static_cast<int64_t>(n);
 }
 
+// The get_data half of get_data and snapshot_get_data: copies up to r2
+// bytes of the invocation's input to guest va r1, once per invocation.
+vbase::Result<int64_t> GetData(HypercallFrame& frame) {
+  if (frame.data_fetched) {
+    return vbase::PermissionDenied("get_data hypercall may only be called once");
+  }
+  frame.data_fetched = true;
+  const uint64_t va = frame.arg(0);
+  const uint64_t cap = frame.arg(1);
+  if (cap > kMaxIoLen) {
+    return vbase::InvalidArgument("get_data capacity too large");
+  }
+  if (frame.spec.input == nullptr) {
+    return 0;
+  }
+  const uint64_t n = std::min<uint64_t>(cap, frame.spec.input->size());
+  VB_RETURN_IF_ERROR(frame.vm.WriteVirt(va, frame.spec.input->data(), n));
+  return static_cast<int64_t>(n);
+}
+
+// The return_data half of return_data and return_exit: appends `len` guest
+// bytes at `va` to the invocation's output.
+vbase::Status AppendOutput(HypercallFrame& frame, uint64_t va, uint64_t len) {
+  if (len > kMaxIoLen || frame.inject_oversized_reply) {
+    frame.fault = FaultKind::kOversizedReply;
+    if (frame.inject_oversized_reply) {
+      frame.inject_oversized_reply = false;
+      if (FaultInjector* injector = frame.runtime.fault_injector(); injector != nullptr) {
+        injector->RecordInjected(FaultKind::kOversizedReply);
+      }
+      return vbase::InvalidArgument("return_data too large (injected oversized reply)");
+    }
+    return vbase::InvalidArgument("return_data too large");
+  }
+  std::vector<uint8_t>& output = frame.outcome.output;
+  const size_t off = output.size();
+  output.resize(off + len);
+  return frame.vm.ReadVirt(va, output.data() + off, len);
+}
+
 PoolOptions MakePoolOptions(const RuntimeOptions& options) {
   PoolOptions pool;
   pool.mode = options.clean_mode;
@@ -174,8 +214,8 @@ void Runtime::RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
   stats->restored_bytes = copied;
 }
 
-SnapshotRef Runtime::TakeSnapshot(vkvm::Vm& vm) {
-  SnapshotRef snap = CaptureSnapshot(vm.memory(), vm.cpu().state());
+SnapshotRef Runtime::TakeSnapshot(vkvm::Vm& vm, PendingCall pending) {
+  SnapshotRef snap = CaptureSnapshot(vm.memory(), vm.cpu().state(), pending);
   // Taking the snapshot is itself a copy; charge it (the paper's Figure 11
   // snapshot bars "include the overhead for taking the initial snapshot").
   vm.AddHostCycles(static_cast<uint64_t>(
@@ -186,6 +226,70 @@ SnapshotRef Runtime::TakeSnapshot(vkvm::Vm& vm) {
   // the shell snapshot-affine instead of zeroing it.
   vm.memory().BeginEpoch();
   return snap;
+}
+
+vbase::Status Runtime::SnapshotOnce(HypercallFrame& frame, PendingCall pending) {
+  if (frame.snapshot_taken) {
+    return vbase::PermissionDenied("snapshot hypercall may only be called once");
+  }
+  frame.snapshot_taken = true;
+  if (frame.spec.use_snapshot && !frame.spec.key.empty() &&
+      snapshots_.Find(frame.spec.key) == nullptr) {
+    SnapshotRef snap = TakeSnapshot(frame.vm, pending);
+    // Concurrent cold runs race this publish; only the winner's shell parks
+    // snapshot-affine.  A loser's shell holds its *own* capture, not the
+    // winner's, so it must go back through the cleaning path — and under a
+    // generation the store never published, it would sit stranded in the
+    // affine lists until reclaimed.
+    SnapshotRef winner = snapshots_.PutIfAbsent(frame.spec.key, snap);
+    if (winner == snap) {
+      frame.resident_generation = snap->generation;
+      frame.resident_shared_bytes = snap->chain_byte_size();
+      frame.outcome.stats.took_snapshot = true;
+      if (options_.snapshot_affinity) {
+        // The shell's memory *is* the captured view: adopt the published
+        // extent chain as its COW base (no copies) so the rest of this run
+        // privatizes on write and the park charges the working set, not
+        // the image.
+        frame.vm.memory().AdoptCowBase(snap->extent);
+      }
+    }
+  }
+  return vbase::Status::Ok();
+}
+
+bool Runtime::Serve(uint16_t port, HypercallFrame& frame) {
+  RunOutcome& outcome = frame.outcome;
+  // Default-deny: the call needs every policy bit RequiredPolicy names
+  // (abi.h).  Exit and snapshot need none: they are hypervisor-internal
+  // services with no externally observable behavior (and snapshot is
+  // enforced once-only), matching the paper's "no externally observable
+  // behavior through hypercalls other than the ability to exit".
+  const HypercallMask need = RequiredPolicy(port, frame.arg(2));
+  if ((frame.spec.policy & need) != need) {
+    outcome.denied = true;
+    outcome.fault = FaultKind::kPolicyDenied;
+    outcome.status = vbase::PermissionDenied(
+        "hypercall " + std::to_string(port) + " denied by policy; virtine terminated");
+    return false;
+  }
+  auto result = Dispatch(port, frame);
+  if (!result.ok()) {
+    // Structured classification: a handler that tagged the frame wins;
+    // otherwise an unknown port is an illegal hypercall and anything else is
+    // a handler failure.  The message stays for logs.
+    if (frame.fault != FaultKind::kNone) {
+      outcome.fault = frame.fault;
+    } else if (result.status().code() == vbase::Code::kUnimplemented) {
+      outcome.fault = FaultKind::kIllegalHypercall;
+    } else {
+      outcome.fault = FaultKind::kHypercallError;
+    }
+    outcome.status = result.status();
+    return false;
+  }
+  frame.vm.cpu().set_reg(frame.result_reg, static_cast<uint64_t>(*result));
+  return true;
 }
 
 vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
@@ -213,73 +317,28 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
       return static_cast<int64_t>(len);
     }
 
-    case kHcSnapshot: {
-      if (frame.snapshot_taken) {
-        return vbase::PermissionDenied("snapshot hypercall may only be called once");
-      }
-      frame.snapshot_taken = true;
-      if (frame.spec.use_snapshot && !frame.spec.key.empty() &&
-          snapshots_.Find(frame.spec.key) == nullptr) {
-        SnapshotRef snap = TakeSnapshot(vm);
-        // Concurrent cold runs race this publish; only the winner's shell
-        // parks snapshot-affine.  A loser's shell holds its *own* capture,
-        // not the winner's, so it must go back through the cleaning path —
-        // and under a generation the store never published, it would sit
-        // stranded in the affine lists until reclaimed.
-        SnapshotRef winner = snapshots_.PutIfAbsent(frame.spec.key, snap);
-        if (winner == snap) {
-          frame.resident_generation = snap->generation;
-          frame.resident_shared_bytes = snap->chain_byte_size();
-          frame.outcome.stats.took_snapshot = true;
-          if (options_.snapshot_affinity) {
-            // The shell's memory *is* the captured view: adopt the published
-            // extent chain as its COW base (no copies) so the rest of this
-            // run privatizes on write and the park charges the working set,
-            // not the image.
-            vm.memory().AdoptCowBase(snap->extent);
-          }
-        }
-      }
+    case kHcSnapshot:
+      VB_RETURN_IF_ERROR(SnapshotOnce(frame, PendingCall{}));
       return 0;
-    }
 
-    case kHcGetData: {
-      if (frame.data_fetched) {
-        return vbase::PermissionDenied("get_data hypercall may only be called once");
-      }
-      frame.data_fetched = true;
-      const uint64_t va = frame.arg(0);
-      const uint64_t cap = frame.arg(1);
-      if (cap > kMaxIoLen) {
-        return vbase::InvalidArgument("get_data capacity too large");
-      }
-      if (frame.spec.input == nullptr) {
-        return 0;
-      }
-      const uint64_t n = std::min<uint64_t>(cap, frame.spec.input->size());
-      VB_RETURN_IF_ERROR(vm.WriteVirt(va, frame.spec.input->data(), n));
-      return static_cast<int64_t>(n);
-    }
+    case kHcGetData:
+      return GetData(frame);
 
-    case kHcReturnData: {
-      const uint64_t va = frame.arg(0);
-      const uint64_t len = frame.arg(1);
-      if (len > kMaxIoLen || frame.inject_oversized_reply) {
-        frame.fault = FaultKind::kOversizedReply;
-        if (frame.inject_oversized_reply) {
-          frame.inject_oversized_reply = false;
-          if (injector_ != nullptr) {
-            injector_->RecordInjected(FaultKind::kOversizedReply);
-          }
-          return vbase::InvalidArgument("return_data too large (injected oversized reply)");
-        }
-        return vbase::InvalidArgument("return_data too large");
-      }
-      const size_t off = frame.outcome.output.size();
-      frame.outcome.output.resize(off + len);
-      VB_RETURN_IF_ERROR(vm.ReadVirt(va, frame.outcome.output.data() + off, len));
+    case kHcSnapshotGetData:
+      // Capture first, then write this run's input: the snapshot must not
+      // hold it, and the epoch the capture begins must track the write.
+      VB_RETURN_IF_ERROR(SnapshotOnce(frame, PendingCall{kHcGetData, frame.result_reg}));
+      return GetData(frame);
+
+    case kHcReturnData:
+      VB_RETURN_IF_ERROR(AppendOutput(frame, frame.arg(0), frame.arg(1)));
       return 0;
-    }
+
+    case kHcReturnExit:
+      VB_RETURN_IF_ERROR(AppendOutput(frame, frame.arg(1), frame.arg(2)));
+      frame.outcome.exit_code = frame.arg(0);
+      frame.request_exit = true;
+      return 0;
 
     case kHcOpen: {
       auto path = vm.ReadCString(frame.arg(0), kMaxPathLen);
@@ -510,7 +569,17 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
     default:
       break;
   }
-  while (true) {
+  // A snapshot captured inside snapshot_get_data resumes with its get_data
+  // pending: complete it for this invocation (this spec's policy and input,
+  // the restored registers' buffer) before the first vmrun.  Both halves of
+  // the call are then spent, as in the cold run.  A failure skips the run
+  // loop and ends the invocation as it would at a get_data exit.
+  if (snap != nullptr && snap->pending.port != 0) {
+    frame.snapshot_taken = true;
+    frame.result_reg = snap->pending.result_reg;
+    Serve(snap->pending.port, frame);
+  }
+  while (outcome.status.ok()) {
     const uint64_t used = vm->cpu().insns_retired();
     if (used >= spec.max_insns) {
       outcome.fault = FaultKind::kRunaway;
@@ -542,38 +611,10 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
       break;
     }
     if (run.reason == vkvm::ExitReason::kIo) {
-      const uint16_t port = run.port;
-      // Policy check: default-deny.  Exit and snapshot are always permitted:
-      // they are hypervisor-internal services with no externally observable
-      // behavior (and snapshot is enforced once-only), matching the paper's
-      // "no externally observable behavior through hypercalls other than the
-      // ability to exit".
-      if (port != kHcExit && port != kHcSnapshot && port < kMaxHypercall &&
-          (spec.policy & MaskOf(port)) == 0) {
-        outcome.denied = true;
-        outcome.fault = FaultKind::kPolicyDenied;
-        outcome.status = vbase::PermissionDenied(
-            "hypercall " + std::to_string(port) + " denied by policy; virtine terminated");
-        break;
-      }
-      auto result = Dispatch(port, frame);
-      if (!result.ok()) {
-        // Structured classification: a handler that tagged the frame wins;
-        // otherwise an unknown port is an illegal hypercall and anything
-        // else is a handler failure.  The message stays for logs.
-        if (frame.fault != FaultKind::kNone) {
-          outcome.fault = frame.fault;
-        } else if (result.status().code() == vbase::Code::kUnimplemented) {
-          outcome.fault = FaultKind::kIllegalHypercall;
-        } else {
-          outcome.fault = FaultKind::kHypercallError;
-        }
-        outcome.status = result.status();
-        break;
-      }
-      // Result goes to r0 for `out`, or to the destination register of `in`.
-      vm->cpu().set_reg(run.io_is_in ? run.io_reg : 0, static_cast<uint64_t>(*result));
-      if (frame.request_exit) {
+      // The result goes to r0 for `out`, or to the destination register of
+      // `in`.
+      frame.result_reg = run.io_is_in ? run.io_reg : 0;
+      if (!Serve(run.port, frame) || frame.request_exit) {
         break;
       }
       continue;
@@ -608,6 +649,7 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
   outcome.stats.host_cycles = vm->host_cycles();
   outcome.stats.total_cycles = vm->total_cycles();
   outcome.stats.io_exits = vm->cpu().io_exits();
+  outcome.stats.exit_cycles = vm->cpu().exit_cycles();
   outcome.stats.insns = vm->cpu().insns_retired();
 
   // --- Release the shell: a faulted invocation quarantines it (never parked

@@ -7,13 +7,15 @@
 //   * a SnapshotStore (post-boot/post-init images keyed per virtine),
 //   * the canned hypercall handlers (console, POSIX-like file I/O and
 //     readfile against a sandboxed HostEnv, send/recv/send_recv against a
-//     ByteChannel, snapshot, get_data/return_data), and
+//     ByteChannel, snapshot, get_data/return_data and their folded forms
+//     snapshot_get_data/return_exit), and
 //   * the default-deny policy enforcement: a hypercall whose policy bit is
 //     clear terminates the virtine.
 //
 // The per-invocation flow matches Figure 6/7 of the paper: acquire a shell
 // (pool hit or fresh create), either load the image and boot it or restore a
-// snapshot, marshal arguments into the argument page, run until exit while
+// snapshot, marshal arguments into the argument page, complete the input
+// call a restored snapshot was captured inside of, run until exit while
 // interposing on every hypercall, harvest results, release the shell for
 // cleaning and reuse.
 #ifndef SRC_WASP_RUNTIME_H_
@@ -46,6 +48,10 @@ struct InvokeStats {
   uint64_t host_cycles = 0;    // modeled host-side charges (create/vmrun/memcpy)
   uint64_t total_cycles = 0;   // guest + host
   uint64_t io_exits = 0;       // hypercall exits taken
+  // Guest cycles the vCPU charged for VM exits and re-entries (port-I/O
+  // exit and entry, hlt): what a de-isolated run of the same guest work
+  // would not pay.
+  uint64_t exit_cycles = 0;
   uint64_t insns = 0;          // guest instructions retired
   bool from_pool = false;      // shell came from the pool
   bool restored_snapshot = false;
@@ -77,10 +83,10 @@ struct RunOutcome {
   // message keeps the human-readable detail for logs.
   FaultKind fault = FaultKind::kNone;
   bool denied = false;           // a hypercall was denied by policy
-  uint64_t exit_code = 0;        // from the exit hypercall (0 for plain hlt)
+  uint64_t exit_code = 0;        // from exit or return_exit (0 for plain hlt)
   uint64_t result_word = 0;      // argument-page word 0 (the return value)
   std::string console;           // bytes written via the console hypercall
-  std::vector<uint8_t> output;   // bytes returned via return_data
+  std::vector<uint8_t> output;   // bytes returned via return_data/return_exit
   std::vector<uint8_t> fd_writes;  // bytes written via the write hypercall
   // Set by the executor's recovery layer: this outcome is the second attempt
   // of a retried job, and `first_fault` is what killed the first attempt.
@@ -99,6 +105,9 @@ struct HypercallFrame {
   RunOutcome& outcome;
   // Hypercall arguments are registers r1..r3.
   uint64_t arg(int i) const { return vm.cpu().reg(1 + i); }
+  // The register that receives the current call's result: r0 for `out`,
+  // the operand of `in`.
+  uint8_t result_reg = 0;
   // Set by handlers to finish the invocation after this hypercall.
   bool request_exit = false;
   // Once-only bookkeeping (Section 6.5: "snapshot and get_data cannot be
@@ -114,8 +123,8 @@ struct HypercallFrame {
   // Structured fault classification set by handlers (e.g. an oversized
   // reply); folded into the outcome when the dispatch fails.
   FaultKind fault = FaultKind::kNone;
-  // Chaos injection: the next return_data hypercall is treated as exceeding
-  // the I/O ceiling regardless of its actual length.
+  // Chaos injection: the next return_data or return_exit hypercall is
+  // treated as exceeding the I/O ceiling regardless of its actual length.
   bool inject_oversized_reply = false;
   // The sandboxed filesystem the file hypercalls read (the spec's override
   // or the runtime's own), and the per-invocation fd table over it.
@@ -152,7 +161,8 @@ struct VirtineSpec {
   bool crt_snapshot = true;
   // Pre-marshalled argument page, written at guest physical 0 (see abi.h).
   std::vector<uint8_t> args_page;
-  // Input payload served by the get_data hypercall.
+  // Input payload served by get_data (or snapshot_get_data, including the
+  // pending one a restore completes).
   const std::vector<uint8_t>* input = nullptr;
   // Guest-side channel endpoint for send/recv (not owned).
   ByteChannel::Endpoint* channel = nullptr;
@@ -284,10 +294,18 @@ class Runtime {
   // chain by copy (charged per byte, the paper's baseline).
   void RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
                        InvokeStats* stats);
-  // Captures a snapshot of the VM's current state (dirty pages + CPU) and
-  // begins the shell's delta epoch at the capture point.
-  SnapshotRef TakeSnapshot(vkvm::Vm& vm);
-  // Dispatches one hypercall; returns the r0 result or an error.
+  // Captures a snapshot of the VM's current state (dirty pages + CPU +
+  // `pending`) and begins the shell's delta epoch at the capture point.
+  SnapshotRef TakeSnapshot(vkvm::Vm& vm, PendingCall pending);
+  // The snapshot half of snapshot/snapshot_get_data: once per invocation;
+  // captures and publishes when the spec snapshots and its key has none.
+  vbase::Status SnapshotOnce(HypercallFrame& frame, PendingCall pending);
+  // Serves one call on `port`, at a guest exit or as a restore's pending
+  // call: policy check, handler, result into frame.result_reg.  False when
+  // it was denied or failed; the outcome then holds the classified fault.
+  bool Serve(uint16_t port, HypercallFrame& frame);
+  // Dispatches one hypercall; returns the result register's value or an
+  // error.
   vbase::Result<int64_t> Dispatch(uint16_t port, HypercallFrame& frame);
 
   RuntimeOptions options_;

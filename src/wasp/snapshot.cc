@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/base/log.h"
+#include "src/wasp/abi.h"
 
 namespace wasp {
 namespace {
@@ -58,9 +59,13 @@ bool VerifySnapshot(const Snapshot& snap) {
   return snap.extent != nullptr && ChecksumExtentBytes(*snap.extent) == snap.checksum;
 }
 
-SnapshotRef CaptureSnapshot(const vhw::GuestMemory& mem, const vhw::ArchState& cpu) {
+SnapshotRef CaptureSnapshot(const vhw::GuestMemory& mem, const vhw::ArchState& cpu,
+                            PendingCall pending) {
+  VB_CHECK(pending.port == 0 || pending.port == kHcGetData,
+           "a snapshot can only resume into a pending get_data");
   auto snap = std::make_shared<Snapshot>();
   snap->cpu = cpu;
+  snap->pending = pending;
   snap->mem_size = mem.size();
   snap->generation = NextSnapshotGeneration();
   std::vector<uint64_t> pages;
@@ -81,6 +86,7 @@ SnapshotRef CaptureDeltaSnapshot(const vhw::GuestMemory& mem, const Snapshot& pa
   // Resume point stays the parent's: the chain folds memory drift in, not a
   // new execution state.
   snap->cpu = parent.cpu;
+  snap->pending = parent.pending;
   snap->generation = NextSnapshotGeneration();
   snap->parent_generation = parent.generation;
   auto buffer = BuildExtents(mem, mem.CollectDirtySince());

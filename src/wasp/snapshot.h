@@ -20,6 +20,12 @@
 // RestoreDeltaInto re-copies captured pages / re-zeroes uncaptured ones, so
 // a warm restore costs O(working set) rather than O(image).
 //
+// Resume into a pending input call: a snapshot taken by snapshot_get_data
+// records the get_data it was captured inside of (`Snapshot::pending`).  The
+// runtime completes that call for each restore's own invocation — input
+// written, result register set — before the first vmrun, so a warm function
+// call enters the VM once.
+//
 // Snapshots are immutable once taken and shared via shared_ptr: restores
 // never mutate them, so one virtine's post-snapshot writes cannot leak into
 // the next restore (isolation objective, Section 3.3).  Every capture gets a
@@ -49,10 +55,19 @@
 
 namespace wasp {
 
+// An input call the vCPU was inside of when its snapshot was captured.
+struct PendingCall {
+  uint16_t port = 0;       // 0 = none; kHcGetData is the only one accepted
+  uint8_t result_reg = 0;  // the register that receives the call's result
+};
+
 struct Snapshot {
   using Extent = vhw::ExtentBuffer::Extent;
 
   vhw::ArchState cpu;
+  // The call every restore completes before resuming `cpu` (port 0: none,
+  // the vCPU resumes as captured).
+  PendingCall pending;
   uint64_t mem_size = 0;
   // Process-unique capture id (never 0); keys the pool's affine shell lists.
   uint64_t generation = 0;
@@ -87,18 +102,20 @@ using SnapshotRef = std::shared_ptr<const Snapshot>;
 // Returns a fresh process-unique snapshot generation (>= 1).
 uint64_t NextSnapshotGeneration();
 
-// Captures `mem`'s dirty pages (extent-coalesced) plus `cpu` into a new
-// root snapshot with a fresh generation.
-SnapshotRef CaptureSnapshot(const vhw::GuestMemory& mem, const vhw::ArchState& cpu);
+// Captures `mem`'s dirty pages (extent-coalesced) plus `cpu` and the input
+// call it is inside of (`pending`) into a new root snapshot with a fresh
+// generation.
+SnapshotRef CaptureSnapshot(const vhw::GuestMemory& mem, const vhw::ArchState& cpu,
+                            PendingCall pending = {});
 
 // Captures `mem`'s *epoch-dirty* pages as a delta child chained over
 // `parent`'s extent buffer, under a fresh generation.  The caller guarantees
 // `mem` deviates from `parent`'s view only in epoch-dirty pages (the affine
 // shell contract), so parent chain + delta describe the memory exactly.
-// The child resumes at the parent's capture point (same CPU state): folding
-// drift into a chain is only sound for services whose warm state stays
-// valid across invocations (caches, JIT output) — which is what re-capture
-// is for.
+// The child resumes at the parent's capture point (same CPU state and
+// pending call): folding drift into a chain is only sound for services
+// whose warm state stays valid across invocations (caches, JIT output) —
+// which is what re-capture is for.
 SnapshotRef CaptureDeltaSnapshot(const vhw::GuestMemory& mem, const Snapshot& parent);
 
 // Returns a copy of `snap` whose chain is collapsed into a single

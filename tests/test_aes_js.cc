@@ -76,6 +76,7 @@ class AesVirtineTest : public ::testing::Test {
     spec.key = "aes-test";
     spec.policy = wasp::kPolicyManaged;
     spec.use_snapshot = true;
+    spec.crt_snapshot = false;  // the guest snapshots inside its input call
     spec.input = &input;
     auto outcome = runtime_->Invoke(spec);
     EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
@@ -98,6 +99,39 @@ TEST_F(AesVirtineTest, MatchesNistCbcVector) {
       0xac, 0x9c, 0x9e, 0xb7, 0x6f, 0xac, 0x45, 0xaf, 0x8e, 0x51};
   EXPECT_EQ(EncryptInVirtine(kFipsKey, iv, plaintext),
             vaes::EncryptCbc(kFipsKey, iv, plaintext));
+}
+
+// A warm call enters the VM once and leaves through the one exit that carries
+// its ciphertext; a cold or unsnapshotted call also exits at its input call.
+TEST_F(AesVirtineTest, WarmCallsTakeOneExit) {
+  const vaes::Block iv = {};
+  const std::vector<uint8_t> plaintext(32, 0x5c);
+  std::vector<uint8_t> input(kFipsKey.begin(), kFipsKey.end());
+  input.insert(input.end(), iv.begin(), iv.end());
+  input.insert(input.end(), plaintext.begin(), plaintext.end());
+  wasp::Runtime runtime;
+  wasp::VirtineSpec spec;
+  spec.image = image_;
+  spec.key = "aes-exits";
+  spec.policy = wasp::kPolicyManaged;
+  spec.use_snapshot = true;
+  spec.crt_snapshot = false;
+  spec.input = &input;
+  const auto cold = runtime.Invoke(spec);
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_TRUE(cold.stats.took_snapshot);
+  EXPECT_EQ(cold.stats.io_exits, 2u);
+  const auto warm = runtime.Invoke(spec);
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  EXPECT_TRUE(warm.stats.restored_snapshot);
+  EXPECT_EQ(warm.stats.io_exits, 1u);
+  EXPECT_EQ(warm.output, vaes::EncryptCbc(kFipsKey, iv, plaintext));
+  EXPECT_EQ(warm.exit_code, plaintext.size());
+  spec.use_snapshot = false;
+  const auto unsnapshotted = runtime.Invoke(spec);
+  ASSERT_TRUE(unsnapshotted.status.ok()) << unsnapshotted.status.ToString();
+  EXPECT_EQ(unsnapshotted.stats.io_exits, 2u);
+  EXPECT_EQ(unsnapshotted.output, warm.output);
 }
 
 TEST_F(AesVirtineTest, RandomizedEquivalenceWithHost) {
@@ -181,6 +215,164 @@ TEST_F(JsEngineTest, RandomPayloadsMatchHostReference) {
     }
     EXPECT_EQ(RunBase64(payload), vjs::HostBase64(payload)) << "trial " << trial;
   }
+}
+
+// --- The engine's call boundary: one VM entry, one exit ----------------------------
+
+// The base64 engine as Vespid registers it (no teardown), built once.
+const visa::Image& Base64Engine() {
+  static const visa::Image* image = [] {
+    auto bytecode = vjs::CompileScript(vjs::Base64ScriptSource());
+    EXPECT_TRUE(bytecode.ok());
+    auto img = vcc::CompileProgram(
+        vrt::VlibcSource() + vjs::EngineSource(*bytecode, /*teardown=*/false), "main",
+        vrt::Env::kLong64);
+    EXPECT_TRUE(img.ok()) << img.status().ToString();
+    return new visa::Image(std::move(*img));
+  }();
+  return *image;
+}
+
+constexpr char kEngineKey[] = "b64-boundary";
+
+wasp::VirtineSpec EngineSpec(const std::vector<uint8_t>* payload) {
+  wasp::VirtineSpec spec;
+  spec.image = &Base64Engine();
+  spec.key = kEngineKey;
+  spec.mem_size = 2ULL << 20;
+  spec.policy = wasp::kPolicyManaged;
+  spec.use_snapshot = true;
+  spec.crt_snapshot = false;
+  spec.input = payload;
+  return spec;
+}
+
+std::string OutputOf(const wasp::RunOutcome& outcome) {
+  return std::string(outcome.output.begin(), outcome.output.end());
+}
+
+// Every base64 padding case (lengths 0-3), then seeded random payloads.
+std::vector<std::vector<uint8_t>> BoundaryPayloads(uint64_t seed) {
+  std::vector<std::vector<uint8_t>> payloads = {{}, {'f'}, {'f', 'o'}, {'f', 'o', 'o'}};
+  vbase::Rng rng(seed);
+  for (int i = 0; i < 6; ++i) {
+    std::vector<uint8_t> payload(1 + rng.Below(200));
+    for (auto& b : payload) {
+      b = static_cast<uint8_t>(rng.Next());
+    }
+    payloads.push_back(std::move(payload));
+  }
+  return payloads;
+}
+
+TEST(EngineBoundary, WarmCallsTakeOneExit) {
+  wasp::Runtime runtime;
+  const std::vector<uint8_t> payload = {'f', 'o', 'o'};
+  const auto cold = runtime.Invoke(EngineSpec(&payload));
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_TRUE(cold.stats.took_snapshot);
+  EXPECT_EQ(cold.stats.io_exits, 2u);
+  const auto warm = runtime.Invoke(EngineSpec(&payload));
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  EXPECT_TRUE(warm.stats.restored_snapshot);
+  EXPECT_EQ(warm.stats.io_exits, 1u);
+  EXPECT_EQ(OutputOf(warm), "Zm9v");
+  wasp::VirtineSpec unsnapshotted = EngineSpec(&payload);
+  unsnapshotted.use_snapshot = false;
+  const auto plain = runtime.Invoke(unsnapshotted);
+  ASSERT_TRUE(plain.status.ok()) << plain.status.ToString();
+  EXPECT_EQ(plain.stats.io_exits, 2u);
+  EXPECT_EQ(OutputOf(plain), "Zm9v");
+  // The exit code carries the engine's in-guest rdtsc (the native baseline).
+  EXPECT_GT(plain.exit_code, 0u);
+}
+
+// Each restore path resumes into the pending input call and must deliver that
+// call's own payload: affine delta repair, COW map onto a clean shell, and the
+// full copy with snapshot affinity off.
+enum class RestorePath { kAffineDelta, kCowMap, kFullCopy };
+
+class EngineRestorePathTest : public ::testing::TestWithParam<RestorePath> {};
+
+TEST_P(EngineRestorePathTest, EveryCallEncodesItsOwnPayload) {
+  wasp::RuntimeOptions options;
+  options.snapshot_affinity = GetParam() != RestorePath::kFullCopy;
+  wasp::Runtime runtime(options);
+  const auto payloads = BoundaryPayloads(31);
+  // The cold call takes the snapshot with the last payload's bytes in hand.
+  ASSERT_TRUE(runtime.Invoke(EngineSpec(&payloads.back())).status.ok());
+  for (const auto& payload : payloads) {
+    wasp::VirtineSpec spec = EngineSpec(&payload);
+    spec.fresh_shell = GetParam() == RestorePath::kCowMap;
+    const auto outcome = runtime.Invoke(spec);
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    EXPECT_EQ(outcome.stats.affine_restore, GetParam() == RestorePath::kAffineDelta);
+    EXPECT_EQ(outcome.stats.mapped_cow, GetParam() == RestorePath::kCowMap);
+    EXPECT_EQ(outcome.stats.io_exits, 1u);
+    EXPECT_EQ(OutputOf(outcome), vjs::HostBase64(payload)) << payload.size() << " bytes";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllRestorePaths, EngineRestorePathTest,
+                         ::testing::Values(RestorePath::kAffineDelta, RestorePath::kCowMap,
+                                           RestorePath::kFullCopy));
+
+// A re-captured snapshot keeps its parent's pending input call, through delta
+// children and past chain_max_depth into a flattened image.
+TEST(EngineBoundary, RecapturedSnapshotsStillDeliverEachCallsInput) {
+  wasp::Runtime runtime;
+  const int rounds = runtime.options().chain_max_depth + 2;
+  const auto payloads = BoundaryPayloads(57);
+  ASSERT_TRUE(runtime.Invoke(EngineSpec(&payloads[0])).status.ok());
+  bool flattened = false;
+  for (int round = 0; round < rounds; ++round) {
+    // The re-capture folds this finished call's memory (its input, its
+    // output, the engine's counters) into the snapshot.
+    ASSERT_TRUE(runtime.Invoke(EngineSpec(&payloads[4 + round % 6])).status.ok());
+    const wasp::RecaptureOutcome recapture = runtime.RecaptureSnapshot(kEngineKey);
+    ASSERT_EQ(recapture.status, wasp::RecaptureOutcome::Status::kRecaptured)
+        << "round " << round;
+    flattened = flattened || recapture.flattened;
+    for (const auto& payload : payloads) {
+      const auto outcome = runtime.Invoke(EngineSpec(&payload));
+      ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+      EXPECT_EQ(outcome.stats.io_exits, 1u);
+      EXPECT_EQ(OutputOf(outcome), vjs::HostBase64(payload))
+          << "round " << round << ", " << payload.size() << " bytes";
+    }
+  }
+  EXPECT_TRUE(flattened) << "the chain never reached the flatten path";
+}
+
+// Chaos on a warm call lands on its one exit, return_exit: the reply-side
+// injection is consumed by its output, and the exit-boundary kinds fire there.
+TEST(EngineBoundary, InjectedFaultsFireAtTheWarmCallsOneExit) {
+  const wasp::FaultKind kinds[] = {wasp::FaultKind::kOversizedReply,
+                                   wasp::FaultKind::kWorkerDeath,
+                                   wasp::FaultKind::kPolicyDenied,
+                                   wasp::FaultKind::kIllegalHypercall};
+  wasp::RuntimeOptions options;
+  uint64_t invocation = 1;  // invocation 0 is the cold call
+  for (const wasp::FaultKind kind : kinds) {
+    options.fault_plan.rules.push_back(wasp::FaultPlan::At(kind, invocation++));
+  }
+  wasp::Runtime runtime(options);
+  const std::vector<uint8_t> payload = {'f', 'o', 'o'};
+  ASSERT_TRUE(runtime.Invoke(EngineSpec(&payload)).status.ok());
+  for (const wasp::FaultKind kind : kinds) {
+    const uint64_t quarantined = runtime.pool().stats().quarantined;
+    const auto outcome = runtime.Invoke(EngineSpec(&payload));
+    EXPECT_TRUE(outcome.stats.restored_snapshot);
+    EXPECT_FALSE(outcome.status.ok());
+    EXPECT_EQ(outcome.fault, kind) << wasp::FaultKindName(kind);
+    EXPECT_EQ(outcome.stats.io_exits, 1u) << wasp::FaultKindName(kind);
+    EXPECT_TRUE(outcome.output.empty()) << wasp::FaultKindName(kind);
+    EXPECT_EQ(runtime.pool().stats().quarantined, quarantined + 1);
+    EXPECT_EQ(runtime.fault_injector()->stats().injected[static_cast<int>(kind)], 1u);
+  }
+  const auto clean = runtime.Invoke(EngineSpec(&payload));
+  ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
+  EXPECT_EQ(OutputOf(clean), "Zm9v");
 }
 
 TEST(MicroJs, ArithmeticScriptSemantics) {

@@ -512,6 +512,27 @@ TEST(SnapshotChain, DeltaCaptureFlattenRestoreRoundTrip) {
   ASSERT_EQ(std::memcmp(via_flat.data(), mem.data(), kMemSize), 0);
 }
 
+// A snapshot captured inside an input call keeps that pending call through
+// re-capture and flattening: a child resumes at its parent's capture point.
+TEST(SnapshotChain, DeltaChildAndFlattenKeepThePendingCall) {
+  vhw::GuestMemory mem(1 << 20);
+  std::vector<uint8_t> page(kPageSize, 0x11);
+  ASSERT_TRUE(mem.Write(0x8000, page.data(), page.size()).ok());
+  vhw::ArchState cpu;
+  cpu.rip = 0x8123;
+  wasp::SnapshotRef root =
+      wasp::CaptureSnapshot(mem, cpu, wasp::PendingCall{wasp::kHcGetData, 5});
+  mem.BeginEpoch();
+  ASSERT_TRUE(mem.Write(0x40000, page.data(), page.size()).ok());
+  wasp::SnapshotRef child = wasp::CaptureDeltaSnapshot(mem, *root);
+  wasp::SnapshotRef flat = wasp::FlattenSnapshot(*child);
+  for (const wasp::SnapshotRef& snap : {root, child, flat}) {
+    EXPECT_EQ(snap->pending.port, wasp::kHcGetData);
+    EXPECT_EQ(snap->pending.result_reg, 5);
+    EXPECT_EQ(snap->cpu.rip, 0x8123u);
+  }
+}
+
 // Re-capture folds a warm service's drift into a delta child: the counter
 // guest's marker (incremented once per invocation, normally repaired back to
 // zero) becomes part of the published snapshot, so warm results step up by

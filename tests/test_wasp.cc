@@ -724,6 +724,148 @@ start:
   EXPECT_EQ(*r, -5);
 }
 
+// --- Folded calls: one VM entry and one exit per warm call -------------------------
+
+// A function-shaped guest: snapshot_get_data into 0x600 (restores resume
+// inside it), then return_exit echoing the input with exit code 9.  It uses
+// the `in` form, so the result lands in r5 rather than r0.
+visa::Image EchoImage() {
+  return RawImage(R"(
+start:
+  mov r1, 0x600
+  mov r2, 64
+  in r5, HC_SNAPSHOT_GET_DATA
+  mov r3, r5
+  mov r1, 9
+  mov r2, 0x600
+  mov r0, 0
+  out HC_RETURN_EXIT, r0
+  hlt
+)");
+}
+
+constexpr char kEchoKey[] = "echo";
+
+wasp::VirtineSpec EchoSpec(const visa::Image& image, const std::vector<uint8_t>* input) {
+  wasp::VirtineSpec spec;
+  spec.image = &image;
+  spec.key = kEchoKey;
+  spec.policy = wasp::kPolicyManaged;
+  spec.use_snapshot = true;
+  spec.input = input;
+  return spec;
+}
+
+TEST(FoldedCalls, WarmCallResumesWithItsOwnInputAndExitsOnce) {
+  const visa::Image image = EchoImage();
+  wasp::Runtime runtime;
+  const std::vector<uint8_t> first = {1, 2, 3};
+  const std::vector<uint8_t> second = {4, 5, 6, 7, 8};
+  const auto cold = runtime.Invoke(EchoSpec(image, &first));
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_TRUE(cold.stats.took_snapshot);
+  EXPECT_EQ(cold.stats.io_exits, 2u);
+  EXPECT_EQ(cold.output, first);
+  EXPECT_EQ(cold.exit_code, 9u);
+  const auto warm = runtime.Invoke(EchoSpec(image, &second));
+  ASSERT_TRUE(warm.status.ok()) << warm.status.ToString();
+  EXPECT_TRUE(warm.stats.restored_snapshot);
+  EXPECT_EQ(warm.stats.io_exits, 1u);
+  EXPECT_EQ(warm.output, second);  // delivered on resume, length in r5
+  EXPECT_EQ(warm.exit_code, 9u);
+  // The resumed call is not an exit: the only exit charge is return_exit's,
+  // with no re-entry and no hlt.
+  EXPECT_EQ(warm.stats.exit_cycles, runtime.options().vm_defaults.guest_costs.io_exit);
+}
+
+TEST(FoldedCalls, SnapshotGetDataNeedsTheGetDataBit) {
+  const visa::Image image = EchoImage();
+  wasp::Runtime runtime;
+  const std::vector<uint8_t> input = {1};
+  wasp::VirtineSpec spec = EchoSpec(image, &input);
+  spec.policy = wasp::kPolicyManaged & ~wasp::MaskOf(wasp::kHcGetData);
+  const auto outcome = runtime.Invoke(spec);
+  EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied);
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied);
+  EXPECT_TRUE(outcome.denied);
+  EXPECT_EQ(runtime.snapshots().Find(kEchoKey), nullptr) << "a denied call captured";
+}
+
+TEST(FoldedCalls, ReturnExitWithBytesNeedsTheReturnDataBit) {
+  const visa::Image image = EchoImage();
+  wasp::Runtime runtime;
+  const std::vector<uint8_t> input = {1, 2};
+  wasp::VirtineSpec spec = EchoSpec(image, &input);
+  spec.policy = wasp::kPolicyManaged & ~wasp::MaskOf(wasp::kHcReturnData);
+  const auto outcome = runtime.Invoke(spec);
+  EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied);
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied);
+  EXPECT_TRUE(outcome.denied);
+  EXPECT_TRUE(outcome.output.empty());
+  EXPECT_EQ(outcome.exit_code, 0u);
+}
+
+TEST(FoldedCalls, EmptyReturnExitIsAPlainExit) {
+  auto image = RawImage(R"(
+start:
+  mov r1, 5
+  mov r2, 0x600
+  mov r3, 0
+  mov r0, 0
+  out HC_RETURN_EXIT, r0
+  hlt
+)");
+  wasp::Runtime runtime;
+  wasp::VirtineSpec spec;
+  spec.image = &image;
+  spec.policy = wasp::kPolicyDenyAll;
+  const auto outcome = runtime.Invoke(spec);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.exit_code, 5u);
+  EXPECT_TRUE(outcome.output.empty());
+  EXPECT_EQ(outcome.stats.io_exits, 1u);
+}
+
+TEST(FoldedCalls, WarmRestoreWithoutTheGetDataBitIsDeniedBeforeTheFirstVmrun) {
+  const visa::Image image = EchoImage();
+  wasp::Runtime runtime;
+  const std::vector<uint8_t> input = {1, 2, 3};
+  ASSERT_TRUE(runtime.Invoke(EchoSpec(image, &input)).status.ok());
+  const uint64_t quarantined = runtime.pool().stats().quarantined;
+  wasp::VirtineSpec spec = EchoSpec(image, &input);
+  spec.policy = wasp::kPolicyManaged & ~wasp::MaskOf(wasp::kHcGetData);
+  const auto outcome = runtime.Invoke(spec);
+  EXPECT_TRUE(outcome.stats.restored_snapshot);
+  EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied);
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied);
+  EXPECT_TRUE(outcome.denied);
+  EXPECT_TRUE(outcome.output.empty());
+  EXPECT_EQ(outcome.stats.insns, 0u) << "the guest ran";
+  EXPECT_EQ(outcome.stats.io_exits, 0u);
+  EXPECT_EQ(runtime.pool().stats().quarantined, quarantined + 1);
+}
+
+TEST(FoldedCalls, GetDataAfterAResumedSnapshotGetDataIsRefused) {
+  auto image = RawImage(R"(
+start:
+  mov r1, 0x600
+  mov r2, 16
+  mov r0, 0
+  out HC_SNAPSHOT_GET_DATA, r0
+  out HC_GET_DATA, r0
+  hlt
+)");
+  wasp::Runtime runtime;
+  const std::vector<uint8_t> input = {1, 2, 3};
+  const auto cold = runtime.Invoke(EchoSpec(image, &input));
+  EXPECT_EQ(cold.status.code(), vbase::Code::kPermissionDenied);
+  ASSERT_NE(runtime.snapshots().Find(kEchoKey), nullptr);
+  const auto warm = runtime.Invoke(EchoSpec(image, &input));
+  EXPECT_TRUE(warm.stats.restored_snapshot);
+  EXPECT_EQ(warm.status.code(), vbase::Code::kPermissionDenied);
+  EXPECT_EQ(warm.fault, cold.fault);
+}
+
 // --- Invocation stats ---------------------------------------------------------------
 
 TEST(Stats, PoolAndSnapshotFlagsAreAccurate) {
@@ -747,6 +889,50 @@ TEST(Stats, PoolAndSnapshotFlagsAreAccurate) {
   EXPECT_GT(add.last_outcome().stats.restored_bytes, 0u);
   EXPECT_GT(add.last_outcome().stats.total_cycles, 0u);
   EXPECT_GT(add.last_outcome().stats.total_ns, 0u);
+}
+
+// exit_cycles is exactly what the vCPU charged for leaving the VM: a run that
+// ends in hlt pays every exit's re-entry plus the hlt; a run that ends in the
+// exit hypercall pays that exit but no re-entry and no hlt.  The same guest
+// under free exits costs exactly exit_cycles less.
+TEST(Stats, ExitCyclesAreTheExitChargesTheCpuMade) {
+  const std::string twice = R"(
+start:
+  mov r1, msg
+  mov r2, 1
+  mov r0, 0
+  out HC_CONSOLE, r0
+  out HC_CONSOLE, r0
+)";
+  const visa::Image halts = RawImage(twice + "  hlt\nmsg:\n  .ascii \"x\"\n");
+  const visa::Image exits =
+      RawImage(twice + "  mov r1, 0\n  out HC_EXIT, r0\n  hlt\nmsg:\n  .ascii \"x\"\n");
+  wasp::Runtime runtime;
+  wasp::RuntimeOptions free_options;
+  free_options.vm_defaults.guest_costs.io_exit = 0;
+  free_options.vm_defaults.guest_costs.io_entry = 0;
+  free_options.vm_defaults.guest_costs.hlt_exit = 0;
+  wasp::Runtime free_runtime(free_options);
+  const vhw::CostModel& costs = runtime.options().vm_defaults.guest_costs;
+  const uint64_t round_trip = costs.io_exit + costs.io_entry;
+  const struct {
+    const visa::Image* image;
+    uint64_t exit_cycles;
+  } cases[] = {
+      {&halts, 2 * round_trip + costs.hlt_exit},
+      {&exits, 2 * round_trip + costs.io_exit},
+  };
+  for (const auto& c : cases) {
+    wasp::VirtineSpec spec;
+    spec.image = c.image;
+    spec.policy = wasp::MaskOf(wasp::kHcConsole);
+    const auto charged = runtime.Invoke(spec);
+    const auto free = free_runtime.Invoke(spec);
+    ASSERT_TRUE(charged.status.ok()) << charged.status.ToString();
+    ASSERT_TRUE(free.status.ok()) << free.status.ToString();
+    EXPECT_EQ(charged.stats.exit_cycles, c.exit_cycles);
+    EXPECT_EQ(charged.stats.guest_cycles - free.stats.guest_cycles, c.exit_cycles);
+  }
 }
 
 }  // namespace
