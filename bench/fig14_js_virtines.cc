@@ -37,7 +37,7 @@ int main() {
   const visa::Image with_teardown = BuildEngine(/*teardown=*/true);
   const visa::Image no_teardown = BuildEngine(/*teardown=*/false);
 
-  // 512-byte payload, as a Duktape-scale UDF input.
+  // 384-byte payload, as a Duktape-scale UDF input.
   vbase::Rng rng(7);
   std::vector<uint8_t> payload(384);
   for (auto& b : payload) {

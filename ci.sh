@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure + build + ctest in one command.
 #
-#   ./ci.sh             # normal mode (warnings allowed) + fig9/12/13/16/17 smokes
+#   ./ci.sh             # normal mode (warnings allowed) + fig9/12/13/14/16/17 smokes
 #   STRICT=1 ./ci.sh    # -Werror: any warning fails the build
 #   TSAN=1 ./ci.sh      # ThreadSanitizer build; runs the threaded wasp/net tests
 #   ASAN=1 ./ci.sh      # Address+UBSanitizer build; runs the snapshot/memory tests
@@ -99,6 +99,12 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 # mismatch, or if HTTP keep-alive stops paying (snapshot-mode socket RPS at
 # 8 requests/connection must beat connection-per-request).
 (cd "$BUILD_DIR" && ./fig13_http_server --quick)
+# Managed-runtime smoke: the microjs engine (one jump-table dispatch per
+# bytecode) base64-encodes a 384 B payload in all four fig14 variants, with
+# and without teardown; fails (non-zero) if any output differs from
+# HostBase64, if a variant's warm exit count varies between calls, or if the
+# engine reports no native baseline.
+(cd "$BUILD_DIR" && ./fig14_js_virtines)
 # Governance smoke: the fig16 gates on a shortened trace — per-key quota
 # bounds the interactive key's p99 queue wait within 2x of isolation at
 # <10% aggregate RPS cost, COW extents keep 64 keys warm (>10x the
@@ -130,4 +136,4 @@ for t in "$BUILD_DIR"/test_*; do
   [[ -x "$t" ]] || continue
   cases=$((cases + $(count_gtests "$t")))
 done
-echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 5 bench smokes"
+echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 6 bench smokes"

@@ -515,7 +515,10 @@ class Assembler {
       return 2;
     }
     if (m == "jmp") {
-      return InsnSize(Op::kJmp);
+      if (ops.size() != 1) {
+        return Err(st, "jmp needs one operand");
+      }
+      return is_reg(0) ? InsnSize(Op::kJmpR) : InsnSize(Op::kJmp);
     }
     if (m == "call") {
       if (ops.size() != 1) {
@@ -845,6 +848,10 @@ class Assembler {
     };
 
     if (m == "jmp") {
+      if (auto r = ParseReg(ops[0])) {
+        emit_rr(Op::kJmpR, *r, 0);
+        return vbase::Status::Ok();
+      }
       return emit_rel(Op::kJmp, std::nullopt, std::nullopt, ops[0]);
     }
     if (m == "call") {

@@ -117,6 +117,7 @@ const char* OpName(Op op) {
     case Op::kWrcr: return "wrcr";
     case Op::kRdcr: return "rdcr";
     case Op::kLjmp: return "ljmp";
+    case Op::kJmpR: return "jmp";
     case Op::kOpCount: return "?";
   }
   return "?";
@@ -142,6 +143,7 @@ int InsnSize(Op op) {
     case Op::kWrcr:
     case Op::kRdcr:
     case Op::kCallR:
+    case Op::kJmpR:
     case Op::kAddRr:
     case Op::kSubRr:
     case Op::kAndRr:
@@ -334,6 +336,7 @@ std::string ToString(const Insn& insn) {
     case Op::kRdtsc:
     case Op::kLgdt:
     case Op::kCallR:
+    case Op::kJmpR:
       os << " " << reg(insn.a);
       break;
     case Op::kCset:

@@ -149,6 +149,7 @@ enum class Op : uint8_t {
   kWrcr,
   kRdcr,
   kLjmp,
+  kJmpR,
   kOpCount,  // sentinel
 };
 
@@ -162,7 +163,8 @@ int InsnSize(Op op);
 //
 // Encoding layout, little-endian:
 //   [op:u8]                                   kNop/kHlt/kBrk/kRet
-//   [op:u8][ab:u8]                            reg/reg forms (a=hi nibble, b=lo)
+//   [op:u8][ab:u8]                            reg/reg forms (a=hi nibble, b=lo);
+//                                             kCallR/kJmpR (a=target register)
 //   [op:u8][a:u8][imm:i64]                    kMovRi
 //   [op:u8][ab:u8][imm:i32]                   ALU-imm, CMP-imm, SHL-imm
 //   [op:u8][ab:u8][disp:i32]                  loads (a=dst, b=base),

@@ -87,6 +87,9 @@ enum class StmtKind : uint8_t {
   kDecl,
   kBreak,
   kContinue,
+  kSwitch,   // e: scrutinee; s1: body block, whose direct children hold the labels
+  kCase,     // a `case value:` label
+  kDefault,  // the `default:` label
 };
 
 struct Stmt {
@@ -95,6 +98,7 @@ struct Stmt {
   std::unique_ptr<Expr> e, e2, e3;          // condition / for-init is s1
   std::unique_ptr<Stmt> s1, s2, s3;         // then/else, for-init/post-stmt
   std::vector<std::unique_ptr<Stmt>> body;  // kBlock
+  int64_t case_value = 0;                   // kCase: the folded label constant
   // kDecl:
   Type type;
   std::string name;

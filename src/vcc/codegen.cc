@@ -24,7 +24,10 @@
 // the load/store displacement and scales by shift; an assignment to a
 // register variable loads or computes straight into it.  A binary operand
 // that must survive the evaluation of its sibling is held in a free r4-r13
-// register inside loops and on the guest stack elsewhere.
+// register inside loops and on the guest stack elsewhere.  A switch whose
+// case set is dense dispatches through a jump table in the data section;
+// any other switch, and every switch in the reference build, compares the
+// scrutinee against each case in turn.
 //
 // Generate's `reference` flag turns all of this off — no allocation, no fast
 // paths, every operand staged through the stack — and exists so the
@@ -231,7 +234,7 @@ class CodeGen {
       }
       EmitGlobal(g, &data);
     }
-    return code + data + strings_;
+    return code + data + tables_ + strings_;
   }
 
  private:
@@ -551,8 +554,14 @@ class CodeGen {
       case StmtKind::kExpr:
         PlanExpr(s->e.get(), depth);
         return;
+      case StmtKind::kSwitch:
+        PlanExpr(s->e.get(), depth);
+        PlanStmt(s->s1.get(), depth);
+        return;
       case StmtKind::kBreak:
       case StmtKind::kContinue:
+      case StmtKind::kCase:
+      case StmtKind::kDefault:
         return;
     }
   }
@@ -784,7 +793,7 @@ class CodeGen {
         return GenEffect(*s.e);
       case StmtKind::kBreak:
         if (break_stack_.empty()) {
-          return Err(s.line, "break outside loop");
+          return Err(s.line, "break outside loop or switch");
         }
         Emit("jmp " + break_stack_.back());
         return vbase::Status::Ok();
@@ -794,8 +803,96 @@ class CodeGen {
         }
         Emit("jmp " + continue_stack_.back());
         return vbase::Status::Ok();
+      case StmtKind::kSwitch:
+        return GenSwitch(s);
+      case StmtKind::kCase:
+      case StmtKind::kDefault:
+        Label(case_labels_.at(&s));
+        return vbase::Status::Ok();
     }
     return Err(s.line, "unhandled statement");
+  }
+
+  // A switch: the scrutinee is evaluated once into r0 and dispatched to its
+  // case's label, then the body is generated in source order with each label
+  // in place, so arms fall through.  `break` leaves the switch; `continue`
+  // still belongs to the enclosing loop.
+  vbase::Status GenSwitch(const Stmt& s) {
+    const std::string lend = NewLabel();
+    std::string ldefault = lend;
+    std::vector<std::pair<int64_t, std::string>> cases;  // source order
+    for (const auto& sub : s.s1->body) {
+      if (sub->kind != StmtKind::kCase && sub->kind != StmtKind::kDefault) {
+        continue;
+      }
+      const std::string label = NewLabel();
+      case_labels_[sub.get()] = label;
+      if (sub->kind == StmtKind::kCase) {
+        cases.emplace_back(sub->case_value, label);
+      } else {
+        ldefault = label;
+      }
+    }
+    Type t;
+    VB_RETURN_IF_ERROR(GenExpr(*s.e, &t));
+    if (ref_ || !EmitJumpTable(cases, ldefault)) {
+      for (const auto& [value, label] : cases) {
+        if (FitsImm32(value)) {
+          Emit("cmp r0, " + std::to_string(value));
+        } else {
+          Emit("mov r2, " + std::to_string(value));
+          Emit("cmp r0, r2");
+        }
+        Emit("je " + label);
+      }
+      Emit("jmp " + ldefault);
+    }
+    break_stack_.push_back(lend);
+    VB_RETURN_IF_ERROR(GenStmt(*s.s1));
+    break_stack_.pop_back();
+    Label(lend);
+    return vbase::Status::Ok();
+  }
+
+  // Dispatches r0 through a jump table when the case set is dense: at least
+  // 4 cases whose values span at most 3 table slots per case.  The table
+  // holds one word per value in [lo, hi], holes pointing at `ldefault`, and
+  // lives in the data section; its address is folded into the load's
+  // displacement.  Returns false, emitting nothing, for a sparse set.
+  bool EmitJumpTable(const std::vector<std::pair<int64_t, std::string>>& cases,
+                     const std::string& ldefault) {
+    if (cases.size() < 4) {
+      return false;
+    }
+    int64_t lo = cases[0].first;
+    int64_t hi = lo;
+    for (const auto& c : cases) {
+      lo = std::min(lo, c.first);
+      hi = std::max(hi, c.first);
+    }
+    if (!FitsImm32(lo) || !FitsImm32(hi) || hi - lo >= 3 * static_cast<int64_t>(cases.size())) {
+      return false;
+    }
+    const int64_t span = hi - lo + 1;
+    std::vector<std::string> slots(static_cast<size_t>(span), ldefault);
+    for (const auto& [value, label] : cases) {
+      slots[static_cast<size_t>(value - lo)] = label;
+    }
+    const std::string ltable = NewLabel();
+    if (lo != 0) {
+      Emit("sub r0, " + std::to_string(lo));
+    }
+    Emit("cmp r0, " + std::to_string(span));
+    Emit("jae " + ldefault);
+    Emit("shl r0, " + std::to_string(Log2(w_)));
+    Emit("ldw r0, [r0+" + ltable + "]");
+    Emit("jmp r0");
+    tables_ += ".align " + std::to_string(w_) + "\n" + ltable + ":\n  " + WordDirective();
+    for (size_t i = 0; i < slots.size(); ++i) {
+      tables_ += (i == 0 ? " " : ", ") + slots[i];
+    }
+    tables_ += "\n";
+    return true;
   }
 
   // An expression whose value is discarded.
@@ -1665,7 +1762,9 @@ class CodeGen {
   const bool ref_;
   std::string fn_;  // the function being generated
   std::string strings_;
+  std::string tables_;  // switch jump tables (data)
   std::map<std::string, std::string> string_labels_;
+  std::unordered_map<const Stmt*, std::string> case_labels_;  // case/default -> label
   std::vector<std::unordered_map<std::string, VarInfo>> scopes_;
   std::vector<std::string> break_stack_;
   std::vector<std::string> continue_stack_;

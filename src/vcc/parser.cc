@@ -1,5 +1,6 @@
 // Lexer + recursive-descent parser for the vcc C dialect.
 #include <cctype>
+#include <set>
 #include <unordered_set>
 
 #include "src/vcc/ast.h"
@@ -258,7 +259,8 @@ class Parser {
     return t;
   }
 
-  // Constant folding for global initializers and virtine_config masks.
+  // Constant folding for global initializers, virtine_config masks and case
+  // labels.
   vbase::Result<int64_t> FoldConst(const Expr& e) {
     switch (e.kind) {
       case ExprKind::kIntLit:
@@ -526,6 +528,21 @@ class Parser {
       VB_RETURN_IF_ERROR(ExpectPunct(";"));
       return stmt;
     }
+    if (EatIdent("switch")) {
+      stmt->kind = StmtKind::kSwitch;
+      VB_RETURN_IF_ERROR(ExpectPunct("("));
+      auto scrutinee = ParseExpr();
+      if (!scrutinee.ok()) return scrutinee.status();
+      stmt->e = std::move(*scrutinee);
+      VB_RETURN_IF_ERROR(ExpectPunct(")"));
+      auto body = ParseSwitchBody();
+      if (!body.ok()) return body.status();
+      stmt->s1 = std::move(*body);
+      return stmt;
+    }
+    if (IsIdent("case") || IsIdent("default")) {
+      return Err("'" + Peek().text + "' label outside a switch body");
+    }
     if (EatIdent("break")) {
       stmt->kind = StmtKind::kBreak;
       VB_RETURN_IF_ERROR(ExpectPunct(";"));
@@ -542,6 +559,52 @@ class Parser {
     }
     VB_RETURN_IF_ERROR(ExpectPunct(";"));
     return std::move(*simple);
+  }
+
+  // A switch body: a block whose direct children may also be `case K:` and
+  // `default:` labels.  K is a constant expression, folded here; a label
+  // anywhere deeper is rejected by ParseStmt.
+  vbase::Result<StmtP> ParseSwitchBody() {
+    VB_RETURN_IF_ERROR(ExpectPunct("{"));
+    auto block = std::make_unique<Stmt>();
+    block->kind = StmtKind::kBlock;
+    block->line = Peek().line;
+    std::set<int64_t> values;
+    bool has_default = false;
+    while (!IsPunct("}")) {
+      if (AtEof()) {
+        return Err("unterminated switch body");
+      }
+      const bool is_case = IsIdent("case");
+      if (!is_case && !IsIdent("default")) {
+        auto s = ParseStmt();
+        if (!s.ok()) return s.status();
+        block->body.push_back(std::move(*s));
+        continue;
+      }
+      auto label = std::make_unique<Stmt>();
+      label->kind = is_case ? StmtKind::kCase : StmtKind::kDefault;
+      label->line = Next().line;
+      if (is_case) {
+        auto e = ParseCond();
+        if (!e.ok()) return e.status();
+        auto v = FoldConst(**e);
+        if (!v.ok()) return v.status();
+        if (!values.insert(*v).second) {
+          return Err("duplicate case value " + std::to_string(*v));
+        }
+        label->case_value = *v;
+      } else {
+        if (has_default) {
+          return Err("second default label in one switch");
+        }
+        has_default = true;
+      }
+      VB_RETURN_IF_ERROR(ExpectPunct(":"));
+      block->body.push_back(std::move(label));
+    }
+    Next();  // '}'
+    return block;
   }
 
   // A declaration or expression statement without the trailing ';' (shared

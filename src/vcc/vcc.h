@@ -17,9 +17,14 @@
 // Language: a word-oriented C subset.  `int` is the natural machine word of
 // the target environment (64-bit in long64, 32-bit in prot32, 16-bit in
 // real16); `char` is an unsigned byte; pointers and arrays are supported
-// with C semantics; no structs, floats, or function pointers.  Hypercalls
-// are reachable through the `__hc0..__hc3(port, ...)` builtins plus
-// `__rdtsc()`.  vlibc (src/vrt/vlibc.h) layers string/memory/malloc/printf
+// with C semantics; no structs, floats, or function pointers.  `switch`
+// follows C: the scrutinee is evaluated once, arms fall through, `break`
+// leaves the switch, and case labels are constant expressions written as
+// direct children of the switch body.  A dense case set (at least 4 cases
+// spanning at most 3 values per case) compiles to a jump table dispatched
+// by `jmp rN`, any other to a compare chain; the reference generator always
+// emits the chain.  Hypercalls are reachable through the
+// `__hc0..__hc3(port, ...)` builtins plus `__rdtsc()`.  vlibc (src/vrt/vlibc.h) layers string/memory/malloc/printf
 // helpers and POSIX-style wrappers on top of the builtins.
 #ifndef SRC_VCC_VCC_H_
 #define SRC_VCC_VCC_H_

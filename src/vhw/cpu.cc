@@ -754,6 +754,11 @@ Exit Cpu::Run(uint64_t max_insns) {
         st_.rip = next + static_cast<uint64_t>(read_i32(1));
         cycles_ += cost_.branch_taken;
         break;
+      // Priced exactly as `jmp rel`, the way `call rN` is priced as `call`.
+      case Op::kJmpR:
+        st_.rip = st_.regs[ra] & mask;
+        cycles_ += cost_.branch_taken;
+        break;
       case Op::kJcc:
         if (EvalCond(static_cast<Cond>(code[1]))) {
           st_.rip = next + static_cast<uint64_t>(read_i32(2));

@@ -170,11 +170,18 @@ class ScriptCompiler {
     Emit(0);
     return code_.size() - 2;
   }
-  void PatchJump(size_t at) {
-    const int32_t rel = static_cast<int32_t>(code_.size()) - static_cast<int32_t>(at) - 2;
+  // Points the i16 jump operand at `at` (relative to the end of its
+  // instruction) to `target`; an offset outside i16 is an error, not a wrap.
+  vbase::Status SetJump(size_t at, size_t target) {
+    const int64_t rel = static_cast<int64_t>(target) - static_cast<int64_t>(at + 2);
+    if (rel < INT16_MIN || rel > INT16_MAX) {
+      return Err("jump offset " + std::to_string(rel) + " does not fit in 16 bits");
+    }
     code_[at] = static_cast<uint8_t>(rel);
     code_[at + 1] = static_cast<uint8_t>(rel >> 8);
+    return vbase::Status::Ok();
   }
+  vbase::Status PatchJump(size_t at) { return SetJump(at, code_.size()); }
 
   vbase::Result<int> Slot(const std::string& name, bool create) {
     auto it = slots_.find(name);
@@ -217,12 +224,8 @@ class ScriptCompiler {
       const size_t exit_jump = EmitJump(kJz);
       VB_RETURN_IF_ERROR(Block());
       // Back-edge.
-      Emit(kJmp);
-      const int32_t rel = static_cast<int32_t>(head) - (static_cast<int32_t>(code_.size()) + 2);
-      Emit(static_cast<uint8_t>(rel));
-      Emit(static_cast<uint8_t>(rel >> 8));
-      PatchJump(exit_jump);
-      return vbase::Status::Ok();
+      VB_RETURN_IF_ERROR(SetJump(EmitJump(kJmp), head));
+      return PatchJump(exit_jump);
     }
     if (EatI("if")) {
       VB_RETURN_IF_ERROR(Expect("("));
@@ -232,13 +235,11 @@ class ScriptCompiler {
       VB_RETURN_IF_ERROR(Block());
       if (EatI("else")) {
         const size_t end_jump = EmitJump(kJmp);
-        PatchJump(else_jump);
+        VB_RETURN_IF_ERROR(PatchJump(else_jump));
         VB_RETURN_IF_ERROR(Block());
-        PatchJump(end_jump);
-      } else {
-        PatchJump(else_jump);
+        return PatchJump(end_jump);
       }
-      return vbase::Status::Ok();
+      return PatchJump(else_jump);
     }
     // Assignment or expression statement.
     if (Is(JsToken::kIdent) && toks_[pos_ + 1].kind == JsToken::kPunct &&
@@ -517,6 +518,10 @@ int engine_teardown() {
   return 0;
 }
 
+// Interprets `code` until HALT.  Dispatch is one `switch (op)` over the dense
+// opcode set 0-25, which vcc compiles to a jump table: every bytecode costs
+// one bounds check and one indirect jump to its own arm.  Each arm ends in
+// `continue`, straight back to the fetch.  An unknown opcode returns -1.
 int run(char *code) {
   int pc;
   int sp;
@@ -528,108 +533,94 @@ int run(char *code) {
   while (1) {
     op = code[pc];
     pc = pc + 1;
-    if (op == 0) {
-      return 0;
-    }
-    if (op == 1) {  // PUSH i32
-      a = code[pc] | (code[pc + 1] << 8) | (code[pc + 2] << 16) | (code[pc + 3] << 24);
-      if (a & 2147483648) {
-        a = a - 4294967296;
-      }
-      pc = pc + 4;
-      E_STACK[sp] = a;
-      sp = sp + 1;
-      continue;
-    }
-    if (op == 2) {  // LOAD
-      E_STACK[sp] = E_VARS[code[pc]];
-      pc = pc + 1;
-      sp = sp + 1;
-      continue;
-    }
-    if (op == 3) {  // STORE
-      sp = sp - 1;
-      E_VARS[code[pc]] = E_STACK[sp];
-      pc = pc + 1;
-      continue;
-    }
-    if (op >= 4 && op <= 14 || op >= 18 && op <= 22) {  // binary ops
-      sp = sp - 2;
-      a = E_STACK[sp];
-      b = E_STACK[sp + 1];
-      if (op == 4) { a = a + b; }
-      if (op == 5) { a = a - b; }
-      if (op == 6) { a = a * b; }
-      if (op == 7) { a = a / b; }
-      if (op == 8) { a = a % b; }
-      if (op == 9) { a = a < b; }
-      if (op == 10) { a = a <= b; }
-      if (op == 11) { a = a > b; }
-      if (op == 12) { a = a >= b; }
-      if (op == 13) { a = a == b; }
-      if (op == 14) { a = a != b; }
-      if (op == 18) { a = a & b; }
-      if (op == 19) { a = a | b; }
-      if (op == 20) { a = a ^ b; }
-      if (op == 21) { a = a << b; }
-      if (op == 22) { a = a >> b; }
-      E_STACK[sp] = a;
-      sp = sp + 1;
-      continue;
-    }
-    if (op == 15) {  // JMP i16
-      a = code[pc] | (code[pc + 1] << 8);
-      if (a & 32768) {
-        a = a - 65536;
-      }
-      pc = pc + 2 + a;
-      continue;
-    }
-    if (op == 16) {  // JZ
-      a = code[pc] | (code[pc + 1] << 8);
-      if (a & 32768) {
-        a = a - 65536;
-      }
-      pc = pc + 2;
-      sp = sp - 1;
-      if (E_STACK[sp] == 0) {
-        pc = pc + a;
-      }
-      continue;
-    }
-    if (op == 17) {  // CALLB builtin nargs
-      a = code[pc];
-      b = code[pc + 1];
-      pc = pc + 2;
-      sp = sp - b;
-      if (a == 0) {
-        E_STACK[sp] = E_INN;
-      }
-      if (a == 1) {
-        E_STACK[sp] = E_IN[E_STACK[sp]];
-      }
-      if (a == 2) {
-        E_OUT[E_OUTN] = E_STACK[sp];
-        E_OUTN = E_OUTN + 1;
-        E_STACK[sp] = 0;
-      }
-      if (a == 3) {
-        E_STACK[sp] = B64TAB[E_STACK[sp] & 63];
-      }
-      sp = sp + 1;
-      continue;
-    }
-    if (op == 23) {  // NOT
-      E_STACK[sp - 1] = !E_STACK[sp - 1];
-      continue;
-    }
-    if (op == 24) {  // NEG
-      E_STACK[sp - 1] = -E_STACK[sp - 1];
-      continue;
-    }
-    if (op == 25) {  // POP
-      sp = sp - 1;
-      continue;
+    switch (op) {
+      case 0:  // HALT
+        return 0;
+      case 1:  // PUSH i32
+        a = code[pc] | (code[pc + 1] << 8) | (code[pc + 2] << 16) | (code[pc + 3] << 24);
+        if (a & 2147483648) {
+          a = a - 4294967296;
+        }
+        pc = pc + 4;
+        E_STACK[sp] = a;
+        sp = sp + 1;
+        continue;
+      case 2:  // LOAD
+        E_STACK[sp] = E_VARS[code[pc]];
+        pc = pc + 1;
+        sp = sp + 1;
+        continue;
+      case 3:  // STORE
+        sp = sp - 1;
+        E_VARS[code[pc]] = E_STACK[sp];
+        pc = pc + 1;
+        continue;
+      // Binary ops pop b and replace a with a OP b.
+      case 4: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] + E_STACK[sp]; continue;
+      case 5: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] - E_STACK[sp]; continue;
+      case 6: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] * E_STACK[sp]; continue;
+      case 7: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] / E_STACK[sp]; continue;
+      case 8: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] % E_STACK[sp]; continue;
+      case 9: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] < E_STACK[sp]; continue;
+      case 10: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] <= E_STACK[sp]; continue;
+      case 11: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] > E_STACK[sp]; continue;
+      case 12: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] >= E_STACK[sp]; continue;
+      case 13: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] == E_STACK[sp]; continue;
+      case 14: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] != E_STACK[sp]; continue;
+      case 15:  // JMP i16
+        a = code[pc] | (code[pc + 1] << 8);
+        if (a & 32768) {
+          a = a - 65536;
+        }
+        pc = pc + 2 + a;
+        continue;
+      case 16:  // JZ
+        a = code[pc] | (code[pc + 1] << 8);
+        if (a & 32768) {
+          a = a - 65536;
+        }
+        pc = pc + 2;
+        sp = sp - 1;
+        if (E_STACK[sp] == 0) {
+          pc = pc + a;
+        }
+        continue;
+      case 17:  // CALLB builtin nargs
+        a = code[pc];
+        b = code[pc + 1];
+        pc = pc + 2;
+        sp = sp - b;
+        if (a == 0) {
+          E_STACK[sp] = E_INN;
+        }
+        if (a == 1) {
+          E_STACK[sp] = E_IN[E_STACK[sp]];
+        }
+        if (a == 2) {
+          E_OUT[E_OUTN] = E_STACK[sp];
+          E_OUTN = E_OUTN + 1;
+          E_STACK[sp] = 0;
+        }
+        if (a == 3) {
+          E_STACK[sp] = B64TAB[E_STACK[sp] & 63];
+        }
+        sp = sp + 1;
+        continue;
+      // The bitwise binary ops (>> is arithmetic).
+      case 18: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] & E_STACK[sp]; continue;
+      case 19: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] | E_STACK[sp]; continue;
+      case 20: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] ^ E_STACK[sp]; continue;
+      case 21: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] << E_STACK[sp]; continue;
+      case 22: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] >> E_STACK[sp]; continue;
+      case 23:  // NOT
+        E_STACK[sp - 1] = !E_STACK[sp - 1];
+        continue;
+      case 24:  // NEG
+        E_STACK[sp - 1] = -E_STACK[sp - 1];
+        continue;
+      case 25:  // POP
+        sp = sp - 1;
+        continue;
     }
     return -1;  // bad opcode
   }

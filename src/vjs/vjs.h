@@ -14,7 +14,10 @@
 //                    allocations, Duktape-context analogue), and builtin
 //                    tables;
 //   run(script)    — interprets the script bytecode over the input fetched
-//                    with snapshot_get_data (the snapshot point);
+//                    with snapshot_get_data (the snapshot point), each
+//                    bytecode dispatched by one `switch (op)` that vcc
+//                    compiles to a jump table, as a C compiler does for
+//                    Duktape's opcode switch;
 //   teardown()     — walks and releases the object heap (skippable: the
 //                    paper's "NT" no-teardown optimization, safe because the
 //                    hypervisor wipes the shell after every invocation).

@@ -143,34 +143,6 @@ vbase::Result<Vespid::Invocation> Vespid::Invoke(const std::string& name,
   return inv;
 }
 
-vbase::Result<Vespid::BatchResult> Vespid::InvokeBatch(
-    const std::string& name, const std::vector<std::vector<uint8_t>>& payloads,
-    int concurrency) {
-  const Fn* fn = FindFunction(name);
-  if (fn == nullptr) {
-    return vbase::NotFound("no such function: " + name);
-  }
-  std::vector<wasp::VirtineSpec> specs;
-  specs.reserve(payloads.size());
-  for (const std::vector<uint8_t>& payload : payloads) {
-    specs.push_back(MakeVespidSpec(fn->name, &fn->image, &payload));
-  }
-  wasp::Executor::BatchStats stats;
-  std::vector<wasp::RunOutcome> outcomes =
-      wasp::Executor::Run(runtime_, specs, concurrency, &stats);
-  BatchResult batch;
-  batch.invocations.reserve(outcomes.size());
-  for (wasp::RunOutcome& outcome : outcomes) {
-    if (!outcome.status.ok()) {
-      return outcome.status;
-    }
-    batch.invocations.push_back(MakeInvocation(std::move(outcome)));
-  }
-  batch.wall_ns = stats.wall_ns;
-  batch.makespan_cycles = stats.MakespanCycles();
-  return batch;
-}
-
 vbase::Result<Vespid::ReplayResult> Vespid::ReplayBurstyLoad(
     const std::string& name, const std::vector<LoadPhase>& phases,
     const std::vector<uint8_t>& payload, const ReplayOptions& options) {

@@ -182,19 +182,6 @@ class Vespid {
   vbase::Result<Invocation> Invoke(const std::string& name,
                                    const std::vector<uint8_t>& payload);
 
-  struct BatchResult {
-    std::vector<Invocation> invocations;   // in payload order
-    uint64_t wall_ns = 0;                  // real elapsed time of the batch
-    uint64_t makespan_cycles = 0;          // modeled busiest-lane cycles
-  };
-
-  // Invokes `name` once per payload, running up to `concurrency` virtines
-  // at a time on the wasp::Executor (the platform's burst-serving path).
-  // Fails if any individual invocation fails.
-  vbase::Result<BatchResult> InvokeBatch(const std::string& name,
-                                         const std::vector<std::vector<uint8_t>>& payloads,
-                                         int concurrency);
-
   struct ReplayResult {
     // Same timeline currency as SimulateBurstyLoad: per-request latency is
     // virtual queue wait plus the *measured* modeled service cost of that

@@ -163,6 +163,35 @@ TEST(MicroJs, CompileErrorsAreDiagnosed) {
   EXPECT_FALSE(vjs::CompileScript("var x = input();").ok());  // arity
   EXPECT_FALSE(vjs::CompileScript("while (1) { ").ok());
   EXPECT_TRUE(vjs::CompileScript("var x = 1 + 2 * 3;").ok());
+
+  // Jump offsets are i16.  `x = x + 1;` is 10 bytecode bytes and `x;` 3, so
+  // a body of exactly `bytes` bytes can be built from the two.
+  auto body = [](int bytes) {
+    std::string s;
+    for (; bytes % 10 != 0; bytes -= 3) {
+      s += "x;\n";
+    }
+    for (; bytes > 0; bytes -= 10) {
+      s += "x = x + 1;\n";
+    }
+    return s;
+  };
+  // `var x = 0;` is 7 bytes and `x < 1` 8, so an if's JZ operand sits at
+  // offset 16 and jumps over exactly its body; a while's back-edge jumps
+  // back over the condition, the JZ, the body and itself.
+  auto rel16 = [](const std::vector<uint8_t>& code, size_t at) {
+    return static_cast<int16_t>(code[at] | (code[at + 1] << 8));
+  };
+  const std::string head = "var x = 0;\n";
+  auto forward = vjs::CompileScript(head + "if (x < 1) {\n" + body(32767) + "}\n");
+  ASSERT_TRUE(forward.ok()) << forward.status().ToString();
+  EXPECT_EQ(rel16(*forward, 16), 32767);
+  EXPECT_FALSE(vjs::CompileScript(head + "if (x < 1) {\n" + body(32768) + "}\n").ok());
+  auto backward = vjs::CompileScript(head + "while (x < 1) {\n" + body(32754) + "}\n");
+  ASSERT_TRUE(backward.ok()) << backward.status().ToString();
+  EXPECT_EQ(rel16(*backward, 16), 32754 + 3);          // the exit JZ: body + back-edge
+  EXPECT_EQ(rel16(*backward, 18 + 32754 + 1), -32768);  // the back-edge JMP
+  EXPECT_FALSE(vjs::CompileScript(head + "while (x < 1) {\n" + body(32755) + "}\n").ok());
 }
 
 TEST(MicroJs, HostBase64MatchesKnownVectors) {
@@ -376,7 +405,8 @@ TEST(EngineBoundary, InjectedFaultsFireAtTheWarmCallsOneExit) {
 }
 
 TEST(MicroJs, ArithmeticScriptSemantics) {
-  // A script exercising every operator; emits one byte via out().
+  // A script of 14 operator checks (true outcomes only); emits their count
+  // via out().  EachOperatorArmComputesItsOwnOperator checks every arm.
   const char* script = R"js(
 var a = 10;
 var b = 3;
@@ -415,6 +445,53 @@ out(r + 48);
   ASSERT_EQ(outcome.output.size(), 1u);
   // 14 checks passed -> '0' + 14 = '>'.
   EXPECT_EQ(outcome.output[0], static_cast<uint8_t>('0' + 14));
+}
+
+// Each of the engine's 16 binary arms, plus NOT and NEG, on operands that
+// tell it apart from its neighbours: every comparison sees a less, an equal,
+// a greater and a signed pair, so false results are checked as well as true
+// ones.  One output byte per check (out() keeps the low byte), so a failure
+// names its arm.
+TEST(MicroJs, EachOperatorArmComputesItsOwnOperator) {
+  struct Check {
+    const char* expr;
+    uint8_t want;
+  };
+  const Check kChecks[] = {
+      {"a + b", 10},     {"a - b", 4},      {"a * b", 21},     {"a / b", 2},
+      {"a % b", 1},      {"m / 2", 0xfd},   {"m % 2", 0xff},   {"s & 3", 2},
+      {"s | 3", 7},      {"s ^ 3", 5},      {"b << 2", 12},    {"12 >> 2", 3},
+      {"-8 >> 1", 0xfc}, {"!0", 1},         {"!b", 0},         {"-b", 0xfd},
+      {"2 < 3", 1},      {"3 < 3", 0},      {"4 < 3", 0},      {"-1 < 1", 1},
+      {"2 <= 3", 1},     {"3 <= 3", 1},     {"4 <= 3", 0},     {"-1 <= 1", 1},
+      {"2 > 3", 0},      {"3 > 3", 0},      {"4 > 3", 1},      {"-1 > 1", 0},
+      {"2 >= 3", 0},     {"3 >= 3", 1},     {"4 >= 3", 1},     {"-1 >= 1", 0},
+      {"2 == 3", 0},     {"3 == 3", 1},     {"4 == 3", 0},     {"-1 == 1", 0},
+      {"2 != 3", 1},     {"3 != 3", 0},     {"4 != 3", 1},     {"-1 != 1", 1},
+  };
+  std::string script = "var a = 7;\nvar b = 3;\nvar m = 0 - 7;\nvar s = 6;\n";
+  for (const Check& check : kChecks) {
+    script += std::string("out(") + check.expr + ");\n";
+  }
+  auto bytecode = vjs::CompileScript(script);
+  ASSERT_TRUE(bytecode.ok()) << bytecode.status().ToString();
+  auto image = vcc::CompileProgram(
+      vrt::VlibcSource() + vjs::EngineSource(*bytecode, /*teardown=*/false), "main",
+      vrt::Env::kLong64);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  wasp::Runtime runtime;
+  wasp::VirtineSpec spec;
+  spec.image = &image.value();
+  spec.mem_size = 2ULL << 20;
+  spec.policy = wasp::kPolicyManaged;
+  std::vector<uint8_t> empty;
+  spec.input = &empty;
+  auto outcome = runtime.Invoke(spec);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  ASSERT_EQ(outcome.output.size(), std::size(kChecks));
+  for (size_t i = 0; i < std::size(kChecks); ++i) {
+    EXPECT_EQ(outcome.output[i], kChecks[i].want) << kChecks[i].expr;
+  }
 }
 
 }  // namespace

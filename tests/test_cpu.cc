@@ -157,6 +157,46 @@ fn:
   EXPECT_EQ(r.cpu->reg(0), 77u);
 }
 
+// `jmp rN` lands on the register's address and is priced exactly as the
+// `jmp` it replaces; a target outside guest memory faults at the fetch, as
+// `call rN` does.
+TEST(CpuControl, IndirectJump) {
+  auto with = [](const std::string& jmp) {
+    return RunAsm("  mov r3, target\n  " + jmp +
+                  "\n  mov r0, 1\n  hlt\ntarget:\n  mov r0, 77\n  hlt\n");
+  };
+  auto indirect = with("jmp r3");
+  ASSERT_EQ(indirect.exit.kind, vhw::ExitKind::kHlt) << indirect.exit.fault;
+  EXPECT_EQ(indirect.cpu->reg(0), 77u);
+  auto direct = with("jmp target");
+  ASSERT_EQ(direct.exit.kind, vhw::ExitKind::kHlt) << direct.exit.fault;
+  EXPECT_EQ(indirect.cpu->insns_retired(), direct.cpu->insns_retired());
+  EXPECT_EQ(indirect.cpu->cycles(), direct.cpu->cycles());
+
+  // 48 KB of memory: the image at 0x8000 fits, 0xf000 does not.
+  auto branch_out = [](const std::string& op, uint64_t* rip) {
+    auto image = visa::Assemble("start:\n  mov r3, 0xf000\n  " + op + " r3\n  hlt\n");
+    EXPECT_TRUE(image.ok()) << image.status().ToString();
+    vhw::GuestMemory mem(0xc000);
+    EXPECT_TRUE(mem.Write(image->load_addr, image->bytes.data(), image->bytes.size()).ok());
+    vhw::Cpu cpu(&mem, vhw::CostModel{});
+    cpu.Reset(image->entry);
+    cpu.set_reg(visa::kSp, 0x7000);
+    const vhw::Exit exit = cpu.Run(100);
+    *rip = cpu.state().rip;
+    return exit;
+  };
+  uint64_t jmp_rip = 0;
+  uint64_t call_rip = 0;
+  const vhw::Exit jmp = branch_out("jmp", &jmp_rip);
+  const vhw::Exit call = branch_out("call", &call_rip);
+  EXPECT_EQ(jmp.kind, vhw::ExitKind::kFault);
+  EXPECT_EQ(call.kind, vhw::ExitKind::kFault);
+  EXPECT_EQ(jmp.fault, call.fault);
+  EXPECT_EQ(jmp_rip, 0xf000u);
+  EXPECT_EQ(call_rip, 0xf000u);
+}
+
 TEST(CpuControl, ConditionalBranchLoop) {
   auto r = RunAsm(R"(
   mov r0, 0

@@ -156,6 +156,7 @@ start:
   rdtsc r6
   not r0
   neg r1
+  jmp r2
   hlt
 )";
   auto image = visa::Assemble(source);
@@ -165,7 +166,7 @@ start:
        {"mov r0, 42", "mov r1, r0", "ldw r2, [r1+8]", "stw [r1+8], r2", "ld8 r3, [r2]",
         "st64 [r2-4], r3", "lea r4, [r1+16]", "add r0, r1", "sub r0, 5", "imul r0, r1",
         "udiv r0, r1", "cmp r0, 7", "test r0, r1", "cset r5, eq", "push r0", "pop r1",
-        "rdtsc r6", "not r0", "neg r1", "hlt"}) {
+        "rdtsc r6", "not r0", "neg r1", "jmp r2", "hlt"}) {
     EXPECT_NE(listing.find(expect), std::string::npos) << "missing: " << expect
                                                        << "\n" << listing;
   }
@@ -191,6 +192,7 @@ TEST(InsnSize, MatchesEncodedLayout) {
   EXPECT_EQ(visa::InsnSize(visa::Op::kJmp), 5);
   EXPECT_EQ(visa::InsnSize(visa::Op::kJcc), 6);
   EXPECT_EQ(visa::InsnSize(visa::Op::kIn), 4);
+  EXPECT_EQ(visa::InsnSize(visa::Op::kJmpR), 2);
 }
 
 TEST(Image, PadToGrowsWithZeros) {

@@ -108,6 +108,123 @@ TEST(VccSemantics, ControlFlow) {
       return i;
     })";
   EXPECT_EQ(RunProgram(brk), 7);
+
+  // Inside a loop, `break` leaves only a switch; `continue` goes to the loop.
+  const char* sw = R"(
+    int main() {
+      int i;
+      int n = 0;
+      for (i = 0; i < 10; i = i + 1) {
+        switch (i & 3) {
+          case 0: n = n + 1; break;
+          case 1: continue;
+          case 2: n = n + 100;
+          case 3: n = n + 10; break;
+          default: n = n + 5000;
+        }
+        n = n + 1000;
+      }
+      return n;
+    })";
+  // i = 0,4,8: 1001 each; 2,6: 1110 each; 3,7: 1010 each; 1,5,9: skipped.
+  EXPECT_EQ(RunProgram(sw), 3 * 1001 + 2 * 1110 + 2 * 1010);
+}
+
+// A program that folds switch outcomes over x = -2..11 from three switches:
+// dense with holes and a default in the middle (a jump table), dense
+// without a default (a jump table), and sparse and negative (a compare
+// chain).
+constexpr char kSwitchProgram[] = R"(
+  int dense(int x) {
+    int r = 0;
+    switch (x) {
+      case 1: r = r + 1;
+      case 2: r = r + 10; break;
+      case 4: return 400;
+      case 5:
+      case 6: r = 60; break;
+      default: r = -1;
+      case 8: r = r + 8;
+    }
+    return r;
+  }
+  int nodefault(int x) {
+    switch (x - 1) { case 0: return 5; case 1: return 6; case 2: return 7; case 3: return 8; }
+    return 9;
+  }
+  int sparse(int x) {
+    switch (x * 3) { case -6: return 1; case 9: return 2; case 30: return 3; case 1000: return 4; }
+    return 0;
+  }
+  int main() {
+    int x;
+    int s = 0;
+    for (x = -2; x < 12; x = x + 1) {
+      s = s * 7 + dense(x) + nodefault(x) * 3 + sparse(x) * 5;
+    }
+    return s;
+  })";
+
+// The same sums computed on the host.
+int64_t SwitchProgramExpected() {
+  auto dense = [](int64_t x) -> int64_t {
+    switch (x) {
+      case 1: return 11;
+      case 2: return 10;
+      case 4: return 400;
+      case 5:
+      case 6: return 60;
+      case 8: return 8;
+      default: return 7;
+    }
+  };
+  auto nodefault = [](int64_t x) -> int64_t { return x >= 1 && x <= 4 ? x + 4 : 9; };
+  auto sparse = [](int64_t x) -> int64_t {
+    switch (x * 3) {
+      case -6: return 1;
+      case 9: return 2;
+      case 30: return 3;
+      default: return 0;
+    }
+  };
+  int64_t s = 0;
+  for (int64_t x = -2; x < 12; ++x) {
+    s = s * 7 + dense(x) + nodefault(x) * 3 + sparse(x) * 5;
+  }
+  return s;
+}
+
+TEST(VccSemantics, Switch) {
+  EXPECT_EQ(RunProgram(kSwitchProgram), SwitchProgramExpected());
+  // The dense switches get jump tables; the sparse one a compare chain.
+  auto asm_text = vcc::CompileToAsm(kSwitchProgram);
+  ASSERT_TRUE(asm_text.ok()) << asm_text.status().ToString();
+  size_t tables = 0;
+  for (size_t at = asm_text->find("jmp r0"); at != std::string::npos;
+       at = asm_text->find("jmp r0", at + 1)) {
+    ++tables;
+  }
+  EXPECT_EQ(tables, 2u) << *asm_text;
+  EXPECT_NE(asm_text->find("cmp r0, 1000"), std::string::npos) << *asm_text;
+
+  // Either lowering evaluates a scrutinee with a side effect once.
+  const char* once = R"(
+    int calls = 0;
+    int next() { calls = calls + 1; return calls; }
+    int dense() {
+      switch (next()) { case 1: return 10; case 2: return 20; case 3: return 30; case 4: return 40; }
+      return 0;
+    }
+    int sparse() {
+      switch (next()) { case 5: return 1; case 9: return 2; case 99: return 3; }
+      return 7;
+    }
+    int main() {
+      int r = dense() * 100 + sparse();
+      return r * 10 + calls;
+    })";
+  // dense: next() == 1 -> 10; sparse: next() == 2 -> 7; calls == 2.
+  EXPECT_EQ(RunProgram(once), (10 * 100 + 7) * 10 + 2);
 }
 
 TEST(VccSemantics, RecursionFib) {
@@ -328,6 +445,31 @@ TEST(VccErrors, UsefulDiagnostics) {
   EXPECT_FALSE(vcc::CompileProgram("int main() { break; }").ok());
   EXPECT_FALSE(vcc::CompileProgram("virtine int g = 3; int main() { return 0; }").ok());
   EXPECT_FALSE(vcc::CompileVirtines("int main() { return 0; }").ok());  // no annotations
+}
+
+// Each malformed switch is rejected with the line of the offending label or
+// statement.
+TEST(VccErrors, SwitchDiagnostics) {
+  auto error_of = [](const std::string& body) {
+    auto r = vcc::CompileProgram("int main(int x) {\n  int y = 2;\n" + body + "\n  return 0;\n}");
+    return r.ok() ? std::string("compiled") : r.status().ToString();
+  };
+  auto expect_error = [&](const std::string& body, const std::string& what) {
+    const std::string err = error_of(body);
+    EXPECT_NE(err.find("line 3"), std::string::npos) << body << " -> " << err;
+    EXPECT_NE(err.find(what), std::string::npos) << body << " -> " << err;
+  };
+  expect_error("  switch (x) { case 1: case 2: case 1: break; }", "duplicate case value 1");
+  expect_error("  switch (x) { case 2 - 3: case -1: break; }", "duplicate case value -1");
+  expect_error("  switch (x) { default: break; case 1: default: break; }", "second default");
+  expect_error("  switch (x) { case y: break; }", "not a compile-time constant");
+  expect_error("  case 1: x = 2;", "'case' label outside a switch body");
+  expect_error("  default: x = 2;", "'default' label outside a switch body");
+  expect_error("  switch (x) { case 1: { case 2: break; } }", "'case' label outside");
+  expect_error("  switch (x) { case 1: continue; }", "continue outside loop");
+  expect_error("  break;", "break outside loop or switch");
+  // Only a loop gives `continue` a target; a switch inside one passes it on.
+  EXPECT_EQ(error_of("  while (x) { switch (x) { case 1: continue; } x = 0; }"), "compiled");
 }
 
 }  // namespace

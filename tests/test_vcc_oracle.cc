@@ -4,13 +4,15 @@
 // scalars, params, local and global arrays, pointer arithmetic, locals whose
 // address goes to a callee, nested loops with break/continue, &&/||/!/?:,
 // ++/--/op=, multi-argument calls, recursion, early returns from inside
-// loops, more live scalars than r4-r13 can hold, and literals wider than 32
-// bits.  Each program is compiled twice — by the default generator (register
-// allocation + fast paths) and by the plain reference generator — and both
-// builds run in real16, prot32 and long64.  They must agree on the return
-// value, the console bytes and the final bytes of every global that is not
-// a pointer (a pointer's value is an address, and the data section moves
-// with the code size).
+// loops, more live scalars than r4-r13 can hold, literals wider than 32
+// bits, and switches: dense case sets with holes (jump tables), sparse and
+// negative ones (compare chains), fallthrough, optional defaults, and break
+// and continue inside arms.  Each program is compiled twice — by the default
+// generator (register allocation + fast paths) and by the plain reference
+// generator — and both builds run in real16, prot32 and long64.  They must
+// agree on the return value, the console bytes and the final bytes of every
+// global that is not a pointer (a pointer's value is an address, and the
+// data section moves with the code size).
 //
 // Generated programs avoid everything that may legitimately differ between
 // the two builds: they never read uninitialized memory, never let a pointer
@@ -368,8 +370,76 @@ class ProgramGen {
                  "}\n";
         }
         return in + PickOf(Writable()) + " = " + Expr(2) + ";\n";
+      case 20:
+      case 21:
+        if (depth > 0) {
+          return Switch();
+        }
+        [[fallthrough]];
       default:
         return in + Lvalue() + " = " + Expr(2) + ";\n";
+    }
+  }
+
+  // A switch with shallow arms.  The case set is either a dense run with
+  // holes (a jump table in the optimizing build) or a sparse set with
+  // negative and wide values (a compare chain), written in shuffled order;
+  // the default is optional and may sit anywhere.  An arm ends in `break`,
+  // in `continue` inside a loop, or in nothing, falling through.
+  std::string Switch() {
+    const std::string in = Indent();
+    std::vector<int64_t> values;
+    std::string scrutinee;
+    if (Chance(75)) {
+      const int n = 4 + Pick(5);
+      const int64_t lo = Pick(9) - 3;
+      std::vector<int64_t> slots(static_cast<size_t>(n + Pick(n + 1)));  // 0..n holes
+      for (size_t i = 0; i < slots.size(); ++i) {
+        slots[i] = lo + static_cast<int64_t>(i);
+      }
+      Shuffle(&slots);
+      values.assign(slots.begin(), slots.begin() + n);
+      scrutinee = loop_depth_ > 0 && Chance(40)
+                      ? LoopVar(Pick(loop_depth_)) + " + " + std::to_string(lo)
+                      : "((" + Expr(1) + ") & 15) + " + std::to_string(lo - 2);
+    } else {
+      std::vector<int64_t> pool = {-1000, -37, -5, -1, 0, 3, 17, 64, 255, 999, 70000,
+                                   8589934597};
+      Shuffle(&pool);
+      values.assign(pool.begin(), pool.begin() + 1 + Pick(5));
+      scrutinee = "(" + Cond(1) + " ? " + std::to_string(PickOf(values)) + " : " + Expr(1) + ")";
+    }
+    std::vector<std::string> labels;
+    for (int64_t v : values) {
+      labels.push_back("case " + std::to_string(v) + ":");
+    }
+    if (Chance(60)) {
+      labels.insert(labels.begin() + Pick(static_cast<int>(labels.size()) + 1), "default:");
+    }
+    std::string s = in + "switch (" + scrutinee + ") {\n";
+    ++indent_;
+    for (const std::string& label : labels) {
+      s += Indent() + label + "\n";
+      ++indent_;
+      for (int i = Pick(3); i > 0; --i) {
+        s += Stmt(0);
+      }
+      const int end = Pick(10);
+      if (end < 4) {
+        s += Indent() + "break;\n";
+      } else if (end < 6 && loop_depth_ > 0) {
+        s += Indent() + "continue;\n";
+      }
+      --indent_;
+    }
+    --indent_;
+    return s + in + "}\n";
+  }
+
+  template <typename T>
+  void Shuffle(std::vector<T>* v) {
+    for (size_t i = v->size(); i > 1; --i) {
+      std::swap((*v)[i - 1], (*v)[rng_.Below(i)]);
     }
   }
 
