@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure + build + ctest in one command.
 #
-#   ./ci.sh             # normal mode (warnings allowed) + fig9/12/13/14/16/17 smokes
+#   ./ci.sh             # normal mode (warnings allowed) + fig9/12/13/14/16/17/sec64 smokes
 #   STRICT=1 ./ci.sh    # -Werror: any warning fails the build
 #   TSAN=1 ./ci.sh      # ThreadSanitizer build; runs the threaded wasp/net tests
 #   ASAN=1 ./ci.sh      # Address+UBSanitizer build; runs the snapshot/memory tests
@@ -105,6 +105,12 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 # HostBase64, if a variant's warm exit count varies between calls, or if the
 # engine reports no native baseline.
 (cd "$BUILD_DIR" && ./fig14_js_virtines)
+# Table-indexing smoke: the AES guest, whose S-box and round-key lookups are
+# the heaviest array indexing any vcc-compiled guest does, CBC-encrypts five
+# sizes from 16 B to 16 KB in a snapshotted virtine; fails (non-zero) if any
+# ciphertext differs from the host's vaes::EncryptCbc or if the warm exit
+# count varies between sizes.
+(cd "$BUILD_DIR" && ./sec64_aes_throughput)
 # Governance smoke: the fig16 gates on a shortened trace — per-key quota
 # bounds the interactive key's p99 queue wait within 2x of isolation at
 # <10% aggregate RPS cost, COW extents keep 64 keys warm (>10x the
@@ -136,4 +142,4 @@ for t in "$BUILD_DIR"/test_*; do
   [[ -x "$t" ]] || continue
   cases=$((cases + $(count_gtests "$t")))
 done
-echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 6 bench smokes"
+echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 7 bench smokes"

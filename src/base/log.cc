@@ -1,36 +1,9 @@
 #include "src/base/log.h"
 
-#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 
 namespace vbase {
-namespace {
-
-std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "D";
-    case LogLevel::kInfo:
-      return "I";
-    case LogLevel::kWarn:
-      return "W";
-    case LogLevel::kError:
-      return "E";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_level.store(static_cast<int>(level)); }
-
-LogLevel GetLogLevel() { return static_cast<LogLevel>(g_level.load()); }
-
-void LogMessage(LogLevel level, const char* file, int line, const std::string& msg) {
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), file, line, msg.c_str());
-}
 
 void CheckFailed(const char* file, int line, const char* expr, const std::string& msg) {
   std::fprintf(stderr, "[CHECK FAILED %s:%d] %s %s\n", file, line, expr, msg.c_str());

@@ -1,45 +1,17 @@
-// Minimal leveled logging plus CHECK-style assertions.
-//
-// Logging is intentionally tiny: benches and tests must stay quiet by
-// default, so the default level is kWarn.
+// CHECK-style assertions for programmer errors.
 #ifndef SRC_BASE_LOG_H_
 #define SRC_BASE_LOG_H_
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
 namespace vbase {
 
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarn = 2,
-  kError = 3,
-};
-
-// Sets/gets the global log threshold; messages below it are dropped.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
-// Internal sink; use the VB_LOG/VB_CHECK macros below.
-void LogMessage(LogLevel level, const char* file, int line, const std::string& msg);
-
-// Aborts the process after logging; used by VB_CHECK on failure.
+// Aborts the process after printing; used by VB_CHECK on failure.
 [[noreturn]] void CheckFailed(const char* file, int line, const char* expr,
                               const std::string& msg);
 
 }  // namespace vbase
-
-#define VB_LOG(level, msg)                                                               \
-  do {                                                                                   \
-    if (static_cast<int>(::vbase::LogLevel::level) >=                                    \
-        static_cast<int>(::vbase::GetLogLevel())) {                                      \
-      std::ostringstream vb_os__;                                                        \
-      vb_os__ << msg; /* NOLINT */                                                       \
-      ::vbase::LogMessage(::vbase::LogLevel::level, __FILE__, __LINE__, vb_os__.str());  \
-    }                                                                                    \
-  } while (0)
 
 // Hard invariant check: aborts with a message when `cond` is false.  Used for
 // programmer errors only; recoverable failures return vbase::Status instead.

@@ -358,37 +358,92 @@ class Assembler {
     return acc;
   }
 
+  // A parsed memory operand; see isa.h for the forms and the x byte.
   struct MemRef {
     int base = 0;
     int64_t disp = 0;
+    uint8_t x = 0;
   };
 
+  // Parses [rB], [rB±d], [rB+rI], [rB+rI*S±d], [d] or [d+rI*S]: terms joined
+  // by + and -.  An unscaled register is the base, or the index when a base
+  // is already present; a scaled one (S in 1, 2, 4, 8) is always the index;
+  // every other term is part of the displacement expression.
   vbase::Result<MemRef> ParseMem(const Statement& st, const std::string& tok, bool pass2) {
     std::string t = Trim(tok);
     if (t.size() < 3 || t.front() != '[' || t.back() != ']') {
       return Err(st, "expected memory operand [reg+disp]");
     }
-    std::string inner = Trim(t.substr(1, t.size() - 2));
-    size_t i = 0;
-    while (i < inner.size() && IsIdentChar(inner[i])) {
-      ++i;
+    const std::string inner = t.substr(1, t.size() - 2);
+    std::vector<std::pair<int, std::string>> terms;  // (sign, text)
+    int sign = 1;
+    std::string cur;
+    bool in_chr = false;
+    for (size_t i = 0; i < inner.size(); ++i) {
+      const char c = inner[i];
+      if (c == '\'' && (i == 0 || inner[i - 1] != '\\')) {
+        in_chr = !in_chr;
+      }
+      if (in_chr || (c != '+' && c != '-')) {
+        cur += c;
+        continue;
+      }
+      if (!Trim(cur).empty()) {
+        terms.emplace_back(sign, Trim(cur));
+        cur.clear();
+        sign = 1;
+      }
+      if (c == '-') {
+        sign = -sign;
+      }
     }
-    auto reg = ParseReg(inner.substr(0, i));
-    if (!reg) {
-      return Err(st, "memory operand must start with a register");
+    if (Trim(cur).empty()) {
+      return Err(st, "incomplete memory operand");
     }
+    terms.emplace_back(sign, Trim(cur));
     MemRef m;
-    m.base = *reg;
-    std::string rest = Trim(inner.substr(i));
-    if (!rest.empty()) {
-      if (rest[0] != '+' && rest[0] != '-') {
-        return Err(st, "expected +/- displacement");
+    bool has_base = false;
+    std::string disp;
+    for (const auto& [term_sign, text] : terms) {
+      const size_t star = text.find('*');
+      const auto reg = ParseReg(Trim(text.substr(0, star)));
+      if (!reg) {
+        if (star != std::string::npos) {
+          return Err(st, "only a register can be scaled: " + text);
+        }
+        disp += (term_sign < 0 ? "-" : "+") + text;
+        continue;
       }
-      auto disp = EvalExpr(st, rest, pass2);
-      if (!disp.ok()) {
-        return disp.status();
+      if (term_sign < 0) {
+        return Err(st, "a register cannot be subtracted in a memory operand");
       }
-      m.disp = *disp;
+      int scale_log2 = 0;
+      if (star != std::string::npos) {
+        const std::string scale = Trim(text.substr(star + 1));
+        if (scale != "1" && scale != "2" && scale != "4" && scale != "8") {
+          return Err(st, "index scale must be 1, 2, 4 or 8: " + text);
+        }
+        scale_log2 = scale == "1" ? 0 : scale == "2" ? 1 : scale == "4" ? 2 : 3;
+      } else if (!has_base) {
+        has_base = true;
+        m.base = *reg;
+        continue;
+      }
+      if ((m.x & kMemHasIndex) != 0) {
+        return Err(st, has_base ? "a memory operand holds at most two registers"
+                                : "a memory operand holds one index register");
+      }
+      m.x = static_cast<uint8_t>(*reg << 4 | scale_log2 << 2 | kMemHasIndex);
+    }
+    if (!has_base) {
+      m.x |= kMemNoBase;
+    }
+    if (!disp.empty()) {
+      auto v = EvalExpr(st, disp, pass2);
+      if (!v.ok()) {
+        return v.status();
+      }
+      m.disp = *v;
     }
     return m;
   }
@@ -480,8 +535,11 @@ class Assembler {
         {"st8", Op::kSt8}, {"st16", Op::kSt16}, {"st32", Op::kSt32},
         {"st64", Op::kSt64}, {"stw", Op::kStW},
     };
-    if (kLoads.count(m) != 0 || kStores.count(m) != 0) {
-      return 6;
+    if (auto it = kLoads.find(m); it != kLoads.end()) {
+      return InsnSize(it->second);
+    }
+    if (auto it = kStores.find(m); it != kStores.end()) {
+      return InsnSize(it->second);
     }
     static const std::unordered_map<std::string, std::pair<Op, Op>> kAlu = {
         {"add", {Op::kAddRr, Op::kAddRi}}, {"sub", {Op::kSubRr, Op::kSubRi}},
@@ -683,9 +741,10 @@ class Assembler {
       Emit8(static_cast<uint8_t>(a << 4));
       Emit32(static_cast<uint32_t>(static_cast<int32_t>(imm)));
     };
-    auto emit_mem = [&](Op op, int a, int b, int64_t disp) {
+    auto emit_mem = [&](Op op, int a, int b, uint8_t x, int64_t disp) {
       Emit8(static_cast<uint8_t>(op));
       Emit8(static_cast<uint8_t>((a << 4) | b));
+      Emit8(x);
       Emit32(static_cast<uint32_t>(static_cast<int32_t>(disp)));
     };
 
@@ -725,7 +784,7 @@ class Assembler {
       if (!FitsI32(mem->disp)) {
         return Err(st, "displacement out of 32-bit range: " + std::to_string(mem->disp));
       }
-      emit_mem(it->second, reg(0), mem->base, mem->disp);
+      emit_mem(it->second, reg(0), mem->base, mem->x, mem->disp);
       return vbase::Status::Ok();
     }
     static const std::unordered_map<std::string, Op> kStores = {
@@ -744,7 +803,7 @@ class Assembler {
         return Err(st, "displacement out of 32-bit range: " + std::to_string(mem->disp));
       }
       // Store encoding: a = base register, b = source register.
-      emit_mem(it->second, mem->base, reg(1), mem->disp);
+      emit_mem(it->second, mem->base, reg(1), mem->x, mem->disp);
       return vbase::Status::Ok();
     }
 

@@ -14,6 +14,34 @@ T ReadLe(const uint8_t* p) {
   return v;
 }
 
+// Whether `op` is a load, a store or lea (the ops with a memory operand).
+bool HasMemOperand(Op op) { return op >= Op::kLd8 && op <= Op::kLea; }
+
+// A memory operand in the assembler's syntax: [rB+rI*S±d], each part
+// present only when encoded; with no base the displacement (an absolute
+// address) comes first, as in [d+rI*S].
+std::string MemOperand(const Insn& insn, int base) {
+  std::string s = "[";
+  if ((insn.x & kMemNoBase) == 0) {
+    s += "r" + std::to_string(base);
+  } else if (insn.imm != 0 || (insn.x & kMemHasIndex) == 0) {
+    s += std::to_string(insn.imm);
+  }
+  if ((insn.x & kMemHasIndex) != 0) {
+    if (s.size() > 1) {
+      s += "+";
+    }
+    s += "r" + std::to_string(insn.x >> 4);
+    if (const int scale = 1 << ((insn.x >> 2) & 3); scale > 1) {
+      s += "*" + std::to_string(scale);
+    }
+  }
+  if ((insn.x & kMemNoBase) == 0 && insn.imm != 0) {
+    s += (insn.imm > 0 ? "+" : "") + std::to_string(insn.imm);
+  }
+  return s + "]";
+}
+
 }  // namespace
 
 const char* ModeName(Mode mode) {
@@ -170,6 +198,9 @@ int InsnSize(Op op) {
     case Op::kShrRi:
     case Op::kSarRi:
     case Op::kCmpRi:
+    case Op::kJcc:
+    case Op::kLjmp:
+      return 6;
     case Op::kLd8:
     case Op::kLd8S:
     case Op::kLd16:
@@ -184,9 +215,7 @@ int InsnSize(Op op) {
     case Op::kSt64:
     case Op::kStW:
     case Op::kLea:
-    case Op::kJcc:
-    case Op::kLjmp:
-      return 6;
+      return 7;
     case Op::kJmp:
     case Op::kCall:
       return 5;
@@ -245,7 +274,10 @@ vbase::Result<Insn> Decode(const uint8_t* bytes, uint64_t len, uint64_t offset, 
       const uint8_t ab = p[0];
       insn.a = ab >> 4;
       insn.b = ab & 0xf;
-      if (sz == 6) {
+      if (HasMemOperand(insn.op)) {
+        insn.x = p[1];
+        insn.imm = ReadLe<int32_t>(p + 2);
+      } else if (sz == 6) {
         insn.imm = ReadLe<int32_t>(p + 1);
       }
       if (insn.op == Op::kCset) {
@@ -312,22 +344,14 @@ std::string ToString(const Insn& insn) {
     case Op::kLd64:
     case Op::kLdW:
     case Op::kLea:
-      os << " " << reg(insn.a) << ", [" << reg(insn.b);
-      if (insn.imm != 0) {
-        os << (insn.imm > 0 ? "+" : "") << insn.imm;
-      }
-      os << "]";
+      os << " " << reg(insn.a) << ", " << MemOperand(insn, insn.b);
       break;
     case Op::kSt8:
     case Op::kSt16:
     case Op::kSt32:
     case Op::kSt64:
     case Op::kStW:
-      os << " [" << reg(insn.a);
-      if (insn.imm != 0) {
-        os << (insn.imm > 0 ? "+" : "") << insn.imm;
-      }
-      os << "], " << reg(insn.b);
+      os << " " << MemOperand(insn, insn.a) << ", " << reg(insn.b);
       break;
     case Op::kNotR:
     case Op::kNegR:

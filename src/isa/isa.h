@@ -167,7 +167,7 @@ int InsnSize(Op op);
 //                                             kCallR/kJmpR (a=target register)
 //   [op:u8][a:u8][imm:i64]                    kMovRi
 //   [op:u8][ab:u8][imm:i32]                   ALU-imm, CMP-imm, SHL-imm
-//   [op:u8][ab:u8][disp:i32]                  loads (a=dst, b=base),
+//   [op:u8][ab:u8][x:u8][disp:i32]            loads (a=dst, b=base),
 //                                             stores (a=base, b=src), lea
 //   [op:u8][rel:i32]                          kJmp/kCall (relative to next insn)
 //   [op:u8][cc:u8][rel:i32]                   kJcc
@@ -176,14 +176,28 @@ int InsnSize(Op op);
 //                                             kWrcr (a=cr, b=reg),
 //                                             kRdcr (a=reg, b=cr)
 //   [op:u8][port:u16][reg:u8]                 kIn (reg <- port), kOut (port <- reg)
+//
+// Every load, store and lea carries one x86-style memory operand,
+//   effective address = (no_base ? 0 : base) + (has_index ? index << s : 0) + disp
+// masked to the mode width, described by the x byte:
+//   x = index << 4 | s << 2 | has_index << 1 | no_base     (scale = 1 << s)
+// x = 0 is the plain [base+disp] form; with no_base the base register field
+// is 0 and unread.  The assembler writes the operand as
+// [rB], [rB±d], [rB+rI], [rB+rI*S±d] or, with no base, [d] / [d+rI*S], where
+// S is 1, 2, 4 or 8 and d may be a symbol expression (an absolute address).
+// Folding the index costs nothing extra: the access is charged like [rB+d].
+inline constexpr uint8_t kMemNoBase = 1 << 0;
+inline constexpr uint8_t kMemHasIndex = 1 << 1;
+
 struct Insn {
   Op op = Op::kNop;
   uint8_t a = 0;
   uint8_t b = 0;
   Cond cc = Cond::kEq;
   Mode mode = Mode::kReal16;
-  int64_t imm = 0;
+  int64_t imm = 0;  // also a memory operand's displacement
   uint16_t port = 0;
+  uint8_t x = 0;    // memory operand's x byte (loads, stores, lea)
 };
 
 // Decodes one instruction at `bytes[offset]`.  `len` is the buffer length.

@@ -147,6 +147,14 @@ struct Program {
   }
 };
 
+// The deepest nesting Parse accepts: one level per recursive statement,
+// assignment, unary or `?:` parse, and one per node a left-associative
+// binary or postfix chain adds, so it also bounds the syntax tree the code
+// generator recurses over.  Both recurse with large frames; at this cap the
+// deepest source costs under 8 MB of stack even in an AddressSanitizer
+// build (about 1 MB optimized).
+inline constexpr int kMaxNesting = 512;
+
 vbase::Result<Program> Parse(const std::string& source);
 
 // Generates VBC assembly for the subset of `program` reachable from `entry`

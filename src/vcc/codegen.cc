@@ -20,18 +20,25 @@
 // On top of that the generator applies local fast paths: ALU, compare and
 // branch forms read register variables, imm32 literals and fp slots
 // directly instead of evaluating them into r0 first; comparisons in branch
-// position fuse into cmp + jcc; array indexing folds constant offsets into
-// the load/store displacement and scales by shift; an assignment to a
-// register variable loads or computes straight into it.  A binary operand
-// that must survive the evaluation of its sibling is held in a free r4-r13
-// register inside loops and on the guest stack elsewhere.  A switch whose
-// case set is dense dispatches through a jump table in the data section;
-// any other switch, and every switch in the reference build, compares the
-// scrutinee against each case in turn.
+// position fuse into cmp + jcc; an assignment to a register variable loads
+// or computes straight into it.  Memory accesses use VBC's x86-style
+// operand [base + index*scale + disp]: a register-variable index folds in
+// scaled by the element size, a constant index offset folds into the
+// displacement, and a register-variable base stays where it lives (any
+// other index is added into r0; one held in a scratch register would not
+// survive a compound assignment's right side, which runs between the
+// address and the store).  Global scalars are addressed absolutely as
+// [SYM+0].  A binary operand that must survive the evaluation of its
+// sibling is held in a free r4-r13 register inside loops and on the guest
+// stack elsewhere.  A switch whose case set is dense dispatches through a
+// jump table in the data section, indexed by one scaled load; any other
+// switch, and every switch in the reference build, compares the scrutinee
+// against each case in turn.
 //
 // Generate's `reference` flag turns all of this off — no allocation, no fast
-// paths, every operand staged through the stack — and exists so the
-// differential oracle has a plain code generator to compare against.
+// paths, every operand staged through the stack, only the plain [rB+d]
+// operand — and exists so the differential oracle has a plain code
+// generator to compare against.
 #include <algorithm>
 #include <array>
 #include <cstdint>
@@ -164,16 +171,30 @@ struct Opnd {
   std::string Str() const { return is_imm ? std::to_string(imm) : RegName(reg); }
 };
 
-// A memory operand [base + disp].  GenAddr's are based on r0, fp or a
-// register variable, so r1-r3 stay free for the caller.
+// A memory operand [base + index*scale + disp], with a global's symbol in
+// place of the base register when `sym` is set.  GenAddr's are based on r0,
+// fp, a register variable or a symbol and index only register variables, so
+// r1-r3 stay free for the caller.
 struct MemRef {
+  MemRef() = default;
+  MemRef(int b, int64_t d) : base(b), disp(d) {}
+
   int base = 0;
   int64_t disp = 0;
+  int index = -1;  // a register variable, or -1
+  int scale = 1;
+  std::string sym;
 
   std::string Str() const {
-    return "[" + RegName(base) + (disp < 0 ? "-" : "+") +
-           std::to_string(disp < 0 ? -disp : disp) + "]";
+    std::string s = "[" + (sym.empty() ? RegName(base) : sym);
+    if (index >= 0) {
+      s += "+" + RegName(index) + (scale > 1 ? "*" + std::to_string(scale) : "");
+    }
+    return s + (disp < 0 ? "-" : "+") + std::to_string(disp < 0 ? -disp : disp) + "]";
   }
+
+  // An fp slot or an absolute global: an address that no code can change.
+  bool IsConstant() const { return index < 0 && (!sym.empty() || base == kFpReg); }
 };
 
 class CodeGen {
@@ -857,8 +878,8 @@ class CodeGen {
   // Dispatches r0 through a jump table when the case set is dense: at least
   // 4 cases whose values span at most 3 table slots per case.  The table
   // holds one word per value in [lo, hi], holes pointing at `ldefault`, and
-  // lives in the data section; its address is folded into the load's
-  // displacement.  Returns false, emitting nothing, for a sparse set.
+  // lives in the data section; one load indexes it by r0 scaled to the word
+  // size.  Returns false, emitting nothing, for a sparse set.
   bool EmitJumpTable(const std::vector<std::pair<int64_t, std::string>>& cases,
                      const std::string& ldefault) {
     if (cases.size() < 4) {
@@ -884,8 +905,7 @@ class CodeGen {
     }
     Emit("cmp r0, " + std::to_string(span));
     Emit("jae " + ldefault);
-    Emit("shl r0, " + std::to_string(Log2(w_)));
-    Emit("ldw r0, [r0+" + ltable + "]");
+    Emit("ldw r0, [" + ltable + "+r0*" + std::to_string(w_) + "]");
     Emit("jmp r0");
     tables_ += ".align " + std::to_string(w_) + "\n" + ltable + ":\n  " + WordDirective();
     for (size_t i = 0; i < slots.size(); ++i) {
@@ -1120,9 +1140,13 @@ class CodeGen {
           return vbase::Status::Ok();
         }
         if (const Global* g = FindGlobal(e.name); g != nullptr) {
-          Emit("mov r0, " + g->name);
           *out = g->type;
           *m = MemRef{0, 0};
+          if (ref_) {
+            Emit("mov r0, " + g->name);
+          } else {
+            m->sym = g->name;
+          }
           return vbase::Status::Ok();
         }
         return Err(e.line, "undefined variable '" + e.name + "'");
@@ -1167,18 +1191,33 @@ class CodeGen {
     return vbase::Status::Ok();
   }
 
+  // A register-variable or constant index folds into the operand as
+  // [base + rI*size + c*size], with the base left where it lives when it is
+  // a register variable too.  Any other index is added into r0: one loaded
+  // into a scratch register would not survive to the access, since
+  // compound assignment evaluates its right side in between.
   vbase::Status GenIndexAddr(const Expr& e, Type* out, MemRef* m) {
     int64_t c = 0;
     const Expr* core = SplitIndex(*e.b, &c);
+    const int index = core == nullptr ? -1 : VarReg(*core);
     Type bt;
-    VB_RETURN_IF_ERROR(GenExpr(*e.a, &bt));
+    *m = MemRef{0, 0};
+    if (const int r = VarReg(*e.a); r >= 0 && (core == nullptr || index >= 0)) {
+      bt = Lookup(e.a->name)->type;
+      m->base = r;
+    } else {
+      VB_RETURN_IF_ERROR(GenExpr(*e.a, &bt));
+    }
     if (!bt.IsPtr()) {
       return Err(e.line, "indexing a non-pointer");
     }
     const int size = ElemSize(bt);
-    // A constant index (no core) lives entirely in the displacement.
+    m->disp = c * size;
     Type it;
-    if (core != nullptr && LeafOf(*core, &it) != Leaf::kNone) {
+    if (index >= 0) {
+      m->index = index;
+      m->scale = size;
+    } else if (core != nullptr && LeafOf(*core, &it) != Leaf::kNone) {
       const Opnd idx = Scaled(EmitLeaf(*core, 2), size);
       Emit("add r0, " + idx.Str());
     } else if (core != nullptr) {
@@ -1193,14 +1232,16 @@ class CodeGen {
         Emit("add r0, r2");
       }
     }
-    *m = MemRef{0, c * size};
     *out = bt.Pointee();
     return vbase::Status::Ok();
   }
 
-  // r0 = the address a memory operand names.
+  // r0 = the address a memory operand names (a bare symbol by mov, as array
+  // decay and &global always did).
   void MaterializeAddr(const MemRef& m) {
-    if (m.base != 0 || m.disp != 0) {
+    if (!m.sym.empty() && m.index < 0 && m.disp == 0) {
+      Emit("mov r0, " + m.sym);
+    } else if (!m.sym.empty() || m.index >= 0 || m.base != 0 || m.disp != 0) {
       Emit("lea r0, " + m.Str());
     }
   }
@@ -1528,8 +1569,8 @@ class CodeGen {
       }
       return vbase::Status::Ok();
     }
-    // An fp slot's address needs no register; any other is held meanwhile.
-    const bool slot = m.base == kFpReg;
+    // A constant address needs no register; any other is held meanwhile.
+    const bool slot = m.IsConstant();
     int addr = -1;
     if (!slot) {
       MaterializeAddr(m);
@@ -1571,8 +1612,7 @@ class CodeGen {
         m = SlotOf(*v);
       } else if (const Global* g = FindGlobal(e.a->name); g != nullptr) {
         *out = g->type;
-        Emit("mov r1, " + g->name);
-        m = MemRef{1, 0};
+        m.sym = g->name;
       } else {
         return Err(e.line, "undefined variable '" + e.a->name + "'");
       }

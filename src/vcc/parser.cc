@@ -1,8 +1,8 @@
 // Lexer + recursive-descent parser for the vcc C dialect.
 #include <cctype>
 #include <set>
-#include <unordered_set>
 
+#include "src/base/nesting.h"
 #include "src/vcc/ast.h"
 
 namespace vcc {
@@ -181,6 +181,35 @@ vbase::Result<std::vector<Token>> Lex(const std::string& src) {
 
 namespace {
 
+// The parser's tables live here, not as function statics, so the recursive
+// parse functions' frames hold no initializer temporaries.
+constexpr const char* kAssignOps[] = {"=",  "+=", "-=", "*=", "/=",  "%=",
+                                      "&=", "|=", "^=", "<<=", ">>="};
+
+bool IsAssignOp(const std::string& text) {
+  for (const char* op : kAssignOps) {
+    if (text == op) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Prefix operators: the node each builds and the op and ival it records
+// (ival 1 marks a prefix ++/--).
+struct PrefixOp {
+  const char* text;
+  ExprKind kind;
+  const char* op;
+  int64_t ival;
+};
+constexpr PrefixOp kPrefixOps[] = {
+    {"-", ExprKind::kUnary, "-", 0},    {"!", ExprKind::kUnary, "!", 0},
+    {"~", ExprKind::kUnary, "~", 0},    {"*", ExprKind::kDeref, "", 0},
+    {"&", ExprKind::kAddr, "", 0},      {"++", ExprKind::kIncDec, "++", 1},
+    {"--", ExprKind::kIncDec, "--", 1},
+};
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : toks_(std::move(tokens)) {}
@@ -228,6 +257,15 @@ class Parser {
   vbase::Status Err(const std::string& msg) {
     return vbase::InvalidArgument("parse error line " + std::to_string(Peek().line) + ": " +
                                   msg + " (near '" + Peek().text + "')");
+  }
+
+  // Fails once the parse nests deeper than kMaxNesting.
+  vbase::Status CheckNesting() {
+    if (depth_ > kMaxNesting) {
+      return Err("statements and expressions nest deeper than " +
+                 std::to_string(kMaxNesting) + " levels");
+    }
+    return vbase::Status::Ok();
   }
 
   vbase::Status ExpectPunct(const char* p) {
@@ -457,6 +495,8 @@ class Parser {
   }
 
   vbase::Result<StmtP> ParseStmt() {
+    const vbase::NestingLevel level(&depth_);
+    VB_RETURN_IF_ERROR(CheckNesting());
     const int line = Peek().line;
     if (IsPunct("{")) {
       return ParseBlock();
@@ -648,13 +688,13 @@ class Parser {
   vbase::Result<ExprP> ParseExpr() { return ParseAssign(); }
 
   vbase::Result<ExprP> ParseAssign() {
+    const vbase::NestingLevel level(&depth_);
+    VB_RETURN_IF_ERROR(CheckNesting());
     auto lhs = ParseCond();
     if (!lhs.ok()) {
       return lhs;
     }
-    static const std::unordered_set<std::string> kAssignOps = {
-        "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="};
-    if (Peek().kind == Tok::kPunct && kAssignOps.count(Peek().text) != 0) {
+    if (Peek().kind == Tok::kPunct && IsAssignOp(Peek().text)) {
       const int line = Peek().line;
       std::string op = Next().text;
       auto rhs = ParseAssign();
@@ -676,6 +716,8 @@ class Parser {
       return cond;
     }
     if (IsPunct("?")) {
+      const vbase::NestingLevel level(&depth_);  // the else arm recurses here
+      VB_RETURN_IF_ERROR(CheckNesting());
       const int line = Next().line;
       auto then = ParseAssign();
       if (!then.ok()) return then;
@@ -710,11 +752,14 @@ class Parser {
     if (!lhs.ok()) {
       return lhs;
     }
+    vbase::NestingLevel chain(&depth_, 0);
     while (Peek().kind == Tok::kPunct) {
       const int prec = Precedence(Peek().text);
       if (prec < 0 || prec < min_prec) {
         break;
       }
+      chain.Add();
+      VB_RETURN_IF_ERROR(CheckNesting());
       const int line = Peek().line;
       std::string op = Next().text;
       auto rhs = ParseBinary(prec + 1);
@@ -731,62 +776,19 @@ class Parser {
   }
 
   vbase::Result<ExprP> ParseUnary() {
+    const vbase::NestingLevel level(&depth_);
+    VB_RETURN_IF_ERROR(CheckNesting());
     const int line = Peek().line;
-    if (EatPunct("-")) {
-      auto a = ParseUnary();
-      if (!a.ok()) return a;
-      auto e = MakeExpr(ExprKind::kUnary, line);
-      e->op = "-";
-      e->a = std::move(*a);
-      return e;
-    }
-    if (EatPunct("!")) {
-      auto a = ParseUnary();
-      if (!a.ok()) return a;
-      auto e = MakeExpr(ExprKind::kUnary, line);
-      e->op = "!";
-      e->a = std::move(*a);
-      return e;
-    }
-    if (EatPunct("~")) {
-      auto a = ParseUnary();
-      if (!a.ok()) return a;
-      auto e = MakeExpr(ExprKind::kUnary, line);
-      e->op = "~";
-      e->a = std::move(*a);
-      return e;
-    }
-    if (EatPunct("*")) {
-      auto a = ParseUnary();
-      if (!a.ok()) return a;
-      auto e = MakeExpr(ExprKind::kDeref, line);
-      e->a = std::move(*a);
-      return e;
-    }
-    if (EatPunct("&")) {
-      auto a = ParseUnary();
-      if (!a.ok()) return a;
-      auto e = MakeExpr(ExprKind::kAddr, line);
-      e->a = std::move(*a);
-      return e;
-    }
-    if (EatPunct("++")) {
-      auto a = ParseUnary();
-      if (!a.ok()) return a;
-      auto e = MakeExpr(ExprKind::kIncDec, line);
-      e->op = "++";
-      e->ival = 1;  // prefix
-      e->a = std::move(*a);
-      return e;
-    }
-    if (EatPunct("--")) {
-      auto a = ParseUnary();
-      if (!a.ok()) return a;
-      auto e = MakeExpr(ExprKind::kIncDec, line);
-      e->op = "--";
-      e->ival = 1;
-      e->a = std::move(*a);
-      return e;
+    for (const PrefixOp& p : kPrefixOps) {
+      if (EatPunct(p.text)) {
+        auto a = ParseUnary();
+        if (!a.ok()) return a;
+        auto e = MakeExpr(p.kind, line);
+        e->op = p.op;
+        e->ival = p.ival;
+        e->a = std::move(*a);
+        return e;
+      }
     }
     if (IsIdent("sizeof")) {
       Next();
@@ -806,7 +808,10 @@ class Parser {
     if (!base.ok()) {
       return base;
     }
-    while (true) {
+    vbase::NestingLevel chain(&depth_, 0);
+    while (IsPunct("[") || IsPunct("++") || IsPunct("--")) {
+      chain.Add();
+      VB_RETURN_IF_ERROR(CheckNesting());
       const int line = Peek().line;
       if (EatPunct("[")) {
         auto idx = ParseExpr();
@@ -816,17 +821,13 @@ class Parser {
         e->a = std::move(*base);
         e->b = std::move(*idx);
         base = vbase::Result<ExprP>(std::move(e));
-        continue;
-      }
-      if (IsPunct("++") || IsPunct("--")) {
+      } else {
         auto e = MakeExpr(ExprKind::kIncDec, line);
         e->op = Next().text;
         e->ival = 0;  // postfix
         e->a = std::move(*base);
         base = vbase::Result<ExprP>(std::move(e));
-        continue;
       }
-      break;
     }
     return base;
   }
@@ -877,6 +878,7 @@ class Parser {
 
   std::vector<Token> toks_;
   size_t pos_ = 0;
+  int depth_ = 0;  // statement/expression nesting of the parse
 };
 
 }  // namespace

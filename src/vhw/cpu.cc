@@ -8,30 +8,6 @@ using visa::Cond;
 using visa::Mode;
 using visa::Op;
 
-const char* BootEventName(BootEvent event) {
-  switch (event) {
-    case BootEvent::kFirstInsn:
-      return "first_insn";
-    case BootEvent::kLgdtReal:
-      return "lgdt_32bit_gdt";
-    case BootEvent::kCr0PeSet:
-      return "protected_transition";
-    case BootEvent::kJump32:
-      return "jump_to_32bit";
-    case BootEvent::kLgdtProt:
-      return "long_transition_lgdt";
-    case BootEvent::kEferLmeSet:
-      return "efer_lme";
-    case BootEvent::kCr0PgSet:
-      return "paging_identity_map";
-    case BootEvent::kJump64:
-      return "jump_to_64bit";
-    case BootEvent::kHlt:
-      return "hlt";
-  }
-  return "?";
-}
-
 Cpu::Cpu(GuestMemory* mem, const CostModel& cost) : mem_(mem), cost_(cost) { FlushTlb(); }
 
 void Cpu::Reset(uint64_t entry) {
@@ -526,6 +502,20 @@ Exit Cpu::Run(uint64_t max_insns) {
     const uint8_t ab = code[1];
     const int ra = ab >> 4;
     const int rb = ab & 0xf;
+    // A load, store or lea's effective address (encoding in isa.h): the
+    // base register unless the x byte says none, plus the scaled index when
+    // it names one, plus disp32.
+    auto effective_address = [&](int base) {
+      const uint8_t x = code[2];
+      uint64_t va = static_cast<uint64_t>(read_i32(3));
+      if ((x & visa::kMemNoBase) == 0) {
+        va += st_.regs[base];
+      }
+      if ((x & visa::kMemHasIndex) != 0) {
+        va += st_.regs[x >> 4] << ((x >> 2) & 3);
+      }
+      return va & mask;
+    };
 
     switch (op) {
       case Op::kNop:
@@ -571,7 +561,7 @@ Exit Cpu::Run(uint64_t max_insns) {
           case Op::kLd64: bytes = 8; break;
           default: bytes = WordSize(); break;
         }
-        const uint64_t va = (st_.regs[rb] + static_cast<uint64_t>(read_i32(2))) & mask;
+        const uint64_t va = effective_address(rb);
         uint64_t v = 0;
         if (!LoadVa(va, bytes, sign, &v)) {
           return fault_exit();
@@ -595,7 +585,7 @@ Exit Cpu::Run(uint64_t max_insns) {
           default: bytes = WordSize(); break;
         }
         // Store encoding: a = base register, b = source register.
-        const uint64_t va = (st_.regs[ra] + static_cast<uint64_t>(read_i32(2))) & mask;
+        const uint64_t va = effective_address(ra);
         if (!StoreVa(va, bytes, st_.regs[rb])) {
           return fault_exit();
         }
@@ -603,7 +593,7 @@ Exit Cpu::Run(uint64_t max_insns) {
       }
 
       case Op::kLea:
-        st_.regs[ra] = (st_.regs[rb] + static_cast<uint64_t>(read_i32(2))) & mask;
+        st_.regs[ra] = effective_address(rb);
         break;
 
       // --- ALU -----------------------------------------------------------

@@ -73,8 +73,6 @@ enum class BootEvent : uint8_t {
   kHlt,
 };
 
-const char* BootEventName(BootEvent event);
-
 struct BootMilestone {
   BootEvent event;
   uint64_t cycles;  // CPU cycle counter right after the event's charge

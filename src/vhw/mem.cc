@@ -184,12 +184,6 @@ uint64_t GuestMemory::ZeroDirtyPages() {
   return zeroed;
 }
 
-void GuestMemory::ClearDirty() {
-  std::fill(dirty_.begin(), dirty_.end(), 0);
-  std::fill(epoch_.begin(), epoch_.end(), 0);
-  last_dirty_page_ = kNoPage;
-}
-
 void GuestMemory::BeginEpoch() {
   std::fill(epoch_.begin(), epoch_.end(), 0);
   last_dirty_page_ = kNoPage;  // its invariant spans both bitmaps
@@ -215,8 +209,6 @@ std::vector<uint64_t> GuestMemory::CollectDirtySince() const {
   }
   return pages;
 }
-
-void GuestMemory::ResetEpt() { std::fill(ept_.begin(), ept_.end(), 0); }
 
 void GuestMemory::MapCowBase(ExtentBufferRef base) {
   VB_CHECK(base != nullptr, "MapCowBase requires a base");

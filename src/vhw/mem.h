@@ -153,7 +153,6 @@ class GuestMemory {
   // Drops any mapped COW base (a cleaned shell shares nothing).  Returns the
   // number of bytes zeroed.
   uint64_t ZeroDirtyPages();
-  void ClearDirty();
 
   // --- Snapshot epoch ------------------------------------------------------
   // Starts a new epoch: the epoch bitmap forgets all prior writes.  The
@@ -170,7 +169,7 @@ class GuestMemory {
 
   // --- EPT first-touch model ----------------------------------------------
   // Returns true when this is the first access to the 2 MB region containing
-  // `gpa` since the last EPT reset (fresh VM); marks it touched.
+  // `gpa` since this memory was created (a fresh VM); marks it touched.
   bool TouchRegion(uint64_t gpa) {
     const uint64_t r = gpa >> kRegionBits;
     const uint64_t mask = 1ULL << (r & 63);
@@ -180,8 +179,6 @@ class GuestMemory {
     ept_[r >> 6] |= mask;
     return true;
   }
-  // Drops all EPT mappings (what a freshly created VM context looks like).
-  void ResetEpt();
 
   // --- Copy-on-write backing ----------------------------------------------
   // A COW-backed memory maps a shared, immutable ExtentBuffer chain

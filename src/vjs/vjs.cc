@@ -1,8 +1,11 @@
 #include "src/vjs/vjs.h"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <sstream>
+
+#include "src/base/nesting.h"
 
 namespace vjs {
 namespace {
@@ -45,6 +48,28 @@ enum Builtin : uint8_t {
   kB64 = 3,
 };
 
+// The parser's tables live here, not as function statics, so the recursive
+// parse functions' frames hold no initializer temporaries.
+struct BuiltinFn {
+  const char* name;
+  Builtin index;
+  int nargs;
+};
+constexpr BuiltinFn kBuiltinFns[] = {
+    {"input_len", kInputLen, 0}, {"input", kInput, 1}, {"out", kOut, 1}, {"b64", kB64, 1}};
+
+// && and || compile to the bitwise forms (operands are 0/1 comparisons in
+// practice); microjs has no short-circuit side effects to preserve.
+struct BinaryOp {
+  const char* text;
+  Op op;
+};
+constexpr BinaryOp kBinaryOps[] = {
+    {"+", kAdd},  {"-", kSub},  {"*", kMul},  {"/", kDiv},   {"%", kMod},  {"<", kLt},
+    {"<=", kLe},  {">", kGt},   {">=", kGe},  {"==", kEq},   {"!=", kNe},  {"&", kAnd},
+    {"&&", kAnd}, {"|", kOr},   {"||", kOr},  {"^", kXor},   {"<<", kShl}, {">>", kShr},
+};
+
 struct JsToken {
   enum Kind { kEof, kIdent, kNum, kPunct } kind = kEof;
   std::string text;
@@ -62,12 +87,26 @@ class ScriptCompiler {
       VB_RETURN_IF_ERROR(Statement());
     }
     code_.push_back(kHalt);
+    if (max_stack_ > kEngineStackWords) {
+      return vbase::InvalidArgument("microjs: the script needs " + std::to_string(max_stack_) +
+                                    " operand stack slots; the engine has " +
+                                    std::to_string(kEngineStackWords));
+    }
     return code_;
   }
 
  private:
   vbase::Status Err(const std::string& msg) {
     return vbase::InvalidArgument("microjs line " + std::to_string(Peek().line) + ": " + msg);
+  }
+
+  // Fails once the parse nests deeper than kMaxScriptNesting.
+  vbase::Status CheckNesting() {
+    if (depth_ > kMaxScriptNesting) {
+      return Err("statements and expressions nest deeper than " +
+                 std::to_string(kMaxScriptNesting) + " levels");
+    }
+    return vbase::Status::Ok();
   }
 
   vbase::Status Tokenize() {
@@ -159,13 +198,20 @@ class ScriptCompiler {
   }
 
   void Emit(uint8_t b) { code_.push_back(b); }
+  // Emits an opcode that moves the engine's operand stack by `stack_effect`
+  // words, tracking the deepest the stack gets.
+  void EmitOp(uint8_t op, int stack_effect) {
+    Emit(op);
+    stack_ += stack_effect;
+    max_stack_ = std::max(max_stack_, stack_);
+  }
   void Emit32(int32_t v) {
     for (int i = 0; i < 4; ++i) {
       Emit(static_cast<uint8_t>(v >> (8 * i)));
     }
   }
   size_t EmitJump(uint8_t op) {
-    Emit(op);
+    EmitOp(op, op == kJz ? -1 : 0);  // JZ pops its condition
     Emit(0);
     Emit(0);
     return code_.size() - 2;
@@ -200,6 +246,8 @@ class ScriptCompiler {
   }
 
   vbase::Status Statement() {
+    const vbase::NestingLevel level(&depth_);
+    VB_RETURN_IF_ERROR(CheckNesting());
     if (EatI("var")) {
       if (!Is(JsToken::kIdent)) {
         return Err("expected variable name");
@@ -212,7 +260,7 @@ class ScriptCompiler {
       VB_RETURN_IF_ERROR(Expect("="));
       VB_RETURN_IF_ERROR(Expression());
       VB_RETURN_IF_ERROR(Expect(";"));
-      Emit(kStore);
+      EmitOp(kStore, -1);
       Emit(static_cast<uint8_t>(*slot));
       return vbase::Status::Ok();
     }
@@ -252,13 +300,13 @@ class ScriptCompiler {
       }
       VB_RETURN_IF_ERROR(Expression());
       VB_RETURN_IF_ERROR(Expect(";"));
-      Emit(kStore);
+      EmitOp(kStore, -1);
       Emit(static_cast<uint8_t>(*slot));
       return vbase::Status::Ok();
     }
     VB_RETURN_IF_ERROR(Expression());
     VB_RETURN_IF_ERROR(Expect(";"));
-    Emit(kPop);
+    EmitOp(kPop, -1);
     return vbase::Status::Ok();
   }
 
@@ -291,46 +339,41 @@ class ScriptCompiler {
   }
 
   vbase::Status Expression(int min_prec = 0) {
+    const vbase::NestingLevel level(&depth_);
+    VB_RETURN_IF_ERROR(CheckNesting());
     VB_RETURN_IF_ERROR(Unary());
     while (Peek().kind == JsToken::kPunct) {
       const int prec = Prec(Peek().text);
       if (prec < 0 || prec < min_prec) {
         break;
       }
-      std::string op = Next().text;
-      // && / || compile to bitwise forms (operands are 0/1 comparisons in
-      // practice); microjs has no short-circuit side effects to preserve.
+      const std::string& op = Next().text;
       VB_RETURN_IF_ERROR(Expression(prec + 1));
-      if (op == "+") Emit(kAdd);
-      else if (op == "-") Emit(kSub);
-      else if (op == "*") Emit(kMul);
-      else if (op == "/") Emit(kDiv);
-      else if (op == "%") Emit(kMod);
-      else if (op == "<") Emit(kLt);
-      else if (op == "<=") Emit(kLe);
-      else if (op == ">") Emit(kGt);
-      else if (op == ">=") Emit(kGe);
-      else if (op == "==") Emit(kEq);
-      else if (op == "!=") Emit(kNe);
-      else if (op == "&" || op == "&&") Emit(kAnd);
-      else if (op == "|" || op == "||") Emit(kOr);
-      else if (op == "^") Emit(kXor);
-      else if (op == "<<") Emit(kShl);
-      else if (op == ">>") Emit(kShr);
-      else return Err("bad operator " + op);
+      const BinaryOp* binary = nullptr;
+      for (const BinaryOp& b : kBinaryOps) {
+        if (op == b.text) {
+          binary = &b;
+        }
+      }
+      if (binary == nullptr) {
+        return Err("bad operator " + op);
+      }
+      EmitOp(binary->op, -1);  // pops two operands, pushes the result
     }
     return vbase::Status::Ok();
   }
 
   vbase::Status Unary() {
+    const vbase::NestingLevel level(&depth_);
+    VB_RETURN_IF_ERROR(CheckNesting());
     if (EatP("-")) {
       VB_RETURN_IF_ERROR(Unary());
-      Emit(kNeg);
+      EmitOp(kNeg, 0);
       return vbase::Status::Ok();
     }
     if (EatP("!")) {
       VB_RETURN_IF_ERROR(Unary());
-      Emit(kNot);
+      EmitOp(kNot, 0);
       return vbase::Status::Ok();
     }
     return Primary();
@@ -338,7 +381,7 @@ class ScriptCompiler {
 
   vbase::Status Primary() {
     if (Is(JsToken::kNum)) {
-      Emit(kPush);
+      EmitOp(kPush, 1);
       Emit32(static_cast<int32_t>(Next().value));
       return vbase::Status::Ok();
     }
@@ -347,16 +390,15 @@ class ScriptCompiler {
       return Expect(")");
     }
     if (Is(JsToken::kIdent)) {
-      std::string name = Next().text;
+      const std::string& name = Next().text;
       if (EatP("(")) {
-        static const std::map<std::string, std::pair<Builtin, int>> kBuiltins = {
-            {"input_len", {kInputLen, 0}},
-            {"input", {kInput, 1}},
-            {"out", {kOut, 1}},
-            {"b64", {kB64, 1}},
-        };
-        auto it = kBuiltins.find(name);
-        if (it == kBuiltins.end()) {
+        const BuiltinFn* fn = nullptr;
+        for (const BuiltinFn& f : kBuiltinFns) {
+          if (name == f.name) {
+            fn = &f;
+          }
+        }
+        if (fn == nullptr) {
           return Err("unknown function '" + name + "'");
         }
         int nargs = 0;
@@ -370,11 +412,11 @@ class ScriptCompiler {
           }
         }
         VB_RETURN_IF_ERROR(Expect(")"));
-        if (nargs != it->second.second) {
+        if (nargs != fn->nargs) {
           return Err("wrong argument count for '" + name + "'");
         }
-        Emit(kCallB);
-        Emit(static_cast<uint8_t>(it->second.first));
+        EmitOp(kCallB, 1 - nargs);  // pops the arguments, pushes the result
+        Emit(static_cast<uint8_t>(fn->index));
         Emit(static_cast<uint8_t>(nargs));
         return vbase::Status::Ok();
       }
@@ -382,7 +424,7 @@ class ScriptCompiler {
       if (!slot.ok()) {
         return slot.status();
       }
-      Emit(kLoad);
+      EmitOp(kLoad, 1);
       Emit(static_cast<uint8_t>(*slot));
       return vbase::Status::Ok();
     }
@@ -394,6 +436,9 @@ class ScriptCompiler {
   size_t pos_ = 0;
   std::vector<uint8_t> code_;
   std::map<std::string, int> slots_;
+  int depth_ = 0;      // statement/expression nesting of the parse
+  int stack_ = 0;      // operand stack depth after the code emitted so far
+  int max_stack_ = 0;  // the deepest it has been
 };
 
 }  // namespace
@@ -488,7 +533,7 @@ int E_NOBJS = 0;
 int engine_init() {
   int i;
   char *p;
-  E_STACK = malloc(8192);
+  E_STACK = malloc()vc" << kEngineStackWords * 8 << R"vc();
   E_VARS = malloc(2048);
   E_OBJS = malloc(2048);
   E_IN = malloc(65536);

@@ -36,6 +36,20 @@
 
 namespace vjs {
 
+// The engine's operand stack, in 8-byte words (the engine runs in long64).
+// EngineSource allocates exactly this; CompileScript rejects a script that
+// would need a deeper stack.
+inline constexpr int kEngineStackWords = 1024;
+
+// The deepest nesting of statements and expressions (one level per
+// recursive Statement, Expression or Unary parse) CompileScript accepts, so
+// a tenant's script cannot exhaust the host's stack: at the cap a parse
+// uses under 6 MB of stack even in an AddressSanitizer build.  Each operand
+// left pending on the stack holds one Expression level, so filling
+// kEngineStackWords takes about 1,230 levels; the cap sits above that, and
+// the stack check above still decides.
+inline constexpr int kMaxScriptNesting = 2048;
+
 // Compiles microjs source to engine bytecode.
 //
 // Language: `var x = e;`, assignment, `while (e) { ... }`,

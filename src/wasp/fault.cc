@@ -45,18 +45,6 @@ const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 FaultRule FaultPlan::At(FaultKind kind, uint64_t invocation, std::string key) {
   FaultRule rule;
   rule.kind = kind;

@@ -87,9 +87,6 @@ enum class BreakerState : uint8_t {
   kHalfOpen,
 };
 
-// Stable short name ("closed", "open", "half-open") for logs and benches.
-const char* BreakerStateName(BreakerState state);
-
 // Recovery settings: the `recovery` field of AdmissionOptions (admission.h).
 // AdmissionPolicy runs the EWMA and breaker for both of its callers (the
 // executor and GovernTrace), the executor alone applies retry-once, and the

@@ -14,11 +14,6 @@ void HostEnv::PutFile(const std::string& path, const std::string& content) {
   PutFile(path, std::vector<uint8_t>(content.begin(), content.end()));
 }
 
-bool HostEnv::FileExists(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return files_.count(path) != 0;
-}
-
 vbase::Result<uint64_t> HostEnv::FileSize(const std::string& path) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);

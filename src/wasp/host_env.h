@@ -29,7 +29,6 @@ class HostEnv {
   void PutFile(const std::string& path, std::vector<uint8_t> content);
   void PutFile(const std::string& path, const std::string& content);
 
-  bool FileExists(const std::string& path) const;
   vbase::Result<uint64_t> FileSize(const std::string& path) const;
   vbase::Result<std::vector<uint8_t>> GetFile(const std::string& path) const;
   // Copies the first min(cap, size) bytes of the file into *prefix and

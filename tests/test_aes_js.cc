@@ -156,6 +156,33 @@ TEST_F(AesVirtineTest, RandomizedEquivalenceWithHost) {
 
 // --- microjs --------------------------------------------------------------------
 
+// Runs `script` once in a fresh engine virtine (no snapshot, empty input) and
+// returns its output bytes.
+std::vector<uint8_t> RunScript(const std::string& script) {
+  auto bytecode = vjs::CompileScript(script);
+  EXPECT_TRUE(bytecode.ok()) << bytecode.status().ToString();
+  if (!bytecode.ok()) {
+    return {};
+  }
+  auto image = vcc::CompileProgram(
+      vrt::VlibcSource() + vjs::EngineSource(*bytecode, /*teardown=*/false), "main",
+      vrt::Env::kLong64);
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  if (!image.ok()) {
+    return {};
+  }
+  wasp::Runtime runtime;
+  wasp::VirtineSpec spec;
+  spec.image = &image.value();
+  spec.mem_size = 2ULL << 20;
+  spec.policy = wasp::kPolicyManaged;
+  std::vector<uint8_t> empty;
+  spec.input = &empty;
+  auto outcome = runtime.Invoke(spec);
+  EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  return outcome.output;
+}
+
 TEST(MicroJs, CompileErrorsAreDiagnosed) {
   EXPECT_FALSE(vjs::CompileScript("var ;").ok());
   EXPECT_FALSE(vjs::CompileScript("x = 1;").ok());            // undefined var
@@ -192,6 +219,47 @@ TEST(MicroJs, CompileErrorsAreDiagnosed) {
   EXPECT_EQ(rel16(*backward, 16), 32754 + 3);          // the exit JZ: body + back-edge
   EXPECT_EQ(rel16(*backward, 18 + 32754 + 1), -32768);  // the back-edge JMP
   EXPECT_FALSE(vjs::CompileScript(head + "while (x < 1) {\n" + body(32755) + "}\n").ok());
+
+  // Nesting is capped, so no script can exhaust the host's stack.  The
+  // statement, out's argument and its unary operand take five levels, and
+  // each minus sign one more.
+  const int cap = vjs::kMaxScriptNesting;
+  auto negated = [](int signs) { return "out(" + std::string(signs, '-') + "7);\n"; };
+  EXPECT_EQ(RunScript(negated(cap - 5)), std::vector<uint8_t>{0xf9});  // -7, an odd count
+  auto too_deep = vjs::CompileScript(negated(cap - 4));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_NE(too_deep.status().ToString().find("nest deeper"), std::string::npos);
+  const std::string parens = "var x = " + std::string(100000, '(') + "1" +
+                             std::string(100000, ')') + ";\n";
+  auto hostile = vjs::CompileScript(parens);
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_NE(hostile.status().ToString().find("nest deeper"), std::string::npos);
+
+  // The engine's operand stack holds kEngineStackWords words, and a script
+  // that needs more is rejected rather than overflowing into the variables.
+  // Chaining every binary operator from loosest to tightest binding leaves
+  // each left operand pending, so `slots` operands are on the stack at once
+  // (a parenthesis after each `*` starts the next round).
+  auto stack_hungry = [](int slots) {
+    static const char* kOps[] = {"||", "&&", "|", "^", "&", "==", "<", "<<", "+", "*"};
+    std::string open;
+    std::string close;
+    for (int i = 0; i + 1 < slots; ++i) {
+      open += std::string("1") + kOps[i % 10];
+      if (i % 10 == 9) {
+        open += "(";
+        close += ")";
+      }
+    }
+    // The loosest operator is ||, which microjs compiles to bitwise or:
+    // x is 1.
+    return "var y = 7;\nvar x = " + open + "1" + close + ";\nout(y);\nout(x);\n";
+  };
+  EXPECT_EQ(RunScript(stack_hungry(vjs::kEngineStackWords)), (std::vector<uint8_t>{7, 1}));
+  auto overflow = vjs::CompileScript(stack_hungry(vjs::kEngineStackWords + 1));
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_NE(overflow.status().ToString().find("1025 operand stack slots"), std::string::npos)
+      << overflow.status().ToString();
 }
 
 TEST(MicroJs, HostBase64MatchesKnownVectors) {
@@ -427,24 +495,8 @@ if (!(a == b)) { r = r + 1; }
 if (-b == 0 - 3) { r = r + 1; }
 out(r + 48);
 )js";
-  auto bytecode = vjs::CompileScript(script);
-  ASSERT_TRUE(bytecode.ok()) << bytecode.status().ToString();
-  auto image = vcc::CompileProgram(
-      vrt::VlibcSource() + vjs::EngineSource(*bytecode, /*teardown=*/false), "main",
-      vrt::Env::kLong64);
-  ASSERT_TRUE(image.ok()) << image.status().ToString();
-  wasp::Runtime runtime;
-  wasp::VirtineSpec spec;
-  spec.image = &image.value();
-  spec.mem_size = 2ULL << 20;
-  spec.policy = wasp::kPolicyManaged;
-  std::vector<uint8_t> empty;
-  spec.input = &empty;
-  auto outcome = runtime.Invoke(spec);
-  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  ASSERT_EQ(outcome.output.size(), 1u);
   // 14 checks passed -> '0' + 14 = '>'.
-  EXPECT_EQ(outcome.output[0], static_cast<uint8_t>('0' + 14));
+  EXPECT_EQ(RunScript(script), std::vector<uint8_t>{'0' + 14});
 }
 
 // Each of the engine's 16 binary arms, plus NOT and NEG, on operands that
@@ -473,24 +525,10 @@ TEST(MicroJs, EachOperatorArmComputesItsOwnOperator) {
   for (const Check& check : kChecks) {
     script += std::string("out(") + check.expr + ");\n";
   }
-  auto bytecode = vjs::CompileScript(script);
-  ASSERT_TRUE(bytecode.ok()) << bytecode.status().ToString();
-  auto image = vcc::CompileProgram(
-      vrt::VlibcSource() + vjs::EngineSource(*bytecode, /*teardown=*/false), "main",
-      vrt::Env::kLong64);
-  ASSERT_TRUE(image.ok()) << image.status().ToString();
-  wasp::Runtime runtime;
-  wasp::VirtineSpec spec;
-  spec.image = &image.value();
-  spec.mem_size = 2ULL << 20;
-  spec.policy = wasp::kPolicyManaged;
-  std::vector<uint8_t> empty;
-  spec.input = &empty;
-  auto outcome = runtime.Invoke(spec);
-  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-  ASSERT_EQ(outcome.output.size(), std::size(kChecks));
+  const std::vector<uint8_t> output = RunScript(script);
+  ASSERT_EQ(output.size(), std::size(kChecks));
   for (size_t i = 0; i < std::size(kChecks); ++i) {
-    EXPECT_EQ(outcome.output[i], kChecks[i].want) << kChecks[i].expr;
+    EXPECT_EQ(output[i], kChecks[i].want) << kChecks[i].expr;
   }
 }
 

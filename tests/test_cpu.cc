@@ -126,6 +126,110 @@ TEST(CpuMemory, StoresMarkPagesDirty) {
   EXPECT_FALSE(r.mem->PageDirty(0x5000 >> 12));
 }
 
+// Protected mode, no paging: a flat 32-bit address space over physical
+// memory.  `body` follows the switch.
+std::string InProt32(const std::string& body) {
+  return R"(
+  mov r0, gdt_desc
+  lgdt r0
+  mov r1, 1
+  wrcr 0, r1
+  ljmp prot32, pm
+gdt_desc:
+  .word 23
+  .quad 0
+pm:
+)" + body;
+}
+
+// One memory operand form is base + index*scale + disp, or a symbol with no
+// base; each part is exercised against the plain [rB+d] form it folds.
+TEST(CpuMemory, IndexedAndAbsoluteOperands) {
+  // Every scale, through lea (no memory access) and through a load of a
+  // real16 word table addressed with no base register.
+  auto r = RunAsm(R"(
+  mov r1, 0x1000
+  mov r2, 3
+  lea r4, [r1+r2+1]
+  lea r5, [r1+r2*2+1]
+  lea r6, [r1+r2*4+1]
+  lea r7, [r1+r2*8+1]
+  lea r8, [r2*8]
+  ldw r9, [tab+r2*2]
+  ldw r10, [tab+6]
+  mov r0, 0x5a
+  st8 [0x2000], r0
+  ld8 r11, [r1+0x1000]
+  mov r12, 0x2010
+  ld8 r13, [r12+r2*8-40]
+  hlt
+tab:
+  .word 10, 11, 12, 13
+)");
+  ASSERT_EQ(r.exit.kind, vhw::ExitKind::kHlt) << r.exit.fault;
+  EXPECT_EQ(r.cpu->reg(4), 0x1004u);
+  EXPECT_EQ(r.cpu->reg(5), 0x1007u);
+  EXPECT_EQ(r.cpu->reg(6), 0x100du);
+  EXPECT_EQ(r.cpu->reg(7), 0x1019u);
+  EXPECT_EQ(r.cpu->reg(8), 24u);
+  EXPECT_EQ(r.cpu->reg(9), 13u);
+  EXPECT_EQ(r.cpu->reg(10), 13u);
+  EXPECT_EQ(r.cpu->reg(11), 0x5au);   // the absolute store landed at 0x2000
+  EXPECT_EQ(r.cpu->reg(13), 0x5au);   // negative displacement: 0x2010+24-40
+
+  // The sum wraps at the mode width: 16 bits in real16, 32 in prot32.
+  auto real = RunAsm(R"(
+  mov r0, 0x77
+  st8 [0x10], r0
+  mov r1, 0xfff0
+  mov r2, 4
+  ld8 r3, [r1+r2*8]
+  hlt
+)");
+  ASSERT_EQ(real.exit.kind, vhw::ExitKind::kHlt) << real.exit.fault;
+  EXPECT_EQ(real.cpu->reg(3), 0x77u);
+  auto prot = RunAsm(InProt32(R"(
+  mov r0, 0x66
+  mov r1, 0xfffffff0
+  mov r2, 4
+  st8 [r1+r2*8], r0
+  ld8 r3, [0x10]
+  hlt
+)"));
+  ASSERT_EQ(prot.exit.kind, vhw::ExitKind::kHlt) << prot.exit.fault;
+  EXPECT_EQ(prot.cpu->reg(3), 0x66u);
+
+  // A folded index costs what [rB+d] costs, load and store alike.
+  auto folded = RunAsm(R"(
+  mov r1, 0x1000
+  mov r2, 3
+  ldw r0, [r1+r2*8+8]
+  stw [r1+r2*4-4], r0
+  ld8 r0, [0x1020]
+  hlt
+)");
+  auto plain = RunAsm(R"(
+  mov r1, 0x1000
+  mov r2, 3
+  ldw r0, [r1+32]
+  stw [r1+8], r0
+  ld8 r0, [r1+32]
+  hlt
+)");
+  ASSERT_EQ(folded.exit.kind, vhw::ExitKind::kHlt) << folded.exit.fault;
+  ASSERT_EQ(plain.exit.kind, vhw::ExitKind::kHlt) << plain.exit.fault;
+  EXPECT_EQ(folded.cpu->cycles(), plain.cpu->cycles());
+  EXPECT_EQ(folded.cpu->insns_retired(), plain.cpu->insns_retired());
+
+  // An effective address past guest memory faults exactly as [rB+d] does.
+  auto oob_indexed = RunAsm(InProt32("  mov r1, 0x100000\n  mov r2, 2\n  ldw r0, [r1+r2*8]\n"));
+  auto oob_plain = RunAsm(InProt32("  mov r1, 0x100010\n  nop\n  ldw r0, [r1+0]\n"));
+  ASSERT_EQ(oob_indexed.exit.kind, vhw::ExitKind::kFault);
+  ASSERT_EQ(oob_plain.exit.kind, vhw::ExitKind::kFault);
+  EXPECT_EQ(oob_indexed.exit.fault, oob_plain.exit.fault);
+  EXPECT_EQ(oob_indexed.cpu->cycles(), oob_plain.cpu->cycles());
+}
+
 TEST(CpuStack, PushPopCallRet) {
   auto r = RunAsm(R"(
   mov r0, 111

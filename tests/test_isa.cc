@@ -1,6 +1,8 @@
 // Assembler / disassembler / encoding tests.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "src/isa/assembler.h"
 #include "src/isa/disassembler.h"
 #include "src/isa/isa.h"
@@ -119,6 +121,21 @@ TEST(Assembler, ErrorsAreDiagnosed) {
   EXPECT_FALSE(visa::Assemble("  cmp r0, 2147483648\n").ok());
   EXPECT_FALSE(visa::Assemble("  ldw r0, [r1+4294967296]\n").ok());
   EXPECT_FALSE(visa::Assemble("  stw [r1-2147483649], r0\n").ok());
+  // Memory operands: a scale other than 1, 2, 4 or 8, a subtracted register,
+  // a second index and a third register are each rejected with the line.
+  for (const char* bad : {"  ldw r0, [r1+r2*3]\n", "  ldw r0, [r1+r2*16]\n",
+                          "  ldw r0, [r1-r2]\n", "  stw [r1-r2*8], r0\n",
+                          "  ldw r0, [r1*2+r2*4]\n", "  lea r0, [r1+r2+r3]\n",
+                          "  ldw r0, [r1+r2*2+r3]\n", "  ldw r0, [4+r1*8+r2*8]\n",
+                          "  ldw r0, [r1+8*r2]\n"}) {
+    auto image = visa::Assemble(std::string("  nop\n") + bad);
+    ASSERT_FALSE(image.ok()) << bad;
+    EXPECT_NE(image.status().ToString().find("asm line 2"), std::string::npos)
+        << bad << image.status().ToString();
+  }
+  EXPECT_TRUE(visa::Assemble("  ldw r0, [r1+r2*8-8]\n  lea r0, [r1+r2]\n  st8 [r1], r0\n"
+                             "x:\n  ldw r0, [x+r1*4]\n  stw [x-8], r0\n")
+                  .ok());
   EXPECT_TRUE(
       visa::Assemble("  add r0, 2147483647\n  sub r0, -2147483648\n  mov r0, 4294967296\n")
           .ok());
@@ -131,9 +148,11 @@ TEST(Assembler, CommentsAndWhitespace) {
   EXPECT_EQ(image->bytes.size(), 1u);
 }
 
-// Round-trip: assemble -> disassemble -> compare mnemonics.
+// Round-trip: assemble -> disassemble -> compare mnemonics.  SYM is an
+// absolute address (256), so its operands disassemble with the number.
 TEST(Disassembler, RoundTripsCoreInstructions) {
   const char* source = R"(
+.equ SYM, 0x100
 start:
   mov r0, 42
   mov r1, r0
@@ -142,6 +161,11 @@ start:
   ld8 r3, [r2+0]
   st64 [r2-4], r3
   lea r4, [r1+16]
+  ldw r2, [r1+r3*8-8]
+  ld8 r3, [r7+r5+1]
+  stw [SYM+0], r0
+  ldw r0, [SYM+r0*8]
+  lea r5, [r2*4]
   add r0, r1
   sub r0, 5
   imul r0, r1
@@ -164,12 +188,22 @@ start:
   const std::string listing = visa::Disassemble(*image);
   for (const char* expect :
        {"mov r0, 42", "mov r1, r0", "ldw r2, [r1+8]", "stw [r1+8], r2", "ld8 r3, [r2]",
-        "st64 [r2-4], r3", "lea r4, [r1+16]", "add r0, r1", "sub r0, 5", "imul r0, r1",
+        "st64 [r2-4], r3", "lea r4, [r1+16]", "ldw r2, [r1+r3*8-8]", "ld8 r3, [r7+r5+1]",
+        "stw [256], r0", "ldw r0, [256+r0*8]", "lea r5, [r2*4]", "add r0, r1", "sub r0, 5", "imul r0, r1",
         "udiv r0, r1", "cmp r0, 7", "test r0, r1", "cset r5, eq", "push r0", "pop r1",
         "rdtsc r6", "not r0", "neg r1", "jmp r2", "hlt"}) {
     EXPECT_NE(listing.find(expect), std::string::npos) << "missing: " << expect
                                                        << "\n" << listing;
   }
+  // The listing (each line "%08x:  insn") assembles back to the same bytes.
+  std::istringstream lines(listing);
+  std::string again = "start:\n";
+  for (std::string line; std::getline(lines, line);) {
+    again += "  " + line.substr(11) + "\n";
+  }
+  auto reassembled = visa::Assemble(again);
+  ASSERT_TRUE(reassembled.ok()) << reassembled.status().ToString() << "\n" << again;
+  EXPECT_EQ(reassembled->bytes, image->bytes) << again;
 }
 
 TEST(Decode, RejectsInvalidOpcode) {
@@ -193,6 +227,10 @@ TEST(InsnSize, MatchesEncodedLayout) {
   EXPECT_EQ(visa::InsnSize(visa::Op::kJcc), 6);
   EXPECT_EQ(visa::InsnSize(visa::Op::kIn), 4);
   EXPECT_EQ(visa::InsnSize(visa::Op::kJmpR), 2);
+  // [op][ab][x][disp32]: every load, store and lea has one memory operand.
+  EXPECT_EQ(visa::InsnSize(visa::Op::kLd8), 7);
+  EXPECT_EQ(visa::InsnSize(visa::Op::kStW), 7);
+  EXPECT_EQ(visa::InsnSize(visa::Op::kLea), 7);
 }
 
 TEST(Image, PadToGrowsWithZeros) {

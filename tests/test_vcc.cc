@@ -3,7 +3,11 @@
 // policy derivation.
 #include <gtest/gtest.h>
 
+#include <regex>
+
+#include "src/vcc/ast.h"
 #include "src/vcc/vcc.h"
+#include "src/vjs/vjs.h"
 #include "src/vrt/env.h"
 #include "src/vrt/vlibc.h"
 #include "src/wasp/runtime.h"
@@ -252,6 +256,62 @@ TEST(VccSemantics, PointersAndArrays) {
   EXPECT_EQ(RunProgram(src), 25);
 }
 
+// Every memory operand in `asm_text` (the text between brackets).
+std::vector<std::string> MemOperands(const std::string& asm_text) {
+  std::vector<std::string> out;
+  static const std::regex kMem(R"(\[([^\]]*)\])");
+  for (auto it = std::sregex_iterator(asm_text.begin(), asm_text.end(), kMem);
+       it != std::sregex_iterator(); ++it) {
+    out.push_back((*it)[1]);
+  }
+  return out;
+}
+
+// The body of function `name` in generated assembly: from its label to the
+// next unindented label that is not a local (.L) one.
+std::string FunctionBody(const std::string& asm_text, const std::string& name) {
+  const size_t start = asm_text.find("\n" + name + ":\n");
+  if (start == std::string::npos) {
+    return "";
+  }
+  size_t end = start + name.size() + 3;
+  while (end < asm_text.size() && (asm_text[end] == ' ' || asm_text[end] == '.')) {
+    end = asm_text.find('\n', end) + 1;
+  }
+  return asm_text.substr(start, end - start);
+}
+
+// The optimizing generator folds register-variable indexes, scaled by the
+// element size, into the access, addresses global scalars by symbol, and
+// indexes the jump table in the load; the reference generator keeps the
+// plain [rB+d] form everywhere.
+TEST(VccCodegen, IndexedAndAbsoluteOperands) {
+  auto bytecode = vjs::CompileScript(vjs::Base64ScriptSource());
+  ASSERT_TRUE(bytecode.ok());
+  const std::string engine =
+      vrt::VlibcSource() + vjs::EngineSource(*bytecode, /*teardown=*/false);
+  auto asm_text = vcc::CompileToAsm(engine);
+  ASSERT_TRUE(asm_text.ok()) << asm_text.status().ToString();
+  const std::string run = FunctionBody(*asm_text, "run");
+  ASSERT_FALSE(run.empty()) << *asm_text;
+  EXPECT_NE(run.find("ldw r0, [r0+r4*8-8]"), std::string::npos) << run;  // E_STACK[sp - 1]
+  EXPECT_NE(run.find("ldw r0, [E_STACK+0]"), std::string::npos) << run;
+  EXPECT_NE(run.find("+r0*8]"), std::string::npos) << run;  // the jump-table load
+  EXPECT_EQ(run.find("shl r3"), std::string::npos) << run;
+  EXPECT_EQ(run.find("mov r0, E_STACK"), std::string::npos) << run;
+
+  auto program = vcc::Parse(engine);
+  ASSERT_TRUE(program.ok());
+  for (int w : {2, 4, 8}) {
+    auto reference = vcc::Generate(*program, "main", w, /*reference=*/true);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    static const std::regex kPlain(R"((r\d+|fp|sp)[+-]\d+)");
+    for (const std::string& operand : MemOperands(*reference)) {
+      EXPECT_TRUE(std::regex_match(operand, kPlain)) << "[" << operand << "] at w=" << w;
+    }
+  }
+}
+
 TEST(VccSemantics, CharArraysAreByteAccurate) {
   const char* src = R"(
     int main() {
@@ -445,6 +505,33 @@ TEST(VccErrors, UsefulDiagnostics) {
   EXPECT_FALSE(vcc::CompileProgram("int main() { break; }").ok());
   EXPECT_FALSE(vcc::CompileProgram("virtine int g = 3; int main() { return 0; }").ok());
   EXPECT_FALSE(vcc::CompileVirtines("int main() { return 0; }").ok());  // no annotations
+}
+
+// Nesting is capped, so no source can exhaust the host's stack in the parser
+// or in the code generator's walk of the syntax tree.  In `return e;` the
+// statement and the expression take two levels; each unary operator, and
+// each operand a left-associative chain adds, one more.
+TEST(VccErrors, NestingIsCapped) {
+  const int cap = vcc::kMaxNesting;
+  auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) {
+      out += s;
+    }
+    return out;
+  };
+  auto returning = [](const std::string& e) { return "int main() { return " + e + "; }"; };
+  auto expect_too_deep = [](const std::string& source) {
+    auto r = vcc::CompileToAsm(source);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().ToString().find("nest deeper"), std::string::npos)
+        << r.status().ToString();
+  };
+  EXPECT_EQ(RunProgram(returning(repeat("- ", cap - 3) + "7")), -7);  // an odd count
+  expect_too_deep(returning(repeat("- ", cap - 2) + "7"));
+  EXPECT_EQ(RunProgram(returning("1" + repeat(" + 1", cap - 3))), cap - 2);
+  expect_too_deep(returning("1" + repeat(" + 1", cap - 2)));
+  expect_too_deep(returning(repeat("(", 100000) + "1" + repeat(")", 100000)));
 }
 
 // Each malformed switch is rejected with the line of the offending label or

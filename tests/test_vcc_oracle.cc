@@ -2,7 +2,7 @@
 //
 // A seeded generator writes whole programs over the dialect: word and char
 // scalars, params, local and global arrays, pointer arithmetic, locals whose
-// address goes to a callee, nested loops with break/continue, &&/||/!/?:,
+// address goes to a callee, array indexes held in registers and in fp slots, nested loops with break/continue, &&/||/!/?:,
 // ++/--/op=, multi-argument calls, recursion, early returns from inside
 // loops, more live scalars than r4-r13 can hold, literals wider than 32
 // bits, and switches: dense case sets with holes (jump tables), sparse and
@@ -153,6 +153,12 @@ class ProgramGen {
     // below 4 inside their loops.
     if (loop_depth_ > 0 && n == 8 && Chance(30)) {
       return LoopVar(Pick(loop_depth_)) + " + " + std::to_string(Pick(4));
+    }
+    // So does main's k (0-4, never assigned), which lives in an fp slot: an
+    // index the optimizing build must not hold in a scratch register while
+    // a compound assignment's right side runs.
+    if (fn_ == Fn::kMain && n == 8 && Chance(20)) {
+      return "k + " + std::to_string(Pick(4));
     }
     return "(" + Expr(depth) + ") & " + std::to_string(n - 1);
   }
@@ -376,6 +382,17 @@ class ProgramGen {
           return Switch();
         }
         [[fallthrough]];
+      case 22:
+        if (fn_ == Fn::kMain) {
+          // Read-modify-write through the fp-slot index k, often with a char
+          // right side, which is an fp-slot load into a scratch register
+          // too: the element stored must be the element read.
+          static const std::vector<std::string> kOps = {"+=", "-=", "^=", "|="};
+          const auto& [arr, n] = PickOf(Arrays());
+          return in + arr + "[k + " + std::to_string(Pick(n - 4)) + "] " + PickOf(kOps) + " " +
+                 (Chance(50) ? PickOf(std::vector<std::string>{"c0", "c1"}) : Expr(2)) + ";\n";
+        }
+        [[fallthrough]];
       default:
         return in + Lvalue() + " = " + Expr(2) + ";\n";
     }
@@ -489,6 +506,7 @@ class ProgramGen {
     }
     s += "  char c0 = " + SmallLit() + ";\n  char c1 = " + SmallLit() + ";\n";
     s += "  int A[8];\n  char S[8];\n  int *p;\n  int i0 = 0;\n  int i1 = 0;\n  int i2 = 0;\n";
+    s += "  int k = " + std::to_string(Pick(5)) + ";\n  int *kp = &k;\n";  // &k: an fp slot
     s += "  for (i0 = 0; i0 < 8; i0++) {\n    A[i0] = i0 * " + SmallLit() + ";\n";
     s += "    S[i0] = i0 + " + SmallLit() + ";\n    G[i0] = " + SmallLit() +
          " - i0;\n    C[i0] = i0 * 3;\n  }\n";
