@@ -51,6 +51,9 @@
 namespace {
 
 constexpr const char* kRequest = "GET /static.html HTTP/1.0\r\n\r\n";
+// The lane sweep's one route: its connections share one admission key and
+// dispatch in submission order (no quota or breaker is configured).
+constexpr const char* kRoute = "/static.html";
 constexpr size_t kBodySize = 8192;
 
 struct SweepResult {
@@ -79,7 +82,7 @@ SweepResult RunSweep(wasp::Runtime* runtime, wasp::HostEnv* files, int lanes, in
   auto fn = [&]() -> double {
     wasp::ByteChannel channel;
     channel.host().WriteString(kRequest);
-    auto stats = server.SubmitConnection(channel, mode).get();
+    auto stats = server.SubmitConnection(channel, mode, kRoute, {}).get();
     if (!stats.ok() || stats->status != 200) {
       std::lock_guard<std::mutex> lock(mu);
       ++sweep.bad_responses;

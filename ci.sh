@@ -2,6 +2,7 @@
 # Tier-1 gate: configure + build + ctest in one command.
 #
 #   ./ci.sh             # normal mode (warnings allowed) + fig9/12/13/14/16/17/sec64 smokes
+#                       # and the HTTP server example
 #   STRICT=1 ./ci.sh    # -Werror: any warning fails the build
 #   TSAN=1 ./ci.sh      # ThreadSanitizer build; runs the threaded wasp/net tests
 #   ASAN=1 ./ci.sh      # Address+UBSanitizer build; runs the snapshot/memory tests
@@ -53,16 +54,18 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # residency accounting — and the compiler: vcc's parser, register
   # allocator and code generator, the vrt runtime library, and the codegen
   # differential oracle — and the HTTP guests driven directly through
-  # HandleConnection (pipelining, bodies, streamed files, exit counts) — and
-  # the admission policy (differential and property tests) — and both
+  # HandleConnection (pipelining, bodies, streamed files, exit counts) and
+  # through the executor-backed server's SubmitConnection (shedding, faults,
+  # drain-on-destruction) — and the admission policy (differential and
+  # property tests) — and both
   # managed guests (microjs engine, AES) through Invoke, whose restores write
   # each call's input into guest memory before the first vmrun.
   # Separate build dir: sanitizer objects don't mix.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   ASAN_TESTS=(test_snapshot_engine test_wasp test_wasp_concurrency test_governance
               test_cpu test_isa test_fault_injection test_recovery test_listener
-              test_net test_vcc test_vcc_deep test_vcc_oracle test_vrt test_admission
-              test_aes_js)
+              test_net test_http_server_concurrency test_vcc test_vcc_deep test_vcc_oracle
+              test_vrt test_admission test_aes_js)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
@@ -99,6 +102,10 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 # mismatch, or if HTTP keep-alive stops paying (snapshot-mode socket RPS at
 # 8 requests/connection must beat connection-per-request).
 (cd "$BUILD_DIR" && ./fig13_http_server --quick)
+# Seven-interaction smoke: the HTTP example serves three requests through
+# Figure 13's single-shot guest in all three modes; fails (non-zero) if any
+# serve returns an error.
+(cd "$BUILD_DIR" && ./example_http_server)
 # Managed-runtime smoke: the microjs engine (one jump-table dispatch per
 # bytecode) base64-encodes a 384 B payload in all four fig14 variants, with
 # and without teardown; fails (non-zero) if any output differs from
@@ -142,4 +149,4 @@ for t in "$BUILD_DIR"/test_*; do
   [[ -x "$t" ]] || continue
   cases=$((cases + $(count_gtests "$t")))
 done
-echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 7 bench smokes"
+echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 7 bench smokes, 1 example"

@@ -89,7 +89,13 @@ namespace {
 // RequestBytesNeeded so the two can never frame a stream differently.
 vbase::Status ParseHead(const std::string& data, HttpRequest* out, size_t* head_end_out,
                         uint64_t* want, bool* have_length) {
+  // The size limits come first, as in the guests: they see only the first
+  // kMaxHeadBytes of a head, so a longer one is a 413 even when malformed.
   const size_t head_end = data.find("\r\n\r\n");
+  if (head_end == std::string::npos ? data.size() >= kMaxHeadBytes
+                                    : head_end + 4 > kMaxHeadBytes) {
+    return vbase::OutOfRange("request head longer than kMaxHeadBytes");
+  }
   if (head_end == std::string::npos) {
     return vbase::FailedPrecondition("incomplete request head");
   }
@@ -155,6 +161,9 @@ vbase::Status ParseHead(const std::string& data, HttpRequest* out, size_t* head_
       *want = parsed;
     }
   }
+  if (*want > kMaxBodyBytes) {
+    return vbase::OutOfRange("declared body longer than kMaxBodyBytes");
+  }
   return vbase::Status::Ok();
 }
 
@@ -184,6 +193,10 @@ vbase::Result<size_t> RequestBytesNeeded(const std::string& data) {
   bool have_length = false;
   VB_RETURN_IF_ERROR(ParseHead(data, &req, &head_end, &want, &have_length));
   return head_end + 4 + want;
+}
+
+int RejectStatus(const vbase::Status& framing) {
+  return framing.code() == vbase::Code::kOutOfRange ? 413 : 400;
 }
 
 vbase::Result<HttpRequest> ParseRequest(const std::string& data) {

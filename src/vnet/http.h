@@ -42,10 +42,21 @@ struct FramedRequest {
   size_t consumed = 0;
 };
 
+// The request limits every framer applies: the listener edge, the native
+// handler (both through the functions below) and both guest handlers.
+// kMaxHeadBytes is the guests' receive window: a head longer than it,
+// CRLFCRLF included, is answered 413 whether or not its terminator has
+// arrived.  A declared body longer than kMaxBodyBytes is answered 413 before
+// a byte of it is read (the guests drain bodies in bounded chunks instead,
+// so over a socket the edge enforces this one for every mode).
+inline constexpr size_t kMaxHeadBytes = 2047;
+inline constexpr size_t kMaxBodyBytes = size_t{1} << 20;
+
 // Frames exactly one request off the front of `data`.  Returns
 // kFailedPrecondition("incomplete ...") when more bytes are needed — callers
-// accumulate and retry — and kInvalidArgument for malformed or
-// smuggling-shaped input (the connection should answer 400 and close).
+// accumulate and retry — kOutOfRange past a limit above, and
+// kInvalidArgument for malformed or smuggling-shaped input.  On either of the
+// last two the connection answers RejectStatus and closes.
 vbase::Result<FramedRequest> FrameRequest(const std::string& data);
 
 // Parses a complete request (head + optional Content-Length body) from a
@@ -54,11 +65,14 @@ vbase::Result<FramedRequest> FrameRequest(const std::string& data);
 vbase::Result<HttpRequest> ParseRequest(const std::string& data);
 
 // Total byte length (head + declared body) of the first request in `data`,
-// available as soon as the head is complete — lets a front end enforce its
-// body cap before a single body byte has been read.  kFailedPrecondition
-// while the head is still incomplete; kInvalidArgument on a malformed head
-// or smuggling-shaped framing headers.
+// available as soon as the head is complete.  kFailedPrecondition while the
+// head is still incomplete, and kOutOfRange / kInvalidArgument as
+// FrameRequest.
 vbase::Result<size_t> RequestBytesNeeded(const std::string& data);
+
+// The status that answers a request the framers refused: 413 past a limit,
+// 400 otherwise.
+int RejectStatus(const vbase::Status& framing);
 
 // Keep-alive decision for a parsed request: HTTP/1.1 defaults to persistent
 // unless "Connection: close"; HTTP/1.0 is persistent only with an explicit

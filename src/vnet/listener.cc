@@ -23,6 +23,8 @@ constexpr int kMaxEpollEvents = 64;
 // Per-readable-event read budget: level-triggered epoll re-arms anything
 // left, so a firehose connection cannot starve its neighbors.
 constexpr int kReadsPerEvent = 16;
+// Socket read window: the unit of incremental forwarding, not a cap.
+constexpr size_t kReadChunk = 4096;
 
 }  // namespace
 
@@ -221,11 +223,11 @@ void Listener::ConnReadable(Conn* conn) {
     return;
   }
   const int fd = conn->fd;
-  std::vector<char> buf(options_.read_chunk);
+  char buf[kReadChunk];
   for (int round = 0; round < kReadsPerEvent; ++round) {
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n > 0) {
-      conn->inbuf.append(buf.data(), static_cast<size_t>(n));
+      conn->inbuf.append(buf, static_cast<size_t>(n));
       conn->last_activity_ms = NowMs();
       ProcessInbuf(conn);
       if (conns_.count(fd) == 0 || conn->closing) {
@@ -279,29 +281,16 @@ void Listener::ProcessInbuf(Conn* conn) {
     }
     auto need = RequestBytesNeeded(conn->inbuf);
     if (!need.ok()) {
-      if (need.status().code() == vbase::Code::kInvalidArgument) {
-        EdgeReject(conn, 400);  // malformed or smuggling-shaped head
-        return;
+      if (need.status().code() != vbase::Code::kFailedPrecondition) {
+        // A head past kMaxHeadBytes, terminated or not, or a declared body
+        // past kMaxBodyBytes (413, never read); a malformed or
+        // smuggling-shaped head (400).
+        EdgeReject(conn, RejectStatus(need.status()));
       }
-      if (conn->inbuf.size() >= copts.max_head_bytes) {
-        EdgeReject(conn, 413);  // head did not terminate within the cap
-        return;
-      }
-      return;  // incomplete head: wait for more bytes
+      return;  // or an incomplete head: wait for more bytes
     }
-    if (*need > copts.max_head_bytes + copts.max_body_bytes) {
-      EdgeReject(conn, 413);  // declared body beyond the cap: never read it
-      return;
-    }
-    // The head terminated, but may still exceed the head cap (a fast sender
-    // can land the whole oversized head in one read).
-    const size_t head_bytes = conn->inbuf.find("\r\n\r\n") + 4;
-    if (head_bytes > copts.max_head_bytes) {
-      EdgeReject(conn, 413);
-      return;
-    }
-    // A complete, validated head within the caps: dispatch the connection on
-    // its first request (lazy — slow clients hold no lane) and start
+    // A complete, validated head within the limits: dispatch the connection
+    // on its first request (lazy — slow clients hold no lane) and start
     // forwarding this request's exact byte count.
     EnsureSubmitted(conn);
     conn->forward_remaining = *need;

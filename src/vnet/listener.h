@@ -6,14 +6,14 @@
 // Division of labor:
 //
 // * The listener is the trust boundary at the edge.  It frames the byte
-//   stream with the host parser (RequestBytesNeeded), so oversized heads
-//   (413), declared bodies beyond the cap (413), malformed or
-//   smuggling-shaped requests (400), and streams that end mid-request (400)
-//   are answered at the edge — in EVERY serve mode, before a single byte
-//   reaches a lane.  Only validated, correctly framed request bytes are
-//   forwarded into the connection's ByteChannel (bodies stream through in
-//   bounded chunks as they arrive; nothing buffers a whole request beyond
-//   the configured caps).
+//   stream with the host parser (RequestBytesNeeded), so heads longer than
+//   kMaxHeadBytes (413), declared bodies longer than kMaxBodyBytes (413),
+//   malformed or smuggling-shaped requests (400), and streams that end
+//   mid-request (400) are answered at the edge — in EVERY serve mode, before
+//   a single byte reaches a lane.  Only validated, correctly framed request
+//   bytes are forwarded into the connection's ByteChannel (bodies stream
+//   through in bounded chunks as they arrive; nothing buffers a whole
+//   request beyond those limits).
 //
 // * The server job serves the whole connection: with keep-alive enabled one
 //   SubmitConnection dispatch (= one acquired, snapshot-affine shell in the
@@ -58,10 +58,8 @@ struct ListenerOptions {
   // Route key for SubmitConnection (per-route quotas / key classes apply).
   std::string route = "listener";
   // Per-connection serving policy forwarded to the server; the listener
-  // additionally enforces max_head_bytes / max_body_bytes at the edge.
+  // enforces max_requests, and kMaxHeadBytes / kMaxBodyBytes, at the edge.
   ConnectionOptions connection = MakeKeepAliveDefaults();
-  // Socket read window (the unit of incremental forwarding, not a cap).
-  size_t read_chunk = 4096;
   // A connection with no inbound progress for this long is reclaimed: 408 if
   // a request is half-sent, silent close at a clean request boundary.
   // <= 0 disables the idle timeout.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <sstream>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -13,16 +14,16 @@
 namespace vnet {
 namespace {
 
-// Snapshot key of the static-file handler: HandleVirtine keys its
-// VirtineSpec with it, and snapshot-mode connection jobs carry it as the
-// executor's keyed-dequeue affinity hint, so a lane keeps serving the shell
-// whose snapshot it just parked.
+// Snapshot keys of the two guest handlers: they boot different binaries, so
+// they must never share a snapshot generation.
 constexpr const char* kStaticHandlerKey = "http-static-handler";
-// Separate snapshot key for the keep-alive handler image: the two guests
-// boot different binaries, so they must never share a snapshot generation.
 constexpr const char* kKeepAliveHandlerKey = "http-keepalive-handler";
 
-// Executor key of a routed connection: its quota, class and breaker unit.
+// The native handler's unit of incremental I/O: channel reads and response
+// body chunks (not a size cap).
+constexpr size_t kReadChunk = 2048;
+
+// Executor key of a connection: its route's quota, class and breaker unit.
 std::string RouteKey(const std::string& route) { return "route:" + route; }
 
 }  // namespace
@@ -51,118 +52,10 @@ int main() {
 
 namespace {
 
-// Request-head helpers shared by the single-shot and keep-alive guests
-// (scans are bounded to the header block, so body bytes can never satisfy a
-// header rule).
+// The request-head rules both guests share (scans are bounded to the header
+// block, so body bytes can never satisfy a header rule).
 std::string HandlerHelpersSource() {
   return R"vc(
-int vn_headers_end(char *req, int n) {
-  int i;
-  i = 0;
-  while (i + 3 < n) {
-    if (req[i] == 13 && req[i + 1] == 10 && req[i + 2] == 13 && req[i + 3] == 10) {
-      return i;
-    }
-    i = i + 1;
-  }
-  return -1;
-}
-
-int vn_version_start(char *req, int he) {
-  int i;
-  int t;
-  i = 0;
-  t = 0;
-  while (i < he && req[i] != 13) {
-    while (i < he && (req[i] == ' ' || req[i] == 9)) {
-      i = i + 1;
-    }
-    if (i >= he || req[i] == 13) {
-      return -1;
-    }
-    if (t == 2) {
-      return i;
-    }
-    while (i < he && req[i] != ' ' && req[i] != 9 && req[i] != 13) {
-      i = i + 1;
-    }
-    t = t + 1;
-  }
-  return -1;
-}
-
-int vn_head_valid(char *req, int he) {
-  int i;
-  int vs;
-  int has_colon;
-  vs = vn_version_start(req, he);
-  if (vs < 0 || vs + 4 >= he) {
-    return 0;
-  }
-  if (!(req[vs] == 'H' && req[vs + 1] == 'T' && req[vs + 2] == 'T' && req[vs + 3] == 'P' &&
-        req[vs + 4] == '/')) {
-    return 0;
-  }
-  i = vs;
-  while (i < he && req[i] != 13) {
-    i = i + 1;
-  }
-  while (i < he) {
-    if (req[i] == 10) {
-      has_colon = 0;
-      i = i + 1;
-      while (i < he && req[i] != 13) {
-        if (req[i] == ':') {
-          has_colon = 1;
-        }
-        i = i + 1;
-      }
-      if (!has_colon) {
-        return 0;
-      }
-    } else {
-      i = i + 1;
-    }
-  }
-  return 1;
-}
-
-int vn_is_http11(char *req, int he) {
-  int vs;
-  vs = vn_version_start(req, he);
-  if (vs < 0 || vs + 8 > he) {
-    return 0;
-  }
-  if (req[vs] == 'H' && req[vs + 1] == 'T' && req[vs + 2] == 'T' && req[vs + 3] == 'P' &&
-      req[vs + 4] == '/' && req[vs + 5] == '1' && req[vs + 6] == '.' && req[vs + 7] == '1' &&
-      (req[vs + 8] == 13 || req[vs + 8] == ' ' || req[vs + 8] == 9)) {
-    return 1;
-  }
-  return 0;
-}
-
-int vn_has_host(char *req, int he) {
-  int i;
-  int j;
-  i = 0;
-  while (i + 5 < he) {
-    if (req[i] == 10) {
-      if ((req[i + 1] == 'H' || req[i + 1] == 'h') && (req[i + 2] == 'o' || req[i + 2] == 'O') &&
-          (req[i + 3] == 's' || req[i + 3] == 'S') && (req[i + 4] == 't' || req[i + 4] == 'T')) {
-        j = i + 5;
-        while (j < he && (req[j] == ' ' || req[j] == 9)) {
-          j = j + 1;
-        }
-        if (j < he && req[j] == ':') {
-          return 1;
-        }
-      }
-    }
-    i = i + 1;
-  }
-  return 0;
-}
-
 int parse_path(char *req, char *path) {
   int i;
   int j;
@@ -186,121 +79,7 @@ int parse_path(char *req, char *path) {
   }
   return j;
 }
-)vc";
-}
 
-}  // namespace
-
-std::string StaticHandlerSource() {
-  // Exactly the paper's seven host interactions (Section 6.3):
-  // (1) recv request, (2) stat file, (3) open, (4) read, (5) send response,
-  // (6) close, (7) exit.  Structural request validation (complete header
-  // block, an HTTP/ version token, a colon in every header line, Host on
-  // HTTP/1.1) runs inside the guest before any file interaction: a
-  // malformed request costs three hypercalls (recv, send 400, exit) and
-  // never touches the sandboxed filesystem.
-  return HandlerHelpersSource() + R"vc(
-int main() {
-  char req[2048];
-  char path[256];
-  char hdr[320];
-  char num[24];
-  char *body;
-  char *resp;
-  int n;
-  int sz;
-  int fd;
-  int m;
-  int hl;
-  int he;
-  n = recv(req, 2047);                                   // (1)
-  if (n <= 0) {
-    exit(1);
-    return 1;
-  }
-  req[n] = 0;
-  he = vn_headers_end(req, n);
-  if (he < 0) {
-    if (n >= 2047) {
-      send("HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n", 53);
-      exit(3);
-      return 3;
-    }
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    exit(1);
-    return 1;
-  }
-  if (!vn_head_valid(req, he)) {
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    exit(1);
-    return 1;
-  }
-  if (vn_is_http11(req, he) && !vn_has_host(req, he)) {
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    exit(1);
-    return 1;
-  }
-  if (parse_path(req, path) < 0) {
-    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
-    exit(1);
-    return 1;
-  }
-  sz = stat_size(path);                                  // (2)
-  if (sz < 0) {
-    send("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n", 45);
-    exit(2);
-    return 2;
-  }
-  fd = open(path);                                       // (3)
-  body = malloc(sz + 16);
-  m = read(fd, body, sz);                                // (4)
-  strcpy(hdr, "HTTP/1.1 200 OK\r\nContent-Length: ");
-  itoa(num, m);
-  strcat(hdr, num);
-  strcat(hdr, "\r\n\r\n");
-  hl = strlen(hdr);
-  resp = malloc(hl + m + 16);
-  memcpy(resp, hdr, hl);
-  memcpy(resp + hl, body, m);
-  send(resp, hl + m);                                    // (5)
-  close(fd);                                             // (6)
-  exit(0);                                               // (7)
-  return 0;
-}
-)vc";
-}
-
-std::string KeepAliveHandlerSource() {
-  // The persistent-connection static-file guest: one invocation serves every
-  // request of its connection, so the shell acquire + snapshot restore is
-  // paid once per connection instead of once per request.  Each iteration
-  // frames one request off the channel (growable within the 2 KB head
-  // window — a head that does not terminate inside it is answered 413, not
-  // truncated), drains any Content-Length body through the channel in
-  // bounded chunks (bodies are not capped by the head window), serves the
-  // file, and honors Connection: close / keep-alive.  Exit reports
-  // [requests, 2xx, 4xx, clean] via return_data so the host can account
-  // per-request statuses without parsing the byte stream.  Framing trust:
-  // the host front end (listener or native parser) rejects smuggling-shaped
-  // heads before forwarding, so this guest keeps the simple first-match
-  // Content-Length scan.
-  //
-  // Hypercall exits are the per-request currency keep-alive amortizes
-  // against, so a kept-alive GET costs two: readfile (size and bytes in one
-  // exit), and the send_recv that sends its response and receives the next
-  // request.  Each response is built whole and held pending in the
-  // send_recv message; whatever happens next flushes it first — the next
-  // receive (request bytes or a body drain), a plain send when the next
-  // head is already buffered, or the exit.  So responses leave in request
-  // order, and every request is served with nothing pending.  N requests on
-  // a file that fits the window cost 2N+3 exits: the first receive, N
-  // readfiles, N flushes (the last may be a send_recv that sees EOF),
-  // return_data and exit.  Interpreted guest cycles are the other
-  // per-request cost: the head is parsed in ONE pass (validity, version,
-  // Host, Content-Length, Connection), the terminator search resumes where
-  // the previous receive left off, and the 200 head is cached across the
-  // connection's requests (rebuilt only when the file size changes).
-  return HandlerHelpersSource() + R"vc(
 int vn_lc(int c) {
   if (c >= 'A' && c <= 'Z') {
     return c + 32;
@@ -308,8 +87,9 @@ int vn_lc(int c) {
   return c;
 }
 
-// vn_headers_end, resumable: scans [from, n) for CRLFCRLF (the caller backs
-// `from` up 3 bytes so a terminator split across recvs is still found).
+// Scans [from, n) for CRLFCRLF and returns its offset, -1 if absent (the
+// keep-alive guest resumes a scan 3 bytes before the last receive's end, so
+// a terminator split across receives is still found).
 int vn_headers_end_from(char *req, int from, int n) {
   int i;
   i = from;
@@ -332,6 +112,8 @@ int vn_headers_end_from(char *req, int from, int n) {
 //   out[3] = Content-Length value (first match; the host edge rejects
 //            conflicting duplicates before forwarding)
 //   out[4] = Connection: 0 close, 1 keep-alive, 2 absent (last header wins)
+// Header names match case-insensitively, and spaces or tabs between a name
+// and its colon are trimmed, as the host parser does.
 // Returns out[0].
 int vn_parse_head(char *req, int he, int *out) {
   int i;
@@ -400,6 +182,13 @@ int vn_parse_head(char *req, int he, int *out) {
       return 0;
     }
     nl = colon - ls;
+    // Space and tab sort below every name byte, so one load and compare of
+    // the byte before the colon clears an ordinary line before the trim.
+    if (req[colon - 1] <= ' ') {
+      while (nl > 0 && (req[ls + nl - 1] == ' ' || req[ls + nl - 1] == 9)) {
+        nl = nl - 1;
+      }
+    }
     if (nl == 4 && vn_lc(req[ls]) == 'h' && vn_lc(req[ls + 1]) == 'o' &&
         vn_lc(req[ls + 2]) == 's' && vn_lc(req[ls + 3]) == 't') {
       out[2] = 1;
@@ -453,7 +242,110 @@ int vn_parse_head(char *req, int he, int *out) {
   out[0] = 1;
   return 1;
 }
+)vc";
+}
 
+}  // namespace
+
+std::string StaticHandlerSource() {
+  // Exactly the paper's seven host interactions (Section 6.3):
+  // (1) recv request, (2) stat file, (3) open, (4) read, (5) send response,
+  // (6) close, (7) exit.  Request validation (a complete header block
+  // within kMaxHeadBytes, then vn_parse_head's rules and Host on HTTP/1.1)
+  // runs inside the guest before any file interaction: a malformed request
+  // costs three hypercalls (recv, send 400, exit) and never touches the
+  // sandboxed filesystem.
+  std::ostringstream os;
+  os << HandlerHelpersSource() << R"vc(
+int main() {
+  char req[)vc" << kMaxHeadBytes + 1 << R"vc(];
+  char path[256];
+  char hdr[320];
+  char num[24];
+  int ph[5];
+  char *body;
+  char *resp;
+  int n;
+  int sz;
+  int fd;
+  int m;
+  int hl;
+  int he;
+  n = recv(req, )vc" << kMaxHeadBytes << R"vc();                                   // (1)
+  if (n <= 0) {
+    exit(1);
+    return 1;
+  }
+  req[n] = 0;
+  he = vn_headers_end_from(req, 0, n);
+  if (he < 0 && n >= )vc" << kMaxHeadBytes << R"vc() {
+    send("HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n", 53);
+    exit(3);
+    return 3;
+  }
+  if (he < 0 || !vn_parse_head(req, he, ph) || (ph[1] && !ph[2]) || parse_path(req, path) < 0) {
+    send("HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47);
+    exit(1);
+    return 1;
+  }
+  sz = stat_size(path);                                  // (2)
+  if (sz < 0) {
+    send("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n", 45);
+    exit(2);
+    return 2;
+  }
+  fd = open(path);                                       // (3)
+  body = malloc(sz + 16);
+  m = read(fd, body, sz);                                // (4)
+  strcpy(hdr, "HTTP/1.1 200 OK\r\nContent-Length: ");
+  itoa(num, m);
+  strcat(hdr, num);
+  strcat(hdr, "\r\n\r\n");
+  hl = strlen(hdr);
+  resp = malloc(hl + m + 16);
+  memcpy(resp, hdr, hl);
+  memcpy(resp + hl, body, m);
+  send(resp, hl + m);                                    // (5)
+  close(fd);                                             // (6)
+  exit(0);                                               // (7)
+  return 0;
+}
+)vc";
+  return os.str();
+}
+
+std::string KeepAliveHandlerSource() {
+  // The persistent-connection static-file guest: one invocation serves every
+  // request of its connection, so the shell acquire + snapshot restore is
+  // paid once per connection instead of once per request.  Each iteration
+  // frames one request off the channel (growable within the kMaxHeadBytes
+  // head window — a head that does not terminate inside it is answered 413,
+  // not truncated), drains any Content-Length body through the channel in
+  // bounded chunks (bodies are not capped by the head window), serves the
+  // file, and honors Connection: close / keep-alive.  Exit reports
+  // [requests, 2xx, 4xx, clean] via return_data so the host can account
+  // per-request statuses without parsing the byte stream.  Framing trust:
+  // the host front end (listener or native parser) rejects smuggling-shaped
+  // heads before forwarding, so this guest keeps the simple first-match
+  // Content-Length scan.
+  //
+  // Hypercall exits are the per-request currency keep-alive amortizes
+  // against, so a kept-alive GET costs two: readfile (size and bytes in one
+  // exit), and the send_recv that sends its response and receives the next
+  // request.  Each response is built whole and held pending in the
+  // send_recv message; whatever happens next flushes it first — the next
+  // receive (request bytes or a body drain), a plain send when the next
+  // head is already buffered, or the exit.  So responses leave in request
+  // order, and every request is served with nothing pending.  N requests on
+  // a file that fits the window cost 2N+3 exits: the first receive, N
+  // readfiles, N flushes (the last may be a send_recv that sees EOF),
+  // return_data and exit.  Interpreted guest cycles are the other
+  // per-request cost: the head is parsed in ONE pass (validity, version,
+  // Host, Content-Length, Connection), the terminator search resumes where
+  // the previous receive left off, and the 200 head is cached across the
+  // connection's requests (rebuilt only when the file size changes).
+  std::ostringstream os;
+  os << HandlerHelpersSource() << R"vc(
 // Writes "HTTP/1.1 200 OK\r\nContent-Length: <sz>\r\n\r\n" so that it ends
 // just before `end`; returns its length.
 int vn_head200(char *end, int sz) {
@@ -532,7 +424,7 @@ int vn_finish(int *io, int *stats, int code) {
 }
 
 int main() {
-  char req[2048];
+  char req[)vc" << kMaxHeadBytes + 1 << R"vc(];
   char resp[4160];
   int ph[5];
   int stats[4];
@@ -562,7 +454,7 @@ int main() {
       io[1] = 0;
     }
     while (he < 0) {
-      if (n >= 2047) {
+      if (n >= )vc" << kMaxHeadBytes << R"vc() {
         io[0] = "HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n";
         io[1] = 53;
         stats[0] = stats[0] + 1;
@@ -570,7 +462,7 @@ int main() {
         return vn_finish(io, stats, 3);
       }
       io[2] = req + n;
-      io[3] = 2047 - n;
+      io[3] = )vc" << kMaxHeadBytes << R"vc( - n;
       m = send_recv(io);
       io[1] = 0;
       if (m <= 0) {
@@ -610,8 +502,8 @@ int main() {
     while (rem > 0) {
       io[2] = req;
       io[3] = rem;
-      if (rem > 2047) {
-        io[3] = 2047;
+      if (rem > )vc" << kMaxHeadBytes << R"vc() {
+        io[3] = )vc" << kMaxHeadBytes << R"vc(;
       }
       m = send_recv(io);
       io[1] = 0;
@@ -640,6 +532,7 @@ int main() {
   return 0;
 }
 )vc";
+  return os.str();
 }
 
 const char* ServeModeName(ServeMode mode) {
@@ -686,7 +579,7 @@ vbase::Result<ServeStats> StaticHttpServer::HandleNative(wasp::ByteChannel& chan
   vbase::WallTimer timer;
   ServeStats stats;
   std::string inbuf;
-  std::vector<char> window(std::max<size_t>(conn.read_chunk, 256));
+  char window[kReadChunk];
   const auto count = [&stats](int status) {
     stats.status = status;
     ++stats.requests;
@@ -705,45 +598,26 @@ vbase::Result<ServeStats> StaticHttpServer::HandleNative(wasp::ByteChannel& chan
   };
   bool closing = false;
   while (!closing) {
-    // Frame exactly one request with a growable, bounded read loop
-    // (replaces the old fixed 2 KB window): accumulate until the head is
-    // complete and the declared body has arrived, 413 when either exceeds
-    // its cap, 400 on malformed or smuggling-shaped input or a stream that
-    // ends mid-request.
+    // Frame exactly one request with a growable read loop: accumulate until
+    // the head is complete and the declared body has arrived.  The framer
+    // refuses a request past a limit (413) or malformed or smuggling-shaped
+    // (400) as soon as the head shows it; a stream that ends mid-request is
+    // a 400 too.
     FramedRequest framed;
     bool have_request = false;
     while (!have_request && !closing) {
-      auto need = RequestBytesNeeded(inbuf);
-      if (need.ok()) {
-        // max_body_bytes caps the declared body; the head is already inside
-        // max_head_bytes, so the total is the cheap place to enforce it.
-        if (*need > conn.max_head_bytes + conn.max_body_bytes) {
-          respond(413);
-          closing = true;
-          break;
-        }
-        if (inbuf.size() >= *need) {
-          auto f = FrameRequest(inbuf);
-          if (!f.ok()) {
-            respond(400);
-            closing = true;
-            break;
-          }
-          framed = std::move(*f);
-          have_request = true;
-          break;
-        }
-      } else if (need.status().code() == vbase::Code::kInvalidArgument) {
-        respond(400);
-        closing = true;
+      auto f = FrameRequest(inbuf);
+      if (f.ok()) {
+        framed = std::move(*f);
+        have_request = true;
         break;
-      } else if (inbuf.size() >= conn.max_head_bytes) {
-        // Head still unterminated at the cap: reject rather than truncate.
-        respond(413);
+      }
+      if (f.status().code() != vbase::Code::kFailedPrecondition) {
+        respond(RejectStatus(f.status()));
         closing = true;
         break;
       }
-      const uint64_t n = channel.guest().Read(window.data(), window.size());
+      const uint64_t n = channel.guest().Read(window, sizeof(window));
       if (n == 0) {
         // Peer closed its write end.  Mid-request bytes mean a truncated
         // request (400); a clean boundary just ends the connection.
@@ -753,7 +627,7 @@ vbase::Result<ServeStats> StaticHttpServer::HandleNative(wasp::ByteChannel& chan
         closing = true;
         break;
       }
-      inbuf.append(window.data(), static_cast<size_t>(n));
+      inbuf.append(window, static_cast<size_t>(n));
     }
     if (!have_request) {
       break;
@@ -776,8 +650,8 @@ vbase::Result<ServeStats> StaticHttpServer::HandleNative(wasp::ByteChannel& chan
       // (the unit of incremental I/O — the channel itself is unbounded).
       channel.guest().WriteString("HTTP/1.1 200 OK\r\nContent-Length: " +
                                   std::to_string(content->size()) + "\r\n\r\n");
-      for (size_t off = 0; off < content->size(); off += window.size()) {
-        const size_t len = std::min(window.size(), content->size() - off);
+      for (size_t off = 0; off < content->size(); off += kReadChunk) {
+        const size_t len = std::min(kReadChunk, content->size() - off);
         channel.guest().Write(content->data() + off, len);
       }
       count(200);
@@ -889,125 +763,88 @@ ConcurrentHttpServer::ConcurrentHttpServer(wasp::Runtime* runtime, wasp::HostEnv
       }()) {}
 
 std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
-    wasp::ByteChannel& channel, ServeMode mode) {
-  // Unrouted path: latency class, and the only key is the snapshot-affinity
-  // hint — which means every snapshot-mode connection shares one key, so a
-  // configured key_quota caps them as a single pool (and sheds 429).  Front
-  // ends that want per-tenant quotas use the routed overload below.
-  std::string key =
-      mode == ServeMode::kVirtineSnapshot ? std::string(kStaticHandlerKey) : std::string();
-  return Dispatch(channel, mode, std::move(key), wasp::KeyClass::kLatency,
-                  options_.connection);
-}
-
-std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
-    wasp::ByteChannel& channel, ServeMode mode, const std::string& route) {
-  auto it = options_.route_classes.find(route);
-  const wasp::KeyClass klass =
-      it != options_.route_classes.end() ? it->second : wasp::KeyClass::kLatency;
-  // The route is the governance key: quota accounting and the affinity scan
-  // both group by it.  Note the trade: every snapshot-mode connection still
-  // restores the one static-handler snapshot, so distinct route keys give
-  // up some cross-route affinity-scan locality in exchange for per-route
-  // quota isolation.
-  return Dispatch(channel, mode, RouteKey(route), klass, options_.connection);
-}
-
-std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::SubmitConnection(
     wasp::ByteChannel& channel, ServeMode mode, const std::string& route,
     const ConnectionOptions& conn) {
   auto it = options_.route_classes.find(route);
   const wasp::KeyClass klass =
       it != options_.route_classes.end() ? it->second : wasp::KeyClass::kLatency;
-  return Dispatch(channel, mode, RouteKey(route), klass, conn);
-}
-
-std::future<vbase::Result<ServeStats>> ConcurrentHttpServer::Dispatch(
-    wasp::ByteChannel& channel, ServeMode mode, std::string key, wasp::KeyClass klass,
-    const ConnectionOptions& conn) {
-  AtomicCounters& ctr = counters_[static_cast<size_t>(mode)];
+  ServerCounters& ctr = counters_[static_cast<size_t>(mode)];
   auto done = std::make_shared<std::promise<vbase::Result<ServeStats>>>();
   std::future<vbase::Result<ServeStats>> resolved = done->get_future();
   wasp::Admission admission = wasp::Admission::kAccepted;
+  // The route is the governance key: quota accounting, the breaker and the
+  // affinity scan all group by it.
   const bool accepted = executor_.TrySubmitTask(
       [this, &channel, mode, conn, done, &ctr]() -> wasp::RunOutcome {
         vbase::Result<ServeStats> stats = inner_.HandleConnection(channel, mode, conn);
         wasp::RunOutcome outcome;
-        if (stats.ok()) {
-          // Per-request accounting: a keep-alive connection contributes one
-          // counter tick per request it served, not one per connection, so
-          // RPS math over counters stays mode-comparable.
-          ctr.requests.fetch_add(stats->requests, std::memory_order_relaxed);
-          if (stats->requests > 1) {
-            ctr.keepalive_reused.fetch_add(stats->requests - 1, std::memory_order_relaxed);
+        {
+          std::lock_guard<std::mutex> lock(counters_mu_);
+          if (stats.ok()) {
+            // Per-request accounting: a keep-alive connection contributes one
+            // counter tick per request it served, not one per connection, so
+            // RPS math over counters stays mode-comparable.
+            ctr.requests += stats->requests;
+            if (stats->requests > 1) {
+              ctr.keepalive_reused += stats->requests - 1;
+            }
+            ctr.status_2xx += stats->r2xx;
+            ctr.status_4xx += stats->r4xx;
+            ctr.status_5xx += stats->r5xx;
+            if (stats->fault != wasp::FaultKind::kNone) {
+              // Propagate the fault on the task's outcome so the executor
+              // classifies this job as faulted (and still releases the
+              // route's quota slot — a fault storm must not wedge its key).
+              ++ctr.faulted;
+              outcome.fault = stats->fault;
+            }
+            ctr.modeled_cycles += stats->modeled_cycles;
+            ctr.io_exits += stats->io_exits;
+          } else {
+            ++ctr.errors;
           }
-          ctr.status_2xx.fetch_add(stats->r2xx, std::memory_order_relaxed);
-          ctr.status_4xx.fetch_add(stats->r4xx, std::memory_order_relaxed);
-          ctr.status_5xx.fetch_add(stats->r5xx, std::memory_order_relaxed);
-          if (stats->fault != wasp::FaultKind::kNone) {
-            // Propagate the fault on the task's outcome so the executor
-            // classifies this job as faulted (and still releases the route's
-            // quota slot — a fault storm must not wedge its key).
-            ctr.faulted.fetch_add(1, std::memory_order_relaxed);
-            outcome.fault = stats->fault;
-          }
-          ctr.modeled_cycles.fetch_add(stats->modeled_cycles, std::memory_order_relaxed);
-          ctr.io_exits.fetch_add(stats->io_exits, std::memory_order_relaxed);
-        } else {
-          ctr.errors.fetch_add(1, std::memory_order_relaxed);
+          ++ctr.completed;
         }
-        ctr.completed.fetch_add(1, std::memory_order_relaxed);
         done->set_value(std::move(stats));
         return outcome;
       },
-      /*future=*/nullptr, std::move(key), klass, &admission);
-  if (!accepted) {
-    // Load shedding: answer on the submitter's thread so the client sees a
-    // well-formed response instead of a silently dropped connection.  The
-    // status tells it what to do next: 429 = this route must back off (over
-    // its quota, or its circuit breaker is open — the server is fine);
-    // 503 = the whole server is overloaded.  A breaker shed adds Retry-After
-    // so a well-behaved client knows when to probe again.
-    int status = 503;
-    std::vector<std::pair<std::string, std::string>> headers;
+      /*future=*/nullptr, RouteKey(route), klass, &admission);
+  if (accepted) {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    ++ctr.accepted;
+    return resolved;
+  }
+  // Load shedding: answer on the submitter's thread so the client sees a
+  // well-formed response instead of a silently dropped connection.  The
+  // status tells it what to do next: 429 = this route must back off (over
+  // its quota, or its circuit breaker is open — the server is fine);
+  // 503 = the whole server is overloaded.  A breaker shed adds Retry-After
+  // so a well-behaved client knows when to probe again.
+  int status = 503;
+  std::vector<std::pair<std::string, std::string>> headers;
+  {
+    std::lock_guard<std::mutex> lock(counters_mu_);
     if (admission == wasp::Admission::kQuotaExceeded) {
       status = 429;
-      ctr.quota_rejected.fetch_add(1, std::memory_order_relaxed);
+      ++ctr.quota_rejected;
     } else if (admission == wasp::Admission::kCircuitOpen) {
       status = 429;
       headers.emplace_back("Retry-After", std::to_string(options_.recovery.retry_after_s));
-      ctr.breaker_rejected.fetch_add(1, std::memory_order_relaxed);
+      ++ctr.breaker_rejected;
     } else {
-      ctr.rejected.fetch_add(1, std::memory_order_relaxed);
+      ++ctr.rejected;
     }
-    channel.guest().WriteString(BuildResponse(status, "", headers));
-    ServeStats shed;
-    shed.status = status;
-    done->set_value(shed);
-    return resolved;
   }
-  ctr.accepted.fetch_add(1, std::memory_order_relaxed);
+  channel.guest().WriteString(BuildResponse(status, "", headers));
+  ServeStats shed;
+  shed.status = status;
+  done->set_value(shed);
   return resolved;
 }
 
 ServerCounters ConcurrentHttpServer::counters(ServeMode mode) const {
-  const AtomicCounters& ctr = counters_[static_cast<size_t>(mode)];
-  ServerCounters out;
-  out.accepted = ctr.accepted.load(std::memory_order_relaxed);
-  out.rejected = ctr.rejected.load(std::memory_order_relaxed);
-  out.quota_rejected = ctr.quota_rejected.load(std::memory_order_relaxed);
-  out.breaker_rejected = ctr.breaker_rejected.load(std::memory_order_relaxed);
-  out.completed = ctr.completed.load(std::memory_order_relaxed);
-  out.errors = ctr.errors.load(std::memory_order_relaxed);
-  out.faulted = ctr.faulted.load(std::memory_order_relaxed);
-  out.status_2xx = ctr.status_2xx.load(std::memory_order_relaxed);
-  out.status_4xx = ctr.status_4xx.load(std::memory_order_relaxed);
-  out.status_5xx = ctr.status_5xx.load(std::memory_order_relaxed);
-  out.requests = ctr.requests.load(std::memory_order_relaxed);
-  out.keepalive_reused = ctr.keepalive_reused.load(std::memory_order_relaxed);
-  out.modeled_cycles = ctr.modeled_cycles.load(std::memory_order_relaxed);
-  out.io_exits = ctr.io_exits.load(std::memory_order_relaxed);
-  return out;
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  return counters_[static_cast<size_t>(mode)];
 }
 
 }  // namespace vnet

@@ -6,6 +6,8 @@
 //   performs exactly the paper's seven host interactions per request:
 //   recv, stat, open, read, send, close, exit — and validates the request
 //   (complete header block, Host on HTTP/1.1) before touching any file.
+//   It parses the head with the same guest code as KeepAliveHandlerSource(),
+//   and both receive at most kMaxHeadBytes (http.h) of it.
 // * StaticHttpServer: serves one connection per request either natively
 //   (host C++ handler, the baseline) or in a fresh virtine (with or without
 //   snapshotting).
@@ -16,9 +18,9 @@
 //   first-class behavior.  This is the serving path Figure 13's lane sweep
 //   measures.
 //
-// Key-scoped governance (the routed SubmitConnection overload): the front
-// end maps each route onto a key class (latency-sensitive vs batch) and a
-// per-route admission key, so one hot route can neither monopolize the
+// Key-scoped governance: SubmitConnection takes the connection's route and
+// maps it onto a key class (latency-sensitive vs batch) and a per-route
+// admission key, so one hot route can neither monopolize the
 // executor queue (per-key quota -> HTTP 429, "this tenant backs off") nor
 // starve interactive routes behind its backlog (weighted class dequeue).
 // Global overload still sheds with 503 ("the server is full"), keeping the
@@ -26,10 +28,10 @@
 #ifndef SRC_VNET_SERVER_H_
 #define SRC_VNET_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
+#include <mutex>
 #include <string>
 
 #include "src/base/status.h"
@@ -62,13 +64,12 @@ enum class ServeMode {
 
 const char* ServeModeName(ServeMode mode);
 
-// Per-connection serving policy.  The default (keep_alive=false) preserves
-// the one-request-per-connection contract of the original benchmarks; the
-// listener front end turns keep-alive on so one acquired shell serves many
-// requests before release.
+// Per-connection serving policy.  The request size limits are not options:
+// every framer applies kMaxHeadBytes and kMaxBodyBytes (http.h).
 struct ConnectionOptions {
   // Serve requests in a loop until EOF, "Connection: close", or
-  // max_requests; off, exactly one request is served.
+  // max_requests, with the keep-alive guest in the virtine modes.  Off,
+  // exactly one request is served, by Figure 13's seven-interaction guest.
   bool keep_alive = false;
   // Keep-alive request cap per connection; 0 = unlimited.  Host-enforced:
   // the native loop stops serving at the cap, and the listener stops
@@ -76,25 +77,12 @@ struct ConnectionOptions {
   // virtine guest exits at that clean boundary.  (A direct HandleConnection
   // caller in a virtine mode enforces it by what it writes.)
   int max_requests = 64;
-  // A request head that has not terminated within this many bytes is
-  // answered 413 (matches the guest handler's receive window, so every
-  // ServeMode rejects the same oversized head).
-  size_t max_head_bytes = 2048;
-  // Native-mode Content-Length cap: a declared body beyond it is answered
-  // 413 before the bytes are read.  Virtine guests stream-and-discard
-  // bodies in bounded chunks instead, so the socket front end enforces this
-  // cap for every mode at the edge (ListenerOptions.max_body_bytes).
-  size_t max_body_bytes = 1ULL << 20;
-  // Bounded per-read window for the growable request read loop and for
-  // response-body streaming (replaces the old fixed 2 KB stack buffers as
-  // the unit of incremental I/O, not as a size cap).
-  size_t read_chunk = 2048;
 };
 
 struct ServeStats {
   int status = 0;               // HTTP status of the last request served
   // Per-connection request accounting (keep-alive serves many requests per
-  // connection; the legacy single-shot path reports requests == 1).
+  // connection; the single-shot path reports requests == 1).
   uint64_t requests = 0;
   uint64_t r2xx = 0;
   uint64_t r4xx = 0;
@@ -132,7 +120,6 @@ class StaticHttpServer {
                                              const ConnectionOptions& conn = {});
 
   const visa::Image& handler_image() const { return handler_image_; }
-  const visa::Image& keepalive_image() const { return keepalive_image_; }
 
  private:
   vbase::Result<ServeStats> HandleNative(wasp::ByteChannel& channel,
@@ -150,21 +137,16 @@ class StaticHttpServer {
 // (wasp::AdmissionOptions) plus the lanes, the full-queue policy and the
 // route table.  Admission maps onto HTTP: a quota or open-breaker shed is a
 // 429 (the breaker's carries Retry-After), a global-bound shed a 503.
-// Routed submissions are keyed per route, and key_quota_overrides names
-// routes.  Unrouted snapshot-mode submissions all share the handler's
-// affinity key and therefore one quota pool — leave key_quota 0 if that path
-// should only ever shed 503.
+// Submissions are keyed per route, and key_quota_overrides names routes.
+// Quotas and the breaker default to off, so connections on one route
+// dispatch in submission order.
 struct ConcurrentServerOptions : wasp::AdmissionOptions {
   int lanes = 4;  // executor workers serving connections
   // Full-queue policy: block the submitter until a lane frees (closed-loop
   // clients) or answer the connection with an immediate 503 (load shedding).
   bool block_when_full = true;
-  // Route -> scheduling class for routed submissions; unlisted routes are
-  // latency-sensitive.
+  // Route -> scheduling class; unlisted routes are latency-sensitive.
   std::map<std::string, wasp::KeyClass> route_classes;
-  // Default per-connection policy for SubmitConnection (overridable per
-  // submission); the listener passes its own.
-  ConnectionOptions connection = {};
 };
 
 // Monotone per-mode aggregates over everything a server instance served.
@@ -196,26 +178,18 @@ class ConcurrentHttpServer {
   ConcurrentHttpServer(wasp::Runtime* runtime, wasp::HostEnv* env,
                        ConcurrentServerOptions options = {});
 
-  // Dispatches one connection (request already written to `channel.host()`)
-  // through the executor; the future resolves with the connection's
-  // ServeStats once a lane has served it.  The caller keeps `channel` alive
-  // until the future resolves.  When bounded admission rejects the
-  // connection, a 503 response is written to the channel immediately and
-  // the returned future is already resolved with status 503.
-  std::future<vbase::Result<ServeStats>> SubmitConnection(wasp::ByteChannel& channel,
-                                                          ServeMode mode);
-
-  // Routed variant: `route` names the request's target as the front end
-  // knows it (the dispatch key — e.g. from the listener's vhost/path map).
-  // It selects the connection's key class (options().route_classes) and its
-  // admission key, so per-route quotas and class weighting apply.  A
-  // quota-shed connection is answered 429; global overload stays 503.
-  std::future<vbase::Result<ServeStats>> SubmitConnection(wasp::ByteChannel& channel,
-                                                          ServeMode mode,
-                                                          const std::string& route);
-
-  // Per-submission connection policy (the listener submits with its own
-  // keep-alive/caps); the overloads above use options().connection.
+  // Dispatches one connection (request already written to, or arriving on,
+  // `channel.host()`) through the executor, served in `mode` under `conn`;
+  // the future resolves with the connection's ServeStats once a lane has
+  // served it.  The caller keeps `channel` alive until the future resolves.
+  // `route` names the request's target as the front end knows it (e.g. from
+  // the listener's vhost/path map).  It selects the connection's key class
+  // (options().route_classes) and its admission key, so per-route quotas,
+  // breakers and class weighting apply.  When admission rejects the
+  // connection, the answer is written to the channel immediately and the
+  // returned future is already resolved with its status: 429 for a route
+  // over its quota or with an open breaker (with Retry-After), 503 for
+  // global overload.
   std::future<vbase::Result<ServeStats>> SubmitConnection(wasp::ByteChannel& channel,
                                                           ServeMode mode,
                                                           const std::string& route,
@@ -228,32 +202,12 @@ class ConcurrentHttpServer {
   int lanes() const { return static_cast<int>(executor_.workers()); }
 
  private:
-  // Shared dispatch path: `key` is the executor affinity/quota key, `klass`
-  // the scheduling class.
-  std::future<vbase::Result<ServeStats>> Dispatch(wasp::ByteChannel& channel, ServeMode mode,
-                                                  std::string key, wasp::KeyClass klass,
-                                                  const ConnectionOptions& conn);
-
-  struct AtomicCounters {
-    std::atomic<uint64_t> accepted{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> quota_rejected{0};
-    std::atomic<uint64_t> breaker_rejected{0};
-    std::atomic<uint64_t> completed{0};
-    std::atomic<uint64_t> errors{0};
-    std::atomic<uint64_t> faulted{0};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> keepalive_reused{0};
-    std::atomic<uint64_t> status_2xx{0};
-    std::atomic<uint64_t> status_4xx{0};
-    std::atomic<uint64_t> status_5xx{0};
-    std::atomic<uint64_t> modeled_cycles{0};
-    std::atomic<uint64_t> io_exits{0};
-  };
-
   ConcurrentServerOptions options_;
   StaticHttpServer inner_;
-  AtomicCounters counters_[3];  // indexed by ServeMode
+  // Indexed by ServeMode.  They change once per connection, so one lock
+  // keeps them off the per-request path.
+  mutable std::mutex counters_mu_;
+  ServerCounters counters_[3];
   // Declared last: its destructor drains queued connection jobs, which still
   // touch inner_ and counters_, so it must be destroyed first.
   wasp::Executor executor_;

@@ -10,13 +10,6 @@
 
 namespace wasp {
 
-Executor::Executor(Runtime* runtime, int workers)
-    : Executor(runtime, [workers] {
-        ExecutorOptions options;
-        options.workers = workers;
-        return options;
-      }()) {}
-
 Executor::Executor(Runtime* runtime, ExecutorOptions options)
     : runtime_(runtime), options_(std::move(options)), policy_(options_) {
   VB_CHECK(runtime_ != nullptr, "Executor requires a runtime");

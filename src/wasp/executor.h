@@ -6,7 +6,7 @@
 // adds concurrent entry points on top of Runtime::Invoke:
 //
 //   * Submit(spec) — enqueue one invocation on a fixed worker pool and get
-//     a std::future<RunOutcome> back (the Runtime::InvokeAsync path),
+//     a std::future<RunOutcome> back,
 //   * TrySubmit(spec, &future) — same, but subject to the configured
 //     bounded-admission policy (see ExecutorOptions below),
 //   * SubmitTask(fn) / TrySubmitTask(fn, &future) — enqueue an arbitrary
@@ -134,7 +134,6 @@ class Executor {
   // elsewhere may return a default outcome).
   using Task = std::function<RunOutcome()>;
 
-  Executor(Runtime* runtime, int workers);  // unbounded queue, blocking
   Executor(Runtime* runtime, ExecutorOptions options);
   ~Executor();  // drains the queue (all accepted futures resolve), then joins
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "src/base/clock.h"
 #include "src/base/log.h"
-#include "src/wasp/executor.h"
 
 namespace wasp {
 namespace {
@@ -82,10 +80,6 @@ vbase::Status AppendOutput(HypercallFrame& frame, uint64_t va, uint64_t len) {
 PoolOptions MakePoolOptions(const RuntimeOptions& options) {
   PoolOptions pool;
   pool.mode = options.clean_mode;
-  pool.shards = options.pool_shards;
-  pool.cleaners = options.pool_cleaners;
-  pool.lanes = options.pool_lanes;
-  pool.numa_nodes = options.pool_numa_nodes;
   pool.affine_budget_bytes = options.affine_budget_bytes;
   return pool;
 }
@@ -100,17 +94,6 @@ Runtime::Runtime(RuntimeOptions options)
 }
 
 Runtime::~Runtime() = default;
-
-std::future<RunOutcome> Runtime::InvokeAsync(VirtineSpec spec) {
-  std::call_once(executor_once_, [this] {
-    int workers = options_.async_workers;
-    if (workers <= 0) {
-      workers = static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
-    }
-    executor_ = std::make_unique<Executor>(this, workers);
-  });
-  return executor_->Submit(std::move(spec));
-}
 
 void Runtime::RetireSnapshot(const std::string& key) {
   SnapshotRef old = snapshots_.Take(key);

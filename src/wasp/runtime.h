@@ -23,10 +23,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -184,16 +182,6 @@ struct VirtineSpec {
 struct RuntimeOptions {
   CleanMode clean_mode = CleanMode::kSync;
   vkvm::VmConfig vm_defaults;
-  // Shell-pool scale-out knobs (defaults follow PoolOptions).
-  int pool_shards = PoolOptions{}.shards;
-  int pool_cleaners = PoolOptions{}.cleaners;
-  // Per-lane shell-cache slots (<= 0 auto-sizes to max(16, 2*shards)) and
-  // modeled NUMA nodes for the lane→shard→node placement map.
-  int pool_lanes = PoolOptions{}.lanes;
-  int pool_numa_nodes = PoolOptions{}.numa_nodes;
-  // Worker threads of the executor backing InvokeAsync (0 = pick from
-  // hardware concurrency).
-  int async_workers = 0;
   // Snapshot-affine shell reuse: release a snapshot-backed shell unzeroed
   // and delta-restore it on the next invocation of the same snapshot.  Off,
   // every warm restore pays the full image copy (the paper's simple
@@ -234,8 +222,6 @@ struct RecaptureOutcome {
   bool flattened = false;
 };
 
-class Executor;
-
 class Runtime {
  public:
   explicit Runtime(RuntimeOptions options = {});
@@ -248,12 +234,6 @@ class Runtime {
   // Thread-safe: concurrent Invokes share only the sharded pool and the
   // read-mostly snapshot store.
   RunOutcome Invoke(const VirtineSpec& spec);
-
-  // Enqueues one virtine on the runtime's executor (created lazily on first
-  // use) and returns a future for its outcome.  The spec's non-owning
-  // pointers (image, input, channel) must stay alive until the future
-  // resolves.
-  std::future<RunOutcome> InvokeAsync(VirtineSpec spec);
 
   // Retires `key`'s snapshot: drops it from the store and eagerly reclaims
   // every pool shell parked under its generation (cleaner crew in async
@@ -314,10 +294,6 @@ class Runtime {
   HostEnv env_;
   // Non-null iff options_.fault_plan has rules.
   std::unique_ptr<FaultInjector> injector_;
-  // Lazily constructed InvokeAsync worker pool; declared last so it joins
-  // (and drains in-flight invocations) before the pool it drives shuts down.
-  std::once_flag executor_once_;
-  std::unique_ptr<Executor> executor_;
 };
 
 }  // namespace wasp

@@ -22,6 +22,7 @@
 namespace {
 
 constexpr const char* kRequest = "GET /file.txt HTTP/1.0\r\n\r\n";
+constexpr const char* kRoute = "/file.txt";
 constexpr int kBodySize = 512;
 
 std::string DrainToString(wasp::ByteChannel& channel) {
@@ -54,7 +55,7 @@ TEST_P(ConcurrentServerModeTest, ClosedLoopServesEveryConnectionCorrectly) {
       for (int i = 0; i < kPerThread; ++i) {
         wasp::ByteChannel channel;
         channel.host().WriteString(kRequest);
-        auto stats = server.SubmitConnection(channel, GetParam()).get();
+        auto stats = server.SubmitConnection(channel, GetParam(), kRoute, {}).get();
         if (!stats.ok() || stats->status != 200) {
           wrong.fetch_add(1);
           continue;
@@ -92,7 +93,7 @@ TEST_P(ConcurrentServerModeTest, ClosedLoopServesEveryConnectionCorrectly) {
   // Counters are monotone: more traffic only ever grows them.
   wasp::ByteChannel channel;
   channel.host().WriteString(kRequest);
-  ASSERT_TRUE(server.SubmitConnection(channel, GetParam()).get().ok());
+  ASSERT_TRUE(server.SubmitConnection(channel, GetParam(), kRoute, {}).get().ok());
   const vnet::ServerCounters after = server.counters(GetParam());
   EXPECT_EQ(after.accepted, ctr.accepted + 1);
   EXPECT_EQ(after.completed, ctr.completed + 1);
@@ -116,7 +117,7 @@ TEST_P(ConcurrentServerModeTest, TraceReplayServesEveryArrival) {
       [&](size_t i) {
         channels[i].host().WriteString(kRequest);
         std::future<vbase::Result<vnet::ServeStats>> stats =
-            server.SubmitConnection(channels[i], GetParam());
+            server.SubmitConnection(channels[i], GetParam(), kRoute, {});
         // Adapt the ServeStats future to the loadgen's service-latency
         // currency on a deferred thread so the replay loop never blocks.
         return std::async(std::launch::deferred,
@@ -168,7 +169,7 @@ TEST(ConcurrentServer, RejectModeShedsOverflowWith503) {
   // Plug the single lane: a connection with no request bytes blocks the
   // handler in recv until we feed it.
   wasp::ByteChannel plug;
-  auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative);
+  auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative, kRoute, {});
   // Wait until the worker picked the plug up (queue empty, one accepted).
   for (int i = 0; i < 5000 && server.queue_depth() > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -178,10 +179,10 @@ TEST(ConcurrentServer, RejectModeShedsOverflowWith503) {
   // One connection fills the queue; the next must be shed with a 503.
   wasp::ByteChannel queued;
   queued.host().WriteString(kRequest);
-  auto queued_future = server.SubmitConnection(queued, vnet::ServeMode::kNative);
+  auto queued_future = server.SubmitConnection(queued, vnet::ServeMode::kNative, kRoute, {});
   wasp::ByteChannel shed;
   shed.host().WriteString(kRequest);
-  auto shed_future = server.SubmitConnection(shed, vnet::ServeMode::kNative);
+  auto shed_future = server.SubmitConnection(shed, vnet::ServeMode::kNative, kRoute, {});
   ASSERT_EQ(shed_future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   auto shed_stats = shed_future.get();
   ASSERT_TRUE(shed_stats.ok());
@@ -222,7 +223,7 @@ TEST(ConcurrentServer, RouteQuotaShedsWith429WhileOverloadSheds503) {
   // Plug the single lane: a connection with no request bytes blocks the
   // handler in recv until we feed it.
   wasp::ByteChannel plug;
-  auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative);
+  auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative, kRoute, {});
   for (int i = 0; i < 5000 && server.queue_depth() > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -234,14 +235,14 @@ TEST(ConcurrentServer, RouteQuotaShedsWith429WhileOverloadSheds503) {
   for (int i = 0; i < 2; ++i) {
     held.push_back(std::make_unique<wasp::ByteChannel>());
     held.back()->host().WriteString(kRequest);
-    accepted.push_back(server.SubmitConnection(*held.back(), vnet::ServeMode::kNative, "/hot"));
+    accepted.push_back(server.SubmitConnection(*held.back(), vnet::ServeMode::kNative, "/hot", {}));
   }
   // ...so the third is shed with 429: the route is over quota, the server
   // is not full (queue depth 2 of 8).
   wasp::ByteChannel quota_shed;
   quota_shed.host().WriteString(kRequest);
   auto quota_future =
-      server.SubmitConnection(quota_shed, vnet::ServeMode::kNative, "/hot");
+      server.SubmitConnection(quota_shed, vnet::ServeMode::kNative, "/hot", {});
   ASSERT_EQ(quota_future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   auto quota_stats = quota_future.get();
   ASSERT_TRUE(quota_stats.ok());
@@ -253,14 +254,14 @@ TEST(ConcurrentServer, RouteQuotaShedsWith429WhileOverloadSheds503) {
     held.push_back(std::make_unique<wasp::ByteChannel>());
     held.back()->host().WriteString(kRequest);
     accepted.push_back(server.SubmitConnection(*held.back(), vnet::ServeMode::kNative,
-                                               "/cold" + std::to_string(i)));
+                                               "/cold" + std::to_string(i), {}));
   }
   ASSERT_EQ(server.queue_depth(), 8u);
   // ...and the next connection is shed with 503: global overload.
   wasp::ByteChannel overload_shed;
   overload_shed.host().WriteString(kRequest);
   auto overload_future =
-      server.SubmitConnection(overload_shed, vnet::ServeMode::kNative, "/cold-extra");
+      server.SubmitConnection(overload_shed, vnet::ServeMode::kNative, "/cold-extra", {});
   ASSERT_EQ(overload_future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   auto overload_stats = overload_future.get();
   ASSERT_TRUE(overload_stats.ok());
@@ -302,7 +303,7 @@ TEST(ConcurrentServer, RouteQuotaOverridesAreKeyedByRouteName) {
 
   // Plug the single lane so every routed connection below stays queued.
   wasp::ByteChannel plug;
-  auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative);
+  auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative, kRoute, {});
   for (int i = 0; i < 5000 && server.queue_depth() > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -315,7 +316,7 @@ TEST(ConcurrentServer, RouteQuotaOverridesAreKeyedByRouteName) {
   for (const char* route : {"/vip", "/vip", "/vip", "/std", "/std"}) {
     held.push_back(std::make_unique<wasp::ByteChannel>());
     held.back()->host().WriteString(kRequest);
-    futures.push_back(server.SubmitConnection(*held.back(), vnet::ServeMode::kNative, route));
+    futures.push_back(server.SubmitConnection(*held.back(), vnet::ServeMode::kNative, route, {}));
   }
   EXPECT_EQ(server.queue_depth(), 4u);
 
@@ -350,7 +351,7 @@ TEST(ConcurrentServer, GuestFaultAnswers500WithReasonAndCountsFaulted) {
 
   wasp::ByteChannel channel;
   channel.host().WriteString(kRequest);
-  auto stats = server.SubmitConnection(channel, vnet::ServeMode::kVirtine).get();
+  auto stats = server.SubmitConnection(channel, vnet::ServeMode::kVirtine, kRoute, {}).get();
   // A faulted invocation is a *served* connection (the client got an
   // answer), not a server error.
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
@@ -381,7 +382,7 @@ TEST(ConcurrentServer, GuestFaultAnswers500WithReasonAndCountsFaulted) {
   // even under a total guest-fault storm.
   wasp::ByteChannel native;
   native.host().WriteString(kRequest);
-  auto native_stats = server.SubmitConnection(native, vnet::ServeMode::kNative).get();
+  auto native_stats = server.SubmitConnection(native, vnet::ServeMode::kNative, kRoute, {}).get();
   ASSERT_TRUE(native_stats.ok());
   EXPECT_EQ(native_stats->status, 200);
 }
@@ -410,7 +411,7 @@ TEST(ConcurrentServer, BreakerShedsFast429WithRetryAfter) {
   for (int i = 0; i < 4; ++i) {
     wasp::ByteChannel channel;
     channel.host().WriteString(kRequest);
-    auto stats = server.SubmitConnection(channel, vnet::ServeMode::kVirtine, "vol").get();
+    auto stats = server.SubmitConnection(channel, vnet::ServeMode::kVirtine, "vol", {}).get();
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(stats->status, 500);
     for (int spin = 0;
@@ -426,7 +427,7 @@ TEST(ConcurrentServer, BreakerShedsFast429WithRetryAfter) {
   for (int i = 0; i < 2; ++i) {
     wasp::ByteChannel shed;
     shed.host().WriteString(kRequest);
-    auto stats = server.SubmitConnection(shed, vnet::ServeMode::kVirtine, "vol").get();
+    auto stats = server.SubmitConnection(shed, vnet::ServeMode::kVirtine, "vol", {}).get();
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(stats->status, 429);
     const std::string response = DrainToString(shed);
@@ -440,7 +441,7 @@ TEST(ConcurrentServer, BreakerShedsFast429WithRetryAfter) {
   // It faults, so the breaker re-opens and the follow-up sheds again.
   wasp::ByteChannel probe;
   probe.host().WriteString(kRequest);
-  auto probe_stats = server.SubmitConnection(probe, vnet::ServeMode::kVirtine, "vol").get();
+  auto probe_stats = server.SubmitConnection(probe, vnet::ServeMode::kVirtine, "vol", {}).get();
   ASSERT_TRUE(probe_stats.ok());
   EXPECT_EQ(probe_stats->status, 500);
   for (int spin = 0; spin < 5000 && server.executor_stats().faulted < 5; ++spin) {
@@ -448,7 +449,7 @@ TEST(ConcurrentServer, BreakerShedsFast429WithRetryAfter) {
   }
   wasp::ByteChannel again;
   again.host().WriteString(kRequest);
-  auto again_stats = server.SubmitConnection(again, vnet::ServeMode::kVirtine, "vol").get();
+  auto again_stats = server.SubmitConnection(again, vnet::ServeMode::kVirtine, "vol", {}).get();
   ASSERT_TRUE(again_stats.ok());
   EXPECT_EQ(again_stats->status, 429);
   EXPECT_EQ(server.executor_stats().breaker_opens, 2u);
@@ -456,7 +457,7 @@ TEST(ConcurrentServer, BreakerShedsFast429WithRetryAfter) {
   // A different route is untouched by the storm route's breaker.
   wasp::ByteChannel other;
   other.host().WriteString(kRequest);
-  auto other_stats = server.SubmitConnection(other, vnet::ServeMode::kNative, "ok").get();
+  auto other_stats = server.SubmitConnection(other, vnet::ServeMode::kNative, "ok", {}).get();
   ASSERT_TRUE(other_stats.ok());
   EXPECT_EQ(other_stats->status, 200);
 }
@@ -475,7 +476,7 @@ TEST(ConcurrentServer, DestructionDrainsAcceptedConnections) {
     for (int i = 0; i < kConnections; ++i) {
       channels[static_cast<size_t>(i)].host().WriteString(kRequest);
       futures.push_back(server.SubmitConnection(channels[static_cast<size_t>(i)],
-                                                vnet::ServeMode::kVirtineSnapshot));
+                                                vnet::ServeMode::kVirtineSnapshot, kRoute, {}));
     }
     // Server destroyed here with connections still queued/in flight.
   }

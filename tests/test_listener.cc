@@ -215,7 +215,7 @@ TEST_P(ListenerModeTest, OversizedDeclaredBodyIsRejectedBeforeItIsRead) {
   Stack stack(GetParam());
   const int fd = ConnectTo(stack.listener->port());
   ASSERT_GE(fd, 0);
-  // Declares far beyond max_body_bytes; the body itself is never sent — the
+  // Declares far beyond kMaxBodyBytes; the body itself is never sent — the
   // 413 must come from the declaration alone.
   ASSERT_TRUE(SendAll(
       fd, "POST /static.html HTTP/1.1\r\nHost: t\r\nContent-Length: 999999999\r\n\r\n"));
@@ -239,6 +239,53 @@ TEST_P(ListenerModeTest, SmugglingShapedRequestIsRejectedAtTheEdgeWith400) {
   ::close(fd);
   EXPECT_EQ(stack.listener->stats().edge_400, 1u);
   EXPECT_EQ(stack.server->counters(GetParam()).accepted, 0u);
+}
+
+TEST_P(ListenerModeTest, ServerServesExactlyTheRequestsTheEdgeForwards) {
+  // The edge trims space before a colon, so "Content-Length : 28" frames a
+  // body: one forwarded request, which the lane must also count as one (its
+  // body is not a second request).  And "Host : t" names a Host.
+  Stack stack(GetParam());
+  const int fd = ConnectTo(stack.listener->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd,
+                      "POST /static.html HTTP/1.1\r\nHost: t\r\nContent-Length : 28\r\n\r\n"
+                      "GET /b HTTP/1.1\r\nHost: x\r\n\r\n"
+                      "GET /static.html HTTP/1.1\r\nHost : t\r\nConnection: close\r\n\r\n"));
+  std::string stream;
+  EXPECT_EQ(ReadResponse(fd, &stream), 200);
+  EXPECT_EQ(ReadResponse(fd, &stream), 200);
+  EXPECT_TRUE(WaitForEof(fd, &stream));
+  EXPECT_EQ(stream, "") << "a response to the smuggled body";
+  ::close(fd);
+  stack.listener->Stop();
+  const auto counters = stack.server->counters(GetParam());
+  EXPECT_EQ(stack.listener->stats().requests_forwarded, 2u);
+  EXPECT_EQ(counters.requests, stack.listener->stats().requests_forwarded);
+  EXPECT_EQ(counters.status_2xx, 2u);
+}
+
+TEST_P(ListenerModeTest, HeadLimitHoldsAtTheEdgeToTheByte) {
+  // A head of exactly kMaxHeadBytes is served in every mode; one byte more
+  // is a 413 at the edge, which no lane ever sees.
+  Stack stack(GetParam());
+  const std::string prefix =
+      "GET /static.html HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Pad: ";
+  for (const size_t bytes : {vnet::kMaxHeadBytes, vnet::kMaxHeadBytes + 1}) {
+    const int fd = ConnectTo(stack.listener->port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(
+        SendAll(fd, prefix + std::string(bytes - prefix.size() - 4, 'p') + "\r\n\r\n"));
+    std::string stream;
+    EXPECT_EQ(ReadResponse(fd, &stream), bytes == vnet::kMaxHeadBytes ? 200 : 413) << bytes;
+    EXPECT_TRUE(WaitForEof(fd));
+    ::close(fd);
+  }
+  stack.listener->Stop();
+  const vnet::ListenerStats lstats = stack.listener->stats();
+  EXPECT_EQ(lstats.edge_413, 1u);
+  EXPECT_EQ(lstats.requests_forwarded, 1u);
+  EXPECT_EQ(stack.server->counters(GetParam()).requests, lstats.requests_forwarded);
 }
 
 TEST(Listener, IdleConnectionIsClosedByTheTimeout) {

@@ -555,6 +555,78 @@ TEST_P(ServerModeTest, KeepAlivePipelinedResponsesLeaveInRequestOrder) {
                                       vnet::BuildResponse(404, "") + vnet::BuildResponse(200, a));
 }
 
+// --- One request contract: the guests frame and limit requests as the host does --
+
+TEST_P(ServerModeTest, KeepAliveTrimsSpaceBeforeAHeaderColon) {
+  // "Host : x" names Host for the host parser, which trims the name; the
+  // keep-alive guest must agree, or an HTTP/1.1 request is a Host-less 400.
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  const std::string body = PatternBody(100, 5);
+  files.PutFile("/f.txt", body);
+  vnet::StaticHttpServer server(&runtime, &files);
+  wasp::ByteChannel channel;
+  channel.host().WriteString("GET /f.txt HTTP/1.1\r\nHost : x\r\n\r\n");
+  channel.host().CloseWrite();
+  auto stats = server.HandleConnection(channel, GetParam(), KeepAlive());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->status, 200);
+  EXPECT_EQ(stats->r2xx, 1u);
+  EXPECT_EQ(Drained(channel), vnet::BuildResponse(200, body));
+}
+
+TEST_P(ServerModeTest, KeepAliveBodyDeclaredWithSpaceBeforeColonIsNotARequest) {
+  // "Content-Length : 28" declares a 28-byte body to the host parser, so
+  // the listener frames one request.  A guest that misses it would serve
+  // the body as a second, smuggled request.
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  const std::string body = PatternBody(100, 6);
+  files.PutFile("/f.txt", body);
+  vnet::StaticHttpServer server(&runtime, &files);
+  wasp::ByteChannel channel;
+  channel.host().WriteString(
+      "POST /f.txt HTTP/1.1\r\nHost: x\r\nContent-Length : 28\r\n\r\n"
+      "GET /b HTTP/1.1\r\nHost: x\r\n\r\n");
+  channel.host().CloseWrite();
+  auto stats = server.HandleConnection(channel, GetParam(), KeepAlive());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->requests, 1u);
+  EXPECT_EQ(stats->r2xx, 1u);
+  EXPECT_EQ(stats->r4xx, 0u);
+  EXPECT_EQ(Drained(channel), vnet::BuildResponse(200, body));
+}
+
+// A GET of /f.txt whose head is exactly `bytes` long, CRLFCRLF included.
+std::string HeadOfSize(size_t bytes) {
+  const std::string prefix = "GET /f.txt HTTP/1.1\r\nHost: x\r\nX-Pad: ";
+  return prefix + std::string(bytes - prefix.size() - 4, 'p') + "\r\n\r\n";
+}
+
+TEST_P(ServerModeTest, HeadOfTheLimitServesAndOneByteMoreGets413) {
+  // kMaxHeadBytes is the guests' receive window, and every mode applies it
+  // the same way, single-shot and keep-alive.
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/f.txt", std::string(100, 'z'));
+  vnet::StaticHttpServer server(&runtime, &files);
+  for (const bool keep_alive : {false, true}) {
+    for (const size_t bytes : {vnet::kMaxHeadBytes, vnet::kMaxHeadBytes + 1}) {
+      const int want = bytes == vnet::kMaxHeadBytes ? 200 : 413;
+      wasp::ByteChannel channel;
+      channel.host().WriteString(HeadOfSize(bytes));
+      channel.host().CloseWrite();
+      vnet::ConnectionOptions conn;
+      conn.keep_alive = keep_alive;
+      auto stats = server.HandleConnection(channel, GetParam(), conn);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(stats->status, want) << bytes << " B, keep_alive=" << keep_alive;
+      EXPECT_EQ(Drained(channel).rfind("HTTP/1.1 " + std::to_string(want), 0), 0u)
+          << bytes << " B, keep_alive=" << keep_alive;
+    }
+  }
+}
+
 // Reads one Content-Length-framed response off the channel's host end
 // (leftover bytes stay in *stream); true iff it is a 200.
 bool Read200(wasp::ByteChannel& channel, std::string* stream) {

@@ -139,7 +139,9 @@ TEST(Recovery, NonIdempotentKeyIsNeverRetried) {
   wasp::FaultPlan plan;
   plan.rules.push_back(wasp::FaultPlan::At(wasp::FaultKind::kWorkerDeath, 0));
   wasp::Runtime runtime(PlanOptions(std::move(plan)));
-  wasp::Executor executor(&runtime, 1);  // default options: no idempotent keys
+  wasp::ExecutorOptions options;  // no idempotent keys
+  options.workers = 1;
+  wasp::Executor executor(&runtime, options);
 
   std::future<wasp::RunOutcome> future;
   ASSERT_TRUE(executor.TrySubmit(FibSpec(&image, "fib"), &future));
@@ -319,7 +321,9 @@ TEST(Recovery, EwmaTracksFaultRateWithBreakerDisabled) {
   plan.rules.push_back(wasp::FaultPlan::At(wasp::FaultKind::kGuestTrap, 0));
   plan.rules.push_back(wasp::FaultPlan::At(wasp::FaultKind::kGuestTrap, 1));
   wasp::Runtime runtime(PlanOptions(std::move(plan)));
-  wasp::Executor executor(&runtime, 1);
+  wasp::ExecutorOptions options;
+  options.workers = 1;
+  wasp::Executor executor(&runtime, options);
 
   for (int i = 0; i < 3; ++i) {
     std::future<wasp::RunOutcome> future;

@@ -832,13 +832,15 @@ TEST(Concurrency, TrySubmitThenTeardownResolvesEveryAcceptedFuture) {
   }
 }
 
-TEST(Concurrency, InvokeAsyncResolvesFutures) {
+TEST(Concurrency, ExecutorSubmitResolvesFutures) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::Add2Source());
   ASSERT_TRUE(image.ok());
   wasp::RuntimeOptions options;
   options.clean_mode = wasp::CleanMode::kAsync;
-  options.async_workers = 4;
   wasp::Runtime runtime(options);
+  wasp::ExecutorOptions eopts;
+  eopts.workers = 4;
+  wasp::Executor executor(&runtime, eopts);
   std::vector<std::future<wasp::RunOutcome>> futures;
   std::vector<wasp::VirtineSpec> specs(16);
   for (int i = 0; i < 16; ++i) {
@@ -849,7 +851,7 @@ TEST(Concurrency, InvokeAsyncResolvesFutures) {
     packer.AddWord(static_cast<uint64_t>(i));
     packer.AddWord(7);
     spec.args_page = packer.Finish();
-    futures.push_back(runtime.InvokeAsync(spec));
+    futures.push_back(executor.Submit(spec));
   }
   for (int i = 0; i < 16; ++i) {
     wasp::RunOutcome outcome = futures[static_cast<size_t>(i)].get();
