@@ -2,7 +2,7 @@
 # Tier-1 gate: configure + build + ctest in one command.
 #
 #   ./ci.sh             # normal mode (warnings allowed) + fig9/12/13/14/16/17/sec64 smokes
-#                       # and the HTTP server example
+#                       # and the HTTP server and JS UDF examples
 #   STRICT=1 ./ci.sh    # -Werror: any warning fails the build
 #   TSAN=1 ./ci.sh      # ThreadSanitizer build; runs the threaded wasp/net tests
 #   ASAN=1 ./ci.sh      # Address+UBSanitizer build; runs the snapshot/memory tests
@@ -59,13 +59,15 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # drain-on-destruction) — and the admission policy (differential and
   # property tests) — and both
   # managed guests (microjs engine, AES) through Invoke, whose restores write
-  # each call's input into guest memory before the first vmrun.
+  # each call's input into guest memory before the first vmrun — and the
+  # microjs engine's oracle, whose scripts EngineSource decodes on the host
+  # (malformed ones included, in test_aes_js) before the engine runs them.
   # Separate build dir: sanitizer objects don't mix.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   ASAN_TESTS=(test_snapshot_engine test_wasp test_wasp_concurrency test_governance
               test_cpu test_isa test_fault_injection test_recovery test_listener
               test_net test_http_server_concurrency test_vcc test_vcc_deep test_vcc_oracle
-              test_vrt test_admission test_aes_js)
+              test_vrt test_admission test_aes_js test_vjs_oracle)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
@@ -99,19 +101,25 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 # Concurrent-serving smoke: a small 2-lane run of the executor-backed HTTP
 # server in all three modes, then a real-socket sweep through the epoll
 # listener; fails (non-zero) on any wrong response, admission-counter
-# mismatch, or if HTTP keep-alive stops paying (snapshot-mode socket RPS at
-# 8 requests/connection must beat connection-per-request).
+# mismatch, or if HTTP keep-alive stops paying (a snapshot-mode request at
+# 8 requests/connection must cost fewer modeled cycles than one at
+# connection-per-request; wall socket RPS is printed, not gated).
 (cd "$BUILD_DIR" && ./fig13_http_server --quick)
 # Seven-interaction smoke: the HTTP example serves three requests through
 # Figure 13's single-shot guest in all three modes; fails (non-zero) if any
 # serve returns an error.
 (cd "$BUILD_DIR" && ./example_http_server)
-# Managed-runtime smoke: the microjs engine (one jump-table dispatch per
-# bytecode) base64-encodes a 384 B payload in all four fig14 variants, with
+# Managed-runtime smoke: the microjs engine (running the script EngineSource
+# decoded on the host into [op, operand] word pairs, with its state in
+# registers) base64-encodes a 384 B payload in all four fig14 variants, with
 # and without teardown; fails (non-zero) if any output differs from
 # HostBase64, if a variant's warm exit count varies between calls, or if the
 # engine reports no native baseline.
 (cd "$BUILD_DIR" && ./fig14_js_virtines)
+# Serverless UDF example: Vespid registers the base64 microjs function and
+# invokes it cold and twice warm; fails (non-zero) if any output differs from
+# HostBase64.
+(cd "$BUILD_DIR" && ./example_js_udf)
 # Table-indexing smoke: the AES guest, whose S-box and round-key lookups are
 # the heaviest array indexing any vcc-compiled guest does, CBC-encrypts five
 # sizes from 16 B to 16 KB in a snapshotted virtine; fails (non-zero) if any
@@ -149,4 +157,4 @@ for t in "$BUILD_DIR"/test_*; do
   [[ -x "$t" ]] || continue
   cases=$((cases + $(count_gtests "$t")))
 done
-echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 7 bench smokes, 1 example"
+echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 7 bench smokes, 2 examples"

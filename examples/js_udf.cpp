@@ -24,6 +24,7 @@ int main() {
 
   const std::string message = "serverless functions, isolated at the hardware limit";
   const std::vector<uint8_t> payload(message.begin(), message.end());
+  const std::string expect = vjs::HostBase64(payload);
 
   for (int i = 0; i < 3; ++i) {
     auto result = platform.Invoke("b64", payload);
@@ -35,10 +36,14 @@ int main() {
                 result->cold ? "cold, took snapshot" : "warm, snapshot restore",
                 vbase::CyclesToMicros(result->modeled_cycles),
                 static_cast<double>(result->wall_ns) / 1e3);
+    const std::string output(result->output.begin(), result->output.end());
     if (i == 0) {
-      std::printf("  output: %s\n",
-                  std::string(result->output.begin(), result->output.end()).c_str());
-      std::printf("  expect: %s\n", vjs::HostBase64(payload).c_str());
+      std::printf("  output: %s\n", output.c_str());
+      std::printf("  expect: %s\n", expect.c_str());
+    }
+    if (output != expect) {
+      std::fprintf(stderr, "invocation %d returned a wrong output: %s\n", i + 1, output.c_str());
+      return 1;
     }
   }
   return 0;

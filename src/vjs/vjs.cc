@@ -10,7 +10,7 @@
 namespace vjs {
 namespace {
 
-// --- Bytecode ops (shared contract with the engine in EngineSource) ---------
+// --- Wire bytecode ops (CompileScript's output; EngineSource decodes them) ---
 enum Op : uint8_t {
   kHalt = 0,
   kPush = 1,    // i32 little-endian
@@ -58,16 +58,16 @@ struct BuiltinFn {
 constexpr BuiltinFn kBuiltinFns[] = {
     {"input_len", kInputLen, 0}, {"input", kInput, 1}, {"out", kOut, 1}, {"b64", kB64, 1}};
 
-// && and || compile to the bitwise forms (operands are 0/1 comparisons in
-// practice); microjs has no short-circuit side effects to preserve.
+// The 16 binary operators.  The text is also the vcc operator the engine's
+// arm applies, and the position numbers the arm (kExecBinary + i).
 struct BinaryOp {
   const char* text;
   Op op;
 };
 constexpr BinaryOp kBinaryOps[] = {
-    {"+", kAdd},  {"-", kSub},  {"*", kMul},  {"/", kDiv},   {"%", kMod},  {"<", kLt},
-    {"<=", kLe},  {">", kGt},   {">=", kGe},  {"==", kEq},   {"!=", kNe},  {"&", kAnd},
-    {"&&", kAnd}, {"|", kOr},   {"||", kOr},  {"^", kXor},   {"<<", kShl}, {">>", kShr},
+    {"+", kAdd}, {"-", kSub}, {"*", kMul},  {"/", kDiv},  {"%", kMod},  {"<", kLt},
+    {"<=", kLe}, {">", kGt},  {">=", kGe},  {"==", kEq},  {"!=", kNe},  {"&", kAnd},
+    {"|", kOr},  {"^", kXor}, {"<<", kShl}, {">>", kShr},
 };
 
 struct JsToken {
@@ -349,9 +349,12 @@ class ScriptCompiler {
       }
       const std::string& op = Next().text;
       VB_RETURN_IF_ERROR(Expression(prec + 1));
+      // && and || compile to the bitwise forms (operands are 0/1 comparisons
+      // in practice); microjs has no short-circuit side effects to preserve.
+      const std::string bitwise = op == "&&" ? "&" : op == "||" ? "|" : op;
       const BinaryOp* binary = nullptr;
       for (const BinaryOp& b : kBinaryOps) {
-        if (op == b.text) {
+        if (bitwise == b.text) {
           binary = &b;
         }
       }
@@ -506,11 +509,165 @@ std::string HostBase64(const std::vector<uint8_t>& data) {
   return out;
 }
 
+namespace {
+
+// --- The executed form ------------------------------------------------------
+//
+// EngineSource decodes the wire bytecode once, on the host, into [op,
+// operand] word pairs, so the engine never reassembles an operand or
+// searches for a builtin: PUSH carries its i32 and LOAD/STORE their slot in
+// the operand word, a jump carries the word index of its target, each
+// builtin is its own op, and a literal right operand rides in the operand
+// word of its binary op's K form.  The values are the case labels of the
+// engine's arms in EngineSource.
+enum ExecOp : int {
+  kExecHalt = 0,
+  kExecPush = 1,
+  kExecLoad = 2,
+  kExecStore = 3,
+  kExecJmp = 4,
+  kExecJz = 5,
+  kExecNot = 6,
+  kExecNeg = 7,
+  kExecPop = 8,
+  kExecBuiltin = 9,                 // + Builtin index
+  kExecBinary = 13,                 // + kBinaryOps index: pops the right operand
+  kExecBinaryK = kExecBinary + 16,  // + kBinaryOps index: the right operand is literal
+  kExecBad = kExecBinaryK + 16,     // no arm: the engine stops
+};
+static_assert(std::size(kBinaryOps) == 16 && std::size(kBuiltinFns) == 4);
+// kBuiltinFns is in Builtin order, the order of the engine's builtin arms.
+static_assert(kBuiltinFns[kInputLen].index == kInputLen && kBuiltinFns[kInput].index == kInput &&
+              kBuiltinFns[kOut].index == kOut && kBuiltinFns[kB64].index == kB64);
+
+// One decoded wire instruction.
+struct Decoded {
+  int op = kExecBad;
+  int64_t operand = 0;  // PUSH's i32, a slot, or a jump's target byte offset
+};
+
+// Decodes the instruction at `at`, setting *next past it.  Anything
+// malformed (an unknown op or builtin, a builtin called with the wrong
+// argument count, an operand cut off by the end) decodes to kExecBad.
+Decoded DecodeAt(const std::vector<uint8_t>& s, size_t at, size_t* next) {
+  Decoded d;
+  const uint8_t op = s[at];
+  const size_t operand_bytes = op == kPush                   ? 4
+                               : op == kLoad || op == kStore ? 1
+                               : op == kJmp || op == kJz || op == kCallB ? 2
+                                                                         : 0;
+  *next = at + 1 + operand_bytes;
+  if (*next > s.size()) {
+    return d;
+  }
+  const uint8_t* p = s.data() + at + 1;
+  switch (op) {
+    case kHalt:
+      d.op = kExecHalt;
+      break;
+    case kPush:
+      d.op = kExecPush;
+      d.operand = static_cast<int32_t>(p[0] | p[1] << 8 | p[2] << 16 | uint32_t{p[3]} << 24);
+      break;
+    case kLoad:
+    case kStore:
+      d.op = op == kLoad ? kExecLoad : kExecStore;
+      d.operand = p[0];
+      break;
+    case kJmp:
+    case kJz:
+      d.op = op == kJmp ? kExecJmp : kExecJz;
+      d.operand = static_cast<int64_t>(*next) + static_cast<int16_t>(p[0] | p[1] << 8);
+      break;
+    case kCallB:
+      if (p[0] < std::size(kBuiltinFns) && p[1] == kBuiltinFns[p[0]].nargs) {
+        d.op = kExecBuiltin + p[0];
+      }
+      break;
+    case kNot:
+      d.op = kExecNot;
+      break;
+    case kNeg:
+      d.op = kExecNeg;
+      break;
+    case kPop:
+      d.op = kExecPop;
+      break;
+    default:
+      for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
+        if (op == kBinaryOps[i].op) {
+          d.op = kExecBinary + static_cast<int>(i);
+        }
+      }
+  }
+  return d;
+}
+
+bool IsBinary(int op) { return op >= kExecBinary && op < kExecBinaryK; }
+
+// The executed form of `script`.  Decoding stops at the first malformed
+// instruction, a jump whose target is not an instruction of the script
+// becomes kExecBad, and a closing kExecBad pair stops control that runs off
+// the end, so the engine never executes past what the script says.
+std::vector<int64_t> Translate(const std::vector<uint8_t>& script) {
+  std::vector<Decoded> insns;
+  std::vector<int> insn_at(script.size(), -1);  // byte offset -> instruction
+  for (size_t at = 0, next = 0; at < script.size(); at = next) {
+    insn_at[at] = static_cast<int>(insns.size());
+    insns.push_back(DecodeAt(script, at, &next));
+    if (insns.back().op == kExecBad) {
+      break;
+    }
+  }
+  auto target_of = [&](const Decoded& d) {
+    return d.operand >= 0 && d.operand < static_cast<int64_t>(script.size())
+               ? insn_at[static_cast<size_t>(d.operand)]
+               : -1;
+  };
+  std::vector<bool> is_target(insns.size(), false);
+  for (const Decoded& d : insns) {
+    if ((d.op == kExecJmp || d.op == kExecJz) && target_of(d) >= 0) {
+      is_target[static_cast<size_t>(target_of(d))] = true;
+    }
+  }
+  // A binary op right after a PUSH, and not a jump target, folds into it.
+  std::vector<bool> fused(insns.size(), false);
+  std::vector<int64_t> word(insns.size(), 0);
+  int64_t next_word = 0;
+  for (size_t i = 0; i < insns.size(); ++i) {
+    fused[i] = i > 0 && IsBinary(insns[i].op) && insns[i - 1].op == kExecPush && !is_target[i];
+    word[i] = next_word;
+    next_word += fused[i] ? 0 : 2;
+  }
+  std::vector<int64_t> code;
+  code.reserve(static_cast<size_t>(next_word) + 2);
+  for (size_t i = 0; i < insns.size(); ++i) {
+    Decoded d = insns[i];
+    if (fused[i]) {
+      code[code.size() - 2] = d.op - kExecBinary + kExecBinaryK;
+      continue;
+    }
+    if (d.op == kExecJmp || d.op == kExecJz) {
+      const int target = target_of(d);
+      d.op = target >= 0 ? d.op : kExecBad;
+      d.operand = target >= 0 ? word[static_cast<size_t>(target)] : 0;
+    }
+    code.push_back(d.op);
+    code.push_back(d.operand);
+  }
+  code.push_back(kExecBad);
+  code.push_back(0);
+  return code;
+}
+
+}  // namespace
+
 std::string EngineSource(const std::vector<uint8_t>& script, bool teardown) {
+  const std::vector<int64_t> code = Translate(script);
   std::ostringstream os;
-  os << "char SCRIPT[" << script.size() << "] = {";
-  for (size_t i = 0; i < script.size(); ++i) {
-    os << static_cast<int>(script[i]) << (i + 1 < script.size() ? "," : "");
+  os << "int CODE[" << code.size() << "] = {";
+  for (size_t i = 0; i < code.size(); ++i) {
+    os << code[i] << (i + 1 < code.size() ? "," : "");
   }
   os << "};\n";
   os << "int TEARDOWN = " << (teardown ? 1 : 0) << ";\n";
@@ -518,23 +675,23 @@ std::string EngineSource(const std::vector<uint8_t>& script, bool teardown) {
 char B64TAB[65] = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 // Engine state (all heap-allocated by engine_init, Duktape-context style).
-int *E_STACK;
+// run copies the bases into registers and writes no global.
 int *E_VARS;
+int *E_STACK;
 int *E_OBJS;
 char *E_IN;
 char *E_OUT;
-int E_INN = 0;
-int E_OUTN = 0;
 int E_NOBJS = 0;
 
-// Allocates the interpreter stack, variable slots, an object heap of 96
-// initialized objects, and I/O buffers — the engine-warm-up work that the
+// Allocates the variable slots and, right after them, the interpreter stack
+// (so a call's variables and shallow stack share one page), an object heap of
+// 96 initialized objects, and I/O buffers: the engine-warm-up work that the
 // snapshot optimization elides.
 int engine_init() {
   int i;
   char *p;
-  E_STACK = malloc()vc" << kEngineStackWords * 8 << R"vc();
   E_VARS = malloc(2048);
+  E_STACK = malloc()vc" << kEngineStackWords * 8 << R"vc();
   E_OBJS = malloc(2048);
   E_IN = malloc(65536);
   E_OUT = malloc(98304);
@@ -563,113 +720,107 @@ int engine_teardown() {
   return 0;
 }
 
-// Interprets `code` until HALT.  Dispatch is one `switch (op)` over the dense
-// opcode set 0-25, which vcc compiles to a jump table: every bytecode costs
-// one bounds check and one indirect jump to its own arm.  Each arm ends in
-// `continue`, straight back to the fetch.  An unknown opcode returns -1.
-int run(char *code) {
+// Runs the executed form `code` (the host decoded the script into [op,
+// operand] word pairs) over the input's first `n` bytes and returns how many
+// output bytes it wrote.  Every piece of working state is a register local:
+// `pc` indexes the word pairs, `t` caches the operand stack's top and `sp`
+// points one past the rest, and the variable, input and output bases and the
+// output count are read from the engine's globals once.  Dispatch is one
+// `switch` over the dense op set, which vcc compiles to a jump table: a
+// bytecode costs one bounds check and one indirect jump to its own arm, and
+// an operand is one load of `code[pc - 1]`.  Arms 13-28 pop their right
+// operand; arms 29-44 are the same 16 operators with a literal right
+// operand.  The bad-op word (45) and any other op stop the run.
+int run(int *code, int n) {
   int pc;
-  int sp;
-  int op;
+  int *sp;
+  int t;
   int a;
-  int b;
+  int *vars;
+  char *in;
+  char *out;
+  int outn;
   pc = 0;
-  sp = 0;
+  sp = E_STACK;
+  t = 0;
+  vars = E_VARS;
+  in = E_IN;
+  out = E_OUT;
+  outn = 0;
   while (1) {
-    op = code[pc];
-    pc = pc + 1;
-    switch (op) {
+    pc = pc + 2;
+    switch (code[pc - 2]) {
       case 0:  // HALT
-        return 0;
-      case 1:  // PUSH i32
-        a = code[pc] | (code[pc + 1] << 8) | (code[pc + 2] << 16) | (code[pc + 3] << 24);
-        if (a & 2147483648) {
-          a = a - 4294967296;
-        }
-        pc = pc + 4;
-        E_STACK[sp] = a;
+        return outn;
+      case 1:  // PUSH k
+        *sp = t;
         sp = sp + 1;
+        t = code[pc - 1];
         continue;
-      case 2:  // LOAD
-        E_STACK[sp] = E_VARS[code[pc]];
-        pc = pc + 1;
+      case 2:  // LOAD slot
+        *sp = t;
         sp = sp + 1;
+        a = code[pc - 1];
+        t = vars[a];
         continue;
-      case 3:  // STORE
+      case 3:  // STORE slot
+        a = code[pc - 1];
+        vars[a] = t;
         sp = sp - 1;
-        E_VARS[code[pc]] = E_STACK[sp];
-        pc = pc + 1;
+        t = *sp;
         continue;
-      // Binary ops pop b and replace a with a OP b.
-      case 4: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] + E_STACK[sp]; continue;
-      case 5: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] - E_STACK[sp]; continue;
-      case 6: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] * E_STACK[sp]; continue;
-      case 7: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] / E_STACK[sp]; continue;
-      case 8: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] % E_STACK[sp]; continue;
-      case 9: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] < E_STACK[sp]; continue;
-      case 10: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] <= E_STACK[sp]; continue;
-      case 11: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] > E_STACK[sp]; continue;
-      case 12: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] >= E_STACK[sp]; continue;
-      case 13: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] == E_STACK[sp]; continue;
-      case 14: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] != E_STACK[sp]; continue;
-      case 15:  // JMP i16
-        a = code[pc] | (code[pc + 1] << 8);
-        if (a & 32768) {
-          a = a - 65536;
-        }
-        pc = pc + 2 + a;
+      case 4:  // JMP target
+        pc = code[pc - 1];
         continue;
-      case 16:  // JZ
-        a = code[pc] | (code[pc + 1] << 8);
-        if (a & 32768) {
-          a = a - 65536;
+      case 5:  // JZ target: pops the condition
+        if (t == 0) {
+          pc = code[pc - 1];
         }
-        pc = pc + 2;
         sp = sp - 1;
-        if (E_STACK[sp] == 0) {
-          pc = pc + a;
-        }
+        t = *sp;
         continue;
-      case 17:  // CALLB builtin nargs
-        a = code[pc];
-        b = code[pc + 1];
-        pc = pc + 2;
-        sp = sp - b;
-        if (a == 0) {
-          E_STACK[sp] = E_INN;
-        }
-        if (a == 1) {
-          E_STACK[sp] = E_IN[E_STACK[sp]];
-        }
-        if (a == 2) {
-          E_OUT[E_OUTN] = E_STACK[sp];
-          E_OUTN = E_OUTN + 1;
-          E_STACK[sp] = 0;
-        }
-        if (a == 3) {
-          E_STACK[sp] = B64TAB[E_STACK[sp] & 63];
-        }
+      case 6:  // NOT
+        t = !t;
+        continue;
+      case 7:  // NEG
+        t = -t;
+        continue;
+      case 8:  // POP
+        sp = sp - 1;
+        t = *sp;
+        continue;
+      case 9:  // input_len()
+        *sp = t;
         sp = sp + 1;
+        t = n;
         continue;
-      // The bitwise binary ops (>> is arithmetic).
-      case 18: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] & E_STACK[sp]; continue;
-      case 19: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] | E_STACK[sp]; continue;
-      case 20: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] ^ E_STACK[sp]; continue;
-      case 21: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] << E_STACK[sp]; continue;
-      case 22: sp = sp - 1; E_STACK[sp - 1] = E_STACK[sp - 1] >> E_STACK[sp]; continue;
-      case 23:  // NOT
-        E_STACK[sp - 1] = !E_STACK[sp - 1];
+      case 10:  // input(i)
+        t = in[t];
         continue;
-      case 24:  // NEG
-        E_STACK[sp - 1] = -E_STACK[sp - 1];
+      case 11:  // out(c)
+        out[outn] = t;
+        outn = outn + 1;
+        t = 0;
         continue;
-      case 25:  // POP
-        sp = sp - 1;
+      case 12:  // b64(i)
+        a = t & 63;
+        t = B64TAB[a];
         continue;
-    }
-    return -1;  // bad opcode
+      // The binary ops (>> is arithmetic).
+)vc";
+  for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
+    os << "      case " << kExecBinary + static_cast<int>(i) << ": sp = sp - 1; t = *sp "
+       << kBinaryOps[i].text << " t; continue;\n";
   }
-  return 0;
+  os << "      // The same with the literal right operand in the operand word.\n";
+  for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
+    os << "      case " << kExecBinaryK + static_cast<int>(i) << ": t = t " << kBinaryOps[i].text
+       << " code[pc - 1]; continue;\n";
+  }
+  os << R"vc(    }
+    return outn;  // the bad-op word
+  }
+  return outn;
 }
 
 // Exits with the in-guest cycles spent on init + run + teardown as the exit
@@ -677,23 +828,23 @@ int run(char *code) {
 // baseline).  The snapshot point (Section 6.5: after long-mode boot + engine
 // init) is inside the input call, snapshot_get_data, so a warm call resumes
 // with its input delivered and leaves in the one exit that carries its
-// output.  The call is issued inline, so the resumed frame is main's own,
-// which no later call overwrites, and the per-call state is reset right
-// after it: a re-captured snapshot (a finished call's memory folded in)
-// still resumes cleanly.
+// output, whose length run returns.  The call is made inline, so the
+// resumed frame is main's own, which no later call overwrites; a re-captured
+// snapshot (a finished call's memory folded in) still resumes cleanly, since
+// all per-call state lives in run's registers and main's locals.
 int main() {
   int t0;
   int t1;
+  int n;
   t0 = __rdtsc();
   engine_init();
-  E_INN = __hc2(6, E_IN, 65536);  // snapshot_get_data
-  E_OUTN = 0;
-  run(SCRIPT);
+  n = __hc2(6, E_IN, 65536);  // snapshot_get_data
+  n = run(CODE, n);
   if (TEARDOWN) {
     engine_teardown();
   }
   t1 = __rdtsc();
-  return_exit(t1 - t0, E_OUT, E_OUTN);
+  return_exit(t1 - t0, E_OUT, n);
   return 0;
 }
 )vc";

@@ -7,17 +7,43 @@
 // exits once.  This module reproduces that structure with
 // "microjs": a JavaScript-like scripting language compiled host-side to a
 // compact stack bytecode, interpreted by an engine written in the vcc
-// dialect that runs *inside* the virtine.  The engine deliberately mirrors
-// a managed runtime's lifecycle:
+// dialect that runs *inside* the virtine.
 //
-//   engine_init()  — allocates the value stack, an object heap (hundreds of
-//                    allocations, Duktape-context analogue), and builtin
-//                    tables;
-//   run(script)    — interprets the script bytecode over the input fetched
-//                    with snapshot_get_data (the snapshot point), each
-//                    bytecode dispatched by one `switch (op)` that vcc
-//                    compiles to a jump table, as a C compiler does for
-//                    Duktape's opcode switch;
+// A script takes two host-side steps before it runs.  CompileScript emits
+// the wire bytecode: byte ops with little-endian operands (i32 literals, u8
+// variable slots, i16 relative jumps, a builtin call's index and argument
+// count), and checks its limits (jump range, kEngineStackWords,
+// kMaxScriptNesting).  EngineSource then decodes that bytecode once into the
+// form the engine executes, `int CODE[]`, a run of [op, operand] word pairs:
+//
+//   - PUSH's i32 and LOAD/STORE's slot are the operand word, and a jump's
+//     target is the absolute word index of the pair it lands on;
+//   - each builtin (input_len, input, out, b64) is an op of its own;
+//   - a PUSH followed by a binary op that no jump targets becomes that op's
+//     literal-operand form, so `x + 3` or `r == 1` is one dispatch;
+//   - malformed bytes (an unknown op or builtin, a cut-off operand, a jump
+//     off the script's instructions, an empty script) decode to the
+//     engine's bad-op word, and a closing bad-op pair ends every script, so
+//     the engine never runs past what the script says and the host never
+//     reads past its input.
+//
+// The translation leaves the wire bytecode, CompileScript's checks and the
+// engine's limits as they are: it only moves operand decoding and builtin
+// lookup from the guest to the host.  The engine mirrors a managed runtime's
+// lifecycle:
+//
+//   engine_init()  — allocates the variable slots and, right after them, the
+//                    value stack (both low ends share a page), an object
+//                    heap (hundreds of allocations, Duktape-context
+//                    analogue), and I/O buffers;
+//   run(code, n)   — executes CODE over the n input bytes fetched with
+//                    snapshot_get_data (the snapshot point) and returns the
+//                    output length.  Its working state (pc, the cached stack
+//                    top and stack pointer, the variable and buffer bases,
+//                    the output count) lives in registers, so a warm call
+//                    writes no engine global; each op is dispatched by one
+//                    `switch` that vcc compiles to a jump table, as a C
+//                    compiler does for Duktape's opcode switch;
 //   teardown()     — walks and releases the object heap (skippable: the
 //                    paper's "NT" no-teardown optimization, safe because the
 //                    hypervisor wipes the shell after every invocation).
@@ -50,7 +76,7 @@ inline constexpr int kEngineStackWords = 1024;
 // the stack check above still decides.
 inline constexpr int kMaxScriptNesting = 2048;
 
-// Compiles microjs source to engine bytecode.
+// Compiles microjs source to wire bytecode.
 //
 // Language: `var x = e;`, assignment, `while (e) { ... }`,
 // `if (e) {...} else {...}`, expression statements; integer expressions
@@ -58,8 +84,11 @@ inline constexpr int kMaxScriptNesting = 2048;
 vbase::Result<std::vector<uint8_t>> CompileScript(const std::string& source);
 
 // Renders the guest engine program (vcc dialect, concatenate after vlibc)
-// with `script` embedded as data.  `teardown` selects whether the engine
-// frees its object heap before exiting (the NT variants skip it).
+// with `script`, CompileScript's wire bytecode, decoded into the executed
+// form and embedded as data.  Any bytes are accepted: malformed ones decode
+// to the bad-op word, where the run stops with the output written so far.
+// `teardown` selects whether the engine frees its object heap before
+// exiting (the NT variants skip it).
 std::string EngineSource(const std::vector<uint8_t>& script, bool teardown);
 
 // The paper's UDF: base64-encode the input buffer.

@@ -156,16 +156,11 @@ TEST_F(AesVirtineTest, RandomizedEquivalenceWithHost) {
 
 // --- microjs --------------------------------------------------------------------
 
-// Runs `script` once in a fresh engine virtine (no snapshot, empty input) and
-// returns its output bytes.
-std::vector<uint8_t> RunScript(const std::string& script) {
-  auto bytecode = vjs::CompileScript(script);
-  EXPECT_TRUE(bytecode.ok()) << bytecode.status().ToString();
-  if (!bytecode.ok()) {
-    return {};
-  }
+// Runs `bytecode` once in a fresh engine virtine (no snapshot, empty input)
+// and returns its output bytes.
+std::vector<uint8_t> RunBytecode(const std::vector<uint8_t>& bytecode) {
   auto image = vcc::CompileProgram(
-      vrt::VlibcSource() + vjs::EngineSource(*bytecode, /*teardown=*/false), "main",
+      vrt::VlibcSource() + vjs::EngineSource(bytecode, /*teardown=*/false), "main",
       vrt::Env::kLong64);
   EXPECT_TRUE(image.ok()) << image.status().ToString();
   if (!image.ok()) {
@@ -181,6 +176,16 @@ std::vector<uint8_t> RunScript(const std::string& script) {
   auto outcome = runtime.Invoke(spec);
   EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   return outcome.output;
+}
+
+// Compiles `script` and runs it as RunBytecode does.
+std::vector<uint8_t> RunScript(const std::string& script) {
+  auto bytecode = vjs::CompileScript(script);
+  EXPECT_TRUE(bytecode.ok()) << bytecode.status().ToString();
+  if (!bytecode.ok()) {
+    return {};
+  }
+  return RunBytecode(*bytecode);
 }
 
 TEST(MicroJs, CompileErrorsAreDiagnosed) {
@@ -260,6 +265,47 @@ TEST(MicroJs, CompileErrorsAreDiagnosed) {
   ASSERT_FALSE(overflow.ok());
   EXPECT_NE(overflow.status().ToString().find("1025 operand stack slots"), std::string::npos)
       << overflow.status().ToString();
+}
+
+// EngineSource decodes whatever bytes it is handed.  Malformed ones decode to
+// the engine's bad-op word, which ends the run: the call exits cleanly with
+// the output written before it.  Each script is built by the vector's range
+// constructor, which allocates exactly its bytes, so the ASan lane catches
+// any read past the end.
+TEST(MicroJs, MalformedBytecodeStopsAtTheBadOp) {
+  auto out_a = vjs::CompileScript("out(65);\n");
+  ASSERT_TRUE(out_a.ok());
+  ASSERT_EQ(out_a->back(), 0);  // HALT, which each case replaces
+  out_a->pop_back();
+  // Wire ops: 1 PUSH i32, 2 LOAD u8, 15 JMP i16, 17 CALLB builtin nargs;
+  // 26 and up are unassigned.  `out_a` is 9 bytes, so a tail starts at 9.
+  struct Case {
+    const char* what;
+    std::vector<uint8_t> tail;
+  };
+  const Case kCases[] = {
+      {"a PUSH cut off inside its operand", {1, 7, 0}},
+      {"a LOAD cut off before its slot", {2}},
+      {"a JMP cut off inside its offset", {15, 0}},
+      {"a CALLB cut off before its argument count", {17, 2}},
+      {"an unknown op", {26}},
+      {"the highest unknown op", {255}},
+      {"an unknown builtin", {17, 4, 1}},
+      {"a builtin given the wrong argument count", {17, 2, 0}},
+      {"a jump past the end", {15, 16, 0}},
+      {"a jump to one past the last byte", {15, 0, 0}},
+      {"a jump before the start", {15, 0, 0x80}},
+      {"a jump into PUSH's operand", {15, 0xf5, 0xff}},  // 12 - 11 = byte 1
+      {"a jump onto an unknown op", {15, 0, 0, 26}},
+      {"no HALT", {}},
+  };
+  for (const Case& c : kCases) {
+    std::vector<uint8_t> bytes = *out_a;
+    bytes.insert(bytes.end(), c.tail.begin(), c.tail.end());
+    const std::vector<uint8_t> script(bytes.begin(), bytes.end());
+    EXPECT_EQ(RunBytecode(script), std::vector<uint8_t>{'A'}) << c.what;
+  }
+  EXPECT_TRUE(RunBytecode(std::vector<uint8_t>()).empty()) << "an empty script";
 }
 
 TEST(MicroJs, HostBase64MatchesKnownVectors) {
@@ -499,29 +545,43 @@ out(r + 48);
   EXPECT_EQ(RunScript(script), std::vector<uint8_t>{'0' + 14});
 }
 
-// Each of the engine's 16 binary arms, plus NOT and NEG, on operands that
-// tell it apart from its neighbours: every comparison sees a less, an equal,
-// a greater and a signed pair, so false results are checked as well as true
-// ones.  One output byte per check (out() keeps the low byte), so a failure
-// names its arm.
+// Each of the engine's 32 binary arms, plus NOT and NEG, on operands that
+// tell it apart from its neighbours.  Every operator runs with a variable
+// right operand (its plain arm) and with a literal one (its fused arm), and
+// every comparison sees a less, an equal, a greater and a signed pair in
+// both forms, so false results are checked as well as true ones and no two
+// arms of a kind can trade places unnoticed.  One output byte per check
+// (out() keeps the low byte), so a failure names its arm.
 TEST(MicroJs, EachOperatorArmComputesItsOwnOperator) {
   struct Check {
     const char* expr;
     uint8_t want;
   };
   const Check kChecks[] = {
+      // Variable right operands: the plain arms.
       {"a + b", 10},     {"a - b", 4},      {"a * b", 21},     {"a / b", 2},
-      {"a % b", 1},      {"m / 2", 0xfd},   {"m % 2", 0xff},   {"s & 3", 2},
-      {"s | 3", 7},      {"s ^ 3", 5},      {"b << 2", 12},    {"12 >> 2", 3},
-      {"-8 >> 1", 0xfc}, {"!0", 1},         {"!b", 0},         {"-b", 0xfd},
+      {"a % b", 1},      {"s & b", 2},      {"s | b", 7},      {"s ^ b", 5},
+      {"a << c", 28},    {"m >> c", 0xfe},
+      {"2 < b", 1},      {"3 < b", 0},      {"4 < b", 0},      {"m < b", 1},
+      {"2 <= b", 1},     {"3 <= b", 1},     {"4 <= b", 0},     {"m <= b", 1},
+      {"2 > b", 0},      {"3 > b", 0},      {"4 > b", 1},      {"m > b", 0},
+      {"2 >= b", 0},     {"3 >= b", 1},     {"4 >= b", 1},     {"m >= b", 0},
+      {"2 == b", 0},     {"3 == b", 1},     {"4 == b", 0},     {"m == b", 0},
+      {"2 != b", 1},     {"3 != b", 0},     {"4 != b", 1},     {"m != b", 1},
+      // Literal right operands: the fused arms.
+      {"a + 5", 12},     {"a - 5", 2},      {"a * 5", 35},     {"m / 2", 0xfd},
+      {"m % 2", 0xff},   {"s & 3", 2},      {"s | 3", 7},      {"s ^ 3", 5},
+      {"b << 2", 12},    {"12 >> 2", 3},    {"-8 >> 1", 0xfc},
       {"2 < 3", 1},      {"3 < 3", 0},      {"4 < 3", 0},      {"-1 < 1", 1},
       {"2 <= 3", 1},     {"3 <= 3", 1},     {"4 <= 3", 0},     {"-1 <= 1", 1},
       {"2 > 3", 0},      {"3 > 3", 0},      {"4 > 3", 1},      {"-1 > 1", 0},
       {"2 >= 3", 0},     {"3 >= 3", 1},     {"4 >= 3", 1},     {"-1 >= 1", 0},
       {"2 == 3", 0},     {"3 == 3", 1},     {"4 == 3", 0},     {"-1 == 1", 0},
       {"2 != 3", 1},     {"3 != 3", 0},     {"4 != 3", 1},     {"-1 != 1", 1},
+      // NOT and NEG.
+      {"!0", 1},         {"!b", 0},         {"-b", 0xfd},
   };
-  std::string script = "var a = 7;\nvar b = 3;\nvar m = 0 - 7;\nvar s = 6;\n";
+  std::string script = "var a = 7;\nvar b = 3;\nvar m = 0 - 7;\nvar s = 6;\nvar c = 2;\n";
   for (const Check& check : kChecks) {
     script += std::string("out(") + check.expr + ");\n";
   }

@@ -294,8 +294,9 @@ TEST(VccCodegen, IndexedAndAbsoluteOperands) {
   ASSERT_TRUE(asm_text.ok()) << asm_text.status().ToString();
   const std::string run = FunctionBody(*asm_text, "run");
   ASSERT_FALSE(run.empty()) << *asm_text;
-  EXPECT_NE(run.find("ldw r0, [r0+r4*8-8]"), std::string::npos) << run;  // E_STACK[sp - 1]
-  EXPECT_NE(run.find("ldw r0, [E_STACK+0]"), std::string::npos) << run;
+  EXPECT_NE(run.find("ldw r0, [r7+r6*8-16]"), std::string::npos) << run;  // code[pc - 2]
+  EXPECT_NE(run.find("stw [r10+r8*8+0], r4"), std::string::npos) << run;  // vars[a] = t
+  EXPECT_NE(run.find("ldw r5, [E_STACK+0]"), std::string::npos) << run;   // sp = E_STACK
   EXPECT_NE(run.find("+r0*8]"), std::string::npos) << run;  // the jump-table load
   EXPECT_EQ(run.find("shl r3"), std::string::npos) << run;
   EXPECT_EQ(run.find("mov r0, E_STACK"), std::string::npos) << run;
