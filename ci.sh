@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure + build + ctest in one command.
 #
-#   ./ci.sh             # normal mode (warnings allowed) + fig9/12/13/14/16/17/sec64 smokes
-#                       # and the HTTP server and JS UDF examples
+#   ./ci.sh             # normal mode (warnings allowed) + the perfbench modeled-metric
+#                       # gate, fig9/12/13/14/16/17/sec64 smokes and the HTTP server
+#                       # and JS UDF examples
 #   STRICT=1 ./ci.sh    # -Werror: any warning fails the build
 #   TSAN=1 ./ci.sh      # ThreadSanitizer build; runs the threaded wasp/net tests
 #   ASAN=1 ./ci.sh      # Address+UBSanitizer build; runs the snapshot/memory tests
@@ -85,6 +86,14 @@ BUILD_DIR="${BUILD_DIR:-build}"
 cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR"
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$(nproc)")
+# Modeled-metric gate: perfbench's three workloads, 1 s each on a fixed seed,
+# untraced and traced; fails (non-zero) if a run is incorrect or fails an op,
+# or if modeled cycles, exits, guest instructions, restored KB or host cycles
+# per op differ from tools/modeled_expected.json (old -> new is printed; wall
+# metrics are printed, not gated).  The measured values land in
+# $BUILD_DIR/modeled_measured.json: a change that moves a number on purpose
+# copies that file over the expected one.
+CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/modeled_measured.json"
 # Multicore throughput + lock-free acquire smoke, swept to 16 lanes: fails
 # (non-zero) if pooled-async scaling drops below the 4x-at-8-threads floor,
 # if fewer than 95% of steady-state acquires are served lock-free (lane
@@ -157,4 +166,5 @@ for t in "$BUILD_DIR"/test_*; do
   [[ -x "$t" ]] || continue
   cases=$((cases + $(count_gtests "$t")))
 done
-echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, 7 bench smokes, 2 examples"
+echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, modeled gate," \
+     "7 bench smokes, 2 examples"

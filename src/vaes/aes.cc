@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "src/wasp/abi.h"
+
 namespace vaes {
 namespace {
 
@@ -235,7 +237,7 @@ int main() {
   char *buf;
   int n; int i; int j;
   buf = malloc(16448);
-  n = __hc2(6, buf, 16448);  // snapshot_get_data
+  n = __hc2()vc" << wasp::kHcSnapshotGetData << R"vc(, buf, 16448);
   if (n < 32) {
     return -1;
   }

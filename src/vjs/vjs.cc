@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "src/base/nesting.h"
+#include "src/wasp/abi.h"
 
 namespace vjs {
 namespace {
@@ -838,7 +839,7 @@ int main() {
   int n;
   t0 = __rdtsc();
   engine_init();
-  n = __hc2(6, E_IN, 65536);  // snapshot_get_data
+  n = __hc2()vc" << wasp::kHcSnapshotGetData << R"vc(, E_IN, 65536);
   n = run(CODE, n);
   if (TEARDOWN) {
     engine_teardown();

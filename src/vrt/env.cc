@@ -1,5 +1,6 @@
 #include "src/vrt/env.h"
 
+#include <cctype>
 #include <sstream>
 
 #include "src/isa/assembler.h"
@@ -172,22 +173,13 @@ std::string AsmPrelude(Env env) {
   os << ".org 0x" << std::hex << wasp::kImageLoadAddr << std::dec << "\n";
   os << ".equ WORD, " << WordBytes(env) << "\n";
   os << ".equ BOOTINFO, " << wasp::kBootInfoAddr << "\n";
-  os << ".equ HC_EXIT, " << wasp::kHcExit << "\n";
-  os << ".equ HC_CONSOLE, " << wasp::kHcConsole << "\n";
-  os << ".equ HC_SNAPSHOT, " << wasp::kHcSnapshot << "\n";
-  os << ".equ HC_GET_DATA, " << wasp::kHcGetData << "\n";
-  os << ".equ HC_RETURN_DATA, " << wasp::kHcReturnData << "\n";
-  os << ".equ HC_SNAPSHOT_GET_DATA, " << wasp::kHcSnapshotGetData << "\n";
-  os << ".equ HC_RETURN_EXIT, " << wasp::kHcReturnExit << "\n";
-  os << ".equ HC_OPEN, " << wasp::kHcOpen << "\n";
-  os << ".equ HC_READ, " << wasp::kHcRead << "\n";
-  os << ".equ HC_WRITE, " << wasp::kHcWrite << "\n";
-  os << ".equ HC_CLOSE, " << wasp::kHcClose << "\n";
-  os << ".equ HC_STAT, " << wasp::kHcStat << "\n";
-  os << ".equ HC_READFILE, " << wasp::kHcReadFile << "\n";
-  os << ".equ HC_SEND, " << wasp::kHcSend << "\n";
-  os << ".equ HC_RECV, " << wasp::kHcRecv << "\n";
-  os << ".equ HC_SEND_RECV, " << wasp::kHcSendRecv << "\n";
+  for (const wasp::HypercallInfo& hc : wasp::kHypercalls) {
+    std::string symbol = "HC_";
+    for (const char* c = hc.name; *c != '\0'; ++c) {
+      symbol += static_cast<char>(std::toupper(static_cast<unsigned char>(*c)));
+    }
+    os << ".equ " << symbol << ", " << hc.port << "\n";
+  }
   return os.str();
 }
 

@@ -54,8 +54,9 @@ vbase::Result<visa::Image> BuildImage(Env env, const std::string& user_source);
 // the `start` label.
 vbase::Result<visa::Image> BuildRawImage(const std::string& source);
 
-// The assembly prelude (`.equ` constants: WORD, BOOTINFO, hypercall ports)
-// shared by all generated guest code; exposed for the compiler backend.
+// The assembly prelude (`.equ` constants: WORD, BOOTINFO, and HC_<NAME> for
+// each row of wasp::kHypercalls) shared by all generated guest code; exposed
+// for the compiler backend.
 std::string AsmPrelude(Env env);
 
 }  // namespace vrt

@@ -1,35 +1,44 @@
 #include "src/vrt/vlibc.h"
 
+#include <sstream>
+
+#include "src/wasp/abi.h"
+
 namespace vrt {
 
 const std::string& VlibcSource() {
-  static const std::string kSource = R"vlibc(
+  static const std::string kSource = [] {
+    std::ostringstream os;
+    os << R"vc(
 // ======================= vlibc (vcc dialect) =========================
-// Hypercall ports mirror src/wasp/abi.h; they must be integer literals.
 
-int exit(int code)                    { return __hc1(1, code); }
-int console_write(char *s, int n)     { return __hc2(2, s, n); }
-int v_snapshot()                      { return __hc0(3); }
-int get_data(char *buf, int cap)      { return __hc2(4, buf, cap); }
-int return_data(char *buf, int n)     { return __hc2(5, buf, n); }
+int exit(int code) { return __hc1()vc" << wasp::kHcExit << R"vc(, code); }
+int console_write(char *s, int n) { return __hc2()vc" << wasp::kHcConsole << R"vc(, s, n); }
+int v_snapshot() { return __hc0()vc" << wasp::kHcSnapshot << R"vc(); }
+int get_data(char *buf, int cap) { return __hc2()vc" << wasp::kHcGetData << R"vc(, buf, cap); }
+int return_data(char *buf, int n) { return __hc2()vc" << wasp::kHcReturnData << R"vc(, buf, n); }
 // return_data(buf, n) then exit(code), in one exit; never returns.
-// Its input-side partner, snapshot_get_data (port 6), has no wrapper: a
-// restore resumes inside that call, so a guest issues it inline as
-// __hc2(6, buf, cap) from a frame no later call overwrites.
-int return_exit(int code, char *buf, int n) { return __hc3(7, code, buf, n); }
-int open(char *path)                  { return __hc1(16, path); }
-int read(int fd, char *buf, int n)    { return __hc3(17, fd, buf, n); }
-int write(int fd, char *buf, int n)   { return __hc3(18, fd, buf, n); }
-int close(int fd)                     { return __hc1(19, fd); }
-int readfile(char *path, char *buf, int cap) { return __hc3(21, path, buf, cap); }
-int send(char *buf, int n)            { return __hc2(32, buf, n); }
-int recv(char *buf, int cap)          { return __hc2(33, buf, cap); }
+// Its input-side partner, snapshot_get_data, has no wrapper: a restore
+// resumes inside that call, so a guest issues it inline from a frame no
+// later call overwrites.
+int return_exit(int code, char *buf, int n) {
+  return __hc3()vc" << wasp::kHcReturnExit << R"vc(, code, buf, n);
+}
+int open(char *path) { return __hc1()vc" << wasp::kHcOpen << R"vc(, path); }
+int read(int fd, char *buf, int n) { return __hc3()vc" << wasp::kHcRead << R"vc(, fd, buf, n); }
+int write(int fd, char *buf, int n) { return __hc3()vc" << wasp::kHcWrite << R"vc(, fd, buf, n); }
+int close(int fd) { return __hc1()vc" << wasp::kHcClose << R"vc(, fd); }
+int readfile(char *path, char *buf, int cap) {
+  return __hc3()vc" << wasp::kHcReadFile << R"vc(, path, buf, cap);
+}
+int send(char *buf, int n) { return __hc2()vc" << wasp::kHcSend << R"vc(, buf, n); }
+int recv(char *buf, int cap) { return __hc2()vc" << wasp::kHcRecv << R"vc(, buf, cap); }
 // msg = [out, out_len, in, in_cap]: sends out_len bytes, then receives.
-int send_recv(int *msg)               { return __hc1(34, msg); }
+int send_recv(int *msg) { return __hc1()vc" << wasp::kHcSendRecv << R"vc(, msg); }
 
 int stat_size(char *path) {
   int st[2];
-  if (__hc2(20, path, st) < 0) {
+  if (__hc2()vc" << wasp::kHcStat << R"vc(, path, st) < 0) {
     return -1;
   }
   return st[0];
@@ -153,7 +162,8 @@ int itoa(char *buf, int v) {
   return j;
 }
 
-// Hexadecimal rendering (lowercase, no 0x prefix); returns length.
+// Hexadecimal rendering of v as unsigned (lowercase, no 0x prefix); returns
+// length.  >> is arithmetic, so a negative v stops at one digit per nibble.
 int uitoa_hex(char *buf, int v) {
   char tmp[20];
   int i;
@@ -164,7 +174,7 @@ int uitoa_hex(char *buf, int v) {
     tmp[i] = '0';
     i = i + 1;
   }
-  while (v) {
+  while (v && i < sizeof(int) * 2) {
     d = v & 15;
     if (d < 10) {
       tmp[i] = '0' + d;
@@ -172,7 +182,7 @@ int uitoa_hex(char *buf, int v) {
       tmp[i] = 'a' + d - 10;
     }
     i = i + 1;
-    v = (v >> 4) & 1152921504606846975;  // logical shift: clear sign bits
+    v = v >> 4;
   }
   j = 0;
   while (i > 0) {
@@ -217,7 +227,9 @@ int free(char *p) {
   return 0;
 }
 // ======================= end vlibc =========================
-)vlibc";
+)vc";
+    return os.str();
+  }();
   return kSource;
 }
 

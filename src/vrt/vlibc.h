@@ -4,13 +4,11 @@
 // vlibc is written in the vcc dialect and concatenated with user programs
 // before compilation; the compiler's call-graph cut drops everything the
 // virtine does not use, keeping images small.  Its "system calls" forward to
-// Wasp hypercalls (ports from src/wasp/abi.h, hard-coded as literals because
-// hypercall ports are immediate operands).
+// Wasp hypercalls; each port is streamed in from wasp::kHypercalls
+// (src/wasp/abi.h) as the integer literal an immediate operand needs.
 //
-// Provided: hypercall wrappers (exit/console/snapshot/get_data/return_data,
-// return_exit — the folded return_data+exit a function virtine leaves
-// through — and open/read/write/close/stat_size/readfile/send/recv/
-// send_recv), string and memory routines
+// Provided: a wrapper for each hypercall but snapshot_get_data, which guests
+// issue inline (stat's wrapper is stat_size), string and memory routines
 // (strlen/strcmp/strcpy/strcat/memcpy/memset/memcmp/atoi/itoa/uitoa_hex),
 // console printing helpers (puts/print_int), and a bump-pointer malloc with
 // a trivial free list.

@@ -11,15 +11,16 @@
 // into one exit each.  A call that needs more than three arguments takes a
 // pointer to a message of guest words instead.
 //
-// Every port has a policy bit: virtines run default-deny, and a request for
-// a port whose bit is clear terminates the virtine (Section 2: virtines
-// exist in a default-deny environment).  kHcExit is always permitted — the
-// only externally observable behavior Wasp provides by default is the
-// ability to exit.  kHcSnapshot is permitted too: it is hypervisor-internal
-// and once-only.
+// kHypercalls below lists every call once: its port, its name and the
+// policy bits it needs.  Guests, RequiredPolicy and diagnostics read it, and
+// Runtime::Dispatch has one handler case per row.
 //
-// Folded calls never widen the policy: a folded call is permitted exactly
-// when every call it folds is.  snapshot_get_data needs the get_data bit;
+// Virtines run default-deny: a call whose bits are not all in the policy
+// terminates the virtine (Section 2: virtines exist in a default-deny
+// environment).  Exit needs no bit — the only externally observable behavior
+// Wasp provides by default is the ability to exit — and neither does
+// snapshot, which is hypervisor-internal and once-only.  Folded calls never
+// widen the policy: snapshot_get_data needs the get_data bit, and
 // return_exit needs the return_data bit when it carries bytes (len > 0) and
 // nothing otherwise.  Their own ports' bits are never consulted.
 //
@@ -35,40 +36,97 @@
 
 namespace wasp {
 
-// --- Hypercall ports (all < 64 so they map 1:1 onto policy-mask bits) ------
-inline constexpr uint16_t kHcExit = 1;        // r1 = exit code
-inline constexpr uint16_t kHcConsole = 2;     // r1 = buf va, r2 = len
-inline constexpr uint16_t kHcSnapshot = 3;    // take a snapshot (once only)
-inline constexpr uint16_t kHcGetData = 4;     // r1 = dst va, r2 = cap -> r0 = len (once only)
-inline constexpr uint16_t kHcReturnData = 5;  // r1 = src va, r2 = len
-// snapshot() then get_data() in one exit, with get_data's registers; the
-// snapshot it captures resumes inside this call (see above).
+// --- Hypercall ports: kHypercalls' keys, all < 64 (one policy-mask bit each) ---
+inline constexpr uint16_t kHcExit = 1;
+inline constexpr uint16_t kHcConsole = 2;
+inline constexpr uint16_t kHcSnapshot = 3;
+inline constexpr uint16_t kHcGetData = 4;
+inline constexpr uint16_t kHcReturnData = 5;
 inline constexpr uint16_t kHcSnapshotGetData = 6;
-inline constexpr uint16_t kHcReturnExit = 7;  // r1 = exit code, r2 = src va, r3 = len
-inline constexpr uint16_t kHcOpen = 16;       // r1 = path va -> r0 = fd | -1
-inline constexpr uint16_t kHcRead = 17;       // r1 = fd, r2 = buf va, r3 = len -> r0 = n | -1
-inline constexpr uint16_t kHcWrite = 18;      // r1 = fd, r2 = buf va, r3 = len -> r0 = n | -1
-inline constexpr uint16_t kHcClose = 19;      // r1 = fd -> r0 = 0 | -1
-inline constexpr uint16_t kHcStat = 20;       // r1 = path va, r2 = statbuf va -> r0 = 0 | -1
-// r1 = path va, r2 = buf va, r3 = cap -> r0 = file size | -1.  Copies the
-// first min(cap, size) bytes from one locked read: stat+open+read+close in
-// one exit, with the size and the bytes from the same version of the file.
+inline constexpr uint16_t kHcReturnExit = 7;
+inline constexpr uint16_t kHcOpen = 16;
+inline constexpr uint16_t kHcRead = 17;
+inline constexpr uint16_t kHcWrite = 18;
+inline constexpr uint16_t kHcClose = 19;
+inline constexpr uint16_t kHcStat = 20;
 inline constexpr uint16_t kHcReadFile = 21;
-inline constexpr uint16_t kHcSend = 32;       // r1 = buf va, r2 = len -> r0 = n | -1
-inline constexpr uint16_t kHcRecv = 33;       // r1 = buf va, r2 = cap -> r0 = n (0 on EOF)
-// r1 = message va -> r0 = n received (0 on EOF) | -1 if the send failed.
-// The message is four guest words [out va, out len, in va, in cap]: send
-// `out len` bytes, then receive up to `in cap` bytes, in one exit (the
-// reply-and-wait shape of seL4's ReplyRecv).
+inline constexpr uint16_t kHcSend = 32;
+inline constexpr uint16_t kHcRecv = 33;
 inline constexpr uint16_t kHcSendRecv = 34;
 
 inline constexpr int kMaxHypercall = 64;
 
-// --- Policy masks -----------------------------------------------------------
 using HypercallMask = uint64_t;
 
 inline constexpr HypercallMask MaskOf(uint16_t port) { return 1ULL << port; }
 
+// --- The hypercall table: one row per port, in port order, each commented
+// with its register shape.  `needs` is the policy bits the call requires.
+struct HypercallInfo {
+  uint16_t port;
+  const char* name;
+  HypercallMask needs;
+};
+inline constexpr HypercallInfo kHypercalls[] = {
+    {kHcExit, "exit", 0},                                   // r1 = exit code
+    {kHcConsole, "console", MaskOf(kHcConsole)},            // r1 = buf va, r2 = len
+    {kHcSnapshot, "snapshot", 0},                           // take a snapshot (once only)
+    // r1 = dst va, r2 = cap -> r0 = len (once only)
+    {kHcGetData, "get_data", MaskOf(kHcGetData)},
+    {kHcReturnData, "return_data", MaskOf(kHcReturnData)},  // r1 = src va, r2 = len
+    // snapshot() then get_data() in one exit, with get_data's registers.
+    {kHcSnapshotGetData, "snapshot_get_data", MaskOf(kHcGetData)},
+    // r1 = exit code, r2 = src va, r3 = len
+    {kHcReturnExit, "return_exit", MaskOf(kHcReturnData)},
+    {kHcOpen, "open", MaskOf(kHcOpen)},     // r1 = path va -> r0 = fd | -1
+    {kHcRead, "read", MaskOf(kHcRead)},     // r1 = fd, r2 = buf va, r3 = len -> r0 = n | -1
+    {kHcWrite, "write", MaskOf(kHcWrite)},  // r1 = fd, r2 = buf va, r3 = len -> r0 = n | -1
+    {kHcClose, "close", MaskOf(kHcClose)},  // r1 = fd -> r0 = 0 | -1
+    // r1 = path va, r2 = statbuf va -> r0 = 0 | -1.  Writes the file size as
+    // one guest word of the vCPU's current width; -1 if it does not fit.
+    {kHcStat, "stat", MaskOf(kHcStat)},
+    // r1 = path va, r2 = buf va, r3 = cap -> r0 = file size | -1: stat+open+read+close
+    // of min(cap, size) bytes in one locked read, so both come from one version.
+    {kHcReadFile, "readfile", MaskOf(kHcReadFile)},
+    {kHcSend, "send", MaskOf(kHcSend)},  // r1 = buf va, r2 = len -> r0 = n | -1
+    {kHcRecv, "recv", MaskOf(kHcRecv)},  // r1 = buf va, r2 = cap -> r0 = n (0 on EOF)
+    // r1 = message va -> r0 = n received (0 on EOF) | -1 if the send failed.  The
+    // message is four guest words [out va, out len, in va, in cap]: send, then
+    // receive, in one exit (the reply-and-wait shape of seL4's ReplyRecv).
+    {kHcSendRecv, "send_recv", MaskOf(kHcSendRecv)},
+};
+
+// The row for `port`, or nullptr when the table has none.
+inline constexpr const HypercallInfo* FindHypercall(uint16_t port) {
+  for (const HypercallInfo& hc : kHypercalls) {
+    if (hc.port == port) {
+      return &hc;
+    }
+  }
+  return nullptr;
+}
+
+// The name of the call on `port`, or nullptr when the table has none.
+inline constexpr const char* HypercallName(uint16_t port) {
+  const HypercallInfo* hc = FindHypercall(port);
+  return hc != nullptr ? hc->name : nullptr;
+}
+
+// The policy bits a call on `port` needs: its row's, or none for a
+// return_exit whose `out_len` (r3) is 0.  A port below kMaxHypercall without
+// a row needs its own bit (client handlers use such ports); ports past the
+// mask need none: they reach dispatch and fail as illegal hypercalls.
+inline constexpr HypercallMask RequiredPolicy(uint16_t port, uint64_t out_len) {
+  if (port == kHcReturnExit && out_len == 0) {
+    return 0;
+  }
+  if (const HypercallInfo* hc = FindHypercall(port); hc != nullptr) {
+    return hc->needs;
+  }
+  return port < kMaxHypercall ? MaskOf(port) : 0;
+}
+
+// --- Policy masks -----------------------------------------------------------
 // `virtine` keyword semantics: deny everything (exit is implicitly allowed).
 inline constexpr HypercallMask kPolicyDenyAll = 0;
 // `virtine_permissive` keyword semantics: allow everything.
@@ -88,24 +146,6 @@ inline constexpr HypercallMask kPolicyStream =
 // beyond these bits.
 inline constexpr HypercallMask kPolicyManaged =
     MaskOf(kHcSnapshot) | MaskOf(kHcGetData) | MaskOf(kHcReturnData);
-
-// The policy bits a call on `port` needs: none for exit and snapshot, the
-// folded calls' bits for a folded call, its own bit otherwise.  `out_len` is
-// return_exit's byte count (r3); other ports ignore it.  Ports past the mask
-// need no bit: they reach dispatch and fail as illegal hypercalls.
-inline constexpr HypercallMask RequiredPolicy(uint16_t port, uint64_t out_len) {
-  switch (port) {
-    case kHcExit:
-    case kHcSnapshot:
-      return 0;
-    case kHcSnapshotGetData:
-      return MaskOf(kHcGetData);
-    case kHcReturnExit:
-      return out_len > 0 ? MaskOf(kHcReturnData) : 0;
-    default:
-      return port < kMaxHypercall ? MaskOf(port) : 0;
-  }
-}
 
 // --- Guest physical layout ---------------------------------------------------
 // [0x000 ..]        argument/result page (see below)

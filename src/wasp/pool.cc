@@ -39,16 +39,11 @@ size_t Pool::LaneIndex() const { return CurrentLane() % lane_capacity_; }
 
 size_t Pool::HomeShard() const { return CurrentLane() % shards_.size(); }
 
-size_t Pool::NodeOfShard(size_t shard) const {
-  return shard * static_cast<size_t>(options_.numa_nodes) / shards_.size();
-}
-
 Pool::Pool(const PoolOptions& options)
     : options_([&] {
         PoolOptions o = options;
         o.shards = std::max(o.shards, 1);
         o.cleaners = std::max(o.cleaners, 1);
-        o.numa_nodes = std::clamp(o.numa_nodes, 1, o.shards);
         if (o.lanes <= 0) {
           o.lanes = std::max(16, 2 * o.shards);
         }
@@ -60,24 +55,6 @@ Pool::Pool(const PoolOptions& options)
     shards_.push_back(std::make_unique<Shard>());
   }
   lanes_ = std::make_unique<Lane[]>(lane_capacity_);
-  // Steal order per home shard: home, then the rest of the home's modeled
-  // NUMA node (ascending from home), then remote-node shards.
-  probe_order_.resize(shards_.size());
-  for (size_t h = 0; h < shards_.size(); ++h) {
-    auto& order = probe_order_[h];
-    order.reserve(shards_.size());
-    order.push_back(static_cast<uint32_t>(h));
-    const size_t home_node = NodeOfShard(h);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t off = 1; off < shards_.size(); ++off) {
-        const size_t s = (h + off) % shards_.size();
-        const bool same_node = NodeOfShard(s) == home_node;
-        if (same_node == (pass == 0)) {
-          order.push_back(static_cast<uint32_t>(s));
-        }
-      }
-    }
-  }
   if (options_.mode == CleanMode::kAsync) {
     cleaners_.reserve(static_cast<size_t>(options_.cleaners));
     for (int i = 0; i < options_.cleaners; ++i) {
@@ -439,10 +416,10 @@ std::unique_ptr<vkvm::Vm> Pool::TryFastClean(const vkvm::VmConfig& config, bool*
     // Wrong size: spill to the home stack rather than re-occupying the slot.
     shards_[HomeShard()]->free.Push(node);
   }
-  // Tier 2: home shard's stack, then NUMA-ordered sibling steal.
+  // Tier 2: home shard's stack, then sibling steal.
   const size_t home = HomeShard();
-  const size_t home_node = NodeOfShard(home);
-  for (uint32_t s : probe_order_[home]) {
+  for (size_t off = 0; off < shards_.size(); ++off) {
+    const size_t s = (home + off) % shards_.size();
     node = PopMatch(shards_[s]->free, config.mem_size, 0, /*match_generation=*/false);
     if (node == nullptr) {
       continue;
@@ -451,9 +428,6 @@ std::unique_ptr<vkvm::Vm> Pool::TryFastClean(const vkvm::VmConfig& config, bool*
     stats_.freelist_hits.fetch_add(1, std::memory_order_relaxed);
     if (s != home) {
       stats_.cross_shard_steals.fetch_add(1, std::memory_order_relaxed);
-      if (NodeOfShard(s) != home_node) {
-        stats_.cross_node_steals.fetch_add(1, std::memory_order_relaxed);
-      }
     }
     if (from_pool != nullptr) {
       *from_pool = true;
@@ -482,8 +456,8 @@ std::unique_ptr<vkvm::Vm> Pool::TryFastAffine(const vkvm::VmConfig& config,
     ReinsertLaneAffine(lane, node);
   }
   const size_t home = HomeShard();
-  const size_t home_node = NodeOfShard(home);
-  for (uint32_t s : probe_order_[home]) {
+  for (size_t off = 0; off < shards_.size(); ++off) {
+    const size_t s = (home + off) % shards_.size();
     node = PopMatch(shards_[s]->affine, config.mem_size, generation,
                     /*match_generation=*/true);
     if (node == nullptr) {
@@ -495,9 +469,6 @@ std::unique_ptr<vkvm::Vm> Pool::TryFastAffine(const vkvm::VmConfig& config,
     stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
     if (s != home) {
       stats_.cross_shard_steals.fetch_add(1, std::memory_order_relaxed);
-      if (NodeOfShard(s) != home_node) {
-        stats_.cross_node_steals.fetch_add(1, std::memory_order_relaxed);
-      }
     }
     if (from_pool != nullptr) {
       *from_pool = true;
@@ -516,8 +487,8 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config,
   // false-miss a shell buried under other generations' nodes, and serving
   // the resident snapshot beats serving a clean shell plus a full restore.
   if (generation != 0 && affine_count_.load(std::memory_order_relaxed) > 0) {
-    for (uint32_t s : probe_order_[home]) {
-      Shard& shard = *shards_[s];
+    for (size_t off = 0; off < shards_.size(); ++off) {
+      Shard& shard = *shards_[(home + off) % shards_.size()];
       ShellNode* node;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
@@ -562,8 +533,8 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config,
   // Exhaustive clean sweep: before paying vm_create, make sure no stack or
   // lane slot actually holds a free shell (a bounded fast-path miss is not
   // proof of emptiness).
-  for (uint32_t s : probe_order_[home]) {
-    Shard& shard = *shards_[s];
+  for (size_t off = 0; off < shards_.size(); ++off) {
+    Shard& shard = *shards_[(home + off) % shards_.size()];
     ShellNode* node;
     {
       std::lock_guard<std::mutex> lock(shard.mu);
@@ -595,8 +566,8 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config,
   // Reclaim (clean) an already-parked affine shell of any generation — it
   // is dirty, so clean it first — before creating from scratch.
   if (affine_count_.load(std::memory_order_relaxed) > 0) {
-    for (uint32_t s : probe_order_[home]) {
-      Shard& shard = *shards_[s];
+    for (size_t off = 0; off < shards_.size(); ++off) {
+      Shard& shard = *shards_[(home + off) % shards_.size()];
       ShellNode* node;
       {
         std::lock_guard<std::mutex> lock(shard.mu);
@@ -907,7 +878,6 @@ PoolStats Pool::stats() const {
   out.freelist_hits = stats_.freelist_hits.load(std::memory_order_relaxed);
   out.slow_path_acquires = stats_.slow_path_acquires.load(std::memory_order_relaxed);
   out.cross_shard_steals = stats_.cross_shard_steals.load(std::memory_order_relaxed);
-  out.cross_node_steals = stats_.cross_node_steals.load(std::memory_order_relaxed);
   out.affine_hits = stats_.affine_hits.load(std::memory_order_relaxed);
   out.affine_parks = stats_.affine_parks.load(std::memory_order_relaxed);
   out.affine_reclaims = stats_.affine_reclaims.load(std::memory_order_relaxed);

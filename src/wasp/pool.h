@@ -57,19 +57,15 @@
 //      (lane mod shards); each shard keeps tagged-pointer ABA-safe lock-free
 //      stacks (see freelist.h) for clean, affine, and dirty shells.  A lane
 //      cache miss pops the home shard's stack, then *steals* from sibling
-//      shards — nearest (modeled-)NUMA-node shards first.
+//      shards in ascending order from home.
 //   3. Mutex slow path.  Only when the bounded lock-free probes find
 //      nothing does an acquire take shard mutexes for an exhaustive sweep
 //      (then a fresh create).  Eviction, retirement, and the cleaner drain
 //      barrier are maintenance and serialize the same way.
 //
-// NUMA placement is *modeled* (the emulated machine has no real topology):
-// shards are split into `numa_nodes` contiguous blocks and the steal order
-// prefers same-node shards, so an affine shell's pages are reused by the
-// lane — or at worst the node — that dirtied them.  PoolStats separates
-// lane-cache hits, free-list hits, slow-path acquires, and cross-shard /
-// cross-node steals, so the fast path's share is observable, not asserted;
-// callers time acquires themselves (InvokeStats::acquire_ns).
+// PoolStats separates lane-cache hits, free-list hits, slow-path acquires,
+// and cross-shard steals, so the fast path's share is observable, not
+// asserted; callers time acquires themselves (InvokeStats::acquire_ns).
 #ifndef SRC_WASP_POOL_H_
 #define SRC_WASP_POOL_H_
 
@@ -108,7 +104,6 @@ struct PoolStats {
   uint64_t freelist_hits = 0;       // served by a lock-free shard stack
   uint64_t slow_path_acquires = 0;  // took a shard mutex (or created fresh)
   uint64_t cross_shard_steals = 0;  // free-list hits served off-home-shard
-  uint64_t cross_node_steals = 0;   // ... and off the home's modeled NUMA node
   // Snapshot-affinity counters.
   uint64_t affine_hits = 0;      // keyed acquires served with the snapshot resident
   uint64_t affine_parks = 0;     // releases that skipped zeroing (snapshot-backed)
@@ -165,9 +160,6 @@ struct PoolOptions {
   // Per-lane cache slots.  0 = auto: max(16, 2 * shards), enough for the
   // 16-lane fig9 sweep with every lane owning a private slot.
   int lanes = 0;
-  // Modeled NUMA topology: shards are split into this many contiguous node
-  // blocks and the steal order visits same-node shards first.  1 = flat.
-  int numa_nodes = 1;
 };
 
 class Pool {
@@ -182,8 +174,8 @@ class Pool {
   // Binds the calling thread to `lane` for every pool in the process (the
   // executor binds each worker to its worker index).  Unbound threads are
   // lazily assigned a process-unique lane id on first pool use; either way
-  // the lane — and thus the home shard and modeled NUMA node — is stable
-  // for the thread's lifetime.
+  // the lane — and thus the home shard — is stable for the thread's
+  // lifetime.
   static void BindLane(uint32_t lane);
 
   // Acquires a shell with the given configuration, reusing a clean pooled
@@ -191,10 +183,9 @@ class Pool {
   std::unique_ptr<vkvm::Vm> Acquire(const vkvm::VmConfig& config, bool* from_pool = nullptr);
 
   // Keyed acquire: prefers the lane cache / home shard stack holding
-  // snapshot `generation` resident (then steals from siblings, nearest node
-  // first), falling back to a clean shell and finally a fresh create.
-  // `*affine_hit` reports whether the returned shell holds the snapshot
-  // (caller may delta-restore).
+  // snapshot `generation` resident (then steals from siblings), falling back
+  // to a clean shell and finally a fresh create.  `*affine_hit` reports
+  // whether the returned shell holds the snapshot (caller may delta-restore).
   std::unique_ptr<vkvm::Vm> AcquireAffine(const vkvm::VmConfig& config, uint64_t generation,
                                           bool* affine_hit, bool* from_pool = nullptr);
 
@@ -267,8 +258,6 @@ class Pool {
   CleanMode mode() const { return options_.mode; }
   size_t shard_count() const { return shards_.size(); }
   size_t lane_count() const { return lane_capacity_; }
-  // The modeled NUMA node a shard belongs to (contiguous blocks).
-  size_t NodeOfShard(size_t shard) const;
   // Clean shells of `mem_size` parked on `shard`'s free stack (lane slots
   // are lane-owned, not shard-owned, and are not counted here).
   size_t FreeShellsInShard(size_t shard, uint64_t mem_size) const;
@@ -352,8 +341,8 @@ class Pool {
   ShellNode* ScanMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size,
                        uint64_t generation, bool match_generation);
 
-  // Lock-free tiers 1+2 for a clean shell (lane slot, then NUMA-ordered
-  // stack pops); nullptr on miss.  Counts the serving tier.
+  // Lock-free tiers 1+2 for a clean shell (lane slot, then shard stack
+  // pops in steal order); nullptr on miss.  Counts the serving tier.
   std::unique_ptr<vkvm::Vm> TryFastClean(const vkvm::VmConfig& config, bool* from_pool);
   // Lock-free tiers 1+2 for a generation-affine shell; nullptr on miss.
   std::unique_ptr<vkvm::Vm> TryFastAffine(const vkvm::VmConfig& config, uint64_t generation,
@@ -411,9 +400,6 @@ class Pool {
   size_t lane_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<Lane[]> lanes_;
-  // Per-home-shard steal order: home first, then same-node shards, then
-  // remote nodes (precomputed; read-only after construction).
-  std::vector<std::vector<uint32_t>> probe_order_;
 
   // Node arena.  spare_nodes_ recycles popped nodes lock-free; all_nodes_
   // (mutex-guarded, touched only when the spare stack is empty) owns them.
@@ -461,7 +447,6 @@ class Pool {
     std::atomic<uint64_t> freelist_hits{0};
     std::atomic<uint64_t> slow_path_acquires{0};
     std::atomic<uint64_t> cross_shard_steals{0};
-    std::atomic<uint64_t> cross_node_steals{0};
     std::atomic<uint64_t> affine_hits{0};
     std::atomic<uint64_t> affine_parks{0};
     std::atomic<uint64_t> affine_reclaims{0};

@@ -14,6 +14,13 @@ namespace {
 constexpr uint64_t kMaxIoLen = 1ULL << 24;        // 16 MB
 constexpr uint64_t kMaxPathLen = 4096;
 
+// "send_recv (34)" for a port in the hypercall table, "port 40" otherwise.
+std::string PortLabel(uint16_t port) {
+  const char* name = HypercallName(port);
+  return name != nullptr ? std::string(name) + " (" + std::to_string(port) + ")"
+                         : "port " + std::to_string(port);
+}
+
 // The two halves of the stream hypercalls, shared by send, recv and
 // send_recv.  The caller has checked that a channel is attached.
 //
@@ -243,17 +250,13 @@ vbase::Status Runtime::SnapshotOnce(HypercallFrame& frame, PendingCall pending) 
 
 bool Runtime::Serve(uint16_t port, HypercallFrame& frame) {
   RunOutcome& outcome = frame.outcome;
-  // Default-deny: the call needs every policy bit RequiredPolicy names
-  // (abi.h).  Exit and snapshot need none: they are hypervisor-internal
-  // services with no externally observable behavior (and snapshot is
-  // enforced once-only), matching the paper's "no externally observable
-  // behavior through hypercalls other than the ability to exit".
+  // Default-deny: the call needs every policy bit RequiredPolicy names (abi.h).
   const HypercallMask need = RequiredPolicy(port, frame.arg(2));
   if ((frame.spec.policy & need) != need) {
     outcome.denied = true;
     outcome.fault = FaultKind::kPolicyDenied;
     outcome.status = vbase::PermissionDenied(
-        "hypercall " + std::to_string(port) + " denied by policy; virtine terminated");
+        "hypercall " + PortLabel(port) + " denied by policy; virtine terminated");
     return false;
   }
   auto result = Dispatch(port, frame);
@@ -282,6 +285,10 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
     return it->second(frame);
   }
   vkvm::Vm& vm = frame.vm;
+  if ((port == kHcSend || port == kHcRecv || port == kHcSendRecv) &&
+      frame.spec.channel == nullptr) {
+    return vbase::FailedPrecondition(std::string(HypercallName(port)) + ": no channel attached");
+  }
   switch (port) {
     case kHcExit:
       frame.outcome.exit_code = frame.arg(0);
@@ -366,13 +373,12 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
       if (!path.ok()) {
         return path.status();
       }
+      const int w = vm.cpu().WordSize();
       auto size = frame.env->FileSize(*path);
-      if (!size.ok()) {
+      if (!size.ok() || *size >= 1ULL << (8 * w - 1)) {
         return -1;
       }
-      const uint64_t statbuf = frame.arg(1);
-      const uint64_t sz = *size;
-      VB_RETURN_IF_ERROR(vm.WriteVirt(statbuf, &sz, sizeof(sz)));
+      VB_RETURN_IF_ERROR(vm.WriteVirt(frame.arg(1), &*size, static_cast<uint64_t>(w)));
       return 0;
     }
 
@@ -391,21 +397,12 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
     }
 
     case kHcSend:
-      if (frame.spec.channel == nullptr) {
-        return vbase::FailedPrecondition("send: no channel attached");
-      }
       return ChannelSend(frame, frame.arg(0), frame.arg(1));
 
     case kHcRecv:
-      if (frame.spec.channel == nullptr) {
-        return vbase::FailedPrecondition("recv: no channel attached");
-      }
       return ChannelRecv(frame, frame.arg(0), frame.arg(1));
 
     case kHcSendRecv: {
-      if (frame.spec.channel == nullptr) {
-        return vbase::FailedPrecondition("send_recv: no channel attached");
-      }
       // The message is [out va, out len, in va, in cap] in guest words of
       // the vCPU's current width.
       const int w = vm.cpu().WordSize();
@@ -581,11 +578,11 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
       if (inject == FaultKind::kWorkerDeath) {
         outcome.status = vbase::Aborted("worker death injected mid-invocation");
       } else if (inject == FaultKind::kIllegalHypercall) {
-        outcome.status = vbase::Unimplemented("illegal hypercall injected at port " +
-                                              std::to_string(run.port));
+        outcome.status =
+            vbase::Unimplemented("illegal hypercall injected at " + PortLabel(run.port));
       } else {
         outcome.denied = true;
-        outcome.status = vbase::PermissionDenied("hypercall " + std::to_string(run.port) +
+        outcome.status = vbase::PermissionDenied("hypercall " + PortLabel(run.port) +
                                                  " denied by injected policy");
       }
       break;

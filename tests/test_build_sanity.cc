@@ -23,7 +23,7 @@ static_assert(wasp::kHcConsole == 2);
 static_assert(wasp::kHcSnapshot == 3);
 static_assert(wasp::kHcGetData == 4);
 static_assert(wasp::kHcReturnData == 5);
-static_assert(wasp::kHcSnapshotGetData == 6, "the managed guests issue it as a literal");
+static_assert(wasp::kHcSnapshotGetData == 6, "baked into the managed guests' images");
 static_assert(wasp::kHcReturnExit == 7);
 static_assert(wasp::kHcOpen == 16);
 static_assert(wasp::kHcRead == 17);

@@ -3,6 +3,9 @@
 // cases, and real-mode constraints.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <sstream>
+
 #include "src/vcc/vcc.h"
 #include "src/vrt/env.h"
 #include "src/vrt/samples.h"
@@ -24,54 +27,51 @@ TEST(Env, WordSizesMatchModes) {
 
 TEST(Env, PreludeConstantsMirrorAbi) {
   // The .equ constants baked into guest images must match the hypervisor's
-  // ABI header, or hypercalls would hit the wrong handlers.
+  // ABI header, or hypercalls would hit the wrong handlers.  Every row of
+  // the hypercall table defines HC_<NAME>.
   const std::string prelude = vrt::AsmPrelude(vrt::Env::kLong64);
   auto expect_equ = [&](const std::string& name, uint64_t value) {
-    const std::string line = ".equ " + name + ", " + std::to_string(value);
+    const std::string line = ".equ " + name + ", " + std::to_string(value) + "\n";
     EXPECT_NE(prelude.find(line), std::string::npos) << "missing " << line;
   };
-  expect_equ("HC_EXIT", wasp::kHcExit);
-  expect_equ("HC_CONSOLE", wasp::kHcConsole);
-  expect_equ("HC_SNAPSHOT", wasp::kHcSnapshot);
-  expect_equ("HC_GET_DATA", wasp::kHcGetData);
-  expect_equ("HC_RETURN_DATA", wasp::kHcReturnData);
-  expect_equ("HC_OPEN", wasp::kHcOpen);
-  expect_equ("HC_READ", wasp::kHcRead);
-  expect_equ("HC_WRITE", wasp::kHcWrite);
-  expect_equ("HC_CLOSE", wasp::kHcClose);
-  expect_equ("HC_STAT", wasp::kHcStat);
-  expect_equ("HC_READFILE", wasp::kHcReadFile);
-  expect_equ("HC_SEND", wasp::kHcSend);
-  expect_equ("HC_RECV", wasp::kHcRecv);
-  expect_equ("HC_SEND_RECV", wasp::kHcSendRecv);
+  for (const wasp::HypercallInfo& hc : wasp::kHypercalls) {
+    std::string symbol = "HC_";
+    for (const char* c = hc.name; *c != '\0'; ++c) {
+      symbol += static_cast<char>(std::toupper(static_cast<unsigned char>(*c)));
+    }
+    expect_equ(symbol, hc.port);
+  }
+  expect_equ("HC_SNAPSHOT_GET_DATA", wasp::kHcSnapshotGetData);
+  expect_equ("HC_RETURN_EXIT", wasp::kHcReturnExit);
   expect_equ("BOOTINFO", wasp::kBootInfoAddr);
   expect_equ("WORD", 8);
 }
 
 TEST(Env, VlibcPortsMatchAbi) {
-  // vlibc hard-codes hypercall ports as literals; spot-check they agree
-  // with the ABI by exercising one wrapper per family end to end.
+  // vlibc streams its wrappers' ports in from the hypercall table; check
+  // they reach the right handlers by exercising one wrapper per family end
+  // to end.
   const char* probe = R"(
     int main() {
       char buf[8];
-      puts("c");                       // console (port 2)
-      if (get_data(buf, 8) != 3) { return 1; }   // get_data (port 4)
-      return_data(buf, 3);             // return_data (port 5)
-      if (stat_size("/p") != 2) { return 2; }    // stat (port 20)
+      puts("c");                       // console
+      if (get_data(buf, 8) != 3) { return 1; }
+      return_data(buf, 3);
+      if (stat_size("/p") != 2) { return 2; }    // stat
       int fd;
-      fd = open("/p");                 // open (port 16)
+      fd = open("/p");
       if (fd < 3) { return 3; }
-      if (read(fd, buf, 8) != 2) { return 4; }   // read (port 17)
-      write(1, buf, 2);                // write (port 18)
-      if (close(fd) != 0) { return 5; }          // close (port 19)
-      if (readfile("/p", buf, 1) != 2) { return 6; }  // readfile (port 21)
+      if (read(fd, buf, 8) != 2) { return 4; }
+      write(1, buf, 2);
+      if (close(fd) != 0) { return 5; }
+      if (readfile("/p", buf, 1) != 2) { return 6; }
       if (buf[0] != 'x') { return 7; }
       int msg[4];
       msg[0] = "ab";
       msg[1] = 2;
       msg[2] = buf;
       msg[3] = 8;
-      if (send_recv(msg) != 3) { return 8; }     // send_recv (port 34)
+      if (send_recv(msg) != 3) { return 8; }
       return 0;
     })";
   auto image = vcc::CompileProgram(vrt::VlibcSource() + probe, "main", vrt::Env::kLong64);
@@ -208,6 +208,76 @@ TEST(Vlibc, MemRoutinesEdgeCases) {
   auto outcome = runtime.Invoke(spec);
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
   EXPECT_EQ(outcome.result_word, 0u) << "failed check " << outcome.result_word;
+}
+
+constexpr vrt::Env kAllEnvs[] = {vrt::Env::kReal16, vrt::Env::kProt32, vrt::Env::kLong64};
+
+// Compiles vlibc + `program` for `env` and runs its main with /p (2 bytes)
+// and /big (40,000 bytes) in the host environment.
+wasp::RunOutcome RunVlibcProgram(vrt::Env env, const std::string& program,
+                                 wasp::HypercallMask policy) {
+  auto image = vcc::CompileProgram(vrt::VlibcSource() + program, "main", env);
+  EXPECT_TRUE(image.ok()) << vrt::EnvName(env) << ": " << image.status().ToString();
+  if (!image.ok()) {
+    return {};
+  }
+  wasp::Runtime runtime;
+  runtime.env().PutFile("/p", std::string("xy"));
+  runtime.env().PutFile("/big", std::string(40000, 'b'));
+  wasp::VirtineSpec spec;
+  spec.image = &image.value();
+  spec.word_bytes = vrt::WordBytes(env);
+  spec.policy = policy;
+  return runtime.Invoke(spec);
+}
+
+TEST(Vlibc, StatWritesOneGuestWordInEveryEnv) {
+  // stat stores the size as one word of the guest's width: the words after
+  // it survive, stat_size's buffer holds it in every mode, and a size no
+  // signed word holds (40,000 in real16) fails instead of truncating.
+  for (vrt::Env env : kAllEnvs) {
+    std::ostringstream program;
+    program << R"(
+    int main() {
+      int st[4];
+      if (stat_size("/p") != 2) { return 1; }
+      if (stat_size("/big") != )" << (vrt::WordBytes(env) == 2 ? "-1" : "40000") << R"() {
+        return 2;
+      }
+      st[0] = 0;
+      st[1] = 7;
+      st[2] = 7;
+      st[3] = 7;
+      if (__hc2()" << wasp::kHcStat << R"(, "/p", st) != 0) { return 3; }
+      if (st[0] != 2) { return 4; }
+      if (st[1] != 7 || st[2] != 7 || st[3] != 7) { return 5; }
+      return 0;
+    })";
+    const auto outcome = RunVlibcProgram(env, program.str(), wasp::kPolicyFileIo);
+    EXPECT_TRUE(outcome.status.ok()) << vrt::EnvName(env) << ": " << outcome.status.ToString();
+    EXPECT_EQ(outcome.result_word, 0u) << vrt::EnvName(env) << ": failed check "
+                                       << outcome.result_word;
+  }
+}
+
+TEST(Vlibc, UitoaHexRendersEveryWordWidth) {
+  // A negative value renders one digit per nibble of the guest word (>> is
+  // arithmetic, so it never shifts down to 0); others render as usual.
+  const char* program = R"(
+    int main() {
+      char buf[24];
+      return_data(buf, uitoa_hex(buf, -1));
+      return_data(buf, uitoa_hex(buf, 48879));
+      return_data(buf, uitoa_hex(buf, 0));
+      return 0;
+    })";
+  for (vrt::Env env : kAllEnvs) {
+    const auto outcome = RunVlibcProgram(env, program, wasp::MaskOf(wasp::kHcReturnData));
+    EXPECT_TRUE(outcome.status.ok()) << vrt::EnvName(env) << ": " << outcome.status.ToString();
+    EXPECT_EQ(std::string(outcome.output.begin(), outcome.output.end()),
+              std::string(2 * vrt::WordBytes(env), 'f') + "beef0")
+        << vrt::EnvName(env);
+  }
 }
 
 TEST(Samples, EchoGuestTerminatesOnEof) {

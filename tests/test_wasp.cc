@@ -3,6 +3,7 @@
 // against hostile guests, channels, and marshalling properties.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "src/vrt/env.h"
@@ -197,6 +198,75 @@ start:
   EXPECT_FALSE(outcome.status.ok());
   EXPECT_TRUE(outcome.denied);
   EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied);
+  // The denial names the call, from the hypercall table.
+  EXPECT_NE(outcome.status.message().find("hypercall send (32) denied by policy"),
+            std::string::npos)
+      << outcome.status.ToString();
+}
+
+// --- The hypercall table -----------------------------------------------------
+
+TEST(HypercallTable, PortsAndNamesAreUniqueAndPortsFitTheMask) {
+  std::set<uint16_t> ports;
+  std::set<std::string> names;
+  for (const wasp::HypercallInfo& hc : wasp::kHypercalls) {
+    EXPECT_LT(hc.port, wasp::kMaxHypercall) << hc.name;
+    EXPECT_TRUE(ports.insert(hc.port).second) << "duplicate port " << hc.port;
+    ASSERT_NE(hc.name, nullptr) << "port " << hc.port;
+    EXPECT_NE(std::string(hc.name), "") << "port " << hc.port;
+    EXPECT_TRUE(names.insert(hc.name).second) << "duplicate name " << hc.name;
+    EXPECT_STREQ(wasp::HypercallName(hc.port), hc.name);
+  }
+  EXPECT_EQ(wasp::HypercallName(40), nullptr);
+  EXPECT_EQ(wasp::HypercallName(64), nullptr);
+}
+
+TEST(HypercallTable, RequiredPolicyKeepsEveryRuleOnEveryPort) {
+  // The policy rules stated apart from the table: exit and snapshot need
+  // nothing, the folded calls need the bits of the calls they fold (and an
+  // empty return_exit is a plain exit), every other port below 64 — listed
+  // or not — needs its own bit, and ports past the mask need none.
+  auto expected = [](uint16_t port, uint64_t r3) -> wasp::HypercallMask {
+    if (port >= wasp::kMaxHypercall || port == wasp::kHcExit || port == wasp::kHcSnapshot) {
+      return 0;
+    }
+    if (port == wasp::kHcSnapshotGetData) {
+      return wasp::MaskOf(wasp::kHcGetData);
+    }
+    if (port == wasp::kHcReturnExit) {
+      return r3 > 0 ? wasp::MaskOf(wasp::kHcReturnData) : 0;
+    }
+    return wasp::MaskOf(port);
+  };
+  for (uint16_t port = 0; port <= 70; ++port) {
+    for (uint64_t r3 : {0ull, 1ull}) {
+      EXPECT_EQ(wasp::RequiredPolicy(port, r3), expected(port, r3))
+          << "port " << port << ", r3 = " << r3;
+    }
+  }
+}
+
+TEST(HypercallTable, EveryRowHasAHandlerAndPort40HasNone) {
+  // Dispatch's switch binds the handlers; the table must not list a port the
+  // switch misses.  Each call is issued bare (no input, no channel), so some
+  // fail, but none as an unknown port.
+  auto issue = [](uint16_t port) {
+    const visa::Image image =
+        RawImage("start:\n  mov r0, 0\n  out " + std::to_string(port) + ", r0\n  hlt\n");
+    wasp::Runtime runtime;
+    wasp::VirtineSpec spec;
+    spec.image = &image;
+    spec.policy = wasp::kPolicyAllowAll;
+    return runtime.Invoke(spec);
+  };
+  for (const wasp::HypercallInfo& hc : wasp::kHypercalls) {
+    const wasp::RunOutcome outcome = issue(hc.port);
+    EXPECT_NE(outcome.fault, wasp::FaultKind::kIllegalHypercall)
+        << hc.name << ": " << outcome.status.ToString();
+  }
+  const wasp::RunOutcome outcome = issue(40);
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kIllegalHypercall);
+  EXPECT_EQ(outcome.status.code(), vbase::Code::kUnimplemented);
 }
 
 TEST(Policy, ExitAlwaysPermitted) {

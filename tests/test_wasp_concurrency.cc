@@ -951,7 +951,6 @@ TEST(Concurrency, LockFreeFastPathMixedOpsConserveAtQuiescePoints) {
   options.mode = wasp::CleanMode::kSync;
   options.shards = 4;
   options.lanes = kThreads;
-  options.numa_nodes = 2;                      // exercise the NUMA steal order
   options.affine_budget_bytes = 3ULL << 20;    // ~3 shells: evictions guaranteed
   wasp::Pool pool(options);
   constexpr int kRounds = 3;
