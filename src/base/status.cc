@@ -20,8 +20,6 @@ const char* CodeName(Code code) {
       return "UNIMPLEMENTED";
     case Code::kInternal:
       return "INTERNAL";
-    case Code::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
     case Code::kAborted:
       return "ABORTED";
   }
@@ -49,9 +47,6 @@ Status FailedPrecondition(std::string msg) {
 Status PermissionDenied(std::string msg) { return Status(Code::kPermissionDenied, std::move(msg)); }
 Status Unimplemented(std::string msg) { return Status(Code::kUnimplemented, std::move(msg)); }
 Status Internal(std::string msg) { return Status(Code::kInternal, std::move(msg)); }
-Status ResourceExhausted(std::string msg) {
-  return Status(Code::kResourceExhausted, std::move(msg));
-}
 Status Aborted(std::string msg) { return Status(Code::kAborted, std::move(msg)); }
 
 }  // namespace vbase

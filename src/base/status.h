@@ -24,7 +24,6 @@ enum class Code : uint8_t {
   kPermissionDenied,
   kUnimplemented,
   kInternal,
-  kResourceExhausted,
   kAborted,
 };
 
@@ -64,7 +63,6 @@ Status FailedPrecondition(std::string msg);
 Status PermissionDenied(std::string msg);
 Status Unimplemented(std::string msg);
 Status Internal(std::string msg);
-Status ResourceExhausted(std::string msg);
 Status Aborted(std::string msg);
 
 // Value-or-Status.  `Result<T>` holds either a `T` or a non-OK `Status`.

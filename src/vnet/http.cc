@@ -199,14 +199,6 @@ int RejectStatus(const vbase::Status& framing) {
   return framing.code() == vbase::Code::kOutOfRange ? 413 : 400;
 }
 
-vbase::Result<HttpRequest> ParseRequest(const std::string& data) {
-  auto framed = FrameRequest(data);
-  if (!framed.ok()) {
-    return framed.status();
-  }
-  return std::move(framed->request);
-}
-
 bool WantKeepAlive(const HttpRequest& request) {
   // Tokenize the Connection header as a comma list; an explicit token wins
   // over the version default in both directions.

@@ -59,11 +59,6 @@ inline constexpr size_t kMaxBodyBytes = size_t{1} << 20;
 // last two the connection answers RejectStatus and closes.
 vbase::Result<FramedRequest> FrameRequest(const std::string& data);
 
-// Parses a complete request (head + optional Content-Length body) from a
-// byte buffer, ignoring any trailing bytes (FrameRequest without the
-// consumed-byte accounting — the one-shot legacy entry point).
-vbase::Result<HttpRequest> ParseRequest(const std::string& data);
-
 // Total byte length (head + declared body) of the first request in `data`,
 // available as soon as the head is complete.  kFailedPrecondition while the
 // head is still incomplete, and kOutOfRange / kInvalidArgument as

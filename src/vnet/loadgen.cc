@@ -261,31 +261,4 @@ std::vector<double> GenerateArrivalTrace(const std::vector<LoadPhase>& phases,
   return arrivals_us;
 }
 
-TraceResult ReplayTrace(const std::vector<LoadPhase>& phases, const AsyncRequestFn& fn,
-                        uint64_t seed) {
-  TraceResult result;
-  result.arrivals_us = GenerateArrivalTrace(phases, seed);
-  vbase::WallTimer timer;
-  std::vector<std::future<double>> futures;
-  futures.reserve(result.arrivals_us.size());
-  for (size_t i = 0; i < result.arrivals_us.size(); ++i) {
-    futures.push_back(fn(i));
-  }
-  result.service_us.reserve(futures.size());
-  std::vector<double> ok_services;
-  ok_services.reserve(futures.size());
-  for (std::future<double>& f : futures) {
-    const double service = f.valid() ? f.get() : -1.0;
-    result.service_us.push_back(service);
-    if (service < 0) {
-      ++result.failures;
-    } else {
-      ok_services.push_back(service);
-    }
-  }
-  result.wall_seconds = static_cast<double>(timer.ElapsedNanos()) / 1e9;
-  result.service = vbase::Summarize(ok_services);
-  return result;
-}
-
 }  // namespace vnet

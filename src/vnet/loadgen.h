@@ -5,19 +5,19 @@
 // 13's localhost generator).  Results aggregate per-request latencies and
 // the harmonic-mean throughput the paper reports.
 //
-// Open-loop mode: ReplayTrace drives one dispatch per arrival of a
-// deterministic arrival trace (uniform spacing with ±12.5% jitter inside each
-// phase — the paper's bursty Locust profile) without ever waiting for a
-// completion, so bursts land on the server at full width and admission
-// control / queueing is what absorbs them.  The same generator feeds the
-// Figure 15 simulator and replay, so modeled and measured platforms see an
+// Open-loop mode: GenerateArrivalTrace gives a deterministic arrival trace
+// (uniform spacing with ±12.5% jitter inside each phase — the paper's bursty
+// Locust profile).  Vespid::ReplayBurstyLoad dispatches one invocation per
+// arrival without waiting for a completion, so bursts land at full width and
+// admission control / queueing is what absorbs them.  The same generator
+// feeds the Figure 15 simulator, so modeled and measured platforms see an
 // identical request stream.
 #ifndef SRC_VNET_LOADGEN_H_
 #define SRC_VNET_LOADGEN_H_
 
 #include <cstdint>
 #include <functional>
-#include <future>
+#include <string>
 #include <vector>
 
 #include "src/base/stats.h"
@@ -105,27 +105,6 @@ LoadResult ClosedLoopVirtualTime(int clients, int lanes,
 // executor-driven replay so both see the same trace for a given seed.
 std::vector<double> GenerateArrivalTrace(const std::vector<LoadPhase>& phases,
                                          uint64_t seed = 42);
-
-// Dispatches request `index` of the trace (e.g. submits a connection to the
-// ConcurrentHttpServer) and returns a future resolving to its service
-// latency in microseconds, negative on failure.
-using AsyncRequestFn = std::function<std::future<double>(size_t index)>;
-
-struct TraceResult {
-  std::vector<double> arrivals_us;  // the virtual timeline of the trace
-  std::vector<double> service_us;   // per-request measured service (neg = failure)
-  uint64_t failures = 0;
-  double wall_seconds = 0;          // real elapsed time of the replay
-  vbase::Summary service;           // over successful requests
-};
-
-// Open-loop trace replay: dispatches fn(i) for every arrival in trace order
-// without waiting on completions (the submitted-to executor's admission
-// policy provides the backpressure), then harvests every future.  Arrivals
-// define the virtual timeline reported alongside the measured services;
-// dispatch itself is immediate, so the trace's burst width is preserved.
-TraceResult ReplayTrace(const std::vector<LoadPhase>& phases, const AsyncRequestFn& fn,
-                        uint64_t seed = 42);
 
 }  // namespace vnet
 

@@ -197,7 +197,6 @@ class ConcurrentHttpServer {
 
   ServerCounters counters(ServeMode mode) const;
   wasp::ExecutorStats executor_stats() const { return executor_.stats(); }
-  size_t queue_depth() const { return executor_.queue_depth(); }
   const ConcurrentServerOptions& options() const { return options_; }
   int lanes() const { return static_cast<int>(executor_.workers()); }
 

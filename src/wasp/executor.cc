@@ -42,8 +42,8 @@ Admission Executor::Enqueue(Job job, bool may_reject, std::future<RunOutcome>* f
     std::unique_lock<std::mutex> lock(mu_);
     // Checked submissions face the policy: breaker, quota, global bound.  A
     // blocking executor parks on the bound below instead of shedding, so it
-    // shows the policy no queue.  Blocking Submit/SubmitTask skip the policy
-    // (trusted closed-loop path) and only wait for space.
+    // shows the policy no queue.  Blocking Submit skips the policy (trusted
+    // closed-loop path) and only waits for space.
     if (may_reject && !stop_) {
       admission = policy_.Admit(job.key, options_.block_when_full ? 0 : TotalQueuedLocked(),
                                 &job.probe);
@@ -134,17 +134,6 @@ bool Executor::TrySubmit(VirtineSpec spec, std::future<RunOutcome>* future, KeyC
   return result == Admission::kAccepted;
 }
 
-std::future<RunOutcome> Executor::SubmitTask(Task task, std::string affinity_key,
-                                             KeyClass klass) {
-  Job job;
-  job.key = std::move(affinity_key);
-  job.klass = klass;
-  job.work = std::move(task);
-  std::future<RunOutcome> future;
-  Enqueue(std::move(job), /*may_reject=*/false, &future);
-  return future;
-}
-
 bool Executor::TrySubmitTask(Task task, std::future<RunOutcome>* future,
                              std::string affinity_key, KeyClass klass,
                              Admission* admission) {
@@ -157,11 +146,6 @@ bool Executor::TrySubmitTask(Task task, std::future<RunOutcome>* future,
     *admission = result;
   }
   return result == Admission::kAccepted;
-}
-
-size_t Executor::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return TotalQueuedLocked();
 }
 
 ExecutorStats Executor::stats() const {
@@ -189,15 +173,11 @@ KeyRecoverySnapshot Executor::KeyRecoveryState(const std::string& key) const {
   return policy_.Recovery(key);
 }
 
-double Executor::KeyFaultRate(const std::string& key) const {
-  return KeyRecoveryState(key).fault_rate;
-}
-
 void Executor::WorkerLoop(uint32_t worker_index) {
   // Register this worker as a pool lane: its acquires and releases hit a
   // dedicated single-slot shell cache before any shared structure, and its
-  // stable lane id keeps it mapped to the same pool shard (and modeled NUMA
-  // node) across the executor's lifetime.
+  // stable lane id keeps it mapped to the same pool shard across the
+  // executor's lifetime.
   Pool::BindLane(worker_index);
   // Keyed submit hint: a worker that just ran snapshot key K parked K's
   // shell snapshot-affine in its home pool shard, so a queued job with the

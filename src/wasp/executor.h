@@ -9,10 +9,11 @@
 //     a std::future<RunOutcome> back,
 //   * TrySubmit(spec, &future) — same, but subject to the configured
 //     bounded-admission policy (see ExecutorOptions below),
-//   * SubmitTask(fn) / TrySubmitTask(fn, &future) — enqueue an arbitrary
-//     serving task on the same queue and workers (the ConcurrentHttpServer
-//     dispatches whole HTTP connections this way, so admission control and
-//     lane accounting cover native and virtine handlers alike), and
+//   * TrySubmitTask(fn, &future) — enqueue an arbitrary serving task on
+//     the same queue and workers, under the same admission policy (the
+//     ConcurrentHttpServer dispatches whole HTTP connections this way, so
+//     admission control and lane accounting cover native and virtine
+//     handlers alike), and
 //   * Run(runtime, specs, concurrency) — run a batch of invocations across
 //     `concurrency` transient worker threads (striped static assignment, so
 //     lane loads are deterministic) and return outcomes in submission order.
@@ -33,8 +34,9 @@
 // threads need: the class queues, the block_when_full park, the affinity
 // scan, retry-once, and ExecutorStats.  Four thread-side rules:
 //
-//   * Blocking Submit/SubmitTask skip the breaker and the quota (trusted
-//     closed-loop path) but still count toward the key's load.
+//   * Blocking Submit skips the breaker and the quota (trusted closed-loop
+//     path: Vespid and the chaos bench) but still counts toward the key's
+//     load.
 //   * A block_when_full waiter whose key filled while it was parked for
 //     global space is quota-rejected at wake instead of overshooting the cap
 //     (it hands back any probe it held and passes the wakeup on).
@@ -83,8 +85,8 @@ struct ExecutorOptions : AdmissionOptions {
   int workers = 2;
   // Full-queue policy for TrySubmit / TrySubmitTask: block until a slot
   // frees (never reject — closed-loop semantics) or refuse the job so the
-  // caller sheds load (open-loop semantics).  Blocking Submit/SubmitTask
-  // always wait for space regardless of this flag.  The per-key quota is
+  // caller sheds load (open-loop semantics).  Blocking Submit always waits
+  // for space regardless of this flag.  The per-key quota is
   // hard under either policy.
   bool block_when_full = true;
 };
@@ -157,17 +159,14 @@ class Executor {
   bool TrySubmit(VirtineSpec spec, std::future<RunOutcome>* future,
                  KeyClass klass = KeyClass::kLatency, Admission* admission = nullptr);
 
-  // Task variants of the same two entry points.  `affinity_key` feeds the
-  // workers' keyed-dequeue affinity scan and the per-key quota accounting
-  // (empty = no affinity, no quota).
-  std::future<RunOutcome> SubmitTask(Task task, std::string affinity_key = {},
-                                     KeyClass klass = KeyClass::kLatency);
+  // Task variant of TrySubmit.  `affinity_key` feeds the workers'
+  // keyed-dequeue affinity scan and the per-key quota accounting (empty =
+  // no affinity, no quota).
   bool TrySubmitTask(Task task, std::future<RunOutcome>* future,
                      std::string affinity_key = {}, KeyClass klass = KeyClass::kLatency,
                      Admission* admission = nullptr);
 
   size_t workers() const { return workers_.size(); }
-  size_t queue_depth() const;
   ExecutorStats stats() const;
   // Jobs in the system (queued + in flight) under `key` right now.
   size_t KeyLoad(const std::string& key) const;
@@ -175,8 +174,6 @@ class Executor {
   // the key's load, recovery state persists after the key's jobs drain — a
   // storm's evidence must outlive the storm.
   KeyRecoverySnapshot KeyRecoveryState(const std::string& key) const;
-  // Convenience: KeyRecoveryState(key).fault_rate.
-  double KeyFaultRate(const std::string& key) const;
   const ExecutorOptions& options() const { return options_; }
 
   // Runs `specs` to completion over `concurrency` transient worker threads;

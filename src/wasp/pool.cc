@@ -1,6 +1,5 @@
 #include "src/wasp/pool.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "src/base/log.h"
@@ -9,13 +8,13 @@
 namespace wasp {
 namespace {
 
-// Bounded mismatch tolerance of the lock-free PopMatch: how many wrong-size
-// (or wrong-generation) nodes a fast-path pop will set aside before giving
-// up on a stack.  A false miss just falls through to the slow path.
+// Bound of the lock-free PopMatch: how many nodes a fast-path pop examines
+// before giving up on a stack.  A false miss just falls through to the slow
+// path.
 constexpr int kPopScan = 8;
-// Safety bound for pop-all scans and diagnostic walks (a concurrent pusher
-// can extend a stack mid-scan; shells are finite, so this is never hit in
-// practice).
+// Safety bound for exhaustive scans and diagnostic walks (a concurrent
+// pusher can extend a stack mid-scan; shells are finite, so this is never
+// hit in practice).
 constexpr int kScanGuard = 1 << 20;
 
 constexpr uint32_t kLaneUnbound = UINT32_MAX;
@@ -35,31 +34,15 @@ uint32_t Pool::CurrentLane() {
   return tls_lane;
 }
 
-size_t Pool::LaneIndex() const { return CurrentLane() % lane_capacity_; }
+size_t Pool::LaneIndex() const { return CurrentLane() % kLanes; }
 
-size_t Pool::HomeShard() const { return CurrentLane() % shards_.size(); }
+size_t Pool::HomeShard() const { return CurrentLane() % kShards; }
 
-Pool::Pool(const PoolOptions& options)
-    : options_([&] {
-        PoolOptions o = options;
-        o.shards = std::max(o.shards, 1);
-        o.cleaners = std::max(o.cleaners, 1);
-        if (o.lanes <= 0) {
-          o.lanes = std::max(16, 2 * o.shards);
-        }
-        return o;
-      }()) {
-  lane_capacity_ = static_cast<size_t>(options_.lanes);
-  shards_.reserve(static_cast<size_t>(options_.shards));
-  for (int i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  lanes_ = std::make_unique<Lane[]>(lane_capacity_);
+Pool::Pool(const PoolOptions& options) : options_(options) {
   if (options_.mode == CleanMode::kAsync) {
-    cleaners_.reserve(static_cast<size_t>(options_.cleaners));
-    for (int i = 0; i < options_.cleaners; ++i) {
-      const size_t home = static_cast<size_t>(i) % shards_.size();
-      cleaners_.emplace_back([this, home] { CleanerLoop(home); });
+    cleaners_.reserve(kCleaners);
+    for (size_t i = 0; i < kCleaners; ++i) {
+      cleaners_.emplace_back([this, home = i % kShards] { CleanerLoop(home); });
     }
   }
 }
@@ -132,73 +115,98 @@ void Pool::CleanShell(vkvm::Vm* vm, bool charge_inline) {
   stats_.bytes_zeroed.fetch_add(zeroed, std::memory_order_relaxed);
 }
 
+bool Pool::Matches(const ShellNode* node, uint64_t mem_size, uint64_t generation) {
+  return (mem_size == 0 || node->mem_size.load(std::memory_order_relaxed) == mem_size) &&
+         (generation == 0 || node->generation.load(std::memory_order_relaxed) == generation);
+}
+
 Pool::ShellNode* Pool::PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size,
-                                uint64_t generation, bool match_generation) {
-  ShellNode* mismatched[kPopScan];
-  int n = 0;
+                                uint64_t generation, int limit) {
+  // Popped mismatches chain through their own `next`, last popped first:
+  // the popper owns them until it pushes them back, and Push rewrites
+  // `next` anyway.
+  ShellNode* mismatched = nullptr;
   ShellNode* found = nullptr;
-  while (n < kPopScan) {
+  for (int i = 0; i < limit; ++i) {
     ShellNode* node = stack.Pop();
     if (node == nullptr) {
       break;
     }
-    const bool ok =
-        node->mem_size.load(std::memory_order_relaxed) == mem_size &&
-        (!match_generation ||
-         node->generation.load(std::memory_order_relaxed) == generation);
-    if (ok) {
+    if (Matches(node, mem_size, generation)) {
       found = node;
       break;
     }
-    mismatched[n++] = node;
+    node->next.store(mismatched, std::memory_order_relaxed);
+    mismatched = node;
   }
-  for (int i = n; i-- > 0;) {
-    stack.Push(mismatched[i]);
+  // Last popped goes back first, so the stack keeps its original order.
+  while (mismatched != nullptr) {
+    ShellNode* next = mismatched->next.load(std::memory_order_relaxed);
+    stack.Push(mismatched);
+    mismatched = next;
   }
   return found;
 }
 
-Pool::ShellNode* Pool::ScanMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size,
-                                 uint64_t generation, bool match_generation) {
-  std::vector<ShellNode*> mismatched;
-  ShellNode* found = nullptr;
-  for (int guard = 0; guard < kScanGuard; ++guard) {
-    ShellNode* node = stack.Pop();
-    if (node == nullptr) {
-      break;
-    }
-    const bool ok =
-        node->mem_size.load(std::memory_order_relaxed) == mem_size &&
-        (!match_generation ||
-         node->generation.load(std::memory_order_relaxed) == generation);
-    if (ok) {
-      found = node;
-      break;
-    }
-    mismatched.push_back(node);
+Pool::ShellNode* Pool::TakeLane(size_t lane, bool affine, uint64_t mem_size,
+                                uint64_t generation, bool keep_in_slot) {
+  std::atomic<ShellNode*>& slot = affine ? lanes_[lane].affine : lanes_[lane].clean;
+  ShellNode* node = slot.exchange(nullptr, std::memory_order_acq_rel);
+  if (node == nullptr || Matches(node, mem_size, generation)) {
+    return node;
   }
-  for (auto it = mismatched.rbegin(); it != mismatched.rend(); ++it) {
-    stack.Push(*it);
+  ShellNode* expected = nullptr;
+  if (!keep_in_slot || !slot.compare_exchange_strong(expected, node, std::memory_order_release,
+                                                     std::memory_order_relaxed)) {
+    Shard& shard = shards_[lane % kShards];
+    (affine ? shard.affine : shard.free).Push(node);
   }
-  return found;
+  return nullptr;
 }
 
-void Pool::ReinsertLaneClean(size_t lane, ShellNode* node) {
-  ShellNode* expected = nullptr;
-  if (lanes_[lane].clean.compare_exchange_strong(expected, node, std::memory_order_release,
-                                                 std::memory_order_relaxed)) {
-    return;
+Pool::ShellNode* Pool::TakeShards(bool affine, uint64_t mem_size, uint64_t generation,
+                                  bool exhaustive, size_t* shard) {
+  const size_t home = HomeShard();
+  for (size_t off = 0; off < kShards; ++off) {
+    const size_t s = (home + off) % kShards;
+    TaggedStack<ShellNode>& stack = affine ? shards_[s].affine : shards_[s].free;
+    ShellNode* node;
+    if (exhaustive) {
+      std::lock_guard<std::mutex> lock(shards_[s].mu);
+      node = PopMatch(stack, mem_size, generation, kScanGuard);
+    } else {
+      node = PopMatch(stack, mem_size, generation, kPopScan);
+    }
+    if (node != nullptr) {
+      *shard = s;
+      return node;
+    }
   }
-  shards_[lane % shards_.size()]->free.Push(node);
+  return nullptr;
 }
 
-void Pool::ReinsertLaneAffine(size_t lane, ShellNode* node) {
-  ShellNode* expected = nullptr;
-  if (lanes_[lane].affine.compare_exchange_strong(expected, node, std::memory_order_release,
-                                                  std::memory_order_relaxed)) {
-    return;
+Pool::ShellNode* Pool::Sweep(bool affine, uint64_t mem_size, uint64_t generation) {
+  size_t shard = 0;
+  if (ShellNode* node = TakeShards(affine, mem_size, generation, /*exhaustive=*/true, &shard)) {
+    return node;
   }
-  shards_[lane % shards_.size()]->affine.Push(node);
+  for (size_t l = 0; l < kLanes; ++l) {
+    if (ShellNode* node = TakeLane(l, affine, mem_size, generation, /*keep_in_slot=*/true)) {
+      return node;
+    }
+  }
+  return nullptr;
+}
+
+std::unique_ptr<vkvm::Vm> Pool::Serve(ShellNode* node, bool* from_pool) {
+  if (node->gen != nullptr) {
+    ReleaseAffineCharge(node->gen, node->private_bytes.load(std::memory_order_relaxed));
+  }
+  stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
+  if (from_pool != nullptr) {
+    *from_pool = true;
+  }
+  return UnwrapShell(node);
 }
 
 Pool::GenInfo* Pool::FindGen(uint64_t generation) const {
@@ -275,6 +283,17 @@ void Pool::ReleaseAffineCharge(GenInfo* gen, uint64_t private_bytes) {
   stats_.affine_resident_bytes.fetch_sub(released, std::memory_order_relaxed);
 }
 
+void Pool::QueueDirty(std::unique_ptr<vkvm::Vm> vm, size_t shard) {
+  ShellNode* node = WrapShell(std::move(vm), 0, 0, nullptr);
+  // Count before push: DrainCleaner must never observe dirty == 0 &&
+  // in_flight == 0 while a node is physically queued.  The notify is
+  // mutex-free — cleaners wait with a timeout as the belt against it racing
+  // a wait entry.
+  dirty_count_.fetch_add(1);
+  shards_[shard].dirty.Push(node);
+  cleaner_cv_.notify_one();
+}
+
 void Pool::Dispose(std::unique_ptr<vkvm::Vm> vm, size_t shard) {
   switch (options_.mode) {
     case CleanMode::kNone:
@@ -285,51 +304,30 @@ void Pool::Dispose(std::unique_ptr<vkvm::Vm> vm, size_t shard) {
       CleanShell(vm.get(), /*charge_inline=*/false);
       ParkClean(std::move(vm), shard, /*try_lane=*/false);
       return;
-    case CleanMode::kAsync: {
-      ShellNode* node = WrapShell(std::move(vm), 0, 0, nullptr);
-      // Count before push: DrainCleaner must never observe dirty == 0 &&
-      // in_flight == 0 while a node is physically queued.
-      dirty_count_.fetch_add(1);
-      shards_[shard]->dirty.Push(node);
-      cleaner_cv_.notify_one();
+    case CleanMode::kAsync:
+      QueueDirty(std::move(vm), shard);
       return;
-    }
   }
 }
 
 std::vector<std::pair<Pool::ShellNode*, size_t>> Pool::TakeAffineNodes(uint64_t generation,
                                                                        size_t max_take) {
   std::vector<std::pair<ShellNode*, size_t>> taken;
-  for (size_t s = 0; s < shards_.size() && taken.size() < max_take; ++s) {
-    Shard& shard = *shards_[s];
+  for (size_t s = 0; s < kShards && taken.size() < max_take; ++s) {
     // The shard mutex serializes whole-stack sweeps against each other;
     // fast-path pushers/poppers proceed lock-free underneath.
-    std::lock_guard<std::mutex> lock(shard.mu);
-    std::vector<ShellNode*> keep;
-    for (int guard = 0; guard < kScanGuard && taken.size() < max_take; ++guard) {
-      ShellNode* node = shard.affine.Pop();
+    std::lock_guard<std::mutex> lock(shards_[s].mu);
+    while (taken.size() < max_take) {
+      ShellNode* node = PopMatch(shards_[s].affine, 0, generation, kScanGuard);
       if (node == nullptr) {
         break;
       }
-      if (node->generation.load(std::memory_order_relaxed) == generation) {
-        taken.emplace_back(node, s);
-      } else {
-        keep.push_back(node);
-      }
-    }
-    for (auto it = keep.rbegin(); it != keep.rend(); ++it) {
-      shard.affine.Push(*it);
+      taken.emplace_back(node, s);
     }
   }
-  for (size_t l = 0; l < lane_capacity_ && taken.size() < max_take; ++l) {
-    ShellNode* node = lanes_[l].affine.exchange(nullptr, std::memory_order_acq_rel);
-    if (node == nullptr) {
-      continue;
-    }
-    if (node->generation.load(std::memory_order_relaxed) == generation) {
-      taken.emplace_back(node, l % shards_.size());
-    } else {
-      ReinsertLaneAffine(l, node);
+  for (size_t l = 0; l < kLanes && taken.size() < max_take; ++l) {
+    if (ShellNode* node = TakeLane(l, /*affine=*/true, 0, generation, /*keep_in_slot=*/true)) {
+      taken.emplace_back(node, l % kShards);
     }
   }
   return taken;
@@ -400,211 +398,65 @@ void Pool::EnforceAffineBudget() {
   }
 }
 
-std::unique_ptr<vkvm::Vm> Pool::TryFastClean(const vkvm::VmConfig& config, bool* from_pool) {
+std::unique_ptr<vkvm::Vm> Pool::TryFast(bool affine, const vkvm::VmConfig& config,
+                                         uint64_t generation, bool* from_pool) {
   // Tier 1: the caller's lane slot (single atomic exchange; pages still
-  // warm in this lane's cache/TLB).
-  ShellNode* node = lanes_[LaneIndex()].clean.exchange(nullptr, std::memory_order_acq_rel);
+  // warm in this lane's cache/TLB).  A wrong-size clean shell spills to the
+  // home stack rather than re-occupying the slot.
+  ShellNode* node = TakeLane(LaneIndex(), affine, config.mem_size, generation,
+                             /*keep_in_slot=*/affine);
   if (node != nullptr) {
-    if (node->mem_size.load(std::memory_order_relaxed) == config.mem_size) {
-      stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
-      stats_.lane_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      if (from_pool != nullptr) {
-        *from_pool = true;
-      }
-      return UnwrapShell(node);
-    }
-    // Wrong size: spill to the home stack rather than re-occupying the slot.
-    shards_[HomeShard()]->free.Push(node);
-  }
-  // Tier 2: home shard's stack, then sibling steal.
-  const size_t home = HomeShard();
-  for (size_t off = 0; off < shards_.size(); ++off) {
-    const size_t s = (home + off) % shards_.size();
-    node = PopMatch(shards_[s]->free, config.mem_size, 0, /*match_generation=*/false);
+    stats_.lane_cache_hits.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // Tier 2: home shard's stack, then sibling steal.
+    size_t shard = 0;
+    node = TakeShards(affine, config.mem_size, generation, /*exhaustive=*/false, &shard);
     if (node == nullptr) {
-      continue;
+      return nullptr;
     }
-    stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
     stats_.freelist_hits.fetch_add(1, std::memory_order_relaxed);
-    if (s != home) {
+    if (shard != HomeShard()) {
       stats_.cross_shard_steals.fetch_add(1, std::memory_order_relaxed);
     }
-    if (from_pool != nullptr) {
-      *from_pool = true;
-    }
-    return UnwrapShell(node);
   }
-  return nullptr;
-}
-
-std::unique_ptr<vkvm::Vm> Pool::TryFastAffine(const vkvm::VmConfig& config,
-                                              uint64_t generation, bool* from_pool) {
-  const size_t lane = LaneIndex();
-  ShellNode* node = lanes_[lane].affine.exchange(nullptr, std::memory_order_acq_rel);
-  if (node != nullptr) {
-    if (node->generation.load(std::memory_order_relaxed) == generation &&
-        node->mem_size.load(std::memory_order_relaxed) == config.mem_size) {
-      ReleaseAffineCharge(node->gen, node->private_bytes.load(std::memory_order_relaxed));
-      stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
-      stats_.lane_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
-      if (from_pool != nullptr) {
-        *from_pool = true;
-      }
-      return UnwrapShell(node);
-    }
-    ReinsertLaneAffine(lane, node);
-  }
-  const size_t home = HomeShard();
-  for (size_t off = 0; off < shards_.size(); ++off) {
-    const size_t s = (home + off) % shards_.size();
-    node = PopMatch(shards_[s]->affine, config.mem_size, generation,
-                    /*match_generation=*/true);
-    if (node == nullptr) {
-      continue;
-    }
-    ReleaseAffineCharge(node->gen, node->private_bytes.load(std::memory_order_relaxed));
-    stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
-    stats_.freelist_hits.fetch_add(1, std::memory_order_relaxed);
+  if (affine) {
     stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
-    if (s != home) {
-      stats_.cross_shard_steals.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (from_pool != nullptr) {
-      *from_pool = true;
-    }
-    return UnwrapShell(node);
   }
-  return nullptr;
+  return Serve(node, from_pool);
 }
 
 std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config,
                                             uint64_t generation, bool* affine_hit,
                                             bool* from_pool) {
   stats_.slow_path_acquires.fetch_add(1, std::memory_order_relaxed);
-  const size_t home = HomeShard();
   // Exact-generation affine sweep first: a bounded fast-path probe can
   // false-miss a shell buried under other generations' nodes, and serving
   // the resident snapshot beats serving a clean shell plus a full restore.
   if (generation != 0 && affine_count_.load(std::memory_order_relaxed) > 0) {
-    for (size_t off = 0; off < shards_.size(); ++off) {
-      Shard& shard = *shards_[(home + off) % shards_.size()];
-      ShellNode* node;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        node = ScanMatch(shard.affine, config.mem_size, generation,
-                         /*match_generation=*/true);
-      }
-      if (node == nullptr) {
-        continue;
-      }
-      ReleaseAffineCharge(node->gen, node->private_bytes.load(std::memory_order_relaxed));
-      stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
+    if (ShellNode* node = Sweep(/*affine=*/true, config.mem_size, generation)) {
       stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
       if (affine_hit != nullptr) {
         *affine_hit = true;
       }
-      if (from_pool != nullptr) {
-        *from_pool = true;
-      }
-      return UnwrapShell(node);
-    }
-    for (size_t l = 0; l < lane_capacity_; ++l) {
-      ShellNode* node = lanes_[l].affine.exchange(nullptr, std::memory_order_acq_rel);
-      if (node == nullptr) {
-        continue;
-      }
-      if (node->generation.load(std::memory_order_relaxed) == generation &&
-          node->mem_size.load(std::memory_order_relaxed) == config.mem_size) {
-        ReleaseAffineCharge(node->gen, node->private_bytes.load(std::memory_order_relaxed));
-        stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
-        stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
-        if (affine_hit != nullptr) {
-          *affine_hit = true;
-        }
-        if (from_pool != nullptr) {
-          *from_pool = true;
-        }
-        return UnwrapShell(node);
-      }
-      ReinsertLaneAffine(l, node);
+      return Serve(node, from_pool);
     }
   }
   // Exhaustive clean sweep: before paying vm_create, make sure no stack or
   // lane slot actually holds a free shell (a bounded fast-path miss is not
   // proof of emptiness).
-  for (size_t off = 0; off < shards_.size(); ++off) {
-    Shard& shard = *shards_[(home + off) % shards_.size()];
-    ShellNode* node;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      node = ScanMatch(shard.free, config.mem_size, 0, /*match_generation=*/false);
-    }
-    if (node == nullptr) {
-      continue;
-    }
-    stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
-    if (from_pool != nullptr) {
-      *from_pool = true;
-    }
-    return UnwrapShell(node);
-  }
-  for (size_t l = 0; l < lane_capacity_; ++l) {
-    ShellNode* node = lanes_[l].clean.exchange(nullptr, std::memory_order_acq_rel);
-    if (node == nullptr) {
-      continue;
-    }
-    if (node->mem_size.load(std::memory_order_relaxed) == config.mem_size) {
-      stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
-      if (from_pool != nullptr) {
-        *from_pool = true;
-      }
-      return UnwrapShell(node);
-    }
-    ReinsertLaneClean(l, node);
+  if (ShellNode* node = Sweep(/*affine=*/false, config.mem_size, 0)) {
+    return Serve(node, from_pool);
   }
   // Reclaim (clean) an already-parked affine shell of any generation — it
-  // is dirty, so clean it first — before creating from scratch.
+  // is dirty, so clean it first — before creating from scratch.  The clean
+  // runs outside the shard lock: zeroing megabytes under a stripe lock
+  // would convoy concurrent sweepers.
   if (affine_count_.load(std::memory_order_relaxed) > 0) {
-    for (size_t off = 0; off < shards_.size(); ++off) {
-      Shard& shard = *shards_[(home + off) % shards_.size()];
-      ShellNode* node;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        node = ScanMatch(shard.affine, config.mem_size, 0, /*match_generation=*/false);
-      }
-      if (node == nullptr) {
-        continue;
-      }
-      ReleaseAffineCharge(node->gen, node->private_bytes.load(std::memory_order_relaxed));
-      auto vm = UnwrapShell(node);
-      // Clean outside the shard lock: zeroing megabytes under a stripe lock
-      // would convoy concurrent sweepers.
+    if (ShellNode* node = Sweep(/*affine=*/true, config.mem_size, 0)) {
+      std::unique_ptr<vkvm::Vm> vm = Serve(node, from_pool);
       CleanShell(vm.get(), /*charge_inline=*/true);
-      stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
       stats_.affine_reclaims.fetch_add(1, std::memory_order_relaxed);
-      if (from_pool != nullptr) {
-        *from_pool = true;
-      }
       return vm;
-    }
-    for (size_t l = 0; l < lane_capacity_; ++l) {
-      ShellNode* node = lanes_[l].affine.exchange(nullptr, std::memory_order_acq_rel);
-      if (node == nullptr) {
-        continue;
-      }
-      if (node->mem_size.load(std::memory_order_relaxed) == config.mem_size) {
-        ReleaseAffineCharge(node->gen, node->private_bytes.load(std::memory_order_relaxed));
-        auto vm = UnwrapShell(node);
-        CleanShell(vm.get(), /*charge_inline=*/true);
-        stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
-        stats_.affine_reclaims.fetch_add(1, std::memory_order_relaxed);
-        if (from_pool != nullptr) {
-          *from_pool = true;
-        }
-        return vm;
-      }
-      ReinsertLaneAffine(l, node);
     }
   }
   stats_.fresh_creates.fetch_add(1, std::memory_order_relaxed);
@@ -612,15 +464,6 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config,
     *from_pool = false;
   }
   return vkvm::Vm::Create(config);
-}
-
-std::unique_ptr<vkvm::Vm> Pool::Acquire(const vkvm::VmConfig& config, bool* from_pool) {
-  stats_.acquires.fetch_add(1, std::memory_order_relaxed);
-  auto vm = TryFastClean(config, from_pool);
-  if (vm == nullptr) {
-    vm = AcquireSlow(config, /*generation=*/0, nullptr, from_pool);
-  }
-  return vm;
 }
 
 std::unique_ptr<vkvm::Vm> Pool::AcquireAffine(const vkvm::VmConfig& config,
@@ -632,13 +475,13 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireAffine(const vkvm::VmConfig& config,
   }
   std::unique_ptr<vkvm::Vm> vm;
   if (generation != 0 && affine_count_.load(std::memory_order_relaxed) > 0) {
-    vm = TryFastAffine(config, generation, from_pool);
+    vm = TryFast(/*affine=*/true, config, generation, from_pool);
     if (vm != nullptr && affine_hit != nullptr) {
       *affine_hit = true;
     }
   }
   if (vm == nullptr) {
-    vm = TryFastClean(config, from_pool);
+    vm = TryFast(/*affine=*/false, config, 0, from_pool);
   }
   if (vm == nullptr) {
     vm = AcquireSlow(config, generation, affine_hit, from_pool);
@@ -655,7 +498,7 @@ void Pool::ParkClean(std::unique_ptr<vkvm::Vm> vm, size_t shard, bool try_lane) 
       return;
     }
   }
-  shards_[shard]->free.Push(node);
+  shards_[shard].free.Push(node);
 }
 
 void Pool::Release(std::unique_ptr<vkvm::Vm> vm) {
@@ -669,16 +512,9 @@ void Pool::Release(std::unique_ptr<vkvm::Vm> vm) {
       ParkClean(std::move(vm), HomeShard(), /*try_lane=*/true);
       return;
     }
-    case CleanMode::kAsync: {
-      ShellNode* node = WrapShell(std::move(vm), 0, 0, nullptr);
-      // Count before push (see Dispose) so DrainCleaner can never observe a
-      // false drain; the notify is mutex-free — cleaners wait with a
-      // timeout as the belt against the notify racing a wait entry.
-      dirty_count_.fetch_add(1);
-      shards_[HomeShard()]->dirty.Push(node);
-      cleaner_cv_.notify_one();
+    case CleanMode::kAsync:
+      QueueDirty(std::move(vm), HomeShard());
       return;
-    }
   }
 }
 
@@ -717,7 +553,7 @@ void Pool::ReleaseAffine(std::unique_ptr<vkvm::Vm> vm, uint64_t generation,
   ShellNode* expected = nullptr;
   if (!lanes_[lane].affine.compare_exchange_strong(expected, node, std::memory_order_release,
                                                    std::memory_order_relaxed)) {
-    shards_[HomeShard()]->affine.Push(node);
+    shards_[HomeShard()].affine.Push(node);
   }
   stats_.affine_parks.fetch_add(1, std::memory_order_relaxed);
   stats_.delta_pages.fetch_add(delta_pages, std::memory_order_relaxed);
@@ -758,29 +594,25 @@ std::unique_ptr<vkvm::Vm> Pool::StealParkedAffine(uint64_t generation) {
   if (generation == 0 || affine_count_.load(std::memory_order_relaxed) <= 0) {
     return nullptr;
   }
-  GenInfo* gen = FindGen(generation);
-  if (gen == nullptr) {
+  if (FindGen(generation) == nullptr) {
     return nullptr;
   }
   auto taken = TakeAffineNodes(generation, 1);
   if (taken.empty()) {
     return nullptr;
   }
-  ShellNode* node = taken.front().first;
-  ReleaseAffineCharge(gen, node->private_bytes.load(std::memory_order_relaxed));
   // Count like an affine acquire so acquire/release conservation holds (the
   // re-capture path releases the shell back when it is done).
   stats_.acquires.fetch_add(1, std::memory_order_relaxed);
-  stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
   stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
   stats_.freelist_hits.fetch_add(1, std::memory_order_relaxed);
-  return UnwrapShell(node);
+  return Serve(taken.front().first, nullptr);
 }
 
 std::unique_ptr<vkvm::Vm> Pool::PopDirty(size_t home, size_t* source_shard) {
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const size_t index = (home + i) % shards_.size();
-    ShellNode* node = shards_[index]->dirty.Pop();
+  for (size_t i = 0; i < kShards; ++i) {
+    const size_t index = (home + i) % kShards;
+    ShellNode* node = shards_[index].dirty.Pop();
     if (node == nullptr) {
       continue;
     }
@@ -862,7 +694,7 @@ void Pool::Prewarm(const vkvm::VmConfig& config, int count) {
     auto vm = vkvm::Vm::Create(config);
     vm->ResetAccounting();
     ShellNode* node = WrapShell(std::move(vm), 0, 0, nullptr);
-    shards_[static_cast<size_t>(i) % shards_.size()]->free.Push(node);
+    shards_[static_cast<size_t>(i) % kShards].free.Push(node);
   }
 }
 
@@ -922,40 +754,17 @@ AffineAccounting Pool::affine_accounting() const {
   return out;
 }
 
-size_t Pool::CountStack(const TaggedStack<ShellNode>& stack, uint64_t mem_size,
-                        bool match_mem) const {
-  size_t n = 0;
-  int guard = kScanGuard;
-  for (ShellNode* node = stack.UnsafeHead(); node != nullptr && guard-- > 0;
-       node = node->next.load(std::memory_order_acquire)) {
-    if (!match_mem || node->mem_size.load(std::memory_order_relaxed) == mem_size) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-size_t Pool::FreeShells(uint64_t mem_size) const {
-  size_t n = 0;
-  for (const auto& shard : shards_) {
-    n += CountStack(shard->free, mem_size, /*match_mem=*/true);
-  }
-  for (size_t l = 0; l < lane_capacity_; ++l) {
-    ShellNode* node = lanes_[l].clean.load(std::memory_order_acquire);
-    if (node != nullptr && node->mem_size.load(std::memory_order_relaxed) == mem_size) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 size_t Pool::TotalFreeShells() const {
   size_t n = 0;
-  for (const auto& shard : shards_) {
-    n += CountStack(shard->free, 0, /*match_mem=*/false);
+  for (const Shard& shard : shards_) {
+    int guard = kScanGuard;
+    for (ShellNode* node = shard.free.UnsafeHead(); node != nullptr && guard-- > 0;
+         node = node->next.load(std::memory_order_acquire)) {
+      ++n;
+    }
   }
-  for (size_t l = 0; l < lane_capacity_; ++l) {
-    if (lanes_[l].clean.load(std::memory_order_acquire) != nullptr) {
+  for (const Lane& lane : lanes_) {
+    if (lane.clean.load(std::memory_order_acquire) != nullptr) {
       ++n;
     }
   }
@@ -981,10 +790,6 @@ size_t Pool::TotalAffineShells() const {
     }
   }
   return n;
-}
-
-size_t Pool::FreeShellsInShard(size_t shard, uint64_t mem_size) const {
-  return CountStack(shards_[shard]->free, mem_size, /*match_mem=*/true);
 }
 
 }  // namespace wasp

@@ -48,20 +48,27 @@
 // release never take a mutex and never allocate:
 //
 //   1. Per-lane cache.  Every executor worker (and, lazily, any other
-//      thread) is bound to a *lane* (Pool::BindLane / an auto-assigned id).
-//      Each lane owns a single-slot cache for a clean shell and one for a
-//      snapshot-affine shell, touched with a plain atomic exchange.  A shell
-//      released by a lane is re-acquired by that same lane while its pages
-//      are still cache- and TLB-warm.
-//   2. Per-shard Treiber free-lists.  Lanes map statically onto shards
-//      (lane mod shards); each shard keeps tagged-pointer ABA-safe lock-free
-//      stacks (see freelist.h) for clean, affine, and dirty shells.  A lane
-//      cache miss pops the home shard's stack, then *steals* from sibling
-//      shards in ascending order from home.
+//      thread) is bound to a *lane* (Pool::BindLane / an auto-assigned id),
+//      one of kLanes.  Each lane owns a single-slot cache for a clean shell
+//      and one for a snapshot-affine shell, touched with a plain atomic
+//      exchange.  A shell released by a lane is re-acquired by that same
+//      lane while its pages are still cache- and TLB-warm.
+//   2. Per-shard Treiber free-lists.  Lanes map statically onto the kShards
+//      shards (lane mod kShards); each shard keeps tagged-pointer ABA-safe
+//      lock-free stacks (see freelist.h) for clean, affine, and dirty
+//      shells.  A lane cache miss pops the home shard's stack, then *steals*
+//      from sibling shards in ascending order from home.
 //   3. Mutex slow path.  Only when the bounded lock-free probes find
 //      nothing does an acquire take shard mutexes for an exhaustive sweep
 //      (then a fresh create).  Eviction, retirement, and the cleaner drain
 //      barrier are maintenance and serialize the same way.
+//
+// Every tier runs one probe: a shell fits when its memory size and (for an
+// affine shell) its generation match, and one slot take (TakeLane) plus one
+// shard walk from home (TakeShards) serve both the clean and the affine
+// side — bounded and lock-free on the fast path, exhaustive under the shard
+// mutex in the slow path's sweeps.  One epilogue (Serve) hands a found
+// shell out.
 //
 // PoolStats separates lane-cache hits, free-list hits, slow-path acquires,
 // and cross-shard steals, so the fast path's share is observable, not
@@ -69,6 +76,7 @@
 #ifndef SRC_WASP_POOL_H_
 #define SRC_WASP_POOL_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -148,22 +156,23 @@ struct AffineAccounting {
 
 struct PoolOptions {
   CleanMode mode = CleanMode::kSync;
-  // Lock stripes (now: Treiber-stack stripes; the mutex is slow-path only).
-  // The default comfortably exceeds the worker counts the executor drives.
-  int shards = 8;
-  // Async cleaner crew size (ignored unless mode == kAsync).
-  int cleaners = 2;
   // Resident-byte budget for parked snapshot-affine shells; 0 = unlimited.
   // A park that exceeds it evicts least-recently-used generations into the
   // cleaning path until parked bytes fit again.
   uint64_t affine_budget_bytes = 0;
-  // Per-lane cache slots.  0 = auto: max(16, 2 * shards), enough for the
-  // 16-lane fig9 sweep with every lane owning a private slot.
-  int lanes = 0;
 };
 
 class Pool {
  public:
+  // Treiber-stack stripes (the shard mutex is slow-path only); comfortably
+  // more than the worker counts the executor drives.
+  static constexpr size_t kShards = 8;
+  // Per-lane cache slot pairs: enough for the 16-lane fig9 sweep with every
+  // lane owning a private slot.
+  static constexpr size_t kLanes = 16;
+  // Async cleaner crew size (mode == kAsync only).
+  static constexpr size_t kCleaners = 2;
+
   explicit Pool(CleanMode mode = CleanMode::kSync) : Pool(PoolOptions{mode}) {}
   explicit Pool(const PoolOptions& options);
   ~Pool();
@@ -180,7 +189,10 @@ class Pool {
 
   // Acquires a shell with the given configuration, reusing a clean pooled
   // shell when available.  `*from_pool` (optional) reports which path ran.
-  std::unique_ptr<vkvm::Vm> Acquire(const vkvm::VmConfig& config, bool* from_pool = nullptr);
+  // A keyed acquire with no generation: never served snapshot-resident.
+  std::unique_ptr<vkvm::Vm> Acquire(const vkvm::VmConfig& config, bool* from_pool = nullptr) {
+    return AcquireAffine(config, /*generation=*/0, nullptr, from_pool);
+  }
 
   // Keyed acquire: prefers the lane cache / home shard stack holding
   // snapshot `generation` resident (then steals from siblings), falling back
@@ -243,11 +255,9 @@ class Pool {
   PoolStats stats() const;
   // Consistent snapshot of the residency breakdown (see AffineAccounting).
   AffineAccounting affine_accounting() const;
-  // Clean shells of `mem_size` across all shards and lane slots.  Exact on
-  // a quiescent pool; diagnostic (racy walk) under concurrency.
-  size_t FreeShells(uint64_t mem_size) const;
   // Clean shells of any size across all shards and lane slots (conservation
-  // checks; same quiescence caveat).
+  // checks).  Exact on a quiescent pool; diagnostic (racy walk) under
+  // concurrency.
   size_t TotalFreeShells() const;
   // Parked snapshot-affine shells for `generation` (from the per-generation
   // accounting counters, wherever the shells physically sit).
@@ -256,11 +266,6 @@ class Pool {
   size_t TotalAffineShells() const;
 
   CleanMode mode() const { return options_.mode; }
-  size_t shard_count() const { return shards_.size(); }
-  size_t lane_count() const { return lane_capacity_; }
-  // Clean shells of `mem_size` parked on `shard`'s free stack (lane slots
-  // are lane-owned, not shard-owned, and are not counted here).
-  size_t FreeShellsInShard(size_t shard, uint64_t mem_size) const;
 
  private:
   // Generation-LRU + residency state, one row per generation ever parked.
@@ -297,7 +302,9 @@ class Pool {
     GenInfo* gen = nullptr;  // accounting row (affine nodes only)
   };
 
-  struct Shard {
+  // Padded to a cache line so neighboring shards' stack heads never
+  // false-share.
+  struct alignas(64) Shard {
     // Slow-path maintenance only (exhaustive sweeps, eviction, retirement
     // serialize here); the acquire/release fast paths never take it.
     mutable std::mutex mu;
@@ -312,6 +319,9 @@ class Pool {
     std::atomic<ShellNode*> clean{nullptr};
     std::atomic<ShellNode*> affine{nullptr};
   };
+
+  // A lane's slots spill to its shard, which is then the lane thread's home.
+  static_assert(kLanes % kShards == 0, "lane mod kShards must be the home shard");
 
   // The calling thread's stable lane id (bound or auto-assigned).
   static uint32_t CurrentLane();
@@ -330,35 +340,42 @@ class Pool {
   // the critical path instead).
   void CleanShell(vkvm::Vm* vm, bool charge_inline);
 
-  // Lock-free bounded pop of the first node matching (mem_size[, gen]) from
-  // `stack`, re-pushing up to kPopScan mismatches.  A false miss (match
-  // deeper than the scan bound) is allowed — the caller falls through to
-  // the exhaustive slow path.
-  ShellNode* PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size,
-                      uint64_t generation, bool match_generation);
-  // Exhaustive pop-scan (caller holds the shard mutex): drains the stack,
-  // keeps the first match, pushes everything else back.
-  ShellNode* ScanMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size,
-                       uint64_t generation, bool match_generation);
-
-  // Lock-free tiers 1+2 for a clean shell (lane slot, then shard stack
-  // pops in steal order); nullptr on miss.  Counts the serving tier.
-  std::unique_ptr<vkvm::Vm> TryFastClean(const vkvm::VmConfig& config, bool* from_pool);
-  // Lock-free tiers 1+2 for a generation-affine shell; nullptr on miss.
-  std::unique_ptr<vkvm::Vm> TryFastAffine(const vkvm::VmConfig& config, uint64_t generation,
-                                          bool* from_pool);
+  // Whether `node` fits: its memory size and generation equal the given
+  // ones, where 0 matches any.  Clean shells carry generation 0.
+  static bool Matches(const ShellNode* node, uint64_t mem_size, uint64_t generation);
+  // Pops the first matching node from `stack`, examining at most `limit`
+  // nodes and re-pushing the mismatches in their original order.  Bounded
+  // (kPopScan) on the lock-free fast path, where a false miss — a match
+  // deeper than the bound — just falls through to the slow path; exhaustive
+  // (kScanGuard) under the shard mutex.  Never allocates.
+  ShellNode* PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size, uint64_t generation,
+                      int limit);
+  // Takes lane `lane`'s clean or affine slot if its node matches.  A
+  // mismatch goes back: into the still-empty slot when `keep_in_slot`, else
+  // (or when the slot refilled meanwhile) onto the lane's shard stack.
+  ShellNode* TakeLane(size_t lane, bool affine, uint64_t mem_size, uint64_t generation,
+                      bool keep_in_slot);
+  // Pops a match from the shards' clean or affine stacks, walking from the
+  // caller's home shard: a bounded lock-free probe, or when `exhaustive` a
+  // full scan of each stack under its shard mutex.  `*shard` reports where.
+  ShellNode* TakeShards(bool affine, uint64_t mem_size, uint64_t generation, bool exhaustive,
+                        size_t* shard);
+  // Exhaustive search (slow path): every shard from home, then every lane
+  // slot.
+  ShellNode* Sweep(bool affine, uint64_t mem_size, uint64_t generation);
+  // Hands a found node out: releases an affine node's residency charge,
+  // counts the pool hit, reports `*from_pool` and unwraps the shell.
+  std::unique_ptr<vkvm::Vm> Serve(ShellNode* node, bool* from_pool);
+  // Lock-free tiers 1+2 (the caller's lane slot, then the shard stacks in
+  // steal order) for a clean shell or one holding `generation`; nullptr on
+  // miss.  Counts the serving tier.
+  std::unique_ptr<vkvm::Vm> TryFast(bool affine, const vkvm::VmConfig& config,
+                                    uint64_t generation, bool* from_pool);
   // The mutex slow path: exhaustive exact-generation affine sweep (when
   // `generation` != 0), exhaustive clean sweep, any-generation affine
   // reclaim, finally a fresh create.  Always serves.
   std::unique_ptr<vkvm::Vm> AcquireSlow(const vkvm::VmConfig& config, uint64_t generation,
                                         bool* affine_hit, bool* from_pool);
-  // Put a node taken out of lane `lane`'s slot back: re-CAS into the slot
-  // if still empty, else spill to the lane's shard stack.
-  void ReinsertLaneClean(size_t lane, ShellNode* node);
-  void ReinsertLaneAffine(size_t lane, ShellNode* node);
-  // Diagnostic stack walk (quiescent-exact; see the accessor caveats).
-  size_t CountStack(const TaggedStack<ShellNode>& stack, uint64_t mem_size,
-                    bool match_mem) const;
 
   // Pops one dirty shell, scanning shards from `home` (work-stealing).
   // Transfers it to "cleaning in flight" before the dirty count drops so
@@ -388,6 +405,8 @@ class Pool {
   // Disposes retired-generation shells: releases charges, counts, cleans.
   void RetireSweep(GenInfo* gen);
 
+  // Queues a shell on `shard`'s dirty stack for the cleaner crew.
+  void QueueDirty(std::unique_ptr<vkvm::Vm> vm, size_t shard);
   // Sends a formerly-affine shell through the cleaning path: the dirty
   // queue (async mode) or an inline clean (sync mode).  `shard` is where it
   // should land / was parked.
@@ -397,9 +416,8 @@ class Pool {
   void EnforceAffineBudget();
 
   const PoolOptions options_;
-  size_t lane_capacity_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<Lane[]> lanes_;
+  std::array<Shard, kShards> shards_;
+  std::array<Lane, kLanes> lanes_;
 
   // Node arena.  spare_nodes_ recycles popped nodes lock-free; all_nodes_
   // (mutex-guarded, touched only when the spare stack is empty) owns them.

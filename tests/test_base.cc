@@ -29,7 +29,6 @@ TEST(Status, AllConstructorsProduceDistinctCodes) {
   EXPECT_EQ(vbase::PermissionDenied("x").code(), vbase::Code::kPermissionDenied);
   EXPECT_EQ(vbase::Unimplemented("x").code(), vbase::Code::kUnimplemented);
   EXPECT_EQ(vbase::Internal("x").code(), vbase::Code::kInternal);
-  EXPECT_EQ(vbase::ResourceExhausted("x").code(), vbase::Code::kResourceExhausted);
   EXPECT_EQ(vbase::Aborted("x").code(), vbase::Code::kAborted);
 }
 

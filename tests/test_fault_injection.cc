@@ -348,7 +348,7 @@ TEST(Quarantine, CrewScrubsAndReadmitsWithoutLeak) {
   EXPECT_EQ(stats.quarantine_scrubbed, 1u);
   EXPECT_EQ(stats.quarantine_destroyed, 0u);
   EXPECT_EQ(stats.quarantined_now, 0u);
-  ASSERT_EQ(pool.FreeShells(cfg.mem_size), 1u);
+  ASSERT_EQ(pool.TotalFreeShells(), 1u);
   // The readmitted shell must not leak the faulted tenant's memory.
   auto reused = pool.Acquire(cfg);
   std::vector<uint8_t> probe(sizeof(secret));
@@ -367,7 +367,7 @@ TEST(Quarantine, SyncModeDestroysOutright) {
   EXPECT_EQ(stats.quarantined, 1u);
   EXPECT_EQ(stats.quarantine_destroyed, 1u);
   EXPECT_EQ(stats.quarantined_now, 0u);
-  EXPECT_EQ(pool.FreeShells(cfg.mem_size), 0u);
+  EXPECT_EQ(pool.TotalFreeShells(), 0u);
 }
 
 TEST(Quarantine, FaultedShellIsNeverReParkedAffine) {

@@ -39,7 +39,6 @@ void ParkAffineShell(wasp::Pool& pool, uint64_t mem_size, uint64_t gen) {
 TEST(AffineBudget, ParkOverBudgetEvictsLeastRecentlyUsedGeneration) {
   wasp::PoolOptions options;
   options.mode = wasp::CleanMode::kSync;
-  options.shards = 1;
   options.affine_budget_bytes = 2 * kMb;
   wasp::Pool pool(options);
 
@@ -64,7 +63,6 @@ TEST(AffineBudget, ParkOverBudgetEvictsLeastRecentlyUsedGeneration) {
 TEST(AffineBudget, RecentlyParkedGenerationSurvivesOlderOne) {
   wasp::PoolOptions options;
   options.mode = wasp::CleanMode::kSync;
-  options.shards = 1;
   options.affine_budget_bytes = 2 * kMb;
   wasp::Pool pool(options);
 
@@ -89,8 +87,6 @@ TEST(AffineBudget, RecentlyParkedGenerationSurvivesOlderOne) {
 TEST(AffineBudget, EvictedShellsAreReclaimedByTheCleanerCrew) {
   wasp::PoolOptions options;
   options.mode = wasp::CleanMode::kAsync;
-  options.shards = 1;
-  options.cleaners = 1;
   options.affine_budget_bytes = kMb;
   wasp::Pool pool(options);
 
@@ -113,8 +109,6 @@ TEST(AffineBudget, EvictedShellsAreReclaimedByTheCleanerCrew) {
 TEST(Retire, RetireGenerationEnqueuesParkedShellsToTheCleanerCrew) {
   wasp::PoolOptions options;
   options.mode = wasp::CleanMode::kAsync;
-  options.shards = 2;
-  options.cleaners = 1;
   wasp::Pool pool(options);
 
   ParkAffineShell(pool, kMb, 7);
@@ -140,7 +134,6 @@ TEST(Retire, LateReleaseAfterRetireDivertsToCleaningInsteadOfParking) {
   // (nothing would ever reclaim it) — it goes through the cleaning path.
   wasp::PoolOptions options;
   options.mode = wasp::CleanMode::kSync;
-  options.shards = 1;
   wasp::Pool pool(options);
 
   pool.RetireGeneration(77);     // G dies while the shell is "in flight"

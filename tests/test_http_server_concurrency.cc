@@ -107,35 +107,26 @@ TEST_P(ConcurrentServerModeTest, TraceReplayServesEveryArrival) {
   options.max_queue_depth = 0;  // unbounded: the open loop must not shed
   vnet::ConcurrentHttpServer server(&runtime_, &files_, options);
 
-  // A small ramp-burst-ramp trace (~22 arrivals).
-  const std::vector<vnet::LoadPhase> phases = {{4, 1}, {14, 1}, {4, 1}};
+  // A small ramp-burst-ramp trace (~22 arrivals), dispatched open loop:
+  // every arrival is submitted before any completion is awaited, so the
+  // burst lands at full width.
+  const std::vector<double> arrivals =
+      vnet::GenerateArrivalTrace({{4, 1}, {14, 1}, {4, 1}}, 9);
   // Channels must outlive the futures; one per arrival.
-  const std::vector<double> arrivals = vnet::GenerateArrivalTrace(phases, 9);
   std::vector<wasp::ByteChannel> channels(arrivals.size());
-  auto result = vnet::ReplayTrace(
-      phases,
-      [&](size_t i) {
-        channels[i].host().WriteString(kRequest);
-        std::future<vbase::Result<vnet::ServeStats>> stats =
-            server.SubmitConnection(channels[i], GetParam(), kRoute, {});
-        // Adapt the ServeStats future to the loadgen's service-latency
-        // currency on a deferred thread so the replay loop never blocks.
-        return std::async(std::launch::deferred,
-                          [&channels, i, stats = std::move(stats)]() mutable -> double {
-                            auto s = stats.get();
-                            if (!s.ok() || s->status != 200) {
-                              return -1.0;
-                            }
-                            auto response = channels[i].host().Drain();
-                            return response.size() >= static_cast<size_t>(kBodySize)
-                                       ? static_cast<double>(s->wall_ns) / 1e3
-                                       : -1.0;
-                          });
-      },
-      9);
-  EXPECT_EQ(result.arrivals_us.size(), arrivals.size());
-  EXPECT_EQ(result.service_us.size(), arrivals.size());
-  EXPECT_EQ(result.failures, 0u);
+  std::vector<std::future<vbase::Result<vnet::ServeStats>>> futures;
+  futures.reserve(arrivals.size());
+  for (wasp::ByteChannel& channel : channels) {
+    channel.host().WriteString(kRequest);
+    futures.push_back(server.SubmitConnection(channel, GetParam(), kRoute, {}));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    auto stats = futures[i].get();
+    ASSERT_TRUE(stats.ok()) << "arrival " << i << ": " << stats.status().ToString();
+    EXPECT_EQ(stats->status, 200) << "arrival " << i;
+    EXPECT_GE(channels[i].host().Drain().size(), static_cast<size_t>(kBodySize))
+        << "arrival " << i;
+  }
 
   const vnet::ServerCounters ctr = server.counters(GetParam());
   EXPECT_EQ(ctr.accepted, arrivals.size());
@@ -171,10 +162,10 @@ TEST(ConcurrentServer, RejectModeShedsOverflowWith503) {
   wasp::ByteChannel plug;
   auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative, kRoute, {});
   // Wait until the worker picked the plug up (queue empty, one accepted).
-  for (int i = 0; i < 5000 && server.queue_depth() > 0; ++i) {
+  for (int i = 0; i < 5000 && server.executor_stats().queued > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(server.queue_depth(), 0u);
+  ASSERT_EQ(server.executor_stats().queued, 0u);
 
   // One connection fills the queue; the next must be shed with a 503.
   wasp::ByteChannel queued;
@@ -224,10 +215,10 @@ TEST(ConcurrentServer, RouteQuotaShedsWith429WhileOverloadSheds503) {
   // handler in recv until we feed it.
   wasp::ByteChannel plug;
   auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative, kRoute, {});
-  for (int i = 0; i < 5000 && server.queue_depth() > 0; ++i) {
+  for (int i = 0; i < 5000 && server.executor_stats().queued > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(server.queue_depth(), 0u);
+  ASSERT_EQ(server.executor_stats().queued, 0u);
 
   // Two /hot connections fill that route's quota (queued, lane busy)...
   std::vector<std::unique_ptr<wasp::ByteChannel>> held;
@@ -256,7 +247,7 @@ TEST(ConcurrentServer, RouteQuotaShedsWith429WhileOverloadSheds503) {
     accepted.push_back(server.SubmitConnection(*held.back(), vnet::ServeMode::kNative,
                                                "/cold" + std::to_string(i), {}));
   }
-  ASSERT_EQ(server.queue_depth(), 8u);
+  ASSERT_EQ(server.executor_stats().queued, 8u);
   // ...and the next connection is shed with 503: global overload.
   wasp::ByteChannel overload_shed;
   overload_shed.host().WriteString(kRequest);
@@ -304,10 +295,10 @@ TEST(ConcurrentServer, RouteQuotaOverridesAreKeyedByRouteName) {
   // Plug the single lane so every routed connection below stays queued.
   wasp::ByteChannel plug;
   auto plug_future = server.SubmitConnection(plug, vnet::ServeMode::kNative, kRoute, {});
-  for (int i = 0; i < 5000 && server.queue_depth() > 0; ++i) {
+  for (int i = 0; i < 5000 && server.executor_stats().queued > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(server.queue_depth(), 0u);
+  ASSERT_EQ(server.executor_stats().queued, 0u);
 
   // /vip rides its override of 4: three queued connections all fit.  /std
   // falls back to key_quota 1: its second connection is shed with 429.
@@ -318,7 +309,7 @@ TEST(ConcurrentServer, RouteQuotaOverridesAreKeyedByRouteName) {
     held.back()->host().WriteString(kRequest);
     futures.push_back(server.SubmitConnection(*held.back(), vnet::ServeMode::kNative, route, {}));
   }
-  EXPECT_EQ(server.queue_depth(), 4u);
+  EXPECT_EQ(server.executor_stats().queued, 4u);
 
   plug.host().WriteString(kRequest);
   ASSERT_TRUE(plug_future.get().ok());

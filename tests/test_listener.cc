@@ -349,10 +349,10 @@ TEST(Listener, KeepAliveConnectionHoldsLaneAndOverflowSheds) {
   ASSERT_GE(b, 0);
   ASSERT_TRUE(SendAll(b, "GET /static.html HTTP/1.1\r\nHost: t\r\n\r\n"));
   // B is queued behind A; give the listener a moment to dispatch it before C.
-  for (int i = 0; i < 200 && stack.server->queue_depth() == 0; ++i) {
+  for (int i = 0; i < 200 && stack.server->executor_stats().queued == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_EQ(stack.server->queue_depth(), 1u);
+  EXPECT_EQ(stack.server->executor_stats().queued, 1u);
   const int c = ConnectTo(stack.listener->port());
   ASSERT_GE(c, 0);
   std::string sc;

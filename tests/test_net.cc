@@ -20,29 +20,30 @@
 namespace {
 
 TEST(Http, ParsesRequestLineAndHeaders) {
-  auto req = vnet::ParseRequest(
+  auto framed = vnet::FrameRequest(
       "GET /index.html HTTP/1.1\r\nHost: tinker\r\nX-Thing:  padded \r\n\r\n");
-  ASSERT_TRUE(req.ok()) << req.status().ToString();
-  EXPECT_EQ(req->method, "GET");
-  EXPECT_EQ(req->target, "/index.html");
-  EXPECT_EQ(req->version, "HTTP/1.1");
-  EXPECT_EQ(req->Header("host"), "tinker");
-  EXPECT_EQ(req->Header("X-THING"), "padded");
-  EXPECT_EQ(req->Header("absent"), "");
+  ASSERT_TRUE(framed.ok()) << framed.status().ToString();
+  const vnet::HttpRequest& req = framed->request;
+  EXPECT_EQ(req.method, "GET");
+  EXPECT_EQ(req.target, "/index.html");
+  EXPECT_EQ(req.version, "HTTP/1.1");
+  EXPECT_EQ(req.Header("host"), "tinker");
+  EXPECT_EQ(req.Header("X-THING"), "padded");
+  EXPECT_EQ(req.Header("absent"), "");
 }
 
 TEST(Http, ParsesBodyWithContentLength) {
-  auto req = vnet::ParseRequest(
+  auto framed = vnet::FrameRequest(
       "POST /fn HTTP/1.0\r\nContent-Length: 5\r\n\r\nhello-extra-ignored");
-  ASSERT_TRUE(req.ok());
-  EXPECT_EQ(req->body, "hello");
+  ASSERT_TRUE(framed.ok());
+  EXPECT_EQ(framed->request.body, "hello");
 }
 
 TEST(Http, IncompleteRequestsAskForMore) {
-  auto r1 = vnet::ParseRequest("GET / HTTP/1.0\r\nHost: x\r\n");
+  auto r1 = vnet::FrameRequest("GET / HTTP/1.0\r\nHost: x\r\n");
   EXPECT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), vbase::Code::kFailedPrecondition);
-  auto r2 = vnet::ParseRequest("POST / HTTP/1.0\r\nContent-Length: 10\r\n\r\nabc");
+  auto r2 = vnet::FrameRequest("POST / HTTP/1.0\r\nContent-Length: 10\r\n\r\nabc");
   EXPECT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), vbase::Code::kFailedPrecondition);
 }
@@ -55,7 +56,7 @@ TEST(Http, MalformedRequestsAreRejected) {
            "GET / HTTP/1.0\r\nNoColonHere\r\n\r\n",
            "POST / HTTP/1.0\r\nContent-Length: 1x\r\n\r\nz",
        }) {
-    auto r = vnet::ParseRequest(bad);
+    auto r = vnet::FrameRequest(bad);
     EXPECT_FALSE(r.ok()) << "accepted malformed request: " << bad;
     EXPECT_EQ(r.status().code(), vbase::Code::kInvalidArgument) << bad;
   }
@@ -69,7 +70,7 @@ TEST(Http, FuzzedInputNeverCrashesParser) {
     for (int j = 0; j < len; ++j) {
       junk += static_cast<char>(rng.Below(256));
     }
-    (void)vnet::ParseRequest(junk);  // must not crash or hang
+    (void)vnet::FrameRequest(junk);  // must not crash or hang
   }
   SUCCEED();
 }
@@ -152,9 +153,9 @@ TEST(Http, SmugglingShapedRequestsAreRejected) {
 
 TEST(Http, WantKeepAliveFollowsVersionAndConnectionHeader) {
   const auto parse = [](const std::string& text) {
-    auto req = vnet::ParseRequest(text);
-    EXPECT_TRUE(req.ok()) << req.status().ToString();
-    return *req;
+    auto framed = vnet::FrameRequest(text);
+    EXPECT_TRUE(framed.ok()) << framed.status().ToString();
+    return framed->request;
   };
   // HTTP/1.1 defaults to persistent; explicit close wins.
   EXPECT_TRUE(vnet::WantKeepAlive(parse("GET / HTTP/1.1\r\nHost: x\r\n\r\n")));

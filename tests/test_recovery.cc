@@ -440,7 +440,7 @@ TEST(Recovery, ConcurrentStormAndProbesKeepAccountingConserved) {
       EXPECT_EQ(stats.submitted,
                 stats.completed + stats.faulted + stats.queued + stats.in_flight);
       (void)executor.KeyRecoveryState("storm");
-      (void)executor.KeyFaultRate("calm");
+      (void)executor.KeyRecoveryState("calm");
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });

@@ -804,7 +804,6 @@ TEST(AffinePoolConcurrency, GaugeConservationUnderParkEvictRetire) {
   }
   wasp::PoolOptions options;
   options.mode = wasp::CleanMode::kAsync;
-  options.cleaners = 2;
   // Tight enough that concurrent parks trigger budget evictions.
   options.affine_budget_bytes = 3 * snaps.back()->chain_byte_size();
   wasp::Pool pool(options);

@@ -6,6 +6,7 @@
 #include <set>
 #include <thread>
 
+#include "src/base/rng.h"
 #include "src/vrt/env.h"
 #include "src/vrt/samples.h"
 #include "src/wasp/channel.h"
@@ -31,7 +32,7 @@ TEST(Pool, ReusesShellsBySize) {
   auto vm = pool.Acquire(cfg, &from_pool);
   EXPECT_FALSE(from_pool);
   pool.Release(std::move(vm));
-  EXPECT_EQ(pool.FreeShells(cfg.mem_size), 1u);
+  EXPECT_EQ(pool.TotalFreeShells(), 1u);
   vm = pool.Acquire(cfg, &from_pool);
   EXPECT_TRUE(from_pool);
   // A different size must not hit the pool.
@@ -88,14 +89,178 @@ TEST(Pool, AsyncCleanerDrains) {
   EXPECT_EQ(pool.stats().cleans, 8u);
   // Later acquires may legitimately reuse already-cleaned shells, so the
   // free list holds between 1 and 8 shells; all of them are clean.
-  EXPECT_GE(pool.FreeShells(cfg.mem_size), 1u);
+  EXPECT_GE(pool.TotalFreeShells(), 1u);
 }
 
 TEST(Pool, NoneModeDropsShells) {
   wasp::Pool pool(wasp::CleanMode::kNone);
   vkvm::VmConfig cfg;
   pool.Release(pool.Acquire(cfg));
-  EXPECT_EQ(pool.FreeShells(cfg.mem_size), 0u);
+  EXPECT_EQ(pool.TotalFreeShells(), 0u);
+}
+
+// --- Pool trace oracle ----------------------------------------------------
+//
+// Seeded single-thread op sequences over every acquire tier and maintenance
+// path (lane slots, shard stacks and their steals, the bounded fast-path
+// scan, the exhaustive sweeps, inline reclaim, budget eviction, retirement,
+// steal, quarantine).  After each op the trace folds in what the caller
+// observed (from_pool, affine_hit, the tag byte the previous tenant left),
+// the free and affine shell counts, and every PoolStats field.  One thread
+// that binds its lane explicitly before each op (lane 0 and three others, so
+// shards other than home and other lanes' slots are in play) makes the
+// whole trace deterministic: a refactor of the pool that keeps every
+// selection decision and counter reproduces the recorded hash exactly.
+// Async mode is left out: its cleaner interleaving varies the trace from run
+// to run.
+
+constexpr uint64_t kTraceTagAddr = 0x9000;
+constexpr uint64_t kTraceSizes[] = {64 << 10, 128 << 10};
+constexpr uint64_t kTraceBudget = 192 << 10;  // three small shells
+// Enough small shells that a large one can sit deeper in a stack than the
+// fast path's bounded scan reaches.
+constexpr int kTracePrewarm = 80;
+constexpr uint32_t kTraceLanes[] = {0, 3, 8, 13};
+constexpr int kTraceOps = 4000;
+constexpr int kTraceSequences = 16;
+
+void TraceMix(uint64_t* hash, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {  // FNV-1a over the value's bytes
+    *hash = (*hash ^ ((value >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+  }
+}
+
+void TraceStats(uint64_t* hash, const wasp::Pool& pool) {
+  const wasp::PoolStats s = pool.stats();
+  for (uint64_t v :
+       {s.acquires, s.pool_hits, s.fresh_creates, s.releases, s.cleans, s.bytes_zeroed,
+        s.lane_cache_hits, s.freelist_hits, s.slow_path_acquires, s.cross_shard_steals,
+        s.affine_hits, s.affine_parks, s.affine_reclaims, s.delta_pages, s.affine_evictions,
+        s.affine_retired, s.affine_resident_bytes, s.affine_shared_bytes,
+        s.affine_private_bytes, s.quarantined, s.quarantine_scrubbed, s.quarantine_destroyed,
+        s.quarantined_now}) {
+    TraceMix(hash, v);
+  }
+}
+
+uint8_t GenerationTag(uint64_t generation) {
+  return static_cast<uint8_t>(generation % 250 + 1);
+}
+
+uint64_t PoolTrace(wasp::CleanMode mode, uint64_t seed, bool budget) {
+  wasp::PoolOptions options;
+  options.mode = mode;
+  options.affine_budget_bytes = budget ? kTraceBudget : 0;
+  wasp::Pool pool(options);
+  vkvm::VmConfig small;
+  small.mem_size = kTraceSizes[0];
+  pool.Prewarm(small, kTracePrewarm);
+  vbase::Rng rng(seed);
+  uint64_t gens[5] = {11, 12, 13, 14, 15};
+  uint64_t next_gen = 16;
+  struct Held {
+    std::unique_ptr<vkvm::Vm> vm;
+    uint64_t generation = 0;  // the generation it was acquired for, 0 if none
+  };
+  Held held[3];
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int op = 0; op < kTraceOps; ++op) {
+    wasp::Pool::BindLane(kTraceLanes[rng.Below(4)]);
+    Held& slot = held[rng.Below(3)];
+    const uint64_t roll = rng.Below(100);
+    if (slot.vm == nullptr) {
+      vkvm::VmConfig cfg;
+      cfg.mem_size = kTraceSizes[rng.Below(2)];
+      const uint64_t generation = gens[rng.Below(5)];
+      bool from_pool = false;
+      bool affine_hit = false;
+      if (roll < 10) {
+        slot.vm = pool.StealParkedAffine(generation);
+        from_pool = affine_hit = slot.vm != nullptr;
+      } else if (roll < 45) {
+        slot.vm = pool.Acquire(cfg, &from_pool);
+      } else {
+        slot.vm = pool.AcquireAffine(cfg, generation, &affine_hit, &from_pool);
+      }
+      slot.generation = roll < 45 && !affine_hit ? 0 : generation;
+      const uint8_t tag = slot.vm == nullptr ? 0 : slot.vm->memory().data()[kTraceTagAddr];
+      // Isolation: an affine hit holds its generation's tag, anything else
+      // is clean.
+      EXPECT_EQ(tag, affine_hit ? GenerationTag(generation) : 0) << "op " << op;
+      TraceMix(&hash, from_pool);
+      TraceMix(&hash, affine_hit);
+      TraceMix(&hash, tag);
+    } else if (roll < 40) {
+      const uint8_t b = static_cast<uint8_t>(rng.Next() | 1);
+      EXPECT_TRUE(slot.vm->memory().Write(kTraceTagAddr, &b, 1).ok());
+      pool.Release(std::move(slot.vm));
+    } else if (roll < 85) {
+      const uint64_t generation = slot.generation != 0 ? slot.generation : gens[rng.Below(5)];
+      const uint8_t tag = GenerationTag(generation);
+      EXPECT_TRUE(slot.vm->memory().Write(kTraceTagAddr, &tag, 1).ok());
+      slot.vm->memory().BeginEpoch();
+      // A working set of 0-3 pages for the next restore's delta.
+      const uint64_t pages = rng.Below(4);
+      for (uint64_t p = 0; p < pages; ++p) {
+        const uint8_t b = 0x5a;
+        EXPECT_TRUE(slot.vm->memory().Write(0xa000 + p * vhw::kPageSize, &b, 1).ok());
+      }
+      pool.ReleaseAffine(std::move(slot.vm), generation);
+    } else {
+      const uint8_t b = 0xee;
+      EXPECT_TRUE(slot.vm->memory().Write(kTraceTagAddr, &b, 1).ok());
+      pool.Quarantine(std::move(slot.vm));
+    }
+    if (rng.Below(100) < 3) {
+      // Retired generations never come back (as in the snapshot store).
+      uint64_t& victim = gens[rng.Below(5)];
+      pool.RetireGeneration(victim);
+      victim = next_gen++;
+    }
+    TraceMix(&hash, pool.TotalFreeShells());
+    TraceMix(&hash, pool.TotalAffineShells());
+    TraceStats(&hash, pool);
+  }
+  for (Held& slot : held) {
+    if (slot.vm != nullptr) {
+      pool.Release(std::move(slot.vm));
+    }
+  }
+  TraceStats(&hash, pool);
+  const wasp::PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.acquires, stats.releases);
+  EXPECT_EQ(stats.acquires,
+            stats.lane_cache_hits + stats.freelist_hits + stats.slow_path_acquires);
+  // Shell conservation: with no pooling only the unserved warm shells are
+  // left; otherwise every shell not destroyed by a quarantine is parked.
+  EXPECT_EQ(pool.TotalFreeShells() + pool.TotalAffineShells(),
+            mode == wasp::CleanMode::kNone
+                ? kTracePrewarm - stats.pool_hits
+                : kTracePrewarm + stats.fresh_creates - stats.quarantine_destroyed);
+  EXPECT_GT(stats.cross_shard_steals, 0u);
+  return hash;
+}
+
+uint64_t PoolTraceHash(wasp::CleanMode mode) {
+  uint64_t hash = 0;
+  // A thread of its own, so the lane bindings stay out of the other tests.
+  std::thread runner([&] {
+    for (int seq = 0; seq < kTraceSequences; ++seq) {
+      TraceMix(&hash, PoolTrace(mode, 7000 + static_cast<uint64_t>(seq), seq % 2 == 1));
+    }
+  });
+  runner.join();
+  return hash;
+}
+
+TEST(PoolTraceOracle, SyncModeMatchesTheRecordedTrace) {
+  const uint64_t hash = PoolTraceHash(wasp::CleanMode::kSync);
+  EXPECT_EQ(hash, 0xd8a7fba0a9def92aULL) << std::hex << "trace hash 0x" << hash;
+}
+
+TEST(PoolTraceOracle, NoPoolModeMatchesTheRecordedTrace) {
+  const uint64_t hash = PoolTraceHash(wasp::CleanMode::kNone);
+  EXPECT_EQ(hash, 0x0ee74b635d3db447ULL) << std::hex << "trace hash 0x" << hash;
 }
 
 // --- Invocation + snapshotting ------------------------------------------------

@@ -50,7 +50,7 @@ void HammerPool(wasp::Pool& pool) {
 }
 
 TEST(Concurrency, PoolHammerSyncConservesShells) {
-  wasp::Pool pool(wasp::PoolOptions{wasp::CleanMode::kSync, 4, 1});
+  wasp::Pool pool(wasp::CleanMode::kSync);
   HammerPool(pool);
   const wasp::PoolStats stats = pool.stats();
   EXPECT_EQ(stats.acquires, static_cast<uint64_t>(kThreads * kItersPerThread));
@@ -62,7 +62,7 @@ TEST(Concurrency, PoolHammerSyncConservesShells) {
 }
 
 TEST(Concurrency, PoolHammerAsyncCleanerCrewConservesShells) {
-  wasp::Pool pool(wasp::PoolOptions{wasp::CleanMode::kAsync, 4, 3});
+  wasp::Pool pool(wasp::CleanMode::kAsync);
   HammerPool(pool);
   pool.DrainCleaner();
   const wasp::PoolStats stats = pool.stats();
@@ -74,7 +74,7 @@ TEST(Concurrency, PoolHammerAsyncCleanerCrewConservesShells) {
 }
 
 TEST(Concurrency, CleanerCrewDrainsBeforeStatsRead) {
-  wasp::Pool pool(wasp::PoolOptions{wasp::CleanMode::kAsync, 2, 2});
+  wasp::Pool pool(wasp::CleanMode::kAsync);
   vkvm::VmConfig cfg;
   for (int i = 0; i < 6; ++i) {
     auto vm = pool.Acquire(cfg);
@@ -91,7 +91,7 @@ TEST(Concurrency, DestructionWithPendingDirtyShellsDoesNotHang) {
   // No DrainCleaner: the destructor itself must shut the crew down with
   // dirty shells still queued — no deadlock, no leak (ASan/TSan cover the
   // memory and ordering; completion of this test body is the assertion).
-  wasp::Pool pool(wasp::PoolOptions{wasp::CleanMode::kAsync, 2, 2});
+  wasp::Pool pool(wasp::CleanMode::kAsync);
   vkvm::VmConfig cfg;
   for (int i = 0; i < 6; ++i) {
     auto vm = pool.Acquire(cfg);
@@ -101,29 +101,21 @@ TEST(Concurrency, DestructionWithPendingDirtyShellsDoesNotHang) {
   }
 }
 
-TEST(Concurrency, PrewarmSpreadsShellsAcrossShards) {
-  wasp::Pool pool(wasp::PoolOptions{wasp::CleanMode::kSync, 4, 1});
-  vkvm::VmConfig cfg;
-  pool.Prewarm(cfg, 8);
-  ASSERT_EQ(pool.shard_count(), 4u);
-  for (size_t s = 0; s < pool.shard_count(); ++s) {
-    EXPECT_EQ(pool.FreeShellsInShard(s, cfg.mem_size), 2u) << "shard " << s;
-  }
-  EXPECT_EQ(pool.FreeShells(cfg.mem_size), 8u);
-}
-
 TEST(Concurrency, AcquireStealsFromSiblingShards) {
-  wasp::Pool pool(wasp::PoolOptions{wasp::CleanMode::kSync, 4, 1});
+  wasp::Pool pool(wasp::CleanMode::kSync);
   vkvm::VmConfig cfg;
-  pool.Prewarm(cfg, 4);  // one shell per shard
-  // A single thread acquires all four: three must be stolen cross-shard.
+  // Prewarm spreads one shell per shard.  A single thread acquires all of
+  // them: one from its home shard, every other one stolen cross-shard —
+  // a count only the one-per-shard spread gives.
+  pool.Prewarm(cfg, wasp::Pool::kShards);
   std::vector<std::unique_ptr<vkvm::Vm>> held;
-  for (int i = 0; i < 4; ++i) {
+  for (size_t i = 0; i < wasp::Pool::kShards; ++i) {
     bool from_pool = false;
     held.push_back(pool.Acquire(cfg, &from_pool));
     EXPECT_TRUE(from_pool) << "acquire " << i << " missed the warm pool";
   }
   EXPECT_EQ(pool.stats().fresh_creates, 0u);
+  EXPECT_EQ(pool.stats().cross_shard_steals, wasp::Pool::kShards - 1);
   for (auto& vm : held) {
     pool.Release(std::move(vm));
   }
@@ -167,7 +159,7 @@ TEST(Concurrency, ConcurrentInvokeComputesCorrectResults) {
 // generation: shells must be conserved, and an affine hit must always carry
 // the parked memory while non-affine paths only ever see cleaned shells.
 TEST(Concurrency, KeyedAcquireReleaseRaceConservesShells) {
-  wasp::Pool pool(wasp::PoolOptions{wasp::CleanMode::kSync, 4, 1});
+  wasp::Pool pool(wasp::CleanMode::kSync);
   static constexpr uint64_t kGenerations[] = {101, 202};
   std::atomic<int> leaks{0};
   std::vector<std::thread> threads;
@@ -336,10 +328,10 @@ wasp::Executor::Task GateTask(std::shared_future<void> gate) {
 // Waits until the (single) worker has dequeued the gate task, i.e. the
 // queue is observably empty while the worker is parked.
 void AwaitWorkerParked(wasp::Executor& executor) {
-  for (int i = 0; i < 5000 && executor.queue_depth() > 0; ++i) {
+  for (int i = 0; i < 5000 && executor.stats().queued > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_EQ(executor.queue_depth(), 0u);
+  ASSERT_EQ(executor.stats().queued, 0u);
 }
 
 TEST(Concurrency, ExecutorQueueFillsToDepthThenTrySubmitRejects) {
@@ -352,7 +344,8 @@ TEST(Concurrency, ExecutorQueueFillsToDepthThenTrySubmitRejects) {
   options.block_when_full = false;
   wasp::Executor executor(&runtime, options);
   std::promise<void> gate;
-  auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
+  std::future<wasp::RunOutcome> gated;
+  ASSERT_TRUE(executor.TrySubmitTask(GateTask(gate.get_future().share()), &gated));
   AwaitWorkerParked(executor);
 
   // Two quick jobs fill the queue to max_queue_depth.
@@ -360,7 +353,7 @@ TEST(Concurrency, ExecutorQueueFillsToDepthThenTrySubmitRejects) {
   for (auto& future : queued) {
     ASSERT_TRUE(executor.TrySubmitTask([] { return wasp::RunOutcome{}; }, &future));
   }
-  EXPECT_EQ(executor.queue_depth(), 2u);
+  EXPECT_EQ(executor.stats().queued, 2u);
 
   // Both the task and the VirtineSpec entry points must now reject.
   std::future<wasp::RunOutcome> rejected;
@@ -398,7 +391,8 @@ TEST(Concurrency, ExecutorBlockingModeNeverRejects) {
   options.block_when_full = true;
   wasp::Executor executor(&runtime, options);
   std::promise<void> gate;
-  auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
+  std::future<wasp::RunOutcome> gated;
+  ASSERT_TRUE(executor.TrySubmitTask(GateTask(gate.get_future().share()), &gated));
   AwaitWorkerParked(executor);
 
   // Fill the queue, then hammer TrySubmitTask from several threads: every
@@ -472,7 +466,8 @@ TEST(Concurrency, ExecutorRejectionCountersMatchObservedRejections) {
   options.block_when_full = false;
   wasp::Executor executor(&runtime, options);
   std::promise<void> gate;
-  auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
+  std::future<wasp::RunOutcome> gated;
+  ASSERT_TRUE(executor.TrySubmitTask(GateTask(gate.get_future().share()), &gated));
   AwaitWorkerParked(executor);
 
   uint64_t observed_accepts = 0;
@@ -512,7 +507,8 @@ TEST(Concurrency, ExecutorQuotaRejectIsClassifiedSeparatelyFromQueueFull) {
   options.key_quota = 2;
   wasp::Executor executor(&runtime, options);
   std::promise<void> gate;
-  auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
+  std::future<wasp::RunOutcome> gated;
+  ASSERT_TRUE(executor.TrySubmitTask(GateTask(gate.get_future().share()), &gated));
   AwaitWorkerParked(executor);
 
   auto noop = [] { return wasp::RunOutcome{}; };
@@ -566,7 +562,8 @@ TEST(Concurrency, ExecutorWeightedDequeuePrefersLatencyWithoutStarvingBatch) {
   options.batch_weight = 4;
   wasp::Executor executor(&runtime, options);
   std::promise<void> gate;
-  auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
+  std::future<wasp::RunOutcome> gated;
+  ASSERT_TRUE(executor.TrySubmitTask(GateTask(gate.get_future().share()), &gated));
   AwaitWorkerParked(executor);
 
   std::mutex mu;
@@ -613,7 +610,8 @@ TEST(Concurrency, ExecutorFifoAcrossClassesWhenWeightingDisabled) {
   options.batch_weight = 0;  // ungoverned: strict submission order
   wasp::Executor executor(&runtime, options);
   std::promise<void> gate;
-  auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
+  std::future<wasp::RunOutcome> gated;
+  ASSERT_TRUE(executor.TrySubmitTask(GateTask(gate.get_future().share()), &gated));
   AwaitWorkerParked(executor);
 
   std::mutex mu;
@@ -949,8 +947,6 @@ TEST(Concurrency, TaggedStackConcurrentPushPopConservesNodes) {
 TEST(Concurrency, LockFreeFastPathMixedOpsConserveAtQuiescePoints) {
   wasp::PoolOptions options;
   options.mode = wasp::CleanMode::kSync;
-  options.shards = 4;
-  options.lanes = kThreads;
   options.affine_budget_bytes = 3ULL << 20;    // ~3 shells: evictions guaranteed
   wasp::Pool pool(options);
   constexpr int kRounds = 3;
@@ -1037,12 +1033,7 @@ TEST(Concurrency, LockFreeFastPathMixedOpsConserveAtQuiescePoints) {
 // (quarantined == scrubbed + destroyed + pending) must balance exactly at
 // quiescence alongside the pool's shell-conservation invariant.
 TEST(Concurrency, ConcurrentQuarantineConservesShellsAndScrubsAll) {
-  wasp::PoolOptions options;
-  options.mode = wasp::CleanMode::kAsync;
-  options.shards = 4;
-  options.cleaners = 2;
-  options.lanes = kThreads;
-  wasp::Pool pool(options);
+  wasp::Pool pool(wasp::CleanMode::kAsync);
   constexpr uint64_t kGen = 7777;
   std::vector<std::thread> threads;
   threads.reserve(kThreads + 1);
@@ -1107,7 +1098,8 @@ TEST(Concurrency, ExecutorKeyQuotaOverridesGiveTieredAdmission) {
   EXPECT_EQ(executor.options().QuotaFor("free"), 1u);
 
   std::promise<void> gate;
-  auto gated = executor.SubmitTask(GateTask(gate.get_future().share()));
+  std::future<wasp::RunOutcome> gated;
+  ASSERT_TRUE(executor.TrySubmitTask(GateTask(gate.get_future().share()), &gated));
   AwaitWorkerParked(executor);
 
   auto noop = [] { return wasp::RunOutcome{}; };
