@@ -91,7 +91,7 @@ void MeasureWarm(const visa::Image& image, uint64_t mem_size, bool affinity, int
 // under one generation, COW-mapped vs full-copy parked.
 struct ShellPoint {
   int shells = 0;
-  uint64_t cow_resident = 0;  // gauge: shared chain once + private pages
+  uint64_t cow_resident = 0;  // gauge: shared buffer once + private pages
   uint64_t cow_shared = 0;
   uint64_t cow_private = 0;
   uint64_t full_resident = 0;  // gauge: every shell charged its whole memory
@@ -128,7 +128,7 @@ void MeasureParkedResident(const wasp::SnapshotRef& snap, uint64_t mem_size, int
       VB_CHECK(vm->memory().Write(gpa, &b, 1).ok(), "working-set write failed");
     }
     pool.ReleaseAffine(std::move(vm), snap->generation,
-                       cow ? snap->chain_byte_size() : 0);
+                       cow ? snap->byte_size() : 0);
   }
   const wasp::AffineAccounting acct = pool.affine_accounting();
   uint64_t sum = 0;
@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
   std::printf("\n");
   fleet_table.Print();
   std::printf("\nEach parked shell dirtied %d pages after restore (its warm working set); "
-              "the COW\nrows charge the 16 MB extent chain once per generation plus "
+              "the COW\nrows charge the 16 MB extent buffer once per generation plus "
               "private pages per shell,\nthe full-copy rows charge every shell its whole "
               "memory.\n",
               kParkedWorkingSetPages);

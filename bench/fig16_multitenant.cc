@@ -21,13 +21,13 @@
 //
 // 2. Warm density.  COW extents turn the affine budget from a shell budget
 //    into a working-set budget: a parked shell is charged its privatized
-//    pages, the snapshot chain once per generation.  The same 6 MB budget
-//    that held 6 full-copy 1 MB shells warm now keeps 64 keys warm
-//    simultaneously — a >10x density gain — with zero evictions and zero
+//    pages, the snapshot's extent buffer once per generation.  The same
+//    6 MB budget that held 6 full-copy 1 MB shells warm now keeps 64 keys
+//    warm simultaneously — a >10x density gain — with zero evictions and zero
 //    budget violations, the residency gauge conserving
 //    (sum(shared + private) == resident) at every observation.  The loop
 //    also runs the re-snapshot lifecycle: RecaptureSnapshot folds a subset
-//    of keys' drift into delta children (shells stay warm under the new
+//    of keys' drift into new flat snapshots (shells stay warm under the new
 //    generation), and RetireSnapshot drains everything back to zero.
 //
 // 3. Tiered quotas.  Three tenants (premium / standard / free) flood
@@ -322,7 +322,7 @@ int RunDensityPhase(bool quick) {
 
   // The 6 MB budget held 6 full-copy 1 MB shells warm (each parked shell
   // charged its whole memory).  Under COW extents a parked shell is charged
-  // its privatized pages only, the snapshot chain once per generation — so
+  // its privatized pages only, the extent buffer once per generation — so
   // the same budget must keep all 64 keys warm simultaneously, with zero
   // evictions and zero violations: a >10x warm-density gain.
   constexpr uint64_t kMb = 1ULL << 20;
@@ -377,10 +377,9 @@ int RunDensityPhase(bool quick) {
                   kKeys);
       ++failures;
     }
-    // Re-snapshot lifecycle, delta edition: fold every 8th key's drift into
-    // a chain child.  The stolen shell re-parks warm under the new
-    // generation, so the key stays warm (and its next invocation is still an
-    // affine hit).
+    // Re-snapshot lifecycle: fold every 8th key's drift into a new flat
+    // snapshot.  The stolen shell re-parks warm under the new generation, so
+    // the key stays warm (and its next invocation is still an affine hit).
     uint64_t recaptured = 0;
     for (int k = 0; k < kKeys; k += 8) {
       spec.key = "svc-" + std::to_string(k);

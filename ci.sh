@@ -50,8 +50,8 @@ if [[ "${TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${ASAN:-0}" == "1" ]]; then
-  # Address+UBSan gate for the memory-heavy paths: COW extent buffers and
-  # chains, write-privatization bitmaps, snapshot capture/restore, pool
+  # Address+UBSan gate for the memory-heavy paths: COW extent buffers,
+  # write-privatization bitmaps, snapshot capture/re-capture/restore, pool
   # residency accounting — and the compiler: vcc's parser, register
   # allocator and code generator, the vrt runtime library, and the codegen
   # differential oracle — and the HTTP guests driven directly through

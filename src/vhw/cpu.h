@@ -116,7 +116,6 @@ class Cpu {
 
   uint64_t cycles() const { return cycles_; }
   void set_cycles(uint64_t c) { cycles_ = c; }
-  void AddCycles(uint64_t c) { cycles_ += c; }
   uint64_t insns_retired() const { return insns_; }
   uint64_t io_exits() const { return io_exits_; }
   // Cycles charged for exits and re-entries (io_exit, io_entry, hlt_exit)
@@ -125,7 +124,6 @@ class Cpu {
   uint64_t exit_cycles() const { return exit_cycles_; }
 
   const std::vector<BootMilestone>& milestones() const { return milestones_; }
-  void ClearMilestones() { milestones_.clear(); }
 
   // Flushes the software TLB (the VMM calls this after mutating guest page
   // tables or restoring a snapshot).

@@ -6,7 +6,7 @@
 
 namespace vhw {
 
-const uint8_t* ExtentBuffer::FindPageLocal(uint64_t page) const {
+const uint8_t* ExtentBuffer::FindPage(uint64_t page) const {
   // Extents are sorted by first_page: binary-search the run containing it.
   auto it = std::upper_bound(
       extents.begin(), extents.end(), page,
@@ -19,95 +19,6 @@ const uint8_t* ExtentBuffer::FindPageLocal(uint64_t page) const {
     return nullptr;
   }
   return bytes.data() + it->byte_offset + ((page - it->first_page) << kPageBits);
-}
-
-const uint8_t* ExtentBuffer::FindPage(uint64_t page) const {
-  for (const ExtentBuffer* layer = this; layer != nullptr; layer = layer->parent.get()) {
-    if (const uint8_t* p = layer->FindPageLocal(page)) {
-      return p;
-    }
-  }
-  return nullptr;
-}
-
-uint64_t ExtentBuffer::chain_byte_size() const {
-  uint64_t n = 0;
-  for (const ExtentBuffer* layer = this; layer != nullptr; layer = layer->parent.get()) {
-    n += layer->bytes.size();
-  }
-  return n;
-}
-
-uint64_t ExtentBuffer::chain_extent_count() const {
-  uint64_t n = 0;
-  for (const ExtentBuffer* layer = this; layer != nullptr; layer = layer->parent.get()) {
-    n += layer->extents.size();
-  }
-  return n;
-}
-
-int ExtentBuffer::chain_depth() const {
-  int d = 0;
-  for (const ExtentBuffer* layer = this; layer != nullptr; layer = layer->parent.get()) {
-    ++d;
-  }
-  return d;
-}
-
-uint64_t ExtentBuffer::end_page() const {
-  uint64_t end = 0;
-  for (const ExtentBuffer* layer = this; layer != nullptr; layer = layer->parent.get()) {
-    if (!layer->extents.empty()) {
-      const Extent& last = layer->extents.back();
-      end = std::max(end, last.first_page + last.page_count);
-    }
-  }
-  return end;
-}
-
-uint64_t ExtentBuffer::CoveredPages() const {
-  // Union across layers: shadowed pages count once.
-  std::vector<uint64_t> covered((end_page() + 63) / 64, 0);
-  for (const ExtentBuffer* layer = this; layer != nullptr; layer = layer->parent.get()) {
-    for (const Extent& e : layer->extents) {
-      for (uint64_t p = e.first_page; p < e.first_page + e.page_count; ++p) {
-        covered[p >> 6] |= 1ULL << (p & 63);
-      }
-    }
-  }
-  uint64_t n = 0;
-  for (uint64_t w : covered) {
-    n += static_cast<uint64_t>(__builtin_popcountll(w));
-  }
-  return n;
-}
-
-ExtentBufferRef FlattenChain(const ExtentBufferRef& chain) {
-  VB_CHECK(chain != nullptr, "FlattenChain requires a chain");
-  auto flat = std::make_shared<ExtentBuffer>();
-  flat->bytes.reserve(chain->CoveredBytes());
-  const uint64_t end = chain->end_page();
-  uint64_t p = 0;
-  while (p < end) {
-    const uint8_t* src = chain->FindPage(p);
-    if (src == nullptr) {
-      ++p;
-      continue;
-    }
-    // Open a run and extend it page by page: adjacent covered pages may live
-    // in different layers, so the copy is per-page even when the extent is
-    // one long run.
-    ExtentBuffer::Extent extent;
-    extent.first_page = p;
-    extent.byte_offset = flat->bytes.size();
-    while (p < end && (src = chain->FindPage(p)) != nullptr) {
-      flat->bytes.insert(flat->bytes.end(), src, src + kPageSize);
-      ++extent.page_count;
-      ++p;
-    }
-    flat->extents.push_back(extent);
-  }
-  return flat;
 }
 
 GuestMemory::GuestMemory(uint64_t size) {
@@ -214,24 +125,15 @@ void GuestMemory::MapCowBase(ExtentBufferRef base) {
   VB_CHECK(base != nullptr, "MapCowBase requires a base");
   VB_CHECK(CountDirtyPages() == 0, "MapCowBase requires clean memory");
   VB_CHECK(base->end_page() <= NumPages(), "COW base exceeds guest memory");
-  // Materialize the chained view, root first so a child's pages land on top
-  // of the ancestor's.  Write() gives the exact restore semantics the mapped
-  // view must be indistinguishable from: pages marked dirty, EPT regions
-  // prefaulted.  These copies are simulator-internal cache fills — the
-  // caller charges the (small, per-extent) modeled cost of a mapping, not a
-  // memcpy of the image.
-  std::vector<const ExtentBuffer*> layers;
-  for (const ExtentBuffer* layer = base.get(); layer != nullptr;
-       layer = layer->parent.get()) {
-    layers.push_back(layer);
-  }
-  for (size_t i = layers.size(); i-- > 0;) {
-    for (const ExtentBuffer::Extent& e : layers[i]->extents) {
-      vbase::Status st = Write(e.first_page << kPageBits,
-                               layers[i]->bytes.data() + e.byte_offset,
-                               e.page_count << kPageBits);
-      VB_CHECK(st.ok(), "COW map write failed: " << st.ToString());
-    }
+  // Materialize the buffer's pages.  Write() gives the exact restore
+  // semantics the mapped view must be indistinguishable from: pages marked
+  // dirty, EPT regions prefaulted.  These copies are simulator-internal
+  // cache fills — the caller charges the (small, per-extent) modeled cost
+  // of a mapping, not a memcpy of the image.
+  for (const ExtentBuffer::Extent& e : base->extents) {
+    vbase::Status st = Write(e.first_page << kPageBits, base->bytes.data() + e.byte_offset,
+                             e.page_count << kPageBits);
+    VB_CHECK(st.ok(), "COW map write failed: " << st.ToString());
   }
   // Tracking starts *after* the fill: the materialization writes above must
   // not count as privatization.

@@ -31,17 +31,14 @@ inline constexpr uint64_t kRegionSize = 1ULL << kRegionBits;  // 2 MB
 // An immutable, refcounted page store: the backing a copy-on-write guest
 // memory maps instead of copying.  Pages are held as run-length extents
 // (first page, page count, byte offset into one contiguous buffer), exactly
-// the layout snapshots capture in.  A buffer may be a *delta child*: `parent`
-// points at the layer underneath, and a page lookup walks child-to-root so a
-// child's page overrides its ancestor's — that chain is how a re-captured
-// snapshot shares its parent's image and pays only for the drift.
+// the layout snapshots capture in.
 //
 // Buffers are shared via shared_ptr (ExtentBufferRef) and never mutated
-// after construction: shells, snapshots, and chains all hold references to
-// the same bytes, so one generation's image is resident once no matter how
-// many shells map it.  The refcount *is* the lifetime rule — a parent stays
-// alive while any child chain references it, even after its own snapshot
-// generation retires.
+// after construction: shells and snapshots hold references to the same
+// bytes, so one generation's image is resident once no matter how many
+// shells map it.  The refcount *is* the lifetime rule — a buffer stays
+// alive while any shell maps it, even after its snapshot generation
+// retires.
 class ExtentBuffer {
  public:
   struct Extent {
@@ -52,36 +49,20 @@ class ExtentBuffer {
 
   std::vector<Extent> extents;  // sorted by first_page, non-overlapping
   std::vector<uint8_t> bytes;   // concatenated extent payloads
-  std::shared_ptr<const ExtentBuffer> parent;  // nullptr for a root buffer
 
-  // Pointer to `page` in *this* layer only, or nullptr when not captured
-  // here.
-  const uint8_t* FindPageLocal(uint64_t page) const;
-  // Chain lookup: this layer first, then ancestors (a child's page shadows
-  // its parent's).  Returns nullptr when no layer holds the page (it is
-  // all-zero in the chained view).
+  // Pointer to `page`'s captured content, or nullptr when no extent holds
+  // it (the page is all-zero in the buffer's view).
   const uint8_t* FindPage(uint64_t page) const;
 
   uint64_t byte_size() const { return bytes.size(); }
   uint64_t page_count() const { return bytes.size() >> kPageBits; }
-  // Totals across the whole chain.  chain_byte_size is what the chain keeps
-  // resident (shadowed parent pages still occupy their parent's buffer);
-  // CoveredBytes is the deduplicated view size — their ratio is the chain's
-  // delta bloat, the flattening trigger.
-  uint64_t chain_byte_size() const;
-  uint64_t chain_extent_count() const;
-  int chain_depth() const;  // 1 for a parentless buffer
-  // One past the highest covered page across the chain.
-  uint64_t end_page() const;
-  uint64_t CoveredPages() const;
-  uint64_t CoveredBytes() const { return CoveredPages() << kPageBits; }
+  // One past the highest covered page.
+  uint64_t end_page() const {
+    return extents.empty() ? 0 : extents.back().first_page + extents.back().page_count;
+  }
 };
 
 using ExtentBufferRef = std::shared_ptr<const ExtentBuffer>;
-
-// Collapses a chain into an equivalent depth-1 buffer: same page view, no
-// parent, no shadowed bytes.
-ExtentBufferRef FlattenChain(const ExtentBufferRef& chain);
 
 class GuestMemory {
  public:
@@ -181,12 +162,12 @@ class GuestMemory {
   }
 
   // --- Copy-on-write backing ----------------------------------------------
-  // A COW-backed memory maps a shared, immutable ExtentBuffer chain
-  // read-only and privatizes pages on first write (MarkDirty above).  The
-  // mapping is a modeled construct, like every cost in this machine: the
-  // flat `bytes_` cache materializes the chained view eagerly (uncharged
-  // simulator-side copies), while the *accounting* — what a parked shell
-  // costs, what a restore must repair — follows the private-page bitmap.
+  // A COW-backed memory maps a shared, immutable ExtentBuffer read-only and
+  // privatizes pages on first write (MarkDirty above).  The mapping is a
+  // modeled construct, like every cost in this machine: the flat `bytes_`
+  // cache materializes the buffer's pages eagerly (uncharged simulator-side
+  // copies), while the *accounting* — what a parked shell costs, what a
+  // restore must repair — follows the private-page bitmap.
   //
   // Maps `base` into clean (all-zero) memory: materializes every covered
   // page, marks it dirty, and prefaults its EPT region — byte-identical to a
@@ -194,12 +175,11 @@ class GuestMemory {
   // pages.  The caller charges the modeled cost of the map.
   void MapCowBase(ExtentBufferRef base);
   // Starts COW tracking against `base` when memory already equals the
-  // chain's view byte-for-byte: at capture time (memory *is* what was just
-  // captured) and at re-capture (the new chain folds in this shell's own
-  // drift).  No copies; private pages reset to zero.
+  // buffer's view byte-for-byte: at capture and at re-capture (memory *is*
+  // what was just captured).  No copies; private pages reset to zero.
   void AdoptCowBase(ExtentBufferRef base);
   // Repairs the privatized pages back to the base view (copy covered pages
-  // from the chain, zero uncovered ones) so memory equals the base again.
+  // from the base, zero uncovered ones) so memory equals the base again.
   // `pages` is the epoch-dirty set — identical to the private set whenever
   // the epoch began at the last map/adopt/repair point.  Clears private
   // bits; dirty/epoch handling matches a delta restore (caller re-begins the
@@ -217,7 +197,7 @@ class GuestMemory {
   std::vector<uint64_t> dirty_;  // 1 bit per 4 KB page, since creation/clean
   std::vector<uint64_t> epoch_;  // 1 bit per 4 KB page, since BeginEpoch
   std::vector<uint64_t> ept_;    // 1 bit per 2 MB region
-  // COW state: the mapped base chain (nullptr = plain memory) and the pages
+  // COW state: the mapped base (nullptr = plain memory) and the pages
   // written since it was mapped/adopted (allocated lazily on first map).
   // Invariant: a private page's bit is also set in dirty_ and epoch_ — the
   // same MarkDirty sets all three — except across RepairPagesToBase/

@@ -20,6 +20,9 @@ namespace vnet {
 namespace {
 
 constexpr int kMaxEpollEvents = 64;
+constexpr int kBacklog = 128;
+// Event-loop timer granularity (idle scan, finished-job reaping).
+constexpr int kTickMs = 5;
 // Per-readable-event read budget: level-triggered epoll re-arms anything
 // left, so a firehose connection cannot starve its neighbors.
 constexpr int kReadsPerEvent = 16;
@@ -60,7 +63,7 @@ vbase::Status Listener::Start() {
     listen_fd_ = -1;
     return vbase::Internal("bind: " + err);
   }
-  if (::listen(listen_fd_, options_.backlog) < 0) {
+  if (::listen(listen_fd_, kBacklog) < 0) {
     const std::string err = std::strerror(errno);
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -136,8 +139,7 @@ ListenerStats Listener::stats() const {
 void Listener::Loop() {
   epoll_event events[kMaxEpollEvents];
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    const int timeout =
-        conns_.empty() && zombies_.empty() ? -1 : std::max(1, options_.tick_ms);
+    const int timeout = conns_.empty() && zombies_.empty() ? -1 : kTickMs;
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEpollEvents, timeout);
     if (n < 0) {
       if (errno == EINTR) {

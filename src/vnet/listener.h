@@ -64,9 +64,6 @@ struct ListenerOptions {
   // a request is half-sent, silent close at a clean request boundary.
   // <= 0 disables the idle timeout.
   int idle_timeout_ms = 5000;
-  // Event-loop timer granularity (idle scan, finished-job reaping).
-  int tick_ms = 5;
-  int backlog = 128;
 
   static ConnectionOptions MakeKeepAliveDefaults() {
     ConnectionOptions conn;

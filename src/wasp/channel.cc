@@ -60,11 +60,6 @@ void BytePipe::SetObserver(std::function<void()> fn) {
   observer_ = std::move(fn);
 }
 
-bool BytePipe::closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return closed_;
-}
-
 uint64_t BytePipe::bytes_available() const {
   std::lock_guard<std::mutex> lock(mu_);
   return buf_.size();

@@ -31,7 +31,6 @@ class BytePipe {
   // Non-blocking variant; returns 0 when empty (even if open).
   uint64_t TryRead(void* dst, uint64_t len);
   void Close();
-  bool closed() const;
   uint64_t bytes_available() const;
 
   // Readiness hook for event-loop readers that cannot block in Read: `fn`
@@ -62,7 +61,6 @@ class ByteChannel {
     // Reads everything currently buffered without blocking.
     std::vector<uint8_t> Drain();
     void CloseWrite() { out_->Close(); }
-    bool read_closed() const { return in_->closed() && in_->bytes_available() == 0; }
     uint64_t bytes_readable() const { return in_->bytes_available(); }
     // Observer on this endpoint's inbound pipe: fires when the peer writes
     // or closes (see BytePipe::SetObserver).  Lets an epoll loop treat the

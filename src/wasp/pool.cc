@@ -238,9 +238,9 @@ bool Pool::TryChargeAffine(GenInfo* gen, uint64_t shared_bytes, uint64_t private
   gen->last_use_tick.store(use_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                            std::memory_order_relaxed);
   if (shared_bytes != 0) {
-    // Declare the chain size before the parked-shell transition below so a
+    // Declare the shared size before the parked-shell transition below so a
     // 0->1 charge always reads a declared value.  Every park of one
-    // generation passes the same chain size (a property of the snapshot),
+    // generation passes the same shared size (a property of the snapshot),
     // which is what lets the 1->0 release below pair with it exactly.
     uint64_t expected = 0;
     gen->shared_bytes.compare_exchange_strong(expected, shared_bytes,
@@ -251,7 +251,7 @@ bool Pool::TryChargeAffine(GenInfo* gen, uint64_t shared_bytes, uint64_t private
   stats_.affine_private_bytes.fetch_add(private_bytes, std::memory_order_relaxed);
   uint64_t charged = private_bytes;
   if (gen->parked_shells.fetch_add(1, std::memory_order_acq_rel) == 0) {
-    // First shell of the generation in: charge the extent chain once.  The
+    // First shell of the generation in: charge the extent buffer once.  The
     // 0->1 and 1->0 transitions of the counter strictly alternate, so this
     // charge pairs with exactly one release.
     const uint64_t sb = gen->shared_bytes.load(std::memory_order_relaxed);
@@ -272,7 +272,7 @@ void Pool::ReleaseAffineCharge(GenInfo* gen, uint64_t private_bytes) {
   uint64_t released = private_bytes;
   if (gen->parked_shells.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Last shell out releases the generation's shared charge: the extent
-    // chain may live on (snapshot store, in-flight restores hold refs), but
+    // buffer may live on (snapshot store, in-flight restores hold refs), but
     // nothing is parked against it any more.
     const uint64_t sb = gen->shared_bytes.load(std::memory_order_relaxed);
     if (sb != 0) {
@@ -533,7 +533,7 @@ void Pool::ReleaseAffine(std::unique_ptr<vkvm::Vm> vm, uint64_t generation,
   vm->ResetAccounting();
   const uint64_t delta_pages = vm->memory().CountEpochDirtyPages();
   // Residency charge: a COW-backed shell pays for its privatized pages only
-  // (the shared chain is charged per generation, not per shell); a shell
+  // (the shared buffer is charged per generation, not per shell); a shell
   // without a base holds a full private copy and pays its whole memory.
   const uint64_t private_bytes = vm->memory().HasCowBase()
                                      ? vm->memory().CowPrivateBytes()
@@ -734,7 +734,7 @@ AffineAccounting Pool::affine_accounting() const {
   for (const auto& [generation, info] : generations_) {
     const int64_t parked = info->parked_shells.load(std::memory_order_relaxed);
     const uint64_t private_bytes = info->private_bytes.load(std::memory_order_relaxed);
-    // The chain is charged while any shell is parked.
+    // The buffer is charged while any shell is parked.
     const uint64_t shared_charged =
         parked > 0 ? info->shared_bytes.load(std::memory_order_relaxed) : 0;
     if (parked <= 0 && private_bytes == 0) {

@@ -24,7 +24,7 @@
 //
 // Governance: parked affine shells are memory a long-lived service pays for.
 // Under COW backing, what a shell pays for is *private* bytes — the pages it
-// privatized on write — while the shared extent chain is charged **once per
+// privatized on write — while the shared extent buffer is charged **once per
 // live generation**, no matter how many shells map it: resident cost is
 // O(image + Σ working sets), not O(shells × image).  A shell parked without
 // a COW base (legacy full-copy parking) is charged its whole guest memory,
@@ -124,7 +124,7 @@ struct PoolStats {
   // affine_private_bytes (the conservation invariant; exact at quiescence —
   // the lock-free park/unpark paths update the three atomics one at a time).
   uint64_t affine_resident_bytes = 0;
-  uint64_t affine_shared_bytes = 0;   // gauge: extent chains, once per live generation
+  uint64_t affine_shared_bytes = 0;   // gauge: extent buffers, once per live generation
   uint64_t affine_private_bytes = 0;  // gauge: per-shell privatized pages
   // Quarantine counters (faulted invocations).  A quarantined shell is never
   // parked affine and never pushed to the lock-free free stacks; only a
@@ -146,7 +146,7 @@ struct PoolStats {
 struct AffineAccounting {
   struct Generation {
     uint64_t generation = 0;
-    uint64_t shared_bytes = 0;   // the extent chain, charged once
+    uint64_t shared_bytes = 0;   // the extent buffer, charged once
     uint64_t private_bytes = 0;  // privatized pages across parked shells
     int64_t parked_shells = 0;
   };
@@ -211,7 +211,7 @@ class Pool {
   // memory deviates from the snapshot outside its epoch bitmap.
   //
   // Residency accounting: a COW-backed shell is charged its privatized bytes
-  // only; `shared_bytes` (the generation's extent-chain size) is charged
+  // only; `shared_bytes` (the generation's extent-buffer size) is charged
   // once when the generation's first shell parks and released when its last
   // shell leaves.  Every park of one generation must pass the same
   // shared_bytes (it is a property of the snapshot); a shell without a COW
@@ -278,7 +278,7 @@ class Pool {
     std::atomic<int64_t> parked_shells{0};
     // Sum of parked shells' private bytes.
     std::atomic<uint64_t> private_bytes{0};
-    // The shared extent chain, declared once (a property of the snapshot);
+    // The shared extent buffer, declared once (a property of the snapshot);
     // charged to the gauge while any shell is parked.  The charge pairs with
     // the parked_shells 0->1 / 1->0 transitions, which strictly alternate.
     std::atomic<uint64_t> shared_bytes{0};
@@ -391,9 +391,9 @@ class Pool {
   GenInfo* FindOrCreateGen(uint64_t generation);
   // Residency bookkeeping.  TryChargeAffine refuses (returns false) when the
   // generation is retired — the caller diverts the shell to the cleaning
-  // path.  The shared chain is charged on the parked_shells 0->1 transition
-  // and released on 1->0; transitions strictly alternate, so charge/release
-  // pair exactly with the (immutable) declared chain size.
+  // path.  The shared buffer is charged on the parked_shells 0->1
+  // transition and released on 1->0; transitions strictly alternate, so
+  // charge/release pair exactly with the (immutable) declared buffer size.
   bool TryChargeAffine(GenInfo* gen, uint64_t shared_bytes, uint64_t private_bytes);
   void ReleaseAffineCharge(GenInfo* gen, uint64_t private_bytes);
 

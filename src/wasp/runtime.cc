@@ -125,38 +125,28 @@ RecaptureOutcome Runtime::RecaptureSnapshot(const std::string& key) {
     out.new_generation = parent->generation;
     return out;
   }
-  if (vm->memory().CountEpochDirtyPages() == 0) {
+  const uint64_t drift_pages = vm->memory().CountEpochDirtyPages();
+  if (drift_pages == 0) {
     // Nothing written since the last restore: the parent still describes
     // the service exactly.  Re-park untouched.
-    pool_.ReleaseAffine(std::move(vm), parent->generation, parent->chain_byte_size());
+    pool_.ReleaseAffine(std::move(vm), parent->generation, parent->byte_size());
     out.status = RecaptureOutcome::Status::kNoDrift;
     out.new_generation = parent->generation;
     return out;
   }
-  SnapshotRef child = CaptureDeltaSnapshot(vm->memory(), *parent);
-  out.delta_bytes = child->byte_size();
-  // Chain governance: flatten when the chain is too deep or the shadowed
-  // bytes it drags along outweigh the view (delta bloat).
-  const auto& extent = *child->extent;
-  if (child->chain_depth() > options_.chain_max_depth ||
-      static_cast<double>(extent.chain_byte_size()) >
-          options_.chain_flatten_slack * static_cast<double>(extent.CoveredBytes())) {
-    child = FlattenSnapshot(*child);
-    out.flattened = true;
-  }
-  out.new_generation = child->generation;
-  out.chain_depth = child->chain_depth();
-  // Publish the child, then retire the old generation: any shells still
-  // parked under it are reclaimed (their extent bytes survive through the
-  // child's parent chain as long as it needs them).
-  snapshots_.Put(key, child);
+  SnapshotRef next = CaptureOver(vm->memory(), *parent);
+  out.delta_bytes = drift_pages << vhw::kPageBits;
+  out.new_generation = next->generation;
+  // Publish the new snapshot, then retire the old generation: any shells
+  // still parked under it are reclaimed.
+  snapshots_.Put(key, next);
   pool_.RetireGeneration(parent->generation);
-  // The stolen shell's memory *is* the child's view: re-base its COW
-  // tracking on the new chain (no copies) and park it warm under the new
+  // The stolen shell's memory *is* the new snapshot's view: re-base its COW
+  // tracking on the new buffer (no copies) and park it warm under the new
   // generation, ready for an affine hit.
-  vm->memory().AdoptCowBase(child->extent);
+  vm->memory().AdoptCowBase(next->extent);
   vm->memory().BeginEpoch();
-  pool_.ReleaseAffine(std::move(vm), child->generation, child->chain_byte_size());
+  pool_.ReleaseAffine(std::move(vm), next->generation, next->byte_size());
   out.status = RecaptureOutcome::Status::kRecaptured;
   return out;
 }
@@ -172,7 +162,7 @@ void Runtime::RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
   // Lay the snapshot into the shell.  An affine shell already holds the
   // snapshot and only repairs the pages the previous tenant dirtied, so
   // warm restore cost follows the working set, not the image.  A clean
-  // shell under snapshot affinity *maps* the shared COW extent chain —
+  // shell under snapshot affinity *maps* the shared COW extent buffer —
   // charged per extent, not per byte — and privatizes pages on write.
   // With affinity off, it replays every extent by copy: the "simple
   // snapshotting strategy" whose cost is bounded by memcpy bandwidth
@@ -187,8 +177,7 @@ void Runtime::RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
         static_cast<double>(copied) / vm.config().host_costs.memcpy_bytes_per_cycle));
   } else if (options_.snapshot_affinity) {
     MapCowInto(snap, &vm.memory());
-    vm.AddHostCycles(snap.extent->chain_extent_count() *
-                     vm.config().host_costs.cow_map_extent);
+    vm.AddHostCycles(snap.extent->extents.size() * vm.config().host_costs.cow_map_extent);
     stats->mapped_cow = true;
   } else {
     copied = RestoreFullInto(snap, &vm.memory());
@@ -234,11 +223,11 @@ vbase::Status Runtime::SnapshotOnce(HypercallFrame& frame, PendingCall pending) 
     SnapshotRef winner = snapshots_.PutIfAbsent(frame.spec.key, snap);
     if (winner == snap) {
       frame.resident_generation = snap->generation;
-      frame.resident_shared_bytes = snap->chain_byte_size();
+      frame.resident_shared_bytes = snap->byte_size();
       frame.outcome.stats.took_snapshot = true;
       if (options_.snapshot_affinity) {
         // The shell's memory *is* the captured view: adopt the published
-        // extent chain as its COW base (no copies) so the rest of this run
+        // extent buffer as its COW base (no copies) so the rest of this run
         // privatizes on write and the park charges the working set, not
         // the image.
         frame.vm.memory().AdoptCowBase(snap->extent);
@@ -647,7 +636,7 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
   if (options_.snapshot_affinity && outcome.status.ok()) {
     if (outcome.stats.restored_snapshot && snap != nullptr) {
       park_generation = snap->generation;
-      park_shared_bytes = snap->chain_byte_size();
+      park_shared_bytes = snap->byte_size();
     } else if (frame.resident_generation != 0) {
       park_generation = frame.resident_generation;
       park_shared_bytes = frame.resident_shared_bytes;

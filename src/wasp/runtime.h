@@ -56,7 +56,7 @@ struct InvokeStats {
   // The restore ran on a snapshot-affine shell and repaired only the pages
   // the previous tenant dirtied (delta restore) instead of the whole image.
   bool affine_restore = false;
-  // The restore mapped the snapshot's shared COW extent chain instead of
+  // The restore mapped the snapshot's shared COW extent buffer instead of
   // copying it: the shell reads the image through the shared buffer and
   // privatizes pages on write, so it is charged O(extents) to restore and
   // O(working set) to stay parked.
@@ -115,7 +115,7 @@ struct HypercallFrame {
   // Generation of the snapshot this invocation left resident in the shell
   // (set when this run's snapshot hypercall captured and published one); the
   // release path parks the shell snapshot-affine under it, charging
-  // `resident_shared_bytes` (the extent chain) once per generation.
+  // `resident_shared_bytes` (the extent buffer) once per generation.
   uint64_t resident_generation = 0;
   uint64_t resident_shared_bytes = 0;
   // Structured fault classification set by handlers (e.g. an oversized
@@ -190,12 +190,6 @@ struct RuntimeOptions {
   // Resident-byte budget for the pool's parked snapshot-affine shells
   // (generation-LRU eviction when exceeded); 0 = unlimited.
   uint64_t affine_budget_bytes = 0;
-  // Snapshot-chain governance for RecaptureSnapshot: a re-capture whose
-  // chain would exceed `chain_max_depth` layers, or whose total chain bytes
-  // exceed `chain_flatten_slack` × the flattened view size, is flattened
-  // into a single parentless layer instead of growing the chain.
-  int chain_max_depth = 4;
-  double chain_flatten_slack = 1.5;
   // Deterministic fault injection (chaos testing): rules fire at exact
   // invocation indices or with seeded probabilities.  Empty = no injection
   // (zero cost on the invoke path).
@@ -209,7 +203,7 @@ struct RuntimeOptions {
 // What Runtime::RecaptureSnapshot did.
 struct RecaptureOutcome {
   enum class Status {
-    kRecaptured,   // a delta child (or flattened image) was published
+    kRecaptured,   // the drifted view was published under a new generation
     kNoSnapshot,   // the key has no snapshot to re-capture
     kNoWarmShell,  // nothing parked under the generation: no drift to fold
     kNoDrift,      // a warm shell existed but wrote nothing since restore
@@ -217,9 +211,7 @@ struct RecaptureOutcome {
   Status status = Status::kNoSnapshot;
   uint64_t old_generation = 0;
   uint64_t new_generation = 0;
-  uint64_t delta_bytes = 0;  // bytes captured in the child layer
-  int chain_depth = 0;       // depth of the published snapshot's chain
-  bool flattened = false;
+  uint64_t delta_bytes = 0;  // drift folded in: the shell's epoch-dirty bytes
 };
 
 class Runtime {
@@ -242,17 +234,15 @@ class Runtime {
   // drifts (e.g. after JIT warm-up).
   void RetireSnapshot(const std::string& key);
 
-  // Re-snapshots `key`'s warmed service as a *delta child* over its parent
-  // extent: steals one shell parked under the current generation, captures
-  // its post-restore drift (epoch-dirty pages) chained over the parent's
-  // buffer, publishes the child under a fresh generation, retires the old
-  // one, and re-parks the shell under the child.  Long-lived services whose
-  // warm state accretes (JIT caches, memo tables) fold the drift in for the
-  // cost of the delta instead of a full re-capture — and the parent's image
-  // bytes stay shared through the chain.  Chains are flattened per the
-  // chain_max_depth / chain_flatten_slack options.  Only sound when runs
-  // leave memory valid to resume from the original snapshot point (the
-  // re-capture keeps the parent's CPU state).
+  // Re-snapshots `key`'s warmed service: steals one shell parked under the
+  // current generation, captures its view — the parent's pages plus its
+  // post-restore drift (epoch-dirty pages) — as one flat snapshot
+  // (CaptureOver), publishes it under a fresh generation, retires the old
+  // one, and re-parks the shell under the new one.  Long-lived services
+  // whose warm state accretes (JIT caches, memo tables) fold the drift in
+  // without re-running their initialization.  Only sound when runs leave
+  // memory valid to resume from the original snapshot point (the re-capture
+  // keeps the parent's CPU state).
   RecaptureOutcome RecaptureSnapshot(const std::string& key);
 
   Pool& pool() { return pool_; }
@@ -269,9 +259,9 @@ class Runtime {
   // Lays `snap` into the shell and begins its delta epoch.  Three paths:
   // `affine` repairs only the epoch-dirty pages of a shell that already
   // holds the snapshot (charged per byte repaired); otherwise, with
-  // snapshot_affinity on, the shell *maps* the shared COW extent chain
-  // (charged per extent mapped); with affinity off it replays the full
-  // chain by copy (charged per byte, the paper's baseline).
+  // snapshot_affinity on, the shell *maps* the shared COW extent buffer
+  // (charged per extent mapped); with affinity off it replays every extent
+  // by copy (charged per byte, the paper's baseline).
   void RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
                        InvokeStats* stats);
   // Captures a snapshot of the VM's current state (dirty pages + CPU +

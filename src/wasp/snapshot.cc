@@ -43,6 +43,28 @@ std::shared_ptr<vhw::ExtentBuffer> BuildExtents(const vhw::GuestMemory& mem,
   return buffer;
 }
 
+// Captures the pages of `mem` that `take(page)` selects, plus `cpu` and
+// `pending`, under a fresh generation; the caller sets mem_size.
+template <typename Take>
+std::shared_ptr<Snapshot> Capture(const vhw::GuestMemory& mem, const vhw::ArchState& cpu,
+                                  PendingCall pending, Take take) {
+  VB_CHECK(pending.port == 0 || pending.port == kHcGetData,
+           "a snapshot can only resume into a pending get_data");
+  auto snap = std::make_shared<Snapshot>();
+  snap->cpu = cpu;
+  snap->pending = pending;
+  snap->generation = NextSnapshotGeneration();
+  std::vector<uint64_t> pages;
+  for (uint64_t p = 0; p < mem.NumPages(); ++p) {
+    if (take(p)) {
+      pages.push_back(p);
+    }
+  }
+  snap->extent = BuildExtents(mem, pages);
+  snap->checksum = ChecksumExtentBytes(*snap->extent);
+  return snap;
+}
+
 }  // namespace
 
 uint64_t NextSnapshotGeneration() { return g_generation.fetch_add(1); }
@@ -61,80 +83,41 @@ bool VerifySnapshot(const Snapshot& snap) {
 
 SnapshotRef CaptureSnapshot(const vhw::GuestMemory& mem, const vhw::ArchState& cpu,
                             PendingCall pending) {
-  VB_CHECK(pending.port == 0 || pending.port == kHcGetData,
-           "a snapshot can only resume into a pending get_data");
-  auto snap = std::make_shared<Snapshot>();
-  snap->cpu = cpu;
-  snap->pending = pending;
+  auto snap = Capture(mem, cpu, pending, [&](uint64_t p) { return mem.PageDirty(p); });
   snap->mem_size = mem.size();
-  snap->generation = NextSnapshotGeneration();
-  std::vector<uint64_t> pages;
-  pages.reserve(mem.CountDirtyPages());
-  for (uint64_t p = 0; p < mem.NumPages(); ++p) {
-    if (mem.PageDirty(p)) {
-      pages.push_back(p);
-    }
-  }
-  snap->extent = BuildExtents(mem, pages);
-  snap->checksum = ChecksumExtentBytes(*snap->extent);
   return snap;
 }
 
-SnapshotRef CaptureDeltaSnapshot(const vhw::GuestMemory& mem, const Snapshot& parent) {
-  VB_CHECK(mem.size() >= parent.mem_size, "delta capture memory smaller than parent");
-  auto snap = std::make_shared<Snapshot>();
-  // Resume point stays the parent's: the chain folds memory drift in, not a
-  // new execution state.
-  snap->cpu = parent.cpu;
-  snap->pending = parent.pending;
-  snap->generation = NextSnapshotGeneration();
-  snap->parent_generation = parent.generation;
-  auto buffer = BuildExtents(mem, mem.CollectDirtySince());
-  buffer->parent = parent.extent;
-  // The delta may touch pages beyond the parent's captured span (the donor
-  // shell's memory can be larger): mem_size must cover the whole chain so a
-  // restore target is never too small for it.
-  snap->mem_size = std::max(parent.mem_size, buffer->end_page() << vhw::kPageBits);
-  snap->extent = std::move(buffer);
-  snap->checksum = ChecksumExtentBytes(*snap->extent);
+SnapshotRef CaptureOver(const vhw::GuestMemory& mem, const Snapshot& parent) {
+  VB_CHECK(mem.size() >= parent.mem_size, "re-capture memory smaller than its parent");
+  // The resume point stays the parent's: re-capture folds memory drift in,
+  // not a new execution state.
+  auto snap = Capture(mem, parent.cpu, parent.pending, [&](uint64_t p) {
+    return mem.EpochPageDirty(p) || parent.FindPage(p) != nullptr;
+  });
+  // The drift may touch pages beyond the parent's span (the shell's memory
+  // can be larger): mem_size must cover every captured page so a restore
+  // target is never too small for it.
+  snap->mem_size = std::max(parent.mem_size, snap->extent->end_page() << vhw::kPageBits);
   return snap;
-}
-
-SnapshotRef FlattenSnapshot(const Snapshot& snap) {
-  auto flat = std::make_shared<Snapshot>(snap);
-  flat->extent = vhw::FlattenChain(snap.extent);
-  flat->parent_generation = 0;
-  // The flattened layer holds different bytes (the collapsed chain view).
-  flat->checksum = ChecksumExtentBytes(*flat->extent);
-  return flat;
 }
 
 uint64_t RestoreFullInto(const Snapshot& snap, vhw::GuestMemory* mem) {
-  // Replay the chain root first so a child's pages land on top of its
-  // ancestor's.  Write marks the pages dirty (so a later pool clean
-  // re-zeroes them) and prefaults their EPT regions (the hypervisor's copy
-  // populates mappings before the guest runs).
-  std::vector<const vhw::ExtentBuffer*> layers;
-  for (const vhw::ExtentBuffer* layer = snap.extent.get(); layer != nullptr;
-       layer = layer->parent.get()) {
-    layers.push_back(layer);
+  // Write marks the pages dirty (so a later pool clean re-zeroes them) and
+  // prefaults their EPT regions (the hypervisor's copy populates mappings
+  // before the guest runs).
+  for (const Snapshot::Extent& extent : snap.extent->extents) {
+    vbase::Status st = mem->Write(extent.first_page << vhw::kPageBits,
+                                  snap.extent->bytes.data() + extent.byte_offset,
+                                  extent.page_count << vhw::kPageBits);
+    VB_CHECK(st.ok(), "snapshot restore write failed: " << st.ToString());
   }
-  uint64_t copied = 0;
-  for (size_t i = layers.size(); i-- > 0;) {
-    for (const Snapshot::Extent& extent : layers[i]->extents) {
-      vbase::Status st = mem->Write(extent.first_page << vhw::kPageBits,
-                                    layers[i]->bytes.data() + extent.byte_offset,
-                                    extent.page_count << vhw::kPageBits);
-      VB_CHECK(st.ok(), "snapshot restore write failed: " << st.ToString());
-    }
-    copied += layers[i]->byte_size();
-  }
-  return copied;
+  return snap.byte_size();
 }
 
 uint64_t MapCowInto(const Snapshot& snap, vhw::GuestMemory* mem) {
   mem->MapCowBase(snap.extent);
-  return snap.chain_byte_size();
+  return snap.byte_size();
 }
 
 uint64_t RestoreDeltaInto(const Snapshot& snap, vhw::GuestMemory* mem) {

@@ -35,10 +35,13 @@
 // COW extents: the captured pages live in an immutable, refcounted
 // vhw::ExtentBuffer that shells *map* (GuestMemory's COW backing mode)
 // instead of copy — N parked shells of one generation keep the image
-// resident once, each charged only for the pages it privatized.  Snapshot
-// chains stack a delta child buffer over its parent's (re-capture of a
-// drifted warm service); FindPage and the restore paths walk the chain
-// transparently.
+// resident once, each charged only for the pages it privatized.
+//
+// Re-capture: a drifted warm service is re-snapshotted from one of its
+// shells as another flat capture (CaptureOver): the parent's pages plus the
+// shell's epoch-dirty pages, read from the shell, under a fresh generation.
+// Every snapshot is one buffer, so every page lookup, restore and COW map
+// reads one extent table.
 #ifndef SRC_WASP_SNAPSHOT_H_
 #define SRC_WASP_SNAPSHOT_H_
 
@@ -71,29 +74,21 @@ struct Snapshot {
   uint64_t mem_size = 0;
   // Process-unique capture id (never 0); keys the pool's affine shell lists.
   uint64_t generation = 0;
-  // Generation this snapshot was re-captured over (0 for a root capture).
-  uint64_t parent_generation = 0;
-  // The captured pages: this snapshot's own layer, chained to its parent's
-  // buffer for a delta capture.  Never null, never mutated; shells map it as
-  // their COW base, so the buffer outlives the snapshot while any shell or
-  // child chain still references it.
+  // The captured pages.  Never null, never mutated; shells map it as their
+  // COW base, so the buffer outlives the snapshot while any shell maps it.
   vhw::ExtentBufferRef extent;
-  // FNV-1a over this layer's captured bytes, set at capture time.  Restores
-  // can verify it (RuntimeOptions::verify_restores) to catch a poisoned
-  // extent buffer before laying it into a shell.
+  // FNV-1a over the captured bytes, set at capture time.  Restores can
+  // verify it (RuntimeOptions::verify_restores) to catch a poisoned extent
+  // buffer before laying it into a shell.
   uint64_t checksum = 0;
 
-  // Bytes captured in this snapshot's own layer (the delta, for a child).
+  // Bytes captured: what one live generation charges against the pool's
+  // affine budget, independent of how many shells map it.
   uint64_t byte_size() const { return extent->byte_size(); }
   uint64_t page_count() const { return extent->page_count(); }
-  // Bytes the whole chain keeps resident: what one live generation charges
-  // against the pool's affine budget, independent of how many shells map it.
-  uint64_t chain_byte_size() const { return extent->chain_byte_size(); }
-  int chain_depth() const { return extent->chain_depth(); }
 
-  // Pointer to the captured content of `page` (chain lookup: a child's page
-  // shadows its parent's), or nullptr when no layer holds it (i.e. it is
-  // all-zero in the snapshot's view).
+  // Pointer to the captured content of `page`, or nullptr when the snapshot
+  // does not hold it (i.e. it is all-zero in the snapshot's view).
   const uint8_t* FindPage(uint64_t page) const { return extent->FindPage(page); }
 };
 
@@ -103,47 +98,42 @@ using SnapshotRef = std::shared_ptr<const Snapshot>;
 uint64_t NextSnapshotGeneration();
 
 // Captures `mem`'s dirty pages (extent-coalesced) plus `cpu` and the input
-// call it is inside of (`pending`) into a new root snapshot with a fresh
+// call it is inside of (`pending`) into a new snapshot with a fresh
 // generation.
 SnapshotRef CaptureSnapshot(const vhw::GuestMemory& mem, const vhw::ArchState& cpu,
                             PendingCall pending = {});
 
-// Captures `mem`'s *epoch-dirty* pages as a delta child chained over
-// `parent`'s extent buffer, under a fresh generation.  The caller guarantees
-// `mem` deviates from `parent`'s view only in epoch-dirty pages (the affine
-// shell contract), so parent chain + delta describe the memory exactly.
-// The child resumes at the parent's capture point (same CPU state and
-// pending call): folding drift into a chain is only sound for services
-// whose warm state stays valid across invocations (caches, JIT output) —
-// which is what re-capture is for.
-SnapshotRef CaptureDeltaSnapshot(const vhw::GuestMemory& mem, const Snapshot& parent);
+// Re-captures a shell that holds `parent` plus drift into a new flat
+// snapshot with a fresh generation: `parent`'s pages and `mem`'s
+// *epoch-dirty* pages, all read from `mem`.  The caller guarantees `mem`
+// deviates from `parent`'s view only in epoch-dirty pages (the affine shell
+// contract), so the capture is `parent`'s view with the drift folded in; a
+// page both hold is stored once.  The snapshot resumes at the parent's
+// capture point (same CPU state and pending call): folding drift in is only
+// sound for services whose warm state stays valid across invocations
+// (caches, JIT output) — which is what re-capture is for.
+SnapshotRef CaptureOver(const vhw::GuestMemory& mem, const Snapshot& parent);
 
-// Returns a copy of `snap` whose chain is collapsed into a single
-// parentless layer: same page view and generation, no shadowed parent
-// bytes, depth 1.
-SnapshotRef FlattenSnapshot(const Snapshot& snap);
-
-// FNV-1a over an extent buffer's own bytes (one chain layer).
+// FNV-1a over an extent buffer's bytes.
 uint64_t ChecksumExtentBytes(const vhw::ExtentBuffer& extent);
 
-// Recomputes `snap`'s layer checksum and compares it against the recorded
+// Recomputes `snap`'s checksum and compares it against the recorded
 // one.  False means the extent bytes were corrupted after capture (a
 // "poisoned" snapshot) and the restore must not proceed.
 bool VerifySnapshot(const Snapshot& snap);
 
-// Replays every extent (whole chain, root first) into `mem` (which the
-// caller guarantees is clean / all-zero outside the extents).  Marks the
-// written pages dirty and prefaults their EPT regions.  Returns the bytes
-// copied (== chain_byte_size(); shadowed parent pages are overwritten by
-// their child's).  This is the non-shared path: the shell owns a private
-// copy of the image, which is exactly the paper's "simple snapshotting
-// strategy" kept for A/B benchmarking.
+// Replays every extent into `mem` (which the caller guarantees is clean /
+// all-zero outside the extents).  Marks the written pages dirty and
+// prefaults their EPT regions.  Returns the bytes copied (== byte_size()).
+// This is the non-shared path: the shell owns a private copy of the image,
+// which is exactly the paper's "simple snapshotting strategy" kept for A/B
+// benchmarking.
 uint64_t RestoreFullInto(const Snapshot& snap, vhw::GuestMemory* mem);
 
-// Maps `snap`'s extent chain into clean `mem` as a shared COW base: the
+// Maps `snap`'s extent buffer into clean `mem` as a shared COW base: the
 // shell reads the image through the shared buffer and privatizes pages only
 // on write.  Byte-identical to RestoreFullInto, but the shell is charged for
-// private pages only.  Returns the shared bytes mapped (chain_byte_size()).
+// private pages only.  Returns the shared bytes mapped (byte_size()).
 uint64_t MapCowInto(const Snapshot& snap, vhw::GuestMemory* mem);
 
 // Delta restore for a shell whose memory already equals `snap` except for
@@ -160,9 +150,10 @@ uint64_t RestoreDeltaInto(const Snapshot& snap, vhw::GuestMemory* mem);
 //
 // The store is read-mostly: after the first invocation of a key, every
 // subsequent invocation is a Find().  Lookups therefore take a shared lock
-// and run concurrently; only Put/Erase (one per key lifetime) take the lock
-// exclusively.  Find returns the shared_ptr itself, so restores copy pages
-// out of the immutable Snapshot without holding any store lock.
+// and run concurrently; only the publishing and retiring calls (Put,
+// PutIfAbsent, Take) take the lock exclusively.  Find returns the
+// shared_ptr itself, so restores copy pages out of the immutable Snapshot
+// without holding any store lock.
 class SnapshotStore {
  public:
   SnapshotRef Find(const std::string& key) const {
@@ -184,11 +175,6 @@ class SnapshotStore {
   SnapshotRef PutIfAbsent(const std::string& key, SnapshotRef snap) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     return snaps_.try_emplace(key, std::move(snap)).first->second;
-  }
-
-  void Erase(const std::string& key) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    snaps_.erase(key);
   }
 
   // Removes and returns `key`'s snapshot (nullptr when absent).  The

@@ -291,7 +291,6 @@ TEST_P(ListenerModeTest, HeadLimitHoldsAtTheEdgeToTheByte) {
 TEST(Listener, IdleConnectionIsClosedByTheTimeout) {
   vnet::ListenerOptions lopts;
   lopts.idle_timeout_ms = 60;
-  lopts.tick_ms = 5;
   Stack stack(vnet::ServeMode::kNative, {}, lopts);
   const int fd = ConnectTo(stack.listener->port());
   ASSERT_GE(fd, 0);
@@ -306,7 +305,6 @@ TEST(Listener, IdleConnectionIsClosedByTheTimeout) {
 TEST(Listener, SlowWriterGets408AfterTheIdleTimeout) {
   vnet::ListenerOptions lopts;
   lopts.idle_timeout_ms = 60;
-  lopts.tick_ms = 5;
   Stack stack(vnet::ServeMode::kNative, {}, lopts);
   const int fd = ConnectTo(stack.listener->port());
   ASSERT_GE(fd, 0);

@@ -1,8 +1,8 @@
 // Delta-aware snapshot engine tests: extent-coalesced capture/restore
 // round-trips, the GuestMemory snapshot-epoch mechanism, randomized
 // delta-vs-full differential checks (the Section 3.3 isolation objective:
-// one invocation's writes must never leak into the next restore), and the
-// pool's snapshot-affine acquire/release/reclaim paths.
+// one invocation's writes must never leak into the next restore), the
+// pool's snapshot-affine acquire/release/reclaim paths, and re-capture.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -375,7 +375,7 @@ void ExpectConserved(const wasp::Pool& pool) {
   EXPECT_EQ(sum, acct.resident_bytes);
 }
 
-// The COW differential: mapping a snapshot's shared extent chain must be
+// The COW differential: mapping a snapshot's shared extent buffer must be
 // byte-identical to a full copy, writes must privatize exactly the epoch
 // pages, and a delta restore must re-share everything (private count back to
 // zero) while still matching the full-copy reference byte-for-byte.
@@ -397,7 +397,7 @@ TEST(Cow, WritePrivatizationDifferentialFuzz) {
     vhw::GuestMemory full(kMemSize);
     wasp::RestoreFullInto(*snap, &full);
     vhw::GuestMemory cow(kMemSize);
-    EXPECT_EQ(wasp::MapCowInto(*snap, &cow), snap->chain_byte_size());
+    EXPECT_EQ(wasp::MapCowInto(*snap, &cow), snap->byte_size());
     ASSERT_TRUE(cow.HasCowBase());
     EXPECT_EQ(cow.CowPrivatePages(), 0u);
     // The map is byte-identical to the copy, with identical dirty marks (a
@@ -461,83 +461,64 @@ TEST(Cow, CleanDropsTheBase) {
   EXPECT_EQ(shell.data()[0x4000], 0u);
 }
 
-// --- Snapshot chains ----------------------------------------------------------
+// --- Re-capture ---------------------------------------------------------------
 
-TEST(SnapshotChain, DeltaCaptureFlattenRestoreRoundTrip) {
+// A re-capture is one flat snapshot of the shell's view: the parent's pages
+// plus the drift, a page both hold stored once with the drift's content, and
+// the parent's resume point.  A full copy and a COW map of it both reproduce
+// the shell's memory.
+TEST(Recapture, FlatViewIsParentPagesPlusDrift) {
   constexpr uint64_t kMemSize = 1 << 20;
   vhw::GuestMemory mem(kMemSize);
   std::vector<uint8_t> image(16 * kPageSize, 0x11);
   ASSERT_TRUE(mem.Write(0x8000, image.data(), image.size()).ok());  // pages 8..23
-  wasp::SnapshotRef root = wasp::CaptureSnapshot(mem, vhw::ArchState{});
-  EXPECT_EQ(root->chain_depth(), 1);
-
-  // Drift: one page shadowing the root's image, one page outside it.
-  mem.BeginEpoch();
-  std::vector<uint8_t> drift(kPageSize, 0x22);
-  ASSERT_TRUE(mem.Write(0xa000, drift.data(), drift.size()).ok());   // page 10, shadowed
-  ASSERT_TRUE(mem.Write(0x40000, drift.data(), drift.size()).ok());  // page 64, new
-  wasp::SnapshotRef child = wasp::CaptureDeltaSnapshot(mem, *root);
-  EXPECT_EQ(child->chain_depth(), 2);
-  EXPECT_EQ(child->parent_generation, root->generation);
-  EXPECT_EQ(child->byte_size(), 2 * kPageSize);  // own layer: the delta only
-  EXPECT_EQ(child->chain_byte_size(), root->byte_size() + 2 * kPageSize);
-  // Chain lookup: the child's page shadows the root's, untouched pages fall
-  // through to the root, uncovered pages resolve to nothing.
-  ASSERT_NE(child->FindPage(10), nullptr);
-  EXPECT_EQ(child->FindPage(10)[0], 0x22);
-  ASSERT_NE(child->FindPage(11), nullptr);
-  EXPECT_EQ(child->FindPage(11)[0], 0x11);
-  EXPECT_EQ(child->FindPage(64)[0], 0x22);
-  EXPECT_EQ(child->FindPage(7), nullptr);
-
-  // Full restore of the chain reproduces the drifted memory exactly, and so
-  // does a COW map of it.
-  vhw::GuestMemory via_copy(kMemSize);
-  EXPECT_EQ(wasp::RestoreFullInto(*child, &via_copy), child->chain_byte_size());
-  ASSERT_EQ(std::memcmp(via_copy.data(), mem.data(), kMemSize), 0);
-  vhw::GuestMemory via_map(kMemSize);
-  wasp::MapCowInto(*child, &via_map);
-  ASSERT_EQ(std::memcmp(via_map.data(), mem.data(), kMemSize), 0);
-
-  // Flattening collapses the chain to one parentless layer with the same
-  // view: shadowed root pages are dropped, not duplicated.
-  wasp::SnapshotRef flat = wasp::FlattenSnapshot(*child);
-  EXPECT_EQ(flat->chain_depth(), 1);
-  EXPECT_EQ(flat->generation, child->generation);
-  EXPECT_EQ(flat->parent_generation, 0u);
-  EXPECT_EQ(flat->byte_size(), child->extent->CoveredBytes());
-  EXPECT_LT(flat->chain_byte_size(), child->chain_byte_size());
-  vhw::GuestMemory via_flat(kMemSize);
-  wasp::RestoreFullInto(*flat, &via_flat);
-  ASSERT_EQ(std::memcmp(via_flat.data(), mem.data(), kMemSize), 0);
-}
-
-// A snapshot captured inside an input call keeps that pending call through
-// re-capture and flattening: a child resumes at its parent's capture point.
-TEST(SnapshotChain, DeltaChildAndFlattenKeepThePendingCall) {
-  vhw::GuestMemory mem(1 << 20);
-  std::vector<uint8_t> page(kPageSize, 0x11);
-  ASSERT_TRUE(mem.Write(0x8000, page.data(), page.size()).ok());
   vhw::ArchState cpu;
   cpu.rip = 0x8123;
-  wasp::SnapshotRef root =
+  wasp::SnapshotRef parent =
       wasp::CaptureSnapshot(mem, cpu, wasp::PendingCall{wasp::kHcGetData, 5});
+
+  // Drift: one page inside the parent's image, one page outside it.
   mem.BeginEpoch();
-  ASSERT_TRUE(mem.Write(0x40000, page.data(), page.size()).ok());
-  wasp::SnapshotRef child = wasp::CaptureDeltaSnapshot(mem, *root);
-  wasp::SnapshotRef flat = wasp::FlattenSnapshot(*child);
-  for (const wasp::SnapshotRef& snap : {root, child, flat}) {
-    EXPECT_EQ(snap->pending.port, wasp::kHcGetData);
-    EXPECT_EQ(snap->pending.result_reg, 5);
-    EXPECT_EQ(snap->cpu.rip, 0x8123u);
-  }
+  std::vector<uint8_t> drift(kPageSize, 0x22);
+  ASSERT_TRUE(mem.Write(0xa000, drift.data(), drift.size()).ok());   // page 10
+  ASSERT_TRUE(mem.Write(0x40000, drift.data(), drift.size()).ok());  // page 64
+  wasp::SnapshotRef next = wasp::CaptureOver(mem, *parent);
+  EXPECT_NE(next->generation, parent->generation);
+  EXPECT_EQ(next->mem_size, parent->mem_size);
+  EXPECT_TRUE(wasp::VerifySnapshot(*next));
+  // The view is pages 8..23 and page 64; page 10 is stored once.
+  ASSERT_EQ(next->extent->extents.size(), 2u);
+  EXPECT_EQ(next->extent->extents[0].first_page, 8u);
+  EXPECT_EQ(next->extent->extents[0].page_count, 16u);
+  EXPECT_EQ(next->extent->extents[1].first_page, 64u);
+  EXPECT_EQ(next->extent->extents[1].page_count, 1u);
+  EXPECT_EQ(next->byte_size(), 17 * kPageSize);
+  ASSERT_NE(next->FindPage(10), nullptr);
+  EXPECT_EQ(next->FindPage(10)[0], 0x22);
+  ASSERT_NE(next->FindPage(11), nullptr);
+  EXPECT_EQ(next->FindPage(11)[0], 0x11);
+  ASSERT_NE(next->FindPage(64), nullptr);
+  EXPECT_EQ(next->FindPage(64)[0], 0x22);
+  EXPECT_EQ(next->FindPage(7), nullptr);
+  // It resumes where the parent did: same CPU state, same pending call.
+  EXPECT_EQ(next->cpu.rip, 0x8123u);
+  EXPECT_EQ(next->pending.port, wasp::kHcGetData);
+  EXPECT_EQ(next->pending.result_reg, 5);
+
+  // A full copy and a COW map both reproduce the shell's memory exactly.
+  vhw::GuestMemory via_copy(kMemSize);
+  EXPECT_EQ(wasp::RestoreFullInto(*next, &via_copy), next->byte_size());
+  ASSERT_EQ(std::memcmp(via_copy.data(), mem.data(), kMemSize), 0);
+  vhw::GuestMemory via_map(kMemSize);
+  EXPECT_EQ(wasp::MapCowInto(*next, &via_map), next->byte_size());
+  ASSERT_EQ(std::memcmp(via_map.data(), mem.data(), kMemSize), 0);
 }
 
-// Re-capture folds a warm service's drift into a delta child: the counter
-// guest's marker (incremented once per invocation, normally repaired back to
-// zero) becomes part of the published snapshot, so warm results step up by
-// one per re-capture.
-TEST(AffineRuntime, RecaptureFoldsDriftIntoDeltaChild) {
+// Re-capture folds a warm service's drift into the published snapshot: the
+// counter guest's marker (incremented once per invocation, normally repaired
+// back to zero) becomes part of the snapshot, so warm results step up by one
+// per re-capture.
+TEST(AffineRuntime, RecaptureFoldsDriftIntoTheSnapshot) {
   auto image = vrt::BuildRawImage(R"(
 start:
   mov r0, 0
@@ -552,10 +533,7 @@ start:
   hlt
 )");
   ASSERT_TRUE(image.ok());
-  wasp::RuntimeOptions options;
-  // Keep the chain a chain: this test asserts depth growth, not flattening.
-  options.chain_flatten_slack = 1000.0;
-  wasp::Runtime runtime(options);
+  wasp::Runtime runtime;
   wasp::VirtineSpec spec;
   spec.image = &image.value();
   spec.key = "recapture";
@@ -570,13 +548,10 @@ start:
   const wasp::RecaptureOutcome rc = runtime.RecaptureSnapshot("recapture");
   ASSERT_EQ(rc.status, wasp::RecaptureOutcome::Status::kRecaptured);
   EXPECT_NE(rc.new_generation, rc.old_generation);
-  EXPECT_EQ(rc.chain_depth, 2);
-  EXPECT_FALSE(rc.flattened);
   EXPECT_GT(rc.delta_bytes, 0u);
   const wasp::SnapshotRef snap = runtime.snapshots().Find("recapture");
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->generation, rc.new_generation);
-  EXPECT_EQ(snap->parent_generation, rc.old_generation);
 
   // The marker the re-capture folded in was 1, so warm runs now return 2 —
   // and the stolen shell was re-parked warm, so the first one is already an
@@ -589,52 +564,13 @@ start:
     EXPECT_TRUE(outcome.stats.affine_restore) << "warm call " << i;
   }
 
-  // A second re-capture grows the chain one more layer and steps the
-  // counter again.
+  // A second re-capture steps the counter again.
   const wasp::RecaptureOutcome rc2 = runtime.RecaptureSnapshot("recapture");
   ASSERT_EQ(rc2.status, wasp::RecaptureOutcome::Status::kRecaptured);
-  EXPECT_EQ(rc2.chain_depth, 3);
   EXPECT_EQ(rc2.old_generation, rc.new_generation);
   auto outcome = runtime.Invoke(spec);
   ASSERT_TRUE(outcome.status.ok());
   EXPECT_EQ(outcome.result_word, 3u);
-}
-
-TEST(AffineRuntime, RecaptureFlattensWhenChainExceedsDepthBound) {
-  auto image = vrt::BuildRawImage(R"(
-start:
-  mov r0, 0
-  out HC_SNAPSHOT, r0
-  mov r8, 0x600
-  ld64 r9, [r8+0]
-  add r9, 1
-  st64 [r8+0], r9
-  mov r0, r9
-  mov r8, 0
-  st64 [r8+0], r0
-  hlt
-)");
-  ASSERT_TRUE(image.ok());
-  wasp::RuntimeOptions options;
-  options.chain_max_depth = 1;  // any delta child must flatten immediately
-  wasp::Runtime runtime(options);
-  wasp::VirtineSpec spec;
-  spec.image = &image.value();
-  spec.key = "flatten";
-  spec.use_snapshot = true;
-  spec.crt_snapshot = false;
-  ASSERT_TRUE(runtime.Invoke(spec).status.ok());
-  ASSERT_TRUE(runtime.Invoke(spec).status.ok());
-  const wasp::RecaptureOutcome rc = runtime.RecaptureSnapshot("flatten");
-  ASSERT_EQ(rc.status, wasp::RecaptureOutcome::Status::kRecaptured);
-  EXPECT_TRUE(rc.flattened);
-  EXPECT_EQ(rc.chain_depth, 1);
-  const wasp::SnapshotRef snap = runtime.snapshots().Find("flatten");
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->parent_generation, 0u);
-  auto outcome = runtime.Invoke(spec);
-  ASSERT_TRUE(outcome.status.ok());
-  EXPECT_EQ(outcome.result_word, 2u);
 }
 
 TEST(AffineRuntime, RecaptureEdgeCases) {
@@ -668,6 +604,172 @@ TEST(AffineRuntime, RecaptureEdgeCases) {
             wasp::RecaptureOutcome::Status::kNoWarmShell);
 }
 
+// --- Re-capture trace oracle ----------------------------------------------------
+//
+// Seeded single-thread sequences of invocations (some on a fresh shell),
+// re-captures and retirements over four keys of a guest that bumps a
+// snapshotted counter and writes a page indexed by the counter and the call's
+// argument.  The trace folds in what each call returned and cost, every newly
+// published snapshot, and the pool's affine residency gauges, into two hashes:
+//   - `full`: everything, including each snapshot's extent layout and
+//     checksum and each call's modeled cycles;
+//   - `view`: what a guest can observe — results, restore paths and each
+//     snapshot's page view — without modeled cycles, layout or residency.
+// A host model checks the counter: a call returns its snapshot's counter plus
+// one, and each re-capture folds one call's increment in.
+
+constexpr int kRecaptureKeys = 4;
+constexpr int kRecaptureOps = 3000;
+constexpr int kRecaptureSequences = 16;
+constexpr uint64_t kRecaptureMem[] = {1 << 20, 256 << 10};
+
+void Mix(uint64_t* hash, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {  // FNV-1a over the value's bytes
+    *hash = (*hash ^ ((value >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+  }
+}
+
+struct RecaptureTrace {
+  uint64_t full = 0xcbf29ce484222325ULL;
+  uint64_t view = 0xcbf29ce484222325ULL;
+
+  void Full(uint64_t value) { Mix(&full, value); }
+  void View(uint64_t value) { Mix(&view, value); }
+  void Both(uint64_t value) {
+    Full(value);
+    View(value);
+  }
+};
+
+// FNV-1a over whole 8-byte words (page-sized inputs).
+uint64_t HashWords(const uint8_t* bytes, uint64_t len) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (uint64_t i = 0; i + 8 <= len; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes + i, 8);
+    hash = (hash ^ word) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+void MixSnapshot(RecaptureTrace* trace, const wasp::Snapshot& snap) {
+  for (const wasp::Snapshot::Extent& e : snap.extent->extents) {
+    trace->Full(e.first_page);
+    trace->Full(e.page_count);
+    trace->Full(e.byte_offset);
+  }
+  trace->Full(HashWords(snap.extent->bytes.data(), snap.extent->bytes.size()));
+  trace->Full(snap.checksum);
+  // The page view every restore lays into a shell.
+  for (uint64_t p = 0; p < snap.mem_size >> vhw::kPageBits; ++p) {
+    const uint8_t* page = snap.FindPage(p);
+    trace->View(page == nullptr ? 0 : HashWords(page, kPageSize));
+  }
+  for (const uint64_t v : {snap.mem_size, snap.cpu.rip, uint64_t{snap.pending.port},
+                           uint64_t{snap.pending.result_reg}}) {
+    trace->Both(v);
+  }
+}
+
+void RunRecaptureTrace(const visa::Image& image, uint64_t seed, RecaptureTrace* trace) {
+  wasp::RuntimeOptions options;
+  options.clean_mode = wasp::CleanMode::kSync;
+  wasp::Runtime runtime(options);
+  vbase::Rng rng(seed);
+  wasp::VirtineSpec specs[kRecaptureKeys];
+  wasp::SnapshotRef published[kRecaptureKeys];
+  uint64_t counter[kRecaptureKeys] = {};  // the counter each key's snapshot holds
+  for (int k = 0; k < kRecaptureKeys; ++k) {
+    specs[k].image = &image;
+    specs[k].key = "recapture-" + std::to_string(k);
+    specs[k].mem_size = kRecaptureMem[k % 2];
+    specs[k].use_snapshot = true;
+    specs[k].crt_snapshot = false;
+    specs[k].word_bytes = 8;
+  }
+  for (int op = 0; op < kRecaptureOps; ++op) {
+    const int k = static_cast<int>(rng.Below(kRecaptureKeys));
+    wasp::VirtineSpec& spec = specs[k];
+    const uint64_t roll = rng.Below(100);
+    if (roll < 84) {
+      wasp::ArgPacker packer(8);
+      packer.AddWord(rng.Below(16));
+      spec.args_page = packer.Finish();
+      spec.fresh_shell = rng.Below(100) < 15;
+      const wasp::RunOutcome outcome = runtime.Invoke(spec);
+      ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+      if (!outcome.stats.restored_snapshot) {
+        counter[k] = 0;  // a cold call captured the counter before bumping it
+      }
+      EXPECT_EQ(outcome.result_word, counter[k] + 1) << "seed " << seed << " op " << op;
+      const wasp::InvokeStats& s = outcome.stats;
+      for (const uint64_t v : {outcome.result_word, s.restored_bytes,
+                               uint64_t{s.affine_restore}, uint64_t{s.mapped_cow},
+                               s.io_exits}) {
+        trace->Both(v);
+      }
+      trace->Full(s.total_cycles);
+    } else if (roll < 96) {
+      const wasp::RecaptureOutcome rc = runtime.RecaptureSnapshot(spec.key);
+      if (rc.status == wasp::RecaptureOutcome::Status::kRecaptured) {
+        ++counter[k];  // the stolen shell ran one call since its restore
+      }
+      trace->Both(static_cast<uint64_t>(rc.status));
+      trace->Both(rc.delta_bytes);
+    } else {
+      runtime.RetireSnapshot(spec.key);
+    }
+    const wasp::SnapshotRef snap = runtime.snapshots().Find(spec.key);
+    if (snap != published[k]) {
+      trace->Both(snap == nullptr ? 0 : 1);
+      if (snap != nullptr) {
+        MixSnapshot(trace, *snap);
+      }
+      published[k] = snap;
+    }
+    const wasp::PoolStats s = runtime.pool().stats();
+    for (const uint64_t v :
+         {s.affine_resident_bytes, s.affine_shared_bytes, s.affine_private_bytes}) {
+      trace->Full(v);
+    }
+  }
+}
+
+TEST(RecaptureTraceOracle, SyncModeMatchesTheRecordedTrace) {
+  auto image = vrt::BuildRawImage(R"(
+start:
+  mov r0, 0
+  out HC_SNAPSHOT, r0
+  mov r8, 0x600
+  ld64 r9, [r8+0]
+  add r9, 1
+  st64 [r8+0], r9
+  mov r8, 0
+  ld64 r10, [r8+16]
+  add r10, r9
+  and r10, 15
+  shl r10, 12
+  st64 [r10+0x20000], r9
+  st64 [r8+0], r9
+  hlt
+)");
+  ASSERT_TRUE(image.ok());
+  RecaptureTrace trace;
+  // A thread of its own, bound to one lane, so the shell placement does not
+  // depend on which tests ran before.
+  std::thread runner([&] {
+    wasp::Pool::BindLane(0);
+    for (int seq = 0; seq < kRecaptureSequences; ++seq) {
+      RunRecaptureTrace(image.value(), 9000 + static_cast<uint64_t>(seq), &trace);
+    }
+  });
+  runner.join();
+  // Recorded against the delta-chain engine this one replaced, with every
+  // re-capture flattened; `view` also matched its default, chained runs.
+  EXPECT_EQ(trace.full, 0xe8c26c773a88cf6fULL) << std::hex << "full hash 0x" << trace.full;
+  EXPECT_EQ(trace.view, 0x99cf51834ff96cb6ULL) << std::hex << "view hash 0x" << trace.view;
+}
+
 // --- COW residency accounting -------------------------------------------------
 
 TEST(AffinePool, CowParkChargesPrivateOnlySharedOncePerGeneration) {
@@ -675,7 +777,7 @@ TEST(AffinePool, CowParkChargesPrivateOnlySharedOncePerGeneration) {
   std::vector<uint8_t> image(64 * kPageSize, 0x44);
   ASSERT_TRUE(base.Write(0, image.data(), image.size()).ok());
   wasp::SnapshotRef snap = wasp::CaptureSnapshot(base, vhw::ArchState{});
-  const uint64_t shared = snap->chain_byte_size();
+  const uint64_t shared = snap->byte_size();
 
   wasp::Pool pool(wasp::CleanMode::kSync);
   vkvm::VmConfig cfg;
@@ -699,7 +801,7 @@ TEST(AffinePool, CowParkChargesPrivateOnlySharedOncePerGeneration) {
   wasp::AffineAccounting acct = pool.affine_accounting();
   EXPECT_EQ(acct.resident_bytes, shared + 2 * kPageSize);
   // A second shell of the same generation adds only its private pages: the
-  // chain is already charged.
+  // buffer is already charged.
   pool.ReleaseAffine(std::move(shell3), snap->generation, shared);
   ExpectConserved(pool);
   acct = pool.affine_accounting();
@@ -754,10 +856,10 @@ TEST(AffinePool, BudgetEvictionReleasesSharedChargeWithLastShell) {
   ASSERT_TRUE(base.Write(0, image.data(), image.size()).ok());
   wasp::SnapshotRef a = wasp::CaptureSnapshot(base, vhw::ArchState{});
   wasp::SnapshotRef b = wasp::CaptureSnapshot(base, vhw::ArchState{});
-  // Budget fits one generation's chain plus slack, never two.
+  // Budget fits one generation's buffer plus slack, never two.
   wasp::PoolOptions options;
   options.mode = wasp::CleanMode::kSync;
-  options.affine_budget_bytes = a->chain_byte_size() + 8 * kPageSize;
+  options.affine_budget_bytes = a->byte_size() + 8 * kPageSize;
   wasp::Pool pool(options);
   vkvm::VmConfig cfg;
   auto prep = [&](const wasp::SnapshotRef& snap) {
@@ -772,16 +874,16 @@ TEST(AffinePool, BudgetEvictionReleasesSharedChargeWithLastShell) {
   // parked affine shells when nothing clean is pooled).
   auto shell_a = prep(a);
   auto shell_b = prep(b);
-  pool.ReleaseAffine(std::move(shell_a), a->generation, a->chain_byte_size());
+  pool.ReleaseAffine(std::move(shell_a), a->generation, a->byte_size());
   ExpectConserved(pool);
   ASSERT_EQ(pool.affine_accounting().resident_bytes,
-            a->chain_byte_size() + kPageSize);
+            a->byte_size() + kPageSize);
   // Parking generation b blows the budget: generation a (LRU) is evicted
   // wholesale, releasing its shared charge along with its last shell.
-  pool.ReleaseAffine(std::move(shell_b), b->generation, b->chain_byte_size());
+  pool.ReleaseAffine(std::move(shell_b), b->generation, b->byte_size());
   ExpectConserved(pool);
   const wasp::AffineAccounting acct = pool.affine_accounting();
-  EXPECT_EQ(acct.resident_bytes, b->chain_byte_size() + kPageSize);
+  EXPECT_EQ(acct.resident_bytes, b->byte_size() + kPageSize);
   ASSERT_EQ(acct.generations.size(), 1u);
   EXPECT_EQ(acct.generations[0].generation, b->generation);
   EXPECT_EQ(pool.AffineShells(a->generation), 0u);
@@ -805,7 +907,7 @@ TEST(AffinePoolConcurrency, GaugeConservationUnderParkEvictRetire) {
   wasp::PoolOptions options;
   options.mode = wasp::CleanMode::kAsync;
   // Tight enough that concurrent parks trigger budget evictions.
-  options.affine_budget_bytes = 3 * snaps.back()->chain_byte_size();
+  options.affine_budget_bytes = 3 * snaps.back()->byte_size();
   wasp::Pool pool(options);
   vkvm::VmConfig cfg;
 
@@ -831,7 +933,7 @@ TEST(AffinePoolConcurrency, GaugeConservationUnderParkEvictRetire) {
           ASSERT_TRUE(
               vm->memory().Write((128 + rng.Below(64)) * kPageSize, &b, 1).ok());
         }
-        pool.ReleaseAffine(std::move(vm), snap->generation, snap->chain_byte_size());
+        pool.ReleaseAffine(std::move(vm), snap->generation, snap->byte_size());
       }
     });
   }

@@ -15,6 +15,11 @@
 # prints two lists of demangled names:
 #   - functions that keep no out-of-line copy in any binary;
 #   - functions that survive only in test binaries.
+# Functions defined inline in a header keep no symbol of their own, so nm
+# cannot tell an uncalled one from an inlined one.  A third, source-level list
+# covers them: each function whose one-line signature and opening brace sit in
+# a src/ header, and whose name appears on no other code line (comments
+# stripped) under src/, tests/, bench/, examples/ or perfbench/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export LC_ALL=C  # one collation for sort and comm
@@ -60,3 +65,24 @@ comm -23 "$tmp/defined" "$tmp/in_any" | c++filt | sort -u
 echo
 echo "== kept only by test binaries:"
 comm -23 "$tmp/defined" "$tmp/in_others" | comm -12 - "$tmp/in_tests" | c++filt | sort -u
+
+echo
+echo "== defined inline in a src/ header, named on no other code line:"
+code_dirs=(src tests bench examples perfbench)
+# Every code line as "file:line<TAB>text", comments stripped.
+grep -rn --include='*.h' --include='*.cc' --include='*.cpp' '' "${code_dirs[@]}" |
+  sed -E 's,//.*$,,; s/^([^:]+:[0-9]+):/\1\t/' > "$tmp/code"
+# One candidate per definition line: "file:line name", the name being the
+# identifier right before the first "(".
+grep -rn --include='*.h' -E \
+  '^[[:space:]]*([A-Za-z_][A-Za-z0-9_:<>,*&]*[[:space:]]+)+[*&]?[A-Za-z_][A-Za-z0-9_]*\([^;]*\)[^;{]*\{' \
+  src |
+  sed -E 's,//.*$,,' |
+  sed -E 's/^([^:]+:[0-9]+):[[:space:]]*([^(]*[^A-Za-z0-9_(])?([A-Za-z_][A-Za-z0-9_]*)\(.*$/\1 \3/' |
+  grep -vE ' (if|for|while|switch|return|sizeof|alignas|decltype)$' > "$tmp/inline" || true
+while read -r loc name; do
+  if awk -F '\t' -v loc="$loc" -v word="(^|[^A-Za-z0-9_])$name([^A-Za-z0-9_]|$)" \
+       '$1 != loc && $2 ~ word { found = 1; exit } END { exit found }' "$tmp/code"; then
+    echo "$name ($loc)"
+  fi
+done < "$tmp/inline" | sort -u
