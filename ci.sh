@@ -63,6 +63,9 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # each call's input into guest memory before the first vmrun — and the
   # microjs engine's oracle, whose scripts EngineSource decodes on the host
   # (malformed ones included, in test_aes_js) before the engine runs them.
+  # _GLIBCXX_ASSERTIONS makes an out-of-range std::vector/std::string index
+  # abort at its own line, even when the read stays inside the allocation
+  # where ASan cannot see it.
   # Separate build dir: sanitizer objects don't mix.
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   ASAN_TESTS=(test_snapshot_engine test_wasp test_wasp_concurrency test_governance
@@ -70,7 +73,7 @@ if [[ "${ASAN:-0}" == "1" ]]; then
               test_net test_http_server_concurrency test_vcc test_vcc_deep test_vcc_oracle
               test_vrt test_admission test_aes_js test_vjs_oracle)
   cmake -B "$BUILD_DIR" -S . -DVIRTINES_WERROR="$WERROR" \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target "${ASAN_TESTS[@]}"
   total=0

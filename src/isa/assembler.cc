@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstring>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -16,6 +17,8 @@ struct Statement {
   std::string mnemonic;                // lower-cased; empty for label-only lines
   std::vector<std::string> operands;   // top-level comma-separated
   std::string raw;                     // original text for error messages
+  Op op = Op::kOpCount;                // an instruction's kOps row (pass 1)
+  Cond cc = Cond::kEq;                 // kJcc: the mnemonic's condition
 };
 
 std::string Lower(std::string s) {
@@ -121,30 +124,73 @@ std::optional<int> ParseReg(const std::string& tok) {
 }
 
 std::optional<Cond> ParseCond(const std::string& tok) {
-  static const std::unordered_map<std::string, Cond> kMap = {
-      {"eq", Cond::kEq}, {"ne", Cond::kNe}, {"lt", Cond::kLt}, {"le", Cond::kLe},
-      {"gt", Cond::kGt}, {"ge", Cond::kGe}, {"b", Cond::kB},   {"be", Cond::kBe},
-      {"a", Cond::kA},   {"ae", Cond::kAe},
-  };
-  auto it = kMap.find(Lower(tok));
-  if (it == kMap.end()) {
-    return std::nullopt;
+  const std::string t = Lower(tok);
+  for (const CondInfo& c : kConds) {
+    if (t == c.name) {
+      return c.cc;
+    }
   }
-  return it->second;
+  return std::nullopt;
 }
 
 std::optional<Mode> ParseMode(const std::string& tok) {
-  std::string t = Lower(tok);
-  if (t == "real16") {
-    return Mode::kReal16;
-  }
-  if (t == "prot32") {
-    return Mode::kProt32;
-  }
-  if (t == "long64") {
-    return Mode::kLong64;
+  const std::string t = Lower(tok);
+  for (size_t i = 0; i < std::size(kModeNames); ++i) {
+    if (t == kModeNames[i]) {
+      return static_cast<Mode>(i);
+    }
   }
   return std::nullopt;
+}
+
+// Whether `form`'s last operand is a register: of two rows sharing a
+// mnemonic, the one a statement whose last operand is a register selects.
+bool TakesRegisterLast(Form form) { return form == Form::kR || form == Form::kRR; }
+
+size_t OperandCount(Form form) {
+  switch (form) {
+    case Form::kNone:
+      return 0;
+    case Form::kR:
+    case Form::kRel:
+    case Form::kJcc:
+      return 1;
+    default:
+      return 2;
+  }
+}
+
+// A mnemonic's kOps rows: `reg` when the last operand is a register,
+// `other` when it is not (the same row when the mnemonic has one).
+struct Mnemonic {
+  Op reg = Op::kOpCount;
+  Op other = Op::kOpCount;
+  Cond cc = Cond::kEq;
+};
+
+// Every mnemonic of kOps, plus each condition's jcc mnemonic for kJcc.
+const std::unordered_map<std::string_view, Mnemonic>& Mnemonics() {
+  static const std::unordered_map<std::string_view, Mnemonic> index = [] {
+    std::unordered_map<std::string_view, Mnemonic> m;
+    for (const OpInfo& row : kOps) {
+      if (row.form != Form::kJcc) {
+        Mnemonic& e = m[row.name];
+        (TakesRegisterLast(row.form) ? e.reg : e.other) = row.op;
+      }
+    }
+    for (auto& [name, e] : m) {
+      if (e.reg == Op::kOpCount) {
+        e.reg = e.other;
+      } else if (e.other == Op::kOpCount) {
+        e.other = e.reg;
+      }
+    }
+    for (const CondInfo& c : kConds) {
+      m[c.jcc] = Mnemonic{Op::kJcc, Op::kJcc, c.cc};
+    }
+    return m;
+  }();
+  return index;
 }
 
 // The assembler proper.
@@ -369,7 +415,7 @@ class Assembler {
   // by + and -.  An unscaled register is the base, or the index when a base
   // is already present; a scaled one (S in 1, 2, 4, 8) is always the index;
   // every other term is part of the displacement expression.
-  vbase::Result<MemRef> ParseMem(const Statement& st, const std::string& tok, bool pass2) {
+  vbase::Result<MemRef> ParseMem(const Statement& st, const std::string& tok) {
     std::string t = Trim(tok);
     if (t.size() < 3 || t.front() != '[' || t.back() != ']') {
       return Err(st, "expected memory operand [reg+disp]");
@@ -439,9 +485,12 @@ class Assembler {
       m.x |= kMemNoBase;
     }
     if (!disp.empty()) {
-      auto v = EvalExpr(st, disp, pass2);
+      auto v = EvalExpr(st, disp, true);
       if (!v.ok()) {
         return v.status();
+      }
+      if (!FitsI32(*v)) {
+        return Err(st, "displacement out of 32-bit range: " + std::to_string(*v));
       }
       m.disp = *v;
     }
@@ -476,11 +525,11 @@ class Assembler {
   }
 
   // Returns the encoded size of a statement; 0 for pure directives that emit
-  // nothing.  Also validates operand shapes so pass 2 can assume them.
-  vbase::Result<int64_t> StatementSize(const Statement& st, uint64_t addr) {
+  // nothing.  Resolves an instruction's kOps row and checks its operand
+  // count, so pass 2 encodes it by its Form.
+  vbase::Result<int64_t> StatementSize(Statement& st, uint64_t addr) {
     const std::string& m = st.mnemonic;
     const auto& ops = st.operands;
-    auto is_reg = [&](size_t idx) { return idx < ops.size() && ParseReg(ops[idx]).has_value(); };
 
     if (m == ":label" || m == ".equ" || m == ".org") {
       return 0;
@@ -515,95 +564,28 @@ class Assembler {
       return static_cast<int64_t>((a - (addr % a)) % a);
     }
 
-    // Instructions.
-    if (m == "nop") return InsnSize(Op::kNop);
-    if (m == "hlt") return InsnSize(Op::kHlt);
-    if (m == "brk") return InsnSize(Op::kBrk);
-    if (m == "ret") return InsnSize(Op::kRet);
-    if (m == "mov") {
-      if (ops.size() != 2 || !is_reg(0)) {
-        return Err(st, "mov needs reg, reg|imm");
-      }
-      return is_reg(1) ? InsnSize(Op::kMovRr) : InsnSize(Op::kMovRi);
+    // Instructions: the mnemonic, then the shape of the last operand, picks
+    // the row.
+    const auto& mnemonics = Mnemonics();
+    const auto it = mnemonics.find(m);
+    if (it == mnemonics.end()) {
+      return Err(st, "unknown mnemonic: " + m);
     }
-    static const std::unordered_map<std::string, Op> kLoads = {
-        {"ld8", Op::kLd8},   {"ld8s", Op::kLd8S},   {"ld16", Op::kLd16},
-        {"ld16s", Op::kLd16S}, {"ld32", Op::kLd32}, {"ld32s", Op::kLd32S},
-        {"ld64", Op::kLd64}, {"ldw", Op::kLdW},     {"lea", Op::kLea},
-    };
-    static const std::unordered_map<std::string, Op> kStores = {
-        {"st8", Op::kSt8}, {"st16", Op::kSt16}, {"st32", Op::kSt32},
-        {"st64", Op::kSt64}, {"stw", Op::kStW},
-    };
-    if (auto it = kLoads.find(m); it != kLoads.end()) {
-      return InsnSize(it->second);
+    const bool reg_last = !ops.empty() && ParseReg(ops.back()).has_value();
+    st.op = reg_last ? it->second.reg : it->second.other;
+    st.cc = it->second.cc;
+    const size_t want = OperandCount(kOps[static_cast<size_t>(st.op)].form);
+    if (ops.size() != want) {
+      return Err(st, m + " takes " + std::to_string(want) + " operand" + (want == 1 ? "" : "s") +
+                         ", not " + std::to_string(ops.size()));
     }
-    if (auto it = kStores.find(m); it != kStores.end()) {
-      return InsnSize(it->second);
-    }
-    static const std::unordered_map<std::string, std::pair<Op, Op>> kAlu = {
-        {"add", {Op::kAddRr, Op::kAddRi}}, {"sub", {Op::kSubRr, Op::kSubRi}},
-        {"and", {Op::kAndRr, Op::kAndRi}}, {"or", {Op::kOrRr, Op::kOrRi}},
-        {"xor", {Op::kXorRr, Op::kXorRi}}, {"shl", {Op::kShlRr, Op::kShlRi}},
-        {"shr", {Op::kShrRr, Op::kShrRi}}, {"sar", {Op::kSarRr, Op::kSarRi}},
-        {"cmp", {Op::kCmpRr, Op::kCmpRi}},
-    };
-    if (auto it = kAlu.find(m); it != kAlu.end()) {
-      if (ops.size() != 2 || !is_reg(0)) {
-        return Err(st, m + " needs reg, reg|imm");
-      }
-      return is_reg(1) ? InsnSize(it->second.first) : InsnSize(it->second.second);
-    }
-    static const std::unordered_map<std::string, Op> kRr = {
-        {"mul", Op::kMulRr},   {"imul", Op::kImulRr}, {"udiv", Op::kUdivRr},
-        {"idiv", Op::kIdivRr}, {"umod", Op::kUmodRr}, {"imod", Op::kImodRr},
-        {"test", Op::kTestRr},
-    };
-    if (kRr.count(m) != 0) {
-      return 2;
-    }
-    static const std::unordered_map<std::string, Op> kR = {
-        {"not", Op::kNotR}, {"neg", Op::kNegR}, {"push", Op::kPush},
-        {"pop", Op::kPop},  {"rdtsc", Op::kRdtsc}, {"lgdt", Op::kLgdt},
-    };
-    if (kR.count(m) != 0) {
-      return 2;
-    }
-    if (m == "cset" || m == "wrcr" || m == "rdcr") {
-      return 2;
-    }
-    if (m == "jmp") {
-      if (ops.size() != 1) {
-        return Err(st, "jmp needs one operand");
-      }
-      return is_reg(0) ? InsnSize(Op::kJmpR) : InsnSize(Op::kJmp);
-    }
-    if (m == "call") {
-      if (ops.size() != 1) {
-        return Err(st, "call needs one operand");
-      }
-      return is_reg(0) ? InsnSize(Op::kCallR) : InsnSize(Op::kCall);
-    }
-    static const char* kJccNames[] = {"je", "jne", "jl", "jle", "jg",
-                                      "jge", "jb", "jbe", "ja", "jae"};
-    for (const char* name : kJccNames) {
-      if (m == name) {
-        return InsnSize(Op::kJcc);
-      }
-    }
-    if (m == "ljmp") {
-      return InsnSize(Op::kLjmp);
-    }
-    if (m == "in" || m == "out") {
-      return InsnSize(Op::kIn);
-    }
-    return Err(st, "unknown mnemonic: " + m);
+    return InsnSize(st.op);
   }
 
   vbase::Status Pass1() {
     uint64_t addr = image_.load_addr;
     bool emitted_any = false;
-    for (const Statement& st : stmts_) {
+    for (Statement& st : stmts_) {
       if (st.mnemonic == ":label") {
         if (symbols_.count(st.operands[0]) != 0) {
           return Err(st, "duplicate label: " + st.operands[0]);
@@ -726,242 +708,143 @@ class Assembler {
     return vbase::Status::Ok();
   }
 
-  vbase::Status EmitInsn(const Statement& st) {
-    const std::string& m = st.mnemonic;
-    const auto& ops = st.operands;
-    auto reg = [&](size_t i) { return *ParseReg(ops[i]); };
-    auto expr = [&](size_t i) { return EvalExpr(st, ops[i], true); };
-
-    auto emit_rr = [&](Op op, int a, int b) {
-      Emit8(static_cast<uint8_t>(op));
-      Emit8(static_cast<uint8_t>((a << 4) | b));
-    };
-    auto emit_ri32 = [&](Op op, int a, int64_t imm) {
-      Emit8(static_cast<uint8_t>(op));
-      Emit8(static_cast<uint8_t>(a << 4));
-      Emit32(static_cast<uint32_t>(static_cast<int32_t>(imm)));
-    };
-    auto emit_mem = [&](Op op, int a, int b, uint8_t x, int64_t disp) {
-      Emit8(static_cast<uint8_t>(op));
-      Emit8(static_cast<uint8_t>((a << 4) | b));
-      Emit8(x);
-      Emit32(static_cast<uint32_t>(static_cast<int32_t>(disp)));
-    };
-
-    if (m == "nop") { Emit8(static_cast<uint8_t>(Op::kNop)); return vbase::Status::Ok(); }
-    if (m == "hlt") { Emit8(static_cast<uint8_t>(Op::kHlt)); return vbase::Status::Ok(); }
-    if (m == "brk") { Emit8(static_cast<uint8_t>(Op::kBrk)); return vbase::Status::Ok(); }
-    if (m == "ret") { Emit8(static_cast<uint8_t>(Op::kRet)); return vbase::Status::Ok(); }
-
-    if (m == "mov") {
-      if (auto b = ParseReg(ops[1])) {
-        emit_rr(Op::kMovRr, reg(0), *b);
-      } else {
-        auto v = expr(1);
-        if (!v.ok()) {
-          return v.status();
-        }
-        Emit8(static_cast<uint8_t>(Op::kMovRi));
-        Emit8(static_cast<uint8_t>(reg(0)));
-        Emit64(static_cast<uint64_t>(*v));
-      }
-      return vbase::Status::Ok();
+  // Operand i as a register.
+  vbase::Status RegOperand(const Statement& st, size_t i, int* out) {
+    const auto r = ParseReg(st.operands[i]);
+    if (!r) {
+      return Err(st, "expected a register: " + st.operands[i]);
     }
-
-    static const std::unordered_map<std::string, Op> kLoads = {
-        {"ld8", Op::kLd8},   {"ld8s", Op::kLd8S},   {"ld16", Op::kLd16},
-        {"ld16s", Op::kLd16S}, {"ld32", Op::kLd32}, {"ld32s", Op::kLd32S},
-        {"ld64", Op::kLd64}, {"ldw", Op::kLdW},     {"lea", Op::kLea},
-    };
-    if (auto it = kLoads.find(m); it != kLoads.end()) {
-      if (ops.size() != 2 || !ParseReg(ops[0])) {
-        return Err(st, m + " needs reg, [mem]");
-      }
-      auto mem = ParseMem(st, ops[1], true);
-      if (!mem.ok()) {
-        return mem.status();
-      }
-      if (!FitsI32(mem->disp)) {
-        return Err(st, "displacement out of 32-bit range: " + std::to_string(mem->disp));
-      }
-      emit_mem(it->second, reg(0), mem->base, mem->x, mem->disp);
-      return vbase::Status::Ok();
-    }
-    static const std::unordered_map<std::string, Op> kStores = {
-        {"st8", Op::kSt8}, {"st16", Op::kSt16}, {"st32", Op::kSt32},
-        {"st64", Op::kSt64}, {"stw", Op::kStW},
-    };
-    if (auto it = kStores.find(m); it != kStores.end()) {
-      if (ops.size() != 2 || !ParseReg(ops[1])) {
-        return Err(st, m + " needs [mem], reg");
-      }
-      auto mem = ParseMem(st, ops[0], true);
-      if (!mem.ok()) {
-        return mem.status();
-      }
-      if (!FitsI32(mem->disp)) {
-        return Err(st, "displacement out of 32-bit range: " + std::to_string(mem->disp));
-      }
-      // Store encoding: a = base register, b = source register.
-      emit_mem(it->second, mem->base, reg(1), mem->x, mem->disp);
-      return vbase::Status::Ok();
-    }
-
-    static const std::unordered_map<std::string, std::pair<Op, Op>> kAlu = {
-        {"add", {Op::kAddRr, Op::kAddRi}}, {"sub", {Op::kSubRr, Op::kSubRi}},
-        {"and", {Op::kAndRr, Op::kAndRi}}, {"or", {Op::kOrRr, Op::kOrRi}},
-        {"xor", {Op::kXorRr, Op::kXorRi}}, {"shl", {Op::kShlRr, Op::kShlRi}},
-        {"shr", {Op::kShrRr, Op::kShrRi}}, {"sar", {Op::kSarRr, Op::kSarRi}},
-        {"cmp", {Op::kCmpRr, Op::kCmpRi}},
-    };
-    if (auto it = kAlu.find(m); it != kAlu.end()) {
-      if (auto b = ParseReg(ops[1])) {
-        emit_rr(it->second.first, reg(0), *b);
-      } else {
-        auto v = expr(1);
-        if (!v.ok()) {
-          return v.status();
-        }
-        if (!FitsI32(*v)) {
-          return Err(st, "immediate out of 32-bit range: " + std::to_string(*v) +
-                             " (load it with mov first)");
-        }
-        emit_ri32(it->second.second, reg(0), *v);
-      }
-      return vbase::Status::Ok();
-    }
-
-    static const std::unordered_map<std::string, Op> kRr = {
-        {"mul", Op::kMulRr},   {"imul", Op::kImulRr}, {"udiv", Op::kUdivRr},
-        {"idiv", Op::kIdivRr}, {"umod", Op::kUmodRr}, {"imod", Op::kImodRr},
-        {"test", Op::kTestRr},
-    };
-    if (auto it = kRr.find(m); it != kRr.end()) {
-      if (ops.size() != 2 || !ParseReg(ops[0]) || !ParseReg(ops[1])) {
-        return Err(st, m + " needs reg, reg");
-      }
-      emit_rr(it->second, reg(0), reg(1));
-      return vbase::Status::Ok();
-    }
-
-    static const std::unordered_map<std::string, Op> kR = {
-        {"not", Op::kNotR}, {"neg", Op::kNegR}, {"push", Op::kPush},
-        {"pop", Op::kPop},  {"rdtsc", Op::kRdtsc}, {"lgdt", Op::kLgdt},
-    };
-    if (auto it = kR.find(m); it != kR.end()) {
-      if (ops.size() != 1 || !ParseReg(ops[0])) {
-        return Err(st, m + " needs reg");
-      }
-      emit_rr(it->second, reg(0), 0);
-      return vbase::Status::Ok();
-    }
-
-    if (m == "cset") {
-      if (ops.size() != 2 || !ParseReg(ops[0])) {
-        return Err(st, "cset needs reg, cond");
-      }
-      auto cc = ParseCond(ops[1]);
-      if (!cc) {
-        return Err(st, "bad condition: " + ops[1]);
-      }
-      emit_rr(Op::kCset, reg(0), static_cast<int>(*cc));
-      return vbase::Status::Ok();
-    }
-    if (m == "wrcr") {
-      auto cr = expr(0);
-      if (!cr.ok() || ops.size() != 2 || !ParseReg(ops[1])) {
-        return Err(st, "wrcr needs crN, reg");
-      }
-      emit_rr(Op::kWrcr, static_cast<int>(*cr), reg(1));
-      return vbase::Status::Ok();
-    }
-    if (m == "rdcr") {
-      if (ops.size() != 2 || !ParseReg(ops[0])) {
-        return Err(st, "rdcr needs reg, crN");
-      }
-      auto cr = expr(1);
-      if (!cr.ok()) {
-        return cr.status();
-      }
-      emit_rr(Op::kRdcr, reg(0), static_cast<int>(*cr));
-      return vbase::Status::Ok();
-    }
-
-    auto emit_rel = [&](Op op, std::optional<Cond> cc, std::optional<Mode> mode,
-                        const std::string& target) -> vbase::Status {
-      auto v = EvalExpr(st, target, true);
-      if (!v.ok()) {
-        return v.status();
-      }
-      const int size = InsnSize(op);
-      const int64_t rel = *v - static_cast<int64_t>(CurAddr() + static_cast<uint64_t>(size));
-      Emit8(static_cast<uint8_t>(op));
-      if (cc) {
-        Emit8(static_cast<uint8_t>(*cc));
-      }
-      if (mode) {
-        Emit8(static_cast<uint8_t>(*mode));
-      }
-      Emit32(static_cast<uint32_t>(static_cast<int32_t>(rel)));
-      return vbase::Status::Ok();
-    };
-
-    if (m == "jmp") {
-      if (auto r = ParseReg(ops[0])) {
-        emit_rr(Op::kJmpR, *r, 0);
-        return vbase::Status::Ok();
-      }
-      return emit_rel(Op::kJmp, std::nullopt, std::nullopt, ops[0]);
-    }
-    if (m == "call") {
-      if (auto r = ParseReg(ops[0])) {
-        emit_rr(Op::kCallR, *r, 0);
-        return vbase::Status::Ok();
-      }
-      return emit_rel(Op::kCall, std::nullopt, std::nullopt, ops[0]);
-    }
-    static const std::unordered_map<std::string, Cond> kJcc = {
-        {"je", Cond::kEq}, {"jne", Cond::kNe}, {"jl", Cond::kLt}, {"jle", Cond::kLe},
-        {"jg", Cond::kGt}, {"jge", Cond::kGe}, {"jb", Cond::kB},  {"jbe", Cond::kBe},
-        {"ja", Cond::kA},  {"jae", Cond::kAe},
-    };
-    if (auto it = kJcc.find(m); it != kJcc.end()) {
-      return emit_rel(Op::kJcc, it->second, std::nullopt, ops[0]);
-    }
-    if (m == "ljmp") {
-      if (ops.size() != 2) {
-        return Err(st, "ljmp needs mode, target");
-      }
-      auto mode = ParseMode(ops[0]);
-      if (!mode) {
-        return Err(st, "bad mode: " + ops[0]);
-      }
-      return emit_rel(Op::kLjmp, std::nullopt, *mode, ops[1]);
-    }
-    if (m == "in" || m == "out") {
-      if (ops.size() != 2) {
-        return Err(st, m + " needs two operands");
-      }
-      const bool is_in = m == "in";
-      const std::string& reg_tok = is_in ? ops[0] : ops[1];
-      const std::string& port_tok = is_in ? ops[1] : ops[0];
-      auto r = ParseReg(reg_tok);
-      if (!r) {
-        return Err(st, m + " register operand invalid");
-      }
-      auto port = EvalExpr(st, port_tok, true);
-      if (!port.ok()) {
-        return port.status();
-      }
-      Emit8(static_cast<uint8_t>(is_in ? Op::kIn : Op::kOut));
-      Emit16(static_cast<uint16_t>(*port));
-      Emit8(static_cast<uint8_t>(*r));
-      return vbase::Status::Ok();
-    }
-    return Err(st, "unknown mnemonic: " + m);
+    *out = *r;
+    return vbase::Status::Ok();
   }
 
+  // Operand i as an expression whose value fits [lo, hi]: a field is never
+  // silently truncated.
+  vbase::Status FieldOperand(const Statement& st, size_t i, int64_t lo, int64_t hi,
+                             const char* what, int64_t* out) {
+    auto v = EvalExpr(st, st.operands[i], true);
+    if (!v.ok()) {
+      return v.status();
+    }
+    if (*v < lo || *v > hi) {
+      return Err(st, std::string(what) + " out of range: " + std::to_string(*v));
+    }
+    *out = *v;
+    return vbase::Status::Ok();
+  }
 
+  // Operand i as a branch target, stored as rel32 from `next`.
+  vbase::Status RelOperand(const Statement& st, size_t i, uint64_t next, int64_t* out) {
+    auto v = EvalExpr(st, st.operands[i], true);
+    if (!v.ok()) {
+      return v.status();
+    }
+    const auto rel = static_cast<int64_t>(static_cast<uint64_t>(*v) - next);
+    if (!FitsI32(rel)) {
+      return Err(st, "branch target out of 32-bit range: " + st.operands[i]);
+    }
+    *out = rel;
+    return vbase::Status::Ok();
+  }
+
+  // Encodes an instruction by its row's Form (layouts in isa.h).
+  vbase::Status EmitInsn(const Statement& st) {
+    const Form form = kOps[static_cast<size_t>(st.op)].form;
+    const uint64_t next = CurAddr() + static_cast<uint64_t>(FormSize(form));
+    int a = 0;
+    int b = 0;
+    int64_t v = 0;
+    Emit8(static_cast<uint8_t>(st.op));
+    switch (form) {
+      case Form::kNone:
+        break;
+      case Form::kR:
+        VB_RETURN_IF_ERROR(RegOperand(st, 0, &a));
+        Emit8(static_cast<uint8_t>(a << 4));
+        break;
+      case Form::kRR:
+        VB_RETURN_IF_ERROR(RegOperand(st, 0, &a));
+        VB_RETURN_IF_ERROR(RegOperand(st, 1, &b));
+        Emit8(static_cast<uint8_t>(a << 4 | b));
+        break;
+      case Form::kRI32:
+        VB_RETURN_IF_ERROR(RegOperand(st, 0, &a));
+        VB_RETURN_IF_ERROR(FieldOperand(st, 1, INT32_MIN, INT32_MAX,
+                                        "32-bit immediate (load wider ones with mov)", &v));
+        Emit8(static_cast<uint8_t>(a << 4));
+        Emit32(static_cast<uint32_t>(v));
+        break;
+      case Form::kRI64:
+        VB_RETURN_IF_ERROR(RegOperand(st, 0, &a));
+        VB_RETURN_IF_ERROR(FieldOperand(st, 1, INT64_MIN, INT64_MAX, "immediate", &v));
+        Emit8(static_cast<uint8_t>(a));
+        Emit64(static_cast<uint64_t>(v));
+        break;
+      case Form::kLoad:
+      case Form::kStore: {
+        const bool load = form == Form::kLoad;
+        VB_RETURN_IF_ERROR(RegOperand(st, load ? 0 : 1, &a));
+        auto mem = ParseMem(st, st.operands[load ? 1 : 0]);
+        if (!mem.ok()) {
+          return mem.status();
+        }
+        // A load's a is its destination and b its base; a store's a is its
+        // base and b its source.
+        Emit8(static_cast<uint8_t>(load ? a << 4 | mem->base : mem->base << 4 | a));
+        Emit8(mem->x);
+        Emit32(static_cast<uint32_t>(mem->disp));
+        break;
+      }
+      case Form::kRel:
+        VB_RETURN_IF_ERROR(RelOperand(st, 0, next, &v));
+        Emit32(static_cast<uint32_t>(v));
+        break;
+      case Form::kJcc:
+        VB_RETURN_IF_ERROR(RelOperand(st, 0, next, &v));
+        Emit8(static_cast<uint8_t>(st.cc));
+        Emit32(static_cast<uint32_t>(v));
+        break;
+      case Form::kLjmp: {
+        const auto mode = ParseMode(st.operands[0]);
+        if (!mode) {
+          return Err(st, "bad mode: " + st.operands[0]);
+        }
+        VB_RETURN_IF_ERROR(RelOperand(st, 1, next, &v));
+        Emit8(static_cast<uint8_t>(*mode));
+        Emit32(static_cast<uint32_t>(v));
+        break;
+      }
+      case Form::kCset: {
+        VB_RETURN_IF_ERROR(RegOperand(st, 0, &a));
+        const auto cc = ParseCond(st.operands[1]);
+        if (!cc) {
+          return Err(st, "bad condition: " + st.operands[1]);
+        }
+        Emit8(static_cast<uint8_t>(a << 4 | static_cast<int>(*cc)));
+        break;
+      }
+      case Form::kWrcr:
+        VB_RETURN_IF_ERROR(FieldOperand(st, 0, 0, 15, "control register", &v));
+        VB_RETURN_IF_ERROR(RegOperand(st, 1, &b));
+        Emit8(static_cast<uint8_t>(v << 4 | b));
+        break;
+      case Form::kRdcr:
+        VB_RETURN_IF_ERROR(RegOperand(st, 0, &a));
+        VB_RETURN_IF_ERROR(FieldOperand(st, 1, 0, 15, "control register", &v));
+        Emit8(static_cast<uint8_t>(a << 4 | v));
+        break;
+      case Form::kIn:
+      case Form::kOut: {
+        const bool in = form == Form::kIn;
+        VB_RETURN_IF_ERROR(RegOperand(st, in ? 0 : 1, &a));
+        VB_RETURN_IF_ERROR(FieldOperand(st, in ? 1 : 0, 0, 0xffff, "port", &v));
+        Emit16(static_cast<uint16_t>(v));
+        Emit8(static_cast<uint8_t>(a));
+        break;
+      }
+    }
+    return vbase::Status::Ok();
+  }
 
   std::vector<Statement> stmts_;
   std::unordered_map<std::string, uint64_t> symbols_;

@@ -25,7 +25,7 @@ std::string Disassemble(const Image& image, uint64_t addr, int count) {
     }
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%08llx:  ", static_cast<unsigned long long>(addr));
-    os << buf << ToString(*insn) << "\n";
+    os << buf << ToString(*insn, addr) << "\n";
     addr += static_cast<uint64_t>(size);
     ++emitted;
   }

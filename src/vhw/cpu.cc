@@ -470,13 +470,19 @@ Exit Cpu::Run(uint64_t max_insns) {
 
   for (uint64_t n = 0; n < max_insns; ++n) {
     const uint64_t pc = st_.rip;
+    // An encoding visa::Decode rejects too: an opcode past the table, a
+    // register byte past r15, a condition past ae or an unknown mode.
+    auto invalid = [&](const char* field, int value) {
+      fault_ = std::string("invalid ") + field + " " + std::to_string(value) + " at rip " +
+               std::to_string(pc);
+      return fault_exit();
+    };
     uint8_t code[10];
     if (!fetch(pc, 1, code)) {
       return fault_exit();
     }
     if (code[0] >= static_cast<uint8_t>(Op::kOpCount)) {
-      fault_ = "invalid opcode " + std::to_string(code[0]) + " at rip " + std::to_string(pc);
-      return fault_exit();
+      return invalid("opcode", code[0]);
     }
     const Op op = static_cast<Op>(code[0]);
     const int size = visa::InsnSize(op);
@@ -537,6 +543,9 @@ Exit Cpu::Run(uint64_t max_insns) {
         st_.regs[ra] = st_.regs[rb] & mask;
         break;
       case Op::kMovRi:
+        if (code[1] >= visa::kNumRegs) {
+          return invalid("register", code[1]);
+        }
         st_.regs[code[1]] = static_cast<uint64_t>(read_i64(2)) & mask;
         break;
 
@@ -736,6 +745,9 @@ Exit Cpu::Run(uint64_t max_insns) {
         SetFlagsLogic(st_.regs[ra] & st_.regs[rb]);
         break;
       case Op::kCset:
+        if (rb >= static_cast<int>(std::size(visa::kConds))) {
+          return invalid("condition", rb);
+        }
         st_.regs[ra] = EvalCond(static_cast<Cond>(rb)) ? 1 : 0;
         break;
 
@@ -750,6 +762,9 @@ Exit Cpu::Run(uint64_t max_insns) {
         cycles_ += cost_.branch_taken;
         break;
       case Op::kJcc:
+        if (code[1] >= std::size(visa::kConds)) {
+          return invalid("condition", code[1]);
+        }
         if (EvalCond(static_cast<Cond>(code[1]))) {
           st_.rip = next + static_cast<uint64_t>(read_i32(2));
           cycles_ += cost_.branch_taken;
@@ -811,6 +826,9 @@ Exit Cpu::Run(uint64_t max_insns) {
       // --- I/O (hypercalls) ------------------------------------------------
       case Op::kIn:
       case Op::kOut: {
+        if (code[3] >= visa::kNumRegs) {
+          return invalid("register", code[3]);
+        }
         uint16_t port;
         std::memcpy(&port, code + 1, 2);
         ++io_exits_;
@@ -855,6 +873,9 @@ Exit Cpu::Run(uint64_t max_insns) {
         break;
       }
       case Op::kLjmp: {
+        if (code[1] >= std::size(visa::kModeNames)) {
+          return invalid("mode", code[1]);
+        }
         const Mode target = static_cast<Mode>(code[1]);
         const uint64_t dest = next + static_cast<uint64_t>(read_i32(2));
         if (!DoLjmp(target)) {

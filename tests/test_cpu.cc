@@ -1,9 +1,12 @@
 // CPU semantics tests: ALU behaviour at every mode width, flags/conditions,
-// memory, stack, control flow, mode-transition legality, paging faults, and
-// cycle accounting invariants.
+// memory, stack, control flow, invalid encodings (checked against
+// visa::Decode on every opcode), mode-transition legality, paging faults,
+// and cycle accounting invariants.
 #include <gtest/gtest.h>
 
+#include "src/base/rng.h"
 #include "src/isa/assembler.h"
+#include "src/isa/isa.h"
 #include "src/vhw/cpu.h"
 #include "src/vhw/mem.h"
 
@@ -355,6 +358,81 @@ TEST(CpuIo, InWritesDestinationRegister) {
   e = cpu.Run();
   ASSERT_EQ(e.kind, vhw::ExitKind::kHlt);
   EXPECT_EQ(cpu.reg(4), 0xbeefu);
+}
+
+// --- Invalid encodings -------------------------------------------------------
+
+// Runs raw instruction bytes at 0x8000 in real mode for at most `max_insns`.
+vhw::Exit RunBytes(vhw::GuestMemory* mem, vhw::Cpu* cpu, const std::vector<uint8_t>& bytes,
+                   uint64_t max_insns = 1000) {
+  EXPECT_TRUE(mem->Write(0x8000, bytes.data(), bytes.size()).ok());
+  cpu->Reset(0x8000);
+  cpu->set_reg(visa::kSp, 0x7000);
+  return cpu->Run(max_insns);
+}
+
+// A register byte past r15 (mov's immediate form, in, out), a condition past
+// ae (jcc's byte, cset's nibble) and an unknown ljmp mode trap instead of
+// indexing past the register file or silently never branching.
+TEST(CpuEncoding, InvalidFieldsFault) {
+  auto op = [](visa::Op o) { return static_cast<uint8_t>(o); };
+  const struct {
+    std::vector<uint8_t> bytes;
+    const char* fault;
+  } cases[] = {
+      {{op(visa::Op::kMovRi), 40, 1, 2, 3, 4, 5, 6, 7, 8}, "invalid register 40 at rip 32768"},
+      {{op(visa::Op::kMovRi), 16, 1, 2, 3, 4, 5, 6, 7, 8}, "invalid register 16 at rip 32768"},
+      {{op(visa::Op::kIn), 2, 0, 200}, "invalid register 200 at rip 32768"},
+      {{op(visa::Op::kOut), 2, 0, 16}, "invalid register 16 at rip 32768"},
+      {{op(visa::Op::kJcc), 10, 0, 0, 0, 0}, "invalid condition 10 at rip 32768"},
+      {{op(visa::Op::kCset), 0x0f}, "invalid condition 15 at rip 32768"},
+      {{op(visa::Op::kLjmp), 3, 0, 0, 0, 0}, "invalid mode 3 at rip 32768"},
+  };
+  vhw::GuestMemory mem(1 << 20);
+  vhw::Cpu cpu(&mem, vhw::CostModel{});
+  for (const auto& c : cases) {
+    const vhw::Exit exit = RunBytes(&mem, &cpu, c.bytes);
+    ASSERT_EQ(exit.kind, vhw::ExitKind::kFault) << c.fault;
+    EXPECT_EQ(exit.fault, c.fault);
+    EXPECT_EQ(cpu.state().mode, visa::Mode::kReal16) << c.fault;
+    EXPECT_EQ(cpu.state().cr0, 0u) << c.fault;
+  }
+  // The widest valid fields run.
+  EXPECT_EQ(RunBytes(&mem, &cpu, {op(visa::Op::kMovRi), 15, 7, 0, 0, 0, 0, 0, 0, 0,
+                                  op(visa::Op::kHlt)})
+                .kind,
+            vhw::ExitKind::kHlt);
+  EXPECT_EQ(cpu.reg(15), 7u);
+  EXPECT_EQ(RunBytes(&mem, &cpu, {op(visa::Op::kCset), 0x39, op(visa::Op::kHlt)}).kind,
+            vhw::ExitKind::kHlt);
+}
+
+// The CPU reads operands inline instead of through visa::Decode, so this
+// pins the two to one layout: for every opcode byte followed by seeded
+// operand bytes (half of them below 16, so valid and invalid registers,
+// conditions and modes both occur), Decode accepts the instruction exactly
+// when the CPU executes it without an encoding fault.
+TEST(CpuDecode, AgreesWithCpuOnEveryOpcode) {
+  vhw::GuestMemory mem(1 << 20);
+  vhw::Cpu cpu(&mem, vhw::CostModel{});
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    vbase::Rng rng(seed);
+    for (int op = 0; op < 256; ++op) {
+      std::vector<uint8_t> bytes(16);
+      bytes[0] = static_cast<uint8_t>(op);
+      for (size_t i = 1; i < bytes.size(); ++i) {
+        bytes[i] = static_cast<uint8_t>(rng.Below(2) == 0 ? rng.Below(16) : rng.Below(256));
+      }
+      const vhw::Exit exit = RunBytes(&mem, &cpu, bytes, 1);
+      const bool encoding_fault =
+          exit.kind == vhw::ExitKind::kFault && exit.fault.rfind("invalid ", 0) == 0;
+      const bool decodes = visa::Decode(bytes.data(), bytes.size(), 0, nullptr).ok();
+      ASSERT_EQ(decodes, !encoding_fault)
+          << "seed " << seed << ", opcode " << op << ", operand bytes " << +bytes[1] << " "
+          << +bytes[2] << " " << +bytes[3] << ": cpu "
+          << (exit.kind == vhw::ExitKind::kFault ? exit.fault : "ran it");
+    }
+  }
 }
 
 // --- Mode transition legality ------------------------------------------------

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/isa/isa.h"
 #include "src/vnet/serverless.h"
 #include "src/vrt/env.h"
 #include "src/vrt/samples.h"
@@ -231,6 +232,24 @@ TEST(FaultClassification, GuestTrapFromBrk) {
   auto outcome = runtime.Invoke(spec);
   EXPECT_FALSE(outcome.status.ok());
   EXPECT_EQ(outcome.fault, wasp::FaultKind::kGuestTrap);
+  EXPECT_EQ(runtime.pool().stats().quarantined, 1u);
+}
+
+// `in r200, HC_CONSOLE`, hand-encoded since the assembler only writes r0-r15:
+// the vCPU traps on the register byte, so the host never writes a result
+// past the register file, and the shell is quarantined like any trap.
+TEST(FaultClassification, InvalidRegisterByteIsGuestTrap) {
+  auto image = LongModeImage("  mov r1, 0\n  mov r2, 0\nin_r200:\n  .byte 54, HC_CONSOLE, 0, 200\n");
+  ASSERT_EQ(image.bytes[image.symbols.at("in_r200") - image.load_addr],
+            static_cast<uint8_t>(visa::Op::kIn));
+  wasp::Runtime runtime;
+  wasp::VirtineSpec spec;
+  spec.image = &image;
+  spec.policy = wasp::kPolicyAllowAll;
+  auto outcome = runtime.Invoke(spec);
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kGuestTrap);
+  EXPECT_NE(outcome.status.ToString().find("invalid register 200"), std::string::npos)
+      << outcome.status.ToString();
   EXPECT_EQ(runtime.pool().stats().quarantined, 1u);
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "src/isa/assembler.h"
 #include "src/isa/disassembler.h"
@@ -133,8 +134,23 @@ TEST(Assembler, ErrorsAreDiagnosed) {
     EXPECT_NE(image.status().ToString().find("asm line 2"), std::string::npos)
         << bad << image.status().ToString();
   }
+  // A missing or extra operand, and a value wider than its field (control
+  // register nibble, 16-bit port, rel32 branch), are rejected the same way.
+  for (const char* bad : {"  je\n", "  wrcr\n", "x: je x, x\n", "  nop r0\n", "  ret x\n",
+                          "  wrcr 16, r1\n", "  rdcr r0, 19\n", "  out 65537, r1\n",
+                          "  in r0, 70000\n", "  out -1, r1\n", "  jmp 0x100008000\n",
+                          "  call r1, r2\n", "  mov r0\n", "  ljmp long64\n"}) {
+    auto image = visa::Assemble(std::string("  nop\n") + bad);
+    ASSERT_FALSE(image.ok()) << bad;
+    EXPECT_NE(image.status().ToString().find("asm line 2"), std::string::npos)
+        << bad << image.status().ToString();
+  }
   EXPECT_TRUE(visa::Assemble("  ldw r0, [r1+r2*8-8]\n  lea r0, [r1+r2]\n  st8 [r1], r0\n"
                              "x:\n  ldw r0, [x+r1*4]\n  stw [x-8], r0\n")
+                  .ok());
+  // The widest values each field holds: rel32 both ways, cr 15, port 0xffff.
+  EXPECT_TRUE(visa::Assemble("  jmp 0x80008004\n  jmp -0x7fff7ff6\n  wrcr 15, r1\n"
+                             "  rdcr r0, 8\n  out 65535, r1\n  in r0, 0\n")
                   .ok());
   EXPECT_TRUE(
       visa::Assemble("  add r0, 2147483647\n  sub r0, -2147483648\n  mov r0, 4294967296\n")
@@ -206,10 +222,125 @@ start:
   EXPECT_EQ(reassembled->bytes, image->bytes) << again;
 }
 
+// Every kOps row (each condition for jcc and cset, each mode for ljmp)
+// disassembles to text that reassembles to the same bytes; a branch lists
+// its absolute target and a conditional jump its own mnemonic.
+TEST(Disassembler, RoundTripsEveryOpcode) {
+  std::string source = "start:\n";
+  for (const visa::OpInfo& row : visa::kOps) {
+    const std::string name = row.name;
+    switch (row.form) {
+      case visa::Form::kNone:
+        source += "  " + name + "\n";
+        break;
+      case visa::Form::kR:
+        source += "  " + name + " r3\n";
+        break;
+      case visa::Form::kRR:
+        source += "  " + name + " r1, r15\n";
+        break;
+      case visa::Form::kRI32:
+        source += "  " + name + " r4, -5\n";
+        break;
+      case visa::Form::kRI64:
+        source += "  " + name + " r5, 0x123456789\n";
+        break;
+      case visa::Form::kLoad:
+        source += "  " + name + " r6, [r7+r8*4-12]\n  " + name + " r6, [64+r2*2]\n";
+        break;
+      case visa::Form::kStore:
+        source += "  " + name + " [r9+20], r10\n  " + name + " [0], r10\n";
+        break;
+      case visa::Form::kRel:
+        source += "  " + name + " start\n  " + name + " end\n";
+        break;
+      case visa::Form::kJcc:
+        for (const visa::CondInfo& c : visa::kConds) {
+          source += "  " + std::string(c.jcc) + " start\n  " + c.jcc + " end\n";
+        }
+        break;
+      case visa::Form::kLjmp:
+        for (const char* mode : visa::kModeNames) {
+          source += "  " + name + " " + mode + ", end\n";
+        }
+        break;
+      case visa::Form::kCset:
+        for (const visa::CondInfo& c : visa::kConds) {
+          source += "  " + name + " r11, " + c.name + "\n";
+        }
+        break;
+      case visa::Form::kWrcr:
+        source += "  " + name + " 4, r12\n";
+        break;
+      case visa::Form::kRdcr:
+        source += "  " + name + " r13, 8\n";
+        break;
+      case visa::Form::kIn:
+        source += "  " + name + " r14, 0x10\n";
+        break;
+      case visa::Form::kOut:
+        source += "  " + name + " 0xffff, r2\n";
+        break;
+    }
+  }
+  source += "end:\n  hlt\n";
+  auto image = visa::Assemble(source);
+  ASSERT_TRUE(image.ok()) << image.status().ToString() << "\n" << source;
+  const std::string listing = visa::Disassemble(*image);
+  std::istringstream lines(listing);
+  std::string again = "start:\n";
+  std::vector<bool> seen(static_cast<size_t>(visa::Op::kOpCount));
+  uint64_t addr = image->load_addr;
+  for (std::string line; std::getline(lines, line);) {
+    again += "  " + line.substr(11) + "\n";
+    int size = 0;
+    auto insn = visa::Decode(image->bytes.data(), image->bytes.size(),
+                             addr - image->load_addr, &size);
+    ASSERT_TRUE(insn.ok()) << line;
+    seen[static_cast<size_t>(insn->op)] = true;
+    addr += static_cast<uint64_t>(size);
+  }
+  EXPECT_EQ(addr, image->load_addr + image->bytes.size()) << listing;
+  for (size_t op = 0; op < seen.size(); ++op) {
+    EXPECT_TRUE(seen[op]) << "no " << visa::kOps[op].name << " (op " << op << ") listed";
+  }
+  auto reassembled = visa::Assemble(again);
+  ASSERT_TRUE(reassembled.ok()) << reassembled.status().ToString() << "\n" << again;
+  EXPECT_EQ(reassembled->bytes, image->bytes) << listing;
+
+  auto branches = visa::Assemble("x:\n  jmp x\n  je x\n  ljmp prot32, x\n  call y\ny:\n");
+  ASSERT_TRUE(branches.ok()) << branches.status().ToString();
+  EXPECT_EQ(visa::Disassemble(*branches),
+            "00008000:  jmp 0x8000\n00008005:  je 0x8000\n0000800b:  ljmp prot32, 0x8000\n"
+            "00008011:  call 0x8016\n");
+}
+
 TEST(Decode, RejectsInvalidOpcode) {
   const uint8_t bytes[] = {0xff};
   int size = 0;
   EXPECT_FALSE(visa::Decode(bytes, 1, 0, &size).ok());
+}
+
+// A register byte past r15, a condition past ae and an unknown mode are
+// invalid encodings, as they are to the CPU.
+TEST(Decode, RejectsInvalidFields) {
+  auto decodes = [](std::vector<uint8_t> bytes) {
+    bytes.resize(16);
+    return visa::Decode(bytes.data(), bytes.size(), 0, nullptr).ok();
+  };
+  auto op = [](visa::Op o) { return static_cast<uint8_t>(o); };
+  EXPECT_TRUE(decodes({op(visa::Op::kMovRi), 15}));
+  EXPECT_FALSE(decodes({op(visa::Op::kMovRi), 16}));
+  EXPECT_FALSE(decodes({op(visa::Op::kMovRi), 40}));
+  EXPECT_TRUE(decodes({op(visa::Op::kIn), 2, 0, 15}));
+  EXPECT_FALSE(decodes({op(visa::Op::kIn), 2, 0, 200}));
+  EXPECT_FALSE(decodes({op(visa::Op::kOut), 2, 0, 16}));
+  EXPECT_TRUE(decodes({op(visa::Op::kJcc), 9}));
+  EXPECT_FALSE(decodes({op(visa::Op::kJcc), 10}));
+  EXPECT_TRUE(decodes({op(visa::Op::kCset), 0x39}));
+  EXPECT_FALSE(decodes({op(visa::Op::kCset), 0x3a}));
+  EXPECT_TRUE(decodes({op(visa::Op::kLjmp), 2}));
+  EXPECT_FALSE(decodes({op(visa::Op::kLjmp), 3}));
 }
 
 TEST(Decode, RejectsTruncatedInstruction) {
