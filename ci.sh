@@ -2,8 +2,8 @@
 # Tier-1 gate: configure + build + ctest in one command.
 #
 #   ./ci.sh             # normal mode (warnings allowed) + the perfbench modeled-metric
-#                       # gate, fig9/12/13/14/16/17/sec64 smokes and the HTTP server
-#                       # and JS UDF examples
+#                       # gate, fig9/12/13/14/16/17/sec64 smokes and the quickstart,
+#                       # HTTP server, JS UDF and AES pipeline examples
 #   STRICT=1 ./ci.sh    # -Werror: any warning fails the build
 #   TSAN=1 ./ci.sh      # ThreadSanitizer build; runs the threaded wasp/net tests
 #   ASAN=1 ./ci.sh      # Address+UBSanitizer build; runs the snapshot/memory tests
@@ -50,8 +50,9 @@ if [[ "${TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${ASAN:-0}" == "1" ]]; then
-  # Address+UBSan gate for the memory-heavy paths: COW extent buffers,
-  # write-privatization bitmaps, snapshot capture/re-capture/restore, pool
+  # Address+UBSan gate for the memory-heavy paths: COW extent buffers and
+  # the epoch bitmaps that track privatized pages, snapshot
+  # capture/re-capture/restore (COW map and delta repair), pool
   # residency accounting — and the compiler: vcc's parser, register
   # allocator and code generator, the vrt runtime library, and the codegen
   # differential oracle — and the HTTP guests driven directly through
@@ -132,6 +133,12 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # invokes it cold and twice warm; fails (non-zero) if any output differs from
 # HostBase64.
 (cd "$BUILD_DIR" && ./example_js_udf)
+# Restore-path examples: quickstart calls fib(10) cold (boot + snapshot), then
+# fib(20) and fib(25) from the snapshot, and the AES pipeline encrypts cold
+# and then from a snapshot restore; each fails (non-zero) if a result differs
+# from the host's (fib, vaes::EncryptCbc).
+(cd "$BUILD_DIR" && ./example_quickstart)
+(cd "$BUILD_DIR" && ./example_aes_pipeline)
 # Table-indexing smoke: the AES guest, whose S-box and round-key lookups are
 # the heaviest array indexing any vcc-compiled guest does, CBC-encrypts five
 # sizes from 16 B to 16 KB in a snapshotted virtine; fails (non-zero) if any
@@ -170,4 +177,4 @@ for t in "$BUILD_DIR"/test_*; do
   cases=$((cases + $(count_gtests "$t")))
 done
 echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, modeled gate," \
-     "7 bench smokes, 2 examples"
+     "7 bench smokes, 4 examples"

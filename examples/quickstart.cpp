@@ -11,6 +11,13 @@
 #include "src/wasp/runtime.h"
 #include "src/wasp/vfunc.h"
 
+namespace {
+
+// The host's answer each virtine call is checked against.
+int64_t HostFib(int64_t n) { return n < 2 ? n : HostFib(n - 1) + HostFib(n - 2); }
+
+}  // namespace
+
 int main() {
   // 1. A C function annotated with the `virtine` keyword (Figure 9).
   const char* source = R"(
@@ -38,11 +45,17 @@ int main() {
   spec.use_snapshot = true;  // language-extension default
   wasp::VirtineFunc<int64_t(int64_t)> fib(&runtime, spec);
 
-  // 3. Call it like a function: every call is its own isolated VM.
+  // 3. Call it like a function: every call is its own isolated VM.  The
+  // first call boots and snapshots; the later ones restore the snapshot.
   for (int n : {10, 20, 25}) {
     auto result = fib.Call(n);
     if (!result.ok()) {
       std::fprintf(stderr, "virtine failed: %s\n", result.status().ToString().c_str());
+      return 1;
+    }
+    if (*result != HostFib(n)) {
+      std::fprintf(stderr, "fib(%d) = %lld, host says %lld\n", n,
+                   static_cast<long long>(*result), static_cast<long long>(HostFib(n)));
       return 1;
     }
     const auto& stats = fib.last_outcome().stats;

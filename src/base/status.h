@@ -109,12 +109,4 @@ class Result {
     }                                     \
   } while (0)
 
-// Assigns the value of a Result to `lhs`, or returns its status on error.
-#define VB_ASSIGN_OR_RETURN(lhs, expr)  \
-  auto vb_result__##__LINE__ = (expr);  \
-  if (!vb_result__##__LINE__.ok()) {    \
-    return vb_result__##__LINE__.status(); \
-  }                                     \
-  lhs = std::move(vb_result__##__LINE__).value()
-
 #endif  // SRC_BASE_STATUS_H_

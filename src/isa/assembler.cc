@@ -100,6 +100,21 @@ std::vector<std::string> SplitOperands(const std::string& s) {
 // Whether `v` fits a sign-extended imm32/disp32 field.
 bool FitsI32(int64_t v) { return v >= INT32_MIN && v <= INT32_MAX; }
 
+// The byte width of a data directive's values; 0 for any other mnemonic.
+int DataUnit(const std::string& m) {
+  return m == ".byte" ? 1 : m == ".word" ? 2 : m == ".dword" ? 4 : m == ".quad" ? 8 : 0;
+}
+
+// Whether a data directive's value fits its `unit` bytes as a signed or an
+// unsigned number (.byte -128..255, .word -32768..65535, ...; .quad any).
+bool FitsUnit(int64_t v, int unit) {
+  if (unit == 8) {
+    return true;
+  }
+  const int64_t span = int64_t{1} << (8 * unit);
+  return v >= -span / 2 && v < span;
+}
+
 std::optional<int> ParseReg(const std::string& tok) {
   std::string t = Lower(tok);
   if (t == "fp") {
@@ -357,6 +372,9 @@ class Assembler {
             } else {
               return Err(st, "bad digit in number");
             }
+            if (v > (UINT64_MAX - static_cast<uint64_t>(d)) / static_cast<uint64_t>(base)) {
+              return Err(st, "number out of 64-bit range");
+            }
             v = v * static_cast<uint64_t>(base) + static_cast<uint64_t>(d);
             ++j;
           }
@@ -383,7 +401,9 @@ class Assembler {
         } else {
           return Err(st, std::string("unexpected character '") + c + "' in expression");
         }
-        acc += sign * term;
+        // Terms add modulo 2^64, as the registers they load do.
+        const uint64_t mag = static_cast<uint64_t>(term);
+        acc = static_cast<int64_t>(static_cast<uint64_t>(acc) + (sign < 0 ? 0 - mag : mag));
         sign = 1;
         expect_term = false;
       } else {
@@ -534,8 +554,7 @@ class Assembler {
     if (m == ":label" || m == ".equ" || m == ".org") {
       return 0;
     }
-    if (m == ".byte" || m == ".word" || m == ".dword" || m == ".quad") {
-      int unit = m == ".byte" ? 1 : m == ".word" ? 2 : m == ".dword" ? 4 : 8;
+    if (const int unit = DataUnit(m); unit != 0) {
       return static_cast<int64_t>(ops.size()) * unit;
     }
     if (m == ".ascii" || m == ".asciz") {
@@ -546,11 +565,7 @@ class Assembler {
       return static_cast<int64_t>(s->size()) + (m == ".asciz" ? 1 : 0);
     }
     if (m == ".space") {
-      auto n = EvalExpr(st, ops.empty() ? "" : ops[0], /*pass2=*/false);
-      if (!n.ok()) {
-        return n.status();
-      }
-      return *n;
+      return SpaceSize(st, /*pass2=*/false);
     }
     if (m == ".align") {
       auto n = EvalExpr(st, ops.empty() ? "" : ops[0], /*pass2=*/false);
@@ -580,6 +595,15 @@ class Assembler {
                          ", not " + std::to_string(ops.size()));
     }
     return InsnSize(st.op);
+  }
+
+  // The byte count of a .space statement, which must not be negative.
+  vbase::Result<int64_t> SpaceSize(const Statement& st, bool pass2) {
+    auto n = EvalExpr(st, st.operands.empty() ? "" : st.operands[0], pass2);
+    if (n.ok() && *n < 0) {
+      return Err(st, ".space size is negative: " + std::to_string(*n));
+    }
+    return n;
   }
 
   vbase::Status Pass1() {
@@ -629,17 +653,11 @@ class Assembler {
   }
 
   void Emit8(uint8_t v) { image_.bytes.push_back(v); }
-  void Emit16(uint16_t v) {
-    Emit8(static_cast<uint8_t>(v));
-    Emit8(static_cast<uint8_t>(v >> 8));
-  }
-  void Emit32(uint32_t v) {
-    Emit16(static_cast<uint16_t>(v));
-    Emit16(static_cast<uint16_t>(v >> 16));
-  }
-  void Emit64(uint64_t v) {
-    Emit32(static_cast<uint32_t>(v));
-    Emit32(static_cast<uint32_t>(v >> 32));
+  // The low `bytes` bytes of `v`, little-endian.
+  void EmitLE(uint64_t v, int bytes) {
+    for (int b = 0; b < bytes; ++b) {
+      Emit8(static_cast<uint8_t>(v >> (8 * b)));
+    }
   }
 
   uint64_t CurAddr() const { return image_.load_addr + image_.bytes.size(); }
@@ -651,21 +669,16 @@ class Assembler {
       if (m == ":label" || m == ".equ" || m == ".org") {
         continue;
       }
-      if (m == ".byte" || m == ".word" || m == ".dword" || m == ".quad") {
+      if (const int unit = DataUnit(m); unit != 0) {
         for (const std::string& o : ops) {
           auto v = EvalExpr(st, o, true);
           if (!v.ok()) {
             return v.status();
           }
-          if (m == ".byte") {
-            Emit8(static_cast<uint8_t>(*v));
-          } else if (m == ".word") {
-            Emit16(static_cast<uint16_t>(*v));
-          } else if (m == ".dword") {
-            Emit32(static_cast<uint32_t>(*v));
-          } else {
-            Emit64(static_cast<uint64_t>(*v));
+          if (!FitsUnit(*v, unit)) {
+            return Err(st, m + " value out of range: " + std::to_string(*v));
           }
+          EmitLE(static_cast<uint64_t>(*v), unit);
         }
         continue;
       }
@@ -683,7 +696,7 @@ class Assembler {
         continue;
       }
       if (m == ".space") {
-        auto n = EvalExpr(st, ops[0], true);
+        auto n = SpaceSize(st, /*pass2=*/true);
         if (!n.ok()) {
           return n.status();
         }
@@ -772,13 +785,13 @@ class Assembler {
         VB_RETURN_IF_ERROR(FieldOperand(st, 1, INT32_MIN, INT32_MAX,
                                         "32-bit immediate (load wider ones with mov)", &v));
         Emit8(static_cast<uint8_t>(a << 4));
-        Emit32(static_cast<uint32_t>(v));
+        EmitLE(static_cast<uint64_t>(v), 4);
         break;
       case Form::kRI64:
         VB_RETURN_IF_ERROR(RegOperand(st, 0, &a));
         VB_RETURN_IF_ERROR(FieldOperand(st, 1, INT64_MIN, INT64_MAX, "immediate", &v));
         Emit8(static_cast<uint8_t>(a));
-        Emit64(static_cast<uint64_t>(v));
+        EmitLE(static_cast<uint64_t>(v), 8);
         break;
       case Form::kLoad:
       case Form::kStore: {
@@ -792,17 +805,17 @@ class Assembler {
         // base and b its source.
         Emit8(static_cast<uint8_t>(load ? a << 4 | mem->base : mem->base << 4 | a));
         Emit8(mem->x);
-        Emit32(static_cast<uint32_t>(mem->disp));
+        EmitLE(static_cast<uint64_t>(mem->disp), 4);
         break;
       }
       case Form::kRel:
         VB_RETURN_IF_ERROR(RelOperand(st, 0, next, &v));
-        Emit32(static_cast<uint32_t>(v));
+        EmitLE(static_cast<uint64_t>(v), 4);
         break;
       case Form::kJcc:
         VB_RETURN_IF_ERROR(RelOperand(st, 0, next, &v));
         Emit8(static_cast<uint8_t>(st.cc));
-        Emit32(static_cast<uint32_t>(v));
+        EmitLE(static_cast<uint64_t>(v), 4);
         break;
       case Form::kLjmp: {
         const auto mode = ParseMode(st.operands[0]);
@@ -811,7 +824,7 @@ class Assembler {
         }
         VB_RETURN_IF_ERROR(RelOperand(st, 1, next, &v));
         Emit8(static_cast<uint8_t>(*mode));
-        Emit32(static_cast<uint32_t>(v));
+        EmitLE(static_cast<uint64_t>(v), 4);
         break;
       }
       case Form::kCset: {
@@ -838,7 +851,7 @@ class Assembler {
         const bool in = form == Form::kIn;
         VB_RETURN_IF_ERROR(RegOperand(st, in ? 0 : 1, &a));
         VB_RETURN_IF_ERROR(FieldOperand(st, in ? 1 : 0, 0, 0xffff, "port", &v));
-        Emit16(static_cast<uint16_t>(v));
+        EmitLE(static_cast<uint64_t>(v), 2);
         Emit8(static_cast<uint8_t>(a));
         break;
       }

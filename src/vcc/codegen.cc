@@ -1766,6 +1766,17 @@ class CodeGen {
     return label;
   }
 
+  // C's conversion of an initializer to its object's type: modulo 2^8 for
+  // the (unsigned) char, a two's-complement wrap to the word for int, so the
+  // value fits the data directive that emits it.
+  int64_t ConvertInit(int64_t v, bool is_char) const {
+    if (is_char) {
+      return v & 0xff;
+    }
+    const int shift = 64 - 8 * w_;
+    return static_cast<int64_t>(static_cast<uint64_t>(v) << shift) >> shift;
+  }
+
   void EmitGlobal(const Global& g, std::string* os) const {
     const bool is_char = !g.type.IsPtr() && g.type.base == Type::Base::kChar;
     if (!is_char) {
@@ -1785,7 +1796,7 @@ class CodeGen {
     if (!g.init_values.empty()) {
       *os += std::string("  ") + (is_char ? ".byte" : WordDirective());
       for (size_t i = 0; i < g.init_values.size(); ++i) {
-        *os += (i == 0 ? " " : ", ") + std::to_string(g.init_values[i]);
+        *os += (i == 0 ? " " : ", ") + std::to_string(ConvertInit(g.init_values[i], is_char));
       }
       *os += "\n";
       const int64_t used = static_cast<int64_t>(g.init_values.size()) * unit;

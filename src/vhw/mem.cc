@@ -88,10 +88,6 @@ uint64_t GuestMemory::ZeroDirtyPages() {
   // ends here (the base's refcount drops; the buffer dies with its last
   // sharer).
   cow_base_ = nullptr;
-  if (cow_private_count_ != 0) {
-    std::fill(cow_private_.begin(), cow_private_.end(), 0);
-    cow_private_count_ = 0;
-  }
   return zeroed;
 }
 
@@ -108,19 +104,6 @@ uint64_t GuestMemory::CountEpochDirtyPages() const {
   return n;
 }
 
-std::vector<uint64_t> GuestMemory::CollectDirtySince() const {
-  std::vector<uint64_t> pages;
-  for (size_t w = 0; w < epoch_.size(); ++w) {
-    uint64_t word = epoch_[w];
-    while (word != 0) {
-      pages.push_back(static_cast<uint64_t>(w) * 64 +
-                      static_cast<uint64_t>(__builtin_ctzll(word)));
-      word &= word - 1;
-    }
-  }
-  return pages;
-}
-
 void GuestMemory::MapCowBase(ExtentBufferRef base) {
   VB_CHECK(base != nullptr, "MapCowBase requires a base");
   VB_CHECK(CountDirtyPages() == 0, "MapCowBase requires clean memory");
@@ -135,40 +118,35 @@ void GuestMemory::MapCowBase(ExtentBufferRef base) {
                              e.page_count << kPageBits);
     VB_CHECK(st.ok(), "COW map write failed: " << st.ToString());
   }
-  // Tracking starts *after* the fill: the materialization writes above must
-  // not count as privatization.
+  // Adopting begins the epoch *after* the fill: the materialization writes
+  // above must not count as privatization.
   AdoptCowBase(std::move(base));
 }
 
 void GuestMemory::AdoptCowBase(ExtentBufferRef base) {
   VB_CHECK(base != nullptr, "AdoptCowBase requires a base");
   cow_base_ = std::move(base);
-  if (cow_private_.empty()) {
-    cow_private_.assign(dirty_.size(), 0);
-  } else if (cow_private_count_ != 0) {
-    std::fill(cow_private_.begin(), cow_private_.end(), 0);
-  }
-  cow_private_count_ = 0;
-  // The fast-path cache's invariant now spans the private bitmap too.
-  last_dirty_page_ = kNoPage;
+  BeginEpoch();
 }
 
-void GuestMemory::RepairPagesToBase(const std::vector<uint64_t>& pages) {
-  VB_CHECK(cow_base_ != nullptr, "RepairPagesToBase requires a mapped base");
-  for (const uint64_t page : pages) {
-    const uint8_t* src = cow_base_->FindPage(page);
-    if (src != nullptr) {
-      std::memcpy(bytes_.data() + (page << kPageBits), src, kPageSize);
-    } else {
-      std::memset(bytes_.data() + (page << kPageBits), 0, kPageSize);
-    }
-    const uint64_t mask = 1ULL << (page & 63);
-    if ((cow_private_[page >> 6] & mask) != 0) {
-      cow_private_[page >> 6] &= ~mask;
-      --cow_private_count_;
+uint64_t GuestMemory::RepairToBase() {
+  VB_CHECK(cow_base_ != nullptr, "RepairToBase requires a mapped base");
+  uint64_t repaired = 0;
+  for (size_t w = 0; w < epoch_.size(); ++w) {
+    for (uint64_t word = epoch_[w]; word != 0; word &= word - 1) {
+      const uint64_t page = static_cast<uint64_t>(w) * 64 +
+                            static_cast<uint64_t>(__builtin_ctzll(word));
+      const uint8_t* src = cow_base_->FindPage(page);
+      if (src != nullptr) {
+        std::memcpy(bytes_.data() + (page << kPageBits), src, kPageSize);
+      } else {
+        std::memset(bytes_.data() + (page << kPageBits), 0, kPageSize);
+      }
+      repaired += kPageSize;
     }
   }
-  last_dirty_page_ = kNoPage;
+  BeginEpoch();
+  return repaired;
 }
 
 }  // namespace vhw

@@ -4,10 +4,12 @@
 // Dirty tracking (4 KB granularity) lets the Wasp pool clean a released
 // virtine shell by zeroing only the pages it touched (the paper's
 // `vm.clean()`), and lets snapshot restores copy only what changed.
-// Epoch tracking is a second, independently resettable dirty bitmap: the
-// snapshot engine begins an epoch right after laying a snapshot into a
-// shell, so the next restore of the *same* snapshot repairs only the pages
-// written since (delta restore) instead of re-copying the whole image.
+// Epoch tracking is a second, independently resettable dirty bitmap.  A
+// copy-on-write shell begins an epoch whenever its memory equals its mapped
+// base (map, adopt, repair), so its epoch-dirty pages are exactly the pages
+// it privatized: what it is charged while parked, and what the next restore
+// of the *same* snapshot repairs (delta restore) instead of re-laying the
+// whole image.
 // EPT first-touch tracking (2 MB granularity) feeds the cost model: the
 // first access to a region models a KVM EPT-violation exit; a pooled shell
 // that is reused keeps its EPT, which is precisely why reuse is cheap.
@@ -113,18 +115,6 @@ class GuestMemory {
       dirty_[p >> 6] |= 1ULL << (p & 63);
       epoch_[p >> 6] |= 1ULL << (p & 63);
     }
-    if (cow_base_ != nullptr) {
-      // COW write-privatization: the first write to a page breaks its share
-      // of the mapped base.  Privatized pages are what a parked shell is
-      // charged for — everything else stays an uncounted view of the base.
-      for (uint64_t p = first; p <= last; ++p) {
-        const uint64_t mask = 1ULL << (p & 63);
-        if ((cow_private_[p >> 6] & mask) == 0) {
-          cow_private_[p >> 6] |= mask;
-          ++cow_private_count_;
-        }
-      }
-    }
   }
   bool PageDirty(uint64_t page) const { return (dirty_[page >> 6] >> (page & 63)) & 1; }
   uint64_t NumPages() const { return bytes_.size() >> kPageBits; }
@@ -138,15 +128,13 @@ class GuestMemory {
   // --- Snapshot epoch ------------------------------------------------------
   // Starts a new epoch: the epoch bitmap forgets all prior writes.  The
   // caller's contract is that memory at this instant matches some reference
-  // state (a freshly laid-down snapshot); CollectDirtySince then names
+  // state (a freshly laid-down snapshot); the epoch-dirty pages then name
   // exactly the pages that deviate from it.
   void BeginEpoch();
   bool EpochPageDirty(uint64_t page) const {
     return (epoch_[page >> 6] >> (page & 63)) & 1;
   }
   uint64_t CountEpochDirtyPages() const;
-  // Pages written since BeginEpoch, in ascending order.
-  std::vector<uint64_t> CollectDirtySince() const;
 
   // --- EPT first-touch model ----------------------------------------------
   // Returns true when this is the first access to the 2 MB region containing
@@ -163,32 +151,30 @@ class GuestMemory {
 
   // --- Copy-on-write backing ----------------------------------------------
   // A COW-backed memory maps a shared, immutable ExtentBuffer read-only and
-  // privatizes pages on first write (MarkDirty above).  The mapping is a
-  // modeled construct, like every cost in this machine: the flat `bytes_`
-  // cache materializes the buffer's pages eagerly (uncharged simulator-side
+  // privatizes a page on its first write.  The mapping is a modeled
+  // construct, like every cost in this machine: the flat `bytes_` cache
+  // materializes the buffer's pages eagerly (uncharged simulator-side
   // copies), while the *accounting* — what a parked shell costs, what a
-  // restore must repair — follows the private-page bitmap.
+  // restore must repair — follows the privatized pages.  Each of the three
+  // calls below leaves memory equal to the base and begins the epoch, so
+  // the privatized pages are the epoch-dirty pages by construction.
   //
   // Maps `base` into clean (all-zero) memory: materializes every covered
-  // page, marks it dirty, and prefaults its EPT region — byte-identical to a
-  // full snapshot restore — then starts COW tracking with zero private
-  // pages.  The caller charges the modeled cost of the map.
+  // page, marks it dirty, and prefaults its EPT region — byte-identical to
+  // laying the snapshot down by copy — then adopts it.  The caller charges
+  // the modeled cost of the map.
   void MapCowBase(ExtentBufferRef base);
   // Starts COW tracking against `base` when memory already equals the
   // buffer's view byte-for-byte: at capture and at re-capture (memory *is*
-  // what was just captured).  No copies; private pages reset to zero.
+  // what was just captured).  No copies; begins the epoch.
   void AdoptCowBase(ExtentBufferRef base);
-  // Repairs the privatized pages back to the base view (copy covered pages
-  // from the base, zero uncovered ones) so memory equals the base again.
-  // `pages` is the epoch-dirty set — identical to the private set whenever
-  // the epoch began at the last map/adopt/repair point.  Clears private
-  // bits; dirty/epoch handling matches a delta restore (caller re-begins the
-  // epoch).
-  void RepairPagesToBase(const std::vector<uint64_t>& pages);
+  // Repairs the epoch-dirty pages back to the base view (copies covered
+  // pages from the base, zeroes uncovered ones) and begins the epoch, so
+  // memory equals the base again.  Returns the bytes repaired.  The pages
+  // stay dirty: a later clean still re-zeroes them.
+  uint64_t RepairToBase();
   bool HasCowBase() const { return cow_base_ != nullptr; }
   const ExtentBufferRef& cow_base() const { return cow_base_; }
-  uint64_t CowPrivatePages() const { return cow_private_count_; }
-  uint64_t CowPrivateBytes() const { return cow_private_count_ << kPageBits; }
 
  private:
   static constexpr uint64_t kNoPage = ~0ULL;
@@ -197,18 +183,11 @@ class GuestMemory {
   std::vector<uint64_t> dirty_;  // 1 bit per 4 KB page, since creation/clean
   std::vector<uint64_t> epoch_;  // 1 bit per 4 KB page, since BeginEpoch
   std::vector<uint64_t> ept_;    // 1 bit per 2 MB region
-  // COW state: the mapped base (nullptr = plain memory) and the pages
-  // written since it was mapped/adopted (allocated lazily on first map).
-  // Invariant: a private page's bit is also set in dirty_ and epoch_ — the
-  // same MarkDirty sets all three — except across RepairPagesToBase/
-  // BeginEpoch boundaries, where private and epoch reset together.
+  // The mapped COW base (nullptr = plain memory).
   ExtentBufferRef cow_base_;
-  std::vector<uint64_t> cow_private_;  // 1 bit per 4 KB page, since map
-  uint64_t cow_private_count_ = 0;
   // Page dirtied by the most recent StoreRaw; invariant: when != kNoPage its
-  // bit is set in *both* the dirty and epoch bitmaps (and the COW private
-  // bitmap when a base is mapped), so the hot path may skip re-marking it.
-  // Cleared whenever any of those bitmaps is cleared.
+  // bit is set in *both* the dirty and epoch bitmaps, so the hot path may
+  // skip re-marking it.  Cleared whenever either bitmap is cleared.
   uint64_t last_dirty_page_ = kNoPage;
 };
 

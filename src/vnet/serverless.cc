@@ -280,7 +280,7 @@ vbase::Result<MeasuredTrace> Vespid::MeasureMultiTenant(const std::vector<Tenant
   // One real invocation per merged arrival, in arrival order: the mixed
   // snapshot keys contend for pool shells and affine generations exactly as
   // the production mix would, so each request's measured modeled service
-  // carries real cross-tenant restore effects (affine hit vs full copy).
+  // carries real cross-tenant restore effects (affine repair vs COW map).
   vbase::WallTimer timer;
   {
     wasp::ExecutorOptions executor_options;

@@ -239,9 +239,10 @@ bool Pool::TryChargeAffine(GenInfo* gen, uint64_t shared_bytes, uint64_t private
                            std::memory_order_relaxed);
   if (shared_bytes != 0) {
     // Declare the shared size before the parked-shell transition below so a
-    // 0->1 charge always reads a declared value.  Every park of one
-    // generation passes the same shared size (a property of the snapshot),
-    // which is what lets the 1->0 release below pair with it exactly.
+    // 0->1 charge always reads a declared value.  Every COW-backed park of
+    // one generation maps the same extent buffer (a property of the
+    // snapshot), which is what lets the 1->0 release below pair with it
+    // exactly.
     uint64_t expected = 0;
     gen->shared_bytes.compare_exchange_strong(expected, shared_bytes,
                                               std::memory_order_relaxed,
@@ -431,7 +432,7 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config,
   stats_.slow_path_acquires.fetch_add(1, std::memory_order_relaxed);
   // Exact-generation affine sweep first: a bounded fast-path probe can
   // false-miss a shell buried under other generations' nodes, and serving
-  // the resident snapshot beats serving a clean shell plus a full restore.
+  // the resident snapshot beats serving a clean shell plus a COW map.
   if (generation != 0 && affine_count_.load(std::memory_order_relaxed) > 0) {
     if (ShellNode* node = Sweep(/*affine=*/true, config.mem_size, generation)) {
       stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
@@ -518,8 +519,7 @@ void Pool::Release(std::unique_ptr<vkvm::Vm> vm) {
   }
 }
 
-void Pool::ReleaseAffine(std::unique_ptr<vkvm::Vm> vm, uint64_t generation,
-                         uint64_t shared_bytes) {
+void Pool::ReleaseAffine(std::unique_ptr<vkvm::Vm> vm, uint64_t generation) {
   VB_CHECK(generation != 0, "ReleaseAffine requires a snapshot generation");
   stats_.releases.fetch_add(1, std::memory_order_relaxed);
   if (options_.mode == CleanMode::kNone) {
@@ -531,13 +531,15 @@ void Pool::ReleaseAffine(std::unique_ptr<vkvm::Vm> vm, uint64_t generation,
   // restore's work) and park.  Accounting restarts for the next tenant; the
   // vCPU is reset by RestoreArch on the next restore.
   vm->ResetAccounting();
-  const uint64_t delta_pages = vm->memory().CountEpochDirtyPages();
-  // Residency charge: a COW-backed shell pays for its privatized pages only
-  // (the shared buffer is charged per generation, not per shell); a shell
-  // without a base holds a full private copy and pays its whole memory.
-  const uint64_t private_bytes = vm->memory().HasCowBase()
-                                     ? vm->memory().CowPrivateBytes()
-                                     : vm->config().mem_size;
+  const vhw::GuestMemory& mem = vm->memory();
+  const uint64_t delta_pages = mem.CountEpochDirtyPages();
+  // Residency charge: a COW-backed shell pays for its privatized pages only,
+  // which are its epoch-dirty pages, and its base is the generation's shared
+  // charge (once per generation, not per shell); a shell without a base
+  // holds a full private copy and pays its whole memory.
+  const uint64_t shared_bytes = mem.HasCowBase() ? mem.cow_base()->byte_size() : 0;
+  const uint64_t private_bytes =
+      mem.HasCowBase() ? delta_pages << vhw::kPageBits : vm->config().mem_size;
   GenInfo* gen = FindOrCreateGen(generation);
   if (!TryChargeAffine(gen, shared_bytes, private_bytes)) {
     // The generation was retired while this invocation was in flight:

@@ -24,11 +24,12 @@
 //
 // Governance: parked affine shells are memory a long-lived service pays for.
 // Under COW backing, what a shell pays for is *private* bytes — the pages it
-// privatized on write — while the shared extent buffer is charged **once per
-// live generation**, no matter how many shells map it: resident cost is
-// O(image + Σ working sets), not O(shells × image).  A shell parked without
-// a COW base (legacy full-copy parking) is charged its whole guest memory,
-// preserving the old accounting.  Two policies bound residency.  (1) A
+// privatized on write, which are its epoch-dirty pages — while the shared
+// extent buffer (its COW base) is charged **once per live generation**, no
+// matter how many shells map it: resident cost is O(image + Σ working sets),
+// not O(shells × image).  The runtime parks only COW-backed shells; a shell
+// a direct caller parks without a COW base (a full copy) is charged its
+// whole guest memory.  Two policies bound residency.  (1) A
 // configurable resident-byte budget (PoolOptions::affine_budget_bytes): when
 // a park pushes the gauge over budget, shells of the least-recently-used
 // *generation* are evicted into the cleaning path (the async cleaner crew
@@ -210,14 +211,13 @@ class Pool {
   // delta is recorded in stats (delta_pages).  Never hand a shell here whose
   // memory deviates from the snapshot outside its epoch bitmap.
   //
-  // Residency accounting: a COW-backed shell is charged its privatized bytes
-  // only; `shared_bytes` (the generation's extent-buffer size) is charged
-  // once when the generation's first shell parks and released when its last
-  // shell leaves.  Every park of one generation must pass the same
-  // shared_bytes (it is a property of the snapshot); a shell without a COW
-  // base is charged its full guest memory and should pass shared_bytes == 0.
-  void ReleaseAffine(std::unique_ptr<vkvm::Vm> vm, uint64_t generation,
-                     uint64_t shared_bytes = 0);
+  // Residency accounting: a COW-backed shell is charged its epoch-dirty
+  // (privatized) bytes only; its base's size is the generation's shared
+  // charge, taken once when the generation's first shell parks and released
+  // when its last shell leaves.  Every COW-backed shell parked under one
+  // generation must map that generation's extent buffer.  A shell without a
+  // COW base is charged its full guest memory and no shared bytes.
+  void ReleaseAffine(std::unique_ptr<vkvm::Vm> vm, uint64_t generation);
 
   // Returns a shell whose invocation *faulted* (guest trap, denied or
   // illegal hypercall, poisoned restore, runaway, worker death).  The shell

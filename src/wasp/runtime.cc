@@ -129,7 +129,7 @@ RecaptureOutcome Runtime::RecaptureSnapshot(const std::string& key) {
   if (drift_pages == 0) {
     // Nothing written since the last restore: the parent still describes
     // the service exactly.  Re-park untouched.
-    pool_.ReleaseAffine(std::move(vm), parent->generation, parent->byte_size());
+    pool_.ReleaseAffine(std::move(vm), parent->generation);
     out.status = RecaptureOutcome::Status::kNoDrift;
     out.new_generation = parent->generation;
     return out;
@@ -142,11 +142,10 @@ RecaptureOutcome Runtime::RecaptureSnapshot(const std::string& key) {
   snapshots_.Put(key, next);
   pool_.RetireGeneration(parent->generation);
   // The stolen shell's memory *is* the new snapshot's view: re-base its COW
-  // tracking on the new buffer (no copies) and park it warm under the new
-  // generation, ready for an affine hit.
+  // tracking on the new buffer (no copies, a fresh epoch) and park it warm
+  // under the new generation, ready for an affine hit.
   vm->memory().AdoptCowBase(next->extent);
-  vm->memory().BeginEpoch();
-  pool_.ReleaseAffine(std::move(vm), next->generation, next->byte_size());
+  pool_.ReleaseAffine(std::move(vm), next->generation);
   out.status = RecaptureOutcome::Status::kRecaptured;
   return out;
 }
@@ -159,15 +158,14 @@ vkvm::VmConfig Runtime::MakeVmConfig(uint64_t mem_size) const {
 
 void Runtime::RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
                               InvokeStats* stats) {
-  // Lay the snapshot into the shell.  An affine shell already holds the
+  // Lay the snapshot into the shell.  An affine shell already maps the
   // snapshot and only repairs the pages the previous tenant dirtied, so
   // warm restore cost follows the working set, not the image.  A clean
-  // shell under snapshot affinity *maps* the shared COW extent buffer —
-  // charged per extent, not per byte — and privatizes pages on write.
-  // With affinity off, it replays every extent by copy: the "simple
-  // snapshotting strategy" whose cost is bounded by memcpy bandwidth
-  // (Figure 12), kept as the A/B baseline.  `snap` is immutable and
-  // reference-held by the caller, so every path runs without any
+  // shell *maps* the shared COW extent buffer — charged per extent, not per
+  // byte — and privatizes pages on write.  Either way memory then equals
+  // the snapshot exactly and a fresh epoch has begun, whose dirty set is
+  // the next delta restore's work list.  `snap` is immutable and
+  // reference-held by the caller, so both paths run without any
   // SnapshotStore lock: concurrent restores of the same key proceed in
   // parallel.
   uint64_t copied = 0;
@@ -175,36 +173,15 @@ void Runtime::RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
     copied = RestoreDeltaInto(snap, &vm.memory());
     vm.AddHostCycles(static_cast<uint64_t>(
         static_cast<double>(copied) / vm.config().host_costs.memcpy_bytes_per_cycle));
-  } else if (options_.snapshot_affinity) {
+  } else {
     MapCowInto(snap, &vm.memory());
     vm.AddHostCycles(snap.extent->extents.size() * vm.config().host_costs.cow_map_extent);
     stats->mapped_cow = true;
-  } else {
-    copied = RestoreFullInto(snap, &vm.memory());
-    vm.AddHostCycles(static_cast<uint64_t>(
-        static_cast<double>(copied) / vm.config().host_costs.memcpy_bytes_per_cycle));
   }
   vm.cpu().RestoreArch(snap.cpu);
-  // Memory now equals the snapshot exactly: start the epoch whose dirty set
-  // is the next delta restore's work list.
-  vm.memory().BeginEpoch();
   stats->restored_snapshot = true;
   stats->affine_restore = affine;
   stats->restored_bytes = copied;
-}
-
-SnapshotRef Runtime::TakeSnapshot(vkvm::Vm& vm, PendingCall pending) {
-  SnapshotRef snap = CaptureSnapshot(vm.memory(), vm.cpu().state(), pending);
-  // Taking the snapshot is itself a copy; charge it (the paper's Figure 11
-  // snapshot bars "include the overhead for taking the initial snapshot").
-  vm.AddHostCycles(static_cast<uint64_t>(
-      static_cast<double>(snap->byte_size()) /
-      vm.config().host_costs.memcpy_bytes_per_cycle));
-  // The shell holds the snapshot verbatim at this instant: begin its epoch
-  // so the rest of this run is tracked as the delta, and release can park
-  // the shell snapshot-affine instead of zeroing it.
-  vm.memory().BeginEpoch();
-  return snap;
 }
 
 vbase::Status Runtime::SnapshotOnce(HypercallFrame& frame, PendingCall pending) {
@@ -214,7 +191,13 @@ vbase::Status Runtime::SnapshotOnce(HypercallFrame& frame, PendingCall pending) 
   frame.snapshot_taken = true;
   if (frame.spec.use_snapshot && !frame.spec.key.empty() &&
       snapshots_.Find(frame.spec.key) == nullptr) {
-    SnapshotRef snap = TakeSnapshot(frame.vm, pending);
+    vkvm::Vm& vm = frame.vm;
+    SnapshotRef snap = CaptureSnapshot(vm.memory(), vm.cpu().state(), pending);
+    // Taking the snapshot is itself a copy; charge it (the paper's Figure 11
+    // snapshot bars "include the overhead for taking the initial snapshot").
+    vm.AddHostCycles(static_cast<uint64_t>(
+        static_cast<double>(snap->byte_size()) /
+        vm.config().host_costs.memcpy_bytes_per_cycle));
     // Concurrent cold runs race this publish; only the winner's shell parks
     // snapshot-affine.  A loser's shell holds its *own* capture, not the
     // winner's, so it must go back through the cleaning path — and under a
@@ -223,15 +206,12 @@ vbase::Status Runtime::SnapshotOnce(HypercallFrame& frame, PendingCall pending) 
     SnapshotRef winner = snapshots_.PutIfAbsent(frame.spec.key, snap);
     if (winner == snap) {
       frame.resident_generation = snap->generation;
-      frame.resident_shared_bytes = snap->byte_size();
       frame.outcome.stats.took_snapshot = true;
-      if (options_.snapshot_affinity) {
-        // The shell's memory *is* the captured view: adopt the published
-        // extent buffer as its COW base (no copies) so the rest of this run
-        // privatizes on write and the park charges the working set, not
-        // the image.
-        frame.vm.memory().AdoptCowBase(snap->extent);
-      }
+      // The shell's memory *is* the captured view: adopt the published
+      // extent buffer as its COW base (no copies) and begin its epoch, so
+      // the rest of this run is tracked as the delta, privatizes on write,
+      // and the park charges the working set, not the image.
+      vm.memory().AdoptCowBase(snap->extent);
     }
   }
   return vbase::Status::Ok();
@@ -438,7 +418,7 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
   bool from_pool = false;
   bool affine = false;
   std::unique_ptr<vkvm::Vm> vm;
-  if (snap != nullptr && options_.snapshot_affinity && !spec.fresh_shell) {
+  if (snap != nullptr && !spec.fresh_shell) {
     vm = pool_.AcquireAffine(MakeVmConfig(spec.mem_size), snap->generation, &affine,
                              &from_pool);
   } else {
@@ -631,19 +611,14 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
     outcome.stats.total_ns = total_timer.ElapsedNanos();
     return outcome;
   }
-  uint64_t park_generation = 0;
-  uint64_t park_shared_bytes = 0;
-  if (options_.snapshot_affinity && outcome.status.ok()) {
-    if (outcome.stats.restored_snapshot && snap != nullptr) {
-      park_generation = snap->generation;
-      park_shared_bytes = snap->byte_size();
-    } else if (frame.resident_generation != 0) {
-      park_generation = frame.resident_generation;
-      park_shared_bytes = frame.resident_shared_bytes;
-    }
+  // The park's generation is the snapshot the shell maps as its COW base:
+  // the one this run captured and published, else the one it restored.
+  uint64_t park_generation = frame.resident_generation;
+  if (park_generation == 0 && outcome.stats.restored_snapshot) {
+    park_generation = snap->generation;
   }
-  if (park_generation != 0) {
-    pool_.ReleaseAffine(std::move(vm), park_generation, park_shared_bytes);
+  if (outcome.status.ok() && park_generation != 0) {
+    pool_.ReleaseAffine(std::move(vm), park_generation);
   } else {
     pool_.Release(std::move(vm));
   }

@@ -14,10 +14,11 @@
 //
 // The per-invocation flow matches Figure 6/7 of the paper: acquire a shell
 // (pool hit or fresh create), either load the image and boot it or restore a
-// snapshot, marshal arguments into the argument page, complete the input
-// call a restored snapshot was captured inside of, run until exit while
-// interposing on every hypercall, harvest results, release the shell for
-// cleaning and reuse.
+// snapshot (COW-map it onto a clean shell, or repair a snapshot-affine shell
+// that already maps it), marshal arguments into the argument page, complete
+// the input call a restored snapshot was captured inside of, run until exit
+// while interposing on every hypercall, harvest results, release the shell
+// for cleaning and reuse.
 #ifndef SRC_WASP_RUNTIME_H_
 #define SRC_WASP_RUNTIME_H_
 
@@ -53,17 +54,17 @@ struct InvokeStats {
   uint64_t insns = 0;          // guest instructions retired
   bool from_pool = false;      // shell came from the pool
   bool restored_snapshot = false;
-  // The restore ran on a snapshot-affine shell and repaired only the pages
-  // the previous tenant dirtied (delta restore) instead of the whole image.
+  // A restore takes exactly one of two paths.  affine_restore: it ran on a
+  // snapshot-affine shell and repaired only the pages the previous tenant
+  // dirtied (delta restore) instead of the whole image.
   bool affine_restore = false;
-  // The restore mapped the snapshot's shared COW extent buffer instead of
-  // copying it: the shell reads the image through the shared buffer and
-  // privatizes pages on write, so it is charged O(extents) to restore and
-  // O(working set) to stay parked.
+  // mapped_cow: it mapped the snapshot's shared COW extent buffer onto a
+  // clean shell instead of copying it: the shell reads the image through the
+  // shared buffer and privatizes pages on write, so it is charged
+  // O(extents) to restore and O(working set) to stay parked.
   bool mapped_cow = false;
-  // Bytes the restore actually copied/zeroed: the full snapshot for a cold
-  // shell without affinity, just the dirty delta for an affine one, zero for
-  // a COW map.
+  // Bytes the restore copied or zeroed: the dirty delta for an affine
+  // restore, zero for a COW map.
   uint64_t restored_bytes = 0;
   bool took_snapshot = false;
   uint64_t acquire_ns = 0;     // wall: shell acquisition
@@ -113,11 +114,10 @@ struct HypercallFrame {
   bool snapshot_taken = false;
   bool data_fetched = false;
   // Generation of the snapshot this invocation left resident in the shell
-  // (set when this run's snapshot hypercall captured and published one); the
-  // release path parks the shell snapshot-affine under it, charging
-  // `resident_shared_bytes` (the extent buffer) once per generation.
+  // (set when this run's snapshot hypercall captured and published one, and
+  // the shell adopted its extent buffer as its COW base); the release path
+  // parks the shell snapshot-affine under it.
   uint64_t resident_generation = 0;
-  uint64_t resident_shared_bytes = 0;
   // Structured fault classification set by handlers (e.g. an oversized
   // reply); folded into the outcome when the dispatch fails.
   FaultKind fault = FaultKind::kNone;
@@ -172,21 +172,16 @@ struct VirtineSpec {
   // Watchdog: maximum guest instructions per invocation.
   uint64_t max_insns = 2'000'000'000;
   // Force a fresh, non-affine shell for this invocation: never reuse a
-  // parked snapshot-affine sibling.  Set by the executor's retry path — the
-  // faulted attempt's shell is quarantined, and an affine sibling could
-  // share whatever state killed it — and usable by callers that want a
-  // known-cold invocation.
+  // parked snapshot-affine sibling, COW-map the snapshot onto a clean shell
+  // instead.  Set by the executor's retry path — the faulted attempt's shell
+  // is quarantined, and an affine sibling could share whatever state killed
+  // it — and usable by callers that want a known-cold invocation.
   bool fresh_shell = false;
 };
 
 struct RuntimeOptions {
   CleanMode clean_mode = CleanMode::kSync;
   vkvm::VmConfig vm_defaults;
-  // Snapshot-affine shell reuse: release a snapshot-backed shell unzeroed
-  // and delta-restore it on the next invocation of the same snapshot.  Off,
-  // every warm restore pays the full image copy (the paper's simple
-  // snapshotting strategy) — kept as a knob for A/B benchmarking.
-  bool snapshot_affinity = true;
   // Resident-byte budget for the pool's parked snapshot-affine shells
   // (generation-LRU eviction when exceeded); 0 = unlimited.
   uint64_t affine_budget_bytes = 0;
@@ -256,19 +251,15 @@ class Runtime {
   vkvm::VmConfig MakeVmConfig(uint64_t mem_size) const;
 
  private:
-  // Lays `snap` into the shell and begins its delta epoch.  Three paths:
-  // `affine` repairs only the epoch-dirty pages of a shell that already
-  // holds the snapshot (charged per byte repaired); otherwise, with
-  // snapshot_affinity on, the shell *maps* the shared COW extent buffer
-  // (charged per extent mapped); with affinity off it replays every extent
-  // by copy (charged per byte, the paper's baseline).
+  // Lays `snap` into the shell and begins its delta epoch.  Two paths:
+  // `affine` repairs only the epoch-dirty pages of a shell that already maps
+  // the snapshot (charged per byte repaired); otherwise the clean shell
+  // *maps* the shared COW extent buffer (charged per extent mapped).
   void RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
                        InvokeStats* stats);
-  // Captures a snapshot of the VM's current state (dirty pages + CPU +
-  // `pending`) and begins the shell's delta epoch at the capture point.
-  SnapshotRef TakeSnapshot(vkvm::Vm& vm, PendingCall pending);
   // The snapshot half of snapshot/snapshot_get_data: once per invocation;
-  // captures and publishes when the spec snapshots and its key has none.
+  // when the spec snapshots and its key has none, captures the VM's state
+  // (dirty pages + CPU + `pending`), charges the copy and publishes it.
   vbase::Status SnapshotOnce(HypercallFrame& frame, PendingCall pending);
   // Serves one call on `port`, at a guest exit or as a restore's pending
   // call: policy check, handler, result into frame.result_reg.  False when

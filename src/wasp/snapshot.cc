@@ -12,9 +12,6 @@ namespace {
 
 std::atomic<uint64_t> g_generation{1};
 
-// A page of zeros for repairing delta pages the snapshot never captured.
-constexpr uint8_t kZeroPage[vhw::kPageSize] = {};
-
 // Copies `mem`'s pages named by `pages` (ascending) into a fresh extent
 // buffer, coalescing consecutive pages into runs.
 std::shared_ptr<vhw::ExtentBuffer> BuildExtents(const vhw::GuestMemory& mem,
@@ -124,21 +121,11 @@ uint64_t RestoreDeltaInto(const Snapshot& snap, vhw::GuestMemory* mem) {
   // Repair only the pages written since the snapshot was laid down: copy
   // captured pages back, zero pages the snapshot never held (one tenant's
   // writes outside the image must not survive into the next invocation).
-  const std::vector<uint64_t> pages = mem->CollectDirtySince();
-  if (mem->HasCowBase() && mem->cow_base() == snap.extent) {
-    // COW-backed shell parked under this very snapshot: the repair
-    // re-shares the privatized pages, dropping the shell's resident charge
-    // back to zero.
-    mem->RepairPagesToBase(pages);
-    return static_cast<uint64_t>(pages.size()) << vhw::kPageBits;
-  }
-  for (const uint64_t page : pages) {
-    const uint8_t* src = snap.FindPage(page);
-    vbase::Status st = mem->Write(page << vhw::kPageBits, src != nullptr ? src : kZeroPage,
-                                  vhw::kPageSize);
-    VB_CHECK(st.ok(), "snapshot delta restore write failed: " << st.ToString());
-  }
-  return static_cast<uint64_t>(pages.size()) << vhw::kPageBits;
+  // The repair re-shares the privatized pages, dropping the shell's resident
+  // charge back to zero.
+  VB_CHECK(mem->cow_base() == snap.extent,
+           "delta restore needs a shell that maps the snapshot's extent buffer");
+  return mem->RepairToBase();
 }
 
 }  // namespace wasp

@@ -2,23 +2,24 @@
 //
 // A snapshot captures a virtine's architectural CPU state plus the set of
 // guest-physical pages it has dirtied since the VM was fresh (everything it
-// has ever written, including its loaded image).  Restoring into a *clean*
-// shell replays those pages with memcpy — the "simple snapshotting strategy"
-// the paper measures at memcpy bandwidth in Figure 12 — and resumes the vCPU
-// right after the snapshot hypercall, skipping boot and runtime init.
+// has ever written, including its loaded image).  A restore lays those pages
+// into a shell and resumes the vCPU right after the snapshot hypercall,
+// skipping boot and runtime init.  The paper lays them down by memcpy (its
+// "simple snapshotting strategy", Figure 12); RestoreFullInto keeps that
+// copy as the reference.  The runtime takes one of two paths instead:
+//   * COW map (MapCowInto): a clean shell maps the captured pages as its
+//     shared copy-on-write base, charged per extent mapped;
+//   * delta restore (RestoreDeltaInto): a shell that already maps the
+//     snapshot (the pool's snapshot-affine path) repairs only the pages
+//     written since — GuestMemory's epoch bitmap names them — so a warm
+//     restore costs O(working set) rather than O(image).
 //
 // Layout: captured pages are stored as one contiguous byte buffer plus a
 // run-length *extent* table (first page, page count, byte offset).  Dirty
 // pages cluster (the image is one run; the stack another), so a snapshot is
-// typically a handful of extents, and both capture and full restore execute
-// a few large memcpys instead of thousands of page-sized ones — no per-page
-// heap allocation, no pointer chase.
-//
-// Delta restore: a shell that already holds a snapshot resident (the pool's
-// snapshot-affine path) only needs the pages written since the snapshot was
-// laid down repaired — GuestMemory's epoch bitmap names them, and
-// RestoreDeltaInto re-copies captured pages / re-zeroes uncaptured ones, so
-// a warm restore costs O(working set) rather than O(image).
+// typically a handful of extents, and capture, map and copy execute a few
+// large memcpys instead of thousands of page-sized ones — no per-page heap
+// allocation, no pointer chase.
 //
 // Resume into a pending input call: a snapshot taken by snapshot_get_data
 // records the get_data it was captured inside of (`Snapshot::pending`).  The
@@ -125,23 +126,24 @@ bool VerifySnapshot(const Snapshot& snap);
 // Replays every extent into `mem` (which the caller guarantees is clean /
 // all-zero outside the extents).  Marks the written pages dirty and
 // prefaults their EPT regions.  Returns the bytes copied (== byte_size()).
-// This is the non-shared path: the shell owns a private copy of the image,
-// which is exactly the paper's "simple snapshotting strategy" kept for A/B
-// benchmarking.
+// The shell owns a private copy of the image: the paper's "simple
+// snapshotting strategy".  No runtime path restores this way; it is the
+// reference the two restore paths are tested against, and fig12 parks
+// such shells to price full-copy residency.
 uint64_t RestoreFullInto(const Snapshot& snap, vhw::GuestMemory* mem);
 
-// Maps `snap`'s extent buffer into clean `mem` as a shared COW base: the
-// shell reads the image through the shared buffer and privatizes pages only
-// on write.  Byte-identical to RestoreFullInto, but the shell is charged for
-// private pages only.  Returns the shared bytes mapped (byte_size()).
+// Maps `snap`'s extent buffer into clean `mem` as a shared COW base and
+// begins its epoch: the shell reads the image through the shared buffer and
+// privatizes pages only on write.  Byte-identical to RestoreFullInto, but
+// the shell is charged for private pages only.  Returns the shared bytes
+// mapped (byte_size()).
 uint64_t MapCowInto(const Snapshot& snap, vhw::GuestMemory* mem);
 
-// Delta restore for a shell whose memory already equals `snap` except for
-// the pages written since the last BeginEpoch: repairs exactly those pages
-// (copying captured content back, zeroing pages the snapshot never held) and
-// returns the bytes touched.  On a shell whose COW base is `snap`'s extent,
-// the repair also de-privatizes the pages, so the shell's resident charge
-// drops back toward zero.  The caller begins a new epoch afterwards.
+// Delta restore for a shell that maps `snap`'s extent buffer as its COW
+// base (checked) and deviates from it only in its epoch-dirty pages: repairs
+// exactly those pages back to the base (captured content copied back, pages
+// the snapshot never held zeroed), which re-shares them, and begins a new
+// epoch.  Returns the bytes repaired.
 uint64_t RestoreDeltaInto(const Snapshot& snap, vhw::GuestMemory* mem);
 
 // Keyed snapshot cache: one snapshot per virtine image key ("the first

@@ -431,16 +431,13 @@ TEST(EngineBoundary, WarmCallsTakeOneExit) {
 }
 
 // Each restore path resumes into the pending input call and must deliver that
-// call's own payload: affine delta repair, COW map onto a clean shell, and the
-// full copy with snapshot affinity off.
-enum class RestorePath { kAffineDelta, kCowMap, kFullCopy };
+// call's own payload: affine delta repair, and COW map onto a clean shell.
+enum class RestorePath { kAffineDelta, kCowMap };
 
 class EngineRestorePathTest : public ::testing::TestWithParam<RestorePath> {};
 
 TEST_P(EngineRestorePathTest, EveryCallEncodesItsOwnPayload) {
-  wasp::RuntimeOptions options;
-  options.snapshot_affinity = GetParam() != RestorePath::kFullCopy;
-  wasp::Runtime runtime(options);
+  wasp::Runtime runtime;
   const auto payloads = BoundaryPayloads(31);
   // The cold call takes the snapshot with the last payload's bytes in hand.
   ASSERT_TRUE(runtime.Invoke(EngineSpec(&payloads.back())).status.ok());
@@ -457,8 +454,7 @@ TEST_P(EngineRestorePathTest, EveryCallEncodesItsOwnPayload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRestorePaths, EngineRestorePathTest,
-                         ::testing::Values(RestorePath::kAffineDelta, RestorePath::kCowMap,
-                                           RestorePath::kFullCopy));
+                         ::testing::Values(RestorePath::kAffineDelta, RestorePath::kCowMap));
 
 // A re-captured snapshot keeps its parent's pending input call, through
 // every re-capture of a series.

@@ -145,6 +145,28 @@ TEST(Assembler, ErrorsAreDiagnosed) {
     EXPECT_NE(image.status().ToString().find("asm line 2"), std::string::npos)
         << bad << image.status().ToString();
   }
+  // A data value wider than its directive's unit (signed or unsigned), a
+  // number literal past 2^64 - 1 and a negative .space are rejected too.
+  for (const char* bad : {"  .byte 256\n", "  .byte -129\n", "  .word 70000\n",
+                          "  .word -32769\n", "  .dword 0x100000000\n",
+                          "  .dword -2147483649\n", "  add r0, 18446744073709551617\n",
+                          "  mov r0, 0x10000000000000001\n", "  .quad 18446744073709551616\n",
+                          "  .space -5\nx: jmp x\n"}) {
+    auto image = visa::Assemble(std::string("  nop\n") + bad);
+    ASSERT_FALSE(image.ok()) << bad;
+    EXPECT_NE(image.status().ToString().find("asm line 2"), std::string::npos)
+        << bad << image.status().ToString();
+  }
+  // The widest data values each unit holds, both ways, and a literal of
+  // exactly 2^64 - 1.
+  auto data = visa::Assemble(
+      "  .byte 255, -128\n  .word 65535, -32768\n  .dword 0xffffffff, -2147483648\n"
+      "  .quad 0xffffffffffffffff\n");
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(data->bytes, (std::vector<uint8_t>{0xff, 0x80, 0xff, 0xff, 0x00, 0x80, 0xff,
+                                               0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x80,
+                                               0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+                                               0xff}));
   EXPECT_TRUE(visa::Assemble("  ldw r0, [r1+r2*8-8]\n  lea r0, [r1+r2]\n  st8 [r1], r0\n"
                              "x:\n  ldw r0, [x+r1*4]\n  stw [x-8], r0\n")
                   .ok());

@@ -35,9 +35,8 @@ TEST(Epoch, TracksWritesSinceBeginEpoch) {
   // The lifetime dirty bitmap is untouched by BeginEpoch.
   EXPECT_EQ(mem.CountDirtyPages(), 2u);
   ASSERT_TRUE(mem.Write(0x5000, &b, 1).ok());
-  const std::vector<uint64_t> pages = mem.CollectDirtySince();
-  ASSERT_EQ(pages.size(), 1u);
-  EXPECT_EQ(pages[0], 0x5000u >> vhw::kPageBits);
+  EXPECT_EQ(mem.CountEpochDirtyPages(), 1u);
+  EXPECT_TRUE(mem.EpochPageDirty(0x5000u >> vhw::kPageBits));
 }
 
 TEST(Epoch, StoreRawFastPathStillMarksEpoch) {
@@ -124,7 +123,8 @@ TEST(Snapshot, FullRestoreRoundTripsMemory) {
 
 // The heart of the isolation argument: after arbitrary post-snapshot writes,
 // a delta restore must leave memory byte-identical to a full restore into a
-// clean shell.
+// clean shell.  The live memory adopts the snapshot's extent buffer at
+// capture, as the runtime's winning cold capture does.
 TEST(Snapshot, DeltaRestoreMatchesFullRestoreUnderRandomStores) {
   constexpr uint64_t kMemSize = 1 << 20;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
@@ -140,7 +140,7 @@ TEST(Snapshot, DeltaRestoreMatchesFullRestoreUnderRandomStores) {
       ASSERT_TRUE(live.Write(rng.Below(kMemSize - buf.size()), buf.data(), buf.size()).ok());
     }
     wasp::SnapshotRef snap = wasp::CaptureSnapshot(live, vhw::ArchState{});
-    live.BeginEpoch();
+    live.AdoptCowBase(snap->extent);
 
     // Reference: full restore into a clean shell.
     vhw::GuestMemory reference(kMemSize);
@@ -162,8 +162,10 @@ TEST(Snapshot, DeltaRestoreMatchesFullRestoreUnderRandomStores) {
       }
     }
 
+    const uint64_t dirty = live.CountEpochDirtyPages();
     const uint64_t repaired = wasp::RestoreDeltaInto(*snap, &live);
-    EXPECT_EQ(repaired, live.CollectDirtySince().size() * kPageSize);
+    EXPECT_EQ(repaired, dirty * kPageSize);
+    EXPECT_EQ(live.CountEpochDirtyPages(), 0u);
     ASSERT_EQ(std::memcmp(live.data(), reference.data(), kMemSize), 0)
         << "delta restore diverged from full restore (seed " << seed << ")";
   }
@@ -176,11 +178,12 @@ TEST(Snapshot, DeltaRestoreCostFollowsWorkingSetNotImage) {
   std::vector<uint8_t> image(1024 * kPageSize, 0x11);
   ASSERT_TRUE(mem.Write(0, image.data(), image.size()).ok());
   wasp::SnapshotRef snap = wasp::CaptureSnapshot(mem, vhw::ArchState{});
-  mem.BeginEpoch();
+  mem.AdoptCowBase(snap->extent);
   uint8_t b = 0x22;
   ASSERT_TRUE(mem.Write(10 * kPageSize, &b, 1).ok());        // inside the image
   ASSERT_TRUE(mem.Write(2000 * kPageSize, &b, 1).ok());      // outside the image
   mem.StoreRaw<uint32_t>(500 * kPageSize + 16, 0xdeadbeef);  // fast path
+  EXPECT_EQ(mem.CountEpochDirtyPages(), 3u);
   const uint64_t repaired = wasp::RestoreDeltaInto(*snap, &mem);
   EXPECT_EQ(repaired, 3 * kPageSize);
   EXPECT_LT(repaired, snap->byte_size());
@@ -334,33 +337,6 @@ start:
   EXPECT_GE(runtime.pool().stats().affine_hits, 5u);
 }
 
-TEST(AffineRuntime, AffinityDisabledStillRestoresCorrectly) {
-  auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
-  ASSERT_TRUE(image.ok());
-  wasp::RuntimeOptions options;
-  options.snapshot_affinity = false;
-  wasp::Runtime runtime(options);
-  wasp::VirtineSpec spec;
-  spec.image = &image.value();
-  spec.key = "no-affinity";
-  spec.use_snapshot = true;
-  wasp::VirtineFunc<int64_t(int64_t)> fib(&runtime, spec);
-  ASSERT_TRUE(fib.Call(10).ok());
-  for (int i = 0; i < 3; ++i) {
-    auto r = fib.Call(10);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(*r, 55);
-    EXPECT_TRUE(fib.last_outcome().stats.restored_snapshot);
-    EXPECT_FALSE(fib.last_outcome().stats.affine_restore);
-    // Full restores copy the whole snapshot, every time.
-    const wasp::SnapshotRef snap = runtime.snapshots().Find("no-affinity");
-    ASSERT_NE(snap, nullptr);
-    EXPECT_EQ(fib.last_outcome().stats.restored_bytes, snap->byte_size());
-  }
-  EXPECT_EQ(runtime.pool().stats().affine_parks, 0u);
-  EXPECT_EQ(runtime.pool().TotalAffineShells(), 0u);
-}
-
 // --- COW extents --------------------------------------------------------------
 
 // Asserts the pool's gauge conservation invariant on one consistent
@@ -376,9 +352,10 @@ void ExpectConserved(const wasp::Pool& pool) {
 }
 
 // The COW differential: mapping a snapshot's shared extent buffer must be
-// byte-identical to a full copy, writes must privatize exactly the epoch
-// pages, and a delta restore must re-share everything (private count back to
-// zero) while still matching the full-copy reference byte-for-byte.
+// byte-identical to a full copy and begin the epoch, and a delta restore must
+// repair exactly the epoch-dirty (privatized) pages, re-sharing everything
+// (epoch count back to zero), while matching the full-copy reference
+// byte-for-byte.
 TEST(Cow, WritePrivatizationDifferentialFuzz) {
   constexpr uint64_t kMemSize = 1 << 20;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
@@ -399,13 +376,11 @@ TEST(Cow, WritePrivatizationDifferentialFuzz) {
     vhw::GuestMemory cow(kMemSize);
     EXPECT_EQ(wasp::MapCowInto(*snap, &cow), snap->byte_size());
     ASSERT_TRUE(cow.HasCowBase());
-    EXPECT_EQ(cow.CowPrivatePages(), 0u);
+    EXPECT_EQ(cow.CountEpochDirtyPages(), 0u);
     // The map is byte-identical to the copy, with identical dirty marks (a
     // pool clean must re-zero exactly the same pages either way).
     ASSERT_EQ(std::memcmp(cow.data(), full.data(), kMemSize), 0);
     EXPECT_EQ(cow.CountDirtyPages(), full.CountDirtyPages());
-    cow.BeginEpoch();
-    full.BeginEpoch();
 
     // Identical tenant writes on both shells.
     const int tenant_writes = 1 + static_cast<int>(rng.Below(30));
@@ -426,23 +401,17 @@ TEST(Cow, WritePrivatizationDifferentialFuzz) {
       }
     }
     ASSERT_EQ(std::memcmp(cow.data(), full.data(), kMemSize), 0);
-    // The epoch began at the map point, so privatized pages are exactly the
-    // epoch-dirty pages: what the shell is charged while parked.
-    EXPECT_EQ(cow.CowPrivatePages(), cow.CountEpochDirtyPages()) << "seed " << seed;
 
-    // Delta restore takes the repair path on the COW shell (re-sharing its
-    // pages) and the legacy copy path on the full shell; both must converge
-    // on the snapshot's exact view.
-    const uint64_t repaired_cow = wasp::RestoreDeltaInto(*snap, &cow);
-    const uint64_t repaired_full = wasp::RestoreDeltaInto(*snap, &full);
-    EXPECT_EQ(repaired_cow, repaired_full);
-    ASSERT_EQ(std::memcmp(cow.data(), full.data(), kMemSize), 0)
-        << "COW repair diverged from legacy delta restore (seed " << seed << ")";
+    // The delta restore repairs exactly the privatized (epoch-dirty) pages
+    // and must converge on the snapshot's exact view.
+    const uint64_t privatized = cow.CountEpochDirtyPages();
+    EXPECT_EQ(wasp::RestoreDeltaInto(*snap, &cow), privatized * kPageSize) << "seed " << seed;
     vhw::GuestMemory reference(kMemSize);
     wasp::RestoreFullInto(*snap, &reference);
-    ASSERT_EQ(std::memcmp(cow.data(), reference.data(), kMemSize), 0);
+    ASSERT_EQ(std::memcmp(cow.data(), reference.data(), kMemSize), 0)
+        << "COW repair diverged from the full-copy reference (seed " << seed << ")";
     // All private pages were re-shared: the parked charge returns to zero.
-    EXPECT_EQ(cow.CowPrivatePages(), 0u);
+    EXPECT_EQ(cow.CountEpochDirtyPages(), 0u);
     EXPECT_TRUE(cow.HasCowBase());
     EXPECT_EQ(cow.cow_base(), snap->extent);
   }
@@ -457,7 +426,7 @@ TEST(Cow, CleanDropsTheBase) {
   wasp::MapCowInto(*snap, &shell);
   shell.ZeroDirtyPages();
   EXPECT_FALSE(shell.HasCowBase());
-  EXPECT_EQ(shell.CowPrivatePages(), 0u);
+  EXPECT_EQ(shell.CountEpochDirtyPages(), 0u);
   EXPECT_EQ(shell.data()[0x4000], 0u);
 }
 
@@ -784,25 +753,24 @@ TEST(AffinePool, CowParkChargesPrivateOnlySharedOncePerGeneration) {
   auto prep_with_private_pages = [&](int pages) {
     auto vm = pool.Acquire(cfg);
     wasp::MapCowInto(*snap, &vm->memory());
-    vm->memory().BeginEpoch();
     uint8_t b = 0x55;
     for (int p = 0; p < pages; ++p) {
       EXPECT_TRUE(vm->memory().Write((100 + p) * kPageSize, &b, 1).ok());
     }
-    EXPECT_EQ(vm->memory().CowPrivatePages(), static_cast<uint64_t>(pages));
+    EXPECT_EQ(vm->memory().CountEpochDirtyPages(), static_cast<uint64_t>(pages));
     return vm;
   };
   // Prepare both shells before parking either: with nothing clean pooled, a
   // plain Acquire would reclaim (clean) an already-parked affine shell.
   auto shell2 = prep_with_private_pages(2);
   auto shell3 = prep_with_private_pages(3);
-  pool.ReleaseAffine(std::move(shell2), snap->generation, shared);
+  pool.ReleaseAffine(std::move(shell2), snap->generation);
   ExpectConserved(pool);
   wasp::AffineAccounting acct = pool.affine_accounting();
   EXPECT_EQ(acct.resident_bytes, shared + 2 * kPageSize);
   // A second shell of the same generation adds only its private pages: the
   // buffer is already charged.
-  pool.ReleaseAffine(std::move(shell3), snap->generation, shared);
+  pool.ReleaseAffine(std::move(shell3), snap->generation);
   ExpectConserved(pool);
   acct = pool.affine_accounting();
   EXPECT_EQ(acct.resident_bytes, shared + 5 * kPageSize);
@@ -818,7 +786,8 @@ TEST(AffinePool, CowParkChargesPrivateOnlySharedOncePerGeneration) {
   ASSERT_NE(stolen, nullptr);
   ExpectConserved(pool);
   acct = pool.affine_accounting();
-  EXPECT_EQ(acct.resident_bytes, shared + 5 * kPageSize - stolen->memory().CowPrivateBytes());
+  EXPECT_EQ(acct.resident_bytes,
+            shared + 5 * kPageSize - stolen->memory().CountEpochDirtyPages() * kPageSize);
   pool.Release(std::move(stolen));
 
   // Retiring the generation reclaims the last shell and the shared charge.
@@ -865,7 +834,6 @@ TEST(AffinePool, BudgetEvictionReleasesSharedChargeWithLastShell) {
   auto prep = [&](const wasp::SnapshotRef& snap) {
     auto vm = pool.Acquire(cfg);
     wasp::MapCowInto(*snap, &vm->memory());
-    vm->memory().BeginEpoch();
     uint8_t v = 0x78;
     EXPECT_TRUE(vm->memory().Write(200 * kPageSize, &v, 1).ok());
     return vm;
@@ -874,13 +842,13 @@ TEST(AffinePool, BudgetEvictionReleasesSharedChargeWithLastShell) {
   // parked affine shells when nothing clean is pooled).
   auto shell_a = prep(a);
   auto shell_b = prep(b);
-  pool.ReleaseAffine(std::move(shell_a), a->generation, a->byte_size());
+  pool.ReleaseAffine(std::move(shell_a), a->generation);
   ExpectConserved(pool);
   ASSERT_EQ(pool.affine_accounting().resident_bytes,
             a->byte_size() + kPageSize);
   // Parking generation b blows the budget: generation a (LRU) is evicted
   // wholesale, releasing its shared charge along with its last shell.
-  pool.ReleaseAffine(std::move(shell_b), b->generation, b->byte_size());
+  pool.ReleaseAffine(std::move(shell_b), b->generation);
   ExpectConserved(pool);
   const wasp::AffineAccounting acct = pool.affine_accounting();
   EXPECT_EQ(acct.resident_bytes, b->byte_size() + kPageSize);
@@ -926,14 +894,13 @@ TEST(AffinePoolConcurrency, GaugeConservationUnderParkEvictRetire) {
           vm->memory().ZeroDirtyPages();
           wasp::MapCowInto(*snap, &vm->memory());
         }
-        vm->memory().BeginEpoch();
         uint8_t b = static_cast<uint8_t>(rng.Next());
         const int writes = static_cast<int>(rng.Below(4));
         for (int p = 0; p < writes; ++p) {
           ASSERT_TRUE(
               vm->memory().Write((128 + rng.Below(64)) * kPageSize, &b, 1).ok());
         }
-        pool.ReleaseAffine(std::move(vm), snap->generation, snap->byte_size());
+        pool.ReleaseAffine(std::move(vm), snap->generation);
       }
     });
   }
@@ -978,27 +945,33 @@ TEST(AffinePoolConcurrency, GaugeConservationUnderParkEvictRetire) {
   EXPECT_EQ(stats.affine_resident_bytes, 0u);
 }
 
-// Delta and full restore must be observationally identical to the guest:
-// same results, same guest instruction stream.
-TEST(AffineRuntime, DeltaAndFullRestoreProduceIdenticalGuestRuns) {
+// The two restore paths, affine delta repair and COW map onto a clean shell
+// (fresh_shell), must be observationally identical to the guest: same
+// results, same guest instruction stream.
+TEST(AffineRuntime, DeltaAndCowMapRestoreProduceIdenticalGuestRuns) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
   ASSERT_TRUE(image.ok());
-  wasp::RuntimeOptions affine_on;
-  wasp::RuntimeOptions affine_off;
-  affine_off.snapshot_affinity = false;
-  wasp::Runtime with(affine_on);
-  wasp::Runtime without(affine_off);
+  wasp::Runtime affine_runtime;
+  wasp::Runtime cow_runtime;
   wasp::VirtineSpec spec;
   spec.image = &image.value();
   spec.key = "ab-compare";
   spec.use_snapshot = true;
-  wasp::VirtineFunc<int64_t(int64_t)> fa(&with, spec);
-  wasp::VirtineFunc<int64_t(int64_t)> fb(&without, spec);
+  wasp::VirtineSpec fresh = spec;
+  fresh.fresh_shell = true;
+  wasp::VirtineFunc<int64_t(int64_t)> fa(&affine_runtime, spec);
+  wasp::VirtineFunc<int64_t(int64_t)> fb(&cow_runtime, fresh);
+  bool warm = false;
   for (int n : {0, 3, 11, 17}) {
     auto a = fa.Call(n);
     auto b = fb.Call(n);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
+    if (warm) {
+      EXPECT_TRUE(fa.last_outcome().stats.affine_restore) << "n=" << n;
+      EXPECT_TRUE(fb.last_outcome().stats.mapped_cow) << "n=" << n;
+    }
+    warm = true;
     EXPECT_EQ(*a, *b) << "n=" << n;
     EXPECT_EQ(fa.last_outcome().stats.insns, fb.last_outcome().stats.insns) << "n=" << n;
     EXPECT_EQ(fa.last_outcome().stats.guest_cycles, fb.last_outcome().stats.guest_cycles)

@@ -348,6 +348,24 @@ TEST(VccSemantics, GlobalsWithInitializers) {
   EXPECT_EQ(RunProgram(src), 43);
 }
 
+// A global initializer wider than its object converts as C does, to the
+// object's width, so the data directive that holds it stays in range.
+TEST(VccSemantics, GlobalInitializersConvertToTheirWidth) {
+  const char* src = R"(
+    int g = 4294967297;
+    char c = 300;
+    int main() { return g * 1000 + c; })";
+  auto image = vcc::CompileProgram(src, "main", vrt::Env::kProt32);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  wasp::Runtime runtime;
+  wasp::VirtineSpec spec;
+  spec.image = &image.value();
+  spec.word_bytes = vrt::WordBytes(vrt::Env::kProt32);
+  const wasp::RunOutcome outcome = runtime.Invoke(spec);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.result_word, 1044u);  // g reads 1, c reads 44
+}
+
 TEST(VccSemantics, CompoundAssignAndIncDec) {
   const char* src = R"(
     int main() {
