@@ -92,9 +92,11 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j"$(nproc)")
 # Modeled-metric gate: perfbench's three workloads, 1 s each on a fixed seed,
 # untraced and traced; fails (non-zero) if a run is incorrect or fails an op,
-# or if modeled cycles, exits, guest instructions, restored KB or host cycles
-# per op differ from tools/modeled_expected.json (old -> new is printed; wall
-# metrics are printed, not gated).  The measured values land in
+# if modeled cycles, exits, guest instructions, restored KB or host cycles
+# per op differ from tools/modeled_expected.json (old -> new is printed), or
+# if fn_b64's untraced peak RSS exceeds 10 MB (guest memory resident only
+# where touched; the other wall metrics are printed, not gated).  The
+# measured values land in
 # $BUILD_DIR/modeled_measured.json: a change that moves a number on purpose
 # copies that file over the expected one.
 CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/modeled_measured.json"

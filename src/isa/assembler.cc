@@ -18,6 +18,7 @@ struct Statement {
   std::vector<std::string> operands;   // top-level comma-separated
   std::string raw;                     // original text for error messages
   Op op = Op::kOpCount;                // an instruction's kOps row (pass 1)
+  int64_t size = 0;                    // encoded byte count (pass 1)
   Cond cc = Cond::kEq;                 // kJcc: the mnemonic's condition
 };
 
@@ -306,7 +307,9 @@ class Assembler {
   }
 
   // Evaluates an immediate expression: term (('+'|'-') term)*.
-  // In pass 1, unresolved labels evaluate to 0 (sizes never depend on them).
+  // Pass 1 evaluates only the operands whose value it fixes (.space, .align,
+  // .org, .equ); a symbol there must be defined above, because a forward
+  // reference would read differently in the two passes.
   vbase::Result<int64_t> EvalExpr(const Statement& st, const std::string& expr, bool pass2) {
     std::string s = Trim(expr);
     if (s.empty()) {
@@ -395,7 +398,8 @@ class Assembler {
           } else if (pass2) {
             return Err(st, "undefined symbol: " + name);
           } else {
-            term = 0;
+            return Err(st, "symbol not defined above: " + name +
+                               " (.space, .align, .org and .equ cannot refer forward)");
           }
           i = j;
         } else {
@@ -565,7 +569,11 @@ class Assembler {
       return static_cast<int64_t>(s->size()) + (m == ".asciz" ? 1 : 0);
     }
     if (m == ".space") {
-      return SpaceSize(st, /*pass2=*/false);
+      auto n = EvalExpr(st, ops.empty() ? "" : ops[0], /*pass2=*/false);
+      if (n.ok() && *n < 0) {
+        return Err(st, ".space size is negative: " + std::to_string(*n));
+      }
+      return n;
     }
     if (m == ".align") {
       auto n = EvalExpr(st, ops.empty() ? "" : ops[0], /*pass2=*/false);
@@ -595,15 +603,6 @@ class Assembler {
                          ", not " + std::to_string(ops.size()));
     }
     return InsnSize(st.op);
-  }
-
-  // The byte count of a .space statement, which must not be negative.
-  vbase::Result<int64_t> SpaceSize(const Statement& st, bool pass2) {
-    auto n = EvalExpr(st, st.operands.empty() ? "" : st.operands[0], pass2);
-    if (n.ok() && *n < 0) {
-      return Err(st, ".space size is negative: " + std::to_string(*n));
-    }
-    return n;
   }
 
   vbase::Status Pass1() {
@@ -637,13 +636,16 @@ class Assembler {
         if (!v.ok()) {
           return v.status();
         }
-        symbols_[st.operands[0]] = static_cast<uint64_t>(*v);
+        if (!symbols_.emplace(st.operands[0], static_cast<uint64_t>(*v)).second) {
+          return Err(st, "duplicate symbol: " + st.operands[0]);
+        }
         continue;
       }
       auto size = StatementSize(st, addr);
       if (!size.ok()) {
         return size.status();
       }
+      st.size = *size;
       if (*size > 0) {
         emitted_any = true;
       }
@@ -695,25 +697,9 @@ class Assembler {
         }
         continue;
       }
-      if (m == ".space") {
-        auto n = SpaceSize(st, /*pass2=*/true);
-        if (!n.ok()) {
-          return n.status();
-        }
-        for (int64_t i = 0; i < *n; ++i) {
-          Emit8(0);
-        }
-        continue;
-      }
-      if (m == ".align") {
-        auto n = EvalExpr(st, ops[0], true);
-        if (!n.ok()) {
-          return n.status();
-        }
-        uint64_t a = static_cast<uint64_t>(*n);
-        while (CurAddr() % a != 0) {
-          Emit8(0);
-        }
+      if (m == ".space" || m == ".align") {
+        // Zero fill of the size pass 1 fixed, so the two passes agree.
+        image_.bytes.resize(image_.bytes.size() + static_cast<uint64_t>(st.size));
         continue;
       }
       VB_RETURN_IF_ERROR(EmitInsn(st));

@@ -23,7 +23,10 @@
 //     .align 8
 //
 // Immediate expressions support `number`, `'c'`, `label`, and `a+b` / `a-b`
-// folding over those terms.
+// folding over those terms.  A label may be used before its definition
+// except in the operands pass 1 fixes: `.space`, `.align`, `.org` and
+// `.equ` may name only symbols defined above them.  A symbol (label or
+// `.equ` name) is defined once.
 #ifndef SRC_ISA_ASSEMBLER_H_
 #define SRC_ISA_ASSEMBLER_H_
 

@@ -68,17 +68,23 @@ using ExtentBufferRef = std::shared_ptr<const ExtentBuffer>;
 
 class GuestMemory {
  public:
-  // Allocates `size` bytes of zeroed guest-physical memory (rounded up to a
-  // whole page).
+  // Maps `size` bytes of guest-physical memory (rounded up to a whole page):
+  // zero, page-aligned, guarded, resident only once touched.  The bytes are
+  // one anonymous private mapping with a PROT_NONE page on each side, so an
+  // access past either end faults in every build; huge pages are declined so
+  // host residency follows the guest's 4 KB pages.
   explicit GuestMemory(uint64_t size);
+  ~GuestMemory();
+  GuestMemory(const GuestMemory&) = delete;
+  GuestMemory& operator=(const GuestMemory&) = delete;
 
-  uint64_t size() const { return bytes_.size(); }
-  uint8_t* data() { return bytes_.data(); }
-  const uint8_t* data() const { return bytes_.data(); }
+  uint64_t size() const { return size_; }
+  uint8_t* data() { return bytes_; }
+  const uint8_t* data() const { return bytes_; }
 
   // Bounds check helper.
   bool Contains(uint64_t gpa, uint64_t len) const {
-    return gpa + len >= gpa && gpa + len <= bytes_.size();
+    return gpa + len >= gpa && gpa + len <= size_;
   }
 
   // Bulk accessors with bounds checks; Write marks dirty pages.
@@ -89,12 +95,12 @@ class GuestMemory {
   template <typename T>
   T LoadRaw(uint64_t gpa) const {
     T v;
-    std::memcpy(&v, bytes_.data() + gpa, sizeof(T));
+    std::memcpy(&v, bytes_ + gpa, sizeof(T));
     return v;
   }
   template <typename T>
   void StoreRaw(uint64_t gpa, T v) {
-    std::memcpy(bytes_.data() + gpa, &v, sizeof(T));
+    std::memcpy(bytes_ + gpa, &v, sizeof(T));
     // Interpreter stores cluster heavily (stack, locals): skip the bitmap
     // read-modify-write when this store hits the page the previous store
     // already dirtied.  A straddling store always takes the slow path.
@@ -117,7 +123,7 @@ class GuestMemory {
     }
   }
   bool PageDirty(uint64_t page) const { return (dirty_[page >> 6] >> (page & 63)) & 1; }
-  uint64_t NumPages() const { return bytes_.size() >> kPageBits; }
+  uint64_t NumPages() const { return size_ >> kPageBits; }
   uint64_t CountDirtyPages() const;
   // Zeroes every dirty page and clears the dirty bitmap (pool Clean()) with
   // a word-granular bitmap scan: 64 clean pages are skipped per iteration.
@@ -179,7 +185,8 @@ class GuestMemory {
  private:
   static constexpr uint64_t kNoPage = ~0ULL;
 
-  std::vector<uint8_t> bytes_;
+  uint8_t* bytes_ = nullptr;  // first guest page; a guard page on each side
+  uint64_t size_ = 0;
   std::vector<uint64_t> dirty_;  // 1 bit per 4 KB page, since creation/clean
   std::vector<uint64_t> epoch_;  // 1 bit per 4 KB page, since BeginEpoch
   std::vector<uint64_t> ept_;    // 1 bit per 2 MB region

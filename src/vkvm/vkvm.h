@@ -89,8 +89,8 @@ struct VmConfig {
 // CPU (`cpu().cycles()`).  `total_cycles()` is their sum.
 class Vm {
  public:
-  // Creates a VM: allocates zeroed guest memory (real work) and charges the
-  // modeled creation cost.
+  // Creates a VM with `config.mem_size` bytes of guest memory and charges
+  // the modeled creation cost.
   static std::unique_ptr<Vm> Create(const VmConfig& config);
 
   vhw::GuestMemory& memory() { return mem_; }

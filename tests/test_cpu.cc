@@ -1,7 +1,14 @@
 // CPU semantics tests: ALU behaviour at every mode width, flags/conditions,
 // memory, stack, control flow, invalid encodings (checked against
 // visa::Decode on every opcode), mode-transition legality, paging faults,
-// and cycle accounting invariants.
+// cycle accounting invariants, and guest memory's host residency and guard
+// pages.
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
@@ -600,6 +607,46 @@ TEST(GuestMemory, BoundsChecked) {
   EXPECT_FALSE(mem.Read((1 << 16) - 1, &b, 2).ok());
   EXPECT_FALSE(mem.Write(1 << 16, &b, 1).ok());
   EXPECT_TRUE(mem.Read((1 << 16) - 1, &b, 1).ok());
+}
+
+// Pages of the page-aligned span [p, p + len) the host holds resident.
+uint64_t ResidentPages(const uint8_t* p, uint64_t len) {
+  std::vector<unsigned char> vec((len + vhw::kPageSize - 1) / vhw::kPageSize);
+  EXPECT_EQ(mincore(const_cast<uint8_t*>(p), len, vec.data()), 0) << std::strerror(errno);
+  uint64_t n = 0;
+  for (unsigned char v : vec) {
+    n += v & 1;
+  }
+  return n;
+}
+
+TEST(GuestMemory, ResidentOnlyWhereTouched) {
+  vhw::GuestMemory mem(64ULL << 20);
+  ASSERT_EQ(reinterpret_cast<uintptr_t>(mem.data()) % vhw::kPageSize, 0u);
+  // Counted before any read: reading an untouched page maps the shared zero
+  // page, which mincore reports resident.
+  EXPECT_EQ(ResidentPages(mem.data(), mem.size()), 0u);
+  uint8_t data[100];
+  memset(data, 0xab, sizeof(data));
+  ASSERT_TRUE(mem.Write(0x3000, data, sizeof(data)).ok());
+  EXPECT_EQ(ResidentPages(mem.data(), mem.size()), 1u);
+  mem.ZeroDirtyPages();
+  uint8_t check[sizeof(data)];
+  ASSERT_TRUE(mem.Read(0x3000, check, sizeof(check)).ok());
+  EXPECT_TRUE(std::all_of(check, check + sizeof(check), [](uint8_t b) { return b == 0; }));
+}
+
+// A guard page on each side: an access one byte past either end faults.
+TEST(GuestMemoryDeathTest, ReadPastTheEndFaults) {
+  vhw::GuestMemory mem(1 << 16);
+  const volatile uint8_t* bytes = mem.data();
+  EXPECT_DEATH((void)bytes[mem.size()], "");
+}
+
+TEST(GuestMemoryDeathTest, ReadBeforeTheStartFaults) {
+  vhw::GuestMemory mem(1 << 16);
+  const volatile uint8_t* bytes = mem.data();
+  EXPECT_DEATH((void)bytes[-1], "");
 }
 
 }  // namespace

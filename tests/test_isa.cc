@@ -157,6 +157,27 @@ TEST(Assembler, ErrorsAreDiagnosed) {
     EXPECT_NE(image.status().ToString().find("asm line 2"), std::string::npos)
         << bad << image.status().ToString();
   }
+  // An operand whose value pass 1 fixes (a .space or .align size, the .org
+  // base, an .equ value) cannot name a symbol defined below it: pass 1 would
+  // read it as 0 and pass 2 as its address, so the sizes and the labels
+  // after it would disagree between the passes.
+  for (const char* bad : {"  .space x\nx: jmp x\n", "  .space x - 0x8000\nx:\n",
+                          "  .align x\nx:\n", "  .equ n, later\nlater:\n  mov r0, n\n",
+                          ".org x\n  nop\nx:\n"}) {
+    auto image = visa::Assemble(bad);
+    ASSERT_FALSE(image.ok()) << bad;
+    EXPECT_NE(image.status().ToString().find("asm line 1: symbol not defined above"),
+              std::string::npos)
+        << bad << image.status().ToString();
+  }
+  // An .equ name is a symbol like a label: it is defined once.
+  EXPECT_FALSE(visa::Assemble("  .equ n, 1\n  .equ n, 2\n").ok());
+  EXPECT_FALSE(visa::Assemble("x:\n  .equ x, 5\n  hlt\n").ok());
+  // Backward references in those operands still assemble.
+  auto sized = visa::Assemble("  .equ n, 3\nx:\n  .space n\n  .align x - 0x7ffc\ny:\n"
+                              "  .equ m, y\n  .quad m\n");
+  ASSERT_TRUE(sized.ok()) << sized.status().ToString();
+  EXPECT_EQ(sized->bytes, (std::vector<uint8_t>{0, 0, 0, 0, 0x04, 0x80, 0, 0, 0, 0, 0, 0}));
   // The widest data values each unit holds, both ways, and a literal of
   // exactly 2^64 - 1.
   auto data = visa::Assemble(
