@@ -2,18 +2,19 @@
 //
 // Hypercalls are port I/O, as in the paper ("delegation to the client is
 // achieved with hypercalls using virtual I/O ports").  A guest issues
-// `out PORT, r0`; arguments travel in registers r1..r3 and the result is
+// `out PORT, r0`; arguments travel in registers from r1 and the result is
 // written back into r0 before the vCPU is re-entered.  Hypercalls are
 // designed as *high-level hypervisor services* (mirroring POSIX calls)
 // rather than low-level device emulation, so each service costs exactly one
 // exit.  That makes the exit count a design choice: readfile and send_recv
 // fold a request's common sequences (stat+open+read+close, send then recv)
-// into one exit each.  A call that needs more than three arguments takes a
-// pointer to a message of guest words instead.
+// into one exit each.  A call that needs more than three argument words
+// takes a pointer to a message of guest words instead.
 //
-// kHypercalls below lists every call once: its port, its name and the
-// policy bits it needs.  Guests, RequiredPolicy and diagnostics read it, and
-// Runtime::Dispatch has one handler case per row.
+// kHypercalls below lists every call once: its port, its name, the policy
+// bits it needs and its argument signature.  Guests, RequiredPolicy and
+// diagnostics read it, and the runtime's marshal step moves every guest
+// byte a call reads or writes by its signature.
 //
 // Virtines run default-deny: a call whose bits are not all in the policy
 // terminates the virtine (Section 2: virtines exist in a default-deny
@@ -60,40 +61,57 @@ using HypercallMask = uint64_t;
 
 inline constexpr HypercallMask MaskOf(uint16_t port) { return 1ULL << port; }
 
-// --- The hypercall table: one row per port, in port order, each commented
-// with its register shape.  `needs` is the policy bits the call requires.
+// --- The ABI's limits on guest-supplied lengths: a hostile guest cannot make
+// the host allocate or copy unbounded memory.
+inline constexpr uint64_t kMaxIoLen = 1ULL << 24;  // 16 MB: an in-buffer's len, an out-buffer's cap
+inline constexpr uint64_t kMaxPathLen = 4096;      // a path's bytes, its NUL included
+
+// --- Argument shapes.  A signature's arguments consume the call's words in
+// order from r1 or, for a `message` row, from a message of guest words (the
+// vCPU's width) at r1.  A guest buffer is touched only where bytes move: an
+// in-buffer over its len, an out-buffer over the bytes the call produced.
+enum class Arg : uint8_t {
+  kNone,     // pads a signature of fewer than two arguments
+  kWord,     // one word, handed to the call as is
+  kPath,     // one word: the va of a NUL-terminated string, at most kMaxPathLen bytes
+  kIn,       // two words (va, len): len bytes the call reads; len > kMaxIoLen is rejected
+  kOut,      // two words (va, cap): up to cap bytes the call writes; cap is clamped to kMaxIoLen
+  kOutWord,  // one word: the va of one guest word the call writes
+};
+
+inline constexpr int ArgWords(Arg arg) {
+  return arg == Arg::kIn || arg == Arg::kOut ? 2 : arg == Arg::kNone ? 0 : 1;
+}
+
+// --- The hypercall table: one row per port, in port order.  `needs` is the
+// policy bits the call requires, `args` its signature.
 struct HypercallInfo {
   uint16_t port;
   const char* name;
   HypercallMask needs;
+  Arg args[2];
+  bool message = false;
 };
 inline constexpr HypercallInfo kHypercalls[] = {
-    {kHcExit, "exit", 0},                                   // r1 = exit code
-    {kHcConsole, "console", MaskOf(kHcConsole)},            // r1 = buf va, r2 = len
-    {kHcSnapshot, "snapshot", 0},                           // take a snapshot (once only)
-    // r1 = dst va, r2 = cap -> r0 = len (once only)
-    {kHcGetData, "get_data", MaskOf(kHcGetData)},
-    {kHcReturnData, "return_data", MaskOf(kHcReturnData)},  // r1 = src va, r2 = len
-    // snapshot() then get_data() in one exit, with get_data's registers.
-    {kHcSnapshotGetData, "snapshot_get_data", MaskOf(kHcGetData)},
-    // r1 = exit code, r2 = src va, r3 = len
-    {kHcReturnExit, "return_exit", MaskOf(kHcReturnData)},
-    {kHcOpen, "open", MaskOf(kHcOpen)},     // r1 = path va -> r0 = fd | -1
-    {kHcRead, "read", MaskOf(kHcRead)},     // r1 = fd, r2 = buf va, r3 = len -> r0 = n | -1
-    {kHcWrite, "write", MaskOf(kHcWrite)},  // r1 = fd, r2 = buf va, r3 = len -> r0 = n | -1
-    {kHcClose, "close", MaskOf(kHcClose)},  // r1 = fd -> r0 = 0 | -1
-    // r1 = path va, r2 = statbuf va -> r0 = 0 | -1.  Writes the file size as
-    // one guest word of the vCPU's current width; -1 if it does not fit.
-    {kHcStat, "stat", MaskOf(kHcStat)},
-    // r1 = path va, r2 = buf va, r3 = cap -> r0 = file size | -1: stat+open+read+close
-    // of min(cap, size) bytes in one locked read, so both come from one version.
-    {kHcReadFile, "readfile", MaskOf(kHcReadFile)},
-    {kHcSend, "send", MaskOf(kHcSend)},  // r1 = buf va, r2 = len -> r0 = n | -1
-    {kHcRecv, "recv", MaskOf(kHcRecv)},  // r1 = buf va, r2 = cap -> r0 = n (0 on EOF)
-    // r1 = message va -> r0 = n received (0 on EOF) | -1 if the send failed.  The
-    // message is four guest words [out va, out len, in va, in cap]: send, then
-    // receive, in one exit (the reply-and-wait shape of seL4's ReplyRecv).
-    {kHcSendRecv, "send_recv", MaskOf(kHcSendRecv)},
+    {kHcExit, "exit", 0, {Arg::kWord}},
+    {kHcConsole, "console", MaskOf(kHcConsole), {Arg::kIn}},
+    {kHcSnapshot, "snapshot", 0, {}},  // once only
+    {kHcGetData, "get_data", MaskOf(kHcGetData), {Arg::kOut}},  // once only
+    {kHcReturnData, "return_data", MaskOf(kHcReturnData), {Arg::kIn}},
+    // snapshot() then get_data() in one exit, with get_data's signature.
+    {kHcSnapshotGetData, "snapshot_get_data", MaskOf(kHcGetData), {Arg::kOut}},
+    // return_data() then exit(), the word being the exit code.
+    {kHcReturnExit, "return_exit", MaskOf(kHcReturnData), {Arg::kWord, Arg::kIn}},
+    {kHcOpen, "open", MaskOf(kHcOpen), {Arg::kPath}},
+    {kHcRead, "read", MaskOf(kHcRead), {Arg::kWord, Arg::kOut}},
+    {kHcWrite, "write", MaskOf(kHcWrite), {Arg::kWord, Arg::kIn}},
+    {kHcClose, "close", MaskOf(kHcClose), {Arg::kWord}},
+    {kHcStat, "stat", MaskOf(kHcStat), {Arg::kPath, Arg::kOutWord}},
+    {kHcReadFile, "readfile", MaskOf(kHcReadFile), {Arg::kPath, Arg::kOut}},
+    {kHcSend, "send", MaskOf(kHcSend), {Arg::kIn}},
+    {kHcRecv, "recv", MaskOf(kHcRecv), {Arg::kOut}},
+    // send() then recv() in one exit (seL4's ReplyRecv shape), from a four-word message.
+    {kHcSendRecv, "send_recv", MaskOf(kHcSendRecv), {Arg::kIn, Arg::kOut}, true},
 };
 
 // The row for `port`, or nullptr when the table has none.

@@ -1,7 +1,6 @@
 #include "src/wasp/host_env.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace wasp {
 
@@ -12,15 +11,6 @@ void HostEnv::PutFile(const std::string& path, std::vector<uint8_t> content) {
 
 void HostEnv::PutFile(const std::string& path, const std::string& content) {
   PutFile(path, std::vector<uint8_t>(content.begin(), content.end()));
-}
-
-vbase::Result<uint64_t> HostEnv::FileSize(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(path);
-  if (it == files_.end()) {
-    return vbase::NotFound("no such file: " + path);
-  }
-  return static_cast<uint64_t>(it->second.size());
 }
 
 vbase::Result<std::vector<uint8_t>> HostEnv::GetFile(const std::string& path) const {
@@ -55,17 +45,16 @@ vbase::Result<int64_t> FdTable::Open(const std::string& path) {
   return fd;
 }
 
-vbase::Result<int64_t> FdTable::Read(int64_t fd, void* dst, uint64_t len) {
+vbase::Result<std::span<const uint8_t>> FdTable::Read(int64_t fd, uint64_t len) {
   auto it = open_.find(fd);
   if (it == open_.end()) {
     return vbase::InvalidArgument("bad fd");
   }
   OpenFile& f = it->second;
-  const uint64_t avail = f.content.size() - f.cursor;
-  const uint64_t n = std::min(len, avail);
-  std::memcpy(dst, f.content.data() + f.cursor, n);
-  f.cursor += n;
-  return static_cast<int64_t>(n);
+  const std::span<const uint8_t> bytes(f.content.data() + f.cursor,
+                                       std::min(len, f.content.size() - f.cursor));
+  f.cursor += bytes.size();
+  return bytes;
 }
 
 vbase::Result<int64_t> FdTable::Write(int64_t fd, const void* src, uint64_t len) {

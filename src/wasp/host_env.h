@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,6 @@ class HostEnv {
   void PutFile(const std::string& path, std::vector<uint8_t> content);
   void PutFile(const std::string& path, const std::string& content);
 
-  vbase::Result<uint64_t> FileSize(const std::string& path) const;
   vbase::Result<std::vector<uint8_t>> GetFile(const std::string& path) const;
   // Copies the first min(cap, size) bytes of the file into *prefix and
   // returns its full size, both under one lock hold, so the size and the
@@ -51,8 +51,9 @@ class FdTable {
 
   // Returns a new fd (>= 3, POSIX-style), or an error if the path is absent.
   vbase::Result<int64_t> Open(const std::string& path);
-  // Reads up to `len` bytes at the fd's cursor; returns bytes read (0 = EOF).
-  vbase::Result<int64_t> Read(int64_t fd, void* dst, uint64_t len);
+  // Up to `len` bytes at the fd's cursor, which moves past them (none at
+  // EOF): a view of the open file, valid until the fd is closed.
+  vbase::Result<std::span<const uint8_t>> Read(int64_t fd, uint64_t len);
   // Appends to the file's write buffer (retrievable via TakeWrites for
   // assertions; writes never touch the shared HostEnv).
   vbase::Result<int64_t> Write(int64_t fd, const void* src, uint64_t len);

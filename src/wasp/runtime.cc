@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
+#include <utility>
 
 #include "src/base/clock.h"
 #include "src/base/log.h"
@@ -9,79 +11,11 @@
 namespace wasp {
 namespace {
 
-// Upper bounds on guest-supplied lengths accepted by canned handlers; a
-// hostile guest cannot make the host allocate unbounded memory.
-constexpr uint64_t kMaxIoLen = 1ULL << 24;        // 16 MB
-constexpr uint64_t kMaxPathLen = 4096;
-
 // "send_recv (34)" for a port in the hypercall table, "port 40" otherwise.
 std::string PortLabel(uint16_t port) {
   const char* name = HypercallName(port);
   return name != nullptr ? std::string(name) + " (" + std::to_string(port) + ")"
                          : "port " + std::to_string(port);
-}
-
-// The two halves of the stream hypercalls, shared by send, recv and
-// send_recv.  The caller has checked that a channel is attached.
-//
-// Sends `len` guest bytes at `va`; returns len, or -1 if the peer closed.
-vbase::Result<int64_t> ChannelSend(HypercallFrame& frame, uint64_t va, uint64_t len) {
-  if (len > kMaxIoLen) {
-    return vbase::InvalidArgument("send too large");
-  }
-  std::vector<uint8_t> buf(len);
-  VB_RETURN_IF_ERROR(frame.vm.ReadVirt(va, buf.data(), len));
-  return frame.spec.channel->Write(buf.data(), len) ? static_cast<int64_t>(len) : -1;
-}
-
-// Receives up to `cap` bytes into guest memory at `va`, blocking until some
-// arrive; returns the count (0 on EOF).
-vbase::Result<int64_t> ChannelRecv(HypercallFrame& frame, uint64_t va, uint64_t cap) {
-  cap = std::min(cap, kMaxIoLen);
-  std::vector<uint8_t> buf(cap);
-  const uint64_t n = frame.spec.channel->Read(buf.data(), cap);
-  VB_RETURN_IF_ERROR(frame.vm.WriteVirt(va, buf.data(), n));
-  return static_cast<int64_t>(n);
-}
-
-// The get_data half of get_data and snapshot_get_data: copies up to r2
-// bytes of the invocation's input to guest va r1, once per invocation.
-vbase::Result<int64_t> GetData(HypercallFrame& frame) {
-  if (frame.data_fetched) {
-    return vbase::PermissionDenied("get_data hypercall may only be called once");
-  }
-  frame.data_fetched = true;
-  const uint64_t va = frame.arg(0);
-  const uint64_t cap = frame.arg(1);
-  if (cap > kMaxIoLen) {
-    return vbase::InvalidArgument("get_data capacity too large");
-  }
-  if (frame.spec.input == nullptr) {
-    return 0;
-  }
-  const uint64_t n = std::min<uint64_t>(cap, frame.spec.input->size());
-  VB_RETURN_IF_ERROR(frame.vm.WriteVirt(va, frame.spec.input->data(), n));
-  return static_cast<int64_t>(n);
-}
-
-// The return_data half of return_data and return_exit: appends `len` guest
-// bytes at `va` to the invocation's output.
-vbase::Status AppendOutput(HypercallFrame& frame, uint64_t va, uint64_t len) {
-  if (len > kMaxIoLen || frame.inject_oversized_reply) {
-    frame.fault = FaultKind::kOversizedReply;
-    if (frame.inject_oversized_reply) {
-      frame.inject_oversized_reply = false;
-      if (FaultInjector* injector = frame.runtime.fault_injector(); injector != nullptr) {
-        injector->RecordInjected(FaultKind::kOversizedReply);
-      }
-      return vbase::InvalidArgument("return_data too large (injected oversized reply)");
-    }
-    return vbase::InvalidArgument("return_data too large");
-  }
-  std::vector<uint8_t>& output = frame.outcome.output;
-  const size_t off = output.size();
-  output.resize(off + len);
-  return frame.vm.ReadVirt(va, output.data() + off, len);
 }
 
 PoolOptions MakePoolOptions(const RuntimeOptions& options) {
@@ -92,6 +26,18 @@ PoolOptions MakePoolOptions(const RuntimeOptions& options) {
 }
 
 }  // namespace
+
+// One canned call as host values.  The marshal step fills the arguments the
+// row's signature names; the handler sets `out` to the bytes it produced, a
+// view of host state that outlives the call or of `staging`.
+struct HostCall {
+  uint64_t word = 0;             // Arg::kWord
+  std::string path;              // Arg::kPath
+  std::vector<uint8_t> in;       // Arg::kIn: the buffer's bytes
+  uint64_t cap = 0;              // Arg::kOut: the buffer's cap, clamped to kMaxIoLen
+  std::span<const uint8_t> out;  // copied to the kOut buffer or kOutWord
+  std::vector<uint8_t> staging;
+};
 
 Runtime::Runtime(RuntimeOptions options)
     : options_(std::move(options)), pool_(MakePoolOptions(options_)) {
@@ -253,145 +199,180 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
   if (auto it = frame.spec.handlers.find(port); it != frame.spec.handlers.end()) {
     return it->second(frame);
   }
-  vkvm::Vm& vm = frame.vm;
-  if ((port == kHcSend || port == kHcRecv || port == kHcSendRecv) &&
-      frame.spec.channel == nullptr) {
-    return vbase::FailedPrecondition(std::string(HypercallName(port)) + ": no channel attached");
+  const HypercallInfo* hc = FindHypercall(port);
+  if (hc == nullptr) {
+    return vbase::Unimplemented("no handler for hypercall port " + std::to_string(port));
   }
+  if ((hc->needs & kPolicyStream) != 0 && frame.spec.channel == nullptr) {
+    return vbase::FailedPrecondition(std::string(hc->name) + ": no channel attached");
+  }
+  // --- The marshal step, the only code that touches guest memory for a
+  // canned call: paths and in-buffers are copied in, in argument order,
+  // before the handler runs, and only the bytes it produced are copied out
+  // after it, so a call walks the guest pages it moves bytes through, in order.
+  vkvm::Vm& vm = frame.vm;
+  uint64_t words[4] = {frame.arg(0), frame.arg(1), frame.arg(2), 0};
+  if (hc->message) {
+    const uint64_t w = static_cast<uint64_t>(vm.cpu().WordSize());
+    uint8_t raw[sizeof(words)] = {};
+    const uint64_t len = w * static_cast<uint64_t>(ArgWords(hc->args[0]) + ArgWords(hc->args[1]));
+    VB_RETURN_IF_ERROR(vm.ReadVirt(words[0], raw, len));
+    for (uint64_t i = 0; i < 4; ++i) {
+      words[i] = 0;
+      std::memcpy(&words[i], raw + i * w, w);
+    }
+  }
+  HostCall call;
+  uint64_t out_va = 0;
+  const uint64_t* word = words;
+  for (const Arg arg : hc->args) {
+    switch (arg) {
+      case Arg::kNone:
+        break;
+      case Arg::kWord:
+        call.word = *word++;
+        break;
+      case Arg::kPath: {
+        auto path = vm.ReadCString(*word++, kMaxPathLen);
+        if (!path.ok()) {
+          return path.status();
+        }
+        call.path = std::move(*path);
+        break;
+      }
+      case Arg::kIn: {
+        const uint64_t va = *word++;
+        const uint64_t len = *word++;
+        // An over-limit reply is its own fault kind, and the chaos
+        // injection's oversized reply is one whatever its length.
+        const bool reply = port == kHcReturnData || port == kHcReturnExit;
+        const bool injected = reply && std::exchange(frame.inject_oversized_reply, false);
+        if (len > kMaxIoLen || injected) {
+          frame.fault = reply ? FaultKind::kOversizedReply : frame.fault;
+          if (injected && injector_ != nullptr) {
+            injector_->RecordInjected(FaultKind::kOversizedReply);
+          }
+          return vbase::InvalidArgument(std::string(hc->name) + ": " + std::to_string(len) +
+                                        " bytes exceed kMaxIoLen" +
+                                        (injected ? " (injected oversized reply)" : ""));
+        }
+        call.in.resize(len);
+        VB_RETURN_IF_ERROR(vm.ReadVirt(va, call.in.data(), len));
+        break;
+      }
+      case Arg::kOut:
+        out_va = *word++;
+        call.cap = std::min(*word++, kMaxIoLen);
+        break;
+      case Arg::kOutWord:
+        out_va = *word++;
+        break;
+    }
+  }
+  auto result = Handle(port, frame, call);
+  if (result.ok()) {
+    VB_RETURN_IF_ERROR(vm.WriteVirt(out_va, call.out.data(), call.out.size()));
+  }
+  return result;
+}
+
+vbase::Result<int64_t> Runtime::Handle(uint16_t port, HypercallFrame& frame, HostCall& call) {
+  RunOutcome& outcome = frame.outcome;
   switch (port) {
+    case kHcReturnData:
+    case kHcReturnExit:
+      outcome.output.insert(outcome.output.end(), call.in.begin(), call.in.end());
+      if (port == kHcReturnData) {
+        return 0;
+      }
+      [[fallthrough]];
     case kHcExit:
-      frame.outcome.exit_code = frame.arg(0);
+      outcome.exit_code = call.word;
       frame.request_exit = true;
       return 0;
 
-    case kHcConsole: {
-      const uint64_t va = frame.arg(0);
-      const uint64_t len = frame.arg(1);
-      if (len > kMaxIoLen) {
-        return vbase::InvalidArgument("console write too large");
-      }
-      std::vector<char> buf(len);
-      VB_RETURN_IF_ERROR(vm.ReadVirt(va, buf.data(), len));
-      frame.outcome.console.append(buf.data(), len);
-      return static_cast<int64_t>(len);
-    }
+    case kHcConsole:  // -> len
+      outcome.console.append(call.in.begin(), call.in.end());
+      return static_cast<int64_t>(call.in.size());
 
     case kHcSnapshot:
       VB_RETURN_IF_ERROR(SnapshotOnce(frame, PendingCall{}));
       return 0;
 
-    case kHcGetData:
-      return GetData(frame);
-
     case kHcSnapshotGetData:
-      // Capture first, then write this run's input: the snapshot must not
-      // hold it, and the epoch the capture begins must track the write.
+      // Capture first, then produce this run's input: the snapshot must not
+      // hold it, and the epoch the capture begins must track its copy-out.
       VB_RETURN_IF_ERROR(SnapshotOnce(frame, PendingCall{kHcGetData, frame.result_reg}));
-      return GetData(frame);
-
-    case kHcReturnData:
-      VB_RETURN_IF_ERROR(AppendOutput(frame, frame.arg(0), frame.arg(1)));
-      return 0;
-
-    case kHcReturnExit:
-      VB_RETURN_IF_ERROR(AppendOutput(frame, frame.arg(1), frame.arg(2)));
-      frame.outcome.exit_code = frame.arg(0);
-      frame.request_exit = true;
-      return 0;
-
-    case kHcOpen: {
-      auto path = vm.ReadCString(frame.arg(0), kMaxPathLen);
-      if (!path.ok()) {
-        return path.status();
+      [[fallthrough]];
+    case kHcGetData:  // -> n: the input's first n <= cap bytes, once per invocation
+      if (frame.data_fetched) {
+        return vbase::PermissionDenied("get_data hypercall may only be called once");
       }
-      auto fd = frame.fds.Open(*path);
+      frame.data_fetched = true;
+      if (frame.spec.input != nullptr) {
+        call.out = std::span<const uint8_t>(*frame.spec.input)
+                       .first(std::min<uint64_t>(call.cap, frame.spec.input->size()));
+      }
+      return static_cast<int64_t>(call.out.size());
+
+    case kHcOpen: {  // -> fd | -1
+      auto fd = frame.fds.Open(call.path);
       return fd.ok() ? *fd : -1;
     }
-
-    case kHcRead: {
-      const int64_t fd = static_cast<int64_t>(frame.arg(0));
-      const uint64_t va = frame.arg(1);
-      const uint64_t len = std::min<uint64_t>(frame.arg(2), kMaxIoLen);
-      std::vector<uint8_t> buf(len);
-      auto n = frame.fds.Read(fd, buf.data(), len);
-      if (!n.ok()) {
+    case kHcRead: {  // -> n (0 at EOF) | -1
+      auto bytes = frame.fds.Read(static_cast<int64_t>(call.word), call.cap);
+      if (!bytes.ok()) {
         return -1;
       }
-      VB_RETURN_IF_ERROR(vm.WriteVirt(va, buf.data(), static_cast<uint64_t>(*n)));
-      return *n;
+      call.out = *bytes;
+      return static_cast<int64_t>(call.out.size());
     }
-
-    case kHcWrite: {
-      const int64_t fd = static_cast<int64_t>(frame.arg(0));
-      const uint64_t va = frame.arg(1);
-      const uint64_t len = frame.arg(2);
-      if (len > kMaxIoLen) {
-        return vbase::InvalidArgument("write too large");
-      }
-      std::vector<uint8_t> buf(len);
-      VB_RETURN_IF_ERROR(vm.ReadVirt(va, buf.data(), len));
-      auto n = frame.fds.Write(fd, buf.data(), len);
+    case kHcWrite: {  // -> len | -1
+      auto n = frame.fds.Write(static_cast<int64_t>(call.word), call.in.data(), call.in.size());
       return n.ok() ? *n : -1;
     }
+    case kHcClose:  // -> 0 | -1
+      return frame.fds.Close(static_cast<int64_t>(call.word)).ok() ? 0 : -1;
 
-    case kHcClose:
-      return frame.fds.Close(static_cast<int64_t>(frame.arg(0))).ok() ? 0 : -1;
-
-    case kHcStat: {
-      auto path = vm.ReadCString(frame.arg(0), kMaxPathLen);
-      if (!path.ok()) {
-        return path.status();
-      }
-      const int w = vm.cpu().WordSize();
-      auto size = frame.env->FileSize(*path);
+    case kHcStat: {  // -> 0 and the size as a guest word | -1 if absent or it does not fit
+      const int w = frame.vm.cpu().WordSize();
+      auto size = frame.env->ReadPrefix(call.path, 0, &call.staging);
       if (!size.ok() || *size >= 1ULL << (8 * w - 1)) {
         return -1;
       }
-      VB_RETURN_IF_ERROR(vm.WriteVirt(frame.arg(1), &*size, static_cast<uint64_t>(w)));
+      const auto* bytes = reinterpret_cast<const uint8_t*>(&*size);
+      call.staging.assign(bytes, bytes + w);
+      call.out = call.staging;
       return 0;
     }
-
     case kHcReadFile: {
-      auto path = vm.ReadCString(frame.arg(0), kMaxPathLen);
-      if (!path.ok()) {
-        return path.status();
-      }
-      std::vector<uint8_t> prefix;
-      auto size = frame.env->ReadPrefix(*path, std::min(frame.arg(2), kMaxIoLen), &prefix);
+      // -> the file's size | -1, and its first min(cap, size) bytes: stat +
+      // open + read + close in one locked read, so both come from one version.
+      auto size = frame.env->ReadPrefix(call.path, call.cap, &call.staging);
       if (!size.ok()) {
         return -1;
       }
-      VB_RETURN_IF_ERROR(vm.WriteVirt(frame.arg(1), prefix.data(), prefix.size()));
+      call.out = call.staging;
       return static_cast<int64_t>(*size);
     }
 
-    case kHcSend:
-      return ChannelSend(frame, frame.arg(0), frame.arg(1));
-
-    case kHcRecv:
-      return ChannelRecv(frame, frame.arg(0), frame.arg(1));
-
-    case kHcSendRecv: {
-      // The message is [out va, out len, in va, in cap] in guest words of
-      // the vCPU's current width.
-      const int w = vm.cpu().WordSize();
-      uint8_t raw[4 * sizeof(uint64_t)] = {};
-      VB_RETURN_IF_ERROR(vm.ReadVirt(frame.arg(0), raw, 4 * static_cast<uint64_t>(w)));
-      uint64_t msg[4] = {0, 0, 0, 0};
-      for (int i = 0; i < 4; ++i) {
-        std::memcpy(&msg[i], raw + i * w, static_cast<size_t>(w));
+    case kHcSend:  // -> len | -1 if the peer closed
+      return frame.spec.channel->Write(call.in.data(), call.in.size())
+                 ? static_cast<int64_t>(call.in.size())
+                 : -1;
+    case kHcSendRecv:  // -> recv's n | -1 if the send failed
+      if (!call.in.empty() && !frame.spec.channel->Write(call.in.data(), call.in.size())) {
+        return -1;
       }
-      if (msg[1] > 0) {
-        auto sent = ChannelSend(frame, msg[0], msg[1]);
-        if (!sent.ok() || *sent < 0) {
-          return sent;
-        }
-      }
-      return ChannelRecv(frame, msg[2], msg[3]);
-    }
+      [[fallthrough]];
+    case kHcRecv:  // -> n (0 at EOF), blocking until some bytes arrive
+      call.staging.resize(call.cap);
+      call.out = std::span<const uint8_t>(call.staging)
+                     .first(frame.spec.channel->Read(call.staging.data(), call.cap));
+      return static_cast<int64_t>(call.out.size());
 
     default:
-      return vbase::Unimplemented("no handler for hypercall port " + std::to_string(port));
+      return vbase::Unimplemented("no handler for hypercall " + PortLabel(port));
   }
 }
 

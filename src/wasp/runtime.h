@@ -8,7 +8,8 @@
 //   * the canned hypercall handlers (console, POSIX-like file I/O and
 //     readfile against a sandboxed HostEnv, send/recv/send_recv against a
 //     ByteChannel, snapshot, get_data/return_data and their folded forms
-//     snapshot_get_data/return_exit), and
+//     snapshot_get_data/return_exit), which see only host copies of their
+//     arguments: one marshal step moves their guest bytes, and
 //   * the default-deny policy enforcement: a hypercall whose policy bit is
 //     clear terminates the virtine.
 //
@@ -95,6 +96,7 @@ struct RunOutcome {
 };
 
 class Runtime;
+struct HostCall;
 
 // Context handed to hypercall handlers.
 struct HypercallFrame {
@@ -262,12 +264,16 @@ class Runtime {
   // (dirty pages + CPU + `pending`), charges the copy and publishes it.
   vbase::Status SnapshotOnce(HypercallFrame& frame, PendingCall pending);
   // Serves one call on `port`, at a guest exit or as a restore's pending
-  // call: policy check, handler, result into frame.result_reg.  False when
+  // call: policy check, Dispatch, result into frame.result_reg.  False when
   // it was denied or failed; the outcome then holds the classified fault.
   bool Serve(uint16_t port, HypercallFrame& frame);
-  // Dispatches one hypercall; returns the result register's value or an
-  // error.
+  // Runs a client handler on the raw frame, or marshals a canned call by its
+  // row's signature (abi.h) around Handle; returns the result register's
+  // value or an error.
   vbase::Result<int64_t> Dispatch(uint16_t port, HypercallFrame& frame);
+  // The canned handler for `port`: a function of the host values in `call`
+  // that never touches guest memory.
+  vbase::Result<int64_t> Handle(uint16_t port, HypercallFrame& frame, HostCall& call);
 
   RuntimeOptions options_;
   Pool pool_;

@@ -1,13 +1,15 @@
 // Compiler tests: language semantics (via end-to-end execution in a
-// virtine), the virtine annotation pipeline, call-graph cutting, and
-// policy derivation.
+// virtine), the virtine annotation pipeline, call-graph cutting, policy
+// derivation, and the byte-identity of the shipped guests' images.
 #include <gtest/gtest.h>
 
 #include <regex>
 
 #include "src/vcc/ast.h"
+#include "src/vaes/aes.h"
 #include "src/vcc/vcc.h"
 #include "src/vjs/vjs.h"
+#include "src/vnet/server.h"
 #include "src/vrt/env.h"
 #include "src/vrt/vlibc.h"
 #include "src/wasp/runtime.h"
@@ -576,6 +578,52 @@ TEST(VccErrors, SwitchDiagnostics) {
   expect_error("  break;", "break outside loop or switch");
   // Only a loop gives `continue` a target; a switch inside one passes it on.
   EXPECT_EQ(error_of("  while (x) { switch (x) { case 1: continue; } x = 0; }"), "compiled");
+}
+
+// --- Guest image hashes --------------------------------------------------------
+
+// FNV-1a 64 over an image's bytes.
+uint64_t ImageHash(const visa::Image& image) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const uint8_t b : image.bytes) {
+    h = (h ^ b) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(GuestImages, MatchTheirRecordedHashes) {
+  // The shipped guests, compiled with vlibc as their users compile them.  A
+  // change to the compiler, vlibc, the ABI or a guest's source that moves an
+  // image fails here; one that means to re-records its hash (the failure
+  // prints it) and says why.
+  auto bytecode = vjs::CompileScript(vjs::Base64ScriptSource());
+  ASSERT_TRUE(bytecode.ok()) << bytecode.status().ToString();
+  const struct {
+    const char* guest;
+    std::string source;
+    vrt::Env env;
+    size_t size;
+    uint64_t hash;
+  } guests[] = {
+      {"static handler", vnet::StaticHandlerSource(), vrt::Env::kLong64, 6347,
+       0xe85f8921505e203bULL},
+      {"keep-alive handler", vnet::KeepAliveHandlerSource(), vrt::Env::kLong64, 7569,
+       0xa1ca6a8bf62ab7a4ULL},
+      {"b64 engine", vjs::EngineSource(*bytecode, /*teardown=*/false), vrt::Env::kLong64, 4824,
+       0xfe93f90d6ac1afaeULL},
+      {"teardown engine", vjs::EngineSource(*bytecode, /*teardown=*/true), vrt::Env::kLong64,
+       4824, 0x65caaafcbd041687ULL},
+      {"AES guest", vaes::GuestAesSource(), vrt::Env::kLong64, 3371, 0x65774e9acd867b93ULL},
+      {"echo handler", vnet::EchoHandlerSource(), vrt::Env::kProt32, 592,
+       0xc7adb21a55106116ULL},
+  };
+  for (const auto& g : guests) {
+    auto image = vcc::CompileProgram(vrt::VlibcSource() + g.source, "main", g.env);
+    ASSERT_TRUE(image.ok()) << g.guest << ": " << image.status().ToString();
+    EXPECT_EQ(image->bytes.size(), g.size) << g.guest;
+    EXPECT_EQ(ImageHash(*image), g.hash)
+        << g.guest << ": 0x" << std::hex << ImageHash(*image);
+  }
 }
 
 }  // namespace

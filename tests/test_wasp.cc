@@ -412,9 +412,9 @@ TEST(HypercallTable, RequiredPolicyKeepsEveryRuleOnEveryPort) {
 }
 
 TEST(HypercallTable, EveryRowHasAHandlerAndPort40HasNone) {
-  // Dispatch's switch binds the handlers; the table must not list a port the
-  // switch misses.  Each call is issued bare (no input, no channel), so some
-  // fail, but none as an unknown port.
+  // Runtime::Handle's switch binds the handlers; the table must not list a
+  // port the switch misses.  Each call is issued bare (no input, no channel),
+  // so some fail, but none as an unknown port.
   auto issue = [](uint16_t port) {
     const visa::Image image =
         RawImage("start:\n  mov r0, 0\n  out " + std::to_string(port) + ", r0\n  hlt\n");
@@ -503,47 +503,215 @@ start:
 
 // --- Hostile-guest handler validation ------------------------------------------
 
-visa::Image LongModeImage(const std::string& virtine_main_body) {
-  auto image = vrt::BuildImage(vrt::Env::kLong64,
-                               "virtine_main:\n" + virtine_main_body + "  ret\n");
-  EXPECT_TRUE(image.ok()) << image.status().ToString();
-  return std::move(*image);
+std::string OutputOf(const wasp::RunOutcome& outcome) {
+  return std::string(outcome.output.begin(), outcome.output.end());
 }
 
-TEST(HandlerSafety, HostileConsolePointerIsRejected) {
-  // Console write pointing far outside the identity map must not crash or
-  // read host memory; the virtine is terminated with an error.  (Long mode:
-  // real mode cannot even express addresses past 64 KB.)
-  auto image = LongModeImage(R"(
-  mov r1, 0xf0000000
-  mov r2, 4096
+// Every row's call with one argument word made hostile, generated from the
+// row's signature: each pointer it names (a message's words included) set
+// past guest memory or outside the identity map, each in-buffer's len and
+// each out-buffer's cap set one byte over kMaxIoLen, and each out row
+// issued well-formed.  A new row is covered without a new test.
+//
+// The guest (long64, 1 MB of memory) fills its 64-byte out-buffer with '#',
+// opens /f (fd 3), makes the call, then returns the out-buffer through
+// return_data.  Two worlds: in the full one the input, /f and the channel
+// each hold "hello", so every out-buffer call produces "hello" and stat the
+// word 5; in the empty one there is no input and no /f and the channel is at
+// EOF, so no out call produces a byte.
+struct HostileCase {
+  std::string name;
+  const wasp::HypercallInfo* hc;
+  std::vector<std::string> words;  // the call's words, as assembly operands
+  std::string message_va;          // r1 of a message row
+  bool full_world = true;
+  vbase::Code code = vbase::Code::kOk;
+  wasp::FaultKind fault = wasp::FaultKind::kNone;
+  std::string output;            // the out-buffer after a call that succeeds
+  bool fails_before_handler = false;  // so no byte reaches the host
+};
+
+void PrintTo(const HostileCase& c, std::ostream* os) { *os << c.name; }
+
+constexpr uint64_t kOutBuf = 0x40000;
+constexpr uint64_t kMessage = 0x40200;
+const std::string kHello = "hello";
+
+std::vector<HostileCase> HostileCases() {
+  const std::string over_limit = std::to_string(wasp::kMaxIoLen + 1);
+  const struct {
+    const char* name;
+    std::string va;
+  } bad_vas[] = {{"past_memory", "0x20000000"}, {"unmapped", "0xf0000000"}};
+  const std::string canary(64, '#');
+  std::vector<HostileCase> cases;
+  for (const wasp::HypercallInfo& hc : wasp::kHypercalls) {
+    // The well-formed call: word 3 (the fd the guest opened), the path /f, a
+    // 16-byte in-buffer, the 64-byte out-buffer.
+    HostileCase good;
+    good.hc = &hc;
+    good.message_va = std::to_string(kMessage);
+    std::string produced;
+    for (const wasp::Arg arg : hc.args) {
+      switch (arg) {
+        case wasp::Arg::kNone:
+          break;
+        case wasp::Arg::kWord:
+          good.words.push_back("3");
+          break;
+        case wasp::Arg::kPath:
+          good.words.push_back("path");
+          break;
+        case wasp::Arg::kIn:
+          good.words.insert(good.words.end(), {"inbuf", "16"});
+          break;
+        case wasp::Arg::kOut:
+          good.words.insert(good.words.end(), {std::to_string(kOutBuf), "64"});
+          produced = kHello;
+          break;
+        case wasp::Arg::kOutWord:
+          good.words.push_back(std::to_string(kOutBuf));
+          produced = std::string("\x05\0\0\0\0\0\0\0", 8);
+          break;
+      }
+    }
+    good.output = produced + canary.substr(produced.size());
+    auto add = [&](const std::string& what, HostileCase c) {
+      c.name = std::string(hc.name) + "_" + what;
+      cases.push_back(std::move(c));
+    };
+    auto fail = [](HostileCase c, vbase::Code code, wasp::FaultKind fault, bool before) {
+      c.code = code;
+      c.fault = fault;
+      c.fails_before_handler = before;
+      return c;
+    };
+    for (const auto& bad : bad_vas) {
+      if (hc.message) {
+        HostileCase c = good;
+        c.message_va = bad.va;
+        add(std::string("message_va_") + bad.name,
+            fail(c, vbase::Code::kOutOfRange, wasp::FaultKind::kHypercallError, true));
+      }
+    }
+    const bool reply = hc.port == wasp::kHcReturnData || hc.port == wasp::kHcReturnExit;
+    size_t i = 0;  // the argument's first word
+    for (const wasp::Arg arg : hc.args) {
+      const bool in = arg == wasp::Arg::kPath || arg == wasp::Arg::kIn;
+      const bool out = arg == wasp::Arg::kOut || arg == wasp::Arg::kOutWord;
+      for (const auto& bad : bad_vas) {
+        if (!in && !out) {
+          break;
+        }
+        HostileCase c = good;
+        c.words[i] = bad.va;
+        const std::string what =
+            std::string(arg == wasp::Arg::kPath ? "path" : in ? "in" : "out") + "_va_" + bad.name;
+        add(what, fail(c, vbase::Code::kOutOfRange, wasp::FaultKind::kHypercallError, in));
+        if (out) {  // nothing produced, nothing copied: the bad pointer is never used
+          c.full_world = false;
+          c.output = canary;
+          add(what + "_nothing_produced", c);
+        }
+      }
+      HostileCase c = good;
+      if (arg == wasp::Arg::kIn) {
+        c.words[i + 1] = over_limit;
+        add("in_len_over_limit",
+            fail(c, vbase::Code::kInvalidArgument,
+                 reply ? wasp::FaultKind::kOversizedReply : wasp::FaultKind::kHypercallError,
+                 true));
+      } else if (arg == wasp::Arg::kOut) {
+        c.words[i + 1] = over_limit;  // clamped: the call succeeds
+        add("out_cap_over_limit", c);
+      }
+      if (out) {
+        add("canary", good);
+      }
+      i += static_cast<size_t>(wasp::ArgWords(arg));
+    }
+  }
+  return cases;
+}
+
+class HostileArgTest : public ::testing::TestWithParam<HostileCase> {};
+
+TEST_P(HostileArgTest, FailsClassifiedOrCopiesOnlyWhatWasProduced) {
+  const HostileCase& c = GetParam();
+  std::string source = R"(
+virtine_main:
+  mov r1, 0x40000
+  mov r2, 0x2323232323232323
+  mov r3, 0
+fill:
+  st64 [r1+0], r2
+  add r1, 8
+  add r3, 1
+  cmp r3, 8
+  jl fill
+  mov r1, path
   mov r0, 0
-  out HC_CONSOLE, r0
-)");
-  wasp::Runtime runtime;
-  wasp::VirtineSpec spec;
-  spec.image = &image;
-  spec.policy = wasp::MaskOf(wasp::kHcConsole);
-  auto outcome = runtime.Invoke(spec);
-  EXPECT_FALSE(outcome.status.ok());
-}
-
-TEST(HandlerSafety, HostileReturnDataOutOfBounds) {
-  // A mapped virtual address whose physical target is beyond guest memory
-  // (identity map covers 1 GB; guest memory is 1 MB).
-  auto image = LongModeImage(R"(
-  mov r1, 0x20000000
+  out HC_OPEN, r0
+)";
+  for (size_t i = 0; i < c.words.size(); ++i) {
+    if (c.hc->message) {
+      source += "  mov r1, " + std::to_string(kMessage) + "\n  mov r2, " + c.words[i] +
+                "\n  st64 [r1+" + std::to_string(8 * i) + "], r2\n";
+    } else {
+      source += "  mov r" + std::to_string(i + 1) + ", " + c.words[i] + "\n";
+    }
+  }
+  if (c.hc->message) {
+    source += "  mov r1, " + c.message_va + "\n";
+  }
+  source += "  mov r0, 0\n  out " + std::to_string(c.hc->port) + R"(, r0
+  mov r1, 0x40000
   mov r2, 64
   mov r0, 0
   out HC_RETURN_DATA, r0
-)");
+  ret
+path:
+  .asciz "/f"
+inbuf:
+  .ascii "0123456789abcdef"
+)";
+  auto image = vrt::BuildImage(vrt::Env::kLong64, source);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
   wasp::Runtime runtime;
+  wasp::ByteChannel channel;
+  const std::vector<uint8_t> input(kHello.begin(), kHello.end());
   wasp::VirtineSpec spec;
-  spec.image = &image;
-  spec.policy = wasp::kPolicyManaged;
-  auto outcome = runtime.Invoke(spec);
-  EXPECT_FALSE(outcome.status.ok());
+  spec.image = &image.value();
+  spec.policy = wasp::kPolicyAllowAll;
+  spec.channel = &channel.guest();
+  if (c.full_world) {
+    runtime.env().PutFile("/f", kHello);
+    spec.input = &input;
+    channel.host().WriteString(kHello);
+  } else {
+    channel.host().CloseWrite();
+  }
+  const wasp::RunOutcome outcome = runtime.Invoke(spec);
+  EXPECT_EQ(outcome.status.code(), c.code) << outcome.status.ToString();
+  EXPECT_EQ(outcome.fault, c.fault);
+  if (c.code == vbase::Code::kInvalidArgument) {  // one message for every over-limit len
+    EXPECT_EQ(outcome.status.message(), std::string(c.hc->name) + ": " +
+                                            std::to_string(wasp::kMaxIoLen + 1) +
+                                            " bytes exceed kMaxIoLen");
+  }
+  if (c.code == vbase::Code::kOk) {
+    EXPECT_EQ(OutputOf(outcome), c.output);
+  }
+  if (c.fails_before_handler) {
+    EXPECT_TRUE(outcome.output.empty());  // a failed copy-in appends nothing
+    EXPECT_TRUE(outcome.console.empty());
+    EXPECT_TRUE(outcome.fd_writes.empty());
+    EXPECT_TRUE(channel.host().Drain().empty());
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(EveryRow, HostileArgTest, ::testing::ValuesIn(HostileCases()),
+                         [](const auto& c) { return c.param.name; });
 
 TEST(HandlerSafety, UnterminatedPathIsRejected) {
   // open() with a path pointer into a region with no NUL within bounds.
@@ -744,10 +912,6 @@ path:
   return runtime.Invoke(spec);
 }
 
-std::string OutputOf(const wasp::RunOutcome& outcome) {
-  return std::string(outcome.output.begin(), outcome.output.end());
-}
-
 TEST(ReadFile, CopiesAtMostCapBytesAndReturnsTheFullSize) {
   wasp::Runtime runtime;
   runtime.env().PutFile("/greeting", std::string("hello file"));
@@ -865,8 +1029,8 @@ TEST(SendRecv, WithoutChannelOrWithOversizedSendIsRejected) {
     EXPECT_EQ(outcome.status.code(), vbase::Code::kFailedPrecondition);
     EXPECT_EQ(outcome.fault, wasp::FaultKind::kHypercallError);
   }
-  // One byte past the 16 MB I/O ceiling: rejected before anything moves.
-  auto oversized = SendRecvImage(vrt::Env::kLong64, "st64", (1 << 24) + 1);
+  // One byte past the I/O ceiling: rejected before anything moves.
+  auto oversized = SendRecvImage(vrt::Env::kLong64, "st64", wasp::kMaxIoLen + 1);
   wasp::Runtime runtime;
   wasp::ByteChannel channel;
   channel.host().WriteString("ping");
