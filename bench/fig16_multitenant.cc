@@ -5,11 +5,11 @@
 //
 // 1. Governance.  A hot *batch* key floods the platform at ~4x the
 //    *interactive* key's mean arrival rate while the interactive key rides
-//    through its own burst.  Every merged arrival becomes one real virtine
-//    invocation through the wasp::Executor (mixed snapshot keys contending
-//    for shells and affine generations); the measured modeled services are
-//    then replayed deterministically under three admission disciplines via
-//    vnet::GovernTrace:
+//    through its own burst.  vnet::GovernTrace runs the merged trace under
+//    three admission disciplines, each on a fresh runtime: every admitted
+//    arrival is one real virtine invocation (mixed snapshot keys contending
+//    for shells and affine generations), scheduled by the wasp::Executor in
+//    virtual time over two lanes:
 //      * isolation  — the interactive tenant alone (its baseline),
 //      * ungoverned — FIFO, no quota: the undifferentiated flood,
 //      * governed   — per-key quota + weighted latency/batch dequeue.
@@ -31,7 +31,7 @@
 //    generation), and RetireSnapshot drains everything back to zero.
 //
 // 3. Tiered quotas.  Three tenants (premium / standard / free) flood
-//    identically at ~2.4x aggregate capacity; GovernanceOptions::
+//    identically at ~2.4x aggregate capacity; ExecutorOptions::
 //    key_quota_overrides gives each tier its own admission cap (standard
 //    deliberately rides the key_quota fallback, exercising override
 //    resolution).  Claim: admission is monotone in tier — premium completes
@@ -57,14 +57,13 @@
 
 namespace {
 
-constexpr int kLanes = 2;          // virtual serving lanes of the governed replay
-constexpr int kMeasureLanes = 8;   // executor lanes of the measuring run
-constexpr int kBatchWeight = 8;    // one batch dequeue per 8 under contention
+constexpr int kLanes = 2;        // virtual serving lanes of every discipline
+constexpr int kBatchWeight = 8;  // one batch dequeue per 8 under contention
 
 // Warm modeled service of the 256-byte base64 function, measured on the real
-// stack.  Every flood rate below is a multiple of the kLanes-lane replay
-// capacity this implies, so the phase ratios — and therefore every gate —
-// survive guest-compiler and interpreter speed changes.
+// stack.  Every flood rate below is a multiple of the kLanes-lane capacity
+// this implies, so the phase ratios — and therefore every gate — survive
+// guest-compiler and interpreter speed changes.
 double MeasuredCapacityRps(wasp::Runtime* runtime) {
   vnet::Vespid vespid(runtime);
   VB_CHECK(vespid.Register("calib", vjs::Base64ScriptSource()).ok(),
@@ -98,22 +97,27 @@ size_t KeyQuotaFor(double capacity_rps) {
   return static_cast<size_t>(0.064 * capacity_rps);
 }
 
-// The measured trace minus every other tenant: the interactive key's
-// isolation baseline replays its own arrivals and measured services only.
-vnet::MeasuredTrace FilterTenant(const vnet::MeasuredTrace& trace, int tenant) {
-  vnet::MeasuredTrace out;
+// The trace minus every other tenant: the interactive key's isolation
+// baseline runs its own arrivals only.
+vnet::TenantTrace FilterTenant(const vnet::TenantTrace& trace, int tenant) {
+  vnet::TenantTrace out;
   out.names = {trace.names[static_cast<size_t>(tenant)]};
   out.classes = {trace.classes[static_cast<size_t>(tenant)]};
-  for (size_t i = 0; i < trace.arrivals_us.size(); ++i) {
-    if (trace.tenant[i] != tenant) {
-      continue;
+  for (const vnet::TenantTrace::Row& row : trace.rows) {
+    if (row.tenant == tenant) {
+      out.rows.push_back(row);
+      out.rows.back().tenant = 0;
     }
-    out.arrivals_us.push_back(trace.arrivals_us[i]);
-    out.tenant.push_back(0);
-    out.service_us.push_back(trace.service_us[i]);
-    out.cold.push_back(trace.cold[i]);
   }
   return out;
+}
+
+// One discipline: `options` over kLanes lanes on a fresh runtime, so every
+// discipline starts from the same cold state.
+vnet::GovernedReplay Govern(const vnet::TenantTrace& trace, wasp::ExecutorOptions options) {
+  wasp::Runtime runtime;
+  options.workers = kLanes;
+  return vnet::GovernTrace(&runtime, trace, options);
 }
 
 void PrintReplayRow(vbase::Table& table, const std::string& run,
@@ -155,33 +159,29 @@ int RunGovernancePhase(bool quick) {
   tenants[1].phases = {{1.77 * cap, 0.35 * scale}};
   tenants[1].payload = payload;
 
-  auto trace = vespid.MeasureMultiTenant(tenants, kMeasureLanes, /*seed=*/42);
+  auto trace = vespid.BuildTrace(tenants, /*seed=*/42);
   VB_CHECK(trace.ok(), trace.status().ToString());
-  const size_t interactive_offered =
-      static_cast<size_t>(std::count(trace->tenant.begin(), trace->tenant.end(), 0));
-  std::printf("measured %zu real invocations (%zu interactive, %zu batch) in %.2f s "
-              "across %d executor lanes\n",
-              trace->arrivals_us.size(), interactive_offered,
-              trace->arrivals_us.size() - interactive_offered,
-              static_cast<double>(trace->wall_ns) / 1e9, kMeasureLanes);
+  const size_t interactive_offered = static_cast<size_t>(
+      std::count_if(trace->rows.begin(), trace->rows.end(),
+                    [](const vnet::TenantTrace::Row& row) { return row.tenant == 0; }));
+  std::printf("trace: %zu arrivals (%zu interactive, %zu batch), each a real invocation "
+              "when admitted, over %d executor lanes in virtual time\n",
+              trace->rows.size(), interactive_offered, trace->rows.size() - interactive_offered,
+              kLanes);
 
-  // Three disciplines over identical measured services.
-  vnet::GovernanceOptions isolation;
-  isolation.lanes = kLanes;
+  // Three disciplines over one trace, each on a fresh runtime.
+  wasp::ExecutorOptions isolation;
   isolation.batch_weight = 0;
-  const vnet::GovernedReplay baseline =
-      vnet::GovernTrace(FilterTenant(*trace, 0), isolation);
+  const vnet::GovernedReplay baseline = Govern(FilterTenant(*trace, 0), isolation);
 
-  vnet::GovernanceOptions ungoverned;
-  ungoverned.lanes = kLanes;
+  wasp::ExecutorOptions ungoverned;
   ungoverned.batch_weight = 0;  // FIFO, no quota
-  const vnet::GovernedReplay flood = vnet::GovernTrace(*trace, ungoverned);
+  const vnet::GovernedReplay flood = Govern(*trace, ungoverned);
 
-  vnet::GovernanceOptions governed;
-  governed.lanes = kLanes;
+  wasp::ExecutorOptions governed;
   governed.key_quota = KeyQuotaFor(cap);
   governed.batch_weight = kBatchWeight;
-  const vnet::GovernedReplay fair = vnet::GovernTrace(*trace, governed);
+  const vnet::GovernedReplay fair = Govern(*trace, governed);
 
   vbase::Table table({"run", "tenant", "offered", "completed", "shed", "mean wait us",
                       "p99 wait us", "agg rps", "fairness"});
@@ -247,20 +247,19 @@ int RunTieredQuotaPhase(bool quick) {
     tenants[t].phases = {{0.8 * cap, 0.6 * scale}};
     tenants[t].payload = std::vector<uint8_t>(256, 5);
   }
-  auto trace = vespid.MeasureMultiTenant(tenants, kMeasureLanes, /*seed=*/43);
+  auto trace = vespid.BuildTrace(tenants, /*seed=*/43);
   VB_CHECK(trace.ok(), trace.status().ToString());
-  std::printf("measured %zu real invocations across %d executor lanes in %.2f s\n",
-              trace->arrivals_us.size(), kMeasureLanes,
-              static_cast<double>(trace->wall_ns) / 1e9);
+  std::printf("trace: %zu arrivals over %d executor lanes in virtual time\n",
+              trace->rows.size(), kLanes);
 
-  vnet::GovernanceOptions tiered;
-  tiered.lanes = kLanes;
+  wasp::ExecutorOptions tiered;
   // The tier table: premium and free are explicit overrides; standard is
   // deliberately *absent* so it resolves through the key_quota default —
-  // both halves of QuotaFor are load-bearing in the gate below.
+  // both halves of QuotaFor are load-bearing in the gate below.  Tenants
+  // are keyed by their snapshot keys (trace.names).
   tiered.key_quota = 32;
-  tiered.key_quota_overrides = {{"premium", 64}, {"free", 8}};
-  const vnet::GovernedReplay replay = vnet::GovernTrace(*trace, tiered);
+  tiered.key_quota_overrides = {{trace->names[0], 64}, {trace->names[2], 8}};
+  const vnet::GovernedReplay replay = Govern(*trace, tiered);
 
   vbase::Table table({"run", "tenant", "offered", "completed", "shed", "mean wait us",
                       "p99 wait us", "agg rps", "fairness"});

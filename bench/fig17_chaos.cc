@@ -23,15 +23,17 @@
 // 2. Chaos storm.  Two Vespid tenants share the platform; a seeded
 //    probabilistic FaultPlan storms the victim's key (guest traps + worker
 //    deaths) while the co-tenant runs the same load as in a fault-free
-//    control run.  Both measured traces replay through GovernTrace's fault
-//    discipline.  Gates: the victim shows a real fault rate, the co-tenant
-//    faults never, and the co-tenant's p99 modeled queue wait under the
-//    storm stays within 2x of its fault-free control — the blast radius is
-//    one invocation, not the platform.
+//    control run.  GovernTrace runs the one trace twice, each time on a
+//    fresh runtime (with and without the plan) and the executor in virtual
+//    time.  Gates: the victim shows a real fault rate, the co-tenant faults
+//    never, and the co-tenant's p99 modeled queue wait under the storm stays
+//    within 2x of its fault-free control — the blast radius is one
+//    invocation, not the platform.
 //
-// 3. Soak (wall-clock paced).  Rounds of ReplayBurstyLoad with
-//    pace_wall_clock dispatch plus an executor burst per round, under a mild
-//    background fault rate.  After each round's drain the harness samples
+// 3. Soak (wall-clock paced).  Rounds of a Vespid arrival trace submitted at
+//    its trace offsets on the real clock, plus an executor burst per round,
+//    both through one threaded executor, under a mild background fault
+//    rate.  After each round's drain the harness samples
 //    the residency gauge, the quarantine gauge, the shell census, and the
 //    executor's queue gauges.  Gates: executor conservation
 //    (submitted == completed + faulted + queued + in_flight) at every
@@ -48,10 +50,9 @@
 //    quarantine), so its replacement pays vm_create; with the breaker the
 //    victim's storm is shed at the door for free.  Gates: goodput with the
 //    breaker >= 1.5x without; the executor's accounting law holds at every
-//    mid-loop observation including across retries; and the phase-2 storm
-//    trace replayed under GovernTrace's breaker discipline sheds only the
-//    victim while the co-tenant's p99 stays within 2x of its fault-free
-//    control.
+//    mid-loop observation including across retries; and the phase-2 trace
+//    run again under GovernTrace's breaker discipline sheds only the victim
+//    while the co-tenant's p99 stays within 2x of its fault-free control.
 //
 //   ./fig17_chaos            # full run
 //   ./fig17_chaos --quick    # CI smoke (shorter traces, same gates)
@@ -258,43 +259,54 @@ int RunContainmentPhase() {
 
 // --- Phase 2: chaos storm vs co-tenant latency -------------------------------
 
-// Measures the two-tenant mix on a runtime built with `plan` and replays it
-// under one governed discipline; returns the replay (tenant 0 = victim,
-// tenant 1 = cotenant).
-vnet::GovernedReplay MeasureStorm(const wasp::FaultPlan& plan, bool quick,
-                                  wasp::PoolStats* pool_stats,
-                                  wasp::FaultInjectorStats* inject_stats,
-                                  int* failures, vnet::MeasuredTrace* out_trace) {
-  wasp::RuntimeOptions options;
-  options.clean_mode = wasp::CleanMode::kAsync;
-  options.fault_plan = plan;
-  wasp::Runtime runtime(options);
-  vnet::Vespid vespid(&runtime);
-  VB_CHECK(vespid.Register("victim", vjs::Base64ScriptSource()).ok(), "register failed");
-  VB_CHECK(vespid.Register("cotenant", vjs::Base64ScriptSource()).ok(),
+// The two-tenant mix phases 2 and 4 govern: a victim at 1200 rps and a
+// co-tenant at 600 rps sharing two lanes.  The functions are registered on
+// a runtime of their own; every discipline runs on a fresh one.
+struct StormMix {
+  wasp::Runtime registry;
+  vnet::Vespid vespid{&registry};
+  std::vector<vnet::TenantSpec> tenants;
+  vnet::TenantTrace trace;  // tenant 0 = victim, tenant 1 = cotenant
+};
+
+void BuildStormMix(bool quick, StormMix* mix) {
+  VB_CHECK(mix->vespid.Register("victim", vjs::Base64ScriptSource()).ok(), "register failed");
+  VB_CHECK(mix->vespid.Register("cotenant", vjs::Base64ScriptSource()).ok(),
            "register failed");
-
   const double scale = quick ? 0.4 : 1.0;
-  std::vector<vnet::TenantSpec> tenants(2);
-  tenants[0].name = "victim";
-  tenants[0].klass = wasp::KeyClass::kLatency;
-  tenants[0].phases = {{1200, 0.3 * scale}};
-  tenants[0].payload = std::vector<uint8_t>(256, 5);
-  tenants[1].name = "cotenant";
-  tenants[1].klass = wasp::KeyClass::kLatency;
-  tenants[1].phases = {{600, 0.3 * scale}};
-  tenants[1].payload = std::vector<uint8_t>(256, 7);
-
-  auto trace = vespid.MeasureMultiTenant(tenants, /*concurrency=*/8, /*seed=*/42);
+  mix->tenants = {
+      {"victim", {{1200, 0.3 * scale}}, wasp::KeyClass::kLatency, std::vector<uint8_t>(256, 5)},
+      {"cotenant", {{600, 0.3 * scale}}, wasp::KeyClass::kLatency, std::vector<uint8_t>(256, 7)},
+  };
+  auto trace = mix->vespid.BuildTrace(mix->tenants, /*seed=*/42);
   VB_CHECK(trace.ok(), trace.status().ToString());
+  mix->trace = std::move(*trace);
+}
 
-  vnet::GovernanceOptions governed;
-  governed.lanes = 2;
-  governed.batch_weight = 0;
-  const vnet::GovernedReplay replay = vnet::GovernTrace(*trace, governed);
-  if (out_trace != nullptr) {
-    *out_trace = std::move(*trace);
-  }
+// The storm: seeded probabilistic guest traps + worker deaths on the
+// victim's snapshot key only.
+wasp::FaultPlan StormPlan() {
+  wasp::FaultPlan plan;
+  plan.seed = 1789;
+  plan.rules.push_back(
+      wasp::FaultPlan::Probability(wasp::FaultKind::kGuestTrap, 0.25, "vespid-victim"));
+  plan.rules.push_back(
+      wasp::FaultPlan::Probability(wasp::FaultKind::kWorkerDeath, 0.10, "vespid-victim"));
+  return plan;
+}
+
+// Governs the mix under `options` (two FIFO lanes) on a fresh async-clean
+// runtime injecting `plan`, then audits the runtime's ledgers.
+vnet::GovernedReplay GovernMix(const StormMix& mix, const wasp::FaultPlan& plan,
+                               wasp::ExecutorOptions options, wasp::PoolStats* pool_stats,
+                               wasp::FaultInjectorStats* inject_stats, int* failures) {
+  wasp::RuntimeOptions runtime_options;
+  runtime_options.clean_mode = wasp::CleanMode::kAsync;
+  runtime_options.fault_plan = plan;
+  wasp::Runtime runtime(runtime_options);
+  options.workers = 2;
+  options.batch_weight = 0;
+  const vnet::GovernedReplay replay = vnet::GovernTrace(&runtime, mix.trace, options);
 
   runtime.pool().DrainCleaner();
   if (pool_stats != nullptr) {
@@ -308,27 +320,17 @@ vnet::GovernedReplay MeasureStorm(const wasp::FaultPlan& plan, bool quick,
   return replay;
 }
 
-int RunStormPhase(bool quick, vnet::MeasuredTrace* control_trace,
-                  vnet::MeasuredTrace* storm_trace) {
+int RunStormPhase(const StormMix& mix) {
   std::printf("\n=== Phase 2: fault storm on one key, co-tenant p99 within 2x ===\n");
   int failures = 0;
 
-  // Control: identical tenants, no injection.
+  // Control: the same trace, no injection.
   const vnet::GovernedReplay control =
-      MeasureStorm(wasp::FaultPlan{}, quick, nullptr, nullptr, &failures, control_trace);
-
-  // Storm: seeded probabilistic guest traps + worker deaths on the victim's
-  // snapshot key only.
-  wasp::FaultPlan plan;
-  plan.seed = 1789;
-  plan.rules.push_back(
-      wasp::FaultPlan::Probability(wasp::FaultKind::kGuestTrap, 0.25, "vespid-victim"));
-  plan.rules.push_back(
-      wasp::FaultPlan::Probability(wasp::FaultKind::kWorkerDeath, 0.10, "vespid-victim"));
+      GovernMix(mix, wasp::FaultPlan{}, {}, nullptr, nullptr, &failures);
   wasp::PoolStats pool_stats;
   wasp::FaultInjectorStats inject_stats;
   const vnet::GovernedReplay storm =
-      MeasureStorm(plan, quick, &pool_stats, &inject_stats, &failures, storm_trace);
+      GovernMix(mix, StormPlan(), {}, &pool_stats, &inject_stats, &failures);
 
   vbase::Table table({"run", "tenant", "offered", "completed", "faulted", "fault rate",
                       "p99 wait us"});
@@ -427,20 +429,33 @@ int RunSoakPhase(bool quick, bool soak) {
   executor_options.max_queue_depth = 0;
   executor_options.block_when_full = true;
   wasp::Executor executor(&runtime, executor_options);
-  vbase::Table table({"round", "replayed", "faulted", "resident B", "census",
+  vbase::Table table({"round", "paced", "faulted", "resident B", "census",
                       "quarantined now", "queued", "in flight"});
   for (int round = 0; round < rounds; ++round) {
-    // Paced open-loop load: each arrival dispatched at its trace offset on
-    // the real clock (the pace_wall_clock soak mode).
-    vnet::ReplayOptions replay_options;
-    replay_options.concurrency = kLanes;
-    replay_options.seed = 42 + static_cast<uint64_t>(round);
-    replay_options.pace_wall_clock = true;
-    auto replay = vespid.ReplayBurstyLoad("soak", phases, payload, replay_options);
-    VB_CHECK(replay.ok(), replay.status().ToString());
-    total_faulted += replay->faulted_invocations;
+    // Paced open-loop load: each arrival submitted at its trace offset on
+    // the real clock.
+    const std::vector<vnet::TenantSpec> tenant = {
+        {"soak", phases, wasp::KeyClass::kLatency, payload}};
+    auto trace = vespid.BuildTrace(tenant, 42 + static_cast<uint64_t>(round));
+    VB_CHECK(trace.ok(), trace.status().ToString());
+    std::vector<std::future<wasp::RunOutcome>> paced;
+    paced.reserve(trace->rows.size());
+    const auto origin = std::chrono::steady_clock::now();
+    for (const vnet::TenantTrace::Row& row : trace->rows) {
+      std::this_thread::sleep_until(
+          origin + std::chrono::microseconds(static_cast<int64_t>(row.arrival_us)));
+      paced.push_back(executor.Submit(row.spec));
+    }
+    uint64_t round_faulted = 0;
+    for (auto& f : paced) {
+      const wasp::RunOutcome outcome = f.get();
+      VB_CHECK(outcome.fault != wasp::FaultKind::kNone || outcome.status.ok(),
+               outcome.status.ToString());
+      round_faulted += outcome.fault != wasp::FaultKind::kNone ? 1 : 0;
+    }
+    total_faulted += round_faulted;
 
-    // Executor burst on a second key, sampling the accounting law mid-flight
+    // A burst on a second key, sampling the accounting law mid-flight
     // — the invariant must hold at *every* observation, not just quiescence.
     constexpr int kBurst = 32;
     std::vector<std::future<wasp::RunOutcome>> futures;
@@ -469,8 +484,8 @@ int RunSoakPhase(bool quick, bool soak) {
     CheckExecutorConservation(exec_stats, &failures);
     const uint64_t census =
         runtime.pool().TotalFreeShells() + runtime.pool().TotalAffineShells();
-    table.AddRow({std::to_string(round), std::to_string(replay->sim.total_requests),
-                  std::to_string(replay->faulted_invocations), std::to_string(resident),
+    table.AddRow({std::to_string(round), std::to_string(paced.size()),
+                  std::to_string(round_faulted), std::to_string(resident),
                   std::to_string(census), std::to_string(pool_stats.quarantined_now),
                   std::to_string(exec_stats.queued), std::to_string(exec_stats.in_flight)});
     if (pool_stats.quarantined_now != 0 || exec_stats.queued != 0 ||
@@ -650,8 +665,7 @@ RecoveryRun RunRecoveryLoad(const visa::Image& image, bool breaker, int jobs,
   return run;
 }
 
-int RunRecoveryPhase(bool quick, const vnet::MeasuredTrace& control_trace,
-                     const vnet::MeasuredTrace& storm_trace) {
+int RunRecoveryPhase(bool quick, const StormMix& mix) {
   std::printf("\n=== Phase 4: retry-once + circuit breaker goodput under the storm ===\n");
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
   VB_CHECK(image.ok(), image.status().ToString());
@@ -705,21 +719,22 @@ int RunRecoveryPhase(bool quick, const vnet::MeasuredTrace& control_trace,
     ++failures;
   }
 
-  // The phase-2 measured traces replayed under the breaker discipline: only
-  // the stormed victim sheds, and the co-tenant's p99 holds the 2x gate.
-  vnet::GovernanceOptions governed;
-  governed.lanes = 2;
-  governed.batch_weight = 0;
+  // The phase-2 mix under the breaker discipline, with and without the
+  // storm: only the stormed victim sheds, and the co-tenant's p99 holds the
+  // 2x gate.
+  wasp::ExecutorOptions governed;
   governed.recovery.breaker_enabled = true;
   governed.recovery.breaker_open_threshold = 0.2;
   governed.recovery.breaker_min_samples = 4;
   governed.recovery.breaker_open_sheds = 8;
-  const vnet::GovernedReplay control = vnet::GovernTrace(control_trace, governed);
-  const vnet::GovernedReplay storm = vnet::GovernTrace(storm_trace, governed);
+  const vnet::GovernedReplay control =
+      GovernMix(mix, wasp::FaultPlan{}, governed, nullptr, nullptr, &failures);
+  const vnet::GovernedReplay storm =
+      GovernMix(mix, StormPlan(), governed, nullptr, nullptr, &failures);
   const vnet::TenantOutcome& victim = storm.tenants[0];
   const vnet::TenantOutcome& bystander = storm.tenants[1];
   if (victim.shed_breaker == 0 || victim.breaker_opens == 0) {
-    std::printf("FAIL: the replayed breaker never shed the stormed victim\n");
+    std::printf("FAIL: the breaker never shed the stormed victim\n");
     ++failures;
   }
   if (bystander.shed_breaker != 0 || control.tenants[0].shed_breaker != 0 ||
@@ -729,7 +744,7 @@ int RunRecoveryPhase(bool quick, const vnet::MeasuredTrace& control_trace,
   }
   const double floor_us = 500.0;
   const double base_p99 = std::max(control.tenants[1].p99_queue_wait_us, floor_us);
-  std::printf("Claim check: breaker replay shed %llu victim arrivals over %llu opens; "
+  std::printf("Claim check: breaker run shed %llu victim arrivals over %llu opens; "
               "co-tenant p99 %.0f us vs %.0f us control (%.2fx; gate <= 2x with a "
               "%.0f us floor).\n",
               static_cast<unsigned long long>(victim.shed_breaker),
@@ -737,7 +752,7 @@ int RunRecoveryPhase(bool quick, const vnet::MeasuredTrace& control_trace,
               bystander.p99_queue_wait_us, control.tenants[1].p99_queue_wait_us,
               bystander.p99_queue_wait_us / base_p99, floor_us);
   if (bystander.p99_queue_wait_us > 2.0 * base_p99) {
-    std::printf("FAIL: the breaker replay degraded the co-tenant's p99 beyond 2x\n");
+    std::printf("FAIL: the breaker run degraded the co-tenant's p99 beyond 2x\n");
     ++failures;
   }
   return failures;
@@ -762,11 +777,11 @@ int main(int argc, char** argv) {
       "stays within 2x of fault-free, and every accounting ledger conserves");
 
   int failures = RunContainmentPhase();
-  vnet::MeasuredTrace control_trace;
-  vnet::MeasuredTrace storm_trace;
-  failures += RunStormPhase(quick, &control_trace, &storm_trace);
+  StormMix mix;
+  BuildStormMix(quick, &mix);
+  failures += RunStormPhase(mix);
   failures += RunSoakPhase(quick, soak);
-  failures += RunRecoveryPhase(quick, control_trace, storm_trace);
+  failures += RunRecoveryPhase(quick, mix);
   if (failures > 0) {
     std::printf("\nFAIL: %d chaos gate(s) violated\n", failures);
     return 1;

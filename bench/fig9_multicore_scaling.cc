@@ -10,11 +10,14 @@
 //   * snapshot-restore — Wasp+CA plus the snapshot fast path
 //
 // Throughput is reported in the repo's deterministic currency: modeled
-// cycles at the 2.69 GHz reference clock.  A batch's modeled completion
-// time is its busiest worker lane (max over per-lane busy cycles), so the
-// metric is machine-independent while the *execution* is genuinely
-// concurrent — every run exercises the sharded pool, the cleaner crew, and
-// the shared snapshot store under real thread contention.
+// cycles at the 2.69 GHz reference clock.  Each point's batch runs twice,
+// on two runtimes warmed alike.  The executor in virtual time
+// (Executor::RunVirtual, every invocation submitted at t = 0) schedules it
+// over the point's lanes, and its busiest lane's modeled cycles are the
+// makespan: machine-independent, and identical from run to run.  A threaded
+// executor with as many workers runs it again under real thread contention
+// — the sharded pool, the cleaner crew, and the shared snapshot store — and
+// supplies the acquire-path columns and the wall time.
 //
 // PR 7 extends the sweep to 16 lanes and reports the acquire path itself:
 // per-point acquire p50/p99 (wall ns, from each invocation's measured
@@ -29,6 +32,7 @@
 //   ./fig9_multicore_scaling --json out.json # also write machine-readable results
 #include <algorithm>
 #include <cstring>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -73,7 +77,6 @@ ConfigResult RunConfig(const std::string& name, wasp::CleanMode mode, bool use_s
                        const visa::Image& image, int invocations) {
   wasp::RuntimeOptions options;
   options.clean_mode = mode;
-  wasp::Runtime runtime(options);
 
   wasp::VirtineSpec spec;
   spec.image = &image;
@@ -92,47 +95,82 @@ ConfigResult RunConfig(const std::string& name, wasp::CleanMode mode, bool use_s
   // miss would charge vm_create (~4 invocations' worth of modeled cycles)
   // to one lane and turn the deterministic makespan into a flaky gate.
   // For the snapshot config, a single sequential run seeds the snapshot.
-  runtime.pool().Prewarm(runtime.MakeVmConfig(spec.mem_size), invocations);
-  if (use_snapshot) {
-    auto seed = runtime.Invoke(spec);
-    VB_CHECK(seed.status.ok(), seed.status.ToString());
-    VB_CHECK(seed.stats.took_snapshot, "snapshot seeding failed");
-  }
-  runtime.pool().DrainCleaner();
+  auto warm = [&](wasp::Runtime& runtime) {
+    runtime.pool().Prewarm(runtime.MakeVmConfig(spec.mem_size), invocations);
+    if (use_snapshot) {
+      auto seed = runtime.Invoke(spec);
+      VB_CHECK(seed.status.ok(), seed.status.ToString());
+      VB_CHECK(seed.stats.took_snapshot, "snapshot seeding failed");
+    }
+    runtime.pool().DrainCleaner();
+  };
+  wasp::Runtime threaded(options);
+  wasp::Runtime virtual_time(options);
+  warm(threaded);
+  warm(virtual_time);
 
   ConfigResult result;
   result.name = name;
-  const std::vector<wasp::VirtineSpec> specs(static_cast<size_t>(invocations), spec);
   const int64_t expected = HostFib(kFibArg);
+  auto check = [expected](const wasp::RunOutcome& outcome) {
+    VB_CHECK(outcome.status.ok(), outcome.status.ToString());
+    VB_CHECK(static_cast<int64_t>(outcome.result_word) == expected,
+             "wrong fib result under concurrency");
+  };
   for (const int threads : kThreadSweep) {
-    const wasp::PoolStats before = runtime.pool().stats();
-    wasp::Executor::BatchStats stats;
-    std::vector<wasp::RunOutcome> outcomes =
-        wasp::Executor::Run(&runtime, specs, threads, &stats);
-    const wasp::PoolStats after = runtime.pool().stats();
-    std::vector<double> acquire_ns;
-    acquire_ns.reserve(outcomes.size());
-    for (const wasp::RunOutcome& outcome : outcomes) {
-      VB_CHECK(outcome.status.ok(), outcome.status.ToString());
-      VB_CHECK(static_cast<int64_t>(outcome.result_word) == expected,
-               "wrong fib result under concurrency");
-      acquire_ns.push_back(static_cast<double>(outcome.stats.acquire_ns));
-    }
-    // Restock every free list before the next lane count so each point
-    // starts from the same warm pool.
-    runtime.pool().DrainCleaner();
-    VB_CHECK(runtime.pool().stats().fresh_creates == 0,
-             "pool miss during the sweep: makespan would include vm_create");
-
+    wasp::ExecutorOptions executor_options;
+    executor_options.workers = threads;
     SweepPoint point;
     point.threads = threads;
-    point.makespan_cycles = stats.MakespanCycles();
+
+    // The makespan: the batch scheduled by the executor in virtual time.
+    // Every invocation arrives at t = 0, so each lane is busy until the
+    // queue drains and its summed cycles are its last completion.
+    std::vector<wasp::Executor::Arrival> arrivals(static_cast<size_t>(invocations));
+    for (wasp::Executor::Arrival& arrival : arrivals) {
+      arrival.spec = spec;
+    }
+    const wasp::Executor::VirtualRun run =
+        wasp::Executor::RunVirtual(&virtual_time, executor_options, std::move(arrivals));
+    std::vector<uint64_t> lane_cycles(static_cast<size_t>(threads), 0);
+    for (const wasp::Executor::Served& served : run.served) {
+      check(served.outcome);
+      lane_cycles[served.lane] += served.outcome.stats.total_cycles;
+    }
+    point.makespan_cycles = *std::max_element(lane_cycles.begin(), lane_cycles.end());
     const double makespan_s = vbase::CyclesToMicros(point.makespan_cycles) / 1e6;
     point.throughput_kinv_s = static_cast<double>(invocations) / makespan_s / 1e3;
-    point.wall_ns = stats.wall_ns;
     point.speedup = result.points.empty()
                         ? 1.0
                         : point.throughput_kinv_s / result.points[0].throughput_kinv_s;
+
+    // The acquire path: the same batch on `threads` worker threads.
+    const wasp::PoolStats before = threaded.pool().stats();
+    std::vector<double> acquire_ns;
+    acquire_ns.reserve(static_cast<size_t>(invocations));
+    {
+      wasp::Executor executor(&threaded, executor_options);
+      vbase::WallTimer timer;
+      std::vector<std::future<wasp::RunOutcome>> futures;
+      futures.reserve(static_cast<size_t>(invocations));
+      for (int i = 0; i < invocations; ++i) {
+        futures.push_back(executor.Submit(spec));
+      }
+      for (std::future<wasp::RunOutcome>& future : futures) {
+        const wasp::RunOutcome outcome = future.get();
+        check(outcome);
+        acquire_ns.push_back(static_cast<double>(outcome.stats.acquire_ns));
+      }
+      point.wall_ns = timer.ElapsedNanos();
+    }
+    const wasp::PoolStats after = threaded.pool().stats();
+    // Restock every free list before the next lane count so each point
+    // starts from the same warm pool.
+    threaded.pool().DrainCleaner();
+    for (wasp::Runtime* runtime : {&threaded, &virtual_time}) {
+      VB_CHECK(runtime->pool().stats().fresh_creates == 0,
+               "pool miss during the sweep: makespan would include vm_create");
+    }
     point.acquire_p50_ns = vbase::Quantile(acquire_ns, 0.50);
     point.acquire_p99_ns = vbase::Quantile(acquire_ns, 0.99);
     // Acquire-path tier accounting for *this* sweep point, from the pool's
@@ -239,7 +277,8 @@ int main(int argc, char** argv) {
   const bool speedup_ok = eight.speedup >= 4.0;
   const bool lockfree_ok = min_hit_rate >= 0.95;
   const bool p99_ok = sixteen.acquire_p99_ns <= p99_bound;
-  std::printf("\n%d invocations per point; modeled makespan = busiest worker lane.\n",
+  std::printf("\n%d invocations per point; modeled makespan = busiest lane of the executor "
+              "in virtual time.\n",
               invocations);
   std::printf("Claim check: pooled-async at 8 threads >= 4x the 1-thread baseline -> "
               "measured %.2fx (%s)\n",

@@ -2,7 +2,7 @@
 # Tier-1 gate: configure + build + ctest in one command.
 #
 #   ./ci.sh             # normal mode (warnings allowed) + the perfbench modeled-metric
-#                       # gate, fig9/12/13/14/16/17/sec64 smokes and the quickstart,
+#                       # gate, fig9/12/13/14/15/16/17/sec64 smokes and the quickstart,
 #                       # HTTP server, JS UDF and AES pipeline examples
 #   STRICT=1 ./ci.sh    # -Werror: any warning fails the build
 #   TSAN=1 ./ci.sh      # ThreadSanitizer build; runs the threaded wasp/net tests
@@ -27,11 +27,11 @@ count_gtests() {
 if [[ "${TSAN:-0}" == "1" ]]; then
   # ThreadSanitizer gate for the concurrent invocation engine (lock-free
   # shell fast path: lane caches + tagged Treiber stacks, cleaner crew,
-  # executor, governance layer, the admission policy's executor-vs-replay
-  # differential).  test_wasp_concurrency carries the stress suite —
-  # the mixed-op conservation stress and the Treiber-stack ABA/conservation
-  # regressions run under TSan here.  Separate build dir: TSan objects don't
-  # mix.
+  # executor, governance layer, the admission differential of the
+  # executor's worker threads against Executor::RunVirtual).
+  # test_wasp_concurrency carries the stress suite — the mixed-op
+  # conservation stress and the Treiber-stack ABA/conservation regressions
+  # run under TSan here.  Separate build dir: TSan objects don't mix.
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
   TSAN_TESTS=(test_wasp test_wasp_concurrency test_snapshot_engine test_governance
               test_net test_http_server_concurrency test_fault_injection test_recovery
@@ -100,8 +100,10 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 # $BUILD_DIR/modeled_measured.json: a change that moves a number on purpose
 # copies that file over the expected one.
 CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/modeled_measured.json"
-# Multicore throughput + lock-free acquire smoke, swept to 16 lanes: fails
-# (non-zero) if pooled-async scaling drops below the 4x-at-8-threads floor,
+# Multicore throughput + lock-free acquire smoke, swept to 16 lanes (the
+# makespan from the executor in virtual time, the acquire path from a
+# threaded executor): fails (non-zero) if pooled-async scaling drops below
+# the 4x-at-8-threads floor,
 # if fewer than 95% of steady-state acquires are served lock-free (lane
 # cache + Treiber free-list), or if acquire p99 at 16 lanes grows past
 # max(2x the 1-lane p99, the scheduler-noise floor) — the lock-free fast
@@ -147,7 +149,13 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # ciphertext differs from the host's vaes::EncryptCbc or if the warm exit
 # count varies between sizes.
 (cd "$BUILD_DIR" && ./sec64_aes_throughput)
-# Governance smoke: the fig16 gates on a shortened trace — per-key quota
+# Serverless smoke: the fig15 bursty trace through Vespid on the executor in
+# virtual time; fails (non-zero) unless every trace arrival is served
+# without a fault and a second replay on a fresh runtime prints an
+# identical Vespid timeline.
+(cd "$BUILD_DIR" && ./fig15_serverless)
+# Governance smoke: the fig16 gates on a shortened trace, each discipline
+# on a fresh runtime through the executor in virtual time — per-key quota
 # bounds the interactive key's p99 queue wait within 2x of isolation at
 # <10% aggregate RPS cost, COW extents keep 64 keys warm (>10x the
 # full-copy capacity) under the same budget with zero evictions through a
@@ -157,11 +165,13 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # Chaos smoke: fig17's containment/storm/soak/recovery gates on shortened
 # runs — every injected FaultKind classifies and quarantines (no faulted
 # shell is ever re-acquired affine, the quarantine ledger balances), a fault
-# storm on one key keeps the co-tenant's p99 within 2x of fault-free, a
-# paced soak leaves zero gauge drift and zero resident bytes after
-# retirement, and the phase-4 recovery run gates the circuit breaker's
-# goodput at >= 1.5x the breaker-off run under the same 33% storm (with
-# retry-exactly-once accounting conserved at every observation).
+# storm on one key keeps the co-tenant's p99 within 2x of fault-free (storm
+# and control on fresh runtimes through the executor in virtual time), a
+# paced soak through a threaded executor leaves zero gauge drift and zero
+# resident bytes after retirement, and the phase-4 recovery run gates the
+# circuit breaker's goodput at >= 1.5x the breaker-off run under the same
+# 33% storm (with retry-exactly-once accounting conserved at every
+# observation).
 (cd "$BUILD_DIR" && ./fig17_chaos --quick)
 # SOAK=1: the full chaos + wall-clock soak run (minutes, not seconds) —
 # same gates, more rounds, real pacing — plus a wall-clock-paced keep-alive
@@ -179,4 +189,4 @@ for t in "$BUILD_DIR"/test_*; do
   cases=$((cases + $(count_gtests "$t")))
 done
 echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, modeled gate," \
-     "7 bench smokes, 4 examples"
+     "8 bench smokes, 4 examples"

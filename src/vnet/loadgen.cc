@@ -197,28 +197,15 @@ LoadResult RunSocketClosedLoop(const SocketLoadOptions& options) {
   return result;
 }
 
-LaneSchedule::LaneSchedule(int lanes)
-    : lane_free_us_(static_cast<size_t>(std::max(lanes, 1)), 0.0) {}
-
-double LaneSchedule::Place(double earliest_start_us, double service_us) {
-  // Earliest-free lane, ties broken on index: deterministic for a given
-  // placement sequence.
-  const size_t lane = static_cast<size_t>(
-      std::min_element(lane_free_us_.begin(), lane_free_us_.end()) - lane_free_us_.begin());
-  const double done = std::max(earliest_start_us, lane_free_us_[lane]) + service_us;
-  lane_free_us_[lane] = done;
-  return done;
-}
-
 LoadResult ClosedLoopVirtualTime(int clients, int lanes,
                                  const std::vector<double>& services_us) {
   LoadResult result;
   const size_t n_clients = static_cast<size_t>(std::max(clients, 1));
-  // Earliest-ready client issues the next request; it starts on the
-  // earliest-free lane.  Ties break on index, so the schedule (and every
-  // latency) is deterministic for a given service vector.
+  // The earliest-ready client sends the next request, on the earliest-free
+  // lane.  Ties break on index, so the schedule (and every latency) is
+  // deterministic for a given service vector.
   std::vector<double> client_ready(n_clients, 0.0);
-  LaneSchedule schedule(lanes);
+  std::vector<double> lane_free(static_cast<size_t>(std::max(lanes, 1)), 0.0);
   result.latencies_us.reserve(services_us.size());
   double end_us = 0;
   for (const double service : services_us) {
@@ -228,7 +215,10 @@ LoadResult ClosedLoopVirtualTime(int clients, int lanes,
       ++result.failures;  // failed request: the client retries immediately
       continue;
     }
-    const double done = schedule.Place(client_ready[c], service);
+    const size_t lane = static_cast<size_t>(
+        std::min_element(lane_free.begin(), lane_free.end()) - lane_free.begin());
+    const double done = std::max(client_ready[c], lane_free[lane]) + service;
+    lane_free[lane] = done;
     result.latencies_us.push_back(done - client_ready[c]);
     client_ready[c] = done;
     end_us = std::max(end_us, done);

@@ -7,11 +7,12 @@
 //
 // Open-loop mode: GenerateArrivalTrace gives a deterministic arrival trace
 // (uniform spacing with ±12.5% jitter inside each phase — the paper's bursty
-// Locust profile).  Vespid::ReplayBurstyLoad dispatches one invocation per
-// arrival without waiting for a completion, so bursts land at full width and
-// admission control / queueing is what absorbs them.  The same generator
-// feeds the Figure 15 simulator, so modeled and measured platforms see an
-// identical request stream.
+// Locust profile).  Vespid::ReplayBurstyLoad submits one invocation per
+// arrival at its trace time through the executor in virtual time, without
+// waiting for a completion, so bursts land at full width and admission
+// control / queueing is what absorbs them.  The same generator feeds the
+// Figure 15 simulator, so modeled and run platforms see an identical
+// request stream.
 #ifndef SRC_VNET_LOADGEN_H_
 #define SRC_VNET_LOADGEN_H_
 
@@ -71,30 +72,17 @@ struct SocketLoadOptions {
 // latencies_us.size() / wall_seconds is the measured socket RPS.
 LoadResult RunSocketClosedLoop(const SocketLoadOptions& options);
 
-// Virtual-time lane scheduler shared by the closed loop below and the
-// Figure 15 replay: each placed request starts on the earliest-free of N
-// serving lanes, no earlier than its own earliest-start time, and occupies
-// the lane for its service time.  One implementation, so the fig13 and
-// fig15 currencies cannot drift.
-class LaneSchedule {
- public:
-  explicit LaneSchedule(int lanes);
-  // Returns the request's completion time (start + service).
-  double Place(double earliest_start_us, double service_us);
-
- private:
-  std::vector<double> lane_free_us_;
-};
-
 // Deterministic virtual-time closed loop: `clients` logical clients issue
 // requests back to back over `lanes` serving lanes; request i consumes
 // services_us[i] of lane time (measured service costs — e.g. the modeled
 // cycles of real invocations — consumed in order; negative entries count as
-// failures and occupy no lane time).  Per-request latency is virtual queue
-// wait plus service, so the result scales with the lane count even on an
+// failures and occupy no lane time).  The earliest-ready client sends next,
+// on the earliest-free lane.  Per-request latency is virtual queue wait plus
+// service, so the result scales with the lane count even on an
 // oversubscribed host where wall time cannot express lane parallelism.
 // This is the deterministic currency of the Figure 13 lane sweep, the
-// closed-loop sibling of fig9's modeled makespan.
+// closed-loop sibling of fig9's modeled makespan; it moves to
+// Executor::RunVirtual once fig13's in-process requests stop blocking.
 LoadResult ClosedLoopVirtualTime(int clients, int lanes,
                                  const std::vector<double>& services_us);
 

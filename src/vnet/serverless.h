@@ -9,14 +9,15 @@
 // cold-start and warm-start service costs are constants calibrated to
 // published container cold-start measurements.
 //
-// The *virtine* platform is measured, not modeled: ReplayBurstyLoad drives
-// the paper's bursty open-loop pattern (ramp up, two bursts, ramp down —
-// the Locust profile) through the real wasp::Executor, one virtine
-// invocation per trace arrival, and lays the measured per-request service
-// costs onto the trace's virtual timeline.  Both platforms emit the same
-// SimResult currency over the same arrival trace (vnet::GenerateArrivalTrace
-// with the same seed), so Figure 15 compares a measured virtine platform
-// against the calibrated container baseline bucket for bucket.
+// The *virtine* platform is run, not modeled: ReplayBurstyLoad drives the
+// paper's bursty open-loop pattern (ramp up, two bursts, ramp down — the
+// Locust profile) through the real wasp::Executor in virtual time
+// (Executor::RunVirtual), one virtine invocation per trace arrival, each
+// holding its lane for its own modeled cycles.  Both platforms emit the
+// same SimResult currency over the same arrival trace
+// (vnet::GenerateArrivalTrace with the same seed), so Figure 15 compares the
+// virtine platform against the calibrated container baseline bucket for
+// bucket, and the virtine timeline repeats exactly.
 #ifndef SRC_VNET_SERVERLESS_H_
 #define SRC_VNET_SERVERLESS_H_
 
@@ -78,36 +79,23 @@ struct TenantSpec {
   std::vector<uint8_t> payload;
 };
 
-// A merged multi-tenant arrival trace with the *measured* modeled service
-// cost of one real executor invocation per arrival (mixed snapshot keys
-// contending for pool shells and affine generations).  Produced once by
-// Vespid::MeasureMultiTenant; governance disciplines are then evaluated
-// deterministically over it by GovernTrace, so governed and ungoverned
-// runs compare on identical measured services.
-struct MeasuredTrace {
-  std::vector<std::string> names;          // per tenant
-  std::vector<wasp::KeyClass> classes;     // per tenant
-  std::vector<double> arrivals_us;         // merged, ascending
-  std::vector<int> tenant;                 // arrival -> tenant index
-  std::vector<double> service_us;          // measured modeled service cost
-  std::vector<bool> cold;                  // arrival booted instead of restored
-  // Arrival's invocation died with a FaultKind (chaos injection or a real
-  // guest fault).  A faulted arrival consumed real service — it occupied a
-  // lane and its quota slot until it died — so GovernTrace replays it as
-  // load, but counts it per tenant instead of as a completion.  May be
-  // empty (hand-built traces): treated as all-false.
-  std::vector<bool> faulted;
-  uint64_t wall_ns = 0;                    // real elapsed time of the measuring run
-};
-
-// The discipline GovernTrace applies: the executor's admission settings
-// (quota, overrides, global bound, class weight, breaker) over `lanes`
-// virtual serving lanes.  Quota overrides are keyed by tenant name.
-// Retry is not replayed — it changes the measured services, so it belongs
-// to the measuring run; the replay isolates what shedding alone does to
-// the co-tenants.
-struct GovernanceOptions : wasp::AdmissionOptions {
-  int lanes = 2;  // virtual serving lanes
+// A merged multi-tenant arrival trace whose rows carry their jobs: a Vespid
+// invocation per row (Vespid::BuildTrace), or a synthetic task (tests).
+// Tenant names are the admission policy's keys: a task row is submitted
+// under its tenant's name, and an invocation row's snapshot key must be its
+// tenant's name.  Rows hold non-owning pointers (image, payload): their
+// owners must outlive every GovernTrace over the trace.
+struct TenantTrace {
+  struct Row {
+    double arrival_us = 0;
+    int tenant = 0;             // index into names
+    wasp::VirtineSpec spec;     // the invocation, unless `task` is set
+    wasp::Executor::Task task;  // a synthetic job: its outcome's modeled
+                                // cycles are its service
+  };
+  std::vector<std::string> names;       // per tenant
+  std::vector<wasp::KeyClass> classes;  // per tenant
+  std::vector<Row> rows;                // ascending arrival_us
 };
 
 // Per-tenant outcome of a governed replay.
@@ -115,13 +103,13 @@ struct TenantOutcome {
   std::string name;
   uint64_t offered = 0;        // arrivals in the trace
   uint64_t completed = 0;      // admitted and served fault-free
-  uint64_t faulted = 0;        // admitted, occupied a lane, died with a fault
+  uint64_t faulted = 0;        // admitted, held a lane, ended with a non-OK status
   double fault_rate = 0;       // faulted / offered
   uint64_t shed_quota = 0;     // rejected by the per-key quota
   uint64_t shed_overload = 0;  // rejected by the global queue bound
   uint64_t shed_breaker = 0;   // rejected by the tenant's open circuit breaker
   uint64_t breaker_opens = 0;  // times the tenant's breaker tripped open
-  wasp::KeyRecoverySnapshot recovery;  // the tenant's policy ledger after the last arrival
+  wasp::KeyRecoverySnapshot recovery;  // the tenant's policy ledger after the last settle
   double shed_rate = 0;        // (shed_quota + shed_overload + shed_breaker) / offered
   double mean_queue_wait_us = 0;
   double p99_queue_wait_us = 0;  // the governance claim's currency
@@ -130,7 +118,7 @@ struct TenantOutcome {
 };
 
 struct GovernedReplay {
-  std::vector<TenantOutcome> tenants;  // in MeasuredTrace tenant order
+  std::vector<TenantOutcome> tenants;  // in TenantTrace tenant order
   SimResult sim;                       // merged timeline over served requests
   // Jain's fairness index over per-tenant admitted fractions: 1.0 = every
   // tenant got the same share of its offered load through admission.
@@ -139,27 +127,24 @@ struct GovernedReplay {
   double makespan_s = 0;     // first arrival to last completion
 };
 
-// Applies `options` to the measured trace in virtual time: at each arrival
-// the wasp::AdmissionPolicy the executor uses admits or sheds it (breaker,
-// quota, global bound), the same policy picks the class each lane serves
-// next, and each admitted request holds its lane for its measured service.
-// What the replay does not model: the executor's affinity scan (requests of
-// one class dispatch in arrival order) and retry-once.  Deterministic for a
-// given trace.  Tenant names are the policy's keys, so a trace with empty or
-// duplicate names, an out-of-range tenant index, or per-arrival vectors of
-// unequal length fails a VB_CHECK.
-GovernedReplay GovernTrace(const MeasuredTrace& trace, const GovernanceOptions& options);
+// Governs `trace` on `runtime` with the real executor in virtual time
+// (wasp::Executor::RunVirtual over options.workers lanes): each row is
+// submitted at its arrival under the admission settings in `options`
+// (breaker, quota, global bound, class weight, retry-once), dequeued by the
+// executor's class pick and affinity scan, and holds its lane for its own
+// outcome's modeled cycles.  Pass a fresh runtime per discipline so each
+// starts from the same cold state; a given trace and runtime configuration
+// govern identically every time.  A shed row never runs.  An empty or
+// duplicate tenant name, an out-of-range tenant index, or an invocation row
+// keyed other than its tenant fails a VB_CHECK.
+GovernedReplay GovernTrace(wasp::Runtime* runtime, const TenantTrace& trace,
+                           const wasp::ExecutorOptions& options);
 
 // --- Vespid: virtine-backed function platform -------------------------------
 
 struct ReplayOptions {
   int concurrency = 8;  // executor lanes = the platform's serving width
   uint64_t seed = 42;   // must match the simulator's to share the trace
-  // Pace submissions on the real clock (sleep until each arrival's trace
-  // offset) instead of dispatching the whole trace up front.  Soak-style
-  // runs only: wall pacing makes the measured contention timing-dependent,
-  // so it stays off for the deterministic benches.
-  bool pace_wall_clock = false;
 };
 
 class Vespid {
@@ -182,44 +167,26 @@ class Vespid {
   vbase::Result<Invocation> Invoke(const std::string& name,
                                    const std::vector<uint8_t>& payload);
 
-  struct ReplayResult {
-    // Same timeline currency as SimulateBurstyLoad: per-request latency is
-    // virtual queue wait plus the *measured* modeled service cost of that
-    // request's real invocation, with cold starts flagged from the real
-    // snapshot path (a request is cold iff its invocation found no snapshot
-    // and booted from the image).
-    SimResult sim;
-    double measured_warm_us = 0;   // mean measured service of warm invocations
-    double measured_cold_us = 0;   // mean measured service of cold invocations
-    uint64_t cold_invocations = 0;
-    // Invocations that died with a FaultKind (chaos injection): they still
-    // occupy their virtual lane for their measured service (the shell was
-    // quarantined after real work), but are excluded from the warm/cold
-    // service means so fault-shortened runs cannot skew them.
-    uint64_t faulted_invocations = 0;
-    uint64_t wall_ns = 0;          // real elapsed time of the replay
-  };
-
-  // Replays the bursty arrival trace with one *real* executor-driven
-  // invocation per arrival: submits every request to a wasp::Executor with
-  // `concurrency` workers (keyed snapshot affinity engaged), measures each
-  // invocation's modeled service cost and cold/warm outcome, then assembles
-  // the Figure 15 timeline by queueing those measured services over
-  // `concurrency` serving lanes at the trace's virtual arrival times.
-  vbase::Result<ReplayResult> ReplayBurstyLoad(const std::string& name,
-                                               const std::vector<LoadPhase>& phases,
-                                               const std::vector<uint8_t>& payload,
-                                               const ReplayOptions& options = {});
+  // Replays the bursty arrival trace of `name` on this platform's runtime:
+  // GovernTrace over the one-tenant trace, `concurrency` lanes wide and
+  // otherwise ungoverned.  Each arrival is one real invocation (keyed
+  // snapshot affinity engaged, cold iff it found no snapshot and booted
+  // from the image) that waits for a lane and holds it for its modeled
+  // cycles; `sim` is the same timeline currency as SimulateBurstyLoad.
+  vbase::Result<GovernedReplay> ReplayBurstyLoad(const std::string& name,
+                                                 const std::vector<LoadPhase>& phases,
+                                                 const std::vector<uint8_t>& payload,
+                                                 const ReplayOptions& options = {});
 
   // Merges every tenant's arrival trace (per-tenant seed derived from
-  // `seed`) and drives one real executor invocation per arrival in merged
-  // order — mixed snapshot keys contending for shells and affine
-  // generations — recording each arrival's measured modeled service cost
-  // and cold/warm outcome.  The result feeds GovernTrace, which evaluates
-  // admission disciplines over it deterministically.  Tenant names must be
-  // distinct (InvalidArgument otherwise).
-  vbase::Result<MeasuredTrace> MeasureMultiTenant(const std::vector<TenantSpec>& tenants,
-                                                  int concurrency, uint64_t seed = 42);
+  // `seed`; ties break on tenant index) into one trace whose rows invoke the
+  // tenant's function on its payload.  Each tenant is named by its
+  // invocations' snapshot key, "vespid-<name>", the key GovernTrace admits
+  // it under.  Rows point at `tenants`' payloads and this platform's
+  // images: keep both alive, and register nothing more, while the trace is
+  // governed.  Tenant names must be distinct (InvalidArgument otherwise).
+  vbase::Result<TenantTrace> BuildTrace(const std::vector<TenantSpec>& tenants,
+                                        uint64_t seed = 42) const;
 
  private:
   struct Fn {

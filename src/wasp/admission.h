@@ -1,7 +1,8 @@
-// wasp::AdmissionPolicy — the one admission policy behind both serving
-// schedulers: the executor (executor.h) on real worker threads, and
-// GovernTrace (vnet/serverless.h) stepping it over virtual time so
-// governance disciplines replay deterministically.  The rules live only here:
+// wasp::AdmissionPolicy — the admission policy of the one serving scheduler,
+// the executor (executor.h), on both of its clocks: worker threads on the
+// wall clock, and Executor::RunVirtual in virtual time, which GovernTrace
+// (vnet/serverless.h) uses so governance disciplines repeat exactly.  The
+// rules live only here:
 //
 //   * Admission order: a checked request meets its key's circuit breaker
 //     (the cheapest shed), then its key's quota (jobs queued plus running),
@@ -17,9 +18,9 @@
 //
 // The policy owns per-key load, the EWMA and breaker ledger, and the class
 // pick's credit.  It has no clock, no lock and no threads: the executor
-// calls it under its mutex, the replay from its event loop, and each caller
-// keeps its own queues, lanes and time.  The empty key is unaccounted: it
-// faces only the global bound, and its completions feed nothing.
+// calls it under its mutex and keeps the queues, lanes and time.  The empty
+// key is unaccounted: it faces only the global bound, and its completions
+// feed nothing.
 #ifndef SRC_WASP_ADMISSION_H_
 #define SRC_WASP_ADMISSION_H_
 
@@ -50,8 +51,8 @@ enum class Admission {
   kStopped,        // the submission raced executor shutdown
 };
 
-// The admission settings, declared once.  ExecutorOptions, GovernanceOptions
-// and ConcurrentServerOptions inherit them.
+// The admission settings, declared once.  ExecutorOptions and
+// ConcurrentServerOptions inherit them.
 struct AdmissionOptions {
   // Maximum queued (not yet running) jobs; 0 = unbounded.
   size_t max_queue_depth = 0;

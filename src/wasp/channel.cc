@@ -33,6 +33,15 @@ uint64_t BytePipe::Read(void* dst, uint64_t len) {
   return n;
 }
 
+uint64_t BytePipe::ReadInto(std::vector<uint8_t>* out, uint64_t max) {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return !buf_.empty() || closed_; });
+  const auto end = buf_.begin() + static_cast<ptrdiff_t>(std::min<uint64_t>(max, buf_.size()));
+  out->assign(buf_.begin(), end);
+  buf_.erase(buf_.begin(), end);
+  return out->size();
+}
+
 uint64_t BytePipe::TryRead(void* dst, uint64_t len) {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t n = std::min<uint64_t>(len, buf_.size());

@@ -28,6 +28,9 @@ class BytePipe {
   // Reads up to `len` bytes, blocking until data is available or the pipe is
   // closed.  Returns the byte count (0 = EOF).
   uint64_t Read(void* dst, uint64_t len);
+  // Read into a vector: `*out` ends up holding exactly the bytes taken (up
+  // to `max`), so a large cap costs nothing until bytes arrive.
+  uint64_t ReadInto(std::vector<uint8_t>* out, uint64_t max);
   // Non-blocking variant; returns 0 when empty (even if open).
   uint64_t TryRead(void* dst, uint64_t len);
   void Close();
@@ -58,6 +61,7 @@ class ByteChannel {
     bool Write(const void* data, uint64_t len) { return out_->Write(data, len); }
     bool WriteString(const std::string& s) { return Write(s.data(), s.size()); }
     uint64_t Read(void* dst, uint64_t len) { return in_->Read(dst, len); }
+    uint64_t ReadInto(std::vector<uint8_t>* out, uint64_t max) { return in_->ReadInto(out, max); }
     // Reads everything currently buffered without blocking.
     std::vector<uint8_t> Drain();
     void CloseWrite() { out_->Close(); }

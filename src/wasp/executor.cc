@@ -9,12 +9,42 @@
 #include "src/base/log.h"
 
 namespace wasp {
+namespace {
 
-Executor::Executor(Runtime* runtime, ExecutorOptions options)
+// Keyed dequeue hint: a lane that just ran snapshot key K parked K's shell
+// snapshot-affine in its home pool shard, so a queued job with the same key
+// is cheapest to run *there* (delta restore instead of a full image copy).
+// The scan is bounded and fairness-capped: after a few consecutive
+// out-of-order picks the lane must take the queue head, so no job can
+// starve behind a stream of matching keys.  The scan stays within the class
+// the policy picked, so affinity can never invert the latency-vs-batch
+// weighting.
+constexpr size_t kAffinityScan = 8;
+constexpr int kMaxConsecutiveSkips = 4;
+
+// Folds a retried job's first attempt into its second: the modeled cost
+// (cycles, exits, instructions) is the sum of both attempts; what describes
+// one attempt's path (the restore flags and bytes, the wall-clock phases)
+// stays the second attempt's.
+void AddAttempt(InvokeStats* stats, const InvokeStats& first) {
+  stats->guest_cycles += first.guest_cycles;
+  stats->host_cycles += first.host_cycles;
+  stats->total_cycles += first.total_cycles;
+  stats->io_exits += first.io_exits;
+  stats->exit_cycles += first.exit_cycles;
+  stats->insns += first.insns;
+}
+
+}  // namespace
+
+Executor::Executor(Runtime* runtime, ExecutorOptions options, bool start_workers)
     : runtime_(runtime), options_(std::move(options)), policy_(options_) {
   VB_CHECK(runtime_ != nullptr, "Executor requires a runtime");
   const int n = std::max(options_.workers, 1);
   options_.workers = n;
+  if (!start_workers) {
+    return;
+  }
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(static_cast<uint32_t>(i)); });
@@ -173,24 +203,67 @@ KeyRecoverySnapshot Executor::KeyRecoveryState(const std::string& key) const {
   return policy_.Recovery(key);
 }
 
+Executor::Job Executor::DequeueLocked(Lane& lane) {
+  auto head = [](const std::deque<Job>& q) {
+    return q.empty() ? std::nullopt : std::optional<uint64_t>(q.front().seq);
+  };
+  const size_t cls = static_cast<size_t>(policy_.PickNext(head(queues_[0]), head(queues_[1])));
+  std::deque<Job>& queue = queues_[cls];
+  size_t pick = 0;
+  if (!lane.last_key.empty() && lane.skips < kMaxConsecutiveSkips) {
+    const size_t scan = std::min(queue.size(), kAffinityScan);
+    for (size_t i = 0; i < scan; ++i) {
+      if (!queue[i].key.empty() && queue[i].key == lane.last_key) {
+        pick = i;
+        break;
+      }
+    }
+  }
+  lane.skips = pick == 0 ? 0 : lane.skips + 1;
+  Job job = std::move(queue[pick]);
+  queue.erase(queue.begin() + static_cast<ptrdiff_t>(pick));
+  lane.last_key = job.key;
+  ++in_flight_;
+  if (cls == 0) {
+    ++stats_.dequeued_latency;
+  } else {
+    ++stats_.dequeued_batch;
+  }
+  return job;
+}
+
+void Executor::Settle(Job& job, RunOutcome outcome) {
+  // Settle ALL accounting — completed/faulted, the recovery ledger, and the
+  // key-quota slot — before resolving the future.  A caller that sees the
+  // future ready may immediately resubmit on the same key; its slot must
+  // already be free (a fault must never wedge a key's quota, not even for
+  // the resolve-to-release window).
+  const bool faulted = outcome.fault != FaultKind::kNone;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (faulted) {
+      ++stats_.faulted;
+    } else {
+      ++stats_.completed;
+      if (outcome.retried) {
+        ++stats_.retry_successes;
+      }
+    }
+    // The final attempt's outcome resolves the key's probe (if this job was
+    // one), feeds the fault-rate EWMA, and frees the quota slot.
+    policy_.OnComplete(job.key, faulted, job.probe);
+    --in_flight_;
+  }
+  job.promise.set_value(std::move(outcome));
+}
+
 void Executor::WorkerLoop(uint32_t worker_index) {
   // Register this worker as a pool lane: its acquires and releases hit a
   // dedicated single-slot shell cache before any shared structure, and its
   // stable lane id keeps it mapped to the same pool shard across the
   // executor's lifetime.
   Pool::BindLane(worker_index);
-  // Keyed submit hint: a worker that just ran snapshot key K parked K's
-  // shell snapshot-affine in its home pool shard, so a queued job with the
-  // same key is cheapest to run *here* (delta restore instead of a full
-  // image copy).  The scan is bounded and fairness-capped: after a few
-  // consecutive out-of-order picks the worker must take the queue head, so
-  // no job can starve behind a stream of matching keys.  The scan stays
-  // within the class the policy picked, so affinity can never invert the
-  // latency-vs-batch weighting.
-  constexpr size_t kAffinityScan = 8;
-  constexpr int kMaxConsecutiveSkips = 4;
-  std::string last_key;
-  int skips = 0;
+  Lane lane;
   while (true) {
     Job job;
     {
@@ -199,57 +272,11 @@ void Executor::WorkerLoop(uint32_t worker_index) {
       if (TotalQueuedLocked() == 0) {
         return;  // stop requested and nothing left to drain
       }
-      auto head = [](const std::deque<Job>& q) {
-        return q.empty() ? std::nullopt : std::optional<uint64_t>(q.front().seq);
-      };
-      const size_t cls = static_cast<size_t>(policy_.PickNext(head(queues_[0]), head(queues_[1])));
-      std::deque<Job>& queue = queues_[cls];
-      size_t pick = 0;
-      if (!last_key.empty() && skips < kMaxConsecutiveSkips) {
-        const size_t scan = std::min(queue.size(), kAffinityScan);
-        for (size_t i = 0; i < scan; ++i) {
-          if (!queue[i].key.empty() && queue[i].key == last_key) {
-            pick = i;
-            break;
-          }
-        }
-      }
-      skips = pick == 0 ? 0 : skips + 1;
-      job = std::move(queue[pick]);
-      queue.erase(queue.begin() + static_cast<ptrdiff_t>(pick));
-      ++in_flight_;
-      if (cls == 0) {
-        ++stats_.dequeued_latency;
-      } else {
-        ++stats_.dequeued_batch;
-      }
+      job = DequeueLocked(lane);
     }
     cv_space_.notify_one();
-    last_key = job.key;
     RunOutcome outcome = RunJob(job);
-    // Settle ALL accounting — completed/faulted, the recovery ledger, and
-    // the key-quota slot — before resolving the future.  A caller that sees
-    // the future ready may immediately resubmit on the same key; its slot
-    // must already be free (a fault must never wedge a key's quota, not
-    // even for the resolve-to-release window).
-    const bool faulted = outcome.fault != FaultKind::kNone;
-    const bool retried = outcome.retried;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (faulted) {
-        ++stats_.faulted;
-      } else {
-        ++stats_.completed;
-        if (retried) {
-          ++stats_.retry_successes;
-        }
-      }
-      // The final attempt's outcome resolves the key's probe (if this job
-      // was one), feeds the fault-rate EWMA, and frees the quota slot.
-      policy_.OnComplete(job.key, faulted, job.probe);
-      --in_flight_;
-    }
-    job.promise.set_value(std::move(outcome));
+    Settle(job, std::move(outcome));
   }
 }
 
@@ -272,51 +299,109 @@ RunOutcome Executor::RunJob(Job& job) {
     policy_.OnRetry(job.key);
   }
   const FaultKind first = outcome.fault;
+  const InvokeStats first_stats = outcome.stats;
   VirtineSpec retry_spec = job.spec;
   // A fresh, non-affine shell: the first attempt's shell is already
   // quarantined, and an affine sibling could share whatever poisoned state
   // killed it (a bad snapshot delta, a dying lane).
   retry_spec.fresh_shell = true;
+  if (workers_.empty()) {
+    // RunVirtual never races the cleaner crew: the quarantined shell is
+    // scrubbed before the retry acquires.
+    runtime_->pool().DrainCleaner();
+  }
   outcome = runtime_->Invoke(retry_spec);
   outcome.retried = true;
   outcome.first_fault = first;
+  // The job held its lane through both attempts, so it reports both costs.
+  AddAttempt(&outcome.stats, first_stats);
   return outcome;
 }
 
-std::vector<RunOutcome> Executor::Run(Runtime* runtime, const std::vector<VirtineSpec>& specs,
-                                      int concurrency, BatchStats* stats) {
-  VB_CHECK(runtime != nullptr, "Executor::Run requires a runtime");
-  const size_t lanes = static_cast<size_t>(
-      std::max(1, std::min<int>(concurrency, static_cast<int>(std::max<size_t>(specs.size(), 1)))));
-  std::vector<RunOutcome> outcomes(specs.size());
-  std::vector<uint64_t> lane_cycles(lanes, 0);
-  vbase::WallTimer timer;
-  // Striped static assignment (lane i runs specs i, i+lanes, ...): the lane
-  // loads — and therefore the modeled makespan — are deterministic even on
-  // an oversubscribed host where the OS schedules lanes unevenly.
-  auto lane_body = [&](size_t lane) {
-    Pool::BindLane(static_cast<uint32_t>(lane));
-    uint64_t busy = 0;
-    for (size_t i = lane; i < specs.size(); i += lanes) {
-      outcomes[i] = runtime->Invoke(specs[i]);
-      busy += outcomes[i].stats.total_cycles;
-    }
-    lane_cycles[lane] = busy;
+Executor::VirtualRun Executor::RunVirtual(Runtime* runtime, ExecutorOptions options,
+                                          std::vector<Arrival> arrivals) {
+  options.block_when_full = false;  // a virtual submitter cannot park
+  Executor executor(runtime, std::move(options), /*start_workers=*/false);
+  const size_t n = static_cast<size_t>(executor.options_.workers);
+
+  // A virtual lane: its affinity memory, the time it frees (or freed), and
+  // the job it holds until then, already run, waiting to settle.
+  struct VirtualLane {
+    Lane lane;
+    double free_us = 0;
+    std::optional<Job> job;
+    RunOutcome outcome;
   };
-  std::vector<std::thread> threads;
-  threads.reserve(lanes - 1);
-  for (size_t lane = 1; lane < lanes; ++lane) {
-    threads.emplace_back(lane_body, lane);
+  std::vector<VirtualLane> lanes(n);
+  VirtualRun run{std::vector<Served>(arrivals.size()), {}, executor.policy_};
+  std::vector<std::future<RunOutcome>> futures(arrivals.size());
+  std::vector<size_t> arrival_of_seq;  // job seq -> arrival (a fresh executor counts from 0)
+
+  // The busy (or idle) lane that frees (or freed) first, lowest index on a
+  // tie; n if there is none.
+  auto first_lane = [&](bool busy) {
+    size_t first = n;
+    for (size_t l = 0; l < n; ++l) {
+      if (lanes[l].job.has_value() == busy &&
+          (first == n || lanes[l].free_us < lanes[first].free_us)) {
+        first = l;
+      }
+    }
+    return first;
+  };
+  // Lane `l`, free at `now`, takes the next queued job, if any, and runs it.
+  auto dispatch = [&](size_t l, double now) {
+    VirtualLane& lane = lanes[l];
+    {
+      std::lock_guard<std::mutex> lock(executor.mu_);
+      if (executor.TotalQueuedLocked() == 0) {
+        return;
+      }
+      lane.job = executor.DequeueLocked(lane.lane);
+    }
+    Pool::BindLane(static_cast<uint32_t>(l));
+    lane.outcome = executor.RunJob(*lane.job);
+    runtime->pool().DrainCleaner();  // the next acquire sees a settled pool
+    Served& served = run.served[arrival_of_seq[lane.job->seq]];
+    served.lane = static_cast<uint32_t>(l);
+    served.start_us = now;
+    served.done_us = now + vbase::CyclesToMicros(lane.outcome.stats.total_cycles);
+    lane.free_us = served.done_us;
+  };
+
+  for (size_t next = 0; next < arrivals.size() || first_lane(true) != n;) {
+    const size_t done = first_lane(true);
+    if (done != n && (next == arrivals.size() || lanes[done].free_us <= arrivals[next].at_us)) {
+      VirtualLane& lane = lanes[done];
+      const size_t i = arrival_of_seq[lane.job->seq];
+      executor.Settle(*lane.job, std::move(lane.outcome));
+      lane.job.reset();
+      run.served[i].outcome = futures[i].get();
+      dispatch(done, lane.free_us);
+      continue;
+    }
+    Arrival& arrival = arrivals[next];
+    VB_CHECK(next == 0 || arrival.at_us >= arrivals[next - 1].at_us,
+             "RunVirtual: arrivals must be in time order");
+    Admission& admission = run.served[next].admission;
+    if (arrival.task) {
+      executor.TrySubmitTask(std::move(arrival.task), &futures[next], std::move(arrival.key),
+                             arrival.klass, &admission);
+    } else {
+      executor.TrySubmit(std::move(arrival.spec), &futures[next], arrival.klass, &admission);
+    }
+    if (admission == Admission::kAccepted) {
+      arrival_of_seq.push_back(next);
+      const size_t idle = first_lane(false);
+      if (idle != n) {
+        dispatch(idle, arrival.at_us);
+      }
+    }
+    ++next;
   }
-  lane_body(0);  // the calling thread is lane 0
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  if (stats != nullptr) {
-    stats->worker_cycles = std::move(lane_cycles);
-    stats->wall_ns = timer.ElapsedNanos();
-  }
-  return outcomes;
+  run.stats = executor.stats();
+  run.policy = executor.policy_;
+  return run;
 }
 
 }  // namespace wasp

@@ -8,15 +8,12 @@
 //   * Submit(spec) — enqueue one invocation on a fixed worker pool and get
 //     a std::future<RunOutcome> back,
 //   * TrySubmit(spec, &future) — same, but subject to the configured
-//     bounded-admission policy (see ExecutorOptions below),
+//     bounded-admission policy (see ExecutorOptions below), and
 //   * TrySubmitTask(fn, &future) — enqueue an arbitrary serving task on
 //     the same queue and workers, under the same admission policy (the
 //     ConcurrentHttpServer dispatches whole HTTP connections this way, so
 //     admission control and lane accounting cover native and virtine
-//     handlers alike), and
-//   * Run(runtime, specs, concurrency) — run a batch of invocations across
-//     `concurrency` transient worker threads (striped static assignment, so
-//     lane loads are deterministic) and return outcomes in submission order.
+//     handlers alike).
 //
 // Bounded admission makes burst overload a first-class, testable behavior
 // instead of an unbounded queue: with max_queue_depth set, a full queue
@@ -29,14 +26,14 @@
 // the executor accounts and polices.  The rules — per-key quotas (a 429
 // upstream, distinct from a global-full 503), weighted latency/batch
 // dequeue, the per-key fault-rate EWMA and circuit breaker — are
-// wasp::AdmissionPolicy's (admission.h), which GovernTrace also drives in
-// virtual time.  The executor calls it under its lock and keeps only what
-// threads need: the class queues, the block_when_full park, the affinity
-// scan, retry-once, and ExecutorStats.  Four thread-side rules:
+// wasp::AdmissionPolicy's (admission.h).  The executor calls it under its
+// lock and keeps only what scheduling needs: the class queues, the
+// block_when_full park, the affinity scan, retry-once, and ExecutorStats.
+// Four rules:
 //
 //   * Blocking Submit skips the breaker and the quota (trusted closed-loop
-//     path: Vespid and the chaos bench) but still counts toward the key's
-//     load.
+//     path: fig9's threaded pass and fig17's soak) but still counts toward
+//     the key's load.
 //   * A block_when_full waiter whose key filled while it was parked for
 //     global space is quota-rejected at wake instead of overshooting the cap
 //     (it hands back any probe it held and passes the wakeup on).
@@ -47,20 +44,32 @@
 //     once on a fresh, non-affine shell while the job stays in flight
 //     (counted once in `submitted`, quota slot held); the first attempt
 //     still feeds the EWMA, so a retry-masked storm trips the breaker too.
+//     The job's outcome carries the second attempt's status, output, fault
+//     and restore path, and the modeled cost of both attempts summed
+//     (cycles, exits, instructions): the retry held its lane for both runs.
+//
+// One executor, two clocks.  A lane runs one step pair: the dequeue step
+// (the policy's class pick, then the lane's affinity scan) and, once the job
+// has run, the settle step (completion counters, the policy's EWMA and quota
+// release, the future).  Worker threads loop over the pair on the wall clock.
+// RunVirtual drives the same pair on the calling thread in virtual time: it
+// submits each arrival through TrySubmit/TrySubmitTask at its trace time,
+// runs each dequeued job on the earliest-free of `workers` virtual lanes
+// under Pool::BindLane, and settles the job once its modeled cycles have
+// passed, so figs 9, 15, 16 and 17 get the real scheduler on a timeline that
+// repeats exactly.  Its one approximation: a job's shell is back in the pool
+// once its dispatch returns, so a job that starts later on another lane can
+// take that shell before the first job's virtual completion.
 //
 // Invocations are independent by construction (each owns its shell, its
 // hypercall frame, and its fd table), so the only shared state a worker
 // touches is the sharded Pool and the read-mostly SnapshotStore — both
 // designed to scale with the worker count.
 //
-// BatchStats reports per-worker-lane modeled busy cycles.  Max over lanes
-// is the batch's modeled makespan: the deterministic, machine-independent
-// currency the scaling benchmark uses to compare 1/2/4/8-lane throughput.
-//
 // Lifetime: specs hold non-owning pointers (image, input, channel); the
-// caller keeps those alive until the future resolves / Run returns.  The
-// destructor drains the queue — every accepted job runs to completion and
-// resolves its future — before joining the workers.
+// caller keeps those alive until the future resolves / RunVirtual returns.
+// The destructor drains the queue — every accepted job runs to completion
+// and resolves its future — before joining the workers.
 #ifndef SRC_WASP_EXECUTOR_H_
 #define SRC_WASP_EXECUTOR_H_
 
@@ -91,9 +100,9 @@ struct ExecutorOptions : AdmissionOptions {
   bool block_when_full = true;
 };
 
-// Monotone admission/progress counters (BatchStats' sibling for the
-// long-lived submission path), plus two gauges snapshotted under the same
-// lock so accounting invariants are checkable at any observation point:
+// Monotone admission/progress counters, plus two gauges snapshotted under
+// the same lock so accounting invariants are checkable at any observation
+// point:
 //   submitted == completed + faulted + queued + in_flight
 // A faulted completion still releases its key-quota slot (queued +
 // in-flight), so a fault storm on one key can never wedge that key's quota.
@@ -116,27 +125,13 @@ struct ExecutorStats {
 
 class Executor {
  public:
-  // Per-lane accounting for a batch run.
-  struct BatchStats {
-    std::vector<uint64_t> worker_cycles;  // modeled busy cycles per lane
-    uint64_t wall_ns = 0;                 // real elapsed time of the batch
-
-    // The batch's modeled completion time: the busiest lane bounds it.
-    uint64_t MakespanCycles() const {
-      uint64_t makespan = 0;
-      for (uint64_t c : worker_cycles) {
-        makespan = std::max(makespan, c);
-      }
-      return makespan;
-    }
-  };
-
   // An arbitrary serving task run on an executor worker.  The returned
   // RunOutcome resolves the job's future (tasks that track their results
   // elsewhere may return a default outcome).
   using Task = std::function<RunOutcome()>;
 
-  Executor(Runtime* runtime, ExecutorOptions options);
+  Executor(Runtime* runtime, ExecutorOptions options)
+      : Executor(runtime, std::move(options), /*start_workers=*/true) {}
   ~Executor();  // drains the queue (all accepted futures resolve), then joins
 
   Executor(const Executor&) = delete;
@@ -176,11 +171,42 @@ class Executor {
   KeyRecoverySnapshot KeyRecoveryState(const std::string& key) const;
   const ExecutorOptions& options() const { return options_; }
 
-  // Runs `specs` to completion over `concurrency` transient worker threads;
-  // outcomes are returned in spec order.  `stats` (optional) receives the
-  // per-lane modeled-cycle accounting.
-  static std::vector<RunOutcome> Run(Runtime* runtime, const std::vector<VirtineSpec>& specs,
-                                     int concurrency, BatchStats* stats = nullptr);
+  // One arrival of a virtual-time run: an invocation of `spec` (submitted
+  // through TrySubmit), or, when `task` is set, a serving task submitted
+  // through TrySubmitTask under `key`.
+  struct Arrival {
+    double at_us = 0;
+    KeyClass klass = KeyClass::kLatency;
+    VirtineSpec spec;
+    Task task;
+    std::string key;
+  };
+  // What became of one arrival.  An admitted arrival ran on `lane` from
+  // start_us and held it until done_us, start_us plus its outcome's modeled
+  // cycles; a shed one never ran and keeps the rest zero.
+  struct Served {
+    Admission admission = Admission::kAccepted;
+    uint32_t lane = 0;
+    double start_us = 0;
+    double done_us = 0;
+    RunOutcome outcome;
+  };
+  struct VirtualRun {
+    std::vector<Served> served;  // one per arrival, in arrival order
+    ExecutorStats stats;         // after the last job settled
+    AdmissionPolicy policy;      // its ledger after the last job settled
+  };
+
+  // The virtual clock (see the file comment) over `arrivals`, ascending in
+  // at_us; returns once every admitted job has settled.  A completion runs
+  // before an arrival at the same instant, and an arrival that finds lanes
+  // idle goes to the one idle longest (lowest index on a tie).  A virtual
+  // submitter cannot park, so RunVirtual always sheds at the bound, as
+  // block_when_full = false does.  The cleaner crew is drained after every
+  // job, so a run on a fresh runtime repeats exactly in either clean mode.
+  // The calling thread is left bound to the last pool lane it ran.
+  static VirtualRun RunVirtual(Runtime* runtime, ExecutorOptions options,
+                               std::vector<Arrival> arrivals);
 
  private:
   struct Job {
@@ -197,13 +223,29 @@ class Executor {
     std::promise<RunOutcome> promise;
   };
 
+  // A lane's affinity-scan memory: the key it last ran and how many
+  // consecutive out-of-order picks it has made.
+  struct Lane {
+    std::string last_key;
+    int skips = 0;
+  };
+
+  // `start_workers` = false builds RunVirtual's thread-less executor.
+  Executor(Runtime* runtime, ExecutorOptions options, bool start_workers);
+
   // Shared enqueue path.  `may_reject` selects TrySubmit semantics (honor
   // the breaker, the quota, and the configured full-queue policy) over
   // Submit semantics (always block for space, no breaker, no quota).
   Admission Enqueue(Job job, bool may_reject, std::future<RunOutcome>* future);
+  // The dequeue step (mu_ held, a job queued): the policy's class pick, then
+  // `lane`'s affinity scan within that class.  The job counts in flight.
+  Job DequeueLocked(Lane& lane);
   // Runs a job's work — the stored task, or an invocation of its spec — and
   // applies the retry-once policy for recoverable faults on idempotent keys.
   RunOutcome RunJob(Job& job);
+  // The settle step: completion counters, the policy's EWMA and quota slot,
+  // then the job's future.
+  void Settle(Job& job, RunOutcome outcome);
   void WorkerLoop(uint32_t worker_index);
 
   size_t TotalQueuedLocked() const { return queues_[0].size() + queues_[1].size(); }

@@ -88,9 +88,8 @@ enum class BreakerState : uint8_t {
 };
 
 // Recovery settings: the `recovery` field of AdmissionOptions (admission.h).
-// AdmissionPolicy runs the EWMA and breaker for both of its callers (the
-// executor and GovernTrace), the executor alone applies retry-once, and the
-// HTTP front end reads retry_after_s.  All breaker transitions are driven by
+// AdmissionPolicy runs the EWMA and breaker, the executor applies retry-once
+// on both of its clocks, and the HTTP front end reads retry_after_s.  All breaker transitions are driven by
 // counts (attempts observed, requests shed), never wall-clock time, so a
 // fixed submission order reproduces the same open/half-open/close sequence.
 struct RecoveryOptions {

@@ -366,9 +366,8 @@ vbase::Result<int64_t> Runtime::Handle(uint16_t port, HypercallFrame& frame, Hos
       }
       [[fallthrough]];
     case kHcRecv:  // -> n (0 at EOF), blocking until some bytes arrive
-      call.staging.resize(call.cap);
-      call.out = std::span<const uint8_t>(call.staging)
-                     .first(frame.spec.channel->Read(call.staging.data(), call.cap));
+      frame.spec.channel->ReadInto(&call.staging, call.cap);
+      call.out = call.staging;
       return static_cast<int64_t>(call.out.size());
 
     default:

@@ -1,12 +1,15 @@
-// Tests for wasp::AdmissionPolicy, the one admission policy behind both the
-// threaded executor and GovernTrace's virtual-time replay.
+// Tests for wasp::AdmissionPolicy and the executor's two clocks: worker
+// threads, and virtual time (Executor::RunVirtual) behind GovernTrace.
 //
 // * Differential: one scripted sequence of submissions and completions is
 //   driven through a 1-worker wasp::Executor (generic tasks parked on gates
 //   the test opens in virtual-time order) and through GovernTrace on one
-//   virtual lane.  Per key, both schedulers must agree on every admission
+//   virtual lane.  Per key, both clocks must agree on every admission
 //   verdict, every completion and fault, the breaker's opens, and the final
 //   fault-rate EWMA and breaker position.
+// * RunVirtual: what a replay over measured services could not model —
+//   the affinity scan, a retry holding its lane, a shed arrival never
+//   running.
 // * Property: seeded random operation sequences against the policy alone
 //   check its conservation and breaker invariants.
 // * Keys: tenant names are GovernTrace's policy keys, so a malformed or
@@ -25,34 +28,56 @@
 #include <string>
 #include <vector>
 
+#include "src/base/clock.h"
 #include "src/base/rng.h"
 #include "src/base/status.h"
 #include "src/vnet/serverless.h"
+#include "src/vrt/env.h"
+#include "src/vrt/samples.h"
 #include "src/wasp/admission.h"
 #include "src/wasp/executor.h"
+#include "src/wasp/fault.h"
 #include "src/wasp/runtime.h"
+#include "src/wasp/vfunc.h"
 
 namespace {
 
-// --- Differential: executor vs GovernTrace -----------------------------------
+// --- Differential: worker threads vs RunVirtual ------------------------------
 
-// One key per class: with a single key in each class queue the executor's
-// affinity scan always takes the queue head, which the replay assumes.
+// One key per class: with a single key in each class queue the affinity
+// scan always takes the queue head, so the test can predict the worker's
+// order.
 constexpr std::array<const char*, 2> kKeys = {"lat", "bat"};
 constexpr std::array<wasp::KeyClass, 2> kClasses = {wasp::KeyClass::kLatency,
                                                     wasp::KeyClass::kBatch};
-constexpr double kSlotUs = 1000.0;
+constexpr uint64_t kSlotCycles = 2'690'000;  // 1 ms at the 2.69 GHz reference clock
+constexpr uint64_t kSevenUsCycles = 18'830;  // 7 us
 
 struct Step {
-  size_t key = 0;         // index into kKeys
-  double service_us = 0;  // lane time once dispatched
-  bool fault = false;     // the job dies with a fault instead of completing
+  size_t key = 0;       // index into kKeys
+  uint64_t cycles = 0;  // lane time once dispatched, in modeled cycles
+  bool fault = false;   // the job dies with a fault instead of completing
 };
+
+// A step's lane time on the test's virtual clock, converted as RunVirtual
+// converts it.
+double ServiceUs(const Step& step) { return vbase::CyclesToMicros(step.cycles); }
+
+// A synthetic job: it holds its lane for `cycles` and completes or faults.
+wasp::RunOutcome SyntheticOutcome(uint64_t cycles, bool fault) {
+  wasp::RunOutcome outcome;
+  outcome.stats.total_cycles = cycles;
+  if (fault) {
+    outcome.fault = wasp::FaultKind::kGuestTrap;
+    outcome.status = vbase::Internal("synthetic fault");
+  }
+  return outcome;
+}
 
 // Arrival i lands at (i + 1) slots.  Services are whole slots plus 7 us, so
 // a completion never coincides with an arrival (a chain of jobs would need
 // over a thousand links to come back to a slot boundary).
-double ArrivalUs(size_t i) { return kSlotUs * static_cast<double>(i + 1); }
+double ArrivalUs(size_t i) { return vbase::CyclesToMicros(kSlotCycles * (i + 1)); }
 
 // About one slot of service per arrival keeps the lane saturated, so the
 // quota, the global bound and the class pick all bind.  The latency key
@@ -63,7 +88,7 @@ std::vector<Step> Script() {
   std::vector<Step> steps(240);
   for (size_t i = 0; i < steps.size(); ++i) {
     steps[i].key = rng.NextDouble() < 0.55 ? 0 : 1;
-    steps[i].service_us = kSlotUs * static_cast<double>(rng.Below(3)) + 7.0;
+    steps[i].cycles = kSlotCycles * rng.Below(3) + kSevenUsCycles;
     steps[i].fault = steps[i].key == 0 && i >= 60 && i < 130;
   }
   return steps;
@@ -92,7 +117,7 @@ struct KeyTally {
   uint64_t completed = 0;
   uint64_t faulted = 0;
   uint64_t opens = 0;
-  // The key's ledger after the last admission decision.
+  // The key's ledger after its last job settled.
   double ewma = 0;
   uint64_t samples = 0;
   wasp::BreakerState state = wasp::BreakerState::kClosed;
@@ -137,7 +162,7 @@ std::array<KeyTally, 2> RunOnExecutor(const std::vector<Step>& script, int batch
     if (waiting > 0) {
       --waiting;
       running = next_started();
-      running_done += script[*running].service_us;
+      running_done += ServiceUs(script[*running]);
     }
   };
 
@@ -155,11 +180,7 @@ std::array<KeyTally, 2> RunOnExecutor(const std::vector<Step>& script, int batch
       }
       cv.notify_one();
       gate.wait();
-      wasp::RunOutcome outcome;
-      if (fault) {
-        outcome.fault = wasp::FaultKind::kGuestTrap;
-      }
-      return outcome;
+      return SyntheticOutcome(0, fault);
     };
     const size_t k = script[i].key;
     wasp::Admission admission = wasp::Admission::kStopped;
@@ -171,7 +192,7 @@ std::array<KeyTally, 2> RunOnExecutor(const std::vector<Step>& script, int batch
           ++waiting;
         } else {
           running = next_started();
-          running_done = now + script[*running].service_us;
+          running_done = now + ServiceUs(script[*running]);
         }
         break;
       case wasp::Admission::kQuotaExceeded:
@@ -188,6 +209,9 @@ std::array<KeyTally, 2> RunOnExecutor(const std::vector<Step>& script, int batch
         break;
     }
   }
+  while (running) {
+    finish_running();
+  }
   for (size_t k = 0; k < kKeys.size(); ++k) {
     const wasp::KeyRecoverySnapshot snap = executor.KeyRecoveryState(kKeys[k]);
     tally[k].opens = snap.opens;
@@ -195,27 +219,25 @@ std::array<KeyTally, 2> RunOnExecutor(const std::vector<Step>& script, int batch
     tally[k].samples = snap.samples;
     tally[k].state = snap.state;
   }
-  while (running) {
-    finish_running();
-  }
   return tally;
 }
 
-std::array<KeyTally, 2> RunOnReplay(const std::vector<Step>& script, int batch_weight) {
-  vnet::MeasuredTrace trace;
+std::array<KeyTally, 2> RunOnVirtualClock(const std::vector<Step>& script, int batch_weight) {
+  vnet::TenantTrace trace;
   trace.names = {kKeys[0], kKeys[1]};
   trace.classes = {kClasses[0], kClasses[1]};
   for (size_t i = 0; i < script.size(); ++i) {
-    trace.arrivals_us.push_back(ArrivalUs(i));
-    trace.tenant.push_back(static_cast<int>(script[i].key));
-    trace.service_us.push_back(script[i].service_us);
-    trace.cold.push_back(false);
-    trace.faulted.push_back(script[i].fault);
+    vnet::TenantTrace::Row row;
+    row.arrival_us = ArrivalUs(i);
+    row.tenant = static_cast<int>(script[i].key);
+    row.task = [step = script[i]] { return SyntheticOutcome(step.cycles, step.fault); };
+    trace.rows.push_back(std::move(row));
   }
-  vnet::GovernanceOptions options;
+  wasp::Runtime runtime;  // synthetic tasks never invoke it
+  wasp::ExecutorOptions options;
   ApplySettings(&options, batch_weight);
-  options.lanes = 1;
-  const vnet::GovernedReplay replay = vnet::GovernTrace(trace, options);
+  options.workers = 1;
+  const vnet::GovernedReplay replay = vnet::GovernTrace(&runtime, trace, options);
 
   std::array<KeyTally, 2> tally;
   for (size_t k = 0; k < kKeys.size(); ++k) {
@@ -234,14 +256,14 @@ std::array<KeyTally, 2> RunOnReplay(const std::vector<Step>& script, int batch_w
   return tally;
 }
 
-TEST(AdmissionDifferential, ExecutorAndReplayMakeTheSameDecisions) {
+TEST(AdmissionDifferential, WorkerThreadsAndRunVirtualMakeTheSameDecisions) {
   const std::vector<Step> script = Script();
   std::array<KeyTally, 2> by_weight[2];
   const int weights[2] = {4, 0};
   for (int w = 0; w < 2; ++w) {
     SCOPED_TRACE("batch_weight " + std::to_string(weights[w]));
     const std::array<KeyTally, 2> executor = RunOnExecutor(script, weights[w]);
-    const std::array<KeyTally, 2> replay = RunOnReplay(script, weights[w]);
+    const std::array<KeyTally, 2> replay = RunOnVirtualClock(script, weights[w]);
     for (size_t k = 0; k < kKeys.size(); ++k) {
       SCOPED_TRACE(kKeys[k]);
       EXPECT_EQ(executor[k].admitted, replay[k].admitted);
@@ -412,63 +434,172 @@ TEST(AdmissionProperty, RandomSequencesKeepTheLedgerConsistent) {
   }
 }
 
-// --- Policy keys from a measured trace --------------------------------------
+// --- RunVirtual: what a replay over measured services could not model -------
 
-// GovernTrace checks a hand-built trace's shape at entry instead of reading
-// past a short vector, and refuses duplicate or empty tenant names (they
-// are the admission policy's keys: same-named tenants would share a quota).
-TEST(AdmissionKeysDeathTest, GovernTraceRefusesMalformedTraces) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  const vnet::GovernanceOptions options;
-  auto valid = [] {
-    vnet::MeasuredTrace trace;
-    trace.names = {"a", "b"};
-    trace.classes = {wasp::KeyClass::kLatency, wasp::KeyClass::kBatch};
-    trace.arrivals_us = {0, 100};
-    trace.tenant = {0, 1};
-    trace.service_us = {50, 50};
-    trace.cold = {false, false};
-    return trace;
-  };
-  EXPECT_EQ(vnet::GovernTrace(valid(), options).tenants.size(), 2u);
-
-  vnet::MeasuredTrace trace = valid();
-  trace.cold.clear();
-  EXPECT_DEATH(vnet::GovernTrace(trace, options), "differ in length");
-  trace = valid();
-  trace.service_us.pop_back();
-  EXPECT_DEATH(vnet::GovernTrace(trace, options), "differ in length");
-  trace = valid();
-  trace.tenant.push_back(0);
-  EXPECT_DEATH(vnet::GovernTrace(trace, options), "differ in length");
-  trace = valid();
-  trace.faulted = {true};
-  EXPECT_DEATH(vnet::GovernTrace(trace, options), "faulted");
-  trace = valid();
-  trace.classes.pop_back();
-  EXPECT_DEATH(vnet::GovernTrace(trace, options), "classes and names");
-  trace = valid();
-  trace.tenant[1] = 2;  // == names.size()
-  EXPECT_DEATH(vnet::GovernTrace(trace, options), "out of range");
-  trace = valid();
-  trace.tenant[0] = -1;
-  EXPECT_DEATH(vnet::GovernTrace(trace, options), "out of range");
-  trace = valid();
-  trace.names[1] = "a";
-  EXPECT_DEATH(vnet::GovernTrace(trace, options), "non-empty and distinct");
-  trace = valid();
-  trace.names[0] = "";
-  EXPECT_DEATH(vnet::GovernTrace(trace, options), "non-empty and distinct");
+// A snapshot-enabled fib(12) spec.
+wasp::VirtineSpec FibSpec(const visa::Image* image) {
+  wasp::VirtineSpec spec;
+  spec.image = image;
+  spec.key = "fib";
+  spec.use_snapshot = true;
+  spec.word_bytes = 8;
+  spec.mem_size = 2ULL << 20;
+  wasp::ArgPacker packer(8);
+  packer.AddWord(12);
+  spec.args_page = packer.Finish();
+  return spec;
 }
 
-TEST(AdmissionKeys, MeasureMultiTenantRefusesDuplicateNames) {
+wasp::Executor::Arrival TaskArrival(double at_us, const std::string& key, uint64_t cycles) {
+  wasp::Executor::Arrival arrival;
+  arrival.at_us = at_us;
+  arrival.key = key;
+  arrival.task = [cycles] { return SyntheticOutcome(cycles, false); };
+  return arrival;
+}
+
+// Two keys in one class on one lane: when the lane frees, the affinity scan
+// serves the key it just ran ahead of an older job of another key.
+TEST(RunVirtual, TheLanesLastKeyIsServedFirst) {
+  wasp::Runtime runtime;  // synthetic tasks never invoke it
+  wasp::ExecutorOptions options;
+  options.workers = 1;
+  std::vector<wasp::Executor::Arrival> arrivals;
+  arrivals.push_back(TaskArrival(0, "a", 10 * kSlotCycles));
+  arrivals.push_back(TaskArrival(1000, "b", kSlotCycles));
+  arrivals.push_back(TaskArrival(2000, "a", kSlotCycles));
+  const wasp::Executor::VirtualRun run =
+      wasp::Executor::RunVirtual(&runtime, options, std::move(arrivals));
+  ASSERT_EQ(run.served.size(), 3u);
+  EXPECT_DOUBLE_EQ(run.served[0].done_us, 10000.0);
+  EXPECT_DOUBLE_EQ(run.served[2].start_us, run.served[0].done_us);  // "a" jumps "b"
+  EXPECT_DOUBLE_EQ(run.served[1].start_us, run.served[2].done_us);
+  EXPECT_EQ(run.stats.completed, 3u);
+}
+
+// A retried job holds its lane for both attempts: the next job on the lane
+// starts only when the retry's summed cycles have passed.
+TEST(RunVirtual, ARetriedJobHoldsItsLaneForBothAttempts) {
+  auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  wasp::RuntimeOptions runtime_options;
+  runtime_options.fault_plan.rules.push_back(
+      wasp::FaultPlan::At(wasp::FaultKind::kWorkerDeath, 0));
+  wasp::Runtime runtime(runtime_options);
+  wasp::ExecutorOptions options;
+  options.workers = 1;
+  options.recovery.idempotent_keys = {"fib"};
+  std::vector<wasp::Executor::Arrival> arrivals(2);
+  arrivals[0].spec = FibSpec(&*image);
+  arrivals[1].spec = FibSpec(&*image);
+  const wasp::Executor::VirtualRun run =
+      wasp::Executor::RunVirtual(&runtime, options, std::move(arrivals));
+
+  const wasp::Executor::Served& retried = run.served[0];
+  ASSERT_TRUE(retried.outcome.retried);
+  EXPECT_EQ(retried.outcome.result_word, 144u);
+  EXPECT_EQ(run.stats.retries, 1u);
+  EXPECT_DOUBLE_EQ(retried.done_us - retried.start_us,
+                   vbase::CyclesToMicros(retried.outcome.stats.total_cycles));
+  EXPECT_DOUBLE_EQ(run.served[1].start_us, retried.done_us);
+  // Both attempts: the lane time exceeds one clean attempt on a fresh shell.
+  wasp::Runtime clean;
+  wasp::VirtineSpec spec = FibSpec(&*image);
+  spec.fresh_shell = true;
+  const wasp::RunOutcome once = clean.Invoke(spec);
+  ASSERT_TRUE(once.status.ok()) << once.status.ToString();
+  EXPECT_GT(retried.outcome.stats.total_cycles, once.stats.total_cycles);
+}
+
+// A shed arrival never runs: the pool sees one acquire per admitted job.
+TEST(RunVirtual, AShedArrivalNeverRuns) {
+  auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  wasp::Runtime runtime;
+  wasp::ExecutorOptions options;
+  options.workers = 1;
+  options.key_quota = 1;
+  std::vector<wasp::Executor::Arrival> arrivals(40);
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    arrivals[i].at_us = 5.0 * static_cast<double>(i);
+    arrivals[i].spec = FibSpec(&*image);
+  }
+  const wasp::Executor::VirtualRun run =
+      wasp::Executor::RunVirtual(&runtime, options, std::move(arrivals));
+  uint64_t admitted = 0;
+  uint64_t shed = 0;
+  for (const wasp::Executor::Served& served : run.served) {
+    if (served.admission == wasp::Admission::kAccepted) {
+      ++admitted;
+      EXPECT_EQ(served.outcome.result_word, 144u);
+    } else {
+      ++shed;
+      EXPECT_EQ(served.admission, wasp::Admission::kQuotaExceeded);
+      EXPECT_EQ(served.outcome.stats.total_cycles, 0u);
+    }
+  }
+  EXPECT_GT(admitted, 1u);
+  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(run.stats.submitted, admitted);
+  EXPECT_EQ(run.stats.completed, admitted);
+  EXPECT_EQ(run.stats.quota_rejected, shed);
+  EXPECT_EQ(runtime.pool().stats().acquires, admitted);
+}
+
+// --- Policy keys from a trace ------------------------------------------------
+
+// GovernTrace refuses a trace whose rows would escape their tenant's policy
+// key: duplicate or empty tenant names (same-named tenants would share a
+// quota), an out-of-range tenant index, or an invocation keyed elsewhere.
+TEST(AdmissionKeysDeathTest, GovernTraceRefusesMalformedTraces) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  wasp::Runtime runtime;
+  const wasp::ExecutorOptions options;
+  auto valid = [] {
+    vnet::TenantTrace trace;
+    trace.names = {"a", "b"};
+    trace.classes = {wasp::KeyClass::kLatency, wasp::KeyClass::kBatch};
+    for (int t = 0; t < 2; ++t) {
+      vnet::TenantTrace::Row row;
+      row.arrival_us = 100.0 * t;
+      row.tenant = t;
+      row.task = [] { return SyntheticOutcome(kSlotCycles, false); };
+      trace.rows.push_back(std::move(row));
+    }
+    return trace;
+  };
+  EXPECT_EQ(vnet::GovernTrace(&runtime, valid(), options).tenants.size(), 2u);
+
+  vnet::TenantTrace trace = valid();
+  trace.classes.pop_back();
+  EXPECT_DEATH(vnet::GovernTrace(&runtime, trace, options), "classes and names");
+  trace = valid();
+  trace.rows[1].tenant = 2;  // == names.size()
+  EXPECT_DEATH(vnet::GovernTrace(&runtime, trace, options), "out of range");
+  trace = valid();
+  trace.rows[0].tenant = -1;
+  EXPECT_DEATH(vnet::GovernTrace(&runtime, trace, options), "out of range");
+  trace = valid();
+  trace.names[1] = "a";
+  EXPECT_DEATH(vnet::GovernTrace(&runtime, trace, options), "non-empty and distinct");
+  trace = valid();
+  trace.names[0] = "";
+  EXPECT_DEATH(vnet::GovernTrace(&runtime, trace, options), "non-empty and distinct");
+  trace = valid();
+  trace.rows[0].task = nullptr;  // an invocation row, keyed by another name
+  trace.rows[0].spec.use_snapshot = true;
+  trace.rows[0].spec.key = "b";
+  EXPECT_DEATH(vnet::GovernTrace(&runtime, trace, options), "keyed by its tenant's name");
+}
+
+TEST(AdmissionKeys, BuildTraceRefusesDuplicateNames) {
   wasp::Runtime runtime;
   vnet::Vespid vespid(&runtime);
   ASSERT_TRUE(vespid.Register("echo", "out(1);").ok());
   std::vector<vnet::TenantSpec> tenants(2);
   tenants[0].name = tenants[1].name = "echo";
   tenants[0].phases = tenants[1].phases = {{40, 0.1}};
-  auto trace = vespid.MeasureMultiTenant(tenants, /*concurrency=*/1);
+  auto trace = vespid.BuildTrace(tenants);
   ASSERT_FALSE(trace.ok());
   EXPECT_EQ(trace.status().code(), vbase::Code::kInvalidArgument);
 }

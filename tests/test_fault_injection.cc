@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/clock.h"
 #include "src/isa/isa.h"
 #include "src/vnet/serverless.h"
 #include "src/vrt/env.h"
@@ -490,24 +491,40 @@ TEST(ExecutorFaults, MixedStormKeepsConservationInvariant) {
 
 // --- GovernTrace fault discipline -------------------------------------------
 
-vnet::MeasuredTrace TwoTenantTrace() {
-  vnet::MeasuredTrace trace;
+// Two tenants alternating on one lane; each row holds its lane for 100 us
+// and completes, or dies with a guest trap when its `faulted` flag is set.
+vnet::TenantTrace TwoTenantTrace(const std::vector<bool>& faulted) {
+  vnet::TenantTrace trace;
   trace.names = {"victim", "bystander"};
   trace.classes = {wasp::KeyClass::kLatency, wasp::KeyClass::kLatency};
-  trace.arrivals_us = {0, 100, 200, 300};
-  trace.tenant = {0, 1, 0, 1};
-  trace.service_us = {100, 100, 100, 100};
-  trace.cold = {false, false, false, false};
+  for (size_t i = 0; i < faulted.size(); ++i) {
+    vnet::TenantTrace::Row row;
+    row.arrival_us = 100.0 * static_cast<double>(i);
+    row.tenant = static_cast<int>(i % 2);
+    row.task = [fault = faulted[i]] {
+      wasp::RunOutcome outcome;
+      outcome.stats.total_cycles = vbase::MicrosToCycles(100.0);
+      if (fault) {
+        outcome.fault = wasp::FaultKind::kGuestTrap;
+        outcome.status = vbase::Internal("injected guest trap");
+      }
+      return outcome;
+    };
+    trace.rows.push_back(std::move(row));
+  }
   return trace;
 }
 
-TEST(GovernTraceFaults, FaultedArrivalsAreCasualtiesNotCompletions) {
-  vnet::MeasuredTrace trace = TwoTenantTrace();
-  trace.faulted = {true, false, false, false};
-  vnet::GovernanceOptions options;
-  options.lanes = 1;
+vnet::GovernedReplay GovernOnOneLane(const vnet::TenantTrace& trace) {
+  wasp::Runtime runtime;
+  wasp::ExecutorOptions options;
+  options.workers = 1;
   options.batch_weight = 0;
-  const vnet::GovernedReplay replay = vnet::GovernTrace(trace, options);
+  return vnet::GovernTrace(&runtime, trace, options);
+}
+
+TEST(GovernTraceFaults, FaultedArrivalsAreCasualtiesNotCompletions) {
+  const vnet::GovernedReplay replay = GovernOnOneLane(TwoTenantTrace({true, false, false, false}));
   ASSERT_EQ(replay.tenants.size(), 2u);
   EXPECT_EQ(replay.tenants[0].offered, 2u);
   EXPECT_EQ(replay.tenants[0].faulted, 1u);
@@ -519,12 +536,9 @@ TEST(GovernTraceFaults, FaultedArrivalsAreCasualtiesNotCompletions) {
   EXPECT_DOUBLE_EQ(replay.tenants[1].fault_rate, 0.0);
 }
 
-TEST(GovernTraceFaults, EmptyFaultedVectorMeansAllClean) {
-  const vnet::MeasuredTrace trace = TwoTenantTrace();
-  vnet::GovernanceOptions options;
-  options.lanes = 1;
-  options.batch_weight = 0;
-  const vnet::GovernedReplay replay = vnet::GovernTrace(trace, options);
+TEST(GovernTraceFaults, CleanRowsAllComplete) {
+  const vnet::GovernedReplay replay =
+      GovernOnOneLane(TwoTenantTrace({false, false, false, false}));
   ASSERT_EQ(replay.tenants.size(), 2u);
   EXPECT_EQ(replay.tenants[0].completed, 2u);
   EXPECT_EQ(replay.tenants[0].faulted, 0u);

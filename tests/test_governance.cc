@@ -1,16 +1,19 @@
 // Key-scoped resource governance tests: the pool's affine-shell eviction
 // policy (generation-LRU under a resident-byte budget, reclaim via the
 // cleaner crew), eager generation retirement (RetireGeneration /
-// Runtime::RetireSnapshot), the deterministic governed-replay scheduler
-// (GovernTrace: per-key quotas, weighted class dequeue, shed
-// classification, fairness), and the wall-clock-paced replay mode.  The
-// pool and Vespid tests run real shells/invocations; run under TSan
-// (TSAN=1 ./ci.sh) to check the synchronization.
+// Runtime::RetireSnapshot), and GovernTrace, the executor in virtual time
+// over a multi-tenant trace (per-key quotas, weighted class dequeue, shed
+// classification, fairness, and repeatable runs over real Vespid
+// invocations).  The pool and Vespid tests run real shells/invocations; run
+// under TSan (TSAN=1 ./ci.sh) to check the synchronization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/base/clock.h"
 #include "src/vjs/vjs.h"
 #include "src/vnet/serverless.h"
 #include "src/vrt/env.h"
@@ -187,13 +190,35 @@ TEST(Retire, RuntimeRetireSnapshotRecapturesUnderBudgetInALoop) {
   EXPECT_EQ(stats.affine_resident_bytes, 0u);  // every round fully reclaimed
 }
 
-// --- GovernTrace: the deterministic governed-replay scheduler ----------------
+// --- GovernTrace: the executor in virtual time over a tenant trace -----------
+
+// A synthetic row: tenant `tenant` arrives at `at_us` and holds its lane for
+// `service_us`.  No real invocation — the scheduler itself is under test.
+vnet::TenantTrace::Row SyntheticRow(double at_us, int tenant, double service_us) {
+  vnet::TenantTrace::Row row;
+  row.arrival_us = at_us;
+  row.tenant = tenant;
+  row.task = [cycles = vbase::MicrosToCycles(service_us)] {
+    wasp::RunOutcome outcome;
+    outcome.stats.total_cycles = cycles;
+    outcome.stats.restored_snapshot = true;
+    return outcome;
+  };
+  return row;
+}
+
+// Governs `trace` on a fresh runtime over `lanes` lanes.
+vnet::GovernedReplay Govern(const vnet::TenantTrace& trace, wasp::ExecutorOptions options,
+                            int lanes) {
+  wasp::Runtime runtime;
+  options.workers = lanes;
+  return vnet::GovernTrace(&runtime, trace, options);
+}
 
 // A synthetic overload mix: a batch tenant flooding at 5x capacity and an
-// interactive tenant at 1/8 of capacity.  No real invocations — the
-// scheduler itself is under test, deterministically.
-vnet::MeasuredTrace SyntheticHotBatchTrace() {
-  vnet::MeasuredTrace trace;
+// interactive tenant at 1/8 of capacity.
+vnet::TenantTrace SyntheticHotBatchTrace() {
+  vnet::TenantTrace trace;
   trace.names = {"interactive", "batch"};
   trace.classes = {wasp::KeyClass::kLatency, wasp::KeyClass::kBatch};
   std::vector<std::pair<double, int>> merged;
@@ -205,29 +230,25 @@ vnet::MeasuredTrace SyntheticHotBatchTrace() {
   }
   std::sort(merged.begin(), merged.end());
   for (const auto& [at, tenant] : merged) {
-    trace.arrivals_us.push_back(at);
-    trace.tenant.push_back(tenant);
-    trace.service_us.push_back(tenant == 1 ? 5000.0 : 2000.0);
-    trace.cold.push_back(false);
+    trace.rows.push_back(SyntheticRow(at, tenant, tenant == 1 ? 5000.0 : 2000.0));
   }
   return trace;
 }
 
 TEST(GovernTrace, QuotaAndPriorityBoundInteractiveQueueWait) {
-  const vnet::MeasuredTrace trace = SyntheticHotBatchTrace();
+  const vnet::TenantTrace trace = SyntheticHotBatchTrace();
 
-  vnet::GovernanceOptions ungoverned;
-  ungoverned.lanes = 1;
+  wasp::ExecutorOptions ungoverned;
   ungoverned.batch_weight = 0;  // FIFO, no quota: the undifferentiated flood
-  const vnet::GovernedReplay flood = vnet::GovernTrace(trace, ungoverned);
+  const vnet::GovernedReplay flood = Govern(trace, ungoverned, 1);
 
   // Quota sized to the interactive tenant's own worst-case backlog (~3: two
   // queued behind a 5 ms batch head-of-line service plus one running), so
   // only the flood sheds.
-  vnet::GovernanceOptions governed = ungoverned;
+  wasp::ExecutorOptions governed = ungoverned;
   governed.key_quota = 4;
   governed.batch_weight = 4;
-  const vnet::GovernedReplay fair = vnet::GovernTrace(trace, governed);
+  const vnet::GovernedReplay fair = Govern(trace, governed, 1);
 
   // Conservation at every tenant: offered splits exactly.
   for (const auto& replay : {flood, fair}) {
@@ -259,19 +280,17 @@ TEST(GovernTrace, QuotaAndPriorityBoundInteractiveQueueWait) {
   EXPECT_GT(fair.tenants[1].completed, 0u);
 
   // Deterministic: the same trace governs identically every time.
-  const vnet::GovernedReplay again = vnet::GovernTrace(trace, governed);
+  const vnet::GovernedReplay again = Govern(trace, governed, 1);
   EXPECT_EQ(again.tenants[0].p99_queue_wait_us, fair.tenants[0].p99_queue_wait_us);
   EXPECT_EQ(again.tenants[1].shed_quota, fair.tenants[1].shed_quota);
   EXPECT_EQ(again.aggregate_rps, fair.aggregate_rps);
 }
 
 TEST(GovernTrace, GlobalBoundShedsAsOverloadNotQuota) {
-  const vnet::MeasuredTrace trace = SyntheticHotBatchTrace();
-  vnet::GovernanceOptions options;
-  options.lanes = 1;
+  wasp::ExecutorOptions options;
   options.max_queue_depth = 4;
   options.batch_weight = 0;  // bound only: classification must say overload
-  const vnet::GovernedReplay replay = vnet::GovernTrace(trace, options);
+  const vnet::GovernedReplay replay = Govern(SyntheticHotBatchTrace(), options, 1);
   uint64_t overload = 0;
   uint64_t quota = 0;
   for (const vnet::TenantOutcome& tenant : replay.tenants) {
@@ -286,25 +305,21 @@ TEST(GovernTrace, GlobalBoundShedsAsOverloadNotQuota) {
 // only by their resolved quota (premium and free explicit, standard through
 // the key_quota fallback).  Admission must be monotone in quota.
 TEST(GovernTrace, KeyQuotaOverridesResolveTiersOverOneFlood) {
-  vnet::MeasuredTrace trace;
+  vnet::TenantTrace trace;
   trace.names = {"premium", "standard", "free"};
   trace.classes = {wasp::KeyClass::kLatency, wasp::KeyClass::kLatency,
                    wasp::KeyClass::kLatency};
   for (int i = 0; i < 120; ++i) {  // round-robin arrivals, far over capacity
-    trace.arrivals_us.push_back(1000.0 * i);
-    trace.tenant.push_back(i % 3);
-    trace.service_us.push_back(5000.0);
-    trace.cold.push_back(false);
+    trace.rows.push_back(SyntheticRow(1000.0 * i, i % 3, 5000.0));
   }
-  vnet::GovernanceOptions tiered;
-  tiered.lanes = 1;
+  wasp::ExecutorOptions tiered;
   tiered.key_quota = 4;  // the standard tier rides the fallback
   tiered.key_quota_overrides = {{"premium", 8}, {"free", 1}};
   EXPECT_EQ(tiered.QuotaFor("premium"), 8u);
   EXPECT_EQ(tiered.QuotaFor("standard"), 4u);
   EXPECT_EQ(tiered.QuotaFor("free"), 1u);
 
-  const vnet::GovernedReplay replay = vnet::GovernTrace(trace, tiered);
+  const vnet::GovernedReplay replay = Govern(trace, tiered, 1);
   const vnet::TenantOutcome& premium = replay.tenants[0];
   const vnet::TenantOutcome& standard = replay.tenants[1];
   const vnet::TenantOutcome& free_tier = replay.tenants[2];
@@ -322,82 +337,144 @@ TEST(GovernTrace, KeyQuotaOverridesResolveTiersOverOneFlood) {
   EXPECT_GT(replay.fairness_index, 0.0);
 }
 
-// --- Vespid multi-tenant measurement (real invocations) ----------------------
+// --- GovernTrace over real Vespid invocations --------------------------------
 
-TEST(MultiTenant, MeasuredTraceCoversEveryArrivalOfEveryTenant) {
-  wasp::Runtime runtime;
-  vnet::Vespid vespid(&runtime);
-  ASSERT_TRUE(vespid.Register("b64", vjs::Base64ScriptSource()).ok());
-  ASSERT_TRUE(vespid
+// Two tenants of real functions: a base64 latency tenant and an echo batch
+// tenant, merged into one trace.
+struct VespidMix {
+  wasp::Runtime registry;  // the functions' registry; runs go to fresh runtimes
+  vnet::Vespid vespid{&registry};
+  std::vector<vnet::TenantSpec> tenants;
+  vnet::TenantTrace trace;
+};
+
+void BuildVespidMix(VespidMix* mix) {
+  ASSERT_TRUE(mix->vespid.Register("b64", vjs::Base64ScriptSource()).ok());
+  ASSERT_TRUE(mix->vespid
                   .Register("echo",
                             "var i = 0; while (i < input_len()) { out(input(i)); "
                             "i = i + 1; }")
                   .ok());
-
-  std::vector<vnet::TenantSpec> tenants(2);
-  tenants[0].name = "b64";
-  tenants[0].klass = wasp::KeyClass::kLatency;
-  tenants[0].phases = {{40, 0.2}};
-  tenants[0].payload = std::vector<uint8_t>(64, 7);
-  tenants[1].name = "echo";
-  tenants[1].klass = wasp::KeyClass::kBatch;
-  tenants[1].phases = {{80, 0.2}};
-  tenants[1].payload = std::vector<uint8_t>(32, 9);
-
-  auto trace = vespid.MeasureMultiTenant(tenants, /*concurrency=*/4, /*seed=*/42);
+  mix->tenants.resize(2);
+  mix->tenants[0].name = "b64";
+  mix->tenants[0].klass = wasp::KeyClass::kLatency;
+  mix->tenants[0].phases = {{40, 0.2}};
+  mix->tenants[0].payload = std::vector<uint8_t>(64, 7);
+  mix->tenants[1].name = "echo";
+  mix->tenants[1].klass = wasp::KeyClass::kBatch;
+  mix->tenants[1].phases = {{80, 0.2}};
+  mix->tenants[1].payload = std::vector<uint8_t>(32, 9);
+  auto trace = mix->vespid.BuildTrace(mix->tenants, /*seed=*/42);
   ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-  const size_t n = trace->arrivals_us.size();
-  ASSERT_EQ(n, 8u + 16u);
-  ASSERT_EQ(trace->service_us.size(), n);
-  ASSERT_EQ(trace->cold.size(), n);
+  mix->trace = std::move(*trace);
+}
+
+TEST(MultiTenant, TraceCoversEveryArrivalOfEveryTenant) {
+  VespidMix mix;
+  BuildVespidMix(&mix);
+  const vnet::TenantTrace& trace = mix.trace;
+  ASSERT_EQ(trace.rows.size(), 8u + 16u);
+  EXPECT_EQ(trace.names, (std::vector<std::string>{"vespid-b64", "vespid-echo"}));
   uint64_t per_tenant[2] = {0, 0};
-  bool cold_seen[2] = {false, false};
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_GT(trace->service_us[i], 0.0);
+  for (size_t i = 0; i < trace.rows.size(); ++i) {
+    const vnet::TenantTrace::Row& row = trace.rows[i];
     if (i > 0) {
-      EXPECT_GE(trace->arrivals_us[i], trace->arrivals_us[i - 1]);
+      EXPECT_GE(row.arrival_us, trace.rows[i - 1].arrival_us);
     }
-    ++per_tenant[trace->tenant[i]];
-    cold_seen[trace->tenant[i]] = cold_seen[trace->tenant[i]] || trace->cold[i];
+    EXPECT_EQ(row.spec.key, trace.names[static_cast<size_t>(row.tenant)]);
+    ++per_tenant[row.tenant];
   }
   EXPECT_EQ(per_tenant[0], 8u);
   EXPECT_EQ(per_tenant[1], 16u);
-  // Each tenant's first invocation booted from its image (its own key).
-  EXPECT_TRUE(cold_seen[0]);
-  EXPECT_TRUE(cold_seen[1]);
 
-  // The measured trace feeds the governed scheduler end to end.
-  vnet::GovernanceOptions options;
-  options.lanes = 2;
+  // The trace feeds the governed scheduler end to end: every offered
+  // arrival is admitted or shed, and each tenant's first invocation booted
+  // from its image (its own key).
+  wasp::ExecutorOptions options;
   options.key_quota = 2;
-  const vnet::GovernedReplay replay = vnet::GovernTrace(*trace, options);
+  const vnet::GovernedReplay replay = Govern(trace, options, 2);
   uint64_t offered = 0;
   for (const vnet::TenantOutcome& tenant : replay.tenants) {
     offered += tenant.offered;
     EXPECT_EQ(tenant.offered,
               tenant.completed + tenant.shed_quota + tenant.shed_overload);
+    EXPECT_EQ(tenant.cold_starts, 1u) << tenant.name;
+    // Every completed row held its lane for a positive modeled service.
+    EXPECT_GT(tenant.mean_latency_us, tenant.mean_queue_wait_us) << tenant.name;
   }
-  EXPECT_EQ(offered, n);
+  EXPECT_EQ(offered, trace.rows.size());
 }
 
-// --- Wall-clock-paced replay (soak mode) -------------------------------------
+// Everything a reader compares between two runs: each tenant's outcome and
+// the merged timeline.
+void ExpectSameReplay(const vnet::GovernedReplay& a, const vnet::GovernedReplay& b) {
+  ASSERT_EQ(a.tenants.size(), b.tenants.size());
+  for (size_t t = 0; t < a.tenants.size(); ++t) {
+    const vnet::TenantOutcome& x = a.tenants[t];
+    const vnet::TenantOutcome& y = b.tenants[t];
+    SCOPED_TRACE(x.name);
+    EXPECT_EQ(x.offered, y.offered);
+    EXPECT_EQ(x.completed, y.completed);
+    EXPECT_EQ(x.faulted, y.faulted);
+    EXPECT_EQ(x.shed_quota, y.shed_quota);
+    EXPECT_EQ(x.shed_overload, y.shed_overload);
+    EXPECT_EQ(x.shed_breaker, y.shed_breaker);
+    EXPECT_EQ(x.breaker_opens, y.breaker_opens);
+    EXPECT_EQ(x.recovery.fault_rate, y.recovery.fault_rate);
+    EXPECT_EQ(x.recovery.samples, y.recovery.samples);
+    EXPECT_EQ(x.mean_queue_wait_us, y.mean_queue_wait_us);
+    EXPECT_EQ(x.p99_queue_wait_us, y.p99_queue_wait_us);
+    EXPECT_EQ(x.mean_latency_us, y.mean_latency_us);
+    EXPECT_EQ(x.cold_starts, y.cold_starts);
+  }
+  ASSERT_EQ(a.sim.timeline.size(), b.sim.timeline.size());
+  for (size_t i = 0; i < a.sim.timeline.size(); ++i) {
+    EXPECT_EQ(a.sim.timeline[i].completed_rps, b.sim.timeline[i].completed_rps);
+    EXPECT_EQ(a.sim.timeline[i].mean_latency_us, b.sim.timeline[i].mean_latency_us);
+    EXPECT_EQ(a.sim.timeline[i].p99_latency_us, b.sim.timeline[i].p99_latency_us);
+  }
+  EXPECT_EQ(a.aggregate_rps, b.aggregate_rps);
+  EXPECT_EQ(a.fairness_index, b.fairness_index);
+}
 
-TEST(PacedReplay, WallClockPacingStretchesTheReplayToTheTraceDuration) {
-  wasp::Runtime runtime;
-  vnet::Vespid vespid(&runtime);
-  ASSERT_TRUE(vespid.Register("b64", vjs::Base64ScriptSource()).ok());
-  const std::vector<uint8_t> payload(32, 3);
-  const std::vector<vnet::LoadPhase> phases = {{100, 0.05}};  // 5 arrivals over 50 ms
+// One discipline on two fresh runtimes governs identically: the scheduling
+// is the executor's, the timeline virtual, and nothing moves with thread
+// interleaving — not even with the cleaner crew cleaning asynchronously
+// and a seeded fault plan killing invocations.
+TEST(MultiTenant, TwoFreshRuntimesGovernIdentically) {
+  VespidMix mix;
+  BuildVespidMix(&mix);
+  wasp::ExecutorOptions options;
+  options.key_quota = 3;
+  options.batch_weight = 2;
+  options.recovery.breaker_enabled = true;
+  options.recovery.breaker_min_samples = 2;
+  options.recovery.idempotent_keys = {"vespid-b64"};
 
-  vnet::ReplayOptions options;
-  options.concurrency = 2;
-  options.pace_wall_clock = true;
-  auto replay = vespid.ReplayBurstyLoad("b64", phases, payload, options);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_EQ(replay->sim.total_requests, 5u);
-  // The last arrival sits at ~40 ms into the trace; pacing must have held
-  // dispatch back at least that long (default mode submits instantly).
-  EXPECT_GE(replay->wall_ns, 30ull * 1000 * 1000);
+  wasp::RuntimeOptions sync_clean;
+  wasp::RuntimeOptions async_storm;
+  async_storm.clean_mode = wasp::CleanMode::kAsync;
+  async_storm.fault_plan.seed = 5;
+  async_storm.fault_plan.rules.push_back(
+      wasp::FaultPlan::Probability(wasp::FaultKind::kGuestTrap, 0.2, "vespid-echo"));
+  async_storm.fault_plan.rules.push_back(
+      wasp::FaultPlan::Probability(wasp::FaultKind::kWorkerDeath, 0.3, "vespid-b64"));
+  for (const wasp::RuntimeOptions& runtime_options : {sync_clean, async_storm}) {
+    SCOPED_TRACE(runtime_options.clean_mode == wasp::CleanMode::kAsync ? "async + faults"
+                                                                       : "sync");
+    vnet::GovernedReplay runs[2];
+    for (vnet::GovernedReplay& run : runs) {
+      wasp::Runtime runtime(runtime_options);
+      options.workers = 2;
+      run = vnet::GovernTrace(&runtime, mix.trace, options);
+    }
+    ExpectSameReplay(runs[0], runs[1]);
+    if (runtime_options.clean_mode == wasp::CleanMode::kAsync) {
+      const vnet::TenantOutcome& b64 = runs[0].tenants[0];
+      EXPECT_GT(runs[0].tenants[1].faulted, 0u) << "the seeded plan never fired";
+      EXPECT_GT(b64.recovery.samples, b64.completed + b64.faulted) << "nothing was retried";
+    }
+  }
 }
 
 }  // namespace

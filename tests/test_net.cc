@@ -7,6 +7,7 @@
 #include <future>
 #include <map>
 
+#include "src/base/clock.h"
 #include "src/base/rng.h"
 #include "src/vjs/vjs.h"
 #include "src/vnet/http.h"
@@ -836,15 +837,16 @@ TEST(Loadgen, VirtualClosedLoopScalesWithLanes) {
 // --- Differential: executor replay vs the analytic simulator -----------------
 
 // On a small trace with one serving lane, ReplayBurstyLoad (real executor
-// invocations) and SimulateBurstyLoad (analytic model calibrated to the
-// replay's own measured service times) must agree exactly on the request
-// count and the cold-start count, and bucket for bucket on completions.
+// invocations in virtual time) and SimulateBurstyLoad (analytic model
+// calibrated to one cold and one warm invocation of the same function) must
+// agree exactly on the request count and the cold-start count, and bucket
+// for bucket on completions.
 //
 // Tolerance note: the two sides price requests in different currencies —
-// the replay uses each real invocation's measured modeled cycles (which
-// vary by a few percent across requests), the model a single constant warm
-// cost — so a request completing within ~a service time of a bucket
-// boundary can land one bucket apart.  With services (~2-5 ms) four orders
+// the replay uses each real invocation's modeled cycles (which vary by a
+// few percent across requests), the model a single constant warm cost — so
+// a request completing within ~a service time of a bucket boundary can land
+// one bucket apart.  With services (~2-5 ms) four orders
 // of magnitude below the 1 s buckets this affects at most edge requests;
 // per-bucket completions get a +/-2 band while the totals must be exact.
 TEST(BurstReplay, MatchesCalibratedSimulatorOnSmallTrace) {
@@ -855,19 +857,23 @@ TEST(BurstReplay, MatchesCalibratedSimulatorOnSmallTrace) {
   const std::vector<vnet::LoadPhase> trace = {{8, 1}, {25, 1}};
   constexpr uint64_t kSeed = 7;
 
-  vnet::ReplayOptions options;
-  options.concurrency = 1;  // one lane <=> one model instance
-  options.seed = kSeed;
-  auto replay = platform.ReplayBurstyLoad("b64", trace, payload, options);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  ASSERT_GT(replay->measured_warm_us, 0.0);
-
-  // Calibrate the model from the replay's own measurements; a single
-  // instance that never idles out spawns exactly once, like the replay's
-  // single cold first touch.
-  vnet::ExecutorModel model{"calibrated", replay->measured_warm_us,
-                            std::max(0.0, replay->measured_cold_us - replay->measured_warm_us),
+  // Calibrate the model on a platform of its own: a single instance that
+  // never idles out spawns exactly once, like the replay's single cold
+  // first touch.
+  wasp::Runtime calibration_runtime;
+  vnet::Vespid calibration(&calibration_runtime);
+  ASSERT_TRUE(calibration.Register("b64", vjs::Base64ScriptSource()).ok());
+  auto cold = calibration.Invoke("b64", payload);
+  auto warm = calibration.Invoke("b64", payload);
+  ASSERT_TRUE(cold.ok() && warm.ok());
+  ASSERT_TRUE(cold->cold && !warm->cold);
+  const double warm_us = vbase::CyclesToMicros(warm->modeled_cycles);
+  vnet::ExecutorModel model{"calibrated", warm_us,
+                            std::max(0.0, vbase::CyclesToMicros(cold->modeled_cycles) - warm_us),
                             1, 600.0};
+
+  auto replay = platform.ReplayBurstyLoad("b64", trace, payload, {/*concurrency=*/1, kSeed});
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   const vnet::SimResult sim = vnet::SimulateBurstyLoad(trace, model, kSeed);
 
   EXPECT_EQ(replay->sim.total_requests, sim.total_requests);

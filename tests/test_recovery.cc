@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/clock.h"
 #include "src/vnet/serverless.h"
 #include "src/vrt/env.h"
 #include "src/vrt/samples.h"
@@ -105,6 +106,18 @@ TEST(Recovery, RetryExactlyOnceUnderWorkerDeath) {
   EXPECT_GT(rec.fault_rate, 0.0);
   // The first attempt's shell was quarantined even though the job succeeded.
   EXPECT_EQ(runtime.pool().stats().quarantined, 1u);
+  // The outcome reports both attempts' cost: more modeled cycles and exits
+  // than one clean attempt of the same spec on a fresh shell, with the
+  // total still guest + host.
+  wasp::Runtime clean;
+  wasp::VirtineSpec spec = FibSpec(&image, "fib");
+  spec.fresh_shell = true;
+  const wasp::RunOutcome once = clean.Invoke(spec);
+  ASSERT_TRUE(once.status.ok()) << once.status.ToString();
+  EXPECT_GT(outcome.stats.total_cycles, once.stats.total_cycles);
+  EXPECT_GT(outcome.stats.io_exits, once.stats.io_exits);
+  EXPECT_EQ(outcome.stats.total_cycles,
+            outcome.stats.guest_cycles + outcome.stats.host_cycles);
 }
 
 TEST(Recovery, RetryThatFaultsAgainCountsOnce) {
@@ -340,35 +353,49 @@ TEST(Recovery, EwmaTracksFaultRateWithBreakerDisabled) {
 
 // --- GovernTrace recovery discipline ----------------------------------------
 
-// Hand-built two-tenant trace: the victim's invocations all fault, the
-// co-tenant's all succeed, arrivals alternate with enough spacing that each
-// completion is processed before the next arrival.
-vnet::MeasuredTrace StormTrace(int per_tenant) {
-  vnet::MeasuredTrace trace;
+// Hand-built two-tenant trace: the victim's jobs all fault, the co-tenant's
+// all succeed, each holding its lane for 100 us; arrivals alternate with
+// enough spacing that each completion settles before the next arrival.
+vnet::TenantTrace StormTrace(int per_tenant) {
+  vnet::TenantTrace trace;
   trace.names = {"victim", "cotenant"};
   trace.classes = {wasp::KeyClass::kLatency, wasp::KeyClass::kLatency};
   double t = 0;
   for (int i = 0; i < per_tenant; ++i) {
     for (int tenant = 0; tenant < 2; ++tenant) {
-      trace.arrivals_us.push_back(t);
-      trace.tenant.push_back(tenant);
-      trace.service_us.push_back(100.0);
-      trace.cold.push_back(false);
-      trace.faulted.push_back(tenant == 0);
+      vnet::TenantTrace::Row row;
+      row.arrival_us = t;
+      row.tenant = tenant;
+      row.task = [fault = tenant == 0] {
+        wasp::RunOutcome outcome;
+        outcome.stats.total_cycles = vbase::MicrosToCycles(100.0);
+        if (fault) {
+          outcome.fault = wasp::FaultKind::kGuestTrap;
+          outcome.status = vbase::Internal("injected guest trap");
+        }
+        return outcome;
+      };
+      trace.rows.push_back(std::move(row));
       t += 200.0;
     }
   }
   return trace;
 }
 
+vnet::GovernedReplay GovernOnTwoLanes(const vnet::TenantTrace& trace,
+                                      wasp::ExecutorOptions options) {
+  wasp::Runtime runtime;
+  options.workers = 2;
+  return vnet::GovernTrace(&runtime, trace, options);
+}
+
 TEST(Recovery, GovernTraceBreakerShedsVictimOnly) {
-  const vnet::MeasuredTrace trace = StormTrace(20);
-  vnet::GovernanceOptions governed;
-  governed.lanes = 2;
+  const vnet::TenantTrace trace = StormTrace(20);
+  wasp::ExecutorOptions governed;
   governed.recovery.breaker_enabled = true;
   governed.recovery.breaker_min_samples = 4;
   governed.recovery.breaker_open_sheds = 2;
-  const vnet::GovernedReplay replay = vnet::GovernTrace(trace, governed);
+  const vnet::GovernedReplay replay = GovernOnTwoLanes(trace, governed);
   const vnet::TenantOutcome& victim = replay.tenants[0];
   const vnet::TenantOutcome& cotenant = replay.tenants[1];
   // The victim's breaker tripped and shed most of its storm; probes faulted
@@ -382,15 +409,13 @@ TEST(Recovery, GovernTraceBreakerShedsVictimOnly) {
   EXPECT_EQ(cotenant.completed, cotenant.offered);
 
   // Deterministic: the same trace governs identically twice.
-  const vnet::GovernedReplay again = vnet::GovernTrace(trace, governed);
+  const vnet::GovernedReplay again = GovernOnTwoLanes(trace, governed);
   EXPECT_EQ(again.tenants[0].shed_breaker, victim.shed_breaker);
   EXPECT_EQ(again.tenants[0].breaker_opens, victim.breaker_opens);
   EXPECT_EQ(again.tenants[1].completed, cotenant.completed);
 
   // Disabled breaker: nothing sheds, every victim arrival burns a lane.
-  vnet::GovernanceOptions ungoverned;
-  ungoverned.lanes = 2;
-  const vnet::GovernedReplay off = vnet::GovernTrace(trace, ungoverned);
+  const vnet::GovernedReplay off = GovernOnTwoLanes(trace, {});
   EXPECT_EQ(off.tenants[0].shed_breaker, 0u);
   EXPECT_EQ(off.tenants[0].faulted, off.tenants[0].offered);
 }
