@@ -21,8 +21,9 @@
 // acquire + snapshot restore and the connection's fixed hypercall exits —
 // over many requests served by the one held shell, so a request gets
 // cheaper and wall RPS climbs with reuse.  The wall numbers are time over
-// loopback: host-dependent, unlike the modeled cycles each point also
-// records from the server's counters.
+// loopback: host-dependent, unlike the modeled cycles and hypercall exits
+// per request each point also records from the server's counters (exits
+// are printed, not gated).
 //
 // `--quick` runs a small 2-lane smoke of all three modes and exits non-zero
 // on any wrong response or counter mismatch (the ci.sh gate for the
@@ -211,6 +212,12 @@ double ModeledPerRequest(const SocketPoint& p) {
   return requests > 0 ? static_cast<double>(p.counters.modeled_cycles) / requests : 0;
 }
 
+// Hypercall exits per request the server counted at this point (0 natively).
+double ExitsPerRequest(const SocketPoint& p) {
+  const double requests = static_cast<double>(p.counters.requests);
+  return requests > 0 ? static_cast<double>(p.counters.io_exits) / requests : 0;
+}
+
 void WriteJson(const std::string& path,
                const std::vector<std::pair<std::string, std::vector<SocketPoint>>>& sweeps,
                double modeled_gate_ratio, double rps_ratio) {
@@ -225,9 +232,9 @@ void WriteJson(const std::string& path,
       std::fprintf(f,
                    "      {\"requests_per_connection\": %d, \"rps\": %.0f, "
                    "\"mean_us\": %.1f, \"p99_us\": %.1f, "
-                   "\"modeled_cycles_per_request\": %.0f, \"requests\": %llu, "
-                   "\"connections\": %llu, \"keepalive_reused\": %llu}%s\n",
-                   p.reuse, p.rps, p.mean_us, p.p99_us, ModeledPerRequest(p),
+                   "\"modeled_cycles_per_request\": %.0f, \"exits_per_request\": %.4f, "
+                   "\"requests\": %llu, \"connections\": %llu, \"keepalive_reused\": %llu}%s\n",
+                   p.reuse, p.rps, p.mean_us, p.p99_us, ModeledPerRequest(p), ExitsPerRequest(p),
                    static_cast<unsigned long long>(p.requests),
                    static_cast<unsigned long long>(p.lstats.accepted),
                    static_cast<unsigned long long>(p.counters.keepalive_reused),
@@ -384,7 +391,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::vector<SocketPoint>>> socket_sweeps;
   for (const vnet::ServeMode mode : all_modes) {
     vbase::Table table({"handler", "reuse", "rps (wall)", "mean us", "p99 us",
-                        "modeled cyc/req", "connections", "reused"});
+                        "modeled cyc/req", "exits/req", "connections", "reused"});
     std::vector<SocketPoint> points;
     for (const int reuse : reuse_sweep) {
       // Best-of-2 in the full run: on a small host the client threads, the
@@ -408,7 +415,7 @@ int main(int argc, char** argv) {
       table.AddRow({vnet::ServeModeName(mode), std::to_string(pt.reuse),
                     vbase::Fmt(pt.rps, 0), vbase::Fmt(pt.mean_us, 1),
                     vbase::Fmt(pt.p99_us, 1), vbase::Fmt(ModeledPerRequest(pt), 0),
-                    std::to_string(pt.lstats.accepted),
+                    vbase::Fmt(ExitsPerRequest(pt), 3), std::to_string(pt.lstats.accepted),
                     std::to_string(pt.counters.keepalive_reused)});
       points.push_back(std::move(pt));
     }

@@ -93,7 +93,8 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 # Modeled-metric gate: perfbench's three workloads, 1 s each on a fixed seed,
 # untraced and traced; fails (non-zero) if a run is incorrect or fails an op,
 # if modeled cycles, exits, guest instructions, restored KB or host cycles
-# per op differ from tools/modeled_expected.json (old -> new is printed), or
+# per op, or the HTTP server's exits per request, differ from
+# tools/modeled_expected.json (old -> new is printed), or
 # if fn_b64's untraced peak RSS exceeds 10 MB (guest memory resident only
 # where touched; the other wall metrics are printed, not gated).  The
 # measured values land in
@@ -166,7 +167,8 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # runs — every injected FaultKind classifies and quarantines (no faulted
 # shell is ever re-acquired affine, the quarantine ledger balances), a fault
 # storm on one key keeps the co-tenant's p99 within 2x of fault-free (storm
-# and control on fresh runtimes through the executor in virtual time), a
+# and control on fresh runtimes through the executor in virtual time, at a
+# load that queues the co-tenant in the control), a
 # paced soak through a threaded executor leaves zero gauge drift and zero
 # resident bytes after retirement, and the phase-4 recovery run gates the
 # circuit breaker's goodput at >= 1.5x the breaker-off run under the same

@@ -322,12 +322,12 @@ std::string KeepAliveHandlerSource() {
   // head window — a head that does not terminate inside it is answered 413,
   // not truncated), drains any Content-Length body through the channel in
   // bounded chunks (bodies are not capped by the head window), serves the
-  // file, and honors Connection: close / keep-alive.  Exit reports
-  // [requests, 2xx, 4xx, clean] via return_data so the host can account
-  // per-request statuses without parsing the byte stream.  Framing trust:
-  // the host front end (listener or native parser) rejects smuggling-shaped
-  // heads before forwarding, so this guest keeps the simple first-match
-  // Content-Length scan.
+  // file, and honors Connection: close / keep-alive.  It leaves through
+  // return_exit with [requests, 2xx, 4xx, clean] as its output, so the host
+  // can account per-request statuses without parsing the byte stream.
+  // Framing trust: the host front end (listener or native parser) rejects
+  // smuggling-shaped heads before forwarding, so this guest keeps the
+  // simple first-match Content-Length scan.
   //
   // Hypercall exits are the per-request currency keep-alive amortizes
   // against, so a kept-alive GET costs two: readfile (size and bytes in one
@@ -337,13 +337,17 @@ std::string KeepAliveHandlerSource() {
   // receive (request bytes or a body drain), a plain send when the next
   // head is already buffered, or the exit.  So responses leave in request
   // order, and every request is served with nothing pending.  N requests on
-  // a file that fits the window cost 2N+3 exits: the first receive, N
-  // readfiles, N flushes (the last may be a send_recv that sees EOF),
-  // return_data and exit.  Interpreted guest cycles are the other
-  // per-request cost: the head is parsed in ONE pass (validity, version,
-  // Host, Content-Length, Connection), the terminator search resumes where
-  // the previous receive left off, and the 200 head is cached across the
-  // connection's requests (rebuilt only when the file size changes).
+  // a file that fits the window cost 2N+2 exits: the first receive, N
+  // readfiles, N flushes (the last may be a send_recv that sees EOF) and
+  // return_exit.  The first receive is snapshot_recv, which takes the
+  // snapshot inside it, so a warm restore delivers the connection's first
+  // bytes before its first vmrun and a warm connection costs 2N+1.  (When
+  // the CRT has already snapshotted, boot flag bit 0, it is a plain recv.)
+  // Interpreted guest cycles are the other per-request cost: the head is
+  // parsed in ONE pass (validity, version, Host, Content-Length,
+  // Connection), the terminator search resumes where the previous receive
+  // left off, and the 200 head is cached across the connection's requests
+  // (rebuilt only when the file size changes).
   std::ostringstream os;
   os << HandlerHelpersSource() << R"vc(
 // Writes "HTTP/1.1 200 OK\r\nContent-Length: <sz>\r\n\r\n" so that it ends
@@ -413,13 +417,12 @@ int vn_serve(char *req, int *ph, char *win, int *hc, int *io) {
   return 200;
 }
 
-// Flushes the pending response, reports the counters and exits.
+// Flushes the pending response, then exits with the counters as output.
 int vn_finish(int *io, int *stats, int code) {
   if (io[1]) {
     send(io[0], io[1]);
   }
-  return_data(stats, sizeof(int) * 4);
-  exit(code);
+  return_exit(code, stats, sizeof(int) * 4);
   return code;
 }
 
@@ -430,6 +433,7 @@ int main() {
   int stats[4];
   int hc[2];
   int io[4];
+  int *boot;
   int n;
   int m;
   int he;
@@ -440,13 +444,24 @@ int main() {
   int i;
   int j;
   int sp;
-  n = 0;
   hc[0] = 0 - 1;
   io[1] = 0;
   stats[0] = 0;
   stats[1] = 0;
   stats[2] = 0;
   stats[3] = 0;
+  // The first receive.  Issued inline, so a restore resumes in main's own
+  // frame, with the connection's first bytes already in req.
+  boot = )vc" << wasp::kBootInfoAddr << R"vc(;
+  if (boot[1] & )vc" << wasp::kBootFlagSnapshot << R"vc() {
+    n = recv(req, )vc" << kMaxHeadBytes << R"vc();
+  } else {
+    n = __hc2()vc" << wasp::kHcSnapshotRecv << R"vc(, req, )vc" << kMaxHeadBytes << R"vc();
+  }
+  if (n <= 0) {
+    stats[3] = 1;
+    return vn_finish(io, stats, 0);
+  }
   while (1) {
     he = vn_headers_end_from(req, 0, n);
     if (he >= 0 && io[1]) {
@@ -676,8 +691,10 @@ vbase::Result<ServeStats> StaticHttpServer::HandleVirtine(wasp::ByteChannel& cha
   spec.mem_size = 1ULL << 20;
   spec.policy = wasp::kPolicyStream | wasp::kPolicyFileIo | wasp::MaskOf(wasp::kHcSnapshot);
   if (conn.keep_alive) {
-    // The keep-alive guest reports [requests, 2xx, 4xx, clean] on exit.
+    // The keep-alive guest reports [requests, 2xx, 4xx, clean] on exit, and
+    // takes its snapshot inside its first receive rather than after boot.
     spec.policy |= wasp::MaskOf(wasp::kHcReturnData);
+    spec.crt_snapshot = false;
   }
   spec.use_snapshot = snapshot;
   spec.env = env_;
@@ -708,7 +725,7 @@ vbase::Result<ServeStats> StaticHttpServer::HandleVirtine(wasp::ByteChannel& cha
   ServeStats stats;
   if (conn.keep_alive) {
     // One invocation served the whole connection; per-request accounting
-    // comes back through return_data as word-sized counters.
+    // comes back through return_exit as word-sized counters.
     uint64_t guest_stats[4] = {0, 0, 0, 0};
     if (outcome.output.size() >= sizeof(guest_stats)) {
       std::memcpy(guest_stats, outcome.output.data(), sizeof(guest_stats));

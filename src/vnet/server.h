@@ -50,10 +50,13 @@ std::string StaticHandlerSource();
 // Keep-alive variant: one invocation serves every request of a connection
 // (receive -> frame -> serve loop until EOF or "Connection: close"),
 // draining request bodies through the channel in bounded chunks and
-// reporting [requests, 2xx, 4xx, clean] through return_data on exit.  A
-// GET of a file within its 4 KB body window costs two exits — readfile,
-// and the send_recv that sends the response and receives the next request
-// — so N requests cost 2N+3.
+// reporting [requests, 2xx, 4xx, clean] through return_exit.  A GET of a
+// file within its 4 KB body window costs two exits — readfile, and the
+// send_recv that sends the response and receives the next request — so N
+// requests cost 2N+2 with the first receive and return_exit.  The first
+// receive is snapshot_recv (unless the CRT snapshotted, boot flag bit 0):
+// a warm restore completes it before its first vmrun, so a warm connection
+// costs 2N+1.
 std::string KeepAliveHandlerSource();
 
 enum class ServeMode {

@@ -18,9 +18,9 @@ int v_snapshot() { return __hc0()vc" << wasp::kHcSnapshot << R"vc(); }
 int get_data(char *buf, int cap) { return __hc2()vc" << wasp::kHcGetData << R"vc(, buf, cap); }
 int return_data(char *buf, int n) { return __hc2()vc" << wasp::kHcReturnData << R"vc(, buf, n); }
 // return_data(buf, n) then exit(code), in one exit; never returns.
-// Its input-side partner, snapshot_get_data, has no wrapper: a restore
-// resumes inside that call, so a guest issues it inline from a frame no
-// later call overwrites.
+// Its input-side partners, snapshot_get_data and snapshot_recv, have no
+// wrapper: a restore resumes inside the call, so a guest issues it inline
+// from a frame no later call overwrites.
 int return_exit(int code, char *buf, int n) {
   return __hc3()vc" << wasp::kHcReturnExit << R"vc(, code, buf, n);
 }

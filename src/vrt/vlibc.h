@@ -7,8 +7,9 @@
 // Wasp hypercalls; each port is streamed in from wasp::kHypercalls
 // (src/wasp/abi.h) as the integer literal an immediate operand needs.
 //
-// Provided: a wrapper for each hypercall but snapshot_get_data, which guests
-// issue inline (stat's wrapper is stat_size), string and memory routines
+// Provided: a wrapper for each hypercall but snapshot_get_data and
+// snapshot_recv, which guests issue inline (stat's wrapper is stat_size),
+// string and memory routines
 // (strlen/strcmp/strcpy/strcat/memcpy/memset/memcmp/atoi/itoa/uitoa_hex),
 // console printing helpers (puts/print_int), and a bump-pointer malloc with
 // a trivial free list.

@@ -6,10 +6,12 @@
 // written back into r0 before the vCPU is re-entered.  Hypercalls are
 // designed as *high-level hypervisor services* (mirroring POSIX calls)
 // rather than low-level device emulation, so each service costs exactly one
-// exit.  That makes the exit count a design choice: readfile and send_recv
-// fold a request's common sequences (stat+open+read+close, send then recv)
-// into one exit each.  A call that needs more than three argument words
-// takes a pointer to a message of guest words instead.
+// exit.  That makes the exit count a design choice, and five calls fold a
+// common sequence into one exit: readfile (stat+open+read+close), send_recv
+// (send then recv), snapshot_get_data and snapshot_recv (snapshot then the
+// input call) and return_exit (return_data then exit).  A call that needs
+// more than three argument words takes a pointer to a message of guest
+// words instead.
 //
 // kHypercalls below lists every call once: its port, its name, the policy
 // bits it needs and its argument signature.  Guests, RequiredPolicy and
@@ -20,15 +22,18 @@
 // terminates the virtine (Section 2: virtines exist in a default-deny
 // environment).  Exit needs no bit — the only externally observable behavior
 // Wasp provides by default is the ability to exit — and neither does
-// snapshot, which is hypervisor-internal and once-only.  Folded calls never
-// widen the policy: snapshot_get_data needs the get_data bit, and
-// return_exit needs the return_data bit when it carries bytes (len > 0) and
-// nothing otherwise.  Their own ports' bits are never consulted.
+// snapshot, which is hypervisor-internal and once-only.  The folds of a
+// snapshot or an exit never widen the policy: snapshot_get_data needs the
+// get_data bit, snapshot_recv the recv bit, and return_exit the return_data
+// bit when it carries bytes (len > 0) and nothing otherwise.  Their own
+// ports' bits are never consulted.
 //
 // A function virtine's warm call is one VM entry and one VM exit.
 // snapshot_get_data takes the snapshot *inside* the input call, so every
 // restore resumes with that call pending: the runtime writes the new
 // invocation's input and sets the result register before the first vmrun.
+// snapshot_recv does the same for a stream guest's first receive: a warm
+// connection's first request is delivered before the first vmrun.
 // return_exit (return_data then exit) hands the output back in the exit.
 #ifndef SRC_WASP_ABI_H_
 #define SRC_WASP_ABI_H_
@@ -45,6 +50,7 @@ inline constexpr uint16_t kHcGetData = 4;
 inline constexpr uint16_t kHcReturnData = 5;
 inline constexpr uint16_t kHcSnapshotGetData = 6;
 inline constexpr uint16_t kHcReturnExit = 7;
+inline constexpr uint16_t kHcSnapshotRecv = 8;
 inline constexpr uint16_t kHcOpen = 16;
 inline constexpr uint16_t kHcRead = 17;
 inline constexpr uint16_t kHcWrite = 18;
@@ -102,6 +108,8 @@ inline constexpr HypercallInfo kHypercalls[] = {
     {kHcSnapshotGetData, "snapshot_get_data", MaskOf(kHcGetData), {Arg::kOut}},
     // return_data() then exit(), the word being the exit code.
     {kHcReturnExit, "return_exit", MaskOf(kHcReturnData), {Arg::kWord, Arg::kIn}},
+    // snapshot() then recv() in one exit, with recv's signature.
+    {kHcSnapshotRecv, "snapshot_recv", MaskOf(kHcRecv), {Arg::kOut}},
     {kHcOpen, "open", MaskOf(kHcOpen), {Arg::kPath}},
     {kHcRead, "read", MaskOf(kHcRead), {Arg::kWord, Arg::kOut}},
     {kHcWrite, "write", MaskOf(kHcWrite), {Arg::kWord, Arg::kIn}},
@@ -155,7 +163,8 @@ inline constexpr HypercallMask kPolicyFileIo = MaskOf(kHcOpen) | MaskOf(kHcRead)
                                                MaskOf(kHcWrite) | MaskOf(kHcClose) |
                                                MaskOf(kHcStat) | MaskOf(kHcReadFile);
 // The canned stream set (send/recv proxied to a host byte channel, and
-// send_recv, which is one send followed by one recv).
+// send_recv, which is one send followed by one recv).  It also admits the
+// folded snapshot_recv, which needs only the recv bit.
 inline constexpr HypercallMask kPolicyStream =
     MaskOf(kHcSend) | MaskOf(kHcRecv) | MaskOf(kHcSendRecv);
 // The managed-runtime set used by the JavaScript and AES case studies
@@ -179,7 +188,9 @@ inline constexpr uint64_t kImageLoadAddr = 0x8000;
 
 // Boot info block (all fields u64, written by the host):
 //   +0  mem_size   (guest memory size; protected/long stubs set sp from it)
-//   +8  flags      (bit 0: issue the snapshot hypercall after runtime init)
+//   +8  flags      (bit 0: the CRT issues the snapshot hypercall after
+//                   runtime init; a guest that picks its own snapshot point
+//                   reads it to skip its own once-only capture)
 inline constexpr uint64_t kBootFlagSnapshot = 1ULL << 0;
 
 // Argument page layout (word-sized slots; the word size is the natural width

@@ -278,6 +278,13 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
 
 vbase::Result<int64_t> Runtime::Handle(uint16_t port, HypercallFrame& frame, HostCall& call) {
   RunOutcome& outcome = frame.outcome;
+  // A snapshot fold captures first, then serves its input call: the
+  // snapshot must not hold this run's input, and the epoch the capture
+  // begins must track its copy-out.  Every restore completes that call.
+  if (port == kHcSnapshotGetData || port == kHcSnapshotRecv) {
+    port = port == kHcSnapshotGetData ? kHcGetData : kHcRecv;
+    VB_RETURN_IF_ERROR(SnapshotOnce(frame, PendingCall{port, frame.result_reg}));
+  }
   switch (port) {
     case kHcReturnData:
     case kHcReturnExit:
@@ -299,11 +306,6 @@ vbase::Result<int64_t> Runtime::Handle(uint16_t port, HypercallFrame& frame, Hos
       VB_RETURN_IF_ERROR(SnapshotOnce(frame, PendingCall{}));
       return 0;
 
-    case kHcSnapshotGetData:
-      // Capture first, then produce this run's input: the snapshot must not
-      // hold it, and the epoch the capture begins must track its copy-out.
-      VB_RETURN_IF_ERROR(SnapshotOnce(frame, PendingCall{kHcGetData, frame.result_reg}));
-      [[fallthrough]];
     case kHcGetData:  // -> n: the input's first n <= cap bytes, once per invocation
       if (frame.data_fetched) {
         return vbase::PermissionDenied("get_data hypercall may only be called once");
@@ -498,11 +500,12 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
     default:
       break;
   }
-  // A snapshot captured inside snapshot_get_data resumes with its get_data
-  // pending: complete it for this invocation (this spec's policy and input,
-  // the restored registers' buffer) before the first vmrun.  Both halves of
-  // the call are then spent, as in the cold run.  A failure skips the run
-  // loop and ends the invocation as it would at a get_data exit.
+  // A snapshot captured inside snapshot_get_data or snapshot_recv resumes
+  // with its get_data or recv pending: complete it for this invocation (this
+  // spec's policy and input or channel, the restored registers' buffer)
+  // before the first vmrun.  Both halves of the call are then spent, as in
+  // the cold run.  A failure skips the run loop and ends the invocation as
+  // it would at that call's exit.
   if (snap != nullptr && snap->pending.port != 0) {
     frame.snapshot_taken = true;
     frame.result_reg = snap->pending.result_reg;

@@ -7,9 +7,10 @@
 //   * a SnapshotStore (post-boot/post-init images keyed per virtine),
 //   * the canned hypercall handlers (console, POSIX-like file I/O and
 //     readfile against a sandboxed HostEnv, send/recv/send_recv against a
-//     ByteChannel, snapshot, get_data/return_data and their folded forms
-//     snapshot_get_data/return_exit), which see only host copies of their
-//     arguments: one marshal step moves their guest bytes, and
+//     ByteChannel, snapshot, get_data/return_data and the folds
+//     snapshot_get_data/snapshot_recv/return_exit), which see only host
+//     copies of their arguments (one marshal step moves their guest
+//     bytes), and
 //   * the default-deny policy enforcement: a hypercall whose policy bit is
 //     clear terminates the virtine.
 //
@@ -259,9 +260,10 @@ class Runtime {
   // *maps* the shared COW extent buffer (charged per extent mapped).
   void RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
                        InvokeStats* stats);
-  // The snapshot half of snapshot/snapshot_get_data: once per invocation;
-  // when the spec snapshots and its key has none, captures the VM's state
-  // (dirty pages + CPU + `pending`), charges the copy and publishes it.
+  // The snapshot half of snapshot/snapshot_get_data/snapshot_recv: once per
+  // invocation; when the spec snapshots and its key has none, captures the
+  // VM's state (dirty pages + CPU + `pending`), charges the copy and
+  // publishes it.
   vbase::Status SnapshotOnce(HypercallFrame& frame, PendingCall pending);
   // Serves one call on `port`, at a guest exit or as a restore's pending
   // call: policy check, Dispatch, result into frame.result_reg.  False when

@@ -45,8 +45,8 @@ std::shared_ptr<vhw::ExtentBuffer> BuildExtents(const vhw::GuestMemory& mem,
 template <typename Take>
 std::shared_ptr<Snapshot> Capture(const vhw::GuestMemory& mem, const vhw::ArchState& cpu,
                                   PendingCall pending, Take take) {
-  VB_CHECK(pending.port == 0 || pending.port == kHcGetData,
-           "a snapshot can only resume into a pending get_data");
+  VB_CHECK(pending.port == 0 || pending.port == kHcGetData || pending.port == kHcRecv,
+           "a snapshot can only resume into a pending get_data or recv");
   auto snap = std::make_shared<Snapshot>();
   snap->cpu = cpu;
   snap->pending = pending;

@@ -22,10 +22,12 @@
 // allocation, no pointer chase.
 //
 // Resume into a pending input call: a snapshot taken by snapshot_get_data
-// records the get_data it was captured inside of (`Snapshot::pending`).  The
-// runtime completes that call for each restore's own invocation — input
-// written, result register set — before the first vmrun, so a warm function
-// call enters the VM once.
+// or snapshot_recv records the get_data or recv it was captured inside of
+// (`Snapshot::pending`), before that call's bytes were copied in.  The
+// runtime completes that call for each restore's own invocation — input or
+// first received bytes written, result register set — before the first
+// vmrun, so a warm function call enters the VM once and a warm connection
+// takes its first request without an exit.
 //
 // Snapshots are immutable once taken and shared via shared_ptr: restores
 // never mutate them, so one virtine's post-snapshot writes cannot leak into
@@ -61,7 +63,7 @@ namespace wasp {
 
 // An input call the vCPU was inside of when its snapshot was captured.
 struct PendingCall {
-  uint16_t port = 0;       // 0 = none; kHcGetData is the only one accepted
+  uint16_t port = 0;       // 0 = none; kHcGetData and kHcRecv are the ones accepted
   uint8_t result_reg = 0;  // the register that receives the call's result
 };
 

@@ -25,6 +25,7 @@ static_assert(wasp::kHcGetData == 4);
 static_assert(wasp::kHcReturnData == 5);
 static_assert(wasp::kHcSnapshotGetData == 6, "baked into the managed guests' images");
 static_assert(wasp::kHcReturnExit == 7);
+static_assert(wasp::kHcSnapshotRecv == 8, "baked into the keep-alive guest's image");
 static_assert(wasp::kHcOpen == 16);
 static_assert(wasp::kHcRead == 17);
 static_assert(wasp::kHcWrite == 18);

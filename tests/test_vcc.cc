@@ -607,8 +607,8 @@ TEST(GuestImages, MatchTheirRecordedHashes) {
   } guests[] = {
       {"static handler", vnet::StaticHandlerSource(), vrt::Env::kLong64, 6347,
        0xe85f8921505e203bULL},
-      {"keep-alive handler", vnet::KeepAliveHandlerSource(), vrt::Env::kLong64, 7569,
-       0xa1ca6a8bf62ab7a4ULL},
+      {"keep-alive handler", vnet::KeepAliveHandlerSource(), vrt::Env::kLong64, 7801,
+       0xa1ed3fd5f5a52b74ULL},
       {"b64 engine", vjs::EngineSource(*bytecode, /*teardown=*/false), vrt::Env::kLong64, 4824,
        0xfe93f90d6ac1afaeULL},
       {"teardown engine", vjs::EngineSource(*bytecode, /*teardown=*/true), vrt::Env::kLong64,

@@ -398,6 +398,9 @@ TEST(HypercallTable, RequiredPolicyKeepsEveryRuleOnEveryPort) {
     if (port == wasp::kHcSnapshotGetData) {
       return wasp::MaskOf(wasp::kHcGetData);
     }
+    if (port == wasp::kHcSnapshotRecv) {
+      return wasp::MaskOf(wasp::kHcRecv);
+    }
     if (port == wasp::kHcReturnExit) {
       return r3 > 0 ? wasp::MaskOf(wasp::kHcReturnData) : 0;
     }
@@ -1263,6 +1266,147 @@ start:
   EXPECT_TRUE(warm.stats.restored_snapshot);
   EXPECT_EQ(warm.status.code(), vbase::Code::kPermissionDenied);
   EXPECT_EQ(warm.fault, cold.fault);
+}
+
+// --- snapshot_recv: a stream guest's snapshot point inside its first receive ------
+
+// A stream guest: snapshot_recv into 0x600 (restores resume inside it), then
+// return_exit with the whole 64-byte receive buffer and n as the exit code,
+// so each run shows every byte its buffer holds, past its own n included.
+constexpr char kFirstRecvBody[] = R"(
+  mov r1, 0x600
+  mov r2, 64
+  mov r0, 0
+  out HC_SNAPSHOT_RECV, r0
+  mov r1, r0
+  mov r2, 0x600
+  mov r3, 64
+  mov r0, 0
+  out HC_RETURN_EXIT, r0
+  hlt
+)";
+constexpr char kFirstRecvKey[] = "first-recv";
+constexpr wasp::HypercallMask kFirstRecvPolicy =
+    wasp::MaskOf(wasp::kHcRecv) | wasp::MaskOf(wasp::kHcReturnData);
+
+// One connection: `request` is waiting on the channel when the guest runs.
+wasp::RunOutcome ServeFirstRecv(wasp::Runtime& runtime, const visa::Image& image,
+                                const std::string& request, bool fresh_shell,
+                                wasp::HypercallMask policy = kFirstRecvPolicy) {
+  wasp::ByteChannel channel;
+  channel.host().WriteString(request);
+  wasp::VirtineSpec spec;
+  spec.image = &image;
+  spec.key = kFirstRecvKey;
+  spec.policy = policy;
+  spec.use_snapshot = true;
+  spec.crt_snapshot = false;
+  spec.fresh_shell = fresh_shell;
+  spec.channel = &channel.guest();
+  return runtime.Invoke(spec);
+}
+
+// The buffer a run must return: its own request, then the snapshot's zeros.
+std::vector<uint8_t> OwnBytesThenZeros(const std::string& request) {
+  std::vector<uint8_t> want(64, 0);
+  std::copy(request.begin(), request.end(), want.begin());
+  return want;
+}
+
+TEST(SnapshotRecv, WarmRunsReadOnlyTheirOwnBytesInOneExit) {
+  const visa::Image image = RawImage(std::string("start:\n") + kFirstRecvBody);
+  wasp::Runtime runtime;
+  const std::string cold_request(48, 'L');
+  const auto cold = ServeFirstRecv(runtime, image, cold_request, false);
+  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
+  EXPECT_TRUE(cold.stats.took_snapshot);
+  EXPECT_EQ(cold.stats.io_exits, 2u);  // snapshot_recv, return_exit
+  EXPECT_EQ(cold.exit_code, cold_request.size());
+  EXPECT_EQ(cold.output, OwnBytesThenZeros(cold_request));
+
+  // The capture came before the cold request's copy-out: the snapshot holds
+  // the buffer's page (the boot info dirtied it) with zeros where the
+  // request landed, and resumes into a pending recv.
+  const wasp::SnapshotRef snap = runtime.snapshots().Find(kFirstRecvKey);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->pending.port, wasp::kHcRecv);
+  const uint8_t* page0 = snap->FindPage(0);
+  ASSERT_NE(page0, nullptr);
+  EXPECT_EQ(std::vector<uint8_t>(page0 + 0x600, page0 + 0x640), std::vector<uint8_t>(64, 0))
+      << "the cold request's bytes are in the snapshot";
+
+  // Each warm run follows a longer request.  The affine shell repairs the
+  // previous run's bytes; the fresh shell COW-maps the snapshot.
+  const struct {
+    const char* path;
+    std::string request;
+    bool fresh_shell;
+  } warm_runs[] = {
+      {"affine, after the cold request", "short", false},
+      {"affine", std::string(40, 'M'), false},
+      {"COW map, after a longer request", "hi", true},
+      {"affine, after the COW map", std::string(56, 'N'), false},
+      {"affine, after a longer request", "x", false},
+  };
+  const uint64_t one_exit = runtime.options().vm_defaults.guest_costs.io_exit;
+  for (const auto& run : warm_runs) {
+    const auto warm = ServeFirstRecv(runtime, image, run.request, run.fresh_shell);
+    ASSERT_TRUE(warm.status.ok()) << run.path << ": " << warm.status.ToString();
+    EXPECT_TRUE(warm.stats.restored_snapshot) << run.path;
+    EXPECT_EQ(warm.stats.mapped_cow, run.fresh_shell) << run.path;
+    EXPECT_EQ(warm.stats.affine_restore, !run.fresh_shell) << run.path;
+    EXPECT_EQ(warm.stats.io_exits, 1u) << run.path;  // return_exit only
+    EXPECT_EQ(warm.stats.exit_cycles, one_exit) << run.path;
+    EXPECT_EQ(warm.exit_code, run.request.size()) << run.path;
+    EXPECT_EQ(warm.output, OwnBytesThenZeros(run.request)) << run.path;
+  }
+  EXPECT_EQ(runtime.snapshots().Find(kFirstRecvKey), snap) << "a warm run re-captured";
+  EXPECT_TRUE(wasp::VerifySnapshot(*snap));
+}
+
+TEST(SnapshotRecv, AfterTheCrtSnapshotIsRefused) {
+  // The CRT snapshots after boot (boot flag bit 0), so the guest's own
+  // snapshot_recv would be a second capture in one run.
+  auto image = vrt::BuildImage(vrt::Env::kLong64, std::string("virtine_main:\n") + kFirstRecvBody);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  wasp::Runtime runtime;
+  wasp::ByteChannel channel;
+  channel.host().WriteString("request");
+  wasp::VirtineSpec spec;
+  spec.image = &*image;
+  spec.key = kFirstRecvKey;
+  spec.policy = kFirstRecvPolicy;
+  spec.use_snapshot = true;
+  spec.channel = &channel.guest();
+  const auto outcome = runtime.Invoke(spec);
+  EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied) << outcome.status.ToString();
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kHypercallError);
+  EXPECT_FALSE(outcome.denied) << "the policy admits it; the once-only rule refuses it";
+  EXPECT_TRUE(outcome.output.empty());
+  const wasp::SnapshotRef snap = runtime.snapshots().Find(kFirstRecvKey);
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->pending.port, 0) << "the CRT's capture was replaced";
+}
+
+TEST(SnapshotRecv, NeedsTheRecvBitBeforeItCaptures) {
+  const visa::Image image = RawImage(std::string("start:\n") + kFirstRecvBody);
+  wasp::Runtime runtime;
+  const wasp::HypercallMask no_recv = wasp::kPolicyAllowAll & ~wasp::MaskOf(wasp::kHcRecv);
+  const auto denied = ServeFirstRecv(runtime, image, "request", false, no_recv);
+  EXPECT_EQ(denied.status.code(), vbase::Code::kPermissionDenied);
+  EXPECT_EQ(denied.fault, wasp::FaultKind::kPolicyDenied);
+  EXPECT_TRUE(denied.denied);
+  EXPECT_EQ(runtime.snapshots().Find(kFirstRecvKey), nullptr) << "a denied call captured";
+
+  // A warm restore's pending recv is checked against the warm run's own
+  // policy, before the first vmrun.
+  ASSERT_TRUE(ServeFirstRecv(runtime, image, "request", false).status.ok());
+  const auto warm = ServeFirstRecv(runtime, image, "request", false, no_recv);
+  EXPECT_TRUE(warm.stats.restored_snapshot);
+  EXPECT_EQ(warm.fault, wasp::FaultKind::kPolicyDenied);
+  EXPECT_TRUE(warm.output.empty());
+  EXPECT_EQ(warm.stats.insns, 0u) << "the guest ran";
+  EXPECT_EQ(warm.stats.io_exits, 0u);
 }
 
 // --- Invocation stats ---------------------------------------------------------------
