@@ -18,20 +18,28 @@
 // RunSocketClosedLoop sweeps the connection-reuse axis (requests per TCP
 // connection 1 -> 64).  Reuse amortizes the per-connection charges — TCP
 // connect + accept, executor dispatch, and in the virtine modes a shell
-// acquire + snapshot restore and the connection's fixed hypercall exits —
-// over many requests served by the one held shell, so a request gets
-// cheaper and wall RPS climbs with reuse.  The wall numbers are time over
-// loopback: host-dependent, unlike the modeled cycles and hypercall exits
-// per request each point also records from the server's counters (exits
-// are printed, not gated).
+// acquire and a snapshot restore (without a snapshot, a boot and the first
+// receive's exit) — over many requests served by the one held shell, so a
+// request gets cheaper and wall RPS climbs with reuse.  A warm snapshot-mode
+// connection has no fixed hypercall exit left: its first request arrives
+// with the restore, and its last response leaves in its exit (send_exit),
+// so a request costs two exits at every reuse.  The wall numbers are time
+// over loopback: host-dependent, unlike the modeled cycles and hypercall
+// exits per request each point also records from the server's counters
+// (exits are printed, not gated).  Each mode's socket sweep first serves
+// one connection on each of its lanes, so every point starts from a settled
+// server: the snapshot published and a warm shell in each lane's cache.
 //
 // `--quick` runs a small 2-lane smoke of all three modes and exits non-zero
 // on any wrong response or counter mismatch (the ci.sh gate for the
 // concurrent serving path) plus the keep-alive gate, in modeled cycles per
 // request: in snapshot mode a request at 8 requests/connection must cost
 // less than at connection-per-request.  The full run gates reuse=64 at
-// >= 2x cheaper than reuse=1.  The wall RPS ratio is printed and written
-// beside it, ungated.  `--soak S`
+// >= 2x cheaper than reuse=1.  Each snapshot-mode point runs twice, and
+// the run fails unless both agree exactly on modeled cycles and exits per
+// request, which the gate reads.  The wall RPS ratio is printed and written
+// beside it, ungated.  The last line counts bad responses and counter
+// mismatches apart from failed gates, and names each failed gate.  `--soak S`
 // replaces the sweeps with a wall-clock-paced soak: every client loops until
 // the deadline, and the run fails on any bad response or counter drift.
 // `--json PATH` writes the machine-readable results.
@@ -47,6 +55,7 @@
 #include "src/vnet/loadgen.h"
 #include "src/vnet/server.h"
 #include "src/wasp/channel.h"
+#include "src/wasp/pool.h"
 #include "src/wasp/runtime.h"
 
 namespace {
@@ -206,6 +215,30 @@ SocketPoint RunSocketPoint(wasp::Runtime* runtime, wasp::HostEnv* files,
   return pt;
 }
 
+// Serves one keep-alive connection in `mode` on each of the first `lanes`
+// pool lanes, the lanes a `lanes`-worker executor binds, so every socket
+// point starts from what a settled server holds: the keep-alive guest's
+// snapshot published, and in each lane's cache a shell parked warm under it.
+// Otherwise a sweep's first point also pays the cold boots of however many
+// connections race the first capture (a number that moves with thread
+// timing), and each lane's first connection maps the snapshot onto a clean
+// shell where later ones repair a warm one, so the point's two runs differ.
+void SettleLanes(wasp::Runtime* runtime, wasp::HostEnv* files, vnet::ServeMode mode,
+                 int lanes) {
+  vnet::StaticHttpServer server(runtime, files);
+  vnet::ConnectionOptions conn;
+  conn.keep_alive = true;
+  for (int lane = 0; lane < lanes; ++lane) {
+    wasp::Pool::BindLane(static_cast<uint32_t>(lane));
+    wasp::ByteChannel channel;
+    channel.host().WriteString(
+        "GET /index.html HTTP/1.1\r\nHost: fig13\r\nConnection: close\r\n\r\n");
+    auto stats = server.HandleConnection(channel, mode, conn);
+    VB_CHECK(stats.ok() && stats->r2xx == 1,
+             "settling connection failed (" << vnet::ServeModeName(mode) << ")");
+  }
+}
+
 // Modeled service cycles per request the server counted at this point.
 double ModeledPerRequest(const SocketPoint& p) {
   const double requests = static_cast<double>(p.counters.requests);
@@ -314,7 +347,8 @@ int main(int argc, char** argv) {
   const vnet::ServeMode modes[] = {vnet::ServeMode::kNative, vnet::ServeMode::kVirtine,
                                    vnet::ServeMode::kVirtineSnapshot};
 
-  int failures = 0;
+  int failures = 0;                      // bad responses and counter mismatches
+  std::vector<std::string> failed_gates;  // claim and determinism gates, named
   double snapshot_rps_1lane = 0;
   double snapshot_rps_8lane = 0;
   for (const int lanes : lane_sweep) {
@@ -375,13 +409,14 @@ int main(int argc, char** argv) {
                 "lanes (floor: 3x); %d closed-loop clients.\n", scaling, clients);
     if (scaling < 3.0) {
       std::printf("FAIL: 8-lane scaling %.2fx below the 3x floor\n", scaling);
-      ++failures;
+      failed_gates.push_back("8-lane scaling (" + vbase::Fmt(scaling, 2) + "x, floor 3x)");
     }
   }
 
   // ---- Real-socket connection-reuse sweep (wall time over loopback) ----
   const std::vector<int> reuse_sweep = quick ? std::vector<int>{1, 8}
                                              : std::vector<int>{1, 8, 64};
+  const int sock_lanes = 4;
   const int sock_clients = quick ? 4 : 8;
   // Divisible by every reuse value, so fixed-count expectations are exact.
   const int sock_per_client = quick ? 64 : 192;
@@ -393,19 +428,32 @@ int main(int argc, char** argv) {
     vbase::Table table({"handler", "reuse", "rps (wall)", "mean us", "p99 us",
                         "modeled cyc/req", "exits/req", "connections", "reused"});
     std::vector<SocketPoint> points;
+    SettleLanes(&runtime, &files, mode, sock_lanes);
+    const bool snapshot_mode = mode == vnet::ServeMode::kVirtineSnapshot;
     for (const int reuse : reuse_sweep) {
       // Best-of-2 in the full run: on a small host the client threads, the
       // epoll loop, and the worker lanes all share the same cores, so a
       // single trial can eat a scheduler stall.  Keeping the faster trial
-      // damps that interference without changing what is measured.
-      const int trials = quick ? 1 : 2;
-      SocketPoint pt = RunSocketPoint(&runtime, &files, mode, /*lanes=*/4, sock_clients,
+      // damps that interference without changing what is measured.  A
+      // snapshot-mode point always runs twice, and its two trials must agree
+      // exactly on modeled cycles and exits: the keep-alive gate reads them.
+      const int trials = quick && !snapshot_mode ? 1 : 2;
+      SocketPoint pt = RunSocketPoint(&runtime, &files, mode, sock_lanes, sock_clients,
                                       sock_per_client, reuse, /*duration_s=*/0);
       for (int t = 1; t < trials; ++t) {
-        SocketPoint again = RunSocketPoint(&runtime, &files, mode, /*lanes=*/4,
-                                           sock_clients, sock_per_client, reuse,
-                                           /*duration_s=*/0);
+        SocketPoint again = RunSocketPoint(&runtime, &files, mode, sock_lanes, sock_clients,
+                                           sock_per_client, reuse, /*duration_s=*/0);
         pt.mismatches += again.mismatches;
+        if (snapshot_mode && (again.counters.modeled_cycles != pt.counters.modeled_cycles ||
+                              again.counters.io_exits != pt.counters.io_exits ||
+                              again.counters.requests != pt.counters.requests)) {
+          std::printf("FAIL: %s reuse=%d ran at %.0f cycles and %.3f exits per request, "
+                      "then at %.0f and %.3f\n",
+                      vnet::ServeModeName(mode), reuse, ModeledPerRequest(pt),
+                      ExitsPerRequest(pt), ModeledPerRequest(again), ExitsPerRequest(again));
+          failed_gates.push_back(std::string(vnet::ServeModeName(mode)) + " reuse=" +
+                                 std::to_string(reuse) + " not repeatable");
+        }
         if (again.rps > pt.rps) {
           again.mismatches = pt.mismatches;
           pt = std::move(again);
@@ -427,7 +475,8 @@ int main(int argc, char** argv) {
   // host-independent): in snapshot mode a request served on a reused
   // connection must be cheaper than connection-per-request (quick: 8 vs 1,
   // > 1x; full: 64 vs 1, >= 2x).  Reuse amortizes the shell acquire +
-  // snapshot restore and the connection's fixed exits over many requests.
+  // snapshot restore over many requests; a warm connection has no fixed
+  // exit left to amortize.
   // The wall RPS ratio is reported beside it but not gated: on a small
   // shared host it swings with the neighbours' load.
   const std::vector<SocketPoint>& snap_points = socket_sweeps.back().second;
@@ -443,15 +492,21 @@ int main(int argc, char** argv) {
               quick ? ">1x" : "2x", rps_ratio);
   if (quick ? gate_ratio <= 1.0 : gate_ratio < 2.0) {
     std::printf("FAIL: keep-alive modeled reuse ratio %.2fx below the floor\n", gate_ratio);
-    ++failures;
+    failed_gates.push_back("keep-alive reuse " + std::to_string(reuse_sweep.back()) + " vs 1 (" +
+                           vbase::Fmt(gate_ratio, 2) + "x, floor " + (quick ? ">1x)" : "2x)"));
   }
 
   if (!json_path.empty()) {
     WriteJson(json_path, socket_sweeps, gate_ratio, rps_ratio);
     std::printf("wrote %s\n", json_path.c_str());
   }
-  if (failures > 0) {
-    std::printf("\nFAIL: %d bad responses / counter mismatches\n", failures);
+  if (failures > 0 || !failed_gates.empty()) {
+    std::string gates;
+    for (const std::string& gate : failed_gates) {
+      gates += (gates.empty() ? ": " : "; ") + gate;
+    }
+    std::printf("\nFAIL: %d bad responses / counter mismatches, %zu failed gates%s\n", failures,
+                failed_gates.size(), gates.c_str());
     return 1;
   }
   std::printf("\nOK: all responses 200 with full bodies; admission counters consistent.\n");

@@ -121,7 +121,10 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # listener; fails (non-zero) on any wrong response, admission-counter
 # mismatch, or if HTTP keep-alive stops paying (a snapshot-mode request at
 # 8 requests/connection must cost fewer modeled cycles than one at
-# connection-per-request; wall socket RPS is printed, not gated).
+# connection-per-request; wall socket RPS is printed, not gated).  Each
+# sweep starts from settled lanes and runs every snapshot-mode point twice;
+# the run fails unless both agree exactly on modeled cycles and exits per
+# request, so the gate's two readings repeat run to run.
 (cd "$BUILD_DIR" && ./fig13_http_server --quick)
 # Seven-interaction smoke: the HTTP example serves three requests through
 # Figure 13's single-shot guest in all three modes; fails (non-zero) if any

@@ -323,8 +323,9 @@ std::string KeepAliveHandlerSource() {
   // not truncated), drains any Content-Length body through the channel in
   // bounded chunks (bodies are not capped by the head window), serves the
   // file, and honors Connection: close / keep-alive.  It leaves through
-  // return_exit with [requests, 2xx, 4xx, clean] as its output, so the host
-  // can account per-request statuses without parsing the byte stream.
+  // return_exit, or send_exit when a response is pending, with [requests,
+  // 2xx, 4xx, clean] as its output, so the host can account per-request
+  // statuses without parsing the byte stream.
   // Framing trust: the host front end (listener or native parser) rejects
   // smuggling-shaped heads before forwarding, so this guest keeps the
   // simple first-match Content-Length scan.
@@ -335,14 +336,18 @@ std::string KeepAliveHandlerSource() {
   // request.  Each response is built whole and held pending in the
   // send_recv message; whatever happens next flushes it first — the next
   // receive (request bytes or a body drain), a plain send when the next
-  // head is already buffered, or the exit.  So responses leave in request
-  // order, and every request is served with nothing pending.  N requests on
-  // a file that fits the window cost 2N+2 exits: the first receive, N
-  // readfiles, N flushes (the last may be a send_recv that sees EOF) and
-  // return_exit.  The first receive is snapshot_recv, which takes the
-  // snapshot inside it, so a warm restore delivers the connection's first
-  // bytes before its first vmrun and a warm connection costs 2N+1.  (When
-  // the CRT has already snapshotted, boot flag bit 0, it is a plain recv.)
+  // head is already buffered, or the exit, which carries it: send_exit
+  // sends it and leaves in one exit.  So responses leave in request order,
+  // and every request is served with nothing pending.  N requests on a file
+  // that fits the window cost 2N+1 exits when the connection ends with a
+  // response pending (Connection: close, a 400 or a 413): the first
+  // receive, N readfiles, N-1 flushes and send_exit.  A connection that
+  // ends at EOF flushes its last response in the send_recv that sees the
+  // EOF, then leaves through return_exit: 2N+2.  The first receive is
+  // snapshot_recv, which takes the snapshot inside it, so a warm restore
+  // delivers the connection's first bytes before its first vmrun and saves
+  // that exit: 2N, or 2N+1 at EOF.  (When the CRT has already snapshotted,
+  // boot flag bit 0, it is a plain recv.)
   // Interpreted guest cycles are the other per-request cost: the head is
   // parsed in ONE pass (validity, version, Host, Content-Length,
   // Connection), the terminator search resumes where the previous receive
@@ -417,12 +422,17 @@ int vn_serve(char *req, int *ph, char *win, int *hc, int *io) {
   return 200;
 }
 
-// Flushes the pending response, then exits with the counters as output.
+// Exits with the counters as output.  A pending response leaves in the same
+// exit: io becomes send_exit's message [out, out_len, stats, 32, code].
 int vn_finish(int *io, int *stats, int code) {
   if (io[1]) {
-    send(io[0], io[1]);
+    io[2] = stats;
+    io[3] = sizeof(int) * 4;
+    io[4] = code;
+    send_exit(io);
+  } else {
+    return_exit(code, stats, sizeof(int) * 4);
   }
-  return_exit(code, stats, sizeof(int) * 4);
   return code;
 }
 
@@ -432,7 +442,7 @@ int main() {
   int ph[5];
   int stats[4];
   int hc[2];
-  int io[4];
+  int io[5];
   int *boot;
   int n;
   int m;
@@ -725,7 +735,7 @@ vbase::Result<ServeStats> StaticHttpServer::HandleVirtine(wasp::ByteChannel& cha
   ServeStats stats;
   if (conn.keep_alive) {
     // One invocation served the whole connection; per-request accounting
-    // comes back through return_exit as word-sized counters.
+    // comes back as the exit's output, word-sized counters.
     uint64_t guest_stats[4] = {0, 0, 0, 0};
     if (outcome.output.size() >= sizeof(guest_stats)) {
       std::memcpy(guest_stats, outcome.output.data(), sizeof(guest_stats));

@@ -50,13 +50,15 @@ std::string StaticHandlerSource();
 // Keep-alive variant: one invocation serves every request of a connection
 // (receive -> frame -> serve loop until EOF or "Connection: close"),
 // draining request bodies through the channel in bounded chunks and
-// reporting [requests, 2xx, 4xx, clean] through return_exit.  A GET of a
-// file within its 4 KB body window costs two exits — readfile, and the
-// send_recv that sends the response and receives the next request — so N
-// requests cost 2N+2 with the first receive and return_exit.  The first
-// receive is snapshot_recv (unless the CRT snapshotted, boot flag bit 0):
-// a warm restore completes it before its first vmrun, so a warm connection
-// costs 2N+1.
+// reporting [requests, 2xx, 4xx, clean] on exit.  A GET of a file within
+// its 4 KB body window costs two exits — readfile, and the send_recv that
+// sends the response and receives the next request.  A connection that
+// ends with a response pending (Connection: close, 400, 413) sends it in
+// its exit, send_exit, so N requests cost 2N+1 with the first receive; one
+// that ends at EOF costs 2N+2 (the send_recv that sees EOF, then
+// return_exit).  The first receive is snapshot_recv (unless the CRT
+// snapshotted, boot flag bit 0): a warm restore completes it before its
+// first vmrun, so a warm connection costs one exit less, 2N or 2N+1.
 std::string KeepAliveHandlerSource();
 
 enum class ServeMode {

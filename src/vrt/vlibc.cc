@@ -17,13 +17,18 @@ int console_write(char *s, int n) { return __hc2()vc" << wasp::kHcConsole << R"v
 int v_snapshot() { return __hc0()vc" << wasp::kHcSnapshot << R"vc(); }
 int get_data(char *buf, int cap) { return __hc2()vc" << wasp::kHcGetData << R"vc(, buf, cap); }
 int return_data(char *buf, int n) { return __hc2()vc" << wasp::kHcReturnData << R"vc(, buf, n); }
-// return_data(buf, n) then exit(code), in one exit; never returns.
-// Its input-side partners, snapshot_get_data and snapshot_recv, have no
+// The folds.  return_data(buf, n) then exit(code), in one exit; never
+// returns.  send_exit does the same after a send, from a five-word message.
+// Their input-side partners, snapshot_get_data and snapshot_recv, have no
 // wrapper: a restore resumes inside the call, so a guest issues it inline
 // from a frame no later call overwrites.
 int return_exit(int code, char *buf, int n) {
   return __hc3()vc" << wasp::kHcReturnExit << R"vc(, code, buf, n);
 }
+// msg = [out, out_len, data, data_len, code]: sends out_len bytes (a peer
+// that stopped reading does not stop it), then return_exit(code, data,
+// data_len); never returns.
+int send_exit(int *msg) { return __hc1()vc" << wasp::kHcSendExit << R"vc(, msg); }
 int open(char *path) { return __hc1()vc" << wasp::kHcOpen << R"vc(, path); }
 int read(int fd, char *buf, int n) { return __hc3()vc" << wasp::kHcRead << R"vc(, fd, buf, n); }
 int write(int fd, char *buf, int n) { return __hc3()vc" << wasp::kHcWrite << R"vc(, fd, buf, n); }

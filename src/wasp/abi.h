@@ -6,12 +6,12 @@
 // written back into r0 before the vCPU is re-entered.  Hypercalls are
 // designed as *high-level hypervisor services* (mirroring POSIX calls)
 // rather than low-level device emulation, so each service costs exactly one
-// exit.  That makes the exit count a design choice, and five calls fold a
+// exit.  That makes the exit count a design choice, and six calls fold a
 // common sequence into one exit: readfile (stat+open+read+close), send_recv
 // (send then recv), snapshot_get_data and snapshot_recv (snapshot then the
-// input call) and return_exit (return_data then exit).  A call that needs
-// more than three argument words takes a pointer to a message of guest
-// words instead.
+// input call), return_exit (return_data then exit) and send_exit (send then
+// return_exit).  A call that needs more than three argument words takes a
+// pointer to a message of guest words instead.
 //
 // kHypercalls below lists every call once: its port, its name, the policy
 // bits it needs and its argument signature.  Guests, RequiredPolicy and
@@ -24,9 +24,10 @@
 // Wasp provides by default is the ability to exit — and neither does
 // snapshot, which is hypervisor-internal and once-only.  The folds of a
 // snapshot or an exit never widen the policy: snapshot_get_data needs the
-// get_data bit, snapshot_recv the recv bit, and return_exit the return_data
-// bit when it carries bytes (len > 0) and nothing otherwise.  Their own
-// ports' bits are never consulted.
+// get_data bit, snapshot_recv the recv bit, return_exit the return_data
+// bit when it carries bytes (len > 0) and nothing otherwise, and send_exit
+// the send bit and the return_data bit.  Their own ports' bits are never
+// consulted.
 //
 // A function virtine's warm call is one VM entry and one VM exit.
 // snapshot_get_data takes the snapshot *inside* the input call, so every
@@ -34,7 +35,9 @@
 // invocation's input and sets the result register before the first vmrun.
 // snapshot_recv does the same for a stream guest's first receive: a warm
 // connection's first request is delivered before the first vmrun.
-// return_exit (return_data then exit) hands the output back in the exit.
+// return_exit (return_data then exit) hands the output back in the exit,
+// and send_exit also carries a stream guest's last response: it sends it,
+// then returns the output and exits, whether or not the peer still reads.
 #ifndef SRC_WASP_ABI_H_
 #define SRC_WASP_ABI_H_
 
@@ -51,6 +54,7 @@ inline constexpr uint16_t kHcReturnData = 5;
 inline constexpr uint16_t kHcSnapshotGetData = 6;
 inline constexpr uint16_t kHcReturnExit = 7;
 inline constexpr uint16_t kHcSnapshotRecv = 8;
+inline constexpr uint16_t kHcSendExit = 9;
 inline constexpr uint16_t kHcOpen = 16;
 inline constexpr uint16_t kHcRead = 17;
 inline constexpr uint16_t kHcWrite = 18;
@@ -76,8 +80,10 @@ inline constexpr uint64_t kMaxPathLen = 4096;      // a path's bytes, its NUL in
 // order from r1 or, for a `message` row, from a message of guest words (the
 // vCPU's width) at r1.  A guest buffer is touched only where bytes move: an
 // in-buffer over its len, an out-buffer over the bytes the call produced.
+inline constexpr int kMaxArgs = 3;  // a signature's arguments, kNone-padded
+
 enum class Arg : uint8_t {
-  kNone,     // pads a signature of fewer than two arguments
+  kNone,     // pads a signature of fewer than kMaxArgs arguments
   kWord,     // one word, handed to the call as is
   kPath,     // one word: the va of a NUL-terminated string, at most kMaxPathLen bytes
   kIn,       // two words (va, len): len bytes the call reads; len > kMaxIoLen is rejected
@@ -95,7 +101,7 @@ struct HypercallInfo {
   uint16_t port;
   const char* name;
   HypercallMask needs;
-  Arg args[2];
+  Arg args[kMaxArgs];
   bool message = false;
 };
 inline constexpr HypercallInfo kHypercalls[] = {
@@ -110,6 +116,10 @@ inline constexpr HypercallInfo kHypercalls[] = {
     {kHcReturnExit, "return_exit", MaskOf(kHcReturnData), {Arg::kWord, Arg::kIn}},
     // snapshot() then recv() in one exit, with recv's signature.
     {kHcSnapshotRecv, "snapshot_recv", MaskOf(kHcRecv), {Arg::kOut}},
+    // send(out) then return_exit(code, data) in one exit, from a five-word
+    // message [out, out_len, data, data_len, code].
+    {kHcSendExit, "send_exit", MaskOf(kHcSend) | MaskOf(kHcReturnData),
+     {Arg::kIn, Arg::kIn, Arg::kWord}, true},
     {kHcOpen, "open", MaskOf(kHcOpen), {Arg::kPath}},
     {kHcRead, "read", MaskOf(kHcRead), {Arg::kWord, Arg::kOut}},
     {kHcWrite, "write", MaskOf(kHcWrite), {Arg::kWord, Arg::kIn}},
@@ -121,6 +131,21 @@ inline constexpr HypercallInfo kHypercalls[] = {
     // send() then recv() in one exit (seL4's ReplyRecv shape), from a four-word message.
     {kHcSendRecv, "send_recv", MaskOf(kHcSendRecv), {Arg::kIn, Arg::kOut}, true},
 };
+
+// True when argument `i` of `hc` is the call's reply, the bytes it returns as
+// the virtine's output: the last in-buffer of a row that needs the
+// return_data bit.  An over-limit reply is its own fault kind.
+inline constexpr bool IsReply(const HypercallInfo& hc, int i) {
+  if ((hc.needs & MaskOf(kHcReturnData)) == 0 || hc.args[i] != Arg::kIn) {
+    return false;
+  }
+  for (int j = i + 1; j < kMaxArgs; ++j) {
+    if (hc.args[j] == Arg::kIn) {
+      return false;
+    }
+  }
+  return true;
+}
 
 // The row for `port`, or nullptr when the table has none.
 inline constexpr const HypercallInfo* FindHypercall(uint16_t port) {
@@ -164,7 +189,8 @@ inline constexpr HypercallMask kPolicyFileIo = MaskOf(kHcOpen) | MaskOf(kHcRead)
                                                MaskOf(kHcStat) | MaskOf(kHcReadFile);
 // The canned stream set (send/recv proxied to a host byte channel, and
 // send_recv, which is one send followed by one recv).  It also admits the
-// folded snapshot_recv, which needs only the recv bit.
+// folded snapshot_recv, which needs only the recv bit; send_exit also needs
+// the return_data bit, as return_exit does.
 inline constexpr HypercallMask kPolicyStream =
     MaskOf(kHcSend) | MaskOf(kHcRecv) | MaskOf(kHcSendRecv);
 // The managed-runtime set used by the JavaScript and AES case studies

@@ -34,6 +34,7 @@ struct HostCall {
   uint64_t word = 0;             // Arg::kWord
   std::string path;              // Arg::kPath
   std::vector<uint8_t> in;       // Arg::kIn: the buffer's bytes
+  std::vector<uint8_t> reply;    // Arg::kIn that IsReply names: the output's bytes
   uint64_t cap = 0;              // Arg::kOut: the buffer's cap, clamped to kMaxIoLen
   std::span<const uint8_t> out;  // copied to the kOut buffer or kOutWord
   std::vector<uint8_t> staging;
@@ -211,13 +212,16 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
   // before the handler runs, and only the bytes it produced are copied out
   // after it, so a call walks the guest pages it moves bytes through, in order.
   vkvm::Vm& vm = frame.vm;
-  uint64_t words[4] = {frame.arg(0), frame.arg(1), frame.arg(2), 0};
+  uint64_t words[2 * kMaxArgs] = {frame.arg(0), frame.arg(1), frame.arg(2)};
   if (hc->message) {
     const uint64_t w = static_cast<uint64_t>(vm.cpu().WordSize());
     uint8_t raw[sizeof(words)] = {};
-    const uint64_t len = w * static_cast<uint64_t>(ArgWords(hc->args[0]) + ArgWords(hc->args[1]));
+    uint64_t len = 0;  // the message: every argument's words
+    for (const Arg arg : hc->args) {
+      len += w * static_cast<uint64_t>(ArgWords(arg));
+    }
     VB_RETURN_IF_ERROR(vm.ReadVirt(words[0], raw, len));
-    for (uint64_t i = 0; i < 4; ++i) {
+    for (uint64_t i = 0; i < 2 * kMaxArgs; ++i) {
       words[i] = 0;
       std::memcpy(&words[i], raw + i * w, w);
     }
@@ -225,8 +229,8 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
   HostCall call;
   uint64_t out_va = 0;
   const uint64_t* word = words;
-  for (const Arg arg : hc->args) {
-    switch (arg) {
+  for (int i = 0; i < kMaxArgs; ++i) {
+    switch (hc->args[i]) {
       case Arg::kNone:
         break;
       case Arg::kWord:
@@ -245,7 +249,7 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
         const uint64_t len = *word++;
         // An over-limit reply is its own fault kind, and the chaos
         // injection's oversized reply is one whatever its length.
-        const bool reply = port == kHcReturnData || port == kHcReturnExit;
+        const bool reply = IsReply(*hc, i);
         const bool injected = reply && std::exchange(frame.inject_oversized_reply, false);
         if (len > kMaxIoLen || injected) {
           frame.fault = reply ? FaultKind::kOversizedReply : frame.fault;
@@ -256,8 +260,9 @@ vbase::Result<int64_t> Runtime::Dispatch(uint16_t port, HypercallFrame& frame) {
                                         " bytes exceed kMaxIoLen" +
                                         (injected ? " (injected oversized reply)" : ""));
         }
-        call.in.resize(len);
-        VB_RETURN_IF_ERROR(vm.ReadVirt(va, call.in.data(), len));
+        std::vector<uint8_t>& bytes = reply ? call.reply : call.in;
+        bytes.resize(len);
+        VB_RETURN_IF_ERROR(vm.ReadVirt(va, bytes.data(), len));
         break;
       }
       case Arg::kOut:
@@ -286,9 +291,12 @@ vbase::Result<int64_t> Runtime::Handle(uint16_t port, HypercallFrame& frame, Hos
     VB_RETURN_IF_ERROR(SnapshotOnce(frame, PendingCall{port, frame.result_reg}));
   }
   switch (port) {
+    case kHcSendExit:  // send (a peer that stopped reading does not fail it), then return_exit
+      frame.spec.channel->Write(call.in.data(), call.in.size());
+      [[fallthrough]];
     case kHcReturnData:
     case kHcReturnExit:
-      outcome.output.insert(outcome.output.end(), call.in.begin(), call.in.end());
+      outcome.output.insert(outcome.output.end(), call.reply.begin(), call.reply.end());
       if (port == kHcReturnData) {
         return 0;
       }
@@ -481,7 +489,7 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
   HypercallFrame frame(*vm, *this, spec, outcome, env);
   // Injection delivery.  A guest trap is armed on the vCPU (delivered by the
   // next Run(), after any snapshot restore so RestoreArch cannot clear it);
-  // an oversized reply flips the frame flag consumed by return_data; the
+  // an oversized reply flips the frame flag the next reply consumes; the
   // hypercall-shaped kinds fire at the first I/O exit below.
   FaultKind pending_io_fault = FaultKind::kNone;
   switch (armed) {

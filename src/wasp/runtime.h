@@ -8,7 +8,7 @@
 //   * the canned hypercall handlers (console, POSIX-like file I/O and
 //     readfile against a sandboxed HostEnv, send/recv/send_recv against a
 //     ByteChannel, snapshot, get_data/return_data and the folds
-//     snapshot_get_data/snapshot_recv/return_exit), which see only host
+//     snapshot_get_data/snapshot_recv/return_exit/send_exit), which see only host
 //     copies of their arguments (one marshal step moves their guest
 //     bytes), and
 //   * the default-deny policy enforcement: a hypercall whose policy bit is
@@ -84,10 +84,10 @@ struct RunOutcome {
   // message keeps the human-readable detail for logs.
   FaultKind fault = FaultKind::kNone;
   bool denied = false;           // a hypercall was denied by policy
-  uint64_t exit_code = 0;        // from exit or return_exit (0 for plain hlt)
+  uint64_t exit_code = 0;        // from exit, return_exit or send_exit (0 for plain hlt)
   uint64_t result_word = 0;      // argument-page word 0 (the return value)
   std::string console;           // bytes written via the console hypercall
-  std::vector<uint8_t> output;   // bytes returned via return_data/return_exit
+  std::vector<uint8_t> output;   // bytes returned via return_data/return_exit/send_exit
   std::vector<uint8_t> fd_writes;  // bytes written via the write hypercall
   // Set by the executor's recovery layer: this outcome is the second attempt
   // of a retried job, and `first_fault` is what killed the first attempt.
@@ -124,8 +124,9 @@ struct HypercallFrame {
   // Structured fault classification set by handlers (e.g. an oversized
   // reply); folded into the outcome when the dispatch fails.
   FaultKind fault = FaultKind::kNone;
-  // Chaos injection: the next return_data or return_exit hypercall is
-  // treated as exceeding the I/O ceiling regardless of its actual length.
+  // Chaos injection: the next reply (wasp::IsReply: return_data's,
+  // return_exit's or send_exit's output bytes) is treated as exceeding the
+  // I/O ceiling regardless of its actual length.
   bool inject_oversized_reply = false;
   // The sandboxed filesystem the file hypercalls read (the spec's override
   // or the runtime's own), and the per-invocation fd table over it.

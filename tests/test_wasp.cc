@@ -3,6 +3,8 @@
 // against hostile guests, channels, and marshalling properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <thread>
 
@@ -404,12 +406,30 @@ TEST(HypercallTable, RequiredPolicyKeepsEveryRuleOnEveryPort) {
     if (port == wasp::kHcReturnExit) {
       return r3 > 0 ? wasp::MaskOf(wasp::kHcReturnData) : 0;
     }
+    if (port == wasp::kHcSendExit) {
+      return wasp::MaskOf(wasp::kHcSend) | wasp::MaskOf(wasp::kHcReturnData);
+    }
     return wasp::MaskOf(port);
   };
   for (uint16_t port = 0; port <= 70; ++port) {
     for (uint64_t r3 : {0ull, 1ull}) {
       EXPECT_EQ(wasp::RequiredPolicy(port, r3), expected(port, r3))
           << "port " << port << ", r3 = " << r3;
+    }
+  }
+}
+
+TEST(HypercallTable, TheReplyIsTheLastInBufferOfAReturnDataRow) {
+  // The argument whose bytes become the virtine's output, stated apart from
+  // the table: return_data's buffer, return_exit's and send_exit's data.
+  // send_exit's first in-buffer is the response it sends, not a reply.
+  auto expected = [](uint16_t port, int i) {
+    return (port == wasp::kHcReturnData && i == 0) || (port == wasp::kHcReturnExit && i == 1) ||
+           (port == wasp::kHcSendExit && i == 1);
+  };
+  for (const wasp::HypercallInfo& hc : wasp::kHypercalls) {
+    for (int i = 0; i < wasp::kMaxArgs; ++i) {
+      EXPECT_EQ(wasp::IsReply(hc, i), expected(hc.port, i)) << hc.name << ", argument " << i;
     }
   }
 }
@@ -514,7 +534,9 @@ std::string OutputOf(const wasp::RunOutcome& outcome) {
 // row's signature: each pointer it names (a message's words included) set
 // past guest memory or outside the identity map, each in-buffer's len and
 // each out-buffer's cap set one byte over kMaxIoLen, and each out row
-// issued well-formed.  A new row is covered without a new test.
+// issued well-formed.  A new row is covered without a new test.  A case is
+// named by its argument's kind, and also by its position when the row takes
+// two arguments of that kind (send_exit's in0 and in1).
 //
 // The guest (long64, 1 MB of memory) fills its 64-byte out-buffer with '#',
 // opens /f (fd 3), makes the call, then returns the out-buffer through
@@ -597,19 +619,22 @@ std::vector<HostileCase> HostileCases() {
             fail(c, vbase::Code::kOutOfRange, wasp::FaultKind::kHypercallError, true));
       }
     }
-    const bool reply = hc.port == wasp::kHcReturnData || hc.port == wasp::kHcReturnExit;
     size_t i = 0;  // the argument's first word
-    for (const wasp::Arg arg : hc.args) {
+    for (int k = 0; k < wasp::kMaxArgs; ++k) {
+      const wasp::Arg arg = hc.args[k];
       const bool in = arg == wasp::Arg::kPath || arg == wasp::Arg::kIn;
       const bool out = arg == wasp::Arg::kOut || arg == wasp::Arg::kOutWord;
+      const bool repeated =
+          std::count(std::begin(hc.args), std::end(hc.args), arg) > 1 && arg != wasp::Arg::kNone;
+      const std::string pos = repeated ? std::to_string(k) : "";
       for (const auto& bad : bad_vas) {
         if (!in && !out) {
           break;
         }
         HostileCase c = good;
         c.words[i] = bad.va;
-        const std::string what =
-            std::string(arg == wasp::Arg::kPath ? "path" : in ? "in" : "out") + "_va_" + bad.name;
+        const std::string what = std::string(arg == wasp::Arg::kPath ? "path" : in ? "in" : "out") +
+                                 pos + "_va_" + bad.name;
         add(what, fail(c, vbase::Code::kOutOfRange, wasp::FaultKind::kHypercallError, in));
         if (out) {  // nothing produced, nothing copied: the bad pointer is never used
           c.full_world = false;
@@ -619,17 +644,20 @@ std::vector<HostileCase> HostileCases() {
       }
       HostileCase c = good;
       if (arg == wasp::Arg::kIn) {
+        // An over-limit reply (the bytes the call returns as the output) is
+        // its own fault kind; any other in-buffer is a hypercall error.
         c.words[i + 1] = over_limit;
-        add("in_len_over_limit",
+        add("in" + pos + "_len_over_limit",
             fail(c, vbase::Code::kInvalidArgument,
-                 reply ? wasp::FaultKind::kOversizedReply : wasp::FaultKind::kHypercallError,
+                 wasp::IsReply(hc, k) ? wasp::FaultKind::kOversizedReply
+                                      : wasp::FaultKind::kHypercallError,
                  true));
       } else if (arg == wasp::Arg::kOut) {
         c.words[i + 1] = over_limit;  // clamped: the call succeeds
-        add("out_cap_over_limit", c);
+        add("out" + pos + "_cap_over_limit", c);
       }
       if (out) {
-        add("canary", good);
+        add("canary" + pos, good);
       }
       i += static_cast<size_t>(wasp::ArgWords(arg));
     }
@@ -1407,6 +1435,101 @@ TEST(SnapshotRecv, NeedsTheRecvBitBeforeItCaptures) {
   EXPECT_TRUE(warm.output.empty());
   EXPECT_EQ(warm.stats.insns, 0u) << "the guest ran";
   EXPECT_EQ(warm.stats.io_exits, 0u);
+}
+
+// --- send_exit: a stream guest's last response and its exit in one exit -----------
+
+// A raw guest (real mode: two-byte message words) that issues send_exit with
+// the message [resp, 8, data, 8, 5] at 0x700: it sends the 8-byte response
+// "HTTP/1.1" and exits with code 5 and the 8-byte output "counters".
+visa::Image SendExitImage() {
+  std::string source = "start:\n  mov r1, 0x700\n";
+  const char* words[] = {"resp", "8", "data", "8", "5"};
+  for (int i = 0; i < 5; ++i) {
+    source += std::string("  mov r2, ") + words[i] + "\n  st16 [r1+" + std::to_string(2 * i) +
+              "], r2\n";
+  }
+  source += R"(  mov r0, 0
+  out HC_SEND_EXIT, r0
+  hlt
+resp:
+  .ascii "HTTP/1.1"
+data:
+  .ascii "counters"
+)";
+  return RawImage(source);
+}
+
+constexpr wasp::HypercallMask kSendExitPolicy =
+    wasp::MaskOf(wasp::kHcSend) | wasp::MaskOf(wasp::kHcReturnData);
+
+wasp::RunOutcome RunSendExit(wasp::Runtime& runtime, wasp::ByteChannel& channel,
+                             wasp::HypercallMask policy = kSendExitPolicy) {
+  static const visa::Image image = SendExitImage();
+  wasp::VirtineSpec spec;
+  spec.image = &image;
+  spec.policy = policy;
+  spec.channel = &channel.guest();
+  return runtime.Invoke(spec);
+}
+
+std::string Sent(wasp::ByteChannel& channel) {
+  const std::vector<uint8_t> bytes = channel.host().Drain();
+  return std::string(bytes.begin(), bytes.end());
+}
+
+TEST(SendExit, SendsThenReturnsAndExitsInOneExit) {
+  wasp::Runtime runtime;
+  wasp::ByteChannel channel;
+  const auto outcome = RunSendExit(runtime, channel);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(Sent(channel), "HTTP/1.1");
+  EXPECT_EQ(OutputOf(outcome), "counters");
+  EXPECT_EQ(outcome.exit_code, 5u);
+  EXPECT_EQ(outcome.stats.io_exits, 1u);
+  // The call ends the run: no re-entry and no hlt.
+  EXPECT_EQ(outcome.stats.exit_cycles, runtime.options().vm_defaults.guest_costs.io_exit);
+}
+
+TEST(SendExit, APeerThatStoppedReadingDoesNotFailTheExit) {
+  wasp::Runtime runtime;
+  wasp::ByteChannel channel;
+  channel.guest().CloseWrite();  // the host end reads no more
+  const auto outcome = RunSendExit(runtime, channel);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(OutputOf(outcome), "counters");
+  EXPECT_EQ(outcome.exit_code, 5u);
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kNone);
+  EXPECT_TRUE(Sent(channel).empty());
+}
+
+TEST(SendExit, NeedsTheSendBitAndTheReturnDataBit) {
+  for (const uint16_t missing : {wasp::kHcSend, wasp::kHcReturnData}) {
+    wasp::Runtime runtime;
+    wasp::ByteChannel channel;
+    const wasp::HypercallMask policy = wasp::kPolicyAllowAll & ~wasp::MaskOf(missing);
+    const auto outcome = RunSendExit(runtime, channel, policy);
+    EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied) << missing;
+    EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied) << missing;
+    EXPECT_TRUE(outcome.denied) << missing;
+    EXPECT_TRUE(Sent(channel).empty()) << missing;
+    EXPECT_TRUE(outcome.output.empty()) << missing;
+    EXPECT_EQ(outcome.exit_code, 0u) << missing;
+  }
+}
+
+TEST(SendExit, AnInjectedOversizedReplySendsNothing) {
+  wasp::FaultPlan plan;
+  plan.rules.push_back(wasp::FaultPlan::At(wasp::FaultKind::kOversizedReply, 0));
+  wasp::RuntimeOptions options;
+  options.fault_plan = std::move(plan);
+  wasp::Runtime runtime(std::move(options));
+  wasp::ByteChannel channel;
+  const auto outcome = RunSendExit(runtime, channel);
+  EXPECT_EQ(outcome.status.code(), vbase::Code::kInvalidArgument) << outcome.status.ToString();
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kOversizedReply);
+  EXPECT_TRUE(Sent(channel).empty());
+  EXPECT_TRUE(outcome.output.empty());
 }
 
 // --- Invocation stats ---------------------------------------------------------------

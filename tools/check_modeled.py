@@ -12,7 +12,8 @@ bytes and host cycles per op. The per-op traced metrics come from perfbench's
 staged path, which snapshots in the CRT; the HTTP workloads'
 vnet.server.exits_per_req comes from the listener's own connections, so it
 also gates the keep-alive guest's snapshot point inside its first receive
-(3 exits per request at one request per connection, 129/64 at 64). Wall
+and its closing send_exit (2 exits per request at one request per
+connection, and 2 at 64). Wall
 metrics are printed; of them only fn_b64's untraced peak_rss_mb is gated, at
 10 MB: guest memory must stay resident only where touched (the HTTP
 workloads' RSS is printed, not gated).
