@@ -1,17 +1,20 @@
 // Figure 13: HTTP server latency (a) and harmonic-mean throughput (b) with
 // each request handled natively vs in a virtine (with/without snapshots),
-// served *concurrently*: every connection is dispatched through the
-// ConcurrentHttpServer's executor, and the sweep widens the server from 1
-// to 8 lanes.
+// served concurrently: the sweep widens the server from 1 to 8 lanes.
 //
 // Every virtine request performs the paper's seven host interactions.  The
 // native baseline is the same handler logic with all virtualization charges
 // stripped (DESIGN.md S2).  Throughput is the harmonic mean of per-request
-// throughput, as in the paper; per-request latency (queue wait + service)
-// comes from the deterministic virtual-time closed loop over the *measured*
-// modeled service cost of each real request, so the lane scaling is
-// machine-independent (wall time on an oversubscribed host cannot express
-// lane parallelism — same convention as fig9's modeled makespan).
+// throughput, as in the paper.  The lane sweep runs on the executor in
+// virtual time (wasp::Executor::RunVirtual with closed-loop clients): each
+// request is a task with its own channel, the request already written in,
+// served by StaticHttpServer::HandleConnection under the route's key and
+// holding its lane for its modeled cycles.  The native row serves the same
+// snapshot-mode requests, each holding its lane for its de-isolated cycles.
+// Latency (queue wait + service) and the lane scaling are thus
+// machine-independent and repeat exactly (wall time on an oversubscribed
+// host cannot express lane parallelism — same convention as fig9's modeled
+// makespan).
 //
 // A second, real-socket phase measures the keep-alive win end to end: a
 // vnet::Listener (epoll accept loop) fronts the same server on 127.0.0.1 and
@@ -28,14 +31,16 @@
 // exits per request each point also records from the server's counters
 // (exits are printed, not gated).  Each mode's socket sweep first serves
 // one connection on each of its lanes, so every point starts from a settled
-// server: the snapshot published and a warm shell in each lane's cache.
+// server: the snapshot published and in each lane's cache a warm shell of
+// its own.
 //
 // `--quick` runs a small 2-lane smoke of all three modes and exits non-zero
 // on any wrong response or counter mismatch (the ci.sh gate for the
-// concurrent serving path) plus the keep-alive gate, in modeled cycles per
-// request: in snapshot mode a request at 8 requests/connection must cost
-// less than at connection-per-request.  The full run gates reuse=64 at
-// >= 2x cheaper than reuse=1.  Each snapshot-mode point runs twice, and
+// concurrent serving path), on a lane table whose modeled columns differ
+// when the sweep runs again on a fresh runtime, and on the keep-alive gate,
+// in modeled cycles per request: in snapshot mode a request at 8
+// requests/connection must cost less than at connection-per-request.  The full run gates reuse=64 at
+// >= 2x cheaper than reuse=1.  Each virtine-mode point runs twice, and
 // the run fails unless both agree exactly on modeled cycles and exits per
 // request, which the gate reads.  The wall RPS ratio is printed and written
 // beside it, ungated.  The last line counts bad responses and counter
@@ -43,18 +48,21 @@
 // replaces the sweeps with a wall-clock-paced soak: every client loops until
 // the deadline, and the run fails on any bad response or counter drift.
 // `--json PATH` writes the machine-readable results.
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/vnet/listener.h"
 #include "src/vnet/loadgen.h"
+#include "src/vkvm/vkvm.h"
 #include "src/vnet/server.h"
 #include "src/wasp/channel.h"
+#include "src/wasp/executor.h"
 #include "src/wasp/pool.h"
 #include "src/wasp/runtime.h"
 
@@ -66,61 +74,118 @@ constexpr const char* kRequest = "GET /static.html HTTP/1.0\r\n\r\n";
 constexpr const char* kRoute = "/static.html";
 constexpr size_t kBodySize = 8192;
 
-struct SweepResult {
-  vnet::LoadResult virt;             // virtual-time closed loop (deterministic)
-  std::vector<double> deisolated_us; // per-request de-isolated service (virtine modes)
-  vnet::ServerCounters counters;
+// One row of the lane sweep, in modeled time except for the wall column.
+struct LaneRow {
+  double mean_us = 0;
+  double p99_us = 0;
+  double rps = 0;  // harmonic mean of per-request throughput
   double wall_seconds = 0;
   int bad_responses = 0;
 };
 
-// Runs `clients` closed-loop client threads against a fresh
-// ConcurrentHttpServer with `lanes` lanes; returns the deterministic
-// virtual-time load result over the measured per-request services.
-SweepResult RunSweep(wasp::Runtime* runtime, wasp::HostEnv* files, int lanes, int clients,
-                     int per_client, vnet::ServeMode mode) {
-  vnet::ConcurrentServerOptions options;
-  options.lanes = lanes;
-  options.max_queue_depth = static_cast<size_t>(2 * clients);
-  options.block_when_full = true;  // closed-loop clients wait, never shed
-  vnet::ConcurrentHttpServer server(runtime, files, options);
-
-  SweepResult sweep;
-  std::mutex mu;
-  std::vector<double> services_us;
-  vbase::WallTimer timer;
-  auto fn = [&]() -> double {
-    wasp::ByteChannel channel;
+// Runs `clients` closed-loop clients of `per_client` single-shot requests
+// each on `lanes` virtual lanes (Executor::RunVirtual).  Each request is a
+// task with its own channel, the request already written in: it is served
+// in `mode` and holds its lane for its modeled cycles, or, with
+// `deisolated`, for its de-isolated cycles (the native baseline).  A
+// request counts as bad unless it was admitted, answered 200 and carried
+// the whole body; a run whose executor stats do not conserve, or that did
+// not complete every request, counts once more.
+LaneRow RunSweep(wasp::Runtime* runtime, wasp::HostEnv* files, int lanes, int clients,
+                 int per_client, vnet::ServeMode mode, bool deisolated) {
+  vnet::StaticHttpServer server(runtime, files);
+  const size_t total = static_cast<size_t>(clients) * static_cast<size_t>(per_client);
+  std::vector<std::unique_ptr<wasp::ByteChannel>> channels;
+  std::vector<vnet::ServeStats> stats(total);
+  std::vector<wasp::Executor::Arrival> arrivals(total);
+  for (size_t i = 0; i < total; ++i) {
+    channels.push_back(std::make_unique<wasp::ByteChannel>());
+    wasp::ByteChannel& channel = *channels.back();
     channel.host().WriteString(kRequest);
-    auto stats = server.SubmitConnection(channel, mode, kRoute, {}).get();
-    if (!stats.ok() || stats->status != 200) {
-      std::lock_guard<std::mutex> lock(mu);
-      ++sweep.bad_responses;
-      return -1;
-    }
-    auto response = channel.host().Drain();
-    if (response.size() < kBodySize) {
-      std::lock_guard<std::mutex> lock(mu);
-      ++sweep.bad_responses;
-      return -1;
-    }
-    if (mode != vnet::ServeMode::kNative) {
-      // The native handler has no modeled guest; its virtual-time baseline
-      // is built by the caller from the snapshot run's de-isolated services,
-      // so only virtine-mode services are collected here.
-      std::lock_guard<std::mutex> lock(mu);
-      services_us.push_back(vbase::CyclesToMicros(stats->modeled_cycles));
-      sweep.deisolated_us.push_back(vbase::CyclesToMicros(stats->deisolated_cycles));
-    }
-    return 0;
-  };
-  vnet::RunClosedLoop(clients, per_client, fn);
-  sweep.wall_seconds = static_cast<double>(timer.ElapsedNanos()) / 1e9;
-  if (mode != vnet::ServeMode::kNative) {
-    sweep.virt = vnet::ClosedLoopVirtualTime(clients, lanes, services_us);
+    arrivals[i].key = kRoute;
+    arrivals[i].task = [&server, &channel, &served = stats[i], mode, deisolated] {
+      wasp::RunOutcome outcome;
+      auto result = server.HandleConnection(channel, mode);
+      if (!result.ok()) {
+        outcome.status = result.status();
+        return outcome;
+      }
+      served = *result;
+      outcome.stats.total_cycles = deisolated ? served.deisolated_cycles : served.modeled_cycles;
+      return outcome;
+    };
   }
-  sweep.counters = server.counters(mode);
-  return sweep;
+  wasp::ExecutorOptions options;
+  options.workers = lanes;
+  vbase::WallTimer timer;
+  const wasp::Executor::VirtualRun run =
+      wasp::Executor::RunVirtual(runtime, options, std::move(arrivals),
+                                 static_cast<size_t>(clients));
+  LaneRow row;
+  row.wall_seconds = static_cast<double>(timer.ElapsedNanos()) / 1e9;
+  std::vector<double> latencies_us;
+  std::vector<double> rps;
+  for (size_t i = 0; i < total; ++i) {
+    const wasp::Executor::Served& served = run.served[i];
+    if (served.admission != wasp::Admission::kAccepted || !served.outcome.status.ok() ||
+        stats[i].status != 200 || channels[i]->host().Drain().size() < kBodySize) {
+      ++row.bad_responses;
+      continue;
+    }
+    latencies_us.push_back(served.done_us - served.arrival_us);
+    rps.push_back(1e6 / latencies_us.back());
+  }
+  const wasp::ExecutorStats& es = run.stats;
+  if (es.submitted != total || es.completed != total ||
+      es.submitted != es.completed + es.faulted + es.queued + es.in_flight) {
+    std::printf("executor stats mismatch (%s, %d lanes): submitted=%llu completed=%llu "
+                "faulted=%llu queued=%llu in_flight=%llu, want %zu\n",
+                vnet::ServeModeName(mode), lanes,
+                static_cast<unsigned long long>(es.submitted),
+                static_cast<unsigned long long>(es.completed),
+                static_cast<unsigned long long>(es.faulted),
+                static_cast<unsigned long long>(es.queued),
+                static_cast<unsigned long long>(es.in_flight), total);
+    ++row.bad_responses;
+  }
+  const vbase::Summary latency = vbase::Summarize(latencies_us);
+  row.mean_us = latency.mean;
+  row.p99_us = latency.p99;
+  row.rps = vbase::HarmonicMean(rps);
+  return row;
+}
+
+// The lane table: per lane count, the native (modeled), virtine and
+// virtine+snapshot rows, in that order.
+using LaneTable = std::vector<std::array<LaneRow, 3>>;
+
+// Runs the rows virtine, virtine+snapshot, native (modeled), so each lane
+// count's virtine row meets the pool its predecessor left, its snapshot row
+// captures the key's snapshot if no row has yet, and the native row's
+// requests all restore it.
+LaneTable RunLaneSweep(wasp::Runtime* runtime, wasp::HostEnv* files,
+                       const std::vector<int>& lane_sweep, int clients, int per_client) {
+  LaneTable table;
+  for (const int lanes : lane_sweep) {
+    std::array<LaneRow, 3> rows;
+    rows[1] = RunSweep(runtime, files, lanes, clients, per_client, vnet::ServeMode::kVirtine,
+                       /*deisolated=*/false);
+    rows[2] = RunSweep(runtime, files, lanes, clients, per_client,
+                       vnet::ServeMode::kVirtineSnapshot, /*deisolated=*/false);
+    rows[0] = RunSweep(runtime, files, lanes, clients, per_client,
+                       vnet::ServeMode::kVirtineSnapshot, /*deisolated=*/true);
+    table.push_back(rows);
+  }
+  return table;
+}
+
+constexpr const char* kLaneRowNames[3] = {"native (modeled)", "virtine", "virtine+snapshot"};
+
+// A row's modeled columns as printed: mean, p99, RPS and the ratio to the
+// native row.  The wall column is left out.
+std::array<std::string, 4> ModeledColumns(const LaneRow& row, const LaneRow& native) {
+  return {vbase::Fmt(row.mean_us, 1), vbase::Fmt(row.p99_us, 1), vbase::Fmt(row.rps, 0),
+          vbase::Fmt(native.rps > 0 ? row.rps / native.rps : 0, 2) + "x"};
 }
 
 // One point of the real-socket connection-reuse sweep: a fresh listener +
@@ -218,13 +283,28 @@ SocketPoint RunSocketPoint(wasp::Runtime* runtime, wasp::HostEnv* files,
 // Serves one keep-alive connection in `mode` on each of the first `lanes`
 // pool lanes, the lanes a `lanes`-worker executor binds, so every socket
 // point starts from what a settled server holds: the keep-alive guest's
-// snapshot published, and in each lane's cache a shell parked warm under it.
-// Otherwise a sweep's first point also pays the cold boots of however many
-// connections race the first capture (a number that moves with thread
-// timing), and each lane's first connection maps the snapshot onto a clean
-// shell where later ones repair a warm one, so the point's two runs differ.
+// snapshot published, and in each lane's cache a warm shell of its own that
+// has served there.  Otherwise a sweep's first point also pays the cold
+// boots of however many connections race the first capture (a number that
+// moves with thread timing), and each lane's first connection maps the
+// snapshot onto a clean shell where later ones repair a warm one, so the
+// point's two runs differ.  Each lane first takes a shell of its own: the
+// lanes are served one after another on this thread, and a lane with an
+// empty cache would take the shell the lane before it parked (an acquire's
+// slow path sweeps every lane's slot), leaving one shell for all of them and
+// each point a pool miss whose lane moves with thread timing.
 void SettleLanes(wasp::Runtime* runtime, wasp::HostEnv* files, vnet::ServeMode mode,
                  int lanes) {
+  std::vector<std::unique_ptr<vkvm::Vm>> shells;
+  for (int lane = 0; lane < lanes; ++lane) {
+    wasp::Pool::BindLane(static_cast<uint32_t>(lane));
+    // The server's guests run in the default 1 MB shell.
+    shells.push_back(runtime->pool().Acquire(vkvm::VmConfig{}));
+  }
+  for (int lane = 0; lane < lanes; ++lane) {
+    wasp::Pool::BindLane(static_cast<uint32_t>(lane));
+    runtime->pool().Release(std::move(shells[static_cast<size_t>(lane)]));
+  }
   vnet::StaticHttpServer server(runtime, files);
   vnet::ConnectionOptions conn;
   conn.keep_alive = true;
@@ -344,67 +424,46 @@ int main(int argc, char** argv) {
   const int clients = quick ? 4 : 8;
   const int per_client = quick ? 6 : 16;
   const std::vector<int> lane_sweep = quick ? std::vector<int>{2} : std::vector<int>{1, 2, 4, 8};
-  const vnet::ServeMode modes[] = {vnet::ServeMode::kNative, vnet::ServeMode::kVirtine,
-                                   vnet::ServeMode::kVirtineSnapshot};
 
   int failures = 0;                      // bad responses and counter mismatches
   std::vector<std::string> failed_gates;  // claim and determinism gates, named
-  double snapshot_rps_1lane = 0;
-  double snapshot_rps_8lane = 0;
-  for (const int lanes : lane_sweep) {
-    std::printf("\n--- %d lane(s), %d clients x %d requests per mode ---\n", lanes, clients,
-                per_client);
+  const LaneTable lane_table = RunLaneSweep(&runtime, &files, lane_sweep, clients, per_client);
+  for (size_t s = 0; s < lane_sweep.size(); ++s) {
+    std::printf("\n--- %d lane(s), %d clients x %d requests per mode ---\n", lane_sweep[s],
+                clients, per_client);
     vbase::Table table({"handler", "mean latency us", "p99 us", "throughput rps",
                         "vs native", "wall s"});
-    double native_rps = 0;
-    SweepResult results[3];
     for (int m = 0; m < 3; ++m) {
-      results[m] = RunSweep(&runtime, &files, lanes, clients, per_client, modes[m]);
-      failures += results[m].bad_responses;
-      const vnet::ServerCounters& ctr = results[m].counters;
-      const uint64_t total = static_cast<uint64_t>(clients) * per_client;
-      if (ctr.accepted != total || ctr.completed != total || ctr.rejected != 0 ||
-          ctr.status_2xx != total || ctr.errors != 0) {
-        std::printf("counter mismatch (%s, %d lanes): accepted=%llu completed=%llu "
-                    "rejected=%llu 2xx=%llu errors=%llu, want %llu\n",
-                    vnet::ServeModeName(modes[m]), lanes,
-                    static_cast<unsigned long long>(ctr.accepted),
-                    static_cast<unsigned long long>(ctr.completed),
-                    static_cast<unsigned long long>(ctr.rejected),
-                    static_cast<unsigned long long>(ctr.status_2xx),
-                    static_cast<unsigned long long>(ctr.errors),
-                    static_cast<unsigned long long>(total));
-        ++failures;
-      }
-    }
-    // Native baseline in the modeled currency: the de-isolated service cost
-    // of the snapshot run (same handler logic, VM-exit charges stripped)
-    // pushed through the same virtual-time closed loop.
-    const vnet::LoadResult native_virt =
-        vnet::ClosedLoopVirtualTime(clients, lanes, results[2].deisolated_us);
-    native_rps = native_virt.harmonic_mean_rps;
-    table.AddRow({"native (modeled)", vbase::Fmt(native_virt.latency.mean, 1),
-                  vbase::Fmt(native_virt.latency.p99, 1), vbase::Fmt(native_rps, 0), "1.00x",
-                  vbase::Fmt(results[0].wall_seconds, 2)});
-    for (int m = 1; m < 3; ++m) {
-      const vnet::LoadResult& load = results[m].virt;
-      table.AddRow({vnet::ServeModeName(modes[m]), vbase::Fmt(load.latency.mean, 1),
-                    vbase::Fmt(load.latency.p99, 1), vbase::Fmt(load.harmonic_mean_rps, 0),
-                    vbase::Fmt(native_rps > 0 ? load.harmonic_mean_rps / native_rps : 0, 2) +
-                        "x",
-                    vbase::Fmt(results[m].wall_seconds, 2)});
+      const LaneRow& row = lane_table[s][m];
+      failures += row.bad_responses;
+      const std::array<std::string, 4> cols = ModeledColumns(row, lane_table[s][0]);
+      table.AddRow({kLaneRowNames[m], cols[0], cols[1], cols[2], cols[3],
+                    vbase::Fmt(row.wall_seconds, 2)});
     }
     table.Print();
-    if (lanes == 1) {
-      snapshot_rps_1lane = results[2].virt.harmonic_mean_rps;
-    }
-    if (lanes == 8) {
-      snapshot_rps_8lane = results[2].virt.harmonic_mean_rps;
+  }
+  if (quick) {
+    // The lane table is modeled time on the executor's virtual clock, so a
+    // second sweep on a fresh runtime must print the same modeled columns.
+    wasp::Runtime again_runtime;
+    const LaneTable again =
+        RunLaneSweep(&again_runtime, &files, lane_sweep, clients, per_client);
+    for (size_t s = 0; s < lane_sweep.size(); ++s) {
+      for (int m = 0; m < 3; ++m) {
+        failures += again[s][m].bad_responses;
+        if (ModeledColumns(again[s][m], again[s][0]) !=
+            ModeledColumns(lane_table[s][m], lane_table[s][0])) {
+          std::printf("FAIL: the %s row at %d lanes differs on a fresh runtime\n",
+                      kLaneRowNames[m], lane_sweep[s]);
+          failed_gates.push_back(std::string(kLaneRowNames[m]) + " at " +
+                                 std::to_string(lane_sweep[s]) + " lanes not repeatable");
+        }
+      }
     }
   }
 
-  if (!quick && snapshot_rps_1lane > 0) {
-    const double scaling = snapshot_rps_8lane / snapshot_rps_1lane;
+  if (!quick) {
+    const double scaling = lane_table.back()[2].rps / lane_table.front()[2].rps;
     std::printf("\nClaim check: virtine+snapshot harmonic-mean RPS scales %.2fx from 1 to 8 "
                 "lanes (floor: 3x); %d closed-loop clients.\n", scaling, clients);
     if (scaling < 3.0) {
@@ -429,22 +488,23 @@ int main(int argc, char** argv) {
                         "modeled cyc/req", "exits/req", "connections", "reused"});
     std::vector<SocketPoint> points;
     SettleLanes(&runtime, &files, mode, sock_lanes);
-    const bool snapshot_mode = mode == vnet::ServeMode::kVirtineSnapshot;
+    const bool virtine_mode = mode != vnet::ServeMode::kNative;
     for (const int reuse : reuse_sweep) {
       // Best-of-2 in the full run: on a small host the client threads, the
       // epoll loop, and the worker lanes all share the same cores, so a
       // single trial can eat a scheduler stall.  Keeping the faster trial
       // damps that interference without changing what is measured.  A
-      // snapshot-mode point always runs twice, and its two trials must agree
-      // exactly on modeled cycles and exits: the keep-alive gate reads them.
-      const int trials = quick && !snapshot_mode ? 1 : 2;
+      // virtine-mode point always runs twice, and its two trials must agree
+      // exactly on modeled cycles and exits: the keep-alive gate reads the
+      // snapshot mode's.
+      const int trials = quick && !virtine_mode ? 1 : 2;
       SocketPoint pt = RunSocketPoint(&runtime, &files, mode, sock_lanes, sock_clients,
                                       sock_per_client, reuse, /*duration_s=*/0);
       for (int t = 1; t < trials; ++t) {
         SocketPoint again = RunSocketPoint(&runtime, &files, mode, sock_lanes, sock_clients,
                                            sock_per_client, reuse, /*duration_s=*/0);
         pt.mismatches += again.mismatches;
-        if (snapshot_mode && (again.counters.modeled_cycles != pt.counters.modeled_cycles ||
+        if (virtine_mode && (again.counters.modeled_cycles != pt.counters.modeled_cycles ||
                               again.counters.io_exits != pt.counters.io_exits ||
                               again.counters.requests != pt.counters.requests)) {
           std::printf("FAIL: %s reuse=%d ran at %.0f cycles and %.3f exits per request, "

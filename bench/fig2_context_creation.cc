@@ -51,7 +51,7 @@ int main() {
     vbase::WallTimer t;
     auto run = vm->Run();
     vmrun_wall.push_back(static_cast<double>(t.ElapsedNanos()));
-    VB_CHECK(run.reason == vkvm::ExitReason::kHlt, run.fault);
+    VB_CHECK(run.kind == vhw::ExitKind::kHlt, run.fault);
     vmrun_cycles = vm->total_cycles();
   }
 
@@ -75,7 +75,7 @@ int main() {
     fresh->ResetVcpu(image->entry);
     auto run = fresh->Run();
     kvm_wall.push_back(static_cast<double>(t.ElapsedNanos()));
-    VB_CHECK(run.reason == vkvm::ExitReason::kHlt, run.fault);
+    VB_CHECK(run.kind == vhw::ExitKind::kHlt, run.fault);
     kvm_cycles = fresh->total_cycles();
   }
 

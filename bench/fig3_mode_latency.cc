@@ -38,7 +38,7 @@ int main() {
       vm->cpu().set_reg(visa::kSp, wasp::kRealModeStackTop);
       const uint64_t before = vm->total_cycles();  // excludes VM creation
       auto run = vm->Run();
-      VB_CHECK(run.reason == vkvm::ExitReason::kHlt, run.fault);
+      VB_CHECK(run.kind == vhw::ExitKind::kHlt, run.fault);
       // Verify the result while we are here.
       uint64_t result = 0;
       VB_CHECK(vm->memory().Read(0, &result, static_cast<uint64_t>(w)).ok(), "");

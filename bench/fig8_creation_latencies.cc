@@ -67,7 +67,7 @@ int main() {
   VB_CHECK(vm->LoadBlob(image->load_addr, image->bytes.data(), image->bytes.size()).ok(), "");
   vm->ResetVcpu(image->entry);
   vm->ResetAccounting();
-  VB_CHECK(vm->Run().reason == vkvm::ExitReason::kHlt, "vmrun floor failed");
+  VB_CHECK(vm->Run().kind == vhw::ExitKind::kHlt, "vmrun floor failed");
   const double vmrun_cycles = static_cast<double>(vm->total_cycles());
 
   double wall_fresh = 0, wall_sync = 0, wall_async = 0;

@@ -34,7 +34,7 @@ int main() {
     vm->ResetVcpu(image->entry);
     vm->cpu().set_reg(visa::kSp, wasp::kRealModeStackTop);
     auto run = vm->Run();
-    VB_CHECK(run.reason == vkvm::ExitReason::kHlt, run.fault);
+    VB_CHECK(run.kind == vhw::ExitKind::kHlt, run.fault);
     const auto& ms = vm->cpu().milestones();
     std::map<vhw::BootEvent, uint64_t> at;
     for (const auto& m : ms) {

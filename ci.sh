@@ -116,15 +116,19 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # 16 MB generation ever cost 2x the 1-shell resident baseline (shared extents
 # must keep fleet residency O(image + working sets)).
 (cd "$BUILD_DIR" && ./fig12_image_size --quick)
-# Concurrent-serving smoke: a small 2-lane run of the executor-backed HTTP
-# server in all three modes, then a real-socket sweep through the epoll
-# listener; fails (non-zero) on any wrong response, admission-counter
-# mismatch, or if HTTP keep-alive stops paying (a snapshot-mode request at
-# 8 requests/connection must cost fewer modeled cycles than one at
-# connection-per-request; wall socket RPS is printed, not gated).  Each
-# sweep starts from settled lanes and runs every snapshot-mode point twice;
+# Concurrent-serving smoke: a small 2-lane sweep of the HTTP server in all
+# three modes on the executor in virtual time (closed-loop clients), then a
+# real-socket sweep through the epoll listener; fails (non-zero) on any
+# wrong response, admission-counter mismatch, or if HTTP keep-alive stops
+# paying (a snapshot-mode request at 8 requests/connection must cost fewer
+# modeled cycles than one at connection-per-request; wall socket RPS is
+# printed, not gated).  The lane sweep runs a second time on a fresh
+# runtime, and the run fails unless every row's modeled columns (mean, p99,
+# RPS, ratio to native) match.  Each socket sweep starts from settled lanes,
+# each lane on a shell of its own, and runs every virtine-mode point twice;
 # the run fails unless both agree exactly on modeled cycles and exits per
-# request, so the gate's two readings repeat run to run.
+# request, so the socket rows and the gate's two readings repeat run to
+# run.
 (cd "$BUILD_DIR" && ./fig13_http_server --quick)
 # Seven-interaction smoke: the HTTP example serves three requests through
 # Figure 13's single-shot guest in all three modes; fails (non-zero) if any

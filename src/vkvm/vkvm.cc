@@ -30,32 +30,9 @@ vbase::Status Vm::LoadBlob(uint64_t gpa, const void* data, uint64_t len) {
   return mem_.Write(gpa, data, len);
 }
 
-RunResult Vm::Run(uint64_t max_insns) {
+vhw::Exit Vm::Run(uint64_t max_insns) {
   host_cycles_ += config_.host_costs.vmrun;
-  const vhw::Exit exit = cpu_.Run(max_insns);
-  RunResult r;
-  switch (exit.kind) {
-    case vhw::ExitKind::kHlt:
-      r.reason = ExitReason::kHlt;
-      break;
-    case vhw::ExitKind::kIo:
-      r.reason = ExitReason::kIo;
-      r.port = exit.port;
-      r.io_is_in = exit.is_in;
-      r.io_reg = exit.io_reg;
-      break;
-    case vhw::ExitKind::kBrk:
-      r.reason = ExitReason::kBrk;
-      break;
-    case vhw::ExitKind::kFault:
-      r.reason = ExitReason::kFault;
-      r.fault = exit.fault;
-      break;
-    case vhw::ExitKind::kInsnLimit:
-      r.reason = ExitReason::kInsnLimit;
-      break;
-  }
-  return r;
+  return cpu_.Run(max_insns);
 }
 
 vbase::Status Vm::ReadVirt(uint64_t va, void* dst, uint64_t len) {

@@ -59,23 +59,6 @@ struct HostCostModel {
 // Returns true when a real /dev/kvm exists and is openable on this host.
 bool KvmHardwareAvailable();
 
-// Exit reasons surfaced to the embedder (mirrors kvm_run::exit_reason).
-enum class ExitReason : uint8_t {
-  kHlt,
-  kIo,
-  kFault,
-  kBrk,
-  kInsnLimit,
-};
-
-struct RunResult {
-  ExitReason reason = ExitReason::kFault;
-  uint16_t port = 0;
-  bool io_is_in = false;
-  uint8_t io_reg = 0;
-  std::string fault;
-};
-
 struct VmConfig {
   uint64_t mem_size = 1ULL << 20;  // 1 MB default guest memory
   vhw::CostModel guest_costs;
@@ -109,9 +92,10 @@ class Vm {
   // testing); cleared by any vCPU reset or snapshot restore.
   void InjectGuestFault(std::string reason) { cpu_.InjectFault(std::move(reason)); }
 
-  // Runs the vCPU until the next exit; the KVM_RUN analogue.  Charges the
-  // vmrun host cost per call.
-  RunResult Run(uint64_t max_insns = UINT64_MAX >> 1);
+  // Runs the vCPU until the next exit and returns it (vhw::Exit carries
+  // kvm_run's exit reason and I/O fields); the KVM_RUN analogue.  Charges
+  // the vmrun host cost per call.
+  vhw::Exit Run(uint64_t max_insns = UINT64_MAX >> 1);
 
   // Guest-virtual-address accessors used by hypercall handlers; translation
   // happens under the *current* guest paging mode, and all accesses are

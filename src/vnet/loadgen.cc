@@ -19,55 +19,6 @@
 namespace vnet {
 namespace {
 
-// Harmonic-mean throughput + latency summary over the collected samples.
-void FinalizeLoadResult(LoadResult* result) {
-  std::vector<double> rps;
-  rps.reserve(result->latencies_us.size());
-  for (double lat : result->latencies_us) {
-    if (lat > 0) {
-      rps.push_back(1e6 / lat);
-    }
-  }
-  result->harmonic_mean_rps = vbase::HarmonicMean(rps);
-  result->latency = vbase::Summarize(result->latencies_us);
-}
-
-}  // namespace
-
-LoadResult RunClosedLoop(int workers, int requests_per_worker, const RequestFn& fn) {
-  LoadResult result;
-  std::mutex mu;
-  vbase::WallTimer timer;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&] {
-      std::vector<double> local;
-      uint64_t local_failures = 0;
-      local.reserve(static_cast<size_t>(requests_per_worker));
-      for (int i = 0; i < requests_per_worker; ++i) {
-        const double latency = fn();
-        if (latency < 0) {
-          ++local_failures;
-        } else {
-          local.push_back(latency);
-        }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      result.latencies_us.insert(result.latencies_us.end(), local.begin(), local.end());
-      result.failures += local_failures;
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  result.wall_seconds = static_cast<double>(timer.ElapsedNanos()) / 1e9;
-  FinalizeLoadResult(&result);
-  return result;
-}
-
-namespace {
-
 int ConnectLoopback(uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -193,38 +144,7 @@ LoadResult RunSocketClosedLoop(const SocketLoadOptions& options) {
     t.join();
   }
   result.wall_seconds = static_cast<double>(timer.ElapsedNanos()) / 1e9;
-  FinalizeLoadResult(&result);
-  return result;
-}
-
-LoadResult ClosedLoopVirtualTime(int clients, int lanes,
-                                 const std::vector<double>& services_us) {
-  LoadResult result;
-  const size_t n_clients = static_cast<size_t>(std::max(clients, 1));
-  // The earliest-ready client sends the next request, on the earliest-free
-  // lane.  Ties break on index, so the schedule (and every latency) is
-  // deterministic for a given service vector.
-  std::vector<double> client_ready(n_clients, 0.0);
-  std::vector<double> lane_free(static_cast<size_t>(std::max(lanes, 1)), 0.0);
-  result.latencies_us.reserve(services_us.size());
-  double end_us = 0;
-  for (const double service : services_us) {
-    const size_t c = static_cast<size_t>(
-        std::min_element(client_ready.begin(), client_ready.end()) - client_ready.begin());
-    if (service < 0) {
-      ++result.failures;  // failed request: the client retries immediately
-      continue;
-    }
-    const size_t lane = static_cast<size_t>(
-        std::min_element(lane_free.begin(), lane_free.end()) - lane_free.begin());
-    const double done = std::max(client_ready[c], lane_free[lane]) + service;
-    lane_free[lane] = done;
-    result.latencies_us.push_back(done - client_ready[c]);
-    client_ready[c] = done;
-    end_us = std::max(end_us, done);
-  }
-  result.wall_seconds = end_us / 1e6;  // virtual seconds of the schedule
-  FinalizeLoadResult(&result);
+  result.latency = vbase::Summarize(result.latencies_us);
   return result;
 }
 

@@ -1,9 +1,11 @@
 // Load generation: a Locust-like workload driver (the paper generates its
 // Figure 13/15 load with Locust and a custom request generator).
 //
-// Closed-loop mode: N worker threads issue requests back to back (Figure
-// 13's localhost generator).  Results aggregate per-request latencies and
-// the harmonic-mean throughput the paper reports.
+// Closed-loop mode over real sockets: RunSocketClosedLoop's client threads
+// issue requests back to back against a vnet::Listener (Figure 13's
+// localhost generator) and aggregate per-request wall latencies.  Figure
+// 13's in-process lane sweep needs no generator here: its closed-loop
+// clients are Executor::RunVirtual's, in virtual time.
 //
 // Open-loop mode: GenerateArrivalTrace gives a deterministic arrival trace
 // (uniform spacing with ±12.5% jitter inside each phase — the paper's bursty
@@ -17,17 +19,12 @@
 #define SRC_VNET_LOADGEN_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/base/stats.h"
 
 namespace vnet {
-
-// Issues one request; returns its latency in microseconds (modeled or wall,
-// the caller decides the currency) or a negative value on failure.
-using RequestFn = std::function<double()>;
 
 // One phase of an open-loop arrival pattern (e.g. ramp, burst, ramp).
 struct LoadPhase {
@@ -39,15 +36,8 @@ struct LoadResult {
   std::vector<double> latencies_us;
   uint64_t failures = 0;
   double wall_seconds = 0;
-  // Requests per second computed from the latency samples as the paper does
-  // for Figure 13b: harmonic mean of per-request throughput (1e6/latency).
-  double harmonic_mean_rps = 0;
   vbase::Summary latency;
 };
-
-// Runs `requests_per_worker` sequential requests on each of `workers`
-// threads.  RequestFn must be thread-safe.
-LoadResult RunClosedLoop(int workers, int requests_per_worker, const RequestFn& fn);
 
 // Real-socket closed loop against a vnet::Listener on 127.0.0.1.
 struct SocketLoadOptions {
@@ -71,20 +61,6 @@ struct SocketLoadOptions {
 // a failure and forces a reconnect.  wall_seconds spans the whole loop, so
 // latencies_us.size() / wall_seconds is the measured socket RPS.
 LoadResult RunSocketClosedLoop(const SocketLoadOptions& options);
-
-// Deterministic virtual-time closed loop: `clients` logical clients issue
-// requests back to back over `lanes` serving lanes; request i consumes
-// services_us[i] of lane time (measured service costs — e.g. the modeled
-// cycles of real invocations — consumed in order; negative entries count as
-// failures and occupy no lane time).  The earliest-ready client sends next,
-// on the earliest-free lane.  Per-request latency is virtual queue wait plus
-// service, so the result scales with the lane count even on an
-// oversubscribed host where wall time cannot express lane parallelism.
-// This is the deterministic currency of the Figure 13 lane sweep, the
-// closed-loop sibling of fig9's modeled makespan; it moves to
-// Executor::RunVirtual once fig13's in-process requests stop blocking.
-LoadResult ClosedLoopVirtualTime(int clients, int lanes,
-                                 const std::vector<double>& services_us);
 
 // Deterministic arrival offsets (microseconds, ascending) for the open-loop
 // phases: uniform spacing within each phase with ±12.5% jitter (a

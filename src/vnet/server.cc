@@ -375,7 +375,11 @@ int vn_head200(char *end, int sz) {
 // 4 KB body window `win`, and the head sits right-aligned in the 64 bytes
 // before it, cached across requests as hc = [file size, head length].  A
 // file larger than the window streams through open/read/send/close, the
-// head riding with the first chunk.
+// head riding with the first chunk.  A stream that comes up short of the
+// size readfile reported (the file was replaced, or open failed) returns 500
+// if no byte was sent yet and 0 once its body is cut short, with nothing
+// pending: the caller ends the connection, so nothing follows a short body.
+// (The stream loop leaves io alone, so no 200 pays for this path.)
 int vn_serve(char *req, int *ph, char *win, int *hc, int *io) {
   char path[256];
   int sz;
@@ -412,7 +416,10 @@ int vn_serve(char *req, int *ph, char *win, int *hc, int *io) {
     m = read(fd, win, m);
     if (m <= 0) {
       close(fd);
-      return 500;
+      if (hl) {
+        return 500;
+      }
+      return 0;
     }
     send(win - hl, hl + m);
     hl = 0;
@@ -512,6 +519,13 @@ int main() {
     if (st == 200) {
       stats[1] = stats[1] + 1;
     } else {
+      if (st == 500) {
+        io[0] = "HTTP/1.1 500 Internal Server Error\r\nContent-Length: 0\r\n\r\n";
+        io[1] = 57;
+      }
+      if (st == 500 || st == 0) {
+        return vn_finish(io, stats, 5);
+      }
       stats[2] = stats[2] + 1;
     }
     if (st == 400) {
@@ -743,8 +757,12 @@ vbase::Result<ServeStats> StaticHttpServer::HandleVirtine(wasp::ByteChannel& cha
     stats.requests = guest_stats[0];
     stats.r2xx = guest_stats[1];
     stats.r4xx = guest_stats[2];
+    // Exit code 5: a streamed file came up short, and the guest ended the
+    // connection on that request's 500.
+    stats.r5xx = outcome.exit_code == 5 ? 1 : 0;
     stats.status = outcome.exit_code == 0   ? (stats.requests > 0 ? 200 : 0)
                    : outcome.exit_code == 3 ? 413
+                   : outcome.exit_code == 5 ? 500
                                             : 400;
   } else {
     stats.status = outcome.exit_code == 0   ? 200

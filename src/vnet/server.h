@@ -15,8 +15,9 @@
 //   is dispatched as a job on a wasp::Executor, so N lanes serve N
 //   connections concurrently and bounded admission (reject mode answers
 //   overflow connections with an immediate 503) makes burst overload a
-//   first-class behavior.  This is the serving path Figure 13's lane sweep
-//   measures.
+//   first-class behavior.  This is the serving path behind Figure 13's
+//   socket sweep; its lane sweep runs StaticHttpServer connections as tasks
+//   on the executor in virtual time.
 //
 // Key-scoped governance: SubmitConnection takes the connection's route and
 // maps it onto a key class (latency-sensitive vs batch) and a per-route
@@ -50,15 +51,17 @@ std::string StaticHandlerSource();
 // Keep-alive variant: one invocation serves every request of a connection
 // (receive -> frame -> serve loop until EOF or "Connection: close"),
 // draining request bodies through the channel in bounded chunks and
-// reporting [requests, 2xx, 4xx, clean] on exit.  A GET of a file within
-// its 4 KB body window costs two exits — readfile, and the send_recv that
-// sends the response and receives the next request.  A connection that
-// ends with a response pending (Connection: close, 400, 413) sends it in
-// its exit, send_exit, so N requests cost 2N+1 with the first receive; one
-// that ends at EOF costs 2N+2 (the send_recv that sees EOF, then
-// return_exit).  The first receive is snapshot_recv (unless the CRT
-// snapshotted, boot flag bit 0): a warm restore completes it before its
-// first vmrun, so a warm connection costs one exit less, 2N or 2N+1.
+// reporting [requests, 2xx, 4xx, clean] on exit.  A file streamed past the
+// window that comes up short of its Content-Length ends the connection
+// with exit code 5 (a 500, answered only if no byte was sent).  A GET of a
+// file within its 4 KB body window costs two exits — readfile, and the
+// send_recv that sends the response and receives the next request.  A
+// connection that ends with a response pending (Connection: close, 400,
+// 413) sends it in its exit, send_exit, so N requests cost 2N+1 with the
+// first receive; one that ends at EOF costs 2N+2 (the send_recv that sees
+// EOF, then return_exit).  The first receive is snapshot_recv (unless the
+// CRT snapshotted, boot flag bit 0): a warm restore completes it before
+// its first vmrun, so a warm connection costs one exit less, 2N or 2N+1.
 std::string KeepAliveHandlerSource();
 
 enum class ServeMode {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <set>
 #include <utility>
 
 #include "src/base/clock.h"
@@ -319,10 +320,12 @@ RunOutcome Executor::RunJob(Job& job) {
 }
 
 Executor::VirtualRun Executor::RunVirtual(Runtime* runtime, ExecutorOptions options,
-                                          std::vector<Arrival> arrivals) {
+                                          std::vector<Arrival> arrivals, size_t clients) {
   options.block_when_full = false;  // a virtual submitter cannot park
   Executor executor(runtime, std::move(options), /*start_workers=*/false);
   const size_t n = static_cast<size_t>(executor.options_.workers);
+  // The arrivals that keep their trace times; an open loop keeps them all.
+  const size_t timed = clients == 0 ? arrivals.size() : std::min(clients, arrivals.size());
 
   // A virtual lane: its affinity memory, the time it frees (or freed), and
   // the job it holds until then, already run, waiting to settle.
@@ -336,6 +339,19 @@ Executor::VirtualRun Executor::RunVirtual(Runtime* runtime, ExecutorOptions opti
   VirtualRun run{std::vector<Served>(arrivals.size()), {}, executor.policy_};
   std::vector<std::future<RunOutcome>> futures(arrivals.size());
   std::vector<size_t> arrival_of_seq;  // job seq -> arrival (a fresh executor counts from 0)
+  // Released arrivals not yet submitted, earliest first, lower index on a tie.
+  std::set<std::pair<double, size_t>> pending;
+  for (size_t i = 0; i < timed; ++i) {
+    VB_CHECK(i == 0 || arrivals[i].at_us >= arrivals[i - 1].at_us,
+             "RunVirtual: arrivals must be in time order");
+    pending.emplace(arrivals[i].at_us, i);
+  }
+  // Arrival i has settled or been shed at `now`: its client sends the next.
+  auto release_next = [&](size_t i, double now) {
+    if (clients > 0 && i + clients < arrivals.size()) {
+      pending.emplace(now, i + clients);
+    }
+  };
 
   // The busy (or idle) lane that frees (or freed) first, lowest index on a
   // tie; n if there is none.
@@ -369,35 +385,39 @@ Executor::VirtualRun Executor::RunVirtual(Runtime* runtime, ExecutorOptions opti
     lane.free_us = served.done_us;
   };
 
-  for (size_t next = 0; next < arrivals.size() || first_lane(true) != n;) {
+  while (!pending.empty() || first_lane(true) != n) {
     const size_t done = first_lane(true);
-    if (done != n && (next == arrivals.size() || lanes[done].free_us <= arrivals[next].at_us)) {
+    if (done != n && (pending.empty() || lanes[done].free_us <= pending.begin()->first)) {
       VirtualLane& lane = lanes[done];
       const size_t i = arrival_of_seq[lane.job->seq];
       executor.Settle(*lane.job, std::move(lane.outcome));
       lane.job.reset();
       run.served[i].outcome = futures[i].get();
+      release_next(i, lane.free_us);
       dispatch(done, lane.free_us);
       continue;
     }
+    const auto [now, next] = *pending.begin();
+    pending.erase(pending.begin());
     Arrival& arrival = arrivals[next];
-    VB_CHECK(next == 0 || arrival.at_us >= arrivals[next - 1].at_us,
-             "RunVirtual: arrivals must be in time order");
-    Admission& admission = run.served[next].admission;
+    Served& served = run.served[next];
+    served.arrival_us = now;
     if (arrival.task) {
       executor.TrySubmitTask(std::move(arrival.task), &futures[next], std::move(arrival.key),
-                             arrival.klass, &admission);
+                             arrival.klass, &served.admission);
     } else {
-      executor.TrySubmit(std::move(arrival.spec), &futures[next], arrival.klass, &admission);
+      executor.TrySubmit(std::move(arrival.spec), &futures[next], arrival.klass,
+                         &served.admission);
     }
-    if (admission == Admission::kAccepted) {
-      arrival_of_seq.push_back(next);
-      const size_t idle = first_lane(false);
-      if (idle != n) {
-        dispatch(idle, arrival.at_us);
-      }
+    if (served.admission != Admission::kAccepted) {
+      release_next(next, now);
+      continue;
     }
-    ++next;
+    arrival_of_seq.push_back(next);
+    const size_t idle = first_lane(false);
+    if (idle != n) {
+      dispatch(idle, now);
+    }
   }
   run.stats = executor.stats();
   run.policy = executor.policy_;

@@ -53,13 +53,17 @@
 // has run, the settle step (completion counters, the policy's EWMA and quota
 // release, the future).  Worker threads loop over the pair on the wall clock.
 // RunVirtual drives the same pair on the calling thread in virtual time: it
-// submits each arrival through TrySubmit/TrySubmitTask at its trace time,
+// submits each arrival through TrySubmit/TrySubmitTask at its trace time (an
+// open loop) or when its client's previous request is done (a closed loop),
 // runs each dequeued job on the earliest-free of `workers` virtual lanes
 // under Pool::BindLane, and settles the job once its modeled cycles have
-// passed, so figs 9, 15, 16 and 17 get the real scheduler on a timeline that
-// repeats exactly.  Its one approximation: a job's shell is back in the pool
-// once its dispatch returns, so a job that starts later on another lane can
-// take that shell before the first job's virtual completion.
+// passed, so every lane sweep in the repository (figs 9, 13, 15, 16 and 17)
+// gets the real scheduler on a timeline that repeats exactly.  Its one
+// approximation: a job's shell is back in the pool once its dispatch
+// returns, so a job that starts later on another lane can take that shell
+// before the first job's virtual completion.  A job runs to completion when
+// it is dispatched, so it must not wait on another job: a task reading a
+// channel finds its request already written.
 //
 // Invocations are independent by construction (each owns its shell, its
 // hypercall frame, and its fd table), so the only shared state a worker
@@ -181,11 +185,13 @@ class Executor {
     Task task;
     std::string key;
   };
-  // What became of one arrival.  An admitted arrival ran on `lane` from
-  // start_us and held it until done_us, start_us plus its outcome's modeled
-  // cycles; a shed one never ran and keeps the rest zero.
+  // What became of one arrival.  It was submitted at arrival_us.  An
+  // admitted arrival ran on `lane` from start_us and held it until done_us,
+  // start_us plus its outcome's modeled cycles; a shed one never ran and
+  // keeps the rest zero.
   struct Served {
     Admission admission = Admission::kAccepted;
+    double arrival_us = 0;
     uint32_t lane = 0;
     double start_us = 0;
     double done_us = 0;
@@ -197,16 +203,22 @@ class Executor {
     AdmissionPolicy policy;      // its ledger after the last job settled
   };
 
-  // The virtual clock (see the file comment) over `arrivals`, ascending in
-  // at_us; returns once every admitted job has settled.  A completion runs
-  // before an arrival at the same instant, and an arrival that finds lanes
-  // idle goes to the one idle longest (lowest index on a tie).  A virtual
-  // submitter cannot park, so RunVirtual always sheds at the bound, as
+  // The virtual clock (see the file comment) over `arrivals`; returns once
+  // every admitted job has settled.  With `clients` = 0 the loop is open:
+  // each arrival arrives at its at_us, ascending.  With C > 0 it is closed,
+  // C clients each sending its next request when its last one is done:
+  // arrival i < C arrives at its at_us, and arrival i >= C at the instant
+  // arrival i - C settles or is shed (its at_us is not read), so a client's
+  // latency is done_us - arrival_us.  Released arrivals are submitted
+  // earliest first, the lower index on a tie.  A completion runs before an
+  // arrival at the same instant, and an arrival that finds lanes idle goes
+  // to the one idle longest (lowest index on a tie).  A virtual submitter
+  // cannot park, so RunVirtual always sheds at the bound, as
   // block_when_full = false does.  The cleaner crew is drained after every
   // job, so a run on a fresh runtime repeats exactly in either clean mode.
   // The calling thread is left bound to the last pool lane it ran.
   static VirtualRun RunVirtual(Runtime* runtime, ExecutorOptions options,
-                               std::vector<Arrival> arrivals);
+                               std::vector<Arrival> arrivals, size_t clients = 0);
 
  private:
   struct Job {

@@ -526,9 +526,9 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
       outcome.status = vbase::Aborted("instruction budget exhausted (runaway virtine)");
       break;
     }
-    vkvm::RunResult run = vm->Run(spec.max_insns - used);
+    const vhw::Exit run = vm->Run(spec.max_insns - used);
     if (pending_io_fault != FaultKind::kNone &&
-        (run.reason == vkvm::ExitReason::kIo || run.reason == vkvm::ExitReason::kHlt)) {
+        (run.kind == vhw::ExitKind::kIo || run.kind == vhw::ExitKind::kHlt)) {
       // The invocation dies at its first exit boundary, mid-flight: its
       // first hypercall, or the final hlt for guests that never take one.
       const FaultKind inject = pending_io_fault;
@@ -547,24 +547,24 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
       }
       break;
     }
-    if (run.reason == vkvm::ExitReason::kHlt) {
+    if (run.kind == vhw::ExitKind::kHlt) {
       break;
     }
-    if (run.reason == vkvm::ExitReason::kIo) {
+    if (run.kind == vhw::ExitKind::kIo) {
       // The result goes to r0 for `out`, or to the destination register of
       // `in`.
-      frame.result_reg = run.io_is_in ? run.io_reg : 0;
+      frame.result_reg = run.is_in ? run.io_reg : 0;
       if (!Serve(run.port, frame) || frame.request_exit) {
         break;
       }
       continue;
     }
-    if (run.reason == vkvm::ExitReason::kInsnLimit) {
+    if (run.kind == vhw::ExitKind::kInsnLimit) {
       outcome.fault = FaultKind::kRunaway;
       outcome.status = vbase::Aborted("instruction budget exhausted (runaway virtine)");
       break;
     }
-    if (run.reason == vkvm::ExitReason::kBrk) {
+    if (run.kind == vhw::ExitKind::kBrk) {
       outcome.fault = FaultKind::kGuestTrap;
       outcome.status = vbase::Aborted("guest breakpoint");
       break;

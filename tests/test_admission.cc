@@ -9,7 +9,10 @@
 //   fault-rate EWMA and breaker position.
 // * RunVirtual: what a replay over measured services could not model —
 //   the affinity scan, a retry holding its lane, a shed arrival never
-//   running.
+//   running — and its closed loop, the clients of Figure 13's lane sweep:
+//   each client's requests in sequence, every one served exactly once,
+//   latency that scales with the lanes, and a shed request that frees its
+//   client at once.
 // * Property: seeded random operation sequences against the policy alone
 //   check its conservation and breaker invariants.
 // * Keys: tenant names are GovernTrace's policy keys, so a malformed or
@@ -23,6 +26,7 @@
 #include <cstddef>
 #include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -30,6 +34,7 @@
 
 #include "src/base/clock.h"
 #include "src/base/rng.h"
+#include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/vnet/serverless.h"
 #include "src/vrt/env.h"
@@ -544,6 +549,146 @@ TEST(RunVirtual, AShedArrivalNeverRuns) {
   EXPECT_EQ(run.stats.completed, admitted);
   EXPECT_EQ(run.stats.quota_rejected, shed);
   EXPECT_EQ(runtime.pool().stats().acquires, admitted);
+}
+
+// --- RunVirtual's closed loop ------------------------------------------------
+
+constexpr uint64_t kHundredUsCycles = 269'000;  // 100 us
+
+// `clients` x `per_client` task arrivals in a closed loop, the first round
+// at t = 0; task i holds its lane for cycles(i) and counts its runs.
+struct ClosedLoop {
+  std::vector<wasp::Executor::Arrival> arrivals;
+  std::shared_ptr<std::vector<int>> runs;
+};
+
+template <typename CyclesFn>
+ClosedLoop MakeClosedLoop(size_t clients, size_t per_client, CyclesFn cycles) {
+  ClosedLoop loop;
+  loop.runs = std::make_shared<std::vector<int>>(clients * per_client, 0);
+  for (size_t i = 0; i < clients * per_client; ++i) {
+    wasp::Executor::Arrival arrival;
+    arrival.key = "k";
+    arrival.task = [runs = loop.runs, i, c = cycles(i)] {
+      ++(*runs)[i];
+      return SyntheticOutcome(c, false);
+    };
+    loop.arrivals.push_back(std::move(arrival));
+  }
+  return loop;
+}
+
+// Latency of each admitted arrival: submit to completion.
+std::vector<double> Latencies(const wasp::Executor::VirtualRun& run) {
+  std::vector<double> latencies;
+  for (const wasp::Executor::Served& served : run.served) {
+    if (served.admission == wasp::Admission::kAccepted) {
+      latencies.push_back(served.done_us - served.arrival_us);
+    }
+  }
+  return latencies;
+}
+
+double HarmonicMeanRps(const std::vector<double>& latencies_us) {
+  std::vector<double> rps;
+  for (const double latency : latencies_us) {
+    rps.push_back(1e6 / latency);
+  }
+  return vbase::HarmonicMean(rps);
+}
+
+// Every arrival runs exactly once, and a client's requests never overlap:
+// arrival i is submitted the instant arrival i - C completes, and starts no
+// earlier.  Services vary so that clients finish out of index order.
+TEST(RunVirtual, AClosedLoopClientSendsWhenItsLastRequestIsDone) {
+  wasp::Runtime runtime;  // synthetic tasks never invoke it
+  wasp::ExecutorOptions options;
+  options.workers = 2;
+  constexpr size_t kClients = 3;
+  constexpr size_t kPerClient = 6;
+  ClosedLoop loop = MakeClosedLoop(kClients, kPerClient, [](size_t i) {
+    return kHundredUsCycles * (1 + (i * 7) % 5);
+  });
+  const wasp::Executor::VirtualRun run =
+      wasp::Executor::RunVirtual(&runtime, options, std::move(loop.arrivals), kClients);
+  ASSERT_EQ(run.served.size(), kClients * kPerClient);
+  EXPECT_EQ(*loop.runs, std::vector<int>(kClients * kPerClient, 1));
+  for (size_t i = 0; i < run.served.size(); ++i) {
+    const wasp::Executor::Served& served = run.served[i];
+    ASSERT_EQ(served.admission, wasp::Admission::kAccepted) << i;
+    EXPECT_GE(served.start_us, served.arrival_us) << i;
+    EXPECT_GT(served.done_us, served.start_us) << i;
+    if (i < kClients) {
+      EXPECT_EQ(served.arrival_us, 0.0) << i;
+    } else {
+      EXPECT_EQ(served.arrival_us, run.served[i - kClients].done_us) << i;
+    }
+  }
+  EXPECT_EQ(run.stats.submitted, kClients * kPerClient);
+  EXPECT_EQ(run.stats.completed, kClients * kPerClient);
+  EXPECT_EQ(run.stats.queued + run.stats.in_flight, 0u);
+}
+
+// 8 clients of 100 us requests: on 8 lanes nobody queues, on 1 lane every
+// request waits behind the other seven clients' (800 us once the first
+// round, 100..800 us, has passed).
+TEST(RunVirtual, AClosedLoopScalesWithLanes) {
+  auto run_on = [](int lanes) {
+    wasp::Runtime runtime;
+    wasp::ExecutorOptions options;
+    options.workers = lanes;
+    ClosedLoop loop = MakeClosedLoop(8, 8, [](size_t) { return kHundredUsCycles; });
+    return Latencies(wasp::Executor::RunVirtual(&runtime, options, std::move(loop.arrivals), 8));
+  };
+  const std::vector<double> one = run_on(1);
+  const std::vector<double> eight = run_on(8);
+  ASSERT_EQ(one.size(), 64u);
+  ASSERT_EQ(eight.size(), 64u);
+  EXPECT_NEAR(vbase::Summarize(eight).mean, 100.0, 1.0);
+  EXPECT_NEAR(vbase::Summarize(one).p99, 800.0, 1.0);
+  EXPECT_GT(vbase::Summarize(one).mean, 700.0);
+  EXPECT_LE(vbase::Summarize(one).mean, 800.0);
+  EXPECT_GT(HarmonicMeanRps(eight), 7.0 * HarmonicMeanRps(one));
+}
+
+// A shed arrival takes no lane time, and its client sends its next request
+// at once: the shed's own submit time.  One lane and a one-deep queue hold
+// two clients; a third client arriving at 150 us finds the queue full, so
+// each of its requests is shed at that instant.
+TEST(RunVirtual, AShedClosedLoopRequestReleasesItsClientsNextAtOnce) {
+  wasp::Runtime runtime;
+  wasp::ExecutorOptions options;
+  options.workers = 1;
+  options.max_queue_depth = 1;
+  constexpr size_t kClients = 3;
+  ClosedLoop loop = MakeClosedLoop(kClients, 3, [](size_t) { return kHundredUsCycles; });
+  loop.arrivals[2].at_us = 150;
+  const wasp::Executor::VirtualRun run =
+      wasp::Executor::RunVirtual(&runtime, options, std::move(loop.arrivals), kClients);
+  ASSERT_EQ(run.served.size(), 9u);
+  double busy_us = 0;
+  double last_done_us = 0;
+  for (size_t i = 0; i < run.served.size(); ++i) {
+    const wasp::Executor::Served& served = run.served[i];
+    if (i % kClients == 2) {
+      EXPECT_EQ(served.admission, wasp::Admission::kQueueFull) << i;
+      EXPECT_EQ(served.arrival_us, 150.0) << i;
+      EXPECT_EQ(served.start_us, 0.0) << i;
+      EXPECT_EQ(served.done_us, 0.0) << i;
+      EXPECT_EQ((*loop.runs)[i], 0) << i;
+    } else {
+      EXPECT_EQ(served.admission, wasp::Admission::kAccepted) << i;
+      EXPECT_EQ((*loop.runs)[i], 1) << i;
+      busy_us += served.done_us - served.start_us;
+      last_done_us = std::max(last_done_us, served.done_us);
+    }
+  }
+  // The lane never idled and ran only the six admitted requests.
+  EXPECT_NEAR(busy_us, 600.0, 1e-6);
+  EXPECT_NEAR(last_done_us, 600.0, 1e-6);
+  EXPECT_EQ(run.stats.rejected, 3u);
+  EXPECT_EQ(run.stats.submitted, 6u);
+  EXPECT_EQ(run.stats.completed, 6u);
 }
 
 // --- Policy keys from a trace ------------------------------------------------

@@ -51,7 +51,7 @@ TEST(BootMilestones, Long64BootLogsEveryTable1Component) {
   uint64_t args[3] = {0, 1, 5};
   ASSERT_TRUE(vm->memory().Write(wasp::kArgPageAddr, args, sizeof(args)).ok());
   auto run = vm->Run();
-  ASSERT_EQ(run.reason, vkvm::ExitReason::kHlt) << run.fault;
+  ASSERT_EQ(run.kind, vhw::ExitKind::kHlt) << run.fault;
 
   std::vector<vhw::BootEvent> events;
   for (const auto& m : vm->cpu().milestones()) {

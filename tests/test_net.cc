@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <future>
 #include <map>
 
@@ -557,6 +558,84 @@ TEST_P(ServerModeTest, KeepAlivePipelinedResponsesLeaveInRequestOrder) {
                                       vnet::BuildResponse(404, "") + vnet::BuildResponse(200, a));
 }
 
+// --- A streamed keep-alive response that comes up short ----------------------
+
+// Runs the keep-alive guest over `channel` as HandleConnection's virtine mode
+// does, with `on_open` serving its open hypercall.  The file can change (or
+// vanish) between the guest's readfile and its open only under a concurrent
+// HostEnv::PutFile, so the handler stands in for that race.
+wasp::RunOutcome ServeKeepAliveWithOpen(wasp::HostEnv* files, wasp::ByteChannel& channel,
+                                        wasp::HypercallHandler on_open) {
+  auto image = vcc::CompileProgram(vrt::VlibcSource() + vnet::KeepAliveHandlerSource(),
+                                   "main", vrt::Env::kLong64);
+  if (!image.ok()) {
+    ADD_FAILURE() << image.status().ToString();
+    wasp::RunOutcome failed;
+    failed.status = image.status();
+    return failed;
+  }
+  wasp::Runtime runtime;
+  wasp::VirtineSpec spec;
+  spec.image = &*image;
+  spec.policy = wasp::kPolicyStream | wasp::kPolicyFileIo | wasp::MaskOf(wasp::kHcSnapshot) |
+                wasp::MaskOf(wasp::kHcReturnData);
+  spec.crt_snapshot = false;
+  spec.env = files;
+  spec.channel = &channel.guest();
+  spec.handlers[wasp::kHcOpen] = std::move(on_open);
+  return runtime.Invoke(spec);
+}
+
+// The exit's [requests, 2xx, 4xx, clean] counters.
+std::vector<uint64_t> GuestCounters(const wasp::RunOutcome& outcome) {
+  std::vector<uint64_t> counters(4, 0);
+  EXPECT_EQ(outcome.output.size(), 4 * sizeof(uint64_t));
+  std::memcpy(counters.data(), outcome.output.data(),
+              std::min(outcome.output.size(), 4 * sizeof(uint64_t)));
+  return counters;
+}
+
+// The file shrinks from 8 KB to 5,000 B before the guest opens it: the head
+// promised 8,192 bytes and the body stops at 5,000, so the guest ends the
+// connection there.  The pipelined second request is never answered, or a
+// client would read its response as the rest of the first body.
+TEST(KeepAliveGuest, AFileThatShrinksMidStreamEndsTheConnection) {
+  wasp::HostEnv files;
+  files.PutFile("/big", PatternBody(2 * kGuestWindow, 1));
+  const std::string shrunk = PatternBody(5000, 2);
+  wasp::ByteChannel channel;
+  channel.host().WriteString(Get("/big") + Get("/big", /*close=*/true));
+  const wasp::RunOutcome outcome =
+      ServeKeepAliveWithOpen(&files, channel, [&files, &shrunk](wasp::HypercallFrame& frame) {
+        files.PutFile("/big", shrunk);
+        auto fd = frame.fds.Open("/big");
+        return vbase::Result<int64_t>(fd.ok() ? *fd : -1);
+      });
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.exit_code, 5u);
+  EXPECT_EQ(GuestCounters(outcome), (std::vector<uint64_t>{1, 0, 0, 0}));
+  EXPECT_TRUE(Drained(channel) == "HTTP/1.1 200 OK\r\nContent-Length: 8192\r\n\r\n" + shrunk);
+}
+
+// The first open fails before any byte of the response was sent: the guest
+// answers 500 and ends the connection, so the second request's 200 (its open
+// would succeed) cannot answer the first.
+TEST(KeepAliveGuest, AFailedOpenAnswers500AndEndsTheConnection) {
+  wasp::HostEnv files;
+  files.PutFile("/big", PatternBody(2 * kGuestWindow, 1));
+  wasp::ByteChannel channel;
+  channel.host().WriteString(Get("/big") + Get("/big", /*close=*/true));
+  const wasp::RunOutcome outcome = ServeKeepAliveWithOpen(
+      &files, channel, [opens = 0](wasp::HypercallFrame& frame) mutable {
+        auto fd = frame.fds.Open("/big");
+        return vbase::Result<int64_t>(++opens > 1 && fd.ok() ? *fd : -1);
+      });
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.exit_code, 5u);
+  EXPECT_EQ(GuestCounters(outcome), (std::vector<uint64_t>{1, 0, 0, 0}));
+  EXPECT_EQ(Drained(channel), vnet::BuildResponse(500, ""));
+}
+
 // --- One request contract: the guests frame and limit requests as the host does --
 
 TEST_P(ServerModeTest, KeepAliveTrimsSpaceBeforeAHeaderColon) {
@@ -742,24 +821,6 @@ TEST(Server, VirtineHandlerUsesExactlySevenHypercalls) {
   EXPECT_EQ(stats->io_exits, 7u);
 }
 
-TEST(Loadgen, ClosedLoopCollectsAllLatencies) {
-  std::atomic<int> calls{0};
-  auto result = vnet::RunClosedLoop(4, 25, [&]() -> double {
-    calls.fetch_add(1);
-    return 10.0;
-  });
-  EXPECT_EQ(calls.load(), 100);
-  EXPECT_EQ(result.latencies_us.size(), 100u);
-  EXPECT_EQ(result.failures, 0u);
-  EXPECT_NEAR(result.harmonic_mean_rps, 1e5, 1.0);
-}
-
-TEST(Loadgen, FailuresAreCounted) {
-  auto result = vnet::RunClosedLoop(2, 10, []() -> double { return -1.0; });
-  EXPECT_EQ(result.failures, 20u);
-  EXPECT_TRUE(result.latencies_us.empty());
-}
-
 // --- Serverless (Vespid + simulator) --------------------------------------------
 
 TEST(Vespid, RegistersAndInvokesBase64) {
@@ -819,26 +880,6 @@ TEST(Loadgen, ArrivalTraceIsDeterministicAndPhaseShaped) {
   EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
   const auto c = vnet::GenerateArrivalTrace(phases, 6);
   EXPECT_NE(a, c);  // jitter depends on the seed
-}
-
-TEST(Loadgen, VirtualClosedLoopScalesWithLanes) {
-  // 8 clients, constant 100 us service: 1 lane queues 8 deep, 8 lanes don't.
-  const std::vector<double> services(64, 100.0);
-  const auto one = vnet::ClosedLoopVirtualTime(8, 1, services);
-  const auto eight = vnet::ClosedLoopVirtualTime(8, 8, services);
-  EXPECT_EQ(one.latencies_us.size(), services.size());
-  EXPECT_EQ(eight.latencies_us.size(), services.size());
-  EXPECT_NEAR(eight.latency.mean, 100.0, 1.0);
-  // Steady state queues 8 deep (800 us); the first round ramps 100..800, so
-  // the mean sits just under the steady-state plateau.
-  EXPECT_NEAR(one.latency.p99, 800.0, 1.0);
-  EXPECT_GT(one.latency.mean, 700.0);
-  EXPECT_LE(one.latency.mean, 800.0);
-  EXPECT_GT(eight.harmonic_mean_rps, 7.0 * one.harmonic_mean_rps);
-  // Negative services count as failures and take no lane time.
-  const auto failed = vnet::ClosedLoopVirtualTime(2, 2, {100.0, -1.0, 100.0});
-  EXPECT_EQ(failed.failures, 1u);
-  EXPECT_EQ(failed.latencies_us.size(), 2u);
 }
 
 // --- Differential: executor replay vs the analytic simulator -----------------

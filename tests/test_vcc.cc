@@ -607,8 +607,8 @@ TEST(GuestImages, MatchTheirRecordedHashes) {
   } guests[] = {
       {"static handler", vnet::StaticHandlerSource(), vrt::Env::kLong64, 6347,
        0xe85f8921505e203bULL},
-      {"keep-alive handler", vnet::KeepAliveHandlerSource(), vrt::Env::kLong64, 7885,
-       0x225f456c592f6e6cULL},
+      {"keep-alive handler", vnet::KeepAliveHandlerSource(), vrt::Env::kLong64, 8136,
+       0x73170a4cb724b0e0ULL},
       {"b64 engine", vjs::EngineSource(*bytecode, /*teardown=*/false), vrt::Env::kLong64, 4824,
        0xfe93f90d6ac1afaeULL},
       {"teardown engine", vjs::EngineSource(*bytecode, /*teardown=*/true), vrt::Env::kLong64,
