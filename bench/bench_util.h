@@ -17,6 +17,7 @@
 #include "src/base/log.h"
 #include "src/base/stats.h"
 #include "src/base/table.h"
+#include "src/wasp/pool.h"
 
 namespace benchutil {
 
@@ -35,6 +36,24 @@ inline std::string Cycles(double cycles) {
 
 inline std::string Us(double cycles) { return vbase::Fmt(vbase::CyclesToMicros(
     static_cast<uint64_t>(cycles)), 1); }
+
+// Asserts the residency conservation invariant on a quiescent pool: the
+// per-generation rows sum to the affine_resident_bytes gauge, and so does
+// the gauge's shared + private split.  Returns the gauge.
+inline uint64_t CheckedResident(const wasp::Pool& pool, int* failures) {
+  const wasp::AffineAccounting acct = pool.affine_accounting();
+  const wasp::PoolStats stats = pool.stats();
+  const uint64_t split = stats.affine_shared_bytes + stats.affine_private_bytes;
+  if (stats.affine_resident_bytes != acct.resident_bytes || split != acct.resident_bytes) {
+    std::printf("FAIL: residency conservation violated (gauge %llu, shared + private %llu, "
+                "rows %llu)\n",
+                static_cast<unsigned long long>(stats.affine_resident_bytes),
+                static_cast<unsigned long long>(split),
+                static_cast<unsigned long long>(acct.resident_bytes));
+    ++*failures;
+  }
+  return stats.affine_resident_bytes;
+}
 
 }  // namespace benchutil
 

@@ -297,23 +297,6 @@ int RunTieredQuotaPhase(bool quick) {
   return failures;
 }
 
-// Asserts the residency gauge's conservation invariant on one consistent
-// accounting snapshot; returns the gauge.
-uint64_t CheckedResident(wasp::Pool& pool, int* failures) {
-  const wasp::AffineAccounting acct = pool.affine_accounting();
-  uint64_t sum = 0;
-  for (const auto& gen : acct.generations) {
-    sum += gen.shared_bytes + gen.private_bytes;
-  }
-  if (sum != acct.resident_bytes) {
-    std::printf("FAIL: gauge conservation violated (%llu != %llu)\n",
-                static_cast<unsigned long long>(sum),
-                static_cast<unsigned long long>(acct.resident_bytes));
-    ++*failures;
-  }
-  return acct.resident_bytes;
-}
-
 int RunDensityPhase(bool quick) {
   std::printf("\n=== Phase 2: COW warm density under the full-copy-era budget ===\n");
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());
@@ -359,7 +342,7 @@ int RunDensityPhase(bool quick) {
         if (outcome.result_word != 144) {  // fib(12)
           ++failures;
         }
-        const uint64_t resident = CheckedResident(runtime.pool(), &failures);
+        const uint64_t resident = benchutil::CheckedResident(runtime.pool(), &failures);
         peak_resident = std::max(peak_resident, resident);
         if (resident > options.affine_budget_bytes) {
           std::printf("FAIL: round %d key %d parked %llu affine bytes over budget\n",
@@ -390,7 +373,7 @@ int RunDensityPhase(bool quick) {
         continue;
       }
       ++recaptured;
-      CheckedResident(runtime.pool(), &failures);
+      benchutil::CheckedResident(runtime.pool(), &failures);
       const wasp::RunOutcome outcome = runtime.Invoke(spec);
       VB_CHECK(outcome.status.ok(), outcome.status.ToString());
       if (!outcome.stats.affine_restore || outcome.result_word != 144) {
@@ -426,7 +409,7 @@ int RunDensityPhase(bool quick) {
                   static_cast<unsigned long long>(evictions));
       ++failures;
     }
-    if (CheckedResident(runtime.pool(), &failures) != 0) {
+    if (benchutil::CheckedResident(runtime.pool(), &failures) != 0) {
       std::printf("FAIL: round %d retired generations not fully reclaimed\n", round);
       ++failures;
     }

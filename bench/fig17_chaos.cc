@@ -77,23 +77,6 @@
 
 namespace {
 
-// Asserts the residency gauge's conservation invariant on one consistent
-// accounting snapshot; returns the gauge.
-uint64_t CheckedResident(wasp::Pool& pool, int* failures) {
-  const wasp::AffineAccounting acct = pool.affine_accounting();
-  uint64_t sum = 0;
-  for (const auto& gen : acct.generations) {
-    sum += gen.shared_bytes + gen.private_bytes;
-  }
-  if (sum != acct.resident_bytes) {
-    std::printf("FAIL: residency conservation violated (%llu != %llu)\n",
-                static_cast<unsigned long long>(sum),
-                static_cast<unsigned long long>(acct.resident_bytes));
-    ++*failures;
-  }
-  return acct.resident_bytes;
-}
-
 // Asserts the quarantine ledger's conservation invariant (exact at
 // quiescence, which is when the harness samples it).
 void CheckQuarantineLedger(const wasp::PoolStats& stats, int* failures) {
@@ -190,7 +173,7 @@ int RunContainmentPhase() {
                   faulted.status.ToString().c_str());
       ++failures;
     }
-    CheckedResident(runtime.pool(), &failures);
+    benchutil::CheckedResident(runtime.pool(), &failures);
     // The follow-up invocation of the same key must still answer correctly,
     // and must not be served by the quarantined shell: the fault consumed
     // the key's parked affine shell, so a correct pool serves this one from
@@ -335,7 +318,7 @@ vnet::GovernedReplay GovernMix(const StormMix& mix, const wasp::FaultPlan& plan,
   if (inject_stats != nullptr && runtime.fault_injector() != nullptr) {
     *inject_stats = runtime.fault_injector()->stats();
   }
-  CheckedResident(runtime.pool(), failures);
+  benchutil::CheckedResident(runtime.pool(), failures);
   CheckQuarantineLedger(runtime.pool().stats(), failures);
   return replay;
 }
@@ -495,7 +478,7 @@ int RunSoakPhase(bool quick, bool soak) {
     runtime.pool().DrainCleaner();
     const wasp::PoolStats pool_stats = runtime.pool().stats();
     const wasp::ExecutorStats exec_stats = QuiescedExecutorStats(executor);
-    const uint64_t resident = CheckedResident(runtime.pool(), &failures);
+    const uint64_t resident = benchutil::CheckedResident(runtime.pool(), &failures);
     CheckQuarantineLedger(pool_stats, &failures);
     CheckExecutorConservation(exec_stats, &failures);
     const uint64_t census =
@@ -527,7 +510,7 @@ int RunSoakPhase(bool quick, bool soak) {
   runtime.RetireSnapshot("vespid-soak");
   runtime.RetireSnapshot("soak-burst");
   runtime.pool().DrainCleaner();
-  const uint64_t final_resident = CheckedResident(runtime.pool(), &failures);
+  const uint64_t final_resident = benchutil::CheckedResident(runtime.pool(), &failures);
   if (final_resident != 0 || runtime.pool().TotalAffineShells() != 0) {
     std::printf("FAIL: retirement left %llu resident bytes / %zu affine shells\n",
                 static_cast<unsigned long long>(final_resident),

@@ -16,7 +16,7 @@
 // over the point's lanes, and its busiest lane's modeled cycles are the
 // makespan: machine-independent, and identical from run to run.  A threaded
 // executor with as many workers runs it again under real thread contention
-// — the sharded pool, the cleaner crew, and the shared snapshot store — and
+// — the lock-free pool, the cleaner crew, and the shared snapshot store — and
 // supplies the acquire-path columns and the wall time.
 //
 // PR 7 extends the sweep to 16 lanes and reports the acquire path itself:
@@ -51,7 +51,7 @@ constexpr int kFibArg = 12;
 // Flat-p99 gate: p99 at 16 lanes must stay under max(2 x p99 at 1 lane,
 // this floor).  The floor absorbs scheduler preemption spikes on hosts with
 // fewer cores than lanes (CI runs this on 1 core); it is still an order of
-// magnitude below what a contended shard mutex would produce.
+// magnitude below what a contended pool mutex would produce.
 constexpr double kAcquireP99FloorNs = 50'000.0;
 
 int64_t HostFib(int n) { return n < 2 ? n : HostFib(n - 1) + HostFib(n - 2); }
@@ -65,7 +65,7 @@ struct SweepPoint {
   double acquire_p50_ns = 0;     // per-invocation shell-acquire wall latency
   double acquire_p99_ns = 0;
   double lockfree_hit_rate = 0;  // (lane-cache + free-list) / acquires, this point
-  uint64_t slow_path_acquires = 0;  // acquires that took a shard mutex, this point
+  uint64_t slow_path_acquires = 0;  // acquires that took the sweep mutex, this point
 };
 
 struct ConfigResult {
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
 
   benchutil::Header(
       "Figure 9 (reproduction extra): invocation throughput vs executor worker threads",
-      "the sharded pool + cleaner crew + executor keep invocation lanes independent: "
+      "the lock-free pool + cleaner crew + executor keep invocation lanes independent: "
       "8-lane pooled-async throughput reaches >= 4x the single lane");
 
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::FibSource());

@@ -108,7 +108,7 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # if fewer than 95% of steady-state acquires are served lock-free (lane
 # cache + Treiber free-list), or if acquire p99 at 16 lanes grows past
 # max(2x the 1-lane p99, the scheduler-noise floor) — the lock-free fast
-# path cannot silently regress back onto the shard mutex.
+# path cannot silently regress back onto the pool's sweep mutex.
 (cd "$BUILD_DIR" && ./fig9_multicore_scaling --quick)
 # Delta-restore + COW-density smoke: fails (non-zero) if affine warm snapshot
 # restore cost ever scales with image size again (16 MB vs 64 KB image at a
@@ -197,5 +197,7 @@ for t in "$BUILD_DIR"/test_*; do
   [[ -x "$t" ]] || continue
   cases=$((cases + $(count_gtests "$t")))
 done
+# The source line count rides along, so each change's log carries it.
+src_lines=$(find src -type f -exec cat {} + | wc -l)
 echo "[ci] default lane: ${suites} ctest suites, ${cases} gtest cases, modeled gate," \
-     "8 bench smokes, 4 examples"
+     "8 bench smokes, 4 examples, ${src_lines} lines in src/"

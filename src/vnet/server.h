@@ -122,7 +122,7 @@ class StaticHttpServer {
   // connection is served as a request loop until the peer closes its write
   // end, sends "Connection: close", or max_requests is reached — in the
   // virtine modes one acquired (affine) shell spans the whole loop.
-  // Thread-safe: concurrent connections share only the runtime (sharded
+  // Thread-safe: concurrent connections share only the runtime (shell
   // pool + read-mostly snapshot store) and the mutex-guarded HostEnv.
   vbase::Result<ServeStats> HandleConnection(wasp::ByteChannel& channel, ServeMode mode,
                                              const ConnectionOptions& conn = {});

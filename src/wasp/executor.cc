@@ -13,7 +13,7 @@ namespace wasp {
 namespace {
 
 // Keyed dequeue hint: a lane that just ran snapshot key K parked K's shell
-// snapshot-affine in its home pool shard, so a queued job with the same key
+// snapshot-affine in its pool lane slot, so a queued job with the same key
 // is cheapest to run *there* (delta restore instead of a full image copy).
 // The scan is bounded and fairness-capped: after a few consecutive
 // out-of-order picks the lane must take the queue head, so no job can
@@ -261,8 +261,8 @@ void Executor::Settle(Job& job, RunOutcome outcome) {
 void Executor::WorkerLoop(uint32_t worker_index) {
   // Register this worker as a pool lane: its acquires and releases hit a
   // dedicated single-slot shell cache before any shared structure, and its
-  // stable lane id keeps it mapped to the same pool shard across the
-  // executor's lifetime.
+  // stable lane id keeps that cache its own across the executor's
+  // lifetime.
   Pool::BindLane(worker_index);
   Lane lane;
   while (true) {

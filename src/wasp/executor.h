@@ -67,8 +67,8 @@
 //
 // Invocations are independent by construction (each owns its shell, its
 // hypercall frame, and its fd table), so the only shared state a worker
-// touches is the sharded Pool and the read-mostly SnapshotStore — both
-// designed to scale with the worker count.
+// touches is the Pool (per-lane slots in front of lock-free stacks) and the
+// read-mostly SnapshotStore — both designed to scale with the worker count.
 //
 // Lifetime: specs hold non-owning pointers (image, input, channel); the
 // caller keeps those alive until the future resolves / RunVirtual returns.

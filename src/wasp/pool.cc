@@ -9,8 +9,11 @@ namespace wasp {
 namespace {
 
 // Bound of the lock-free PopMatch: how many nodes a fast-path pop examines
-// before giving up on a stack.  A false miss just falls through to the slow
-// path.
+// before giving up on a stack.  A keyed probe scans only its own
+// generation's stack, so only shells of another memory size can hide a
+// match; on a miss the acquire takes a free clean shell first and sweeps
+// exhaustively only without one.  A clean probe's false miss falls through
+// to the slow path's exhaustive sweep.
 constexpr int kPopScan = 8;
 // Safety bound for exhaustive scans and diagnostic walks (a concurrent
 // pusher can extend a stack mid-scan; shells are finite, so this is never
@@ -36,13 +39,11 @@ uint32_t Pool::CurrentLane() {
 
 size_t Pool::LaneIndex() const { return CurrentLane() % kLanes; }
 
-size_t Pool::HomeShard() const { return CurrentLane() % kShards; }
-
 Pool::Pool(const PoolOptions& options) : options_(options) {
   if (options_.mode == CleanMode::kAsync) {
     cleaners_.reserve(kCleaners);
     for (size_t i = 0; i < kCleaners; ++i) {
-      cleaners_.emplace_back([this, home = i % kShards] { CleanerLoop(home); });
+      cleaners_.emplace_back([this] { CleanerLoop(); });
     }
   }
 }
@@ -60,7 +61,7 @@ Pool::~Pool() {
       cleaner.join();
     }
   }
-  // Every parked shell — lane slot, free/affine/dirty stack — lives in a
+  // Every parked shell — lane slot, free/parked/dirty stack — lives in a
   // node that still owns its raw Vm pointer (UnwrapShell nulls it out when
   // a shell leaves the pool).  The destructor runs exclusively, so a plain
   // arena sweep reclaims them all.
@@ -70,8 +71,8 @@ Pool::~Pool() {
   }
 }
 
-Pool::ShellNode* Pool::WrapShell(std::unique_ptr<vkvm::Vm> vm, uint64_t generation,
-                                 uint64_t private_bytes, GenInfo* gen) {
+Pool::ShellNode* Pool::WrapShell(std::unique_ptr<vkvm::Vm> vm, uint64_t private_bytes,
+                                 GenInfo* gen) {
   ShellNode* node = spare_nodes_.Pop();
   if (node == nullptr) {
     auto owned = std::make_unique<ShellNode>();
@@ -79,9 +80,8 @@ Pool::ShellNode* Pool::WrapShell(std::unique_ptr<vkvm::Vm> vm, uint64_t generati
     std::lock_guard<std::mutex> lock(node_mu_);
     all_nodes_.push_back(std::move(owned));
   }
-  node->mem_size.store(vm->config().mem_size, std::memory_order_relaxed);
-  node->generation.store(generation, std::memory_order_relaxed);
-  node->private_bytes.store(private_bytes, std::memory_order_relaxed);
+  node->mem_size = vm->config().mem_size;
+  node->private_bytes = private_bytes;
   node->gen = gen;
   node->vm = vm.release();
   return node;
@@ -115,13 +115,7 @@ void Pool::CleanShell(vkvm::Vm* vm, bool charge_inline) {
   stats_.bytes_zeroed.fetch_add(zeroed, std::memory_order_relaxed);
 }
 
-bool Pool::Matches(const ShellNode* node, uint64_t mem_size, uint64_t generation) {
-  return (mem_size == 0 || node->mem_size.load(std::memory_order_relaxed) == mem_size) &&
-         (generation == 0 || node->generation.load(std::memory_order_relaxed) == generation);
-}
-
-Pool::ShellNode* Pool::PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size,
-                                uint64_t generation, int limit) {
+Pool::ShellNode* Pool::PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size, int limit) {
   // Popped mismatches chain through their own `next`, last popped first:
   // the popper owns them until it pushes them back, and Push rewrites
   // `next` anyway.
@@ -132,7 +126,7 @@ Pool::ShellNode* Pool::PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size
     if (node == nullptr) {
       break;
     }
-    if (Matches(node, mem_size, generation)) {
+    if (mem_size == 0 || node->mem_size == mem_size) {
       found = node;
       break;
     }
@@ -149,49 +143,37 @@ Pool::ShellNode* Pool::PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size
 }
 
 Pool::ShellNode* Pool::TakeLane(size_t lane, bool affine, uint64_t mem_size,
-                                uint64_t generation, bool keep_in_slot) {
+                                const GenInfo* gen, bool keep_in_slot) {
   std::atomic<ShellNode*>& slot = affine ? lanes_[lane].affine : lanes_[lane].clean;
   ShellNode* node = slot.exchange(nullptr, std::memory_order_acq_rel);
-  if (node == nullptr || Matches(node, mem_size, generation)) {
+  if (node == nullptr || ((mem_size == 0 || node->mem_size == mem_size) &&
+                          (gen == nullptr || node->gen == gen))) {
     return node;
   }
-  ShellNode* expected = nullptr;
-  if (!keep_in_slot || !slot.compare_exchange_strong(expected, node, std::memory_order_release,
-                                                     std::memory_order_relaxed)) {
-    Shard& shard = shards_[lane % kShards];
-    (affine ? shard.affine : shard.free).Push(node);
-  }
+  Park(node, keep_in_slot ? &slot : nullptr);
   return nullptr;
 }
 
-Pool::ShellNode* Pool::TakeShards(bool affine, uint64_t mem_size, uint64_t generation,
-                                  bool exhaustive, size_t* shard) {
-  const size_t home = HomeShard();
-  for (size_t off = 0; off < kShards; ++off) {
-    const size_t s = (home + off) % kShards;
-    TaggedStack<ShellNode>& stack = affine ? shards_[s].affine : shards_[s].free;
-    ShellNode* node;
-    if (exhaustive) {
-      std::lock_guard<std::mutex> lock(shards_[s].mu);
-      node = PopMatch(stack, mem_size, generation, kScanGuard);
+Pool::ShellNode* Pool::Sweep(bool affine, uint64_t mem_size, GenInfo* gen) {
+  {
+    std::lock_guard<std::mutex> lock(sweep_mu_);
+    ShellNode* node = nullptr;
+    if (!affine) {
+      node = PopMatch(free_, mem_size, kScanGuard);
+    } else if (gen != nullptr) {
+      node = PopMatch(gen->parked, mem_size, kScanGuard);
     } else {
-      node = PopMatch(stack, mem_size, generation, kPopScan);
+      std::shared_lock<std::shared_mutex> gens(gen_mu_);
+      for (auto it = generations_.begin(); node == nullptr && it != generations_.end(); ++it) {
+        node = PopMatch(it->second->parked, mem_size, kScanGuard);
+      }
     }
     if (node != nullptr) {
-      *shard = s;
       return node;
     }
   }
-  return nullptr;
-}
-
-Pool::ShellNode* Pool::Sweep(bool affine, uint64_t mem_size, uint64_t generation) {
-  size_t shard = 0;
-  if (ShellNode* node = TakeShards(affine, mem_size, generation, /*exhaustive=*/true, &shard)) {
-    return node;
-  }
   for (size_t l = 0; l < kLanes; ++l) {
-    if (ShellNode* node = TakeLane(l, affine, mem_size, generation, /*keep_in_slot=*/true)) {
+    if (ShellNode* node = TakeLane(l, affine, mem_size, gen, /*keep_in_slot=*/true)) {
       return node;
     }
   }
@@ -200,7 +182,7 @@ Pool::ShellNode* Pool::Sweep(bool affine, uint64_t mem_size, uint64_t generation
 
 std::unique_ptr<vkvm::Vm> Pool::Serve(ShellNode* node, bool* from_pool) {
   if (node->gen != nullptr) {
-    ReleaseAffineCharge(node->gen, node->private_bytes.load(std::memory_order_relaxed));
+    ReleaseAffineCharge(node->gen, node->private_bytes);
   }
   stats_.pool_hits.fetch_add(1, std::memory_order_relaxed);
   if (from_pool != nullptr) {
@@ -284,18 +266,18 @@ void Pool::ReleaseAffineCharge(GenInfo* gen, uint64_t private_bytes) {
   stats_.affine_resident_bytes.fetch_sub(released, std::memory_order_relaxed);
 }
 
-void Pool::QueueDirty(std::unique_ptr<vkvm::Vm> vm, size_t shard) {
-  ShellNode* node = WrapShell(std::move(vm), 0, 0, nullptr);
+void Pool::QueueDirty(std::unique_ptr<vkvm::Vm> vm) {
+  ShellNode* node = WrapShell(std::move(vm), 0, nullptr);
   // Count before push: DrainCleaner must never observe dirty == 0 &&
   // in_flight == 0 while a node is physically queued.  The notify is
   // mutex-free — cleaners wait with a timeout as the belt against it racing
   // a wait entry.
   dirty_count_.fetch_add(1);
-  shards_[shard].dirty.Push(node);
+  dirty_.Push(node);
   cleaner_cv_.notify_one();
 }
 
-void Pool::Dispose(std::unique_ptr<vkvm::Vm> vm, size_t shard) {
+void Pool::Dispose(std::unique_ptr<vkvm::Vm> vm) {
   switch (options_.mode) {
     case CleanMode::kNone:
       return;  // no pooling: drop the shell (unreachable — kNone never parks)
@@ -303,44 +285,51 @@ void Pool::Dispose(std::unique_ptr<vkvm::Vm> vm, size_t shard) {
       // No crew to hand it to; clean here but off the modeled critical path
       // (eviction/retirement is maintenance, not an acquire or release).
       CleanShell(vm.get(), /*charge_inline=*/false);
-      ParkClean(std::move(vm), shard, /*try_lane=*/false);
+      Park(WrapShell(std::move(vm), 0, nullptr), nullptr);
       return;
     case CleanMode::kAsync:
-      QueueDirty(std::move(vm), shard);
+      QueueDirty(std::move(vm));
       return;
   }
 }
 
-std::vector<std::pair<Pool::ShellNode*, size_t>> Pool::TakeAffineNodes(uint64_t generation,
-                                                                       size_t max_take) {
-  std::vector<std::pair<ShellNode*, size_t>> taken;
-  for (size_t s = 0; s < kShards && taken.size() < max_take; ++s) {
-    // The shard mutex serializes whole-stack sweeps against each other;
-    // fast-path pushers/poppers proceed lock-free underneath.
-    std::lock_guard<std::mutex> lock(shards_[s].mu);
-    while (taken.size() < max_take) {
-      ShellNode* node = PopMatch(shards_[s].affine, 0, generation, kScanGuard);
-      if (node == nullptr) {
-        break;
-      }
-      taken.emplace_back(node, s);
+void Pool::Park(ShellNode* node, std::atomic<ShellNode*>* slot) {
+  GenInfo* gen = node->gen;  // read before the node is visible to others
+  ShellNode* expected = nullptr;
+  if (slot == nullptr || !slot->compare_exchange_strong(expected, node, std::memory_order_release,
+                                                        std::memory_order_relaxed)) {
+    (gen != nullptr ? gen->parked : free_).Push(node);
+  }
+  if (gen != nullptr) {
+    // RetireGeneration may have swept between the shell's charge (or its
+    // last visible place) and this park; re-check behind a seq_cst fence
+    // (Dekker with the retirer's flag-store/sweep) and run the sweep
+    // ourselves if so.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (gen->retired.load(std::memory_order_relaxed)) {
+      RetireSweep(gen);
     }
   }
-  for (size_t l = 0; l < kLanes && taken.size() < max_take; ++l) {
-    if (ShellNode* node = TakeLane(l, /*affine=*/true, 0, generation, /*keep_in_slot=*/true)) {
-      taken.emplace_back(node, l % kShards);
+}
+
+Pool::ShellNode* Pool::TakeParked(GenInfo* gen) {
+  if (ShellNode* node = gen->parked.Pop()) {
+    return node;
+  }
+  for (size_t l = 0; l < kLanes; ++l) {
+    if (ShellNode* node = TakeLane(l, /*affine=*/true, 0, gen, /*keep_in_slot=*/true)) {
+      return node;
     }
   }
-  return taken;
+  return nullptr;
 }
 
 void Pool::RetireSweep(GenInfo* gen) {
-  auto victims = TakeAffineNodes(gen->generation, SIZE_MAX);
-  for (auto& [node, shard] : victims) {
-    ReleaseAffineCharge(gen, node->private_bytes.load(std::memory_order_relaxed));
+  while (ShellNode* node = TakeParked(gen)) {
+    ReleaseAffineCharge(gen, node->private_bytes);
     stats_.affine_retired.fetch_add(1, std::memory_order_relaxed);
     stats_.affine_reclaims.fetch_add(1, std::memory_order_relaxed);
-    Dispose(UnwrapShell(node), shard);
+    Dispose(UnwrapShell(node));
   }
 }
 
@@ -387,38 +376,33 @@ void Pool::EnforceAffineBudget() {
     if (victim == nullptr) {
       return;  // nothing parked any more (raced with acquires)
     }
-    auto taken = TakeAffineNodes(victim->generation, 1);
-    if (taken.empty()) {
+    ShellNode* node = TakeParked(victim);
+    if (node == nullptr) {
       continue;  // the victim's shells were acquired mid-sweep; re-pick
     }
-    auto& [node, shard] = taken.front();
-    ReleaseAffineCharge(victim, node->private_bytes.load(std::memory_order_relaxed));
+    ReleaseAffineCharge(victim, node->private_bytes);
     stats_.affine_evictions.fetch_add(1, std::memory_order_relaxed);
     stats_.affine_reclaims.fetch_add(1, std::memory_order_relaxed);
-    Dispose(UnwrapShell(node), shard);
+    Dispose(UnwrapShell(node));
   }
 }
 
-std::unique_ptr<vkvm::Vm> Pool::TryFast(bool affine, const vkvm::VmConfig& config,
-                                         uint64_t generation, bool* from_pool) {
+std::unique_ptr<vkvm::Vm> Pool::TryFast(GenInfo* gen, uint64_t mem_size, bool* from_pool) {
+  const bool affine = gen != nullptr;
   // Tier 1: the caller's lane slot (single atomic exchange; pages still
-  // warm in this lane's cache/TLB).  A wrong-size clean shell spills to the
-  // home stack rather than re-occupying the slot.
-  ShellNode* node = TakeLane(LaneIndex(), affine, config.mem_size, generation,
-                             /*keep_in_slot=*/affine);
+  // warm in this lane's cache/TLB).  A wrong-size clean shell, or another
+  // generation's affine shell, spills to its stack rather than re-occupying
+  // the slot.
+  ShellNode* node = TakeLane(LaneIndex(), affine, mem_size, gen, /*keep_in_slot=*/false);
   if (node != nullptr) {
     stats_.lane_cache_hits.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // Tier 2: home shard's stack, then sibling steal.
-    size_t shard = 0;
-    node = TakeShards(affine, config.mem_size, generation, /*exhaustive=*/false, &shard);
+    // Tier 2: the free stack, or the generation's own.
+    node = PopMatch(affine ? gen->parked : free_, mem_size, kPopScan);
     if (node == nullptr) {
       return nullptr;
     }
     stats_.freelist_hits.fetch_add(1, std::memory_order_relaxed);
-    if (shard != HomeShard()) {
-      stats_.cross_shard_steals.fetch_add(1, std::memory_order_relaxed);
-    }
   }
   if (affine) {
     stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
@@ -426,15 +410,14 @@ std::unique_ptr<vkvm::Vm> Pool::TryFast(bool affine, const vkvm::VmConfig& confi
   return Serve(node, from_pool);
 }
 
-std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config,
-                                            uint64_t generation, bool* affine_hit,
-                                            bool* from_pool) {
+std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config, GenInfo* gen,
+                                            bool* affine_hit, bool* from_pool) {
   stats_.slow_path_acquires.fetch_add(1, std::memory_order_relaxed);
-  // Exact-generation affine sweep first: a bounded fast-path probe can
-  // false-miss a shell buried under other generations' nodes, and serving
-  // the resident snapshot beats serving a clean shell plus a COW map.
-  if (generation != 0 && affine_count_.load(std::memory_order_relaxed) > 0) {
-    if (ShellNode* node = Sweep(/*affine=*/true, config.mem_size, generation)) {
+  // The generation's exhaustive sweep first: its shell may sit in another
+  // lane's slot, and serving the resident snapshot beats serving a clean
+  // shell plus a COW map.
+  if (gen != nullptr) {
+    if (ShellNode* node = Sweep(/*affine=*/true, config.mem_size, gen)) {
       stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
       if (affine_hit != nullptr) {
         *affine_hit = true;
@@ -445,15 +428,15 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config,
   // Exhaustive clean sweep: before paying vm_create, make sure no stack or
   // lane slot actually holds a free shell (a bounded fast-path miss is not
   // proof of emptiness).
-  if (ShellNode* node = Sweep(/*affine=*/false, config.mem_size, 0)) {
+  if (ShellNode* node = Sweep(/*affine=*/false, config.mem_size, nullptr)) {
     return Serve(node, from_pool);
   }
   // Reclaim (clean) an already-parked affine shell of any generation — it
   // is dirty, so clean it first — before creating from scratch.  The clean
-  // runs outside the shard lock: zeroing megabytes under a stripe lock
-  // would convoy concurrent sweepers.
+  // runs outside the sweep mutex: zeroing megabytes under it would convoy
+  // concurrent sweepers.
   if (affine_count_.load(std::memory_order_relaxed) > 0) {
-    if (ShellNode* node = Sweep(/*affine=*/true, config.mem_size, 0)) {
+    if (ShellNode* node = Sweep(/*affine=*/true, config.mem_size, nullptr)) {
       std::unique_ptr<vkvm::Vm> vm = Serve(node, from_pool);
       CleanShell(vm.get(), /*charge_inline=*/true);
       stats_.affine_reclaims.fetch_add(1, std::memory_order_relaxed);
@@ -474,32 +457,23 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireAffine(const vkvm::VmConfig& config,
   if (affine_hit != nullptr) {
     *affine_hit = false;
   }
+  GenInfo* gen = generation != 0 && affine_count_.load(std::memory_order_relaxed) > 0
+                     ? FindGen(generation)
+                     : nullptr;
   std::unique_ptr<vkvm::Vm> vm;
-  if (generation != 0 && affine_count_.load(std::memory_order_relaxed) > 0) {
-    vm = TryFast(/*affine=*/true, config, generation, from_pool);
+  if (gen != nullptr) {
+    vm = TryFast(gen, config.mem_size, from_pool);
     if (vm != nullptr && affine_hit != nullptr) {
       *affine_hit = true;
     }
   }
   if (vm == nullptr) {
-    vm = TryFast(/*affine=*/false, config, 0, from_pool);
+    vm = TryFast(nullptr, config.mem_size, from_pool);
   }
   if (vm == nullptr) {
-    vm = AcquireSlow(config, generation, affine_hit, from_pool);
+    vm = AcquireSlow(config, gen, affine_hit, from_pool);
   }
   return vm;
-}
-
-void Pool::ParkClean(std::unique_ptr<vkvm::Vm> vm, size_t shard, bool try_lane) {
-  ShellNode* node = WrapShell(std::move(vm), 0, 0, nullptr);
-  if (try_lane) {
-    ShellNode* expected = nullptr;
-    if (lanes_[LaneIndex()].clean.compare_exchange_strong(
-            expected, node, std::memory_order_release, std::memory_order_relaxed)) {
-      return;
-    }
-  }
-  shards_[shard].free.Push(node);
 }
 
 void Pool::Release(std::unique_ptr<vkvm::Vm> vm) {
@@ -510,11 +484,11 @@ void Pool::Release(std::unique_ptr<vkvm::Vm> vm) {
       return;
     case CleanMode::kSync: {
       CleanShell(vm.get(), /*charge_inline=*/true);
-      ParkClean(std::move(vm), HomeShard(), /*try_lane=*/true);
+      Park(WrapShell(std::move(vm), 0, nullptr), &lanes_[LaneIndex()].clean);
       return;
     }
     case CleanMode::kAsync:
-      QueueDirty(std::move(vm), HomeShard());
+      QueueDirty(std::move(vm));
       return;
   }
 }
@@ -547,25 +521,12 @@ void Pool::ReleaseAffine(std::unique_ptr<vkvm::Vm> vm, uint64_t generation) {
     // re-park.
     stats_.affine_retired.fetch_add(1, std::memory_order_relaxed);
     stats_.affine_reclaims.fetch_add(1, std::memory_order_relaxed);
-    Dispose(std::move(vm), HomeShard());
+    Dispose(std::move(vm));
     return;
-  }
-  ShellNode* node = WrapShell(std::move(vm), generation, private_bytes, gen);
-  const size_t lane = LaneIndex();
-  ShellNode* expected = nullptr;
-  if (!lanes_[lane].affine.compare_exchange_strong(expected, node, std::memory_order_release,
-                                                   std::memory_order_relaxed)) {
-    shards_[HomeShard()].affine.Push(node);
   }
   stats_.affine_parks.fetch_add(1, std::memory_order_relaxed);
   stats_.delta_pages.fetch_add(delta_pages, std::memory_order_relaxed);
-  // RetireGeneration may have swept between the charge check and the push
-  // landing; re-check behind a seq_cst fence (Dekker with the retirer's
-  // flag-store/sweep) and run the sweep ourselves if so.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (gen->retired.load(std::memory_order_relaxed)) {
-    RetireSweep(gen);
-  }
+  Park(WrapShell(std::move(vm), private_bytes, gen), &lanes_[LaneIndex()].affine);
   // The park may have pushed parked residency over budget; evict LRU
   // generations until it fits again.
   EnforceAffineBudget();
@@ -585,7 +546,7 @@ void Pool::Quarantine(std::unique_ptr<vkvm::Vm> vm) {
     stats_.quarantine_destroyed.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  ShellNode* node = WrapShell(std::move(vm), 0, 0, nullptr);
+  ShellNode* node = WrapShell(std::move(vm), 0, nullptr);
   // Count before push (the DrainCleaner contract, as with dirty_count_).
   quarantine_count_.fetch_add(1);
   quarantine_.Push(node);
@@ -596,11 +557,9 @@ std::unique_ptr<vkvm::Vm> Pool::StealParkedAffine(uint64_t generation) {
   if (generation == 0 || affine_count_.load(std::memory_order_relaxed) <= 0) {
     return nullptr;
   }
-  if (FindGen(generation) == nullptr) {
-    return nullptr;
-  }
-  auto taken = TakeAffineNodes(generation, 1);
-  if (taken.empty()) {
+  GenInfo* gen = FindGen(generation);
+  ShellNode* node = gen != nullptr ? TakeParked(gen) : nullptr;
+  if (node == nullptr) {
     return nullptr;
   }
   // Count like an affine acquire so acquire/release conservation holds (the
@@ -608,27 +567,22 @@ std::unique_ptr<vkvm::Vm> Pool::StealParkedAffine(uint64_t generation) {
   stats_.acquires.fetch_add(1, std::memory_order_relaxed);
   stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
   stats_.freelist_hits.fetch_add(1, std::memory_order_relaxed);
-  return Serve(taken.front().first, nullptr);
+  return Serve(node, nullptr);
 }
 
-std::unique_ptr<vkvm::Vm> Pool::PopDirty(size_t home, size_t* source_shard) {
-  for (size_t i = 0; i < kShards; ++i) {
-    const size_t index = (home + i) % kShards;
-    ShellNode* node = shards_[index].dirty.Pop();
-    if (node == nullptr) {
-      continue;
-    }
-    // Order matters for DrainCleaner: raise in-flight before dropping the
-    // dirty count so (dirty == 0 && in_flight == 0) implies truly drained.
-    cleaning_in_flight_.fetch_add(1);
-    dirty_count_.fetch_sub(1);
-    *source_shard = index;
-    return UnwrapShell(node);
+std::unique_ptr<vkvm::Vm> Pool::PopDirty() {
+  ShellNode* node = dirty_.Pop();
+  if (node == nullptr) {
+    return nullptr;
   }
-  return nullptr;
+  // Order matters for DrainCleaner: raise in-flight before dropping the
+  // dirty count so (dirty == 0 && in_flight == 0) implies truly drained.
+  cleaning_in_flight_.fetch_add(1);
+  dirty_count_.fetch_sub(1);
+  return UnwrapShell(node);
 }
 
-void Pool::CleanerLoop(size_t home) {
+void Pool::CleanerLoop() {
   while (true) {
     // Quarantined shells first: they are the rarest and the only ones whose
     // reclamation gates correctness (a dirty shell merely delays reuse; a
@@ -643,16 +597,15 @@ void Pool::CleanerLoop(size_t home) {
       // privatized set, so nothing of the faulted tenant — image, writes,
       // snapshot mapping — survives into the readmitted shell.
       CleanShell(qvm.get(), /*charge_inline=*/false);
-      // Readmit via the home shard's free stack only after the scrub; a
-      // quarantined shell never touches a lane slot.
-      ParkClean(std::move(qvm), home, /*try_lane=*/false);
+      // Readmit via the free stack only after the scrub; a quarantined
+      // shell never touches a lane slot.
+      Park(WrapShell(std::move(qvm), 0, nullptr), nullptr);
       stats_.quarantine_scrubbed.fetch_add(1, std::memory_order_relaxed);
       cleaning_in_flight_.fetch_sub(1);
       drain_cv_.notify_all();
       continue;
     }
-    size_t source = home;
-    std::unique_ptr<vkvm::Vm> vm = PopDirty(home, &source);
+    std::unique_ptr<vkvm::Vm> vm = PopDirty();
     if (vm == nullptr) {
       if (stop_.load()) {
         return;
@@ -667,9 +620,7 @@ void Pool::CleanerLoop(size_t home) {
       continue;
     }
     CleanShell(vm.get(), /*charge_inline=*/false);
-    // Park the clean shell back on the shard it was released to, preserving
-    // the releasing thread's locality for its next acquire.
-    ParkClean(std::move(vm), source, /*try_lane=*/false);
+    Park(WrapShell(std::move(vm), 0, nullptr), nullptr);
     cleaning_in_flight_.fetch_sub(1);
     drain_cv_.notify_all();
   }
@@ -689,14 +640,10 @@ void Pool::DrainCleaner() {
 }
 
 void Pool::Prewarm(const vkvm::VmConfig& config, int count) {
-  // Create (and account-reset) every shell outside any lock, then push
-  // round-robin onto the shards' lock-free free stacks so the warm set
-  // spreads evenly.
   for (int i = 0; i < count; ++i) {
     auto vm = vkvm::Vm::Create(config);
     vm->ResetAccounting();
-    ShellNode* node = WrapShell(std::move(vm), 0, 0, nullptr);
-    shards_[static_cast<size_t>(i) % kShards].free.Push(node);
+    free_.Push(WrapShell(std::move(vm), 0, nullptr));
   }
 }
 
@@ -711,7 +658,6 @@ PoolStats Pool::stats() const {
   out.lane_cache_hits = stats_.lane_cache_hits.load(std::memory_order_relaxed);
   out.freelist_hits = stats_.freelist_hits.load(std::memory_order_relaxed);
   out.slow_path_acquires = stats_.slow_path_acquires.load(std::memory_order_relaxed);
-  out.cross_shard_steals = stats_.cross_shard_steals.load(std::memory_order_relaxed);
   out.affine_hits = stats_.affine_hits.load(std::memory_order_relaxed);
   out.affine_parks = stats_.affine_parks.load(std::memory_order_relaxed);
   out.affine_reclaims = stats_.affine_reclaims.load(std::memory_order_relaxed);
@@ -758,12 +704,10 @@ AffineAccounting Pool::affine_accounting() const {
 
 size_t Pool::TotalFreeShells() const {
   size_t n = 0;
-  for (const Shard& shard : shards_) {
-    int guard = kScanGuard;
-    for (ShellNode* node = shard.free.UnsafeHead(); node != nullptr && guard-- > 0;
-         node = node->next.load(std::memory_order_acquire)) {
-      ++n;
-    }
+  int guard = kScanGuard;
+  for (ShellNode* node = free_.UnsafeHead(); node != nullptr && guard-- > 0;
+       node = node->next.load(std::memory_order_acquire)) {
+    ++n;
   }
   for (const Lane& lane : lanes_) {
     if (lane.clean.load(std::memory_order_acquire) != nullptr) {

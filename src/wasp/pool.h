@@ -41,12 +41,15 @@
 // sweep it up.  Both paths are counted in PoolStats (affine_evictions,
 // affine_retired, and the affine_resident_bytes gauge) so tests and benches
 // can assert the budget actually holds.  The gauge obeys a conservation
-// invariant at every observation: affine_resident_bytes ==
-// sum over live generations of (shared_bytes + private_bytes) — exposed for
-// verification via affine_accounting().
+// invariant on a quiescent pool: affine_resident_bytes ==
+// affine_shared_bytes + affine_private_bytes == the sum over live
+// generations of (shared_bytes + private_bytes), the per-generation rows
+// affine_accounting() reports.
 //
 // Concurrency model — the lock-free fast path.  The common-case acquire and
-// release never take a mutex and never allocate:
+// release never allocate, and take no mutex but gen_mu_'s shared side (a
+// keyed acquire looks up its generation's row; ReleaseAffine finds or
+// creates it):
 //
 //   1. Per-lane cache.  Every executor worker (and, lazily, any other
 //      thread) is bound to a *lane* (Pool::BindLane / an auto-assigned id),
@@ -54,26 +57,26 @@
 //      and one for a snapshot-affine shell, touched with a plain atomic
 //      exchange.  A shell released by a lane is re-acquired by that same
 //      lane while its pages are still cache- and TLB-warm.
-//   2. Per-shard Treiber free-lists.  Lanes map statically onto the kShards
-//      shards (lane mod kShards); each shard keeps tagged-pointer ABA-safe
-//      lock-free stacks (see freelist.h) for clean, affine, and dirty
-//      shells.  A lane cache miss pops the home shard's stack, then *steals*
-//      from sibling shards in ascending order from home.
-//   3. Mutex slow path.  Only when the bounded lock-free probes find
-//      nothing does an acquire take shard mutexes for an exhaustive sweep
-//      (then a fresh create).  Eviction, retirement, and the cleaner drain
-//      barrier are maintenance and serialize the same way.
+//   2. Tagged Treiber stacks (see freelist.h).  One free stack holds clean
+//      shells of every memory size, one dirty stack feeds the cleaner crew,
+//      and every generation's row (GenInfo) holds a stack of its own parked
+//      shells.  A lane-slot miss pops the free stack, or for a keyed acquire
+//      the generation's own stack, so a keyed probe never scans another
+//      generation's shells; a slot holding another generation's shell
+//      spills it onto that generation's stack.
+//   3. Mutex slow path.  Only when the bounded lock-free probes find nothing
+//      does an acquire take sweep_mu_ for exhaustive scans (then a fresh
+//      create).
 //
-// Every tier runs one probe: a shell fits when its memory size and (for an
-// affine shell) its generation match, and one slot take (TakeLane) plus one
-// shard walk from home (TakeShards) serve both the clean and the affine
-// side — bounded and lock-free on the fast path, exhaustive under the shard
-// mutex in the slow path's sweeps.  One epilogue (Serve) hands a found
-// shell out.
+// Every tier runs one probe: a shell fits when its memory size matches (and
+// a lane slot's affine shell is parked under the wanted generation).  One
+// slot take (TakeLane) and one stack scan (PopMatch) serve the clean and the
+// affine side — bounded and lock-free on the fast path, exhaustive under
+// sweep_mu_ in the slow path.  One epilogue (Serve) hands a found shell out.
 //
-// PoolStats separates lane-cache hits, free-list hits, slow-path acquires,
-// and cross-shard steals, so the fast path's share is observable, not
-// asserted; callers time acquires themselves (InvokeStats::acquire_ns).
+// PoolStats separates lane-cache hits, free-list hits and slow-path
+// acquires, so the fast path's share is observable, not asserted; callers
+// time acquires themselves (InvokeStats::acquire_ns).
 #ifndef SRC_WASP_POOL_H_
 #define SRC_WASP_POOL_H_
 
@@ -110,9 +113,8 @@ struct PoolStats {
   // three tiers: acquires == lane_cache_hits + freelist_hits +
   // slow_path_acquires (fresh creates are slow-path by definition).
   uint64_t lane_cache_hits = 0;     // served by the caller's lane slot
-  uint64_t freelist_hits = 0;       // served by a lock-free shard stack
-  uint64_t slow_path_acquires = 0;  // took a shard mutex (or created fresh)
-  uint64_t cross_shard_steals = 0;  // free-list hits served off-home-shard
+  uint64_t freelist_hits = 0;       // served by a lock-free stack
+  uint64_t slow_path_acquires = 0;  // took the sweep mutex (or created fresh)
   // Snapshot-affinity counters.
   uint64_t affine_hits = 0;      // keyed acquires served with the snapshot resident
   uint64_t affine_parks = 0;     // releases that skipped zeroing (snapshot-backed)
@@ -139,11 +141,12 @@ struct PoolStats {
   uint64_t quarantined_now = 0;        // gauge: awaiting the crew's scrub
 };
 
-// A consistent point-in-time breakdown of the affine residency gauge.  The
-// per-generation rows are read from the per-generation atomic counters and
-// resident_bytes is *derived* as their sum, so sum(shared + private) over
-// rows == resident_bytes at every observation — the COW analogue of the
-// executor's submitted == completed + queued + in_flight conservation law.
+// A breakdown of the affine residency gauge by generation.  The rows are
+// read from the per-generation atomic counters and resident_bytes is their
+// sum; the PoolStats gauges are kept apart from them, so comparing the two
+// on a quiescent pool checks the charge/release bookkeeping — the COW
+// analogue of the executor's submitted == completed + queued + in_flight
+// conservation law.
 struct AffineAccounting {
   struct Generation {
     uint64_t generation = 0;
@@ -165,9 +168,6 @@ struct PoolOptions {
 
 class Pool {
  public:
-  // Treiber-stack stripes (the shard mutex is slow-path only); comfortably
-  // more than the worker counts the executor drives.
-  static constexpr size_t kShards = 8;
   // Per-lane cache slot pairs: enough for the 16-lane fig9 sweep with every
   // lane owning a private slot.
   static constexpr size_t kLanes = 16;
@@ -184,8 +184,7 @@ class Pool {
   // Binds the calling thread to `lane` for every pool in the process (the
   // executor binds each worker to its worker index).  Unbound threads are
   // lazily assigned a process-unique lane id on first pool use; either way
-  // the lane — and thus the home shard — is stable for the thread's
-  // lifetime.
+  // the lane is stable for the thread's lifetime.
   static void BindLane(uint32_t lane);
 
   // Acquires a shell with the given configuration, reusing a clean pooled
@@ -195,10 +194,10 @@ class Pool {
     return AcquireAffine(config, /*generation=*/0, nullptr, from_pool);
   }
 
-  // Keyed acquire: prefers the lane cache / home shard stack holding
-  // snapshot `generation` resident (then steals from siblings), falling back
-  // to a clean shell and finally a fresh create.  `*affine_hit` reports
-  // whether the returned shell holds the snapshot (caller may delta-restore).
+  // Keyed acquire: prefers a shell holding snapshot `generation` resident
+  // (the lane slot, then the generation's own stack), falling back to a
+  // clean shell and finally a fresh create.  `*affine_hit` reports whether
+  // the returned shell holds the snapshot (caller may delta-restore).
   std::unique_ptr<vkvm::Vm> AcquireAffine(const vkvm::VmConfig& config, uint64_t generation,
                                           bool* affine_hit, bool* from_pool = nullptr);
 
@@ -230,9 +229,9 @@ class Pool {
   // fault is the one invocation that died.
   void Quarantine(std::unique_ptr<vkvm::Vm> vm);
 
-  // Pops one shell parked under `generation` (any lane/shard, any mem size)
+  // Pops one shell parked under `generation` (any lane, any mem size)
   // without any clean-shell or fresh-create fallback: nullptr when nothing
-  // is parked.  The re-capture path folds a warm shell's drift into a delta
+  // is parked.  The re-capture path folds a warm shell's drift into a new
   // snapshot; counted as an acquire + affine hit like AcquireAffine.
   std::unique_ptr<vkvm::Vm> StealParkedAffine(uint64_t generation);
 
@@ -243,19 +242,18 @@ class Pool {
   // affine_retired and affine_reclaims.
   void RetireGeneration(uint64_t generation);
 
-  // Blocks until the cleaner crew has drained every dirty queue (benchmark
-  // barrier).
+  // Blocks until the cleaner crew has drained the dirty and quarantine
+  // stacks (benchmark barrier).
   void DrainCleaner();
 
-  // Pre-populates the pool with `count` clean shells (benchmark warm-up).
-  // Shells are created outside any lock and pushed round-robin onto the
-  // shards' lock-free free stacks.
+  // Pre-populates the pool with `count` clean shells (benchmark warm-up),
+  // pushed onto the free stack.
   void Prewarm(const vkvm::VmConfig& config, int count);
 
   PoolStats stats() const;
   // Consistent snapshot of the residency breakdown (see AffineAccounting).
   AffineAccounting affine_accounting() const;
-  // Clean shells of any size across all shards and lane slots (conservation
+  // Clean shells of any size on the free stack and in lane slots (conservation
   // checks).  Exact on a quiescent pool; diagnostic (racy walk) under
   // concurrency.
   size_t TotalFreeShells() const;
@@ -268,6 +266,8 @@ class Pool {
   CleanMode mode() const { return options_.mode; }
 
  private:
+  struct ShellNode;
+
   // Generation-LRU + residency state, one row per generation ever parked.
   // Rows are immortal (generations are process-unique and never reused), so
   // the lock-free fast path can hold a GenInfo* with no lifetime protocol;
@@ -285,32 +285,21 @@ class Pool {
     // Set before RetireGeneration sweeps; a park that raced the sweep
     // re-checks it after pushing and re-runs the sweep itself.
     std::atomic<bool> retired{false};
+    // This generation's parked shells that sit in no lane slot.
+    TaggedStack<ShellNode> parked;
   };
 
-  // A pooled shell's free-list node.  Nodes are arena-owned for the pool's
+  // A pooled shell's stack node.  Nodes are arena-owned for the pool's
   // lifetime (the Treiber stacks' ABA-safety contract) and recycled through
-  // spare_nodes_, so the steady state allocates nothing.  `vm` is written
-  // only by the node's owner (pusher before insert / popper after removal;
-  // the stack CASes order those); the metadata fields are atomics because
-  // diagnostic walks and sweep filters read them without ownership.
+  // spare_nodes_, so the steady state allocates nothing.  Every field but
+  // `next` is written only by the node's owner (pusher before insert /
+  // popper after removal; the stack CASes and slot exchanges order those).
   struct ShellNode {
     std::atomic<ShellNode*> next{nullptr};
     vkvm::Vm* vm = nullptr;
-    std::atomic<uint64_t> mem_size{0};
-    std::atomic<uint64_t> generation{0};  // 0 = clean shell
-    std::atomic<uint64_t> private_bytes{0};
-    GenInfo* gen = nullptr;  // accounting row (affine nodes only)
-  };
-
-  // Padded to a cache line so neighboring shards' stack heads never
-  // false-share.
-  struct alignas(64) Shard {
-    // Slow-path maintenance only (exhaustive sweeps, eviction, retirement
-    // serialize here); the acquire/release fast paths never take it.
-    mutable std::mutex mu;
-    TaggedStack<ShellNode> free;    // clean shells, mixed mem sizes
-    TaggedStack<ShellNode> affine;  // snapshot-affine shells, mixed generations
-    TaggedStack<ShellNode> dirty;   // awaiting the cleaner crew
+    uint64_t mem_size = 0;
+    uint64_t private_bytes = 0;
+    GenInfo* gen = nullptr;  // the generation it is parked under; null when clean
   };
 
   // One lane's single-slot caches, padded to a cache line so neighboring
@@ -320,17 +309,12 @@ class Pool {
     std::atomic<ShellNode*> affine{nullptr};
   };
 
-  // A lane's slots spill to its shard, which is then the lane thread's home.
-  static_assert(kLanes % kShards == 0, "lane mod kShards must be the home shard");
-
   // The calling thread's stable lane id (bound or auto-assigned).
   static uint32_t CurrentLane();
   size_t LaneIndex() const;
-  size_t HomeShard() const;
 
   // Node arena: pop a spare (lock-free) or allocate into all_nodes_.
-  ShellNode* WrapShell(std::unique_ptr<vkvm::Vm> vm, uint64_t generation,
-                       uint64_t private_bytes, GenInfo* gen);
+  ShellNode* WrapShell(std::unique_ptr<vkvm::Vm> vm, uint64_t private_bytes, GenInfo* gen);
   // Takes the vm out of a popped node and recycles the node.
   std::unique_ptr<vkvm::Vm> UnwrapShell(ShellNode* node);
 
@@ -340,51 +324,45 @@ class Pool {
   // the critical path instead).
   void CleanShell(vkvm::Vm* vm, bool charge_inline);
 
-  // Whether `node` fits: its memory size and generation equal the given
-  // ones, where 0 matches any.  Clean shells carry generation 0.
-  static bool Matches(const ShellNode* node, uint64_t mem_size, uint64_t generation);
-  // Pops the first matching node from `stack`, examining at most `limit`
-  // nodes and re-pushing the mismatches in their original order.  Bounded
-  // (kPopScan) on the lock-free fast path, where a false miss — a match
-  // deeper than the bound — just falls through to the slow path; exhaustive
-  // (kScanGuard) under the shard mutex.  Never allocates.
-  ShellNode* PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size, uint64_t generation,
-                      int limit);
-  // Takes lane `lane`'s clean or affine slot if its node matches.  A
-  // mismatch goes back: into the still-empty slot when `keep_in_slot`, else
-  // (or when the slot refilled meanwhile) onto the lane's shard stack.
-  ShellNode* TakeLane(size_t lane, bool affine, uint64_t mem_size, uint64_t generation,
+  // Pops the first node of `stack` whose memory size is `mem_size` (0
+  // matches any), examining at most `limit` nodes and re-pushing the
+  // mismatches in their original order.  Bounded (kPopScan) on the
+  // lock-free fast path, exhaustive (kScanGuard) under sweep_mu_.  Never
+  // allocates.
+  ShellNode* PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size, int limit);
+  // Takes lane `lane`'s clean or affine slot if its node's memory size
+  // matches and, for an affine slot with `gen` given, it is parked under
+  // `gen`.  A mismatch is parked again: back into the slot when
+  // `keep_in_slot`, else (or when the slot refilled meanwhile) on its stack.
+  ShellNode* TakeLane(size_t lane, bool affine, uint64_t mem_size, const GenInfo* gen,
                       bool keep_in_slot);
-  // Pops a match from the shards' clean or affine stacks, walking from the
-  // caller's home shard: a bounded lock-free probe, or when `exhaustive` a
-  // full scan of each stack under its shard mutex.  `*shard` reports where.
-  ShellNode* TakeShards(bool affine, uint64_t mem_size, uint64_t generation, bool exhaustive,
-                        size_t* shard);
-  // Exhaustive search (slow path): every shard from home, then every lane
-  // slot.
-  ShellNode* Sweep(bool affine, uint64_t mem_size, uint64_t generation);
+  // Exhaustive search (slow path): under sweep_mu_, the free stack, or
+  // `gen`'s stack, or with `gen` null every generation's stack in
+  // generation order; then every lane slot of the kind.
+  ShellNode* Sweep(bool affine, uint64_t mem_size, GenInfo* gen);
   // Hands a found node out: releases an affine node's residency charge,
   // counts the pool hit, reports `*from_pool` and unwraps the shell.
   std::unique_ptr<vkvm::Vm> Serve(ShellNode* node, bool* from_pool);
-  // Lock-free tiers 1+2 (the caller's lane slot, then the shard stacks in
-  // steal order) for a clean shell or one holding `generation`; nullptr on
-  // miss.  Counts the serving tier.
-  std::unique_ptr<vkvm::Vm> TryFast(bool affine, const vkvm::VmConfig& config,
-                                    uint64_t generation, bool* from_pool);
-  // The mutex slow path: exhaustive exact-generation affine sweep (when
-  // `generation` != 0), exhaustive clean sweep, any-generation affine
-  // reclaim, finally a fresh create.  Always serves.
-  std::unique_ptr<vkvm::Vm> AcquireSlow(const vkvm::VmConfig& config, uint64_t generation,
+  // Lock-free tiers 1+2 (the caller's lane slot, then the free stack, or
+  // `gen`'s stack when given) for a clean shell or one parked under `gen`;
+  // nullptr on miss.  Counts the serving tier.
+  std::unique_ptr<vkvm::Vm> TryFast(GenInfo* gen, uint64_t mem_size, bool* from_pool);
+  // The mutex slow path: exhaustive sweep of `gen`'s shells (when given),
+  // exhaustive clean sweep, any-generation affine reclaim, finally a fresh
+  // create.  Always serves.
+  std::unique_ptr<vkvm::Vm> AcquireSlow(const vkvm::VmConfig& config, GenInfo* gen,
                                         bool* affine_hit, bool* from_pool);
 
-  // Pops one dirty shell, scanning shards from `home` (work-stealing).
-  // Transfers it to "cleaning in flight" before the dirty count drops so
-  // DrainCleaner never observes a false drain.
-  std::unique_ptr<vkvm::Vm> PopDirty(size_t home, size_t* source_shard);
-  void CleanerLoop(size_t home);
-  // Parks a clean shell: the *caller's lane slot* when parking on the
-  // release path (lane locality), else the shard's free stack.
-  void ParkClean(std::unique_ptr<vkvm::Vm> vm, size_t shard, bool try_lane);
+  // Pops one dirty shell.  Transfers it to "cleaning in flight" before the
+  // dirty count drops so DrainCleaner never observes a false drain.
+  std::unique_ptr<vkvm::Vm> PopDirty();
+  void CleanerLoop();
+  // Parks a node in `slot` when one is given and empty (the release path's
+  // own lane slot, or the slot a sweep took a mismatch from), else on the
+  // free stack (clean) or its generation's stack (affine).  An affine park
+  // then re-checks retirement (the park side of the Dekker pattern
+  // RetireGeneration documents).
+  void Park(ShellNode* node, std::atomic<ShellNode*>* slot);
 
   // Accounting row lookup/creation (shared lock for the common hit).
   GenInfo* FindGen(uint64_t generation) const;
@@ -397,27 +375,29 @@ class Pool {
   bool TryChargeAffine(GenInfo* gen, uint64_t shared_bytes, uint64_t private_bytes);
   void ReleaseAffineCharge(GenInfo* gen, uint64_t private_bytes);
 
-  // Removes up to `max_take` affine nodes of `generation` from every lane
-  // slot and shard stack (ownership transfers to the caller; charges are
-  // NOT released).  Returns (node, source shard) pairs.
-  std::vector<std::pair<ShellNode*, size_t>> TakeAffineNodes(uint64_t generation,
-                                                             size_t max_take);
+  // Removes one node parked under `gen`: its stack's top, else a lane
+  // slot's (ownership transfers to the caller; the charge is NOT released).
+  // nullptr when none is parked.
+  ShellNode* TakeParked(GenInfo* gen);
   // Disposes retired-generation shells: releases charges, counts, cleans.
   void RetireSweep(GenInfo* gen);
 
-  // Queues a shell on `shard`'s dirty stack for the cleaner crew.
-  void QueueDirty(std::unique_ptr<vkvm::Vm> vm, size_t shard);
+  // Queues a shell on the dirty stack for the cleaner crew.
+  void QueueDirty(std::unique_ptr<vkvm::Vm> vm);
   // Sends a formerly-affine shell through the cleaning path: the dirty
-  // queue (async mode) or an inline clean (sync mode).  `shard` is where it
-  // should land / was parked.
-  void Dispose(std::unique_ptr<vkvm::Vm> vm, size_t shard);
+  // queue (async mode) or an inline clean (sync mode).
+  void Dispose(std::unique_ptr<vkvm::Vm> vm);
   // Evicts least-recently-used generations until parked affine bytes fit
   // the configured budget again (no-op when unlimited).
   void EnforceAffineBudget();
 
   const PoolOptions options_;
-  std::array<Shard, kShards> shards_;
   std::array<Lane, kLanes> lanes_;
+  TaggedStack<ShellNode> free_;   // clean shells, mixed mem sizes
+  TaggedStack<ShellNode> dirty_;  // awaiting the cleaner crew
+  // Slow path only: serializes the exhaustive scans, so one never misses a
+  // node another holds mid-scan.  The fast paths never take it.
+  std::mutex sweep_mu_;
 
   // Node arena.  spare_nodes_ recycles popped nodes lock-free; all_nodes_
   // (mutex-guarded, touched only when the spare stack is empty) owns them.
@@ -441,7 +421,7 @@ class Pool {
   // so DrainCleaner covers it.
   TaggedStack<ShellNode> quarantine_;
   std::atomic<int64_t> quarantine_count_{0};
-  // Parked affine shells across all lanes/shards.  A zero read lets
+  // Parked affine shells across all lanes and generations.  A zero read lets
   // acquires skip the affine probes entirely — the common case when nothing
   // is parked.
   std::atomic<int64_t> affine_count_{0};
@@ -464,7 +444,6 @@ class Pool {
     std::atomic<uint64_t> lane_cache_hits{0};
     std::atomic<uint64_t> freelist_hits{0};
     std::atomic<uint64_t> slow_path_acquires{0};
-    std::atomic<uint64_t> cross_shard_steals{0};
     std::atomic<uint64_t> affine_hits{0};
     std::atomic<uint64_t> affine_parks{0};
     std::atomic<uint64_t> affine_reclaims{0};

@@ -222,7 +222,7 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   // Runs one virtine to completion (synchronous, like a function call).
-  // Thread-safe: concurrent Invokes share only the sharded pool and the
+  // Thread-safe: concurrent Invokes share only the shell pool and the
   // read-mostly snapshot store.
   RunOutcome Invoke(const VirtineSpec& spec);
 

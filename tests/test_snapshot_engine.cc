@@ -339,16 +339,15 @@ start:
 
 // --- COW extents --------------------------------------------------------------
 
-// Asserts the pool's gauge conservation invariant on one consistent
-// accounting snapshot: resident_bytes == sum over generations of
-// (shared + private).
+// Asserts the pool's residency conservation invariant on a quiescent pool:
+// the per-generation rows sum to the affine_resident_bytes gauge, and so
+// does the gauge's shared + private split.
 void ExpectConserved(const wasp::Pool& pool) {
   const wasp::AffineAccounting acct = pool.affine_accounting();
-  uint64_t sum = 0;
-  for (const auto& gen : acct.generations) {
-    sum += gen.shared_bytes + gen.private_bytes;
-  }
-  EXPECT_EQ(sum, acct.resident_bytes);
+  const wasp::PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.affine_resident_bytes, acct.resident_bytes) << "gauge != rows";
+  EXPECT_EQ(stats.affine_shared_bytes + stats.affine_private_bytes, acct.resident_bytes)
+      << "shared + private != rows";
 }
 
 // The COW differential: mapping a snapshot's shared extent buffer must be
@@ -859,8 +858,9 @@ TEST(AffinePool, BudgetEvictionReleasesSharedChargeWithLastShell) {
 }
 
 // The TSan target: parks, affine hits, budget evictions, steals, and
-// retirements race across threads while an observer asserts the gauge
-// conservation invariant on every snapshot it takes.
+// retirements race across threads while an observer checks every snapshot
+// it takes (a row never releases more shells than it parked, and no gauge
+// goes below zero); at quiescence the rows and the gauge must agree.
 TEST(AffinePoolConcurrency, GaugeConservationUnderParkEvictRetire) {
   constexpr int kSnapshots = 4;
   constexpr int kWorkers = 4;
@@ -879,6 +879,8 @@ TEST(AffinePoolConcurrency, GaugeConservationUnderParkEvictRetire) {
   wasp::Pool pool(options);
   vkvm::VmConfig cfg;
 
+  // Far above anything parked here: a counter at or past it wrapped below 0.
+  constexpr uint64_t kUnderflow = uint64_t{1} << 62;
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
   for (int w = 0; w < kWorkers; ++w) {
@@ -906,12 +908,17 @@ TEST(AffinePoolConcurrency, GaugeConservationUnderParkEvictRetire) {
   }
   std::thread observer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      const wasp::AffineAccounting acct = pool.affine_accounting();
-      uint64_t sum = 0;
-      for (const auto& gen : acct.generations) {
-        sum += gen.shared_bytes + gen.private_bytes;
+      // Each shell's charge lands before the shell can be taken, so no row
+      // count and no gauge is ever negative, even mid-race.
+      for (const auto& gen : pool.affine_accounting().generations) {
+        ASSERT_GE(gen.parked_shells, 0) << "generation " << gen.generation;
+        ASSERT_LT(gen.private_bytes, kUnderflow) << "generation " << gen.generation;
       }
-      ASSERT_EQ(sum, acct.resident_bytes) << "conservation violated mid-race";
+      const wasp::PoolStats s = pool.stats();
+      for (const uint64_t gauge :
+           {s.affine_resident_bytes, s.affine_shared_bytes, s.affine_private_bytes}) {
+        ASSERT_LT(gauge, kUnderflow) << "gauge went below zero mid-race";
+      }
       std::this_thread::yield();
     }
   });

@@ -103,26 +103,6 @@ TEST(Concurrency, DestructionWithPendingDirtyShellsDoesNotHang) {
   }
 }
 
-TEST(Concurrency, AcquireStealsFromSiblingShards) {
-  wasp::Pool pool(wasp::CleanMode::kSync);
-  vkvm::VmConfig cfg;
-  // Prewarm spreads one shell per shard.  A single thread acquires all of
-  // them: one from its home shard, every other one stolen cross-shard —
-  // a count only the one-per-shard spread gives.
-  pool.Prewarm(cfg, wasp::Pool::kShards);
-  std::vector<std::unique_ptr<vkvm::Vm>> held;
-  for (size_t i = 0; i < wasp::Pool::kShards; ++i) {
-    bool from_pool = false;
-    held.push_back(pool.Acquire(cfg, &from_pool));
-    EXPECT_TRUE(from_pool) << "acquire " << i << " missed the warm pool";
-  }
-  EXPECT_EQ(pool.stats().fresh_creates, 0u);
-  EXPECT_EQ(pool.stats().cross_shard_steals, wasp::Pool::kShards - 1);
-  for (auto& vm : held) {
-    pool.Release(std::move(vm));
-  }
-}
-
 TEST(Concurrency, ConcurrentInvokeComputesCorrectResults) {
   auto image = vrt::BuildImage(vrt::Env::kLong64, vrt::Add2Source());
   ASSERT_TRUE(image.ok());
@@ -205,6 +185,53 @@ TEST(Concurrency, KeyedAcquireReleaseRaceConservesShells) {
   // Conservation: every shell ever created is parked free or affine.
   EXPECT_EQ(pool.TotalFreeShells() + pool.TotalAffineShells(), stats.fresh_creates);
   EXPECT_GT(stats.affine_parks, 0u);
+}
+
+// Two lanes cycling disjoint key sets: a keyed acquire pops only its own
+// generation's stack, so once a key has parked, every acquire of it is an
+// affine hit, and neither lane ever takes a shell the other parked.
+TEST(Concurrency, DisjointLanesNeverTakeEachOthersParkedShells) {
+  constexpr uint64_t kKeysPerLane = 8;
+  constexpr int kRounds = 16;
+  wasp::Pool pool(wasp::CleanMode::kSync);
+  vkvm::VmConfig cfg;
+  // A clean shell for every key's first acquire, so none reclaims a
+  // parked shell.
+  pool.Prewarm(cfg, static_cast<int>(2 * kKeysPerLane));
+  std::atomic<int> misses{0};
+  std::atomic<int> leaks{0};
+  std::vector<std::thread> threads;
+  for (uint32_t lane = 0; lane < 2; ++lane) {
+    threads.emplace_back([&pool, &misses, &leaks, &cfg, lane] {
+      wasp::Pool::BindLane(lane);
+      for (int round = 0; round < kRounds; ++round) {
+        for (uint64_t k = 0; k < kKeysPerLane; ++k) {
+          const uint64_t generation = 100 * (lane + 1) + k;
+          const uint8_t tag = static_cast<uint8_t>(generation);
+          bool affine = false;
+          auto vm = pool.AcquireAffine(cfg, generation, &affine);
+          ASSERT_NE(vm, nullptr);
+          if (round > 0 && !affine) {
+            misses.fetch_add(1);
+          }
+          if (vm->memory().data()[0x9000] != (affine ? tag : 0)) {
+            leaks.fetch_add(1);
+          }
+          ASSERT_TRUE(vm->memory().Write(0x9000, &tag, 1).ok());
+          vm->memory().BeginEpoch();
+          pool.ReleaseAffine(std::move(vm), generation);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(misses.load(), 0);
+  EXPECT_EQ(leaks.load(), 0);
+  const wasp::PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.fresh_creates, 0u);
+  EXPECT_EQ(stats.affine_hits, 2 * kKeysPerLane * (kRounds - 1));
 }
 
 // Runtime-level: concurrent snapshot-backed invocations on one key, with the
@@ -1003,13 +1030,11 @@ TEST(Concurrency, LockFreeFastPathMixedOpsConserveAtQuiescePoints) {
     EXPECT_EQ(stats.releases, stats.acquires);
     EXPECT_EQ(pool.TotalFreeShells() + pool.TotalAffineShells(), stats.fresh_creates);
     EXPECT_EQ(pool.AffineShells(gens[1]), 0u) << "retired generation re-parked";
-    // The gauge equals the per-generation rows at quiescence.
+    // The gauge and its shared + private split equal the per-generation
+    // rows at quiescence.
     const wasp::AffineAccounting acct = pool.affine_accounting();
-    uint64_t sum = 0;
-    for (const auto& gen : acct.generations) {
-      sum += gen.shared_bytes + gen.private_bytes;
-    }
-    EXPECT_EQ(sum, acct.resident_bytes);
+    EXPECT_EQ(stats.affine_resident_bytes, acct.resident_bytes);
+    EXPECT_EQ(stats.affine_shared_bytes + stats.affine_private_bytes, acct.resident_bytes);
     EXPECT_LE(acct.resident_bytes, options.affine_budget_bytes);
   }
   // Deterministic eviction epilogue: overstuff the 3 MB budget with four
