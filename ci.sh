@@ -137,9 +137,11 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # Managed-runtime smoke: the microjs engine (running the script EngineSource
 # decoded on the host into [op, operand] word pairs, with its state in
 # registers) base64-encodes a 384 B payload in all four fig14 variants, with
-# and without teardown; fails (non-zero) if any output differs from
-# HostBase64, if a variant's warm exit count varies between calls, or if the
-# engine reports no native baseline.
+# and without teardown, and prints each variant's warm restored KB; fails
+# (non-zero) if any output differs from HostBase64, if a variant's warm exit
+# count varies between calls, if the engine reports no native baseline, or
+# if a warm virtine+snapshot+NT call restores more than 4 KB (the engine
+# keeps a call's writes in one page of its arena).
 (cd "$BUILD_DIR" && ./fig14_js_virtines)
 # Serverless UDF example: Vespid registers the base64 microjs function and
 # invokes it cold and twice warm; fails (non-zero) if any output differs from

@@ -30,7 +30,10 @@
 // address and the store).  Global scalars are addressed absolutely as
 // [SYM+0].  A binary operand that must survive the evaluation of its
 // sibling is held in a free r4-r13 register inside loops and on the guest
-// stack elsewhere.  A switch whose case set is dense dispatches through a
+// stack elsewhere.  A hypercall's first operand is evaluated into r1 and a
+// later literal or register-variable operand is loaded straight into its
+// register, so only a computed later operand is staged on the stack.  A
+// switch whose case set is dense dispatches through a
 // jump table in the data section, indexed by one scaled load; any other
 // switch, and every switch in the reference build, compares the scrutinee
 // against each case in turn.
@@ -1683,6 +1686,70 @@ class CodeGen {
     return vbase::Status::Ok();
   }
 
+  // The reference build's hypercall operands: evaluated right-to-left onto
+  // the stack, then popped into r1..rN.
+  vbase::Status GenHypercallOperandsStaged(const Expr& e, int n) {
+    for (int i = n; i >= 1; --i) {
+      Type t;
+      VB_RETURN_IF_ERROR(GenExpr(*e.args[static_cast<size_t>(i)], &t));
+      Emit("push r0");
+    }
+    for (int i = 1; i <= n; ++i) {
+      Emit("pop r" + std::to_string(i));
+    }
+    return vbase::Status::Ok();
+  }
+
+  // Loads a leaf (see LeafOf) straight into register `r`.
+  void LeafInto(const Expr& e, int r) {
+    const Opnd o = EmitLeaf(e, r);
+    if (o.is_imm || o.reg != r) {
+      Emit("mov " + RegName(r) + ", " + o.Str());
+    }
+  }
+
+  // The optimizing build's hypercall operands, still evaluated right-to-left.
+  // A later operand (2..N) that is a literal, or a register variable that no
+  // operand evaluated after it assigns, is loaded straight into its register
+  // once the rest are done; any other later operand is staged on the stack.
+  // The first operand, evaluated last, goes straight into r1.  So a
+  // hypercall whose later operands are leaves writes nothing to the stack.
+  vbase::Status GenHypercallOperands(const Expr& e, int n) {
+    auto arg = [&e](int i) -> const Expr& { return *e.args[static_cast<size_t>(i)]; };
+    std::array<bool, 4> direct{};
+    bool assigned_after = false;  // whether an operand left of i assigns a variable
+    for (int i = 2; i <= n; ++i) {
+      assigned_after = assigned_after || HasWrites(&arg(i - 1));
+      Type t;
+      const Leaf leaf = LeafOf(arg(i), &t);
+      direct[i] = leaf == Leaf::kConst || (leaf == Leaf::kReg && !assigned_after);
+    }
+    Type t;
+    for (int i = n; i >= 2; --i) {
+      if (!direct[i]) {
+        VB_RETURN_IF_ERROR(GenExpr(arg(i), &t));
+        Emit("push r0");
+      }
+    }
+    if (n >= 1 && LeafOf(arg(1), &t) != Leaf::kNone) {
+      LeafInto(arg(1), 1);
+    } else if (n >= 1) {
+      VB_RETURN_IF_ERROR(GenExpr(arg(1), &t));
+      Emit("mov r1, r0");
+    }
+    for (int i = 2; i <= n; ++i) {
+      if (!direct[i]) {
+        Emit("pop r" + std::to_string(i));
+      }
+    }
+    for (int i = 2; i <= n; ++i) {
+      if (direct[i]) {
+        LeafInto(arg(i), i);
+      }
+    }
+    return vbase::Status::Ok();
+  }
+
   vbase::Status GenCall(const Expr& e, Type* out) {
     *out = Type{Type::Base::kInt, 0};
     if (e.name == "__rdtsc") {
@@ -1703,15 +1770,7 @@ class CodeGen {
         return Err(e.line, "hypercall port must be an integer literal");
       }
       const int64_t port = e.args[0]->ival;
-      // Evaluate hypercall operands right-to-left, then pop into r1..rN.
-      for (int i = n; i >= 1; --i) {
-        Type t;
-        VB_RETURN_IF_ERROR(GenExpr(*e.args[static_cast<size_t>(i)], &t));
-        Emit("push r0");
-      }
-      for (int i = 1; i <= n; ++i) {
-        Emit("pop r" + std::to_string(i));
-      }
+      VB_RETURN_IF_ERROR(ref_ ? GenHypercallOperandsStaged(e, n) : GenHypercallOperands(e, n));
       Emit("mov r0, 0");
       Emit("out " + std::to_string(port) + ", r0");
       return vbase::Status::Ok();

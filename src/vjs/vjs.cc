@@ -661,6 +661,15 @@ std::vector<int64_t> Translate(const std::vector<uint8_t>& script) {
   return code;
 }
 
+// The engine's arena (see engine_init in EngineSource).  Its first page
+// holds the operand stack's top kStackTopBytes, the variable slots and the
+// start of the I/O region; the rest of the stack lies in the pages below.
+constexpr int kPageBytes = 4096;
+constexpr int kStackBytes = kEngineStackWords * 8;
+constexpr int kStackTopBytes = 512;
+constexpr int kVarBytes = 256 * 8;  // a u8 slot operand reaches 256 slots
+constexpr int kIoBytes = kEngineInputBytes + kEngineOutputBytes;
+
 }  // namespace
 
 std::string EngineSource(const std::vector<uint8_t>& script, bool teardown) {
@@ -671,38 +680,42 @@ std::string EngineSource(const std::vector<uint8_t>& script, bool teardown) {
     os << code[i] << (i + 1 < code.size() ? "," : "");
   }
   os << "};\n";
-  os << "int TEARDOWN = " << (teardown ? 1 : 0) << ";\n";
   os << R"vc(
 char B64TAB[65] = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
 // Engine state (all heap-allocated by engine_init, Duktape-context style).
-// run copies the bases into registers and writes no global.
+// main reads it into registers before the snapshot point; a call writes no
+// global.
 int *E_VARS;
-int *E_STACK;
+char *E_IO;
 int *E_OBJS;
-char *E_IN;
-char *E_OUT;
 int E_NOBJS = 0;
+int E_T0 = 0;
 
-// Allocates the variable slots and, right after them, the interpreter stack
-// (so a call's variables and shallow stack share one page), an object heap of
-// 96 initialized objects, and I/O buffers: the engine-warm-up work that the
-// snapshot optimization elides.
+// Carves the arena: one page-aligned block whose first page holds the top
+// of the operand stack (which grows down into the pages below it), the
+// variable slots right above that top, and the start of the I/O region,
+// where snapshot_get_data writes the input and the output follows the
+// input's bytes.  A call with a shallow stack and a few hundred bytes of
+// I/O writes that one page.  Then builds an object heap of 96 initialized
+// objects: the engine-warm-up work that the snapshot optimization elides.
 int engine_init() {
   int i;
   char *p;
-  E_VARS = malloc(2048);
-  E_STACK = malloc()vc" << kEngineStackWords * 8 << R"vc();
+  int page;
+  page = malloc()vc" << kStackBytes + kPageBytes + kVarBytes + kIoBytes << R"vc();
+  page = (page + )vc" << kStackBytes - kStackTopBytes << " + " << kPageBytes - 1 << ") & ~"
+     << kPageBytes - 1 << R"vc(;
+  E_VARS = page + )vc" << kStackTopBytes << R"vc(;
+  E_IO = page + )vc" << kStackTopBytes + kVarBytes << R"vc(;
   E_OBJS = malloc(2048);
-  E_IN = malloc(65536);
-  E_OUT = malloc(98304);
   E_NOBJS = 96;
   for (i = 0; i < E_NOBJS; i = i + 1) {
     p = malloc(256);
     memset(p, i & 255, 256);
     E_OBJS[i] = p;
   }
-  for (i = 0; i < 256; i = i + 1) {
+  for (i = 0; i < )vc" << kVarBytes / 8 << R"vc(; i = i + 1) {
     E_VARS[i] = 0;
   }
   return 0;
@@ -721,18 +734,35 @@ int engine_teardown() {
   return 0;
 }
 
-// Runs the executed form `code` (the host decoded the script into [op,
-// operand] word pairs) over the input's first `n` bytes and returns how many
-// output bytes it wrote.  Every piece of working state is a register local:
-// `pc` indexes the word pairs, `t` caches the operand stack's top and `sp`
-// points one past the rest, and the variable, input and output bases and the
-// output count are read from the engine's globals once.  Dispatch is one
-// `switch` over the dense op set, which vcc compiles to a jump table: a
-// bytecode costs one bounds check and one indirect jump to its own arm, and
-// an operand is one load of `code[pc - 1]`.  Arms 13-28 pop their right
-// operand; arms 29-44 are the same 16 operators with a literal right
-// operand.  The bad-op word (45) and any other op stop the run.
-int run(int *code, int n) {
+// Boots the engine, takes the call's input, runs CODE (the host decoded the
+// script into [op, operand] word pairs) over it, and exits with the output.
+//
+// The snapshot point (Section 6.5: after long-mode boot + engine init) is
+// inside the input call, snapshot_get_data, issued inline from main's own
+// frame, so a warm call resumes with its input delivered and leaves in the
+// one exit, return_exit, that carries its output.  In between it calls no
+// function and writes nothing but the arena: every piece of working state
+// is a register local.  `pc` indexes the word pairs, `t` caches the operand
+// stack's top and `sp` points at the rest; they, the variable and I/O bases
+// and the output count are set before the snapshot, and the input length
+// `n` and the output base (right after the input) after it.  A re-captured
+// snapshot (a finished call's memory folded in) still resumes cleanly,
+// since the registers come from the snapshot's pending input call.
+//
+// Dispatch is one `switch` over the dense op set, which vcc compiles to a
+// jump table: a bytecode costs one bounds check and one indirect jump to its
+// own arm, and an operand is one load of `code[pc - 1]`.  Arms 13-28 pop
+// their right operand; arms 29-44 are the same 16 operators with a literal
+// right operand.  HALT, the bad-op word (45) and any op without an arm leave
+// the loop.  input(i) reads 0 outside [0, n), so no index reaches the
+// output or the engine's own memory, and out(c) drops every byte past the
+// first )vc" << kEngineOutputBytes << R"vc(.
+//
+// The exit code is the in-guest cycles spent on init + run + teardown
+// (rdtsc): the engine cost with zero virtualization overhead (the native
+// baseline).
+int main() {
+  int *code;
   int pc;
   int *sp;
   int t;
@@ -741,34 +771,39 @@ int run(int *code, int n) {
   char *in;
   char *out;
   int outn;
+  int n;
+  E_T0 = __rdtsc();
+  engine_init();
+  code = CODE;
   pc = 0;
-  sp = E_STACK;
-  t = 0;
   vars = E_VARS;
-  in = E_IN;
-  out = E_OUT;
+  sp = vars;
+  t = 0;
+  in = E_IO;
   outn = 0;
+  n = __hc2()vc" << wasp::kHcSnapshotGetData << ", in, " << kEngineInputBytes << R"vc();
+  out = in + n;
   while (1) {
     pc = pc + 2;
     switch (code[pc - 2]) {
       case 0:  // HALT
-        return outn;
+        break;
       case 1:  // PUSH k
+        sp = sp - 1;
         *sp = t;
-        sp = sp + 1;
         t = code[pc - 1];
         continue;
       case 2:  // LOAD slot
+        sp = sp - 1;
         *sp = t;
-        sp = sp + 1;
         a = code[pc - 1];
         t = vars[a];
         continue;
       case 3:  // STORE slot
         a = code[pc - 1];
         vars[a] = t;
-        sp = sp - 1;
         t = *sp;
+        sp = sp + 1;
         continue;
       case 4:  // JMP target
         pc = code[pc - 1];
@@ -777,8 +812,8 @@ int run(int *code, int n) {
         if (t == 0) {
           pc = code[pc - 1];
         }
-        sp = sp - 1;
         t = *sp;
+        sp = sp + 1;
         continue;
       case 6:  // NOT
         t = !t;
@@ -787,20 +822,28 @@ int run(int *code, int n) {
         t = -t;
         continue;
       case 8:  // POP
-        sp = sp - 1;
         t = *sp;
+        sp = sp + 1;
         continue;
       case 9:  // input_len()
+        sp = sp - 1;
         *sp = t;
-        sp = sp + 1;
         t = n;
         continue;
       case 10:  // input(i)
-        t = in[t];
+        if (t < n) {
+          if (t >= 0) {
+            t = in[t];
+            continue;
+          }
+        }
+        t = 0;
         continue;
       case 11:  // out(c)
-        out[outn] = t;
-        outn = outn + 1;
+        if (outn < )vc" << kEngineOutputBytes << R"vc() {
+          out[outn] = t;
+          outn = outn + 1;
+        }
         t = 0;
         continue;
       case 12:  // b64(i)
@@ -810,8 +853,8 @@ int run(int *code, int n) {
       // The binary ops (>> is arithmetic).
 )vc";
   for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
-    os << "      case " << kExecBinary + static_cast<int>(i) << ": sp = sp - 1; t = *sp "
-       << kBinaryOps[i].text << " t; continue;\n";
+    os << "      case " << kExecBinary + static_cast<int>(i) << ": t = *sp "
+       << kBinaryOps[i].text << " t; sp = sp + 1; continue;\n";
   }
   os << "      // The same with the literal right operand in the operand word.\n";
   for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
@@ -819,34 +862,10 @@ int run(int *code, int n) {
        << " code[pc - 1]; continue;\n";
   }
   os << R"vc(    }
-    return outn;  // the bad-op word
+    // HALT, the bad-op word, or an op without an arm.
+)vc" << (teardown ? "    engine_teardown();\n" : "") << R"vc(    a = E_T0;
+    return __hc3()vc" << wasp::kHcReturnExit << R"vc(, __rdtsc() - a, out, outn);
   }
-  return outn;
-}
-
-// Exits with the in-guest cycles spent on init + run + teardown as the exit
-// code: the engine cost with zero virtualization overhead (the native
-// baseline).  The snapshot point (Section 6.5: after long-mode boot + engine
-// init) is inside the input call, snapshot_get_data, so a warm call resumes
-// with its input delivered and leaves in the one exit that carries its
-// output, whose length run returns.  The call is made inline, so the
-// resumed frame is main's own, which no later call overwrites; a re-captured
-// snapshot (a finished call's memory folded in) still resumes cleanly, since
-// all per-call state lives in run's registers and main's locals.
-int main() {
-  int t0;
-  int t1;
-  int n;
-  t0 = __rdtsc();
-  engine_init();
-  n = __hc2()vc" << wasp::kHcSnapshotGetData << R"vc(, E_IN, 65536);
-  n = run(CODE, n);
-  if (TEARDOWN) {
-    engine_teardown();
-  }
-  t1 = __rdtsc();
-  return_exit(t1 - t0, E_OUT, n);
-  return 0;
 }
 )vc";
   return os.str();

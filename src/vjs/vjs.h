@@ -32,18 +32,26 @@
 // lookup from the guest to the host.  The engine mirrors a managed runtime's
 // lifecycle:
 //
-//   engine_init()  — allocates the variable slots and, right after them, the
-//                    value stack (both low ends share a page), an object
-//                    heap (hundreds of allocations, Duktape-context
-//                    analogue), and I/O buffers;
-//   run(code, n)   — executes CODE over the n input bytes fetched with
-//                    snapshot_get_data (the snapshot point) and returns the
-//                    output length.  Its working state (pc, the cached stack
-//                    top and stack pointer, the variable and buffer bases,
-//                    the output count) lives in registers, so a warm call
-//                    writes no engine global; each op is dispatched by one
-//                    `switch` that vcc compiles to a jump table, as a C
-//                    compiler does for Duktape's opcode switch;
+//   engine_init()  — carves one page-aligned arena whose first page holds
+//                    the top of the operand stack (which grows down into
+//                    the pages below), the variable slots right above it,
+//                    and the start of the I/O region: the input, then the
+//                    output right after the input's bytes.  Then builds an
+//                    object heap (hundreds of allocations, Duktape-context
+//                    analogue);
+//   run            — inlined into main: takes the input with
+//                    snapshot_get_data (the snapshot point), executes CODE
+//                    over it and leaves with an inline return_exit carrying
+//                    the output.  Its working state (pc, the cached stack
+//                    top and stack pointer, the variable and I/O bases, the
+//                    input length, the output count) lives in registers and
+//                    it calls no function, so a warm call writes neither an
+//                    engine global nor the call stack: with a shallow stack
+//                    and a few hundred bytes of I/O it writes one page, the
+//                    one page the next call's delta restore repairs.  Each
+//                    op is dispatched by one `switch` that vcc compiles to a
+//                    jump table, as a C compiler does for Duktape's opcode
+//                    switch;
 //   teardown()     — walks and releases the object heap (skippable: the
 //                    paper's "NT" no-teardown optimization, safe because the
 //                    hypervisor wipes the shell after every invocation).
@@ -66,6 +74,14 @@ namespace vjs {
 // EngineSource allocates exactly this; CompileScript rejects a script that
 // would need a deeper stack.
 inline constexpr int kEngineStackWords = 1024;
+
+// The engine's I/O capacities.  A call receives at most kEngineInputBytes of
+// its input (snapshot_get_data's cap; the rest is not delivered), and out()
+// drops every byte past the first kEngineOutputBytes of a call's output, so
+// no script writes past the engine's output region.  input(i) reads 0 for
+// any i outside [0, input_len()).
+inline constexpr int kEngineInputBytes = 65536;
+inline constexpr int kEngineOutputBytes = 98304;
 
 // The deepest nesting of statements and expressions (one level per
 // recursive Statement, Expression or Unary parse) CompileScript accepts, so

@@ -511,6 +511,87 @@ TEST(EngineBoundary, InjectedFaultsFireAtTheWarmCallsOneExit) {
   EXPECT_EQ(OutputOf(clean), "Zm9v");
 }
 
+// Runs `script` in a snapshotting engine (no teardown), once per input: the
+// first call is cold and captures the snapshot, the later ones are warm.
+std::vector<wasp::RunOutcome> RunScriptCalls(const std::string& script,
+                                             const std::vector<std::vector<uint8_t>>& inputs) {
+  auto bytecode = vjs::CompileScript(script);
+  EXPECT_TRUE(bytecode.ok()) << bytecode.status().ToString();
+  if (!bytecode.ok()) {
+    return {};
+  }
+  auto image = vcc::CompileProgram(
+      vrt::VlibcSource() + vjs::EngineSource(*bytecode, /*teardown=*/false), "main",
+      vrt::Env::kLong64);
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  if (!image.ok()) {
+    return {};
+  }
+  wasp::Runtime runtime;
+  std::vector<wasp::RunOutcome> outcomes;
+  for (const std::vector<uint8_t>& input : inputs) {
+    wasp::VirtineSpec spec;
+    spec.image = &image.value();
+    spec.key = "engine-bounds";
+    spec.mem_size = 2ULL << 20;
+    spec.policy = wasp::kPolicyManaged;
+    spec.use_snapshot = true;
+    spec.crt_snapshot = false;
+    spec.input = &input;
+    outcomes.push_back(runtime.Invoke(spec));
+    EXPECT_TRUE(outcomes.back().status.ok()) << outcomes.back().status.ToString();
+    EXPECT_EQ(outcomes.back().stats.restored_snapshot, outcomes.size() > 1);
+  }
+  return outcomes;
+}
+
+// out() past the engine's output capacity drops the byte instead of writing
+// past the output region: a script that writes 100,000 bytes gets back its
+// first kEngineOutputBytes, on the cold call and on a warm one.
+TEST(EngineBoundary, OutputPastItsCapacityIsDropped) {
+  const char* script = "var i = 0;\nwhile (i < 100000) {\n  out(65 + i % 3);\n  i = i + 1;\n}\n";
+  std::string want;
+  for (int i = 0; i < vjs::kEngineOutputBytes; ++i) {
+    want += static_cast<char>(65 + i % 3);
+  }
+  const std::vector<uint8_t> input = {'f', 'o', 'o'};
+  const auto outcomes = RunScriptCalls(script, {input, input});
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const wasp::RunOutcome& outcome : outcomes) {
+    EXPECT_EQ(outcome.output.size(), want.size());
+    EXPECT_TRUE(OutputOf(outcome) == want);
+  }
+}
+
+// input(i) reads 0 outside [0, input_len()).  Below the input lie the
+// engine's variable slots and operand stack, and right after it the call's
+// own output, so an unchecked index would read either: the loop ORs 4 KB on
+// each side into `seen`.  The warm call's input is shorter than the cold
+// call's.
+TEST(EngineBoundary, InputOutsideTheInputReadsZero) {
+  const char* script = R"js(
+out(77);
+var n = input_len();
+var seen = 0;
+var i = 1;
+while (i <= 4096) {
+  seen = seen | input(0 - i) | input(n - 1 + i);
+  i = i + 1;
+}
+out(seen);
+out(input(-1));
+out(input(n));
+out(input(65536));
+out(input(n - 1));
+)js";
+  std::vector<uint8_t> longer(300, 0x5a);
+  longer.back() = 'z';
+  const auto outcomes = RunScriptCalls(script, {longer, {'f', 'o', 'o'}});
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].output, (std::vector<uint8_t>{77, 0, 0, 0, 0, 'z'}));
+  EXPECT_EQ(outcomes[1].output, (std::vector<uint8_t>{77, 0, 0, 0, 0, 'o'}));
+}
+
 TEST(MicroJs, ArithmeticScriptSemantics) {
   // A script of 14 operator checks (true outcomes only); emits their count
   // via out().  EachOperatorArmComputesItsOwnOperator checks every arm.

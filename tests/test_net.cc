@@ -839,6 +839,30 @@ TEST(Vespid, RegistersAndInvokesBase64) {
   EXPECT_LT(second->modeled_cycles, first->modeled_cycles);
 }
 
+// A warm base64 call writes one guest page: the engine keeps its operand
+// stack's top, its variable slots, the input and the output in the first
+// page of its arena, so the delta restore before the next call repairs
+// exactly 4 KB, at perfbench's 64 B payload and at fig14's 384 B one.
+TEST(Vespid, WarmBase64CallRestoresOnePage) {
+  for (const size_t size : {64, 384}) {
+    wasp::Runtime runtime;
+    vnet::Vespid platform(&runtime);
+    ASSERT_TRUE(platform.Register("b64", vjs::Base64ScriptSource()).ok());
+    std::vector<uint8_t> payload(size);
+    for (size_t i = 0; i < size; ++i) {
+      payload[i] = static_cast<uint8_t>(i * 37 + 11);
+    }
+    ASSERT_TRUE(platform.Invoke("b64", payload).ok());  // cold: captures the snapshot
+    for (int call = 0; call < 3; ++call) {
+      auto warm = platform.Invoke("b64", payload);
+      ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+      EXPECT_TRUE(warm->affine) << size << " B, warm call " << call;
+      EXPECT_EQ(warm->restored_bytes, 4096u) << size << " B, warm call " << call;
+      EXPECT_EQ(std::string(warm->output.begin(), warm->output.end()), vjs::HostBase64(payload));
+    }
+  }
+}
+
 TEST(Vespid, UnknownFunctionIsAnError) {
   wasp::Runtime runtime;
   vnet::Vespid platform(&runtime);

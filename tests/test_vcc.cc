@@ -272,15 +272,16 @@ std::vector<std::string> MemOperands(const std::string& asm_text) {
 // The body of function `name` in generated assembly: from its label to the
 // next unindented label that is not a local (.L) one.
 std::string FunctionBody(const std::string& asm_text, const std::string& name) {
-  const size_t start = asm_text.find("\n" + name + ":\n");
+  const std::string text = "\n" + asm_text;  // the first function starts the text
+  const size_t start = text.find("\n" + name + ":\n");
   if (start == std::string::npos) {
     return "";
   }
   size_t end = start + name.size() + 3;
-  while (end < asm_text.size() && (asm_text[end] == ' ' || asm_text[end] == '.')) {
-    end = asm_text.find('\n', end) + 1;
+  while (end < text.size() && (text[end] == ' ' || text[end] == '.')) {
+    end = text.find('\n', end) + 1;
   }
-  return asm_text.substr(start, end - start);
+  return text.substr(start, end - start);
 }
 
 // The optimizing generator folds register-variable indexes, scaled by the
@@ -294,14 +295,15 @@ TEST(VccCodegen, IndexedAndAbsoluteOperands) {
       vrt::VlibcSource() + vjs::EngineSource(*bytecode, /*teardown=*/false);
   auto asm_text = vcc::CompileToAsm(engine);
   ASSERT_TRUE(asm_text.ok()) << asm_text.status().ToString();
-  const std::string run = FunctionBody(*asm_text, "run");
-  ASSERT_FALSE(run.empty()) << *asm_text;
-  EXPECT_NE(run.find("ldw r0, [r7+r6*8-16]"), std::string::npos) << run;  // code[pc - 2]
-  EXPECT_NE(run.find("stw [r10+r8*8+0], r4"), std::string::npos) << run;  // vars[a] = t
-  EXPECT_NE(run.find("ldw r5, [E_STACK+0]"), std::string::npos) << run;   // sp = E_STACK
-  EXPECT_NE(run.find("+r0*8]"), std::string::npos) << run;  // the jump-table load
-  EXPECT_EQ(run.find("shl r3"), std::string::npos) << run;
-  EXPECT_EQ(run.find("mov r0, E_STACK"), std::string::npos) << run;
+  // The dispatch loop is inlined into main.
+  const std::string loop = FunctionBody(*asm_text, "main");
+  ASSERT_FALSE(loop.empty()) << *asm_text;
+  EXPECT_NE(loop.find("ldw r0, [r7+r6*8-16]"), std::string::npos) << loop;  // code[pc - 2]
+  EXPECT_NE(loop.find("stw [r10+r8*8+0], r4"), std::string::npos) << loop;  // vars[a] = t
+  EXPECT_NE(loop.find("ldw r10, [E_VARS+0]"), std::string::npos) << loop;   // vars = E_VARS
+  EXPECT_NE(loop.find("+r0*8]"), std::string::npos) << loop;  // the jump-table load
+  EXPECT_EQ(loop.find("shl r3"), std::string::npos) << loop;
+  EXPECT_EQ(loop.find("mov r0, E_VARS"), std::string::npos) << loop;
 
   auto program = vcc::Parse(engine);
   ASSERT_TRUE(program.ok());
@@ -312,6 +314,96 @@ TEST(VccCodegen, IndexedAndAbsoluteOperands) {
     for (const std::string& operand : MemOperands(*reference)) {
       EXPECT_TRUE(std::regex_match(operand, kPlain)) << "[" << operand << "] at w=" << w;
     }
+  }
+}
+
+// Runs generated long64 assembly in a virtine that may leave through
+// return_exit.
+wasp::RunOutcome RunAsm(const std::string& asm_text) {
+  auto image = vrt::BuildImage(vrt::Env::kLong64, asm_text);
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  if (!image.ok()) {
+    return {};
+  }
+  wasp::Runtime runtime;
+  wasp::VirtineSpec spec;
+  spec.image = &image.value();
+  spec.policy = wasp::MaskOf(wasp::kHcReturnData);
+  auto outcome = runtime.Invoke(spec);
+  EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  return outcome;
+}
+
+// The optimizing generator evaluates a hypercall's first operand into r1 and
+// loads a later register-variable or literal operand straight into its
+// register, so the call stages nothing on the stack; the reference generator
+// pushes every operand and pops them into r1..r3.  Both builds exit with the
+// same code and output.
+TEST(VccCodegen, HypercallLeafOperandsSkipTheStack) {
+  const char* src = R"(
+    char M[8] = "virtine";
+    int main() {
+      char *p;
+      int i;
+      int code;
+      p = M;
+      code = 0;
+      for (i = 0; i < 7; i = i + 1) {
+        code = code + p[i];
+      }
+      return __hc3(7, code & 255, p, 7);
+    })";
+  auto program = vcc::Parse(src);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  int expected_code = 0;
+  for (const char c : std::string("virtine")) {
+    expected_code += c;
+  }
+  for (const bool reference : {false, true}) {
+    auto text = vcc::Generate(*program, "main", 8, reference);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    const std::string main_fn = FunctionBody(*text, "main");
+    const std::string exit = "  mov r0, 0\n  out 7, r0\n";
+    if (reference) {
+      EXPECT_NE(main_fn.find("  push r0\n  pop r1\n  pop r2\n  pop r3\n" + exit),
+                std::string::npos)
+          << main_fn;
+    } else {
+      EXPECT_EQ(main_fn.find("push r0"), std::string::npos) << main_fn;
+      for (const char* pop : {"pop r1", "pop r2", "pop r3"}) {
+        EXPECT_EQ(main_fn.find(pop), std::string::npos) << main_fn;
+      }
+      EXPECT_NE(main_fn.find("  mov r1, r0\n"), std::string::npos) << main_fn;
+      EXPECT_NE(main_fn.find("  mov r3, 7\n" + exit), std::string::npos) << main_fn;
+    }
+    const wasp::RunOutcome outcome = RunAsm(*text);
+    EXPECT_EQ(outcome.exit_code, static_cast<uint64_t>(expected_code & 255)) << reference;
+    EXPECT_EQ(std::string(outcome.output.begin(), outcome.output.end()), "virtine") << reference;
+  }
+}
+
+// Both builds evaluate hypercall operands right to left: a later operand
+// held in a register is read before an earlier operand assigns it.
+TEST(VccSemantics, HypercallOperandsEvaluateRightToLeft) {
+  const char* src = R"(
+    char M[8] = "virtine";
+    int main() {
+      int n;
+      int i;
+      n = 0;
+      for (i = 0; i < 3; i = i + 1) {
+        n = n + 1;
+      }
+      return __hc3(7, (n = 5) + 40, M, n);
+    })";
+  auto program = vcc::Parse(src);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  for (const bool reference : {false, true}) {
+    auto text = vcc::Generate(*program, "main", 8, reference);
+    ASSERT_TRUE(text.ok()) << text.status().ToString();
+    const wasp::RunOutcome outcome = RunAsm(*text);
+    EXPECT_EQ(outcome.exit_code, 45u) << reference;
+    EXPECT_EQ(std::string(outcome.output.begin(), outcome.output.end()), "vir") << reference;
   }
 }
 
@@ -605,17 +697,17 @@ TEST(GuestImages, MatchTheirRecordedHashes) {
     size_t size;
     uint64_t hash;
   } guests[] = {
-      {"static handler", vnet::StaticHandlerSource(), vrt::Env::kLong64, 6347,
-       0xe85f8921505e203bULL},
-      {"keep-alive handler", vnet::KeepAliveHandlerSource(), vrt::Env::kLong64, 8136,
-       0x73170a4cb724b0e0ULL},
-      {"b64 engine", vjs::EngineSource(*bytecode, /*teardown=*/false), vrt::Env::kLong64, 4824,
-       0xfe93f90d6ac1afaeULL},
+      {"static handler", vnet::StaticHandlerSource(), vrt::Env::kLong64, 6315,
+       0x390eedfb70590c5bULL},
+      {"keep-alive handler", vnet::KeepAliveHandlerSource(), vrt::Env::kLong64, 8094,
+       0xe0df34cc7627978dULL},
+      {"b64 engine", vjs::EngineSource(*bytecode, /*teardown=*/false), vrt::Env::kLong64, 4480,
+       0xcf4bbeea4c3aa0efULL},
       {"teardown engine", vjs::EngineSource(*bytecode, /*teardown=*/true), vrt::Env::kLong64,
-       4824, 0x65caaafcbd041687ULL},
-      {"AES guest", vaes::GuestAesSource(), vrt::Env::kLong64, 3371, 0x65774e9acd867b93ULL},
-      {"echo handler", vnet::EchoHandlerSource(), vrt::Env::kProt32, 592,
-       0xc7adb21a55106116ULL},
+       4640, 0x35f4af67cffa0647ULL},
+      {"AES guest", vaes::GuestAesSource(), vrt::Env::kLong64, 3363, 0xf6c06ce7517d3cf1ULL},
+      {"echo handler", vnet::EchoHandlerSource(), vrt::Env::kProt32, 580,
+       0xea365537940d6169ULL},
   };
   for (const auto& g : guests) {
     auto image = vcc::CompileProgram(vrt::VlibcSource() + g.source, "main", g.env);

@@ -7,12 +7,13 @@
 // loops, more live scalars than r4-r13 can hold, literals wider than 32
 // bits, and switches: dense case sets with holes (jump tables), sparse and
 // negative ones (compare chains), fallthrough, optional defaults, and break
-// and continue inside arms.  Each program is compiled twice — by the default
-// generator (register allocation + fast paths) and by the plain reference
-// generator — and both builds run in real16, prot32 and long64.  They must
-// agree on the return value, the console bytes and the final bytes of every
-// global that is not a pointer (a pointer's value is an address, and the
-// data section moves with the code size).
+// and continue inside arms, and console hypercalls whose length is a
+// literal, a register local or a computed value.  Each program is compiled
+// twice — by the default generator (register allocation + fast paths) and
+// by the plain reference generator — and both builds run in real16, prot32
+// and long64.  They must agree on the return value, the console bytes and
+// the final bytes of every global that is not a pointer (a pointer's value
+// is an address, and the data section moves with the code size).
 //
 // Generated programs avoid everything that may legitimately differ between
 // the two builds: they never read uninitialized memory, never let a pointer
@@ -365,9 +366,22 @@ class ProgramGen {
                  Expr(2) + ");\n";
         }
         return in + PickOf(Writable()) + " = " + Expr(3) + ";\n";
-      case 18:
-        return in + "__hc2(2, " + (fn_ == Fn::kMain && Chance(50) ? "S" : "C") + ", " +
-               std::to_string(1 + Pick(8)) + ");\n";
+      case 18: {
+        // The length is a literal or a loop counter (a register local, at
+        // most 8 wherever it is read), which the optimizing build loads
+        // straight into r2, or a computed value it stages on the stack.  The
+        // buffer, evaluated after the length, is sometimes computed too (a
+        // zero offset), so a call inside it runs after the length is staged.
+        std::string buf = fn_ == Fn::kMain && Chance(50) ? "S" : "C";
+        if (Chance(25)) {
+          buf = "(" + buf + " + ((" + Expr(1) + ") & 0))";
+        }
+        const int kind = Pick(3);
+        const std::string len = kind == 0   ? std::to_string(1 + Pick(8))
+                                : kind == 1 ? LoopVar(Pick(3))
+                                            : "(" + Expr(1) + ") & 7";
+        return in + "__hc2(2, " + buf + ", " + len + ");\n";
+      }
       case 19:
         if (fn_ != Fn::kMain) {
           // An early return, often from inside a loop: every return path

@@ -16,10 +16,12 @@
 // Both calls' output bytes must equal the reference's exactly.  Scripts end
 // by writing every byte of every variable, so a wrong value anywhere shows.
 //
-// Generated scripts keep every input index inside the input (the inputs are
-// at least kMinInput bytes), divide only by values in [1, 99], and shift
-// only by counts in [0, 63].  The reference rejects anything else, so a
-// generator bug fails loudly instead of comparing undefined behaviour.
+// The language defines input(i) as 0 outside [0, input_len()) and drops
+// out() bytes past vjs::kEngineOutputBytes, and the reference does the same;
+// generated scripts read in-range indices mostly, and computed out-of-range
+// ones on both sides.  They divide only by values in [1, 99] and shift only
+// by counts in [0, 63].  The reference rejects anything else, so a generator
+// bug fails loudly instead of comparing undefined behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -139,12 +141,13 @@ Reference Interpret(const std::vector<uint8_t>& code, const std::vector<uint8_t>
           stack.push_back(static_cast<int64_t>(input.size()));
         } else if (builtin == 1) {
           const int64_t i = pop();
-          if (i < 0 || i >= static_cast<int64_t>(input.size())) {
-            return fail("input index " + std::to_string(i) + " outside the input");
-          }
-          stack.push_back(input[static_cast<size_t>(i)]);
+          const bool inside = i >= 0 && i < static_cast<int64_t>(input.size());
+          stack.push_back(inside ? input[static_cast<size_t>(i)] : 0);
         } else if (builtin == 2) {
-          ref.output.push_back(static_cast<uint8_t>(pop()));
+          const uint8_t c = static_cast<uint8_t>(pop());
+          if (ref.output.size() < static_cast<size_t>(vjs::kEngineOutputBytes)) {
+            ref.output.push_back(c);
+          }
           stack.push_back(0);
         } else if (builtin == 3) {
           stack.push_back(kB64[pop() & 63]);
@@ -295,9 +298,18 @@ class ScriptGen {
       case 1:
         return "!(" + Expr(depth - 1) + ")";
       case 2:
-        // An in-range index computed at run time: the & keeps it
-        // non-negative, and input_len() is at least kMinInput.
-        return "input((" + Expr(depth - 1) + " & 1023) % input_len())";
+        // An index computed at run time.  Mostly in range: the & keeps it
+        // non-negative, and input_len() is at least kMinInput.  Otherwise
+        // below the input, over the engine's variables and operand stack,
+        // or past its end, where the call's own output begins.
+        switch (Pick(4)) {
+          case 0:
+            return "input(-1 - (" + Expr(depth - 1) + " & 4095))";
+          case 1:
+            return "input(input_len() + (" + Expr(depth - 1) + " & 65535))";
+          default:
+            return "input((" + Expr(depth - 1) + " & 1023) % input_len())";
+        }
       case 3:
         return Chance(50) ? "b64(" + Expr(depth - 1) + ")" : "out(" + Expr(depth - 1) + ")";
       default: {
