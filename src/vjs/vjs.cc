@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "src/base/nesting.h"
@@ -84,6 +85,7 @@ class ScriptCompiler {
 
   vbase::Result<std::vector<uint8_t>> Run() {
     VB_RETURN_IF_ERROR(Tokenize());
+    scopes_.emplace_back();
     while (!Is(JsToken::kEof)) {
       VB_RETURN_IF_ERROR(Statement());
     }
@@ -230,13 +232,17 @@ class ScriptCompiler {
   }
   vbase::Status PatchJump(size_t at) { return SetJump(at, code_.size()); }
 
+  // A name's slot.  Slots are numbered once per name for the whole script,
+  // but a name is visible only from the end of its `var` to the end of the
+  // enclosing block, so every read follows a store made earlier in the same
+  // call: nothing a snapshot captured from an earlier call is ever read.
   vbase::Result<int> Slot(const std::string& name, bool create) {
+    if (!create && visible_.count(name) == 0) {
+      return Err("undefined variable '" + name + "'");
+    }
     auto it = slots_.find(name);
     if (it != slots_.end()) {
       return it->second;
-    }
-    if (!create) {
-      return Err("undefined variable '" + name + "'");
     }
     if (slots_.size() >= 250) {
       return Err("too many variables");
@@ -263,6 +269,9 @@ class ScriptCompiler {
       VB_RETURN_IF_ERROR(Expect(";"));
       EmitOp(kStore, -1);
       Emit(static_cast<uint8_t>(*slot));
+      if (visible_.insert(name).second) {
+        scopes_.back().push_back(name);
+      }
       return vbase::Status::Ok();
     }
     if (EatI("while")) {
@@ -311,7 +320,9 @@ class ScriptCompiler {
     return vbase::Status::Ok();
   }
 
+  // An `if` or `while` body, braced or not: a scope of its own.
   vbase::Status Block() {
+    scopes_.emplace_back();
     if (EatP("{")) {
       while (!IsP("}")) {
         if (Is(JsToken::kEof)) {
@@ -320,9 +331,14 @@ class ScriptCompiler {
         VB_RETURN_IF_ERROR(Statement());
       }
       Next();
-      return vbase::Status::Ok();
+    } else {
+      VB_RETURN_IF_ERROR(Statement());
     }
-    return Statement();
+    for (const std::string& name : scopes_.back()) {
+      visible_.erase(name);
+    }
+    scopes_.pop_back();
+    return vbase::Status::Ok();
   }
 
   static int Prec(const std::string& op) {
@@ -440,6 +456,8 @@ class ScriptCompiler {
   size_t pos_ = 0;
   std::vector<uint8_t> code_;
   std::map<std::string, int> slots_;
+  std::set<std::string> visible_;                // names readable here
+  std::vector<std::vector<std::string>> scopes_;  // names each open block made visible
   int depth_ = 0;      // statement/expression nesting of the parse
   int stack_ = 0;      // operand stack depth after the code emitted so far
   int max_stack_ = 0;  // the deepest it has been

@@ -96,7 +96,10 @@ inline constexpr int kMaxScriptNesting = 2048;
 //
 // Language: `var x = e;`, assignment, `while (e) { ... }`,
 // `if (e) {...} else {...}`, expression statements; integer expressions
-// with C precedence; builtins: input_len(), input(i), out(c), b64(i).
+// with C precedence; builtins: input_len(), input(i), out(c), b64(i).  A
+// `var` is visible from the end of its declaration to the end of its block
+// (a braceless if or while body is a block), so every read follows a store
+// of the same call.
 vbase::Result<std::vector<uint8_t>> CompileScript(const std::string& source);
 
 // Renders the guest engine program (vcc dialect, concatenate after vlibc)

@@ -107,6 +107,12 @@ class Vm {
 
   uint64_t host_cycles() const { return host_cycles_; }
   void AddHostCycles(uint64_t c) { host_cycles_ += c; }
+  // Charges a host copy (or memset) of `bytes` at the modeled memcpy
+  // bandwidth, host_costs.memcpy_bytes_per_cycle.
+  void ChargeCopy(uint64_t bytes) {
+    host_cycles_ += static_cast<uint64_t>(static_cast<double>(bytes) /
+                                          config_.host_costs.memcpy_bytes_per_cycle);
+  }
   uint64_t total_cycles() const { return host_cycles_ + cpu_.cycles(); }
   // Resets both cycle counters (used when a pooled shell is re-deployed and
   // accounting restarts for the new virtine).

@@ -59,6 +59,28 @@ bool ParseContentLength(const std::string& value, uint64_t* out) {
   return true;
 }
 
+// Splits the header lines between the first line's end at `pos` and the
+// head's end at `head_end` into trimmed name/value pairs.  A folded line
+// (obsolete line folding) is refused: two peers frame such a head two ways,
+// depending on whether they implement it.  So is a line without a colon.
+vbase::Status ParseHeaderLines(const std::string& data, size_t pos, size_t head_end,
+                               std::vector<std::pair<std::string, std::string>>* headers) {
+  while (pos < head_end) {
+    const size_t line_end = std::min(data.find("\r\n", pos), head_end);
+    const std::string line = data.substr(pos, line_end - pos);
+    pos = line_end + 2;
+    if (line[0] == ' ' || line[0] == '\t') {
+      return vbase::InvalidArgument("folded header line");
+    }
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) {
+      return vbase::InvalidArgument("malformed header line: " + line);
+    }
+    headers->emplace_back(Trim(line.substr(0, colon)), Trim(line.substr(colon + 1)));
+  }
+  return vbase::Status::Ok();
+}
+
 }  // namespace
 
 std::string HttpRequest::Header(const std::string& name) const {
@@ -104,9 +126,8 @@ vbase::Status ParseHead(const std::string& data, HttpRequest* out, size_t* head_
   }
   *head_end_out = head_end;
   HttpRequest& req = *out;
-  size_t pos = 0;
-  size_t line_end = data.find("\r\n", pos);
-  const std::string request_line = data.substr(pos, line_end - pos);
+  const size_t line_end = data.find("\r\n");
+  const std::string request_line = data.substr(0, line_end);
   {
     std::istringstream is(request_line);
     if (!(is >> req.method >> req.target >> req.version)) {
@@ -116,28 +137,7 @@ vbase::Status ParseHead(const std::string& data, HttpRequest* out, size_t* head_
       return vbase::InvalidArgument("bad HTTP version: " + req.version);
     }
   }
-  pos = line_end + 2;
-  while (pos < head_end) {
-    line_end = data.find("\r\n", pos);
-    if (line_end == std::string::npos || line_end > head_end) {
-      line_end = head_end;
-    }
-    const std::string line = data.substr(pos, line_end - pos);
-    pos = line_end + 2;
-    if (line.empty()) {
-      break;
-    }
-    if (line[0] == ' ' || line[0] == '\t') {
-      // Obsolete line folding: two framings of the same head depending on
-      // whether the peer implements it.  Reject.
-      return vbase::InvalidArgument("folded header line");
-    }
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos) {
-      return vbase::InvalidArgument("malformed header line: " + line);
-    }
-    req.headers.emplace_back(Trim(line.substr(0, colon)), Trim(line.substr(colon + 1)));
-  }
+  VB_RETURN_IF_ERROR(ParseHeaderLines(data, line_end + 2, head_end, &req.headers));
   // Framing headers.  Transfer-Encoding is not implemented; accepting it
   // while framing by Content-Length is the classic TE.CL desync, so its
   // mere presence is a 400.  Duplicate Content-Length headers (even with
@@ -230,10 +230,9 @@ vbase::Result<HttpResponseHead> FrameResponseHead(const std::string& data) {
   }
   HttpResponseHead head;
   head.head_bytes = head_end + 4;
-  size_t pos = 0;
-  size_t line_end = data.find("\r\n", pos);
+  const size_t line_end = data.find("\r\n");
   {
-    const std::string status_line = data.substr(pos, line_end - pos);
+    const std::string status_line = data.substr(0, line_end);
     std::istringstream is(status_line);
     std::string status_token;
     if (!(is >> head.version >> status_token) ||
@@ -250,23 +249,7 @@ vbase::Result<HttpResponseHead> FrameResponseHead(const std::string& data) {
     }
     head.status = std::stoi(status_token);
   }
-  pos = line_end + 2;
-  while (pos < head_end) {
-    line_end = data.find("\r\n", pos);
-    if (line_end == std::string::npos || line_end > head_end) {
-      line_end = head_end;
-    }
-    const std::string line = data.substr(pos, line_end - pos);
-    pos = line_end + 2;
-    if (line.empty()) {
-      break;
-    }
-    const size_t colon = line.find(':');
-    if (colon == std::string::npos) {
-      return vbase::InvalidArgument("malformed response header: " + line);
-    }
-    head.headers.emplace_back(Trim(line.substr(0, colon)), Trim(line.substr(colon + 1)));
-  }
+  VB_RETURN_IF_ERROR(ParseHeaderLines(data, line_end + 2, head_end, &head.headers));
   for (const auto& [key, value] : head.headers) {
     if (ToLower(key) == "content-length") {
       if (!ParseContentLength(value, &head.content_length)) {

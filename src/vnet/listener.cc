@@ -21,7 +21,7 @@ namespace {
 
 constexpr int kMaxEpollEvents = 64;
 constexpr int kBacklog = 128;
-// Event-loop timer granularity (idle scan, finished-job reaping).
+// Event-loop timer granularity (idle scan, finished-job relay and freeing).
 constexpr int kTickMs = 5;
 // Per-readable-event read budget: level-triggered epoll re-arms anything
 // left, so a firehose connection cannot starve its neighbors.
@@ -80,13 +80,8 @@ vbase::Status Listener::Start() {
     Stop();
     return vbase::Internal("epoll/eventfd: " + err);
   }
-  epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = event_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
+  Watch(EPOLL_CTL_ADD, listen_fd_, kListenId, EPOLLIN);
+  Watch(EPOLL_CTL_ADD, event_fd_, kWakeId, EPOLLIN);
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   loop_ = std::thread([this] { Loop(); });
@@ -102,20 +97,16 @@ void Listener::Stop() {
   }
   // Event loop is gone: drain every in-flight job before tearing down the
   // channels they reference.
-  for (auto& [fd, conn] : conns_) {
-    if (conn->submitted && !conn->job_done) {
-      CloseChannelWrite(conn.get());
+  for (auto& [id, conn] : conns_) {
+    conn->channel->host().CloseWrite();
+    if (conn->job.valid()) {
       conn->job.wait();
     }
-    ::close(fd);
+    if (conn->fd >= 0) {
+      ::close(conn->fd);
+    }
   }
   conns_.clear();
-  for (auto& conn : zombies_) {
-    if (!conn->job_done) {
-      conn->job.wait();
-    }
-  }
-  zombies_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -137,9 +128,14 @@ ListenerStats Listener::stats() const {
 }
 
 void Listener::Loop() {
+  // The connection an event or a ready id names, while its socket is open.
+  auto open_conn = [this](uint64_t id) -> Conn* {
+    auto it = conns_.find(id);
+    return it != conns_.end() && it->second->fd >= 0 ? it->second.get() : nullptr;
+  };
   epoll_event events[kMaxEpollEvents];
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    const int timeout = conns_.empty() && zombies_.empty() ? -1 : kTickMs;
+    const int timeout = conns_.empty() ? -1 : kTickMs;
     const int n = ::epoll_wait(epoll_fd_, events, kMaxEpollEvents, timeout);
     if (n < 0) {
       if (errno == EINTR) {
@@ -148,47 +144,44 @@ void Listener::Loop() {
       break;
     }
     for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
+      const uint64_t id = events[i].data.u64;
+      if (id == kListenId) {
         AcceptReady();
         continue;
       }
-      if (fd == event_fd_) {
+      if (id == kWakeId) {
         uint64_t drained = 0;
         [[maybe_unused]] ssize_t r = ::read(event_fd_, &drained, sizeof(drained));
-        std::vector<int> ready;
+        std::vector<uint64_t> ready;
         {
           std::lock_guard<std::mutex> lock(ready_mu_);
-          ready.swap(ready_fds_);
+          ready.swap(ready_ids_);
         }
-        for (const int rfd : ready) {
-          auto it = conns_.find(rfd);
-          if (it != conns_.end()) {
-            RelayChannel(it->second.get());
+        for (const uint64_t rid : ready) {
+          if (Conn* conn = open_conn(rid)) {
+            RelayChannel(conn);
           }
         }
         continue;
       }
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) {
-        continue;  // already closed this iteration
+      Conn* conn = open_conn(id);
+      if (conn == nullptr) {
+        continue;  // closed earlier in this batch
       }
-      Conn* conn = it->second.get();
       if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        // Read anything pending (a RST'd peer may still have queued bytes),
-        // then treat it as EOF.
+        // A reset or a socket error: take what the peer queued before it,
+        // then close, since nothing more can be sent.
         ConnReadable(conn);
-        if (conns_.count(fd) != 0 && !conn->peer_eof) {
-          conn->peer_eof = true;
-          HandlePeerEof(conn);
+        if (conn->fd >= 0) {
+          CloseConn(conn);
         }
         continue;
       }
       if (events[i].events & EPOLLIN) {
         ConnReadable(conn);
       }
-      if (conns_.count(fd) != 0 && (events[i].events & EPOLLOUT)) {
-        ConnWritable(conn);
+      if (conn->fd >= 0 && (events[i].events & EPOLLOUT)) {
+        FlushOut(conn);
       }
     }
     Tick(NowMs());
@@ -204,15 +197,12 @@ void Listener::AcceptReady() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Conn>();
+    conn->id = next_id_++;
     conn->fd = fd;
     conn->channel = std::make_unique<wasp::ByteChannel>();
     conn->last_activity_ms = NowMs();
-    epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    conns_.emplace(fd, std::move(conn));
+    Watch(EPOLL_CTL_ADD, fd, conn->id, EPOLLIN);
+    conns_.emplace(conn->id, std::move(conn));
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.accepted;
@@ -221,35 +211,26 @@ void Listener::AcceptReady() {
 }
 
 void Listener::ConnReadable(Conn* conn) {
-  if (conn->closing) {
-    return;
-  }
-  const int fd = conn->fd;
   char buf[kReadChunk];
-  for (int round = 0; round < kReadsPerEvent; ++round) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+  for (int round = 0; round < kReadsPerEvent && !conn->closing; ++round) {
+    const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn->inbuf.append(buf, static_cast<size_t>(n));
       conn->last_activity_ms = NowMs();
       ProcessInbuf(conn);
-      if (conns_.count(fd) == 0 || conn->closing) {
-        return;
-      }
       continue;
     }
     if (n == 0) {
-      conn->peer_eof = true;
       HandlePeerEof(conn);
       return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       return;
     }
-    if (errno == EINTR) {
-      continue;
+    if (errno != EINTR) {
+      CloseConn(conn);  // hard socket error
+      return;
     }
-    CloseConn(fd);  // hard socket error
-    return;
   }
 }
 
@@ -271,11 +252,8 @@ void Listener::ProcessInbuf(Conn* conn) {
     if (copts.max_requests > 0 && conn->requests >= copts.max_requests) {
       // The cap-th request is fully forwarded: drop whatever follows it and
       // close the forward direction, so the server ends the connection at a
-      // clean request boundary; Tick closes the socket once the responses
-      // have drained.
-      conn->closing = true;
-      conn->inbuf.clear();
-      CloseChannelWrite(conn);
+      // clean request boundary.
+      BeginClose(conn);
       return;
     }
     if (conn->inbuf.empty()) {
@@ -294,9 +272,10 @@ void Listener::ProcessInbuf(Conn* conn) {
     // A complete, validated head within the limits: dispatch the connection
     // on its first request (lazy — slow clients hold no lane) and start
     // forwarding this request's exact byte count.
-    EnsureSubmitted(conn);
+    if (conn->requests++ == 0) {
+      Submit(conn);
+    }
     conn->forward_remaining = *need;
-    ++conn->requests;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.requests_forwarded;
@@ -304,19 +283,14 @@ void Listener::ProcessInbuf(Conn* conn) {
   }
 }
 
-void Listener::EnsureSubmitted(Conn* conn) {
-  if (conn->submitted) {
-    return;
-  }
-  conn->submitted = true;
-  const int fd = conn->fd;
+void Listener::Submit(Conn* conn) {
   // Readiness bridge: server response bytes (written from a lane thread)
   // signal the eventfd, turning the in-process channel into an epoll source.
-  // The observer only records the fd and signals — never touches the pipe.
-  conn->channel->host().SetReadObserver([this, fd] {
+  // The observer only records the id and signals — never touches the pipe.
+  conn->channel->host().SetReadObserver([this, id = conn->id] {
     {
       std::lock_guard<std::mutex> lock(ready_mu_);
-      ready_fds_.push_back(fd);
+      ready_ids_.push_back(id);
     }
     const uint64_t one = 1;
     [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof(one));
@@ -335,41 +309,35 @@ void Listener::EdgeReject(Conn* conn, int status) {
       ++stats_.edge_400;
     }
   }
-  conn->closing = true;
-  conn->inbuf.clear();
   // If a server job is serving this connection it is parked at a request
   // boundary (the edge only rejects between fully forwarded requests):
   // closing the forward direction lets it exit cleanly.
-  CloseChannelWrite(conn);
+  BeginClose(conn);
   FlushOut(conn);
 }
 
 void Listener::HandlePeerEof(Conn* conn) {
+  // The client closed its write half.  Bytes still in inbuf are a head that
+  // never reached the server (ProcessInbuf forwards everything else): the
+  // edge answers the 400.  Otherwise the server sees EOF too, at a request
+  // boundary or inside a forwarded body, and answers what it answers (the
+  // native handler 400 to a cut-short body; the guests serve the request).
+  if (!conn->inbuf.empty()) {
+    EdgeReject(conn, 400);
+  } else {
+    BeginClose(conn);
+  }
+}
+
+void Listener::BeginClose(Conn* conn) {
   if (conn->closing) {
     return;
   }
-  if (conn->forward_remaining > 0) {
-    // The stream died mid-request: the server sees EOF mid-frame and answers
-    // 400 itself; just stop forwarding.
-    conn->closing = true;
-    CloseChannelWrite(conn);
-    FlushOut(conn);
-    return;
-  }
-  if (!conn->inbuf.empty()) {
-    // EOF inside an incomplete head that never reached the server: the edge
-    // answers the 400.
-    EdgeReject(conn, 400);
-    return;
-  }
-  // Clean boundary.
   conn->closing = true;
-  if (conn->submitted) {
-    CloseChannelWrite(conn);  // server request loop exits cleanly
-    FlushOut(conn);
-  } else {
-    CloseConn(conn->fd);  // never dispatched: nothing to wait for
-  }
+  conn->inbuf.clear();
+  // Idempotent: the host-to-guest pipe has no observer.
+  conn->channel->host().CloseWrite();
+  Rearm(conn);  // drop EPOLLIN so unread bytes cannot spin level-triggered epoll
 }
 
 void Listener::RelayChannel(Conn* conn) {
@@ -381,121 +349,67 @@ void Listener::RelayChannel(Conn* conn) {
 }
 
 void Listener::FlushOut(Conn* conn) {
-  const int fd = conn->fd;
+  bool want_epollout = false;
   while (!conn->outbuf.empty()) {
-    const ssize_t n = ::send(fd, conn->outbuf.data(), conn->outbuf.size(), MSG_NOSIGNAL);
+    const ssize_t n = ::send(conn->fd, conn->outbuf.data(), conn->outbuf.size(), MSG_NOSIGNAL);
     if (n > 0) {
       conn->outbuf.erase(0, static_cast<size_t>(n));
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_epollout) {
-        conn->want_epollout = true;
-        UpdateEpollOut(conn);
-      }
-      return;  // EPOLLOUT finishes the partial write
+      want_epollout = true;  // EPOLLOUT finishes the partial write
+      break;
     }
     if (n < 0 && errno == EINTR) {
       continue;
     }
-    CloseConn(fd);  // peer reset under us
+    CloseConn(conn);  // peer reset under us
     return;
   }
-  if (conn->want_epollout) {
-    conn->want_epollout = false;
-    UpdateEpollOut(conn);
+  if (want_epollout != conn->want_epollout) {
+    conn->want_epollout = want_epollout;
+    Rearm(conn);
   }
 }
 
-void Listener::ConnWritable(Conn* conn) { FlushOut(conn); }
+void Listener::Rearm(Conn* conn) {
+  Watch(EPOLL_CTL_MOD, conn->fd, conn->id,
+        (conn->closing ? 0u : static_cast<uint32_t>(EPOLLIN)) |
+            (conn->want_epollout ? static_cast<uint32_t>(EPOLLOUT) : 0u));
+}
 
-void Listener::UpdateEpollOut(Conn* conn) {
+void Listener::Watch(int op, int fd, uint64_t id, uint32_t events) {
   epoll_event ev;
   std::memset(&ev, 0, sizeof(ev));
-  ev.events = (conn->closing ? 0u : static_cast<uint32_t>(EPOLLIN)) |
-              (conn->want_epollout ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-  ev.data.fd = conn->fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
+  ev.events = events;
+  ev.data.u64 = id;
+  ::epoll_ctl(epoll_fd_, op, fd, &ev);
 }
 
-void Listener::CloseChannelWrite(Conn* conn) {
-  if (conn->submitted && !conn->channel_write_closed) {
-    conn->channel_write_closed = true;
-    conn->channel->host().CloseWrite();
-  }
-  if (conn->closing) {
-    UpdateEpollOut(conn);  // drop EPOLLIN so pending bytes cannot spin LT
-  }
-}
-
-void Listener::CloseConn(int fd) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) {
-    return;
-  }
-  std::unique_ptr<Conn> conn = std::move(it->second);
-  conns_.erase(it);
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.closed;
-  }
-  if (conn->submitted && !conn->job_done) {
-    // The job still references the channel: unblock it and let Tick reap the
-    // zombie once its future resolves.
-    if (!conn->channel_write_closed) {
-      conn->channel_write_closed = true;
-      conn->channel->host().CloseWrite();
-    }
-    zombies_.push_back(std::move(conn));
-  }
+void Listener::CloseConn(Conn* conn) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
+  ::close(conn->fd);
+  conn->fd = -1;
+  conn->closing = true;
+  conn->channel->host().CloseWrite();
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  ++stats_.closed;
 }
 
 void Listener::Tick(int64_t now_ms) {
-  // Reap zombies whose job resolved (channel no longer referenced).
-  for (size_t i = 0; i < zombies_.size();) {
-    Conn* conn = zombies_[i].get();
-    if (!conn->job_done &&
-        conn->job.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      conn->job_done = true;
-    }
-    if (conn->job_done) {
-      zombies_[i] = std::move(zombies_.back());
-      zombies_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-  // Snapshot the fds: every step below can erase from conns_ (CloseConn via
-  // a socket error inside FlushOut), so iterate by lookup, never by a live
-  // map iterator.
-  std::vector<int> fds;
-  fds.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) {
-    fds.push_back(fd);
-  }
-  for (const int fd : fds) {
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) {
-      continue;
-    }
+  for (auto it = conns_.begin(); it != conns_.end();) {
     Conn* conn = it->second.get();
-    if (conn->submitted && !conn->job_done &&
+    if (conn->job.valid() &&
         conn->job.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
       // Server finished the connection (clean close, "Connection: close",
       // max-requests, or a shed): relay the tail and start closing.
-      conn->job_done = true;
-      if (!conn->closing) {
-        conn->closing = true;
-        UpdateEpollOut(conn);
-      }
-      RelayChannel(conn);
-      if (conns_.count(fd) == 0) {
-        continue;  // RelayChannel closed it on a socket error
+      conn->job.get();
+      if (conn->fd >= 0) {
+        BeginClose(conn);
+        RelayChannel(conn);
       }
     }
-    if (!conn->closing && options_.idle_timeout_ms > 0 &&
+    if (conn->fd >= 0 && !conn->closing && options_.idle_timeout_ms > 0 &&
         now_ms - conn->last_activity_ms > options_.idle_timeout_ms) {
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
@@ -504,23 +418,18 @@ void Listener::Tick(int64_t now_ms) {
       if (conn->forward_remaining > 0 || !conn->inbuf.empty()) {
         EdgeReject(conn, 408);  // half-sent request: tell the client
       } else {
-        conn->closing = true;
-        CloseChannelWrite(conn);
-        if (!conn->submitted) {
-          CloseConn(fd);
-          continue;
-        }
-      }
-      if (conns_.count(fd) == 0) {
-        continue;
+        BeginClose(conn);
       }
     }
-    if (conn->closing && conn->outbuf.empty()) {
-      const bool drained = !conn->submitted ||
-                           (conn->job_done && conn->channel->host().bytes_readable() == 0);
-      if (drained) {
-        CloseConn(fd);
-      }
+    // Once its job is consumed, the channel holds nothing more to relay.
+    if (conn->fd >= 0 && conn->closing && conn->outbuf.empty() && !conn->job.valid()) {
+      CloseConn(conn);
+    }
+    // The one place a connection is freed: socket closed, job consumed.
+    if (conn->fd < 0 && !conn->job.valid()) {
+      it = conns_.erase(it);
+    } else {
+      ++it;
     }
   }
 }

@@ -9,11 +9,11 @@
 //   stream with the host parser (RequestBytesNeeded), so heads longer than
 //   kMaxHeadBytes (413), declared bodies longer than kMaxBodyBytes (413),
 //   malformed or smuggling-shaped requests (400), and streams that end
-//   mid-request (400) are answered at the edge — in EVERY serve mode, before
-//   a single byte reaches a lane.  Only validated, correctly framed request
-//   bytes are forwarded into the connection's ByteChannel (bodies stream
-//   through in bounded chunks as they arrive; nothing buffers a whole
-//   request beyond those limits).
+//   inside a head (400) are answered at the edge — in EVERY serve mode,
+//   before a single byte reaches a lane.  Only validated, correctly framed
+//   request bytes are forwarded into the connection's ByteChannel (bodies
+//   stream through in bounded chunks as they arrive; nothing buffers a
+//   whole request beyond those limits).
 //
 // * The server job serves the whole connection: with keep-alive enabled one
 //   SubmitConnection dispatch (= one acquired, snapshot-affine shell in the
@@ -104,21 +104,23 @@ class Listener {
   ListenerStats stats() const;
 
  private:
+  // One accepted socket, keyed in conns_ by an id that is never reused.  It
+  // is freed only by Tick, once its socket is closed (fd < 0) and its job's
+  // future has been consumed (job.valid() is false), so no handler ever
+  // holds a freed Conn and a stale ready id cannot reach a newer connection.
   struct Conn {
-    int fd = -1;
+    uint64_t id = 0;
+    int fd = -1;  // -1 once the socket is closed
     std::unique_ptr<wasp::ByteChannel> channel;
     std::string inbuf;   // socket bytes not yet validated/forwarded
     std::string outbuf;  // response bytes not yet written to the socket
     // Bytes of the current framed request (head+declared body) still to be
     // forwarded into the channel; body streaming in bounded chunks.
     size_t forward_remaining = 0;
-    int requests = 0;         // requests forwarded (counts toward max_requests)
-    bool submitted = false;   // SubmitConnection has been called
-    bool job_done = false;    // the server job's future has resolved
-    bool peer_eof = false;    // the client closed its write half
-    bool closing = false;     // no more forwarding; flush + reap
+    int requests = 0;      // requests forwarded; the first one submits the job
+    bool closing = false;  // no more forwarding; flush, then close
     bool want_epollout = false;
-    bool channel_write_closed = false;
+    // The server job, valid from its submission until Tick consumes it.
     std::future<vbase::Result<ServeStats>> job;
     int64_t last_activity_ms = 0;  // steady-clock ms of last inbound progress
   };
@@ -126,20 +128,27 @@ class Listener {
   void Loop();
   void AcceptReady();
   void ConnReadable(Conn* conn);
-  void ConnWritable(Conn* conn);
   // Validates + forwards framed request bytes from conn->inbuf.
   void ProcessInbuf(Conn* conn);
   // Answers `status` directly from the edge and begins closing.
   void EdgeReject(Conn* conn, int status);
-  void EnsureSubmitted(Conn* conn);
+  void Submit(Conn* conn);
   void HandlePeerEof(Conn* conn);
+  // Stops forwarding and ends the channel's forward direction; the socket
+  // closes in Tick once the job is done and the responses have drained.
+  void BeginClose(Conn* conn);
   // Moves channel bytes to outbuf and flushes as much as the socket takes.
   void RelayChannel(Conn* conn);
   void FlushOut(Conn* conn);
-  void UpdateEpollOut(Conn* conn);
-  void CloseChannelWrite(Conn* conn);
-  // Closes the socket; the Conn lingers in conns_ until its job resolves.
-  void CloseConn(int fd);
+  // Registers (EPOLL_CTL_ADD) or updates (EPOLL_CTL_MOD) `fd` under `id`.
+  void Watch(int op, int fd, uint64_t id, uint32_t events);
+  // Updates conn's events: EPOLLIN until closing, EPOLLOUT while a write waits.
+  void Rearm(Conn* conn);
+  // Closes the socket and ends the channel's forward direction, so a live
+  // job sees EOF; the Conn stays in conns_ until Tick frees it.
+  void CloseConn(Conn* conn);
+  // Relays finished jobs, applies the idle timeout, closes drained sockets
+  // and frees the connections that are done.
   void Tick(int64_t now_ms);
   static int64_t NowMs();
 
@@ -153,16 +162,18 @@ class Listener {
   std::atomic<bool> stop_requested_{false};
   std::thread loop_;
 
-  // Owned by the event-loop thread; keyed by socket fd.  A Conn whose socket
-  // is closed but whose job is unresolved moves to zombies_ (the channel
-  // must outlive the job).
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  std::vector<std::unique_ptr<Conn>> zombies_;
+  // Epoll ids of the listening socket and the eventfd; connections count up
+  // from kWakeId + 1.
+  static constexpr uint64_t kListenId = 0;
+  static constexpr uint64_t kWakeId = 1;
+  // Owned by the event-loop thread.
+  std::unordered_map<uint64_t, std::unique_ptr<Conn>> conns_;
+  uint64_t next_id_ = kWakeId + 1;
 
   // Connections whose channel got response bytes since the last drain (fed
   // by BytePipe observers under the pipe lock; only ever push + signal).
   std::mutex ready_mu_;
-  std::vector<int> ready_fds_;
+  std::vector<uint64_t> ready_ids_;
 
   mutable std::mutex stats_mu_;
   ListenerStats stats_;

@@ -724,6 +724,10 @@ vbase::Result<ServeStats> StaticHttpServer::HandleVirtine(wasp::ByteChannel& cha
   spec.env = env_;
   spec.channel = &channel.guest();
   wasp::RunOutcome outcome = runtime_->Invoke(spec);
+  if (outcome.fault == wasp::FaultKind::kNone && !outcome.status.ok()) {
+    return outcome.status;
+  }
+  ServeStats stats;
   if (outcome.fault != wasp::FaultKind::kNone) {
     // The guest (not the server) died: its shell is already quarantined.
     // Answer 500 with the fault kind as the reason phrase so the client can
@@ -732,58 +736,44 @@ vbase::Result<ServeStats> StaticHttpServer::HandleVirtine(wasp::ByteChannel& cha
     // not a server error.
     channel.guest().WriteString(
         BuildResponseWithReason(500, wasp::FaultKindName(outcome.fault), ""));
-    ServeStats stats;
     stats.status = 500;
     stats.requests = 1;
     stats.r5xx = 1;
     stats.fault = outcome.fault;
-    stats.modeled_cycles = outcome.stats.total_cycles;
-    stats.guest_cycles = outcome.stats.guest_cycles;
-    stats.io_exits = outcome.stats.io_exits;
-    stats.wall_ns = timer.ElapsedNanos();
-    return stats;
-  }
-  if (!outcome.status.ok()) {
-    return outcome.status;
-  }
-  ServeStats stats;
-  if (conn.keep_alive) {
-    // One invocation served the whole connection; per-request accounting
-    // comes back as the exit's output, word-sized counters.
-    uint64_t guest_stats[4] = {0, 0, 0, 0};
-    if (outcome.output.size() >= sizeof(guest_stats)) {
-      std::memcpy(guest_stats, outcome.output.data(), sizeof(guest_stats));
-    }
-    stats.requests = guest_stats[0];
-    stats.r2xx = guest_stats[1];
-    stats.r4xx = guest_stats[2];
-    // Exit code 5: a streamed file came up short, and the guest ended the
-    // connection on that request's 500.
-    stats.r5xx = outcome.exit_code == 5 ? 1 : 0;
-    stats.status = outcome.exit_code == 0   ? (stats.requests > 0 ? 200 : 0)
-                   : outcome.exit_code == 3 ? 413
-                   : outcome.exit_code == 5 ? 500
-                                            : 400;
   } else {
-    stats.status = outcome.exit_code == 0   ? 200
-                   : outcome.exit_code == 2 ? 404
-                   : outcome.exit_code == 3 ? 413
-                                            : 400;
-    stats.requests = 1;
-    if (stats.status == 200) {
-      stats.r2xx = 1;
+    // Both guests' exit codes: 0 served, 2 not found, 3 too large, 5 a
+    // streamed file came up short (the connection ended on that request's
+    // 500), anything else a bad request.
+    const uint64_t code = outcome.exit_code;
+    stats.status = code == 0 ? 200 : code == 2 ? 404 : code == 3 ? 413 : code == 5 ? 500 : 400;
+    stats.r5xx = stats.status == 500 ? 1 : 0;
+    if (conn.keep_alive) {
+      // One invocation served the whole connection; per-request accounting
+      // comes back as the exit's output, word-sized counters.
+      uint64_t guest_stats[4] = {0, 0, 0, 0};
+      if (outcome.output.size() >= sizeof(guest_stats)) {
+        std::memcpy(guest_stats, outcome.output.data(), sizeof(guest_stats));
+      }
+      stats.requests = guest_stats[0];
+      stats.r2xx = guest_stats[1];
+      stats.r4xx = guest_stats[2];
+      if (code == 0 && stats.requests == 0) {
+        stats.status = 0;  // a clean end that served nothing
+      }
     } else {
-      stats.r4xx = 1;
+      stats.requests = 1;
+      stats.r2xx = stats.status == 200 ? 1 : 0;
+      stats.r4xx = stats.status / 100 == 4 ? 1 : 0;
     }
   }
-  stats.modeled_cycles = outcome.stats.total_cycles;
-  stats.guest_cycles = outcome.stats.guest_cycles;
-  stats.io_exits = outcome.stats.io_exits;
+  const wasp::InvokeStats& st = outcome.stats;
+  stats.modeled_cycles = st.total_cycles;
+  stats.guest_cycles = st.guest_cycles;
+  stats.io_exits = st.io_exits;
   stats.wall_ns = timer.ElapsedNanos();
   // Strip the VM-exit charges the vCPU made to approximate the same handler
   // logic running natively in the host process (Figure 13's baseline
   // denominator).
-  const wasp::InvokeStats& st = outcome.stats;
   stats.deisolated_cycles = st.guest_cycles > st.exit_cycles ? st.guest_cycles - st.exit_cycles : 0;
   return stats;
 }

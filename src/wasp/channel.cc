@@ -69,11 +69,6 @@ void BytePipe::SetObserver(std::function<void()> fn) {
   observer_ = std::move(fn);
 }
 
-uint64_t BytePipe::bytes_available() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return buf_.size();
-}
-
 std::vector<uint8_t> ByteChannel::Endpoint::Drain() {
   std::vector<uint8_t> out;
   uint8_t tmp[4096];

@@ -34,7 +34,6 @@ class BytePipe {
   // Non-blocking variant; returns 0 when empty (even if open).
   uint64_t TryRead(void* dst, uint64_t len);
   void Close();
-  uint64_t bytes_available() const;
 
   // Readiness hook for event-loop readers that cannot block in Read: `fn`
   // runs after every successful Write and after Close (under the pipe lock —
@@ -43,7 +42,7 @@ class BytePipe {
   void SetObserver(std::function<void()> fn);
 
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<uint8_t> buf_;
   bool closed_ = false;
@@ -65,7 +64,6 @@ class ByteChannel {
     // Reads everything currently buffered without blocking.
     std::vector<uint8_t> Drain();
     void CloseWrite() { out_->Close(); }
-    uint64_t bytes_readable() const { return in_->bytes_available(); }
     // Observer on this endpoint's inbound pipe: fires when the peer writes
     // or closes (see BytePipe::SetObserver).  Lets an epoll loop treat the
     // channel as a readiness source instead of blocking a thread in Read.

@@ -145,7 +145,6 @@ std::future<RunOutcome> Executor::Submit(VirtineSpec spec, KeyClass klass) {
   job.key = spec.use_snapshot ? spec.key : std::string();
   job.klass = klass;
   job.spec = std::move(spec);
-  job.retryable = true;
   std::future<RunOutcome> future;
   Enqueue(std::move(job), /*may_reject=*/false, &future);
   return future;
@@ -157,7 +156,6 @@ bool Executor::TrySubmit(VirtineSpec spec, std::future<RunOutcome>* future, KeyC
   job.key = spec.use_snapshot ? spec.key : std::string();
   job.klass = klass;
   job.spec = std::move(spec);
-  job.retryable = true;
   const Admission result = Enqueue(std::move(job), /*may_reject=*/true, future);
   if (admission != nullptr) {
     *admission = result;
@@ -282,8 +280,8 @@ void Executor::WorkerLoop(uint32_t worker_index) {
 }
 
 RunOutcome Executor::RunJob(Job& job) {
-  RunOutcome outcome = job.retryable ? runtime_->Invoke(job.spec) : job.work();
-  if (outcome.fault == FaultKind::kNone || !job.retryable ||
+  RunOutcome outcome = job.work ? job.work() : runtime_->Invoke(job.spec);
+  if (outcome.fault == FaultKind::kNone || job.work ||
       !IsRecoverableFault(outcome.fault) || !options_.recovery.IsIdempotent(job.key)) {
     return outcome;
   }
@@ -346,12 +344,15 @@ Executor::VirtualRun Executor::RunVirtual(Runtime* runtime, ExecutorOptions opti
              "RunVirtual: arrivals must be in time order");
     pending.emplace(arrivals[i].at_us, i);
   }
-  // Arrival i has settled or been shed at `now`: its client sends the next.
+  // Arrival i has settled, or been shed and waited out a completion, at
+  // `now`: its client sends the next.
   auto release_next = [&](size_t i, double now) {
     if (clients > 0 && i + clients < arrivals.size()) {
       pending.emplace(now, i + clients);
     }
   };
+  // Shed arrivals whose clients wait for the next job to settle.
+  std::vector<size_t> shed_waiting;
 
   // The busy (or idle) lane that frees (or freed) first, lowest index on a
   // tie; n if there is none.
@@ -394,6 +395,10 @@ Executor::VirtualRun Executor::RunVirtual(Runtime* runtime, ExecutorOptions opti
       lane.job.reset();
       run.served[i].outcome = futures[i].get();
       release_next(i, lane.free_us);
+      for (const size_t shed : shed_waiting) {
+        release_next(shed, lane.free_us);
+      }
+      shed_waiting.clear();
       dispatch(done, lane.free_us);
       continue;
     }
@@ -410,7 +415,11 @@ Executor::VirtualRun Executor::RunVirtual(Runtime* runtime, ExecutorOptions opti
                          &served.admission);
     }
     if (served.admission != Admission::kAccepted) {
-      release_next(next, now);
+      if (first_lane(true) != n) {
+        shed_waiting.push_back(next);
+      } else {
+        release_next(next, now);
+      }
       continue;
     }
     arrival_of_seq.push_back(next);

@@ -208,12 +208,13 @@ class Executor {
   // each arrival arrives at its at_us, ascending.  With C > 0 it is closed,
   // C clients each sending its next request when its last one is done:
   // arrival i < C arrives at its at_us, and arrival i >= C at the instant
-  // arrival i - C settles or is shed (its at_us is not read), so a client's
-  // latency is done_us - arrival_us.  Released arrivals are submitted
-  // earliest first, the lower index on a tie.  A completion runs before an
-  // arrival at the same instant, and an arrival that finds lanes idle goes
-  // to the one idle longest (lowest index on a tie).  A virtual submitter
-  // cannot park, so RunVirtual always sheds at the bound, as
+  // arrival i - C settles (its at_us is not read), so a client's latency is
+  // done_us - arrival_us.  A shed arrival's client waits for the next job to
+  // settle, or sends at once when no lane is busy.  Released arrivals are
+  // submitted earliest first, the lower index on a tie.  A completion runs
+  // before an arrival at the same instant, and an arrival that finds lanes
+  // idle goes to the one idle longest (lowest index on a tie).  A virtual
+  // submitter cannot park, so RunVirtual always sheds at the bound, as
   // block_when_full = false does.  The cleaner crew is drained after every
   // job, so a run on a fresh runtime repeats exactly in either clean mode.
   // The calling thread is left bound to the last pool lane it ran.
@@ -230,7 +231,6 @@ class Executor {
     // fault can be retried once on a fresh shell.  Generic tasks never carry
     // one — their side effects are opaque, so they are never retried.
     VirtineSpec spec;
-    bool retryable = false;  // spec is valid; eligible for retry-once
     bool probe = false;      // this job is its key's half-open breaker probe
     std::promise<RunOutcome> promise;
   };

@@ -108,8 +108,7 @@ void Pool::CleanShell(vkvm::Vm* vm, bool charge_inline) {
     // affine shell during acquire) charges its modeled memset cost to the
     // shell's next tenant.  The async cleaner crew ("Wasp+CA") absorbs it
     // off the critical path instead.
-    vm->AddHostCycles(static_cast<uint64_t>(
-        static_cast<double>(zeroed) / vm->config().host_costs.memcpy_bytes_per_cycle));
+    vm->ChargeCopy(zeroed);
   }
   stats_.cleans.fetch_add(1, std::memory_order_relaxed);
   stats_.bytes_zeroed.fetch_add(zeroed, std::memory_order_relaxed);

@@ -118,8 +118,7 @@ void Runtime::RestoreSnapshot(vkvm::Vm& vm, const Snapshot& snap, bool affine,
   uint64_t copied = 0;
   if (affine) {
     copied = RestoreDeltaInto(snap, &vm.memory());
-    vm.AddHostCycles(static_cast<uint64_t>(
-        static_cast<double>(copied) / vm.config().host_costs.memcpy_bytes_per_cycle));
+    vm.ChargeCopy(copied);
   } else {
     MapCowInto(snap, &vm.memory());
     vm.AddHostCycles(snap.extent->extents.size() * vm.config().host_costs.cow_map_extent);
@@ -142,9 +141,7 @@ vbase::Status Runtime::SnapshotOnce(HypercallFrame& frame, PendingCall pending) 
     SnapshotRef snap = CaptureSnapshot(vm.memory(), vm.cpu().state(), pending);
     // Taking the snapshot is itself a copy; charge it (the paper's Figure 11
     // snapshot bars "include the overhead for taking the initial snapshot").
-    vm.AddHostCycles(static_cast<uint64_t>(
-        static_cast<double>(snap->byte_size()) /
-        vm.config().host_costs.memcpy_bytes_per_cycle));
+    vm.ChargeCopy(snap->byte_size());
     // Concurrent cold runs race this publish; only the winner's shell parks
     // snapshot-affine.  A loser's shell holds its *own* capture, not the
     // winner's, so it must go back through the cleaning path — and under a
@@ -169,7 +166,6 @@ bool Runtime::Serve(uint16_t port, HypercallFrame& frame) {
   // Default-deny: the call needs every policy bit RequiredPolicy names (abi.h).
   const HypercallMask need = RequiredPolicy(port, frame.arg(2));
   if ((frame.spec.policy & need) != need) {
-    outcome.denied = true;
     outcome.fault = FaultKind::kPolicyDenied;
     outcome.status = vbase::PermissionDenied(
         "hypercall " + PortLabel(port) + " denied by policy; virtine terminated");
@@ -459,9 +455,7 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
       pool_.Release(std::move(vm));
       return outcome;
     }
-    vm->AddHostCycles(static_cast<uint64_t>(
-        static_cast<double>(image.bytes.size()) /
-        vm->config().host_costs.memcpy_bytes_per_cycle));
+    vm->ChargeCopy(image.bytes.size());
     // Boot info: memory size + flags.
     uint64_t boot_info[2] = {vm->memory().size(), 0};
     if (spec.use_snapshot && spec.crt_snapshot && !spec.key.empty()) {
@@ -541,7 +535,6 @@ RunOutcome Runtime::Invoke(const VirtineSpec& spec) {
         outcome.status =
             vbase::Unimplemented("illegal hypercall injected at " + PortLabel(run.port));
       } else {
-        outcome.denied = true;
         outcome.status = vbase::PermissionDenied("hypercall " + PortLabel(run.port) +
                                                  " denied by injected policy");
       }

@@ -83,7 +83,6 @@ struct RunOutcome {
   // failed image load, which do not quarantine the shell).  The status
   // message keeps the human-readable detail for logs.
   FaultKind fault = FaultKind::kNone;
-  bool denied = false;           // a hypercall was denied by policy
   uint64_t exit_code = 0;        // from exit, return_exit or send_exit (0 for plain hlt)
   uint64_t result_word = 0;      // argument-page word 0 (the return value)
   std::string console;           // bytes written via the console hypercall

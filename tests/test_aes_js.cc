@@ -188,6 +188,20 @@ std::vector<uint8_t> RunScript(const std::string& script) {
   return RunBytecode(*bytecode);
 }
 
+// A name is visible from the end of its `var` to the end of its block (a
+// braceless if or while body included), so a read can never reach a slot
+// this call has not stored.
+TEST(MicroJs, AVarIsVisibleFromItsDeclarationToTheEndOfItsBlock) {
+  EXPECT_FALSE(vjs::CompileScript("if (input_len() > 100) { var x = 7; } out(x + 48);").ok());
+  EXPECT_FALSE(vjs::CompileScript("var x = x + 1;").ok());
+  EXPECT_FALSE(vjs::CompileScript("if (1) var x = 7; out(x);").ok());
+  EXPECT_FALSE(vjs::CompileScript("while (0) { var x = 1; } x = 2;").ok());
+  EXPECT_FALSE(vjs::CompileScript("if (1) { } else { var x = 1; } out(x);").ok());
+  EXPECT_TRUE(vjs::CompileScript("var x = 1; if (x) { var x = x + 1; } out(x);").ok());
+  EXPECT_TRUE(vjs::CompileScript("if (1) { var x = 1; if (x) { out(x); } }").ok());
+  EXPECT_TRUE(vjs::CompileScript("if (1) { var x = 1; } var x = 2; out(x);").ok());
+}
+
 TEST(MicroJs, CompileErrorsAreDiagnosed) {
   EXPECT_FALSE(vjs::CompileScript("var ;").ok());
   EXPECT_FALSE(vjs::CompileScript("x = 1;").ok());            // undefined var
@@ -513,8 +527,10 @@ TEST(EngineBoundary, InjectedFaultsFireAtTheWarmCallsOneExit) {
 
 // Runs `script` in a snapshotting engine (no teardown), once per input: the
 // first call is cold and captures the snapshot, the later ones are warm.
+// After call `recapture_after` (if any) the snapshot is re-captured.
 std::vector<wasp::RunOutcome> RunScriptCalls(const std::string& script,
-                                             const std::vector<std::vector<uint8_t>>& inputs) {
+                                             const std::vector<std::vector<uint8_t>>& inputs,
+                                             size_t recapture_after = SIZE_MAX) {
   auto bytecode = vjs::CompileScript(script);
   EXPECT_TRUE(bytecode.ok()) << bytecode.status().ToString();
   if (!bytecode.ok()) {
@@ -541,8 +557,36 @@ std::vector<wasp::RunOutcome> RunScriptCalls(const std::string& script,
     outcomes.push_back(runtime.Invoke(spec));
     EXPECT_TRUE(outcomes.back().status.ok()) << outcomes.back().status.ToString();
     EXPECT_EQ(outcomes.back().stats.restored_snapshot, outcomes.size() > 1);
+    if (outcomes.size() == recapture_after + 1) {
+      EXPECT_EQ(runtime.RecaptureSnapshot(spec.key).status,
+                wasp::RecaptureOutcome::Status::kRecaptured);
+    }
   }
   return outcomes;
+}
+
+// A variable declared in a branch is read only inside it, so a snapshot
+// re-captured after a call that took the branch hands nothing to a later
+// call that did not.
+TEST(EngineBoundary, ABranchVariableDoesNotOutliveARecapture) {
+  const char* script = R"js(
+if (input_len() > 100) {
+  var x = 7;
+  out(x + 48);
+}
+if (input_len() <= 100) {
+  var y = input_len();
+  out(y + 48);
+}
+)js";
+  const std::vector<uint8_t> short_input = {'f', 'o', 'o'};
+  const std::vector<uint8_t> long_input(200, 'z');
+  const auto outcomes = RunScriptCalls(
+      script, {short_input, long_input, short_input, long_input}, /*recapture_after=*/1);
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(OutputOf(outcomes[i]), i % 2 == 0 ? "3" : "7") << "call " << i;
+  }
 }
 
 // out() past the engine's output capacity drops the byte instead of writing

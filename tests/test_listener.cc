@@ -23,10 +23,15 @@
 
 namespace {
 
-int ConnectTo(uint16_t port) {
+// Connects to 127.0.0.1:port; a non-zero `rcvbuf` sets SO_RCVBUF first, so
+// the window the client advertises stays that small.
+int ConnectTo(uint16_t port, int rcvbuf = 0) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return -1;
+  }
+  if (rcvbuf > 0) {
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   }
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
@@ -57,14 +62,18 @@ bool SendAll(int fd, const std::string& data) {
 }
 
 // Reads one full Content-Length-framed response off `fd` (leftover bytes
-// stay in *stream); returns its status or -1 on EOF/error mid-response.
-int ReadResponse(int fd, std::string* stream) {
+// stay in *stream, its body goes to *body when given); returns its status
+// or -1 on EOF/error mid-response.
+int ReadResponse(int fd, std::string* stream, std::string* body = nullptr) {
   char buf[4096];
   while (true) {
     auto head = vnet::FrameResponseHead(*stream);
     if (head.ok()) {
       const size_t total = head->head_bytes + head->content_length;
       if (stream->size() >= total) {
+        if (body != nullptr) {
+          body->assign(*stream, head->head_bytes, head->content_length);
+        }
         stream->erase(0, total);
         return head->status;
       }
@@ -398,6 +407,93 @@ TEST(Listener, StopDrainsInFlightConnections) {
   stack.listener->Stop();
   EXPECT_FALSE(stack.listener->running());
   ::close(fd);
+}
+
+// A response larger than the socket takes at once is finished under
+// EPOLLOUT.  The client advertises a 4 KB window and reads only after a
+// pause, so the listener's send meets EAGAIN with most of an 8 MB file
+// still queued (8 MB is above Linux's default 4 MB tcp_wmem ceiling).
+TEST_P(ListenerModeTest, ALargeResponseFinishesAfterPartialWrites) {
+  Stack stack(GetParam());
+  std::string file(8u << 20, '\0');
+  for (size_t i = 0; i < file.size(); ++i) {
+    file[i] = static_cast<char>('a' + (i * 7 + i / 4093) % 26);
+  }
+  stack.files.PutFile("/big.bin", file);
+  const int fd = ConnectTo(stack.listener->port(), /*rcvbuf=*/4096);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, "GET /big.bin HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::string stream;
+  std::string body;
+  EXPECT_EQ(ReadResponse(fd, &stream, &body), 200);
+  EXPECT_EQ(body.size(), file.size());
+  EXPECT_TRUE(body == file) << "the body differs from the file";
+  EXPECT_TRUE(WaitForEof(fd));
+  ::close(fd);
+}
+
+// A keep-alive client resets its socket (SO_LINGER 0) while its job waits
+// for the next request: the listener closes the socket at once, the job
+// sees EOF and ends, and only then is the connection freed.  The next
+// connection (which may get the same fd) is served, and Stop() returns.
+TEST_P(ListenerModeTest, APeerResetWhileItsJobRunsIsClosedAndTheJobEnds) {
+  Stack stack(GetParam());
+  const int fd = ConnectTo(stack.listener->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd, "GET /static.html HTTP/1.1\r\nHost: t\r\n\r\n"));
+  std::string stream;
+  ASSERT_EQ(ReadResponse(fd, &stream), 200);  // the job now waits for more
+  const linger reset = {1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+  ::close(fd);
+  for (int i = 0; i < 400 && (stack.listener->stats().closed == 0 ||
+                              stack.server->counters(GetParam()).completed == 0);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(stack.listener->stats().closed, 1u);
+  EXPECT_EQ(stack.server->counters(GetParam()).completed, 1u);
+  const int next = ConnectTo(stack.listener->port());
+  ASSERT_GE(next, 0);
+  ASSERT_TRUE(
+      SendAll(next, "GET /static.html HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"));
+  std::string next_stream;
+  EXPECT_EQ(ReadResponse(next, &next_stream), 200);
+  EXPECT_TRUE(WaitForEof(next));
+  ::close(next);
+  stack.listener->Stop();
+  EXPECT_FALSE(stack.listener->running());
+  EXPECT_EQ(stack.listener->stats().accepted, 2u);
+  EXPECT_EQ(stack.server->counters(GetParam()).completed, 2u);
+}
+
+// A client half-closes in the middle of a forwarded body: the listener
+// stops forwarding, the server sees EOF mid-body, and the client gets what
+// the server wrote and then the listener's FIN.  Only the native handler
+// answers such a request 400; the guests serve it (ROADMAP item 9).
+TEST_P(ListenerModeTest, AHalfCloseMidBodyGetsTheServersAnswerThenFin) {
+  Stack stack(GetParam());
+  const int fd = ConnectTo(stack.listener->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(SendAll(fd,
+                      "POST /static.html HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n" +
+                          std::string(10, 'b')));
+  ::shutdown(fd, SHUT_WR);
+  std::string stream;
+  const int status = ReadResponse(fd, &stream);
+  EXPECT_GT(status, 0);
+  if (GetParam() == vnet::ServeMode::kNative) {
+    EXPECT_EQ(status, 400);
+  }
+  EXPECT_TRUE(WaitForEof(fd, &stream));
+  EXPECT_EQ(stream, "") << "bytes after the server's answer";
+  ::close(fd);
+  stack.listener->Stop();
+  const vnet::ListenerStats lstats = stack.listener->stats();
+  EXPECT_EQ(lstats.requests_forwarded, 1u);
+  EXPECT_EQ(lstats.edge_400, 0u);
+  EXPECT_EQ(lstats.closed, 1u);
 }
 
 }  // namespace

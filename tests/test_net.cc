@@ -185,6 +185,29 @@ TEST(Http, FrameResponseHeadReportsLengthAndStatus) {
             vbase::Code::kInvalidArgument);
 }
 
+// Each refusal of the response framer, one per head.  A folded header line
+// is refused here as in a request head.
+TEST(Http, FrameResponseHeadRefusesMalformedHeads) {
+  const char* refused[] = {
+      "HTTP/1.1\r\nContent-Length: 0\r\n\r\n",             // status line without a status
+      "HTTX/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",        // not an HTTP version
+      "HTTP/1.1 2x0 OK\r\nContent-Length: 0\r\n\r\n",        // non-numeric status
+      "HTTP/1.1 200000 OK\r\nContent-Length: 0\r\n\r\n",     // six-digit status
+      "HTTP/1.1 200 OK\r\nContent-Length 0\r\n\r\n",         // header line without a colon
+      "HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n",       // non-digit Content-Length
+      "HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",       // signed Content-Length
+      "HTTP/1.1 200 OK\r\nContent-Length: 0\r\n X: 1\r\n\r\n",  // folded line
+  };
+  for (const char* head : refused) {
+    EXPECT_EQ(vnet::FrameResponseHead(head).status().code(), vbase::Code::kInvalidArgument)
+        << head;
+  }
+  auto five_digits = vnet::FrameResponseHead("HTTP/1.1 20000 OK\r\n\r\n");
+  ASSERT_TRUE(five_digits.ok()) << five_digits.status().ToString();
+  EXPECT_EQ(five_digits->status, 20000);
+  EXPECT_EQ(five_digits->content_length, 0u);
+}
+
 // --- Static server in all modes -----------------------------------------------
 
 class ServerModeTest : public ::testing::TestWithParam<vnet::ServeMode> {};

@@ -392,7 +392,7 @@ start:
   spec.policy = wasp::kPolicyDenyAll;
   auto outcome = runtime.Invoke(spec);
   EXPECT_FALSE(outcome.status.ok());
-  EXPECT_TRUE(outcome.denied);
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied);
   EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied);
   // The denial names the call, from the hypercall table.
   EXPECT_NE(outcome.status.message().find("hypercall send (32) denied by policy"),
@@ -933,7 +933,6 @@ TEST(Policy, ReadFileAndSendRecvAreDefaultDenied) {
       spec.policy = policy;
       spec.channel = &channel.guest();
       auto outcome = runtime.Invoke(spec);
-      EXPECT_TRUE(outcome.denied) << c.port;
       EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied) << c.port;
       EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied) << c.port;
     }
@@ -1246,7 +1245,6 @@ TEST(FoldedCalls, SnapshotGetDataNeedsTheGetDataBit) {
   const auto outcome = runtime.Invoke(spec);
   EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied);
   EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied);
-  EXPECT_TRUE(outcome.denied);
   EXPECT_EQ(runtime.snapshots().Find(kEchoKey), nullptr) << "a denied call captured";
 }
 
@@ -1259,7 +1257,6 @@ TEST(FoldedCalls, ReturnExitWithBytesNeedsTheReturnDataBit) {
   const auto outcome = runtime.Invoke(spec);
   EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied);
   EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied);
-  EXPECT_TRUE(outcome.denied);
   EXPECT_TRUE(outcome.output.empty());
   EXPECT_EQ(outcome.exit_code, 0u);
 }
@@ -1297,7 +1294,6 @@ TEST(FoldedCalls, WarmRestoreWithoutTheGetDataBitIsDeniedBeforeTheFirstVmrun) {
   EXPECT_TRUE(outcome.stats.restored_snapshot);
   EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied);
   EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied);
-  EXPECT_TRUE(outcome.denied);
   EXPECT_TRUE(outcome.output.empty());
   EXPECT_EQ(outcome.stats.insns, 0u) << "the guest ran";
   EXPECT_EQ(outcome.stats.io_exits, 0u);
@@ -1437,8 +1433,8 @@ TEST(SnapshotRecv, AfterTheCrtSnapshotIsRefused) {
   spec.channel = &channel.guest();
   const auto outcome = runtime.Invoke(spec);
   EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied) << outcome.status.ToString();
-  EXPECT_EQ(outcome.fault, wasp::FaultKind::kHypercallError);
-  EXPECT_FALSE(outcome.denied) << "the policy admits it; the once-only rule refuses it";
+  EXPECT_EQ(outcome.fault, wasp::FaultKind::kHypercallError)
+      << "the policy admits it; the once-only rule refuses it";
   EXPECT_TRUE(outcome.output.empty());
   const wasp::SnapshotRef snap = runtime.snapshots().Find(kFirstRecvKey);
   ASSERT_NE(snap, nullptr);
@@ -1452,7 +1448,6 @@ TEST(SnapshotRecv, NeedsTheRecvBitBeforeItCaptures) {
   const auto denied = ServeFirstRecv(runtime, image, "request", false, no_recv);
   EXPECT_EQ(denied.status.code(), vbase::Code::kPermissionDenied);
   EXPECT_EQ(denied.fault, wasp::FaultKind::kPolicyDenied);
-  EXPECT_TRUE(denied.denied);
   EXPECT_EQ(runtime.snapshots().Find(kFirstRecvKey), nullptr) << "a denied call captured";
 
   // A warm restore's pending recv is checked against the warm run's own
@@ -1540,7 +1535,6 @@ TEST(SendExit, NeedsTheSendBitAndTheReturnDataBit) {
     const auto outcome = RunSendExit(runtime, channel, policy);
     EXPECT_EQ(outcome.status.code(), vbase::Code::kPermissionDenied) << missing;
     EXPECT_EQ(outcome.fault, wasp::FaultKind::kPolicyDenied) << missing;
-    EXPECT_TRUE(outcome.denied) << missing;
     EXPECT_TRUE(Sent(channel).empty()) << missing;
     EXPECT_TRUE(outcome.output.empty()) << missing;
     EXPECT_EQ(outcome.exit_code, 0u) << missing;
