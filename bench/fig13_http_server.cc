@@ -29,10 +29,11 @@
 // so a request costs two exits at every reuse.  The wall numbers are time
 // over loopback: host-dependent, unlike the modeled cycles and hypercall
 // exits per request each point also records from the server's counters
-// (exits are printed, not gated).  Each mode's socket sweep first serves
-// one connection on each of its lanes, so every point starts from a settled
-// server: the snapshot published and in each lane's cache a warm shell of
-// its own.
+// (exits are printed, not gated).  Each mode's socket sweep runs on a fresh
+// runtime that is settled first: in snapshot mode one connection captures
+// the snapshot, and then as many keep-alive connections as the server has
+// lanes are held open at once, so every point starts with the snapshot
+// published and one warm shell per lane, all with one history.
 //
 // `--quick` runs a small 2-lane smoke of all three modes and exits non-zero
 // on any wrong response or counter mismatch (the ci.sh gate for the
@@ -52,6 +53,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,11 +61,9 @@
 #include "bench/bench_util.h"
 #include "src/vnet/listener.h"
 #include "src/vnet/loadgen.h"
-#include "src/vkvm/vkvm.h"
 #include "src/vnet/server.h"
 #include "src/wasp/channel.h"
 #include "src/wasp/executor.h"
-#include "src/wasp/pool.h"
 #include "src/wasp/runtime.h"
 
 namespace {
@@ -280,40 +280,50 @@ SocketPoint RunSocketPoint(wasp::Runtime* runtime, wasp::HostEnv* files,
   return pt;
 }
 
-// Serves one keep-alive connection in `mode` on each of the first `lanes`
-// pool lanes, the lanes a `lanes`-worker executor binds, so every socket
-// point starts from what a settled server holds: the keep-alive guest's
-// snapshot published, and in each lane's cache a warm shell of its own that
-// has served there.  Otherwise a sweep's first point also pays the cold
-// boots of however many connections race the first capture (a number that
-// moves with thread timing), and each lane's first connection maps the
-// snapshot onto a clean shell where later ones repair a warm one, so the
-// point's two runs differ.  Each lane first takes a shell of its own: the
-// lanes are served one after another on this thread, and a lane with an
-// empty cache would take the shell the lane before it parked (an acquire's
-// slow path sweeps every lane's slot), leaving one shell for all of them and
-// each point a pool miss whose lane moves with thread timing.
+// Settles a fresh runtime for a socket sweep in `mode` on `lanes` lanes, so
+// every point starts from what a settled server holds.  In snapshot mode
+// one connection first captures the keep-alive guest's snapshot; otherwise a
+// sweep's first point also pays the cold boots of however many connections
+// race the first capture, a number that moves with thread timing.  Then
+// `lanes` keep-alive connections are held open at once until each has its
+// response, so each holds a shell of its own, and the sweep starts with
+// `lanes` shells that share one history: whichever of them a connection
+// takes, it costs the same.  Served one after another, these connections
+// would all run on one shell, and each point's connections would meet
+// shells of different histories in an order that moves with thread timing.
 void SettleLanes(wasp::Runtime* runtime, wasp::HostEnv* files, vnet::ServeMode mode,
                  int lanes) {
-  std::vector<std::unique_ptr<vkvm::Vm>> shells;
-  for (int lane = 0; lane < lanes; ++lane) {
-    wasp::Pool::BindLane(static_cast<uint32_t>(lane));
-    // The server's guests run in the default 1 MB shell.
-    shells.push_back(runtime->pool().Acquire(vkvm::VmConfig{}));
-  }
-  for (int lane = 0; lane < lanes; ++lane) {
-    wasp::Pool::BindLane(static_cast<uint32_t>(lane));
-    runtime->pool().Release(std::move(shells[static_cast<size_t>(lane)]));
-  }
-  vnet::StaticHttpServer server(runtime, files);
+  vnet::ConcurrentServerOptions sopts;
+  sopts.lanes = lanes;
+  vnet::ConcurrentHttpServer server(runtime, files, sopts);
   vnet::ConnectionOptions conn;
   conn.keep_alive = true;
-  for (int lane = 0; lane < lanes; ++lane) {
-    wasp::Pool::BindLane(static_cast<uint32_t>(lane));
-    wasp::ByteChannel channel;
-    channel.host().WriteString(
+  if (mode == vnet::ServeMode::kVirtineSnapshot) {
+    wasp::ByteChannel capture;
+    capture.host().WriteString(
         "GET /index.html HTTP/1.1\r\nHost: fig13\r\nConnection: close\r\n\r\n");
-    auto stats = server.HandleConnection(channel, mode, conn);
+    const vbase::Result<vnet::ServeStats> stats =
+        server.SubmitConnection(capture, mode, "/index.html", conn).get();
+    VB_CHECK(stats.ok() && stats->r2xx == 1, "snapshot capture connection failed");
+  }
+  std::vector<wasp::ByteChannel> channels(static_cast<size_t>(lanes));
+  std::vector<std::future<vbase::Result<vnet::ServeStats>>> jobs;
+  for (wasp::ByteChannel& channel : channels) {
+    channel.host().WriteString("GET /index.html HTTP/1.1\r\nHost: fig13\r\n\r\n");
+    jobs.push_back(server.SubmitConnection(channel, mode, "/index.html", conn));
+  }
+  // A response's first byte means its connection holds a shell, which it
+  // keeps until its channel closes.
+  for (wasp::ByteChannel& channel : channels) {
+    char first = 0;
+    VB_CHECK(channel.host().Read(&first, 1) == 1,
+             "settling connection closed early (" << vnet::ServeModeName(mode) << ")");
+  }
+  for (wasp::ByteChannel& channel : channels) {
+    channel.host().CloseWrite();
+  }
+  for (auto& job : jobs) {
+    const vbase::Result<vnet::ServeStats> stats = job.get();
     VB_CHECK(stats.ok() && stats->r2xx == 1,
              "settling connection failed (" << vnet::ServeModeName(mode) << ")");
   }
@@ -487,7 +497,8 @@ int main(int argc, char** argv) {
     vbase::Table table({"handler", "reuse", "rps (wall)", "mean us", "p99 us",
                         "modeled cyc/req", "exits/req", "connections", "reused"});
     std::vector<SocketPoint> points;
-    SettleLanes(&runtime, &files, mode, sock_lanes);
+    wasp::Runtime sock_runtime;
+    SettleLanes(&sock_runtime, &files, mode, sock_lanes);
     const bool virtine_mode = mode != vnet::ServeMode::kNative;
     for (const int reuse : reuse_sweep) {
       // Best-of-2 in the full run: on a small host the client threads, the
@@ -498,11 +509,12 @@ int main(int argc, char** argv) {
       // exactly on modeled cycles and exits: the keep-alive gate reads the
       // snapshot mode's.
       const int trials = quick && !virtine_mode ? 1 : 2;
-      SocketPoint pt = RunSocketPoint(&runtime, &files, mode, sock_lanes, sock_clients,
+      SocketPoint pt = RunSocketPoint(&sock_runtime, &files, mode, sock_lanes, sock_clients,
                                       sock_per_client, reuse, /*duration_s=*/0);
       for (int t = 1; t < trials; ++t) {
-        SocketPoint again = RunSocketPoint(&runtime, &files, mode, sock_lanes, sock_clients,
-                                           sock_per_client, reuse, /*duration_s=*/0);
+        SocketPoint again = RunSocketPoint(&sock_runtime, &files, mode, sock_lanes,
+                                           sock_clients, sock_per_client, reuse,
+                                           /*duration_s=*/0);
         pt.mismatches += again.mismatches;
         if (virtine_mode && (again.counters.modeled_cycles != pt.counters.modeled_cycles ||
                               again.counters.io_exits != pt.counters.io_exits ||

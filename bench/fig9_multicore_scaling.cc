@@ -19,13 +19,13 @@
 // — the lock-free pool, the cleaner crew, and the shared snapshot store — and
 // supplies the acquire-path columns and the wall time.
 //
-// PR 7 extends the sweep to 16 lanes and reports the acquire path itself:
-// per-point acquire p50/p99 (wall ns, from each invocation's measured
-// acquire_ns) and the fraction of acquires served lock-free (lane cache +
-// Treiber free-list, from PoolStats deltas).  The gates are the lock-free
-// redesign's own claims: >= 95% of steady-state acquires lock-free, and
-// acquire p99 flat (<= 2x the 1-lane value, with an absolute floor so
-// scheduler noise on small hosts cannot fail an otherwise-flat curve).
+// The sweep also reports the acquire path itself: per-point acquire p50/p99
+// (wall ns, from each invocation's measured acquire_ns) and the fraction of
+// acquires served lock-free (a pop of a tagged Treiber stack, from
+// PoolStats deltas).  The gates are the lock-free pool's own claims: >= 95%
+// of steady-state acquires lock-free, and acquire p99 flat (<= 2x the 1-lane
+// value, with an absolute floor so scheduler noise on small hosts cannot
+// fail an otherwise-flat curve).
 //
 //   ./fig9_multicore_scaling                 # full sweep
 //   ./fig9_multicore_scaling --quick         # CI smoke (fewer invocations)
@@ -64,7 +64,7 @@ struct SweepPoint {
   uint64_t wall_ns = 0;
   double acquire_p50_ns = 0;     // per-invocation shell-acquire wall latency
   double acquire_p99_ns = 0;
-  double lockfree_hit_rate = 0;  // (lane-cache + free-list) / acquires, this point
+  double lockfree_hit_rate = 0;  // free-list hits / acquires, this point
   uint64_t slow_path_acquires = 0;  // acquires that took the sweep mutex, this point
 };
 
@@ -94,7 +94,9 @@ ConfigResult RunConfig(const std::string& name, wasp::CleanMode mode, bool use_s
   // cleaner crew is starved by a loaded host for a whole batch — a single
   // miss would charge vm_create (~4 invocations' worth of modeled cycles)
   // to one lane and turn the deterministic makespan into a flaky gate.
-  // For the snapshot config, a single sequential run seeds the snapshot.
+  // For the snapshot config, a single sequential run seeds the snapshot and
+  // parks its shell under the snapshot's generation, where the first keyed
+  // acquire of the sweep finds it.
   auto warm = [&](wasp::Runtime& runtime) {
     runtime.pool().Prewarm(runtime.MakeVmConfig(spec.mem_size), invocations);
     if (use_snapshot) {
@@ -175,10 +177,9 @@ ConfigResult RunConfig(const std::string& name, wasp::CleanMode mode, bool use_s
     point.acquire_p99_ns = vbase::Quantile(acquire_ns, 0.99);
     // Acquire-path tier accounting for *this* sweep point, from the pool's
     // monotone counters.  Every acquire lands in exactly one tier, so the
-    // lock-free fraction is (lane-cache + free-list) / acquires.
+    // lock-free fraction is free-list hits / acquires.
     const uint64_t point_acquires = after.acquires - before.acquires;
-    const uint64_t point_lockfree = (after.lane_cache_hits - before.lane_cache_hits) +
-                                    (after.freelist_hits - before.freelist_hits);
+    const uint64_t point_lockfree = after.freelist_hits - before.freelist_hits;
     point.slow_path_acquires = after.slow_path_acquires - before.slow_path_acquires;
     point.lockfree_hit_rate = point_acquires == 0
                                   ? 1.0

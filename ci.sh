@@ -26,7 +26,7 @@ count_gtests() {
 
 if [[ "${TSAN:-0}" == "1" ]]; then
   # ThreadSanitizer gate for the concurrent invocation engine (lock-free
-  # shell fast path: lane caches + tagged Treiber stacks, cleaner crew,
+  # shell fast path: tagged Treiber stacks, cleaner crew,
   # executor, governance layer, the admission differential of the
   # executor's worker threads against Executor::RunVirtual).
   # test_wasp_concurrency carries the stress suite — the mixed-op
@@ -105,8 +105,8 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # makespan from the executor in virtual time, the acquire path from a
 # threaded executor): fails (non-zero) if pooled-async scaling drops below
 # the 4x-at-8-threads floor,
-# if fewer than 95% of steady-state acquires are served lock-free (lane
-# cache + Treiber free-list), or if acquire p99 at 16 lanes grows past
+# if fewer than 95% of steady-state acquires are served lock-free (popped
+# from a Treiber stack), or if acquire p99 at 16 lanes grows past
 # max(2x the 1-lane p99, the scheduler-noise floor) — the lock-free fast
 # path cannot silently regress back onto the pool's sweep mutex.
 (cd "$BUILD_DIR" && ./fig9_multicore_scaling --quick)
@@ -124,8 +124,9 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # modeled cycles than one at connection-per-request; wall socket RPS is
 # printed, not gated).  The lane sweep runs a second time on a fresh
 # runtime, and the run fails unless every row's modeled columns (mean, p99,
-# RPS, ratio to native) match.  Each socket sweep starts from settled lanes,
-# each lane on a shell of its own, and runs every virtine-mode point twice;
+# RPS, ratio to native) match.  Each socket sweep runs on a fresh runtime
+# settled to one warm shell per lane, all with one history (in snapshot mode
+# after a capture connection), and runs every virtine-mode point twice;
 # the run fails unless both agree exactly on modeled cycles and exits per
 # request, so the socket rows and the gate's two readings repeat run to
 # run.

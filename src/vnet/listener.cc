@@ -345,7 +345,10 @@ void Listener::RelayChannel(Conn* conn) {
   if (!bytes.empty()) {
     conn->outbuf.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
   }
-  FlushOut(conn);
+  // While EPOLLOUT is armed the socket is full: its event flushes outbuf.
+  if (!conn->want_epollout) {
+    FlushOut(conn);
+  }
 }
 
 void Listener::FlushOut(Conn* conn) {

@@ -137,7 +137,8 @@ class Listener {
   // Stops forwarding and ends the channel's forward direction; the socket
   // closes in Tick once the job is done and the responses have drained.
   void BeginClose(Conn* conn);
-  // Moves channel bytes to outbuf and flushes as much as the socket takes.
+  // Moves channel bytes to outbuf and flushes as much as the socket takes,
+  // unless EPOLLOUT is armed: then the socket is full and its event flushes.
   void RelayChannel(Conn* conn);
   void FlushOut(Conn* conn);
   // Registers (EPOLL_CTL_ADD) or updates (EPOLL_CTL_MOD) `fd` under `id`.

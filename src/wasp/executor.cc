@@ -12,14 +12,20 @@
 namespace wasp {
 namespace {
 
-// Keyed dequeue hint: a lane that just ran snapshot key K parked K's shell
-// snapshot-affine in its pool lane slot, so a queued job with the same key
-// is cheapest to run *there* (delta restore instead of a full image copy).
-// The scan is bounded and fairness-capped: after a few consecutive
-// out-of-order picks the lane must take the queue head, so no job can
-// starve behind a stream of matching keys.  The scan stays within the class
-// the policy picked, so affinity can never invert the latency-vs-batch
-// weighting.
+// Keyed dequeue hint: a lane that just ran key K takes a queued job with the
+// same key first.  The pool hands K's parked shell to whichever lane asks,
+// so the hint finds no shell the pool would miss; it keeps key switches
+// rare.  That counts most in virtual time: RunVirtual runs one job at a
+// time, and the pool's slow path reclaims another generation's parked shell
+// before it creates one, so a sweep can run every job on a single shell, and
+// each key switch costs a reclaim and a COW map instead of a delta repair.
+// fig16's tiered phase (3 keys, 2 lanes, --quick) makes 843 COW maps in
+// 11,556 admitted jobs with the scan and 6,260 in 10,335 without it, and
+// reads 47,733 aggregate rps against 42,635.  The scan is bounded and
+// fairness-capped: after a few consecutive out-of-order picks the lane must
+// take the queue head, so no job can starve behind a stream of matching
+// keys.  The scan stays within the class the policy picked, so affinity can
+// never invert the latency-vs-batch weighting.
 constexpr size_t kAffinityScan = 8;
 constexpr int kMaxConsecutiveSkips = 4;
 
@@ -48,7 +54,7 @@ Executor::Executor(Runtime* runtime, ExecutorOptions options, bool start_workers
   }
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(static_cast<uint32_t>(i)); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -256,12 +262,7 @@ void Executor::Settle(Job& job, RunOutcome outcome) {
   job.promise.set_value(std::move(outcome));
 }
 
-void Executor::WorkerLoop(uint32_t worker_index) {
-  // Register this worker as a pool lane: its acquires and releases hit a
-  // dedicated single-slot shell cache before any shared structure, and its
-  // stable lane id keeps that cache its own across the executor's
-  // lifetime.
-  Pool::BindLane(worker_index);
+void Executor::WorkerLoop() {
   Lane lane;
   while (true) {
     Job job;
@@ -376,7 +377,6 @@ Executor::VirtualRun Executor::RunVirtual(Runtime* runtime, ExecutorOptions opti
       }
       lane.job = executor.DequeueLocked(lane.lane);
     }
-    Pool::BindLane(static_cast<uint32_t>(l));
     lane.outcome = executor.RunJob(*lane.job);
     runtime->pool().DrainCleaner();  // the next acquire sees a settled pool
     Served& served = run.served[arrival_of_seq[lane.job->seq]];

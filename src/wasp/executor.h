@@ -55,20 +55,21 @@
 // RunVirtual drives the same pair on the calling thread in virtual time: it
 // submits each arrival through TrySubmit/TrySubmitTask at its trace time (an
 // open loop) or when its client's previous request is done (a closed loop),
-// runs each dequeued job on the earliest-free of `workers` virtual lanes
-// under Pool::BindLane, and settles the job once its modeled cycles have
-// passed, so every lane sweep in the repository (figs 9, 13, 15, 16 and 17)
-// gets the real scheduler on a timeline that repeats exactly.  Its one
-// approximation: a job's shell is back in the pool once its dispatch
-// returns, so a job that starts later on another lane can take that shell
-// before the first job's virtual completion.  A job runs to completion when
-// it is dispatched, so it must not wait on another job: a task reading a
-// channel finds its request already written.
+// runs each dequeued job on the earliest-free of `workers` virtual lanes,
+// and settles the job once its modeled cycles have passed, so every lane
+// sweep in the repository (figs 9, 13, 15, 16 and 17) gets the real
+// scheduler on a timeline that repeats exactly.  Its one approximation: a
+// job's shell is back in the pool once its dispatch returns, so a job that
+// starts later on another lane can take that shell before the first job's
+// virtual completion.  A job runs to completion when it is dispatched, so it
+// must not wait on another job: a task reading a channel finds its request
+// already written.
 //
 // Invocations are independent by construction (each owns its shell, its
 // hypercall frame, and its fd table), so the only shared state a worker
-// touches is the Pool (per-lane slots in front of lock-free stacks) and the
-// read-mostly SnapshotStore — both designed to scale with the worker count.
+// touches is the Pool (lock-free stacks in front of one slow-path mutex) and
+// the read-mostly SnapshotStore — both designed to scale with the worker
+// count.
 //
 // Lifetime: specs hold non-owning pointers (image, input, channel); the
 // caller keeps those alive until the future resolves / RunVirtual returns.
@@ -217,7 +218,6 @@ class Executor {
   // submitter cannot park, so RunVirtual always sheds at the bound, as
   // block_when_full = false does.  The cleaner crew is drained after every
   // job, so a run on a fresh runtime repeats exactly in either clean mode.
-  // The calling thread is left bound to the last pool lane it ran.
   static VirtualRun RunVirtual(Runtime* runtime, ExecutorOptions options,
                                std::vector<Arrival> arrivals, size_t clients = 0);
 
@@ -258,7 +258,7 @@ class Executor {
   // The settle step: completion counters, the policy's EWMA and quota slot,
   // then the job's future.
   void Settle(Job& job, RunOutcome outcome);
-  void WorkerLoop(uint32_t worker_index);
+  void WorkerLoop();
 
   size_t TotalQueuedLocked() const { return queues_[0].size() + queues_[1].size(); }
 

@@ -20,24 +20,7 @@ constexpr int kPopScan = 8;
 // hit in practice).
 constexpr int kScanGuard = 1 << 20;
 
-constexpr uint32_t kLaneUnbound = UINT32_MAX;
-thread_local uint32_t tls_lane = kLaneUnbound;
-// Lanes for threads that never called BindLane: process-unique, so two
-// unbound threads never collide on a lane slot by accident.
-std::atomic<uint32_t> g_next_auto_lane{0};
-
 }  // namespace
-
-void Pool::BindLane(uint32_t lane) { tls_lane = lane; }
-
-uint32_t Pool::CurrentLane() {
-  if (tls_lane == kLaneUnbound) {
-    tls_lane = g_next_auto_lane.fetch_add(1, std::memory_order_relaxed);
-  }
-  return tls_lane;
-}
-
-size_t Pool::LaneIndex() const { return CurrentLane() % kLanes; }
 
 Pool::Pool(const PoolOptions& options) : options_(options) {
   if (options_.mode == CleanMode::kAsync) {
@@ -61,10 +44,10 @@ Pool::~Pool() {
       cleaner.join();
     }
   }
-  // Every parked shell — lane slot, free/parked/dirty stack — lives in a
-  // node that still owns its raw Vm pointer (UnwrapShell nulls it out when
-  // a shell leaves the pool).  The destructor runs exclusively, so a plain
-  // arena sweep reclaims them all.
+  // Every pooled shell — on the free, a parked, the dirty or the quarantine
+  // stack — lives in a node that still owns its raw Vm pointer (UnwrapShell
+  // nulls it out when a shell leaves the pool).  The destructor runs
+  // exclusively, so a plain arena sweep reclaims them all.
   for (auto& node : all_nodes_) {
     delete node->vm;
     node->vm = nullptr;
@@ -141,42 +124,20 @@ Pool::ShellNode* Pool::PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size
   return found;
 }
 
-Pool::ShellNode* Pool::TakeLane(size_t lane, bool affine, uint64_t mem_size,
-                                const GenInfo* gen, bool keep_in_slot) {
-  std::atomic<ShellNode*>& slot = affine ? lanes_[lane].affine : lanes_[lane].clean;
-  ShellNode* node = slot.exchange(nullptr, std::memory_order_acq_rel);
-  if (node == nullptr || ((mem_size == 0 || node->mem_size == mem_size) &&
-                          (gen == nullptr || node->gen == gen))) {
-    return node;
-  }
-  Park(node, keep_in_slot ? &slot : nullptr);
-  return nullptr;
-}
-
 Pool::ShellNode* Pool::Sweep(bool affine, uint64_t mem_size, GenInfo* gen) {
-  {
-    std::lock_guard<std::mutex> lock(sweep_mu_);
-    ShellNode* node = nullptr;
-    if (!affine) {
-      node = PopMatch(free_, mem_size, kScanGuard);
-    } else if (gen != nullptr) {
-      node = PopMatch(gen->parked, mem_size, kScanGuard);
-    } else {
-      std::shared_lock<std::shared_mutex> gens(gen_mu_);
-      for (auto it = generations_.begin(); node == nullptr && it != generations_.end(); ++it) {
-        node = PopMatch(it->second->parked, mem_size, kScanGuard);
-      }
-    }
-    if (node != nullptr) {
-      return node;
-    }
+  std::lock_guard<std::mutex> lock(sweep_mu_);
+  if (!affine) {
+    return PopMatch(free_, mem_size, kScanGuard);
   }
-  for (size_t l = 0; l < kLanes; ++l) {
-    if (ShellNode* node = TakeLane(l, affine, mem_size, gen, /*keep_in_slot=*/true)) {
-      return node;
-    }
+  if (gen != nullptr) {
+    return PopMatch(gen->parked, mem_size, kScanGuard);
   }
-  return nullptr;
+  ShellNode* node = nullptr;
+  std::shared_lock<std::shared_mutex> gens(gen_mu_);
+  for (auto it = generations_.begin(); node == nullptr && it != generations_.end(); ++it) {
+    node = PopMatch(it->second->parked, mem_size, kScanGuard);
+  }
+  return node;
 }
 
 std::unique_ptr<vkvm::Vm> Pool::Serve(ShellNode* node, bool* from_pool) {
@@ -284,7 +245,7 @@ void Pool::Dispose(std::unique_ptr<vkvm::Vm> vm) {
       // No crew to hand it to; clean here but off the modeled critical path
       // (eviction/retirement is maintenance, not an acquire or release).
       CleanShell(vm.get(), /*charge_inline=*/false);
-      Park(WrapShell(std::move(vm), 0, nullptr), nullptr);
+      Park(WrapShell(std::move(vm), 0, nullptr));
       return;
     case CleanMode::kAsync:
       QueueDirty(std::move(vm));
@@ -292,18 +253,13 @@ void Pool::Dispose(std::unique_ptr<vkvm::Vm> vm) {
   }
 }
 
-void Pool::Park(ShellNode* node, std::atomic<ShellNode*>* slot) {
+void Pool::Park(ShellNode* node) {
   GenInfo* gen = node->gen;  // read before the node is visible to others
-  ShellNode* expected = nullptr;
-  if (slot == nullptr || !slot->compare_exchange_strong(expected, node, std::memory_order_release,
-                                                        std::memory_order_relaxed)) {
-    (gen != nullptr ? gen->parked : free_).Push(node);
-  }
+  (gen != nullptr ? gen->parked : free_).Push(node);
   if (gen != nullptr) {
-    // RetireGeneration may have swept between the shell's charge (or its
-    // last visible place) and this park; re-check behind a seq_cst fence
-    // (Dekker with the retirer's flag-store/sweep) and run the sweep
-    // ourselves if so.
+    // RetireGeneration may have swept between the shell's charge and this
+    // push; re-check behind a seq_cst fence (Dekker with the retirer's
+    // flag-store/sweep) and run the sweep ourselves if so.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (gen->retired.load(std::memory_order_relaxed)) {
       RetireSweep(gen);
@@ -311,20 +267,8 @@ void Pool::Park(ShellNode* node, std::atomic<ShellNode*>* slot) {
   }
 }
 
-Pool::ShellNode* Pool::TakeParked(GenInfo* gen) {
-  if (ShellNode* node = gen->parked.Pop()) {
-    return node;
-  }
-  for (size_t l = 0; l < kLanes; ++l) {
-    if (ShellNode* node = TakeLane(l, /*affine=*/true, 0, gen, /*keep_in_slot=*/true)) {
-      return node;
-    }
-  }
-  return nullptr;
-}
-
 void Pool::RetireSweep(GenInfo* gen) {
-  while (ShellNode* node = TakeParked(gen)) {
+  while (ShellNode* node = gen->parked.Pop()) {
     ReleaseAffineCharge(gen, node->private_bytes);
     stats_.affine_retired.fetch_add(1, std::memory_order_relaxed);
     stats_.affine_reclaims.fetch_add(1, std::memory_order_relaxed);
@@ -375,7 +319,7 @@ void Pool::EnforceAffineBudget() {
     if (victim == nullptr) {
       return;  // nothing parked any more (raced with acquires)
     }
-    ShellNode* node = TakeParked(victim);
+    ShellNode* node = victim->parked.Pop();
     if (node == nullptr) {
       continue;  // the victim's shells were acquired mid-sweep; re-pick
     }
@@ -387,23 +331,12 @@ void Pool::EnforceAffineBudget() {
 }
 
 std::unique_ptr<vkvm::Vm> Pool::TryFast(GenInfo* gen, uint64_t mem_size, bool* from_pool) {
-  const bool affine = gen != nullptr;
-  // Tier 1: the caller's lane slot (single atomic exchange; pages still
-  // warm in this lane's cache/TLB).  A wrong-size clean shell, or another
-  // generation's affine shell, spills to its stack rather than re-occupying
-  // the slot.
-  ShellNode* node = TakeLane(LaneIndex(), affine, mem_size, gen, /*keep_in_slot=*/false);
-  if (node != nullptr) {
-    stats_.lane_cache_hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Tier 2: the free stack, or the generation's own.
-    node = PopMatch(affine ? gen->parked : free_, mem_size, kPopScan);
-    if (node == nullptr) {
-      return nullptr;
-    }
-    stats_.freelist_hits.fetch_add(1, std::memory_order_relaxed);
+  ShellNode* node = PopMatch(gen != nullptr ? gen->parked : free_, mem_size, kPopScan);
+  if (node == nullptr) {
+    return nullptr;
   }
-  if (affine) {
+  stats_.freelist_hits.fetch_add(1, std::memory_order_relaxed);
+  if (gen != nullptr) {
     stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
   }
   return Serve(node, from_pool);
@@ -412,9 +345,10 @@ std::unique_ptr<vkvm::Vm> Pool::TryFast(GenInfo* gen, uint64_t mem_size, bool* f
 std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config, GenInfo* gen,
                                             bool* affine_hit, bool* from_pool) {
   stats_.slow_path_acquires.fetch_add(1, std::memory_order_relaxed);
-  // The generation's exhaustive sweep first: its shell may sit in another
-  // lane's slot, and serving the resident snapshot beats serving a clean
-  // shell plus a COW map.
+  // The generation's exhaustive sweep first: its shell may sit deeper in
+  // its stack than the bounded pop reached (under shells of another memory
+  // size), and serving the resident snapshot beats serving a clean shell
+  // plus a COW map.
   if (gen != nullptr) {
     if (ShellNode* node = Sweep(/*affine=*/true, config.mem_size, gen)) {
       stats_.affine_hits.fetch_add(1, std::memory_order_relaxed);
@@ -424,9 +358,9 @@ std::unique_ptr<vkvm::Vm> Pool::AcquireSlow(const vkvm::VmConfig& config, GenInf
       return Serve(node, from_pool);
     }
   }
-  // Exhaustive clean sweep: before paying vm_create, make sure no stack or
-  // lane slot actually holds a free shell (a bounded fast-path miss is not
-  // proof of emptiness).
+  // Exhaustive clean sweep: before paying vm_create, make sure the free
+  // stack holds no fitting shell (a bounded fast-path miss is not proof of
+  // emptiness).
   if (ShellNode* node = Sweep(/*affine=*/false, config.mem_size, nullptr)) {
     return Serve(node, from_pool);
   }
@@ -483,7 +417,7 @@ void Pool::Release(std::unique_ptr<vkvm::Vm> vm) {
       return;
     case CleanMode::kSync: {
       CleanShell(vm.get(), /*charge_inline=*/true);
-      Park(WrapShell(std::move(vm), 0, nullptr), &lanes_[LaneIndex()].clean);
+      Park(WrapShell(std::move(vm), 0, nullptr));
       return;
     }
     case CleanMode::kAsync:
@@ -525,7 +459,7 @@ void Pool::ReleaseAffine(std::unique_ptr<vkvm::Vm> vm, uint64_t generation) {
   }
   stats_.affine_parks.fetch_add(1, std::memory_order_relaxed);
   stats_.delta_pages.fetch_add(delta_pages, std::memory_order_relaxed);
-  Park(WrapShell(std::move(vm), private_bytes, gen), &lanes_[LaneIndex()].affine);
+  Park(WrapShell(std::move(vm), private_bytes, gen));
   // The park may have pushed parked residency over budget; evict LRU
   // generations until it fits again.
   EnforceAffineBudget();
@@ -557,7 +491,7 @@ std::unique_ptr<vkvm::Vm> Pool::StealParkedAffine(uint64_t generation) {
     return nullptr;
   }
   GenInfo* gen = FindGen(generation);
-  ShellNode* node = gen != nullptr ? TakeParked(gen) : nullptr;
+  ShellNode* node = gen != nullptr ? gen->parked.Pop() : nullptr;
   if (node == nullptr) {
     return nullptr;
   }
@@ -596,9 +530,8 @@ void Pool::CleanerLoop() {
       // privatized set, so nothing of the faulted tenant — image, writes,
       // snapshot mapping — survives into the readmitted shell.
       CleanShell(qvm.get(), /*charge_inline=*/false);
-      // Readmit via the free stack only after the scrub; a quarantined
-      // shell never touches a lane slot.
-      Park(WrapShell(std::move(qvm), 0, nullptr), nullptr);
+      // Readmit via the free stack only after the scrub.
+      Park(WrapShell(std::move(qvm), 0, nullptr));
       stats_.quarantine_scrubbed.fetch_add(1, std::memory_order_relaxed);
       cleaning_in_flight_.fetch_sub(1);
       drain_cv_.notify_all();
@@ -619,7 +552,7 @@ void Pool::CleanerLoop() {
       continue;
     }
     CleanShell(vm.get(), /*charge_inline=*/false);
-    Park(WrapShell(std::move(vm), 0, nullptr), nullptr);
+    Park(WrapShell(std::move(vm), 0, nullptr));
     cleaning_in_flight_.fetch_sub(1);
     drain_cv_.notify_all();
   }
@@ -654,7 +587,6 @@ PoolStats Pool::stats() const {
   out.releases = stats_.releases.load(std::memory_order_relaxed);
   out.cleans = stats_.cleans.load(std::memory_order_relaxed);
   out.bytes_zeroed = stats_.bytes_zeroed.load(std::memory_order_relaxed);
-  out.lane_cache_hits = stats_.lane_cache_hits.load(std::memory_order_relaxed);
   out.freelist_hits = stats_.freelist_hits.load(std::memory_order_relaxed);
   out.slow_path_acquires = stats_.slow_path_acquires.load(std::memory_order_relaxed);
   out.affine_hits = stats_.affine_hits.load(std::memory_order_relaxed);
@@ -707,11 +639,6 @@ size_t Pool::TotalFreeShells() const {
   for (ShellNode* node = free_.UnsafeHead(); node != nullptr && guard-- > 0;
        node = node->next.load(std::memory_order_acquire)) {
     ++n;
-  }
-  for (const Lane& lane : lanes_) {
-    if (lane.clean.load(std::memory_order_acquire) != nullptr) {
-      ++n;
-    }
   }
   return n;
 }

@@ -49,38 +49,30 @@
 // Concurrency model — the lock-free fast path.  The common-case acquire and
 // release never allocate, and take no mutex but gen_mu_'s shared side (a
 // keyed acquire looks up its generation's row; ReleaseAffine finds or
-// creates it):
+// creates it).  A pooled shell sits on exactly one tagged Treiber stack (see
+// freelist.h): the free stack holds clean shells of every memory size, the
+// dirty stack feeds the cleaner crew, and every generation's row (GenInfo)
+// holds a stack of its own parked shells.  An acquire runs two tiers:
 //
-//   1. Per-lane cache.  Every executor worker (and, lazily, any other
-//      thread) is bound to a *lane* (Pool::BindLane / an auto-assigned id),
-//      one of kLanes.  Each lane owns a single-slot cache for a clean shell
-//      and one for a snapshot-affine shell, touched with a plain atomic
-//      exchange.  A shell released by a lane is re-acquired by that same
-//      lane while its pages are still cache- and TLB-warm.
-//   2. Tagged Treiber stacks (see freelist.h).  One free stack holds clean
-//      shells of every memory size, one dirty stack feeds the cleaner crew,
-//      and every generation's row (GenInfo) holds a stack of its own parked
-//      shells.  A lane-slot miss pops the free stack, or for a keyed acquire
-//      the generation's own stack, so a keyed probe never scans another
-//      generation's shells; a slot holding another generation's shell
-//      spills it onto that generation's stack.
-//   3. Mutex slow path.  Only when the bounded lock-free probes find nothing
-//      does an acquire take sweep_mu_ for exhaustive scans (then a fresh
-//      create).
+//   1. Lock-free pop.  A keyed acquire pops its generation's own stack, so
+//      it never scans another generation's shells and finds its
+//      generation's shell whichever thread parked it; on a miss, or for a
+//      plain acquire, it pops the free stack.
+//   2. Mutex slow path.  Only when the bounded pops find nothing does an
+//      acquire take sweep_mu_ for the same scans made exhaustive, then an
+//      any-generation reclaim, then a fresh create.
 //
-// Every tier runs one probe: a shell fits when its memory size matches (and
-// a lane slot's affine shell is parked under the wanted generation).  One
-// slot take (TakeLane) and one stack scan (PopMatch) serve the clean and the
-// affine side — bounded and lock-free on the fast path, exhaustive under
-// sweep_mu_ in the slow path.  One epilogue (Serve) hands a found shell out.
+// One stack scan (PopMatch) serves both tiers and both sides: a shell fits
+// when its memory size matches; bounded and lock-free on the fast path,
+// exhaustive under sweep_mu_ in the slow path.  One epilogue (Serve) hands a
+// found shell out.
 //
-// PoolStats separates lane-cache hits, free-list hits and slow-path
-// acquires, so the fast path's share is observable, not asserted; callers
-// time acquires themselves (InvokeStats::acquire_ns).
+// PoolStats separates free-list hits and slow-path acquires, so the fast
+// path's share is observable, not asserted; callers time acquires
+// themselves (InvokeStats::acquire_ns).
 #ifndef SRC_WASP_POOL_H_
 #define SRC_WASP_POOL_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -109,10 +101,11 @@ struct PoolStats {
   uint64_t releases = 0;
   uint64_t cleans = 0;
   uint64_t bytes_zeroed = 0;
-  // Fast-path counters.  Every acquire is served by exactly one of the
-  // three tiers: acquires == lane_cache_hits + freelist_hits +
-  // slow_path_acquires (fresh creates are slow-path by definition).
-  uint64_t lane_cache_hits = 0;     // served by the caller's lane slot
+  // Fast-path counters.  Every acquire is served by exactly one tier:
+  // acquires == lane_cache_hits + freelist_hits + slow_path_acquires (fresh
+  // creates are slow-path by definition).  The pool has no lane cache, so
+  // lane_cache_hits always reads 0; it stays for the readers that export it.
+  uint64_t lane_cache_hits = 0;
   uint64_t freelist_hits = 0;       // served by a lock-free stack
   uint64_t slow_path_acquires = 0;  // took the sweep mutex (or created fresh)
   // Snapshot-affinity counters.
@@ -168,9 +161,6 @@ struct PoolOptions {
 
 class Pool {
  public:
-  // Per-lane cache slot pairs: enough for the 16-lane fig9 sweep with every
-  // lane owning a private slot.
-  static constexpr size_t kLanes = 16;
   // Async cleaner crew size (mode == kAsync only).
   static constexpr size_t kCleaners = 2;
 
@@ -181,12 +171,6 @@ class Pool {
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
-  // Binds the calling thread to `lane` for every pool in the process (the
-  // executor binds each worker to its worker index).  Unbound threads are
-  // lazily assigned a process-unique lane id on first pool use; either way
-  // the lane is stable for the thread's lifetime.
-  static void BindLane(uint32_t lane);
-
   // Acquires a shell with the given configuration, reusing a clean pooled
   // shell when available.  `*from_pool` (optional) reports which path ran.
   // A keyed acquire with no generation: never served snapshot-resident.
@@ -195,9 +179,10 @@ class Pool {
   }
 
   // Keyed acquire: prefers a shell holding snapshot `generation` resident
-  // (the lane slot, then the generation's own stack), falling back to a
-  // clean shell and finally a fresh create.  `*affine_hit` reports whether
-  // the returned shell holds the snapshot (caller may delta-restore).
+  // (popped from the generation's own stack, whichever thread parked it),
+  // falling back to a clean shell and finally a fresh create.  `*affine_hit`
+  // reports whether the returned shell holds the snapshot (caller may
+  // delta-restore).
   std::unique_ptr<vkvm::Vm> AcquireAffine(const vkvm::VmConfig& config, uint64_t generation,
                                           bool* affine_hit, bool* from_pool = nullptr);
 
@@ -229,7 +214,7 @@ class Pool {
   // fault is the one invocation that died.
   void Quarantine(std::unique_ptr<vkvm::Vm> vm);
 
-  // Pops one shell parked under `generation` (any lane, any mem size)
+  // Pops one shell parked under `generation` (any mem size)
   // without any clean-shell or fresh-create fallback: nullptr when nothing
   // is parked.  The re-capture path folds a warm shell's drift into a new
   // snapshot; counted as an acquire + affine hit like AcquireAffine.
@@ -253,12 +238,11 @@ class Pool {
   PoolStats stats() const;
   // Consistent snapshot of the residency breakdown (see AffineAccounting).
   AffineAccounting affine_accounting() const;
-  // Clean shells of any size on the free stack and in lane slots (conservation
-  // checks).  Exact on a quiescent pool; diagnostic (racy walk) under
-  // concurrency.
+  // Clean shells of any size on the free stack (conservation checks).  Exact
+  // on a quiescent pool; diagnostic (racy walk) under concurrency.
   size_t TotalFreeShells() const;
   // Parked snapshot-affine shells for `generation` (from the per-generation
-  // accounting counters, wherever the shells physically sit).
+  // accounting counters).
   size_t AffineShells(uint64_t generation) const;
   // Parked snapshot-affine shells of any generation (conservation checks).
   size_t TotalAffineShells() const;
@@ -285,7 +269,7 @@ class Pool {
     // Set before RetireGeneration sweeps; a park that raced the sweep
     // re-checks it after pushing and re-runs the sweep itself.
     std::atomic<bool> retired{false};
-    // This generation's parked shells that sit in no lane slot.
+    // This generation's parked shells.
     TaggedStack<ShellNode> parked;
   };
 
@@ -293,7 +277,7 @@ class Pool {
   // lifetime (the Treiber stacks' ABA-safety contract) and recycled through
   // spare_nodes_, so the steady state allocates nothing.  Every field but
   // `next` is written only by the node's owner (pusher before insert /
-  // popper after removal; the stack CASes and slot exchanges order those).
+  // popper after removal; the stack CASes order those).
   struct ShellNode {
     std::atomic<ShellNode*> next{nullptr};
     vkvm::Vm* vm = nullptr;
@@ -301,17 +285,6 @@ class Pool {
     uint64_t private_bytes = 0;
     GenInfo* gen = nullptr;  // the generation it is parked under; null when clean
   };
-
-  // One lane's single-slot caches, padded to a cache line so neighboring
-  // lanes never false-share.
-  struct alignas(64) Lane {
-    std::atomic<ShellNode*> clean{nullptr};
-    std::atomic<ShellNode*> affine{nullptr};
-  };
-
-  // The calling thread's stable lane id (bound or auto-assigned).
-  static uint32_t CurrentLane();
-  size_t LaneIndex() const;
 
   // Node arena: pop a spare (lock-free) or allocate into all_nodes_.
   ShellNode* WrapShell(std::unique_ptr<vkvm::Vm> vm, uint64_t private_bytes, GenInfo* gen);
@@ -330,22 +303,16 @@ class Pool {
   // lock-free fast path, exhaustive (kScanGuard) under sweep_mu_.  Never
   // allocates.
   ShellNode* PopMatch(TaggedStack<ShellNode>& stack, uint64_t mem_size, int limit);
-  // Takes lane `lane`'s clean or affine slot if its node's memory size
-  // matches and, for an affine slot with `gen` given, it is parked under
-  // `gen`.  A mismatch is parked again: back into the slot when
-  // `keep_in_slot`, else (or when the slot refilled meanwhile) on its stack.
-  ShellNode* TakeLane(size_t lane, bool affine, uint64_t mem_size, const GenInfo* gen,
-                      bool keep_in_slot);
   // Exhaustive search (slow path): under sweep_mu_, the free stack, or
   // `gen`'s stack, or with `gen` null every generation's stack in
-  // generation order; then every lane slot of the kind.
+  // generation order.
   ShellNode* Sweep(bool affine, uint64_t mem_size, GenInfo* gen);
   // Hands a found node out: releases an affine node's residency charge,
   // counts the pool hit, reports `*from_pool` and unwraps the shell.
   std::unique_ptr<vkvm::Vm> Serve(ShellNode* node, bool* from_pool);
-  // Lock-free tiers 1+2 (the caller's lane slot, then the free stack, or
-  // `gen`'s stack when given) for a clean shell or one parked under `gen`;
-  // nullptr on miss.  Counts the serving tier.
+  // The lock-free tier: a bounded pop of the free stack, or of `gen`'s stack
+  // when given, for a clean shell or one parked under `gen`; nullptr on
+  // miss.  Counts the hit.
   std::unique_ptr<vkvm::Vm> TryFast(GenInfo* gen, uint64_t mem_size, bool* from_pool);
   // The mutex slow path: exhaustive sweep of `gen`'s shells (when given),
   // exhaustive clean sweep, any-generation affine reclaim, finally a fresh
@@ -357,12 +324,10 @@ class Pool {
   // dirty count drops so DrainCleaner never observes a false drain.
   std::unique_ptr<vkvm::Vm> PopDirty();
   void CleanerLoop();
-  // Parks a node in `slot` when one is given and empty (the release path's
-  // own lane slot, or the slot a sweep took a mismatch from), else on the
-  // free stack (clean) or its generation's stack (affine).  An affine park
-  // then re-checks retirement (the park side of the Dekker pattern
-  // RetireGeneration documents).
-  void Park(ShellNode* node, std::atomic<ShellNode*>* slot);
+  // Parks a node on the free stack (clean) or its generation's stack
+  // (affine).  An affine park then re-checks retirement (the park side of
+  // the Dekker pattern RetireGeneration documents).
+  void Park(ShellNode* node);
 
   // Accounting row lookup/creation (shared lock for the common hit).
   GenInfo* FindGen(uint64_t generation) const;
@@ -375,10 +340,6 @@ class Pool {
   bool TryChargeAffine(GenInfo* gen, uint64_t shared_bytes, uint64_t private_bytes);
   void ReleaseAffineCharge(GenInfo* gen, uint64_t private_bytes);
 
-  // Removes one node parked under `gen`: its stack's top, else a lane
-  // slot's (ownership transfers to the caller; the charge is NOT released).
-  // nullptr when none is parked.
-  ShellNode* TakeParked(GenInfo* gen);
   // Disposes retired-generation shells: releases charges, counts, cleans.
   void RetireSweep(GenInfo* gen);
 
@@ -392,7 +353,6 @@ class Pool {
   void EnforceAffineBudget();
 
   const PoolOptions options_;
-  std::array<Lane, kLanes> lanes_;
   TaggedStack<ShellNode> free_;   // clean shells, mixed mem sizes
   TaggedStack<ShellNode> dirty_;  // awaiting the cleaner crew
   // Slow path only: serializes the exhaustive scans, so one never misses a
@@ -421,9 +381,9 @@ class Pool {
   // so DrainCleaner covers it.
   TaggedStack<ShellNode> quarantine_;
   std::atomic<int64_t> quarantine_count_{0};
-  // Parked affine shells across all lanes and generations.  A zero read lets
-  // acquires skip the affine probes entirely — the common case when nothing
-  // is parked.
+  // Parked affine shells across all generations.  A zero read lets acquires
+  // skip the affine probes entirely — the common case when nothing is
+  // parked.
   std::atomic<int64_t> affine_count_{0};
   std::atomic<bool> stop_{false};
   std::vector<std::thread> cleaners_;
@@ -441,7 +401,6 @@ class Pool {
     std::atomic<uint64_t> releases{0};
     std::atomic<uint64_t> cleans{0};
     std::atomic<uint64_t> bytes_zeroed{0};
-    std::atomic<uint64_t> lane_cache_hits{0};
     std::atomic<uint64_t> freelist_hits{0};
     std::atomic<uint64_t> slow_path_acquires{0};
     std::atomic<uint64_t> affine_hits{0};

@@ -723,15 +723,9 @@ start:
 )");
   ASSERT_TRUE(image.ok());
   RecaptureTrace trace;
-  // A thread of its own, bound to one lane, so the shell placement does not
-  // depend on which tests ran before.
-  std::thread runner([&] {
-    wasp::Pool::BindLane(0);
-    for (int seq = 0; seq < kRecaptureSequences; ++seq) {
-      RunRecaptureTrace(image.value(), 9000 + static_cast<uint64_t>(seq), &trace);
-    }
-  });
-  runner.join();
+  for (int seq = 0; seq < kRecaptureSequences; ++seq) {
+    RunRecaptureTrace(image.value(), 9000 + static_cast<uint64_t>(seq), &trace);
+  }
   // Recorded against the delta-chain engine this one replaced, with every
   // re-capture flattened; `view` also matched its default, chained runs.
   EXPECT_EQ(trace.full, 0xe8c26c773a88cf6fULL) << std::hex << "full hash 0x" << trace.full;

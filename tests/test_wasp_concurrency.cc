@@ -187,26 +187,25 @@ TEST(Concurrency, KeyedAcquireReleaseRaceConservesShells) {
   EXPECT_GT(stats.affine_parks, 0u);
 }
 
-// Two lanes cycling disjoint key sets: a keyed acquire pops only its own
+// Two threads cycling disjoint key sets: a keyed acquire pops only its own
 // generation's stack, so once a key has parked, every acquire of it is an
-// affine hit, and neither lane ever takes a shell the other parked.
-TEST(Concurrency, DisjointLanesNeverTakeEachOthersParkedShells) {
-  constexpr uint64_t kKeysPerLane = 8;
+// affine hit, and neither thread ever takes a shell the other parked.
+TEST(Concurrency, DisjointThreadsNeverTakeEachOthersParkedShells) {
+  constexpr uint64_t kKeysPerThread = 8;
   constexpr int kRounds = 16;
   wasp::Pool pool(wasp::CleanMode::kSync);
   vkvm::VmConfig cfg;
   // A clean shell for every key's first acquire, so none reclaims a
   // parked shell.
-  pool.Prewarm(cfg, static_cast<int>(2 * kKeysPerLane));
+  pool.Prewarm(cfg, static_cast<int>(2 * kKeysPerThread));
   std::atomic<int> misses{0};
   std::atomic<int> leaks{0};
   std::vector<std::thread> threads;
-  for (uint32_t lane = 0; lane < 2; ++lane) {
-    threads.emplace_back([&pool, &misses, &leaks, &cfg, lane] {
-      wasp::Pool::BindLane(lane);
+  for (uint64_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&pool, &misses, &leaks, &cfg, t] {
       for (int round = 0; round < kRounds; ++round) {
-        for (uint64_t k = 0; k < kKeysPerLane; ++k) {
-          const uint64_t generation = 100 * (lane + 1) + k;
+        for (uint64_t k = 0; k < kKeysPerThread; ++k) {
+          const uint64_t generation = 100 * (t + 1) + k;
           const uint8_t tag = static_cast<uint8_t>(generation);
           bool affine = false;
           auto vm = pool.AcquireAffine(cfg, generation, &affine);
@@ -231,7 +230,38 @@ TEST(Concurrency, DisjointLanesNeverTakeEachOthersParkedShells) {
   EXPECT_EQ(leaks.load(), 0);
   const wasp::PoolStats stats = pool.stats();
   EXPECT_EQ(stats.fresh_creates, 0u);
-  EXPECT_EQ(stats.affine_hits, 2 * kKeysPerLane * (kRounds - 1));
+  EXPECT_EQ(stats.affine_hits, 2 * kKeysPerThread * (kRounds - 1));
+}
+
+// A shell parked under a generation is found by the next keyed acquire of
+// that generation, whichever thread parked it: it waits on the
+// generation's own stack, where every thread's acquire looks first.
+TEST(Concurrency, AKeyedAcquireFindsAShellAnotherThreadParked) {
+  constexpr uint64_t kGeneration = 7;
+  constexpr uint8_t kTag = 0x77;
+  wasp::Pool pool(wasp::CleanMode::kSync);
+  vkvm::VmConfig cfg;
+  pool.Prewarm(cfg, 2);
+  std::thread parker([&pool, &cfg] {
+    bool hit = false;
+    auto vm = pool.AcquireAffine(cfg, kGeneration, &hit);
+    ASSERT_NE(vm, nullptr);
+    const uint8_t tag = kTag;
+    ASSERT_TRUE(vm->memory().Write(0x9000, &tag, 1).ok());
+    vm->memory().BeginEpoch();
+    pool.ReleaseAffine(std::move(vm), kGeneration);
+  });
+  parker.join();
+  bool hit = false;
+  std::unique_ptr<vkvm::Vm> vm;
+  std::thread taker(
+      [&pool, &cfg, &hit, &vm] { vm = pool.AcquireAffine(cfg, kGeneration, &hit); });
+  taker.join();
+  ASSERT_NE(vm, nullptr);
+  EXPECT_TRUE(hit) << "the warm shell was hidden from another thread";
+  EXPECT_EQ(vm->memory().data()[0x9000], kTag);
+  EXPECT_EQ(pool.TotalFreeShells(), 1u) << "a clean shell was taken instead";
+  pool.ReleaseAffine(std::move(vm), kGeneration);
 }
 
 // Runtime-level: concurrent snapshot-backed invocations on one key, with the
@@ -893,7 +923,7 @@ TEST(Concurrency, ExecutorSubmitResolvesFutures) {
   }
 }
 
-// --- Lock-free fast path (PR 7): Treiber free-list + lane caches ------------
+// --- Lock-free fast path: tagged Treiber stacks ------------------------------
 
 struct StackNode {
   std::atomic<StackNode*> next{nullptr};
@@ -973,7 +1003,7 @@ TEST(Concurrency, TaggedStackConcurrentPushPopConservesNodes) {
   EXPECT_EQ(drained, kNodes);
 }
 
-// The tentpole's conservation stress: N lanes x M iterations of mixed
+// The pool's conservation stress: N threads x M iterations of mixed
 // Acquire / AcquireAffine / Release / ReleaseAffine over a small pool with a
 // binding affine budget and a mid-run generation retirement, quiescing
 // between rounds.  At every quiesce point, shells created == shells parked
@@ -993,7 +1023,6 @@ TEST(Concurrency, LockFreeFastPathMixedOpsConserveAtQuiescePoints) {
     threads.reserve(kThreads + 1);
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&pool, &gens, t] {
-        wasp::Pool::BindLane(static_cast<uint32_t>(t));
         vkvm::VmConfig cfg;
         const uint64_t generation = gens[t % 2];
         for (int i = 0; i < kItersPerThread; ++i) {
@@ -1072,7 +1101,6 @@ TEST(Concurrency, ConcurrentQuarantineConservesShellsAndScrubsAll) {
   threads.reserve(kThreads + 1);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&pool, t] {
-      wasp::Pool::BindLane(static_cast<uint32_t>(t));
       vkvm::VmConfig cfg;
       for (int i = 0; i < kItersPerThread; ++i) {
         std::unique_ptr<vkvm::Vm> vm;
