@@ -320,8 +320,8 @@ void Listener::HandlePeerEof(Conn* conn) {
   // The client closed its write half.  Bytes still in inbuf are a head that
   // never reached the server (ProcessInbuf forwards everything else): the
   // edge answers the 400.  Otherwise the server sees EOF too, at a request
-  // boundary or inside a forwarded body, and answers what it answers (the
-  // native handler 400 to a cut-short body; the guests serve the request).
+  // boundary or inside a forwarded body; every mode answers a cut-short
+  // body 400 (the guests drain a body before they serve its request).
   if (!conn->inbuf.empty()) {
     EdgeReject(conn, 400);
   } else {

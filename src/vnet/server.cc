@@ -23,6 +23,15 @@ constexpr const char* kKeepAliveHandlerKey = "http-keepalive-handler";
 // body chunks (not a size cap).
 constexpr size_t kReadChunk = 2048;
 
+// The keep-alive guest's connection buffer (KeepAliveHandlerSource): a
+// request of up to kMaxHeadBytes and its NUL at the bottom, the 200 head's
+// slot, then the 4 KB body window.  The slot and window sit at
+// kWindowOffset while the received bytes stay below the slot, and move up
+// past a longer burst.
+constexpr size_t kHeadSlotBytes = 64;
+constexpr size_t kWindowOffset = 512;
+constexpr size_t kConnBufferBytes = kMaxHeadBytes + 1 + kHeadSlotBytes + 4096;
+
 // Executor key of a connection: its route's quota, class and breaker unit.
 std::string RouteKey(const std::string& route) { return "route:" + route; }
 
@@ -59,19 +68,24 @@ std::string HandlerHelpersSource() {
 int parse_path(char *req, char *path) {
   int i;
   int j;
+  int c;
   i = 0;
-  while (req[i] && req[i] != ' ') {
+  c = req[0];
+  while (c && c != ' ') {
     i = i + 1;
+    c = req[i];
   }
-  if (!req[i]) {
+  if (!c) {
     return -1;
   }
   i = i + 1;
+  c = req[i];
   j = 0;
-  while (req[i] && req[i] != ' ' && j < 255) {
-    path[j] = req[i];
+  while (c && c != ' ' && j < 255) {
+    path[j] = c;
     i = i + 1;
     j = j + 1;
+    c = req[i];
   }
   path[j] = 0;
   if (j == 0) {
@@ -80,32 +94,42 @@ int parse_path(char *req, char *path) {
   return j;
 }
 
-int vn_lc(int c) {
-  if (c >= 'A' && c <= 'Z') {
-    return c + 32;
-  }
-  return c;
-}
-
-// Scans [from, n) for CRLFCRLF and returns its offset, -1 if absent (the
-// keep-alive guest resumes a scan 3 bytes before the last receive's end, so
-// a terminator split across receives is still found).
+// Returns the offset of the first CRLFCRLF in [from, n), -1 if there is none
+// (the keep-alive guest resumes a scan 3 bytes before the last receive's
+// end, so a terminator split across receives is still found).  Horspool: i
+// indexes the byte under the pattern's last position, and that byte sets
+// the shift.  An LF may end a match, so the match is tested there; the
+// pattern's other LF is 2 back and its nearest CR 1 back, and any other byte
+// is in no occurrence that covers it, so the pattern moves past it.
 int vn_headers_end_from(char *req, int from, int n) {
   int i;
-  i = from;
-  if (i < 0) {
-    i = 0;
+  int c;
+  i = from + 3;
+  if (from < 0) {
+    i = 3;
   }
-  while (i + 3 < n) {
-    if (req[i] == 13 && req[i + 1] == 10 && req[i + 2] == 13 && req[i + 3] == 10) {
-      return i;
+  while (i < n) {
+    c = req[i];
+    if (c > 13) {
+      i = i + 4;
+    } else if (c == 10) {
+      if (req[i - 1] == 13 && req[i - 2] == 10 && req[i - 3] == 13) {
+        return i - 3;
+      }
+      i = i + 2;
+    } else if (c == 13) {
+      i = i + 1;
+    } else {
+      i = i + 4;
     }
-    i = i + 1;
   }
   return 0 - 1;
 }
 
-// Single-pass head parse over [0, he).  Fills out[5]:
+// Single-pass head parse over [0, he), where he is the offset of the head's
+// CRLFCRLF (vn_headers_end_from): every walk stops at a CR, at the latest at
+// req[he], and a compare that reaches past he meets the terminator, so no
+// walk needs a bound.  Fills out[5]:
 //   out[0] = head valid (request-line shape + a colon in every header line)
 //   out[1] = version is HTTP/1.1
 //   out[2] = a Host header is present
@@ -113,73 +137,81 @@ int vn_headers_end_from(char *req, int from, int n) {
 //            conflicting duplicates before forwarding)
 //   out[4] = Connection: 0 close, 1 keep-alive, 2 absent (last header wins)
 // Header names match case-insensitively, and spaces or tabs between a name
-// and its colon are trimmed, as the host parser does.
+// and its colon are trimmed, as the host parser does.  Every letter a name
+// or token is matched against is lowercase, so (c | 32) equals it exactly
+// when c is that letter in either case; '-' is compared as it is, since CR
+// | 32 is '-'.  Each walk keeps the byte under it in c.
 // Returns out[0].
 int vn_parse_head(char *req, int he, int *out) {
   int i;
+  int c;
   int ls;
   int colon;
   int nl;
   int v;
-  int close_tok;
-  int keep_tok;
+  int tok;
   out[0] = 0;
   out[1] = 0;
   out[2] = 0;
   out[3] = 0;
   out[4] = 2;
   i = 0;
-  while (i < he && req[i] != ' ' && req[i] != 9 && req[i] != 13) {
+  c = req[0];
+  while (c != ' ' && c != 9 && c != 13) {
     i = i + 1;
+    c = req[i];
   }
-  if (i == 0 || i >= he || req[i] == 13) {
+  if (i == 0 || c == 13) {
     return 0;
   }
-  while (i < he && (req[i] == ' ' || req[i] == 9)) {
+  while (c == ' ' || c == 9) {
     i = i + 1;
+    c = req[i];
   }
-  if (i >= he || req[i] == 13) {
+  if (c == 13) {
     return 0;
   }
-  while (i < he && req[i] != ' ' && req[i] != 9 && req[i] != 13) {
+  while (c != ' ' && c != 9 && c != 13) {
     i = i + 1;
+    c = req[i];
   }
-  if (i >= he || req[i] == 13) {
+  if (c == 13) {
     return 0;
   }
-  while (i < he && (req[i] == ' ' || req[i] == 9)) {
+  while (c == ' ' || c == 9) {
     i = i + 1;
+    c = req[i];
   }
-  if (i + 4 >= he) {
-    return 0;
-  }
-  if (!(req[i] == 'H' && req[i + 1] == 'T' && req[i + 2] == 'T' && req[i + 3] == 'P' &&
+  if (!(c == 'H' && req[i + 1] == 'T' && req[i + 2] == 'T' && req[i + 3] == 'P' &&
         req[i + 4] == '/')) {
     return 0;
   }
-  if (i + 7 < he && req[i + 5] == '1' && req[i + 6] == '.' && req[i + 7] == '1') {
-    if (i + 8 >= he || req[i + 8] == 13 || req[i + 8] == ' ' || req[i + 8] == 9) {
+  if (req[i + 5] == '1' && req[i + 6] == '.' && req[i + 7] == '1') {
+    c = req[i + 8];
+    if (c == 13 || c == ' ' || c == 9) {
       out[1] = 1;
     }
   }
-  while (i < he && req[i] != 13) {
+  c = req[i];
+  while (c != 13) {
     i = i + 1;
+    c = req[i];
   }
+  i = i + 2;
   while (i < he) {
-    i = i + 2;
-    if (i >= he) {
-      break;
-    }
     ls = i;
-    colon = 0 - 1;
-    while (i < he && req[i] != 13) {
-      if (colon < 0 && req[i] == ':') {
-        colon = i;
-      }
+    c = req[i];
+    while (c != ':' && c != 13) {
       i = i + 1;
+      c = req[i];
     }
-    if (colon < 0) {
+    if (c == 13) {
       return 0;
+    }
+    colon = i;
+    while (c != 13) {
+      i = i + 1;
+      c = req[i];
     }
     nl = colon - ls;
     // Space and tab sort below every name byte, so one load and compare of
@@ -189,55 +221,58 @@ int vn_parse_head(char *req, int he, int *out) {
         nl = nl - 1;
       }
     }
-    if (nl == 4 && vn_lc(req[ls]) == 'h' && vn_lc(req[ls + 1]) == 'o' &&
-        vn_lc(req[ls + 2]) == 's' && vn_lc(req[ls + 3]) == 't') {
-      out[2] = 1;
-    }
-    if (nl == 14 && vn_lc(req[ls]) == 'c' && vn_lc(req[ls + 1]) == 'o' &&
-        vn_lc(req[ls + 2]) == 'n' && vn_lc(req[ls + 3]) == 't' &&
-        vn_lc(req[ls + 4]) == 'e' && vn_lc(req[ls + 5]) == 'n' &&
-        vn_lc(req[ls + 6]) == 't' && req[ls + 7] == '-' && vn_lc(req[ls + 8]) == 'l' &&
-        vn_lc(req[ls + 9]) == 'e' && vn_lc(req[ls + 10]) == 'n' &&
-        vn_lc(req[ls + 11]) == 'g' && vn_lc(req[ls + 12]) == 't' &&
-        vn_lc(req[ls + 13]) == 'h') {
-      v = 0;
-      ls = colon + 1;
-      while (ls < i && (req[ls] == ' ' || req[ls] == 9)) {
-        ls = ls + 1;
+    if (nl == 4) {
+      if ((req[ls] | 32) == 'h' && (req[ls + 1] | 32) == 'o' && (req[ls + 2] | 32) == 's' &&
+          (req[ls + 3] | 32) == 't') {
+        out[2] = 1;
       }
-      while (ls < i && req[ls] >= '0' && req[ls] <= '9') {
-        v = v * 10 + (req[ls] - '0');
-        ls = ls + 1;
-      }
-      out[3] = v;
-    }
-    if (nl == 10 && vn_lc(req[ls]) == 'c' && vn_lc(req[ls + 1]) == 'o' &&
-        vn_lc(req[ls + 2]) == 'n' && vn_lc(req[ls + 3]) == 'n' &&
-        vn_lc(req[ls + 4]) == 'e' && vn_lc(req[ls + 5]) == 'c' &&
-        vn_lc(req[ls + 6]) == 't' && vn_lc(req[ls + 7]) == 'i' &&
-        vn_lc(req[ls + 8]) == 'o' && vn_lc(req[ls + 9]) == 'n') {
-      close_tok = 0;
-      keep_tok = 0;
-      v = colon + 1;
-      while (v + 4 < i) {
-        if (vn_lc(req[v]) == 'c' && vn_lc(req[v + 1]) == 'l' && vn_lc(req[v + 2]) == 'o' &&
-            vn_lc(req[v + 3]) == 's' && vn_lc(req[v + 4]) == 'e') {
-          close_tok = 1;
+    } else if (nl == 14) {
+      if ((req[ls] | 32) == 'c' && (req[ls + 1] | 32) == 'o' && (req[ls + 2] | 32) == 'n' &&
+          (req[ls + 3] | 32) == 't' && (req[ls + 4] | 32) == 'e' &&
+          (req[ls + 5] | 32) == 'n' && (req[ls + 6] | 32) == 't' && req[ls + 7] == '-' &&
+          (req[ls + 8] | 32) == 'l' && (req[ls + 9] | 32) == 'e' &&
+          (req[ls + 10] | 32) == 'n' && (req[ls + 11] | 32) == 'g' &&
+          (req[ls + 12] | 32) == 't' && (req[ls + 13] | 32) == 'h') {
+        v = 0;
+        ls = colon + 1;
+        c = req[ls];
+        while (c == ' ' || c == 9) {
+          ls = ls + 1;
+          c = req[ls];
         }
-        if (vn_lc(req[v]) == 'k' && vn_lc(req[v + 1]) == 'e' && vn_lc(req[v + 2]) == 'e' &&
-            vn_lc(req[v + 3]) == 'p' && req[v + 4] == '-') {
-          keep_tok = 1;
+        while (c >= '0' && c <= '9') {
+          v = v * 10 + (c - '0');
+          ls = ls + 1;
+          c = req[ls];
         }
-        v = v + 1;
+        out[3] = v;
       }
-      if (close_tok) {
-        out[4] = 0;
-      } else if (keep_tok) {
-        out[4] = 1;
-      } else {
-        out[4] = 2;
+    } else if (nl == 10) {
+      if ((req[ls] | 32) == 'c' && (req[ls + 1] | 32) == 'o' && (req[ls + 2] | 32) == 'n' &&
+          (req[ls + 3] | 32) == 'n' && (req[ls + 4] | 32) == 'e' &&
+          (req[ls + 5] | 32) == 'c' && (req[ls + 6] | 32) == 't' &&
+          (req[ls + 7] | 32) == 'i' && (req[ls + 8] | 32) == 'o' && (req[ls + 9] | 32) == 'n') {
+        // close wins over keep-alive.  A token compare that runs past the
+        // line's CR fails at the CR, which matches neither a letter nor '-'.
+        tok = 2;
+        v = colon + 1;
+        c = req[v];
+        while (c != 13) {
+          if ((c | 32) == 'c' && (req[v + 1] | 32) == 'l' && (req[v + 2] | 32) == 'o' &&
+              (req[v + 3] | 32) == 's' && (req[v + 4] | 32) == 'e') {
+            tok = 0;
+          }
+          if (tok && (c | 32) == 'k' && (req[v + 1] | 32) == 'e' && (req[v + 2] | 32) == 'e' &&
+              (req[v + 3] | 32) == 'p' && req[v + 4] == '-') {
+            tok = 1;
+          }
+          v = v + 1;
+          c = req[v];
+        }
+        out[4] = tok;
       }
     }
+    i = i + 2;
   }
   out[0] = 1;
   return 1;
@@ -320,9 +355,11 @@ std::string KeepAliveHandlerSource() {
   // paid once per connection instead of once per request.  Each iteration
   // frames one request off the channel (growable within the kMaxHeadBytes
   // head window — a head that does not terminate inside it is answered 413,
-  // not truncated), drains any Content-Length body through the channel in
-  // bounded chunks (bodies are not capped by the head window), serves the
-  // file, and honors Connection: close / keep-alive.  It leaves through
+  // not truncated), drains the Content-Length body a valid head still owes
+  // through the channel in bounded chunks (bodies are not capped by the head
+  // window; a body that EOF cuts short is answered 400 and ends the
+  // connection, as the native handler answers it), serves the file, and
+  // honors Connection: close / keep-alive.  It leaves through
   // return_exit, or send_exit when a response is pending, with [requests,
   // 2xx, 4xx, clean] as its output, so the host can account per-request
   // statuses without parsing the byte stream.
@@ -348,11 +385,29 @@ std::string KeepAliveHandlerSource() {
   // delivers the connection's first bytes before its first vmrun and saves
   // that exit: 2N, or 2N+1 at EOF.  (When the CRT has already snapshotted,
   // boot flag bit 0, it is a plain recv.)
-  // Interpreted guest cycles are the other per-request cost: the head is
-  // parsed in ONE pass (validity, version, Host, Content-Length,
-  // Connection), the terminator search resumes where the previous receive
-  // left off, and the 200 head is cached across the connection's requests
-  // (rebuilt only when the file size changes).
+  // Interpreted guest cycles are the other per-request cost: the terminator
+  // search skips bytes and resumes where the previous receive left off, the
+  // head is parsed in ONE pass (validity, version, Host, Content-Length,
+  // Connection) that loads each byte once and folds case without calls, and
+  // the 200 head is cached across the connection's requests (rebuilt only
+  // when the file size changes).
+  //
+  // Memory is the third: the next restore repairs every page a connection
+  // wrote, so the guest keeps its writes in one page.  main declares its
+  // connection buffer (kConnBufferBytes) first, so the buffer tops main's
+  // frame and every other local and every callee frame lies below it.  A
+  // request is received at the buffer's bottom, and the 200 head's slot and
+  // the 4 KB body window sit kWindowOffset bytes up, clear of any receive
+  // that leaves n <= kWindowOffset - kHeadSlotBytes.  A longer head or
+  // pipelined burst reaches the slot: its request is served from a window
+  // moved past the received bytes, with the cached head dropped before and
+  // after.  A body is drained into the window, where it can reach neither
+  // the request nor the slot.  So a warm connection on files of up to about
+  // 1.6 KB writes only the page under the stack's top page (frames, locals,
+  // request, head and body) and the next restore copies 4 KB.  A local
+  // declared before the buffer, or a callee frame deep enough to leave that
+  // page, dirties a second page: KeepAliveGuest.AWarmConnectionRepairsOnePage
+  // (test_net) and check_modeled.py's http_connect cycles catch it.
   std::ostringstream os;
   os << HandlerHelpersSource() << R"vc(
 // Writes "HTTP/1.1 200 OK\r\nContent-Length: <sz>\r\n\r\n" so that it ends
@@ -443,14 +498,25 @@ int vn_finish(int *io, int *stats, int code) {
   return code;
 }
 
+// Refuses a request the framing loop cannot serve (a 413, or a 400 when EOF
+// cuts its head or body short): the answer leaves with the exit, counted as
+// a 4xx.
+int vn_refuse(int *io, int *stats, char *resp, int len, int code) {
+  io[0] = resp;
+  io[1] = len;
+  stats[0] = stats[0] + 1;
+  stats[2] = stats[2] + 1;
+  return vn_finish(io, stats, code);
+}
+
 int main() {
-  char req[)vc" << kMaxHeadBytes + 1 << R"vc(];
-  char resp[4160];
+  char conn[)vc" << kConnBufferBytes << R"vc(];
   int ph[5];
   int stats[4];
   int hc[2];
   int io[5];
   int *boot;
+  char *win;
   int n;
   int m;
   int he;
@@ -468,32 +534,32 @@ int main() {
   stats[2] = 0;
   stats[3] = 0;
   // The first receive.  Issued inline, so a restore resumes in main's own
-  // frame, with the connection's first bytes already in req.
+  // frame, with the connection's first bytes already in conn.
   boot = )vc" << wasp::kBootInfoAddr << R"vc(;
   if (boot[1] & )vc" << wasp::kBootFlagSnapshot << R"vc() {
-    n = recv(req, )vc" << kMaxHeadBytes << R"vc();
+    n = recv(conn, )vc" << kMaxHeadBytes << R"vc();
   } else {
-    n = __hc2()vc" << wasp::kHcSnapshotRecv << R"vc(, req, )vc" << kMaxHeadBytes << R"vc();
+    n = __hc2()vc" << wasp::kHcSnapshotRecv << R"vc(, conn, )vc" << kMaxHeadBytes << R"vc();
   }
   if (n <= 0) {
     stats[3] = 1;
     return vn_finish(io, stats, 0);
   }
   while (1) {
-    he = vn_headers_end_from(req, 0, n);
-    if (he >= 0 && io[1]) {
-      send(io[0], io[1]);
-      io[1] = 0;
+    he = 0 - 1;
+    if (n) {
+      he = vn_headers_end_from(conn, 0, n);
+      if (he >= 0 && io[1]) {
+        send(io[0], io[1]);
+        io[1] = 0;
+      }
     }
     while (he < 0) {
       if (n >= )vc" << kMaxHeadBytes << R"vc() {
-        io[0] = "HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n";
-        io[1] = 53;
-        stats[0] = stats[0] + 1;
-        stats[2] = stats[2] + 1;
-        return vn_finish(io, stats, 3);
+        return vn_refuse(io, stats, "HTTP/1.1 413 Payload Too Large\r\nContent-Length: 0\r\n\r\n",
+                         53, 3);
       }
-      io[2] = req + n;
+      io[2] = conn + n;
       io[3] = )vc" << kMaxHeadBytes << R"vc( - n;
       m = send_recv(io);
       io[1] = 0;
@@ -502,19 +568,49 @@ int main() {
           stats[3] = 1;
           return vn_finish(io, stats, 0);
         }
-        io[0] = "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n";
-        io[1] = 47;
-        stats[0] = stats[0] + 1;
-        stats[2] = stats[2] + 1;
-        return vn_finish(io, stats, 1);
+        return vn_refuse(io, stats, "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n", 47,
+                         1);
       }
       sp = n - 3;
       n = n + m;
-      he = vn_headers_end_from(req, sp, n);
+      he = vn_headers_end_from(conn, sp, n);
     }
-    req[n] = 0;
-    vn_parse_head(req, he, ph);
-    st = vn_serve(req, ph, resp + 64, hc, io);
+    conn[n] = 0;
+    // A head or burst that reached the head's slot moves the window past
+    // the received bytes, and the slot's cached head is dropped before and
+    // after this request is served.
+    win = conn + )vc" << kWindowOffset << R"vc(;
+    if (n > )vc" << kWindowOffset - kHeadSlotBytes << R"vc() {
+      win = conn + n + )vc" << 1 + kHeadSlotBytes << R"vc(;
+      hc[0] = 0 - 1;
+    }
+    // A valid head's body still owed by the channel is drained into the
+    // window before the request is served; EOF in it is a 400.
+    body = n - (he + 4);
+    if (vn_parse_head(conn, he, ph)) {
+      if (body > ph[3]) {
+        body = ph[3];
+      }
+      rem = ph[3] - body;
+      while (rem > 0) {
+        io[2] = win;
+        io[3] = rem;
+        if (rem > 4096) {
+          io[3] = 4096;
+        }
+        m = send_recv(io);
+        io[1] = 0;
+        if (m <= 0) {
+          return vn_refuse(io, stats, "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n",
+                           47, 1);
+        }
+        rem = rem - m;
+      }
+    }
+    st = vn_serve(conn, ph, win, hc, io);
+    if (n > )vc" << kWindowOffset - kHeadSlotBytes << R"vc() {
+      hc[0] = 0 - 1;
+    }
     stats[0] = stats[0] + 1;
     if (st == 200) {
       stats[1] = stats[1] + 1;
@@ -531,26 +627,6 @@ int main() {
     if (st == 400) {
       return vn_finish(io, stats, 1);
     }
-    body = n - (he + 4);
-    if (body > ph[3]) {
-      body = ph[3];
-    }
-    // A body still owed by the channel is drained into req: when any
-    // remains, every byte req holds belongs to this request.
-    rem = ph[3] - body;
-    while (rem > 0) {
-      io[2] = req;
-      io[3] = rem;
-      if (rem > )vc" << kMaxHeadBytes << R"vc() {
-        io[3] = )vc" << kMaxHeadBytes << R"vc(;
-      }
-      m = send_recv(io);
-      io[1] = 0;
-      if (m <= 0) {
-        return vn_finish(io, stats, 1);
-      }
-      rem = rem - m;
-    }
     ka = ph[4];
     if (ka == 2) {
       ka = ph[1];
@@ -558,7 +634,7 @@ int main() {
     i = he + 4 + body;
     j = 0;
     while (i < n) {
-      req[j] = req[i];
+      conn[j] = conn[i];
       i = i + 1;
       j = j + 1;
     }

@@ -469,9 +469,10 @@ TEST_P(ListenerModeTest, APeerResetWhileItsJobRunsIsClosedAndTheJobEnds) {
 }
 
 // A client half-closes in the middle of a forwarded body: the listener
-// stops forwarding, the server sees EOF mid-body, and the client gets what
-// the server wrote and then the listener's FIN.  Only the native handler
-// answers such a request 400; the guests serve it (ROADMAP item 9).
+// stops forwarding, the server sees EOF mid-body, and the client gets the
+// server's 400 and then the listener's FIN.  Every mode answers 400 and
+// counts it as a 4xx: the guests drain a body before they serve its
+// request.
 TEST_P(ListenerModeTest, AHalfCloseMidBodyGetsTheServersAnswerThenFin) {
   Stack stack(GetParam());
   const int fd = ConnectTo(stack.listener->port());
@@ -481,11 +482,7 @@ TEST_P(ListenerModeTest, AHalfCloseMidBodyGetsTheServersAnswerThenFin) {
                           std::string(10, 'b')));
   ::shutdown(fd, SHUT_WR);
   std::string stream;
-  const int status = ReadResponse(fd, &stream);
-  EXPECT_GT(status, 0);
-  if (GetParam() == vnet::ServeMode::kNative) {
-    EXPECT_EQ(status, 400);
-  }
+  EXPECT_EQ(ReadResponse(fd, &stream), 400);
   EXPECT_TRUE(WaitForEof(fd, &stream));
   EXPECT_EQ(stream, "") << "bytes after the server's answer";
   ::close(fd);
@@ -494,6 +491,10 @@ TEST_P(ListenerModeTest, AHalfCloseMidBodyGetsTheServersAnswerThenFin) {
   EXPECT_EQ(lstats.requests_forwarded, 1u);
   EXPECT_EQ(lstats.edge_400, 0u);
   EXPECT_EQ(lstats.closed, 1u);
+  const auto counters = stack.server->counters(GetParam());
+  EXPECT_EQ(counters.requests, 1u);
+  EXPECT_EQ(counters.status_4xx, 1u);
+  EXPECT_EQ(counters.status_2xx, 0u);
 }
 
 }  // namespace

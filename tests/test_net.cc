@@ -4,9 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <chrono>
 #include <cstring>
 #include <future>
+#include <iterator>
 #include <map>
+#include <random>
+#include <string_view>
+#include <thread>
 
 #include "src/base/clock.h"
 #include "src/base/rng.h"
@@ -812,6 +818,384 @@ TEST_P(ServerModeTest, KeepAliveGetsCostTwoExitsEachPlusOneAtEofPlusOneCold) {
                                        << (close ? ", Connection: close" : ", EOF");
     }
   }
+}
+
+// --- The keep-alive guest's hot page ------------------------------------------
+// main's connection buffer tops its frame: requests arrive at its bottom, and
+// the 200 head and the body window sit at a fixed offset above them, so a
+// request, its head, a small file's body and every frame below main's land
+// in the page under the stack's top page.  The next connection's restore
+// repairs what a connection dirtied (PoolStats::delta_pages counts each
+// park's pages).
+
+TEST(KeepAliveGuest, AWarmConnectionRepairsOnePage) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  files.PutFile("/f.txt", PatternBody(512, 4));
+  vnet::StaticHttpServer server(&runtime, &files);
+  constexpr vnet::ServeMode kMode = vnet::ServeMode::kVirtineSnapshot;
+  ASSERT_TRUE(ServeGets(server, kMode, 1, true, true).ok());  // takes the snapshot
+  for (const int requests : {1, 8}) {
+    for (const bool pipelined : {true, false}) {
+      const uint64_t before = runtime.pool().stats().delta_pages;
+      auto stats = ServeGets(server, kMode, requests, pipelined, /*close=*/true);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(stats->r2xx, static_cast<uint64_t>(requests));
+      EXPECT_EQ((runtime.pool().stats().delta_pages - before) * 4096, 4096u)
+          << requests << " requests, " << (pipelined ? "pipelined" : "one at a time");
+    }
+  }
+}
+
+// Appends what the guest writes to *out until it holds `n` more bytes;
+// false if more arrive, or if they have not arrived within 10 s (a guest
+// that answered short waits for a request the test never sends, so a
+// blocking read would never return).
+bool ReadBytes(wasp::ByteChannel& channel, size_t n, std::string* out) {
+  const size_t want = out->size() + n;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (out->size() < want && std::chrono::steady_clock::now() < deadline) {
+    const std::vector<uint8_t> bytes = channel.host().Drain();
+    out->append(bytes.begin(), bytes.end());
+    if (bytes.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return out->size() == want;
+}
+
+// One connection moves the guest's window both ways and drains a body: a
+// head longer than the fixed slot's clearance, a pipelined burst of short
+// GETs that starts past it and ends below it, a body that arrives after its
+// head, and short GETs between them that reuse the cached 200 head.  Every
+// step is written once the previous step's responses have arrived.  The
+// responses are byte-exact only if every receive that can reach the cached
+// head's slot drops it, and a drain never reaches it.
+TEST_P(ServerModeTest, KeepAliveWindowMovesAndDrainsKeepResponsesByteExact) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  const std::string body = PatternBody(512, 7);
+  files.PutFile("/f.txt", body);
+  vnet::StaticHttpServer server(&runtime, &files);
+  const std::string post_body = PatternBody(3000, 8);
+  const std::string post =
+      "POST /f.txt HTTP/1.1\r\nHost: x\r\nContent-Length: 3000\r\n\r\n" + post_body.substr(0, 100);
+  std::string burst;
+  for (int i = 0; i < 20; ++i) {
+    burst += Get("/f.txt");  // 640 B in all
+  }
+  struct Step {
+    std::string bytes;
+    int responses;
+    std::string late;  // written 20 ms after `bytes`, before the responses
+  };
+  const Step steps[] = {
+      {Get("/f.txt"), 1, ""},
+      {HeadOfSize(1000), 1, ""},  // reaches the slot: the window moves
+      {Get("/f.txt"), 1, ""},     // back under the slot, whose head was dropped
+      {burst, 20, ""},            // starts past the slot and ends below it
+      {Get("/f.txt"), 1, ""},
+      {post, 1, post_body.substr(100)},  // the rest of the body drains into the window
+      {Get("/f.txt"), 1, ""},            // reuses the cached head
+      {Get("/f.txt", /*close=*/true), 1, ""},
+  };
+  wasp::ByteChannel channel;
+  channel.host().WriteString(steps[0].bytes);
+  auto served = std::async(std::launch::async, [&] {
+    return server.HandleConnection(channel, GetParam(), KeepAlive());
+  });
+  // Each step's responses are read by their expected length, so a wrong
+  // response fails the compare instead of stalling the reader.
+  const std::string response = vnet::BuildResponse(200, body);
+  std::string got;
+  std::string expected;
+  int responses = 0;
+  bool ok = true;
+  for (size_t s = 0; s < std::size(steps) && ok; ++s) {
+    if (s > 0) {
+      channel.host().WriteString(steps[s].bytes);
+    }
+    if (!steps[s].late.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      channel.host().WriteString(steps[s].late);
+    }
+    for (int r = 0; r < steps[s].responses; ++r) {
+      expected += response;
+    }
+    responses += steps[s].responses;
+    ok = ReadBytes(channel, steps[s].responses * response.size(), &got) && got == expected;
+    EXPECT_TRUE(ok) << "step " << s;
+  }
+  if (!ok) {
+    channel.host().CloseWrite();  // let the guest end
+  }
+  auto stats = served.get();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  if (ok) {
+    EXPECT_EQ(stats->requests, static_cast<uint64_t>(responses));
+    EXPECT_EQ(stats->r2xx, static_cast<uint64_t>(responses));
+    EXPECT_EQ(Drained(channel), "");
+  }
+}
+
+// --- The guests' terminator scan and head parse against host references --------
+
+// Runs records through the helpers both guests share (compiled with the
+// keep-alive guest's source, entered at oracle_main):
+//   'S', from + 4, len, bytes  ->  vn_headers_end_from(bytes, from, len)
+//   'H', len % 256, len / 256, bytes  ->  he = vn_headers_end_from(bytes, 0,
+//       len), then vn_parse_head's out[5] when he >= 0 (zeros otherwise)
+// and returns one word per 'S' record and six per 'H' record.
+constexpr char kHeadOracleMain[] = R"vc(
+int oracle_main() {
+  char in[40960];
+  int res[8192];
+  int ph[5];
+  char *rec;
+  int n;
+  int p;
+  int k;
+  int len;
+  int he;
+  n = get_data(in, 40960);
+  p = 0;
+  k = 0;
+  while (p < n) {
+    rec = in + p + 3;
+    if (in[p] == 'S') {
+      len = in[p + 2];
+      res[k] = vn_headers_end_from(rec, in[p + 1] - 4, len);
+      k = k + 1;
+    } else {
+      len = in[p + 1] + in[p + 2] * 256;
+      he = vn_headers_end_from(rec, 0, len);
+      ph[0] = 0;
+      ph[1] = 0;
+      ph[2] = 0;
+      ph[3] = 0;
+      ph[4] = 0;
+      if (he >= 0) {
+        vn_parse_head(rec, he, ph);
+      }
+      res[k] = he;
+      res[k + 1] = ph[0];
+      res[k + 2] = ph[1];
+      res[k + 3] = ph[2];
+      res[k + 4] = ph[3];
+      res[k + 5] = ph[4];
+      k = k + 6;
+    }
+    p = p + 3 + len;
+  }
+  return_data(res, k * 8);
+  return 0;
+}
+)vc";
+
+// Batches records for the harness: input and result words stay within its
+// buffers.
+class HeadOracle {
+ public:
+  HeadOracle() {
+    auto image = vcc::CompileProgram(
+        vrt::VlibcSource() + vnet::KeepAliveHandlerSource() + kHeadOracleMain, "oracle_main",
+        vrt::Env::kLong64);
+    EXPECT_TRUE(image.ok()) << image.status().ToString();
+    if (image.ok()) {
+      image_ = std::move(*image);
+    }
+  }
+
+  // Appends a record producing `words` result words; false when the batch is
+  // full (Run it first).
+  bool Add(char op, uint8_t b1, uint8_t b2, const std::string& bytes, int words) {
+    if (input_.size() + 3 + bytes.size() > 40960 || words_ + words > 8192) {
+      return false;
+    }
+    input_.push_back(static_cast<uint8_t>(op));
+    input_.push_back(b1);
+    input_.push_back(b2);
+    input_.insert(input_.end(), bytes.begin(), bytes.end());
+    words_ += words;
+    return true;
+  }
+
+  // Runs the batch and returns its result words.
+  std::vector<int64_t> Run() {
+    wasp::VirtineSpec spec;
+    spec.image = &image_;
+    spec.policy = wasp::kPolicyManaged;
+    spec.input = &input_;
+    const wasp::RunOutcome outcome = runtime_.Invoke(spec);
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    std::vector<int64_t> words(outcome.output.size() / sizeof(int64_t));
+    std::memcpy(words.data(), outcome.output.data(), words.size() * sizeof(int64_t));
+    EXPECT_EQ(words.size(), words_);
+    input_.clear();
+    words_ = 0;
+    return words;
+  }
+
+ private:
+  wasp::Runtime runtime_;
+  visa::Image image_;
+  std::vector<uint8_t> input_;
+  size_t words_ = 0;
+};
+
+// Seeds 1..kScanCases: a string of 0-64 bytes over {CR, LF, 'a', ' ', ':'}
+// and a `from` in [-3, len + 3]; the guest's scan must return what find()
+// does (a negative `from` scans from 0).
+TEST(GuestHeadOracle, TheTerminatorScanMatchesFind) {
+  constexpr int kScanCases = 6000;
+  HeadOracle oracle;
+  struct Case {
+    uint64_t seed;
+    std::string s;
+    int from;
+  };
+  std::vector<Case> batch;
+  int mismatches = 0;
+  const auto check = [&] {
+    const std::vector<int64_t> got = oracle.Run();
+    for (size_t i = 0; i < batch.size() && i < got.size(); ++i) {
+      const Case& c = batch[i];
+      const size_t at = std::string_view(c.s).find("\r\n\r\n", c.from < 0 ? 0 : c.from);
+      const int64_t want = at == std::string_view::npos ? -1 : static_cast<int64_t>(at);
+      if (got[i] != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "seed " << c.seed << ": from " << c.from << ", got " << got[i]
+                      << ", find " << want;
+      }
+    }
+    batch.clear();
+  };
+  static const char kAlphabet[] = {'\r', '\n', 'a', ' ', ':'};
+  for (uint64_t seed = 1; seed <= kScanCases; ++seed) {
+    std::mt19937_64 rng(seed);
+    Case c{seed, std::string(rng() % 65, ' '), 0};
+    for (char& ch : c.s) {
+      ch = kAlphabet[rng() % sizeof(kAlphabet)];
+    }
+    c.from = static_cast<int>(rng() % (c.s.size() + 7)) - 3;
+    if (!oracle.Add('S', static_cast<uint8_t>(c.from + 4), static_cast<uint8_t>(c.s.size()),
+                    c.s, 1)) {
+      check();
+      oracle.Add('S', static_cast<uint8_t>(c.from + 4), static_cast<uint8_t>(c.s.size()), c.s,
+                 1);
+    }
+    batch.push_back(std::move(c));
+  }
+  check();
+  EXPECT_EQ(mismatches, 0);
+}
+
+// `name` with each letter's case drawn at random.
+std::string MixedCase(const std::string& name, std::mt19937_64& rng) {
+  std::string out = name;
+  for (char& ch : out) {
+    if (std::isalpha(static_cast<unsigned char>(ch)) && rng() % 2 == 0) {
+      ch = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+    }
+  }
+  return out;
+}
+
+// A valid head: HTTP/1.1 or 1.0, and in random order, each of Host,
+// Content-Length and Connection at most once (the edge refuses a second
+// Content-Length, and the guest reads the last Connection where the host
+// reads the first), under mixed-case names, sometimes with spaces before the
+// colon, among decoys that differ from them by a byte or a length.  A
+// Connection value lists one or two of close, keep-alive, keep and upgrade.
+std::string RandomHead(std::mt19937_64& rng) {
+  static const char* kDecoys[] = {"Hos",       "Hosts",        "Content_Length", "Content-Lengths",
+                                  "Connectio", "X-Connection", "Accept"};
+  static const char* kTokens[] = {"close", "keep-alive", "keep", "upgrade"};
+  // One draw per statement, so a seed names the same head on every compiler.
+  std::vector<std::string> lines;
+  const auto name = [&rng](const std::string& n) {
+    std::string out = MixedCase(n, rng);
+    if (rng() % 8 == 0) {
+      out += std::string(rng() % 2 + 1, ' ');
+    }
+    return out;
+  };
+  const auto token = [&rng] { return MixedCase(kTokens[rng() % 4], rng); };
+  if (rng() % 4 != 0) {
+    lines.push_back(name("Host") + ": x");
+  }
+  if (rng() % 2 == 0) {
+    std::string line = name("Content-Length");
+    lines.push_back(line + ": " + std::to_string(rng() % 5000));
+  }
+  if (rng() % 4 != 0) {
+    std::string line = name("Connection") + ": ";
+    line += token();
+    if (rng() % 2 == 0) {
+      line += rng() % 2 == 0 ? ", " : ",";
+      line += token();
+    }
+    lines.push_back(line);
+  }
+  for (uint64_t d = rng() % 3; d > 0; --d) {
+    std::string line = MixedCase(kDecoys[rng() % std::size(kDecoys)], rng);
+    lines.push_back(line + ": " + kTokens[rng() % 4]);
+  }
+  for (size_t i = lines.size(); i > 1; --i) {  // Fisher-Yates, the same on every library
+    std::swap(lines[i - 1], lines[rng() % i]);
+  }
+  std::string head = std::string("GET /x ") + (rng() % 2 == 0 ? "HTTP/1.1" : "HTTP/1.0") + "\r\n";
+  for (const std::string& line : lines) {
+    head += line + "\r\n";
+  }
+  return head + "\r\n";
+}
+
+// Seeds 1..kHeadCases: vn_parse_head's validity, version, Host presence,
+// Content-Length value and keep-alive decision (Connection, else the
+// version's default) must match the host parser's on each RandomHead.
+TEST(GuestHeadOracle, TheHeadParseFoldsCaseAsTheHostParserDoes) {
+  constexpr int kHeadCases = 3000;
+  HeadOracle oracle;
+  std::vector<std::pair<uint64_t, std::string>> batch;
+  int mismatches = 0;
+  const auto check = [&] {
+    const std::vector<int64_t> got = oracle.Run();
+    for (size_t i = 0; i < batch.size() && 6 * i + 5 < got.size(); ++i) {
+      const auto& [seed, head] = batch[i];
+      const int64_t* ph = &got[6 * i + 1];
+      auto declared = vnet::RequestBytesNeeded(head);
+      ASSERT_TRUE(declared.ok()) << declared.status().ToString();
+      const size_t body = *declared - head.size();
+      auto framed = vnet::FrameRequest(head + std::string(body, 'b'));
+      ASSERT_TRUE(framed.ok()) << framed.status().ToString();
+      const vnet::HttpRequest& req = framed->request;
+      const int64_t keep_alive = ph[4] == 2 ? ph[1] : ph[4];
+      const bool agree = got[6 * i] == static_cast<int64_t>(head.size() - 4) && ph[0] == 1 &&
+                         ph[1] == (req.version == "HTTP/1.1" ? 1 : 0) &&
+                         ph[2] == (req.HasHeader("host") ? 1 : 0) &&
+                         ph[3] == static_cast<int64_t>(body) &&
+                         keep_alive == (vnet::WantKeepAlive(req) ? 1 : 0);
+      if (!agree && ++mismatches <= 5) {
+        ADD_FAILURE() << "seed " << seed << ": he " << got[6 * i] << ", out [" << ph[0] << ", "
+                      << ph[1] << ", " << ph[2] << ", " << ph[3] << ", " << ph[4] << "] for\n"
+                      << head;
+      }
+    }
+    batch.clear();
+  };
+  for (uint64_t seed = 1; seed <= kHeadCases; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::string head = RandomHead(rng);
+    const auto len_lo = static_cast<uint8_t>(head.size() % 256);
+    const auto len_hi = static_cast<uint8_t>(head.size() / 256);
+    if (!oracle.Add('H', len_lo, len_hi, head, 6)) {
+      check();
+      oracle.Add('H', len_lo, len_hi, head, 6);
+    }
+    batch.emplace_back(seed, std::move(head));
+  }
+  check();
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Server, KeepAliveNativeEnforcesMaxRequests) {

@@ -697,10 +697,10 @@ TEST(GuestImages, MatchTheirRecordedHashes) {
     size_t size;
     uint64_t hash;
   } guests[] = {
-      {"static handler", vnet::StaticHandlerSource(), vrt::Env::kLong64, 6315,
-       0x390eedfb70590c5bULL},
-      {"keep-alive handler", vnet::KeepAliveHandlerSource(), vrt::Env::kLong64, 8094,
-       0xe0df34cc7627978dULL},
+      {"static handler", vnet::StaticHandlerSource(), vrt::Env::kLong64, 5723,
+       0xc2b5e11fc3721803ULL},
+      {"keep-alive handler", vnet::KeepAliveHandlerSource(), vrt::Env::kLong64, 7643,
+       0x764dce92b4e83c72ULL},
       {"b64 engine", vjs::EngineSource(*bytecode, /*teardown=*/false), vrt::Env::kLong64, 4480,
        0xcf4bbeea4c3aa0efULL},
       {"teardown engine", vjs::EngineSource(*bytecode, /*teardown=*/true), vrt::Env::kLong64,
