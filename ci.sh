@@ -62,8 +62,9 @@ if [[ "${ASAN:-0}" == "1" ]]; then
   # property tests) — and both
   # managed guests (microjs engine, AES) through Invoke, whose restores write
   # each call's input into guest memory before the first vmrun — and the
-  # microjs engine's oracle, whose scripts EngineSource decodes on the host
-  # (malformed ones included, in test_aes_js) before the engine runs them.
+  # microjs engine's oracle, whose word pairs EngineSource checks on the
+  # host (malformed ones included, in test_aes_js) before the engine runs
+  # them — and the microjs and vcc tokenizers' bound on a number literal.
   # _GLIBCXX_ASSERTIONS makes an out-of-range std::vector/std::string index
   # abort at its own line, even when the read stays inside the allocation
   # where ASan cannot see it.
@@ -135,8 +136,8 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # Figure 13's single-shot guest in all three modes; fails (non-zero) if any
 # serve returns an error.
 (cd "$BUILD_DIR" && ./example_http_server)
-# Managed-runtime smoke: the microjs engine (running the script EngineSource
-# decoded on the host into [op, operand] word pairs, with its state in
+# Managed-runtime smoke: the microjs engine (running the [op, operand] word
+# pairs CompileScript emits and EngineSource checks, with its state in
 # registers) base64-encodes a 384 B payload in all four fig14 variants, with
 # and without teardown, and prints each variant's warm restored KB; fails
 # (non-zero) if any output differs from HostBase64, if a variant's warm exit

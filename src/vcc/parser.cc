@@ -64,22 +64,25 @@ vbase::Result<std::vector<Token>> Lex(const std::string& src) {
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
       size_t j = i;
-      int base = 10;
+      uint64_t base = 10;
       if (c == '0' && j + 1 < n && (src[j + 1] == 'x' || src[j + 1] == 'X')) {
         base = 16;
         j += 2;
       }
-      int64_t v = 0;
+      uint64_t v = 0;
       const size_t digits_start = j;
       while (j < n && std::isalnum(static_cast<unsigned char>(src[j]))) {
         const char d = static_cast<char>(std::tolower(static_cast<unsigned char>(src[j])));
-        int dv;
+        uint64_t dv;
         if (d >= '0' && d <= '9') {
-          dv = d - '0';
+          dv = static_cast<uint64_t>(d - '0');
         } else if (base == 16 && d >= 'a' && d <= 'f') {
-          dv = d - 'a' + 10;
+          dv = static_cast<uint64_t>(d - 'a' + 10);
         } else {
           return err("bad digit in number");
+        }
+        if (v > (UINT64_MAX - dv) / base) {
+          return err("number out of 64-bit range");
         }
         v = v * base + dv;
         ++j;
@@ -87,7 +90,7 @@ vbase::Result<std::vector<Token>> Lex(const std::string& src) {
       if (j == digits_start) {
         return err("bad number");
       }
-      out.push_back({Tok::kIntLit, src.substr(i, j - i), v, line});
+      out.push_back({Tok::kIntLit, src.substr(i, j - i), static_cast<int64_t>(v), line});
       i = j;
       continue;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
@@ -12,65 +13,56 @@
 namespace vjs {
 namespace {
 
-// --- Wire bytecode ops (CompileScript's output; EngineSource decodes them) ---
-enum Op : uint8_t {
+// --- The program: [op, operand] word pairs ---------------------------------
+//
+// CompileScript emits the form the engine executes, so the engine never
+// reassembles an operand or searches for a builtin: PUSH carries its i32 and
+// LOAD/STORE their slot in the operand word, a jump carries the word index of
+// its target, each builtin is its own op, and a literal right operand rides
+// in the operand word of its binary op's K form.  The values are the case
+// labels of the engine's arms in EngineSource.
+enum Op : int {
   kHalt = 0,
-  kPush = 1,    // i32 little-endian
-  kLoad = 2,    // u8 slot
-  kStore = 3,   // u8 slot
-  kAdd = 4,
-  kSub = 5,
-  kMul = 6,
-  kDiv = 7,
-  kMod = 8,
-  kLt = 9,
-  kLe = 10,
-  kGt = 11,
-  kGe = 12,
-  kEq = 13,
-  kNe = 14,
-  kJmp = 15,    // i16 relative to next instruction
-  kJz = 16,     // pops condition
-  kCallB = 17,  // u8 builtin, u8 nargs; result pushed
-  kAnd = 18,
-  kOr = 19,
-  kXor = 20,
-  kShl = 21,
-  kShr = 22,
-  kNot = 23,
-  kNeg = 24,
-  kPop = 25,
+  kPush = 1,
+  kLoad = 2,
+  kStore = 3,
+  kJmp = 4,
+  kJz = 5,  // pops the condition
+  kNot = 6,
+  kNeg = 7,
+  kPop = 8,
+  kBuiltin = 9,             // + kBuiltinFns index
+  kBinary = 13,             // + kBinaryOps index: pops the right operand
+  kBinaryK = kBinary + 16,  // + kBinaryOps index: the right operand is literal
+  kBad = kBinaryK + 16,     // no arm: the engine stops
 };
 
-// Builtin indices.
-enum Builtin : uint8_t {
-  kInputLen = 0,
-  kInput = 1,
-  kOut = 2,
-  kB64 = 3,
-};
+// The variable slots a LOAD or STORE operand can name.
+constexpr int kSlots = 256;
+
+// The engine's arena (see engine_init in EngineSource).  Its first page
+// holds the operand stack's top kStackTopBytes, the variable slots and the
+// start of the I/O region; the rest of the stack lies in the pages below.
+constexpr int kPageBytes = 4096;
+constexpr int kStackBytes = kEngineStackWords * 8;
+constexpr int kStackTopBytes = 512;
+constexpr int kVarBytes = kSlots * 8;
+constexpr int kIoBytes = kEngineInputBytes + kEngineOutputBytes;
 
 // The parser's tables live here, not as function statics, so the recursive
-// parse functions' frames hold no initializer temporaries.
+// parse functions' frames hold no initializer temporaries.  kBuiltinFns is
+// in the order of the engine's builtin arms.
 struct BuiltinFn {
   const char* name;
-  Builtin index;
   int nargs;
 };
-constexpr BuiltinFn kBuiltinFns[] = {
-    {"input_len", kInputLen, 0}, {"input", kInput, 1}, {"out", kOut, 1}, {"b64", kB64, 1}};
+constexpr BuiltinFn kBuiltinFns[] = {{"input_len", 0}, {"input", 1}, {"out", 1}, {"b64", 1}};
 
-// The 16 binary operators.  The text is also the vcc operator the engine's
-// arm applies, and the position numbers the arm (kExecBinary + i).
-struct BinaryOp {
-  const char* text;
-  Op op;
-};
-constexpr BinaryOp kBinaryOps[] = {
-    {"+", kAdd}, {"-", kSub}, {"*", kMul},  {"/", kDiv},  {"%", kMod},  {"<", kLt},
-    {"<=", kLe}, {">", kGt},  {">=", kGe},  {"==", kEq},  {"!=", kNe},  {"&", kAnd},
-    {"|", kOr},  {"^", kXor}, {"<<", kShl}, {">>", kShr},
-};
+// The 16 binary operators.  Each is also the vcc operator the engine's arm
+// applies, and its position numbers the arms (kBinary + i, kBinaryK + i).
+constexpr const char* kBinaryOps[] = {"+",  "-",  "*",  "/", "%", "<", "<=", ">",
+                                      ">=", "==", "!=", "&", "|", "^", "<<", ">>"};
+static_assert(kBuiltin + std::size(kBuiltinFns) == kBinary && std::size(kBinaryOps) == 16);
 
 struct JsToken {
   enum Kind { kEof, kIdent, kNum, kPunct } kind = kEof;
@@ -89,13 +81,14 @@ class ScriptCompiler {
     while (!Is(JsToken::kEof)) {
       VB_RETURN_IF_ERROR(Statement());
     }
-    code_.push_back(kHalt);
+    Emit(kHalt, 0, 0);
     if (max_stack_ > kEngineStackWords) {
       return vbase::InvalidArgument("microjs: the script needs " + std::to_string(max_stack_) +
                                     " operand stack slots; the engine has " +
                                     std::to_string(kEngineStackWords));
     }
-    return code_;
+    const auto* bytes = reinterpret_cast<const uint8_t*>(code_.data());
+    return std::vector<uint8_t>(bytes, bytes + code_.size() * sizeof(int64_t));
   }
 
  private:
@@ -144,12 +137,17 @@ class ScriptCompiler {
       }
       if (std::isdigit(static_cast<unsigned char>(c))) {
         size_t j = i;
-        int64_t v = 0;
+        uint64_t v = 0;
         while (j < n && std::isdigit(static_cast<unsigned char>(src_[j]))) {
-          v = v * 10 + (src_[j] - '0');
+          const uint64_t d = static_cast<uint64_t>(src_[j] - '0');
+          if (v > (UINT64_MAX - d) / 10) {
+            return vbase::InvalidArgument("microjs: number out of 64-bit range at line " +
+                                          std::to_string(line));
+          }
+          v = v * 10 + d;
           ++j;
         }
-        toks_.push_back({JsToken::kNum, src_.substr(i, j - i), v, line});
+        toks_.push_back({JsToken::kNum, src_.substr(i, j - i), static_cast<int64_t>(v), line});
         i = j;
         continue;
       }
@@ -200,37 +198,22 @@ class ScriptCompiler {
     return vbase::Status::Ok();
   }
 
-  void Emit(uint8_t b) { code_.push_back(b); }
-  // Emits an opcode that moves the engine's operand stack by `stack_effect`
-  // words, tracking the deepest the stack gets.
-  void EmitOp(uint8_t op, int stack_effect) {
-    Emit(op);
-    stack_ += stack_effect;
+  // Moves the engine's operand stack by `words`, tracking the deepest it gets.
+  void Move(int words) {
+    stack_ += words;
     max_stack_ = std::max(max_stack_, stack_);
   }
-  void Emit32(int32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      Emit(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  size_t EmitJump(uint8_t op) {
-    EmitOp(op, op == kJz ? -1 : 0);  // JZ pops its condition
-    Emit(0);
-    Emit(0);
+  // Appends an [op, operand] pair that moves the stack by `stack_effect`
+  // words; returns the pair's word index.
+  size_t Emit(int op, int64_t operand, int stack_effect) {
+    code_.push_back(op);
+    code_.push_back(operand);
+    Move(stack_effect);
     return code_.size() - 2;
   }
-  // Points the i16 jump operand at `at` (relative to the end of its
-  // instruction) to `target`; an offset outside i16 is an error, not a wrap.
-  vbase::Status SetJump(size_t at, size_t target) {
-    const int64_t rel = static_cast<int64_t>(target) - static_cast<int64_t>(at + 2);
-    if (rel < INT16_MIN || rel > INT16_MAX) {
-      return Err("jump offset " + std::to_string(rel) + " does not fit in 16 bits");
-    }
-    code_[at] = static_cast<uint8_t>(rel);
-    code_[at + 1] = static_cast<uint8_t>(rel >> 8);
-    return vbase::Status::Ok();
-  }
-  vbase::Status PatchJump(size_t at) { return SetJump(at, code_.size()); }
+  size_t EmitJump(int op) { return Emit(op, 0, op == kJz ? -1 : 0); }  // JZ pops its condition
+  // Points the jump at word `at` to the next pair emitted.
+  void PatchJump(size_t at) { code_[at + 1] = static_cast<int64_t>(code_.size()); }
 
   // A name's slot.  Slots are numbered once per name for the whole script,
   // but a name is visible only from the end of its `var` to the end of the
@@ -244,7 +227,7 @@ class ScriptCompiler {
     if (it != slots_.end()) {
       return it->second;
     }
-    if (slots_.size() >= 250) {
+    if (slots_.size() >= kSlots) {
       return Err("too many variables");
     }
     const int slot = static_cast<int>(slots_.size());
@@ -267,8 +250,7 @@ class ScriptCompiler {
       VB_RETURN_IF_ERROR(Expect("="));
       VB_RETURN_IF_ERROR(Expression());
       VB_RETURN_IF_ERROR(Expect(";"));
-      EmitOp(kStore, -1);
-      Emit(static_cast<uint8_t>(*slot));
+      Emit(kStore, *slot, -1);
       if (visible_.insert(name).second) {
         scopes_.back().push_back(name);
       }
@@ -281,9 +263,9 @@ class ScriptCompiler {
       VB_RETURN_IF_ERROR(Expect(")"));
       const size_t exit_jump = EmitJump(kJz);
       VB_RETURN_IF_ERROR(Block());
-      // Back-edge.
-      VB_RETURN_IF_ERROR(SetJump(EmitJump(kJmp), head));
-      return PatchJump(exit_jump);
+      Emit(kJmp, static_cast<int64_t>(head), 0);  // the back-edge
+      PatchJump(exit_jump);
+      return vbase::Status::Ok();
     }
     if (EatI("if")) {
       VB_RETURN_IF_ERROR(Expect("("));
@@ -293,11 +275,13 @@ class ScriptCompiler {
       VB_RETURN_IF_ERROR(Block());
       if (EatI("else")) {
         const size_t end_jump = EmitJump(kJmp);
-        VB_RETURN_IF_ERROR(PatchJump(else_jump));
+        PatchJump(else_jump);
         VB_RETURN_IF_ERROR(Block());
-        return PatchJump(end_jump);
+        PatchJump(end_jump);
+      } else {
+        PatchJump(else_jump);
       }
-      return PatchJump(else_jump);
+      return vbase::Status::Ok();
     }
     // Assignment or expression statement.
     if (Is(JsToken::kIdent) && toks_[pos_ + 1].kind == JsToken::kPunct &&
@@ -310,13 +294,12 @@ class ScriptCompiler {
       }
       VB_RETURN_IF_ERROR(Expression());
       VB_RETURN_IF_ERROR(Expect(";"));
-      EmitOp(kStore, -1);
-      Emit(static_cast<uint8_t>(*slot));
+      Emit(kStore, *slot, -1);
       return vbase::Status::Ok();
     }
     VB_RETURN_IF_ERROR(Expression());
     VB_RETURN_IF_ERROR(Expect(";"));
-    EmitOp(kPop, -1);
+    Emit(kPop, 0, -1);
     return vbase::Status::Ok();
   }
 
@@ -365,20 +348,25 @@ class ScriptCompiler {
         break;
       }
       const std::string& op = Next().text;
+      const size_t right = code_.size();
       VB_RETURN_IF_ERROR(Expression(prec + 1));
       // && and || compile to the bitwise forms (operands are 0/1 comparisons
       // in practice); microjs has no short-circuit side effects to preserve.
       const std::string bitwise = op == "&&" ? "&" : op == "||" ? "|" : op;
-      const BinaryOp* binary = nullptr;
-      for (const BinaryOp& b : kBinaryOps) {
-        if (bitwise == b.text) {
-          binary = &b;
-        }
-      }
-      if (binary == nullptr) {
+      const auto* binary = std::find(std::begin(kBinaryOps), std::end(kBinaryOps), bitwise);
+      if (binary == std::end(kBinaryOps)) {
         return Err("bad operator " + op);
       }
-      EmitOp(binary->op, -1);  // pops two operands, pushes the result
+      const int index = static_cast<int>(binary - std::begin(kBinaryOps));
+      // The op pops two operands and pushes the result.  A right operand
+      // that is one PUSH (nothing jumps between it and the op) becomes the
+      // op's K form, its literal already in the operand word.
+      if (code_.size() == right + 2 && code_[right] == kPush) {
+        code_[right] = kBinaryK + index;
+        Move(-1);
+      } else {
+        Emit(kBinary + index, 0, -1);
+      }
     }
     return vbase::Status::Ok();
   }
@@ -388,12 +376,12 @@ class ScriptCompiler {
     VB_RETURN_IF_ERROR(CheckNesting());
     if (EatP("-")) {
       VB_RETURN_IF_ERROR(Unary());
-      EmitOp(kNeg, 0);
+      Emit(kNeg, 0, 0);
       return vbase::Status::Ok();
     }
     if (EatP("!")) {
       VB_RETURN_IF_ERROR(Unary());
-      EmitOp(kNot, 0);
+      Emit(kNot, 0, 0);
       return vbase::Status::Ok();
     }
     return Primary();
@@ -401,8 +389,7 @@ class ScriptCompiler {
 
   vbase::Status Primary() {
     if (Is(JsToken::kNum)) {
-      EmitOp(kPush, 1);
-      Emit32(static_cast<int32_t>(Next().value));
+      Emit(kPush, static_cast<int32_t>(Next().value), 1);
       return vbase::Status::Ok();
     }
     if (EatP("(")) {
@@ -412,13 +399,9 @@ class ScriptCompiler {
     if (Is(JsToken::kIdent)) {
       const std::string& name = Next().text;
       if (EatP("(")) {
-        const BuiltinFn* fn = nullptr;
-        for (const BuiltinFn& f : kBuiltinFns) {
-          if (name == f.name) {
-            fn = &f;
-          }
-        }
-        if (fn == nullptr) {
+        const auto* fn = std::find_if(std::begin(kBuiltinFns), std::end(kBuiltinFns),
+                                      [&](const BuiltinFn& f) { return name == f.name; });
+        if (fn == std::end(kBuiltinFns)) {
           return Err("unknown function '" + name + "'");
         }
         int nargs = 0;
@@ -435,17 +418,15 @@ class ScriptCompiler {
         if (nargs != fn->nargs) {
           return Err("wrong argument count for '" + name + "'");
         }
-        EmitOp(kCallB, 1 - nargs);  // pops the arguments, pushes the result
-        Emit(static_cast<uint8_t>(fn->index));
-        Emit(static_cast<uint8_t>(nargs));
+        // Pops the arguments, pushes the result.
+        Emit(kBuiltin + static_cast<int>(fn - std::begin(kBuiltinFns)), 0, 1 - nargs);
         return vbase::Status::Ok();
       }
       auto slot = Slot(name, /*create=*/false);
       if (!slot.ok()) {
         return slot.status();
       }
-      EmitOp(kLoad, 1);
-      Emit(static_cast<uint8_t>(*slot));
+      Emit(kLoad, *slot, 1);
       return vbase::Status::Ok();
     }
     return Err("expected expression");
@@ -454,7 +435,7 @@ class ScriptCompiler {
   const std::string& src_;
   std::vector<JsToken> toks_;
   size_t pos_ = 0;
-  std::vector<uint8_t> code_;
+  std::vector<int64_t> code_;
   std::map<std::string, int> slots_;
   std::set<std::string> visible_;                // names readable here
   std::vector<std::vector<std::string>> scopes_;  // names each open block made visible
@@ -528,170 +509,30 @@ std::string HostBase64(const std::vector<uint8_t>& data) {
   return out;
 }
 
-namespace {
-
-// --- The executed form ------------------------------------------------------
-//
-// EngineSource decodes the wire bytecode once, on the host, into [op,
-// operand] word pairs, so the engine never reassembles an operand or
-// searches for a builtin: PUSH carries its i32 and LOAD/STORE their slot in
-// the operand word, a jump carries the word index of its target, each
-// builtin is its own op, and a literal right operand rides in the operand
-// word of its binary op's K form.  The values are the case labels of the
-// engine's arms in EngineSource.
-enum ExecOp : int {
-  kExecHalt = 0,
-  kExecPush = 1,
-  kExecLoad = 2,
-  kExecStore = 3,
-  kExecJmp = 4,
-  kExecJz = 5,
-  kExecNot = 6,
-  kExecNeg = 7,
-  kExecPop = 8,
-  kExecBuiltin = 9,                 // + Builtin index
-  kExecBinary = 13,                 // + kBinaryOps index: pops the right operand
-  kExecBinaryK = kExecBinary + 16,  // + kBinaryOps index: the right operand is literal
-  kExecBad = kExecBinaryK + 16,     // no arm: the engine stops
-};
-static_assert(std::size(kBinaryOps) == 16 && std::size(kBuiltinFns) == 4);
-// kBuiltinFns is in Builtin order, the order of the engine's builtin arms.
-static_assert(kBuiltinFns[kInputLen].index == kInputLen && kBuiltinFns[kInput].index == kInput &&
-              kBuiltinFns[kOut].index == kOut && kBuiltinFns[kB64].index == kB64);
-
-// One decoded wire instruction.
-struct Decoded {
-  int op = kExecBad;
-  int64_t operand = 0;  // PUSH's i32, a slot, or a jump's target byte offset
-};
-
-// Decodes the instruction at `at`, setting *next past it.  Anything
-// malformed (an unknown op or builtin, a builtin called with the wrong
-// argument count, an operand cut off by the end) decodes to kExecBad.
-Decoded DecodeAt(const std::vector<uint8_t>& s, size_t at, size_t* next) {
-  Decoded d;
-  const uint8_t op = s[at];
-  const size_t operand_bytes = op == kPush                   ? 4
-                               : op == kLoad || op == kStore ? 1
-                               : op == kJmp || op == kJz || op == kCallB ? 2
-                                                                         : 0;
-  *next = at + 1 + operand_bytes;
-  if (*next > s.size()) {
-    return d;
-  }
-  const uint8_t* p = s.data() + at + 1;
-  switch (op) {
-    case kHalt:
-      d.op = kExecHalt;
-      break;
-    case kPush:
-      d.op = kExecPush;
-      d.operand = static_cast<int32_t>(p[0] | p[1] << 8 | p[2] << 16 | uint32_t{p[3]} << 24);
-      break;
-    case kLoad:
-    case kStore:
-      d.op = op == kLoad ? kExecLoad : kExecStore;
-      d.operand = p[0];
-      break;
-    case kJmp:
-    case kJz:
-      d.op = op == kJmp ? kExecJmp : kExecJz;
-      d.operand = static_cast<int64_t>(*next) + static_cast<int16_t>(p[0] | p[1] << 8);
-      break;
-    case kCallB:
-      if (p[0] < std::size(kBuiltinFns) && p[1] == kBuiltinFns[p[0]].nargs) {
-        d.op = kExecBuiltin + p[0];
-      }
-      break;
-    case kNot:
-      d.op = kExecNot;
-      break;
-    case kNeg:
-      d.op = kExecNeg;
-      break;
-    case kPop:
-      d.op = kExecPop;
-      break;
-    default:
-      for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
-        if (op == kBinaryOps[i].op) {
-          d.op = kExecBinary + static_cast<int>(i);
-        }
-      }
-  }
-  return d;
-}
-
-bool IsBinary(int op) { return op >= kExecBinary && op < kExecBinaryK; }
-
-// The executed form of `script`.  Decoding stops at the first malformed
-// instruction, a jump whose target is not an instruction of the script
-// becomes kExecBad, and a closing kExecBad pair stops control that runs off
-// the end, so the engine never executes past what the script says.
-std::vector<int64_t> Translate(const std::vector<uint8_t>& script) {
-  std::vector<Decoded> insns;
-  std::vector<int> insn_at(script.size(), -1);  // byte offset -> instruction
-  for (size_t at = 0, next = 0; at < script.size(); at = next) {
-    insn_at[at] = static_cast<int>(insns.size());
-    insns.push_back(DecodeAt(script, at, &next));
-    if (insns.back().op == kExecBad) {
-      break;
-    }
-  }
-  auto target_of = [&](const Decoded& d) {
-    return d.operand >= 0 && d.operand < static_cast<int64_t>(script.size())
-               ? insn_at[static_cast<size_t>(d.operand)]
-               : -1;
-  };
-  std::vector<bool> is_target(insns.size(), false);
-  for (const Decoded& d : insns) {
-    if ((d.op == kExecJmp || d.op == kExecJz) && target_of(d) >= 0) {
-      is_target[static_cast<size_t>(target_of(d))] = true;
-    }
-  }
-  // A binary op right after a PUSH, and not a jump target, folds into it.
-  std::vector<bool> fused(insns.size(), false);
-  std::vector<int64_t> word(insns.size(), 0);
-  int64_t next_word = 0;
-  for (size_t i = 0; i < insns.size(); ++i) {
-    fused[i] = i > 0 && IsBinary(insns[i].op) && insns[i - 1].op == kExecPush && !is_target[i];
-    word[i] = next_word;
-    next_word += fused[i] ? 0 : 2;
-  }
-  std::vector<int64_t> code;
-  code.reserve(static_cast<size_t>(next_word) + 2);
-  for (size_t i = 0; i < insns.size(); ++i) {
-    Decoded d = insns[i];
-    if (fused[i]) {
-      code[code.size() - 2] = d.op - kExecBinary + kExecBinaryK;
-      continue;
-    }
-    if (d.op == kExecJmp || d.op == kExecJz) {
-      const int target = target_of(d);
-      d.op = target >= 0 ? d.op : kExecBad;
-      d.operand = target >= 0 ? word[static_cast<size_t>(target)] : 0;
-    }
-    code.push_back(d.op);
-    code.push_back(d.operand);
-  }
-  code.push_back(kExecBad);
-  code.push_back(0);
-  return code;
-}
-
-// The engine's arena (see engine_init in EngineSource).  Its first page
-// holds the operand stack's top kStackTopBytes, the variable slots and the
-// start of the I/O region; the rest of the stack lies in the pages below.
-constexpr int kPageBytes = 4096;
-constexpr int kStackBytes = kEngineStackWords * 8;
-constexpr int kStackTopBytes = 512;
-constexpr int kVarBytes = 256 * 8;  // a u8 slot operand reaches 256 slots
-constexpr int kIoBytes = kEngineInputBytes + kEngineOutputBytes;
-
-}  // namespace
-
 std::string EngineSource(const std::vector<uint8_t>& script, bool teardown) {
-  const std::vector<int64_t> code = Translate(script);
+  // Whole pairs only: a cut-off pair at the end is dropped.  A pair the
+  // engine has no arm for, or whose operand is a jump target off the
+  // script's pairs or a slot outside the variables, becomes the bad op, and
+  // a closing bad pair stops control that runs off the end, so the engine
+  // never executes past what the script says.
+  std::vector<int64_t> code(script.size() / 16 * 2);
+  for (size_t i = 0; i < code.size(); ++i) {
+    std::memcpy(&code[i], &script[8 * i], sizeof(int64_t));
+  }
+  const int64_t words = static_cast<int64_t>(code.size());
+  for (size_t at = 0; at < code.size(); at += 2) {
+    const int64_t op = code[at];
+    const int64_t operand = code[at + 1];
+    const bool bad_target = (op == kJmp || op == kJz) &&
+                            (operand < 0 || operand >= words || operand % 2 != 0);
+    const bool bad_slot = (op == kLoad || op == kStore) && (operand < 0 || operand >= kSlots);
+    if (op < 0 || op >= kBad || bad_target || bad_slot) {
+      code[at] = kBad;
+      code[at + 1] = 0;
+    }
+  }
+  code.push_back(kBad);
+  code.push_back(0);
   std::ostringstream os;
   os << "int CODE[" << code.size() << "] = {";
   for (size_t i = 0; i < code.size(); ++i) {
@@ -871,12 +712,12 @@ int main() {
       // The binary ops (>> is arithmetic).
 )vc";
   for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
-    os << "      case " << kExecBinary + static_cast<int>(i) << ": t = *sp "
-       << kBinaryOps[i].text << " t; sp = sp + 1; continue;\n";
+    os << "      case " << kBinary + static_cast<int>(i) << ": t = *sp " << kBinaryOps[i]
+       << " t; sp = sp + 1; continue;\n";
   }
   os << "      // The same with the literal right operand in the operand word.\n";
   for (size_t i = 0; i < std::size(kBinaryOps); ++i) {
-    os << "      case " << kExecBinaryK + static_cast<int>(i) << ": t = t " << kBinaryOps[i].text
+    os << "      case " << kBinaryK + static_cast<int>(i) << ": t = t " << kBinaryOps[i]
        << " code[pc - 1]; continue;\n";
   }
   os << R"vc(    }

@@ -9,28 +9,20 @@
 // compact stack bytecode, interpreted by an engine written in the vcc
 // dialect that runs *inside* the virtine.
 //
-// A script takes two host-side steps before it runs.  CompileScript emits
-// the wire bytecode: byte ops with little-endian operands (i32 literals, u8
-// variable slots, i16 relative jumps, a builtin call's index and argument
-// count), and checks its limits (jump range, kEngineStackWords,
-// kMaxScriptNesting).  EngineSource then decodes that bytecode once into the
-// form the engine executes, `int CODE[]`, a run of [op, operand] word pairs:
+// CompileScript emits the one program form the engine executes, a run of
+// [op, operand] int64 word pairs, and checks its limits (kEngineStackWords,
+// kMaxScriptNesting, 256 variables):
 //
-//   - PUSH's i32 and LOAD/STORE's slot are the operand word, and a jump's
-//     target is the absolute word index of the pair it lands on;
+//   - PUSH's i32 literal and LOAD/STORE's slot are the operand word, and a
+//     jump's operand is the word index of the pair it lands on, so a jump
+//     reaches anywhere in the script;
 //   - each builtin (input_len, input, out, b64) is an op of its own;
-//   - a PUSH followed by a binary op that no jump targets becomes that op's
-//     literal-operand form, so `x + 3` or `r == 1` is one dispatch;
-//   - malformed bytes (an unknown op or builtin, a cut-off operand, a jump
-//     off the script's instructions, an empty script) decode to the
-//     engine's bad-op word, and a closing bad-op pair ends every script, so
-//     the engine never runs past what the script says and the host never
-//     reads past its input.
+//   - a binary op whose right operand is a literal is that op's
+//     literal-operand form, so `x + 3` or `r == 1` is one dispatch.
 //
-// The translation leaves the wire bytecode, CompileScript's checks and the
-// engine's limits as they are: it only moves operand decoding and builtin
-// lookup from the guest to the host.  The engine mirrors a managed runtime's
-// lifecycle:
+// EngineSource embeds the pairs as `int CODE[]` after checking them, so the
+// engine never runs past what the script says and the host never reads past
+// its input.  The engine mirrors a managed runtime's lifecycle:
 //
 //   engine_init()  — carves one page-aligned arena whose first page holds
 //                    the top of the operand stack (which grows down into
@@ -92,20 +84,24 @@ inline constexpr int kEngineOutputBytes = 98304;
 // the stack check above still decides.
 inline constexpr int kMaxScriptNesting = 2048;
 
-// Compiles microjs source to wire bytecode.
+// Compiles microjs source to the engine's [op, operand] word pairs,
+// returned as their bytes (8 per word, in host order).
 //
 // Language: `var x = e;`, assignment, `while (e) { ... }`,
 // `if (e) {...} else {...}`, expression statements; integer expressions
 // with C precedence; builtins: input_len(), input(i), out(c), b64(i).  A
 // `var` is visible from the end of its declaration to the end of its block
 // (a braceless if or while body is a block), so every read follows a store
-// of the same call.
+// of the same call.  A literal wraps to i32; one past 64 bits is an error.
+// A script may name 256 variables; jumps have no range limit.
 vbase::Result<std::vector<uint8_t>> CompileScript(const std::string& source);
 
 // Renders the guest engine program (vcc dialect, concatenate after vlibc)
-// with `script`, CompileScript's wire bytecode, decoded into the executed
-// form and embedded as data.  Any bytes are accepted: malformed ones decode
-// to the bad-op word, where the run stops with the output written so far.
+// with `script`, CompileScript's word pairs, embedded as data.  Any bytes
+// are accepted: only whole 16-byte pairs are read, a pair whose op has no
+// arm, whose jump target is odd, negative or past the script's last word,
+// or whose slot is outside [0, 256) becomes the bad-op word, and a closing
+// bad-op pair follows; the run stops there with the output written so far.
 // `teardown` selects whether the engine frees its object heap before
 // exiting (the NT variants skip it).
 std::string EngineSource(const std::vector<uint8_t>& script, bool teardown);

@@ -3,6 +3,8 @@
 // against the host base64 reference, including property-style sweeps.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/base/rng.h"
 #include "src/vaes/aes.h"
 #include "src/vcc/vcc.h"
@@ -210,34 +212,26 @@ TEST(MicroJs, CompileErrorsAreDiagnosed) {
   EXPECT_FALSE(vjs::CompileScript("while (1) { ").ok());
   EXPECT_TRUE(vjs::CompileScript("var x = 1 + 2 * 3;").ok());
 
-  // Jump offsets are i16.  `x = x + 1;` is 10 bytecode bytes and `x;` 3, so
-  // a body of exactly `bytes` bytes can be built from the two.
-  auto body = [](int bytes) {
-    std::string s;
-    for (; bytes % 10 != 0; bytes -= 3) {
-      s += "x;\n";
-    }
-    for (; bytes > 0; bytes -= 10) {
-      s += "x = x + 1;\n";
-    }
-    return s;
-  };
-  // `var x = 0;` is 7 bytes and `x < 1` 8, so an if's JZ operand sits at
-  // offset 16 and jumps over exactly its body; a while's back-edge jumps
-  // back over the condition, the JZ, the body and itself.
-  auto rel16 = [](const std::vector<uint8_t>& code, size_t at) {
-    return static_cast<int16_t>(code[at] | (code[at + 1] << 8));
-  };
-  const std::string head = "var x = 0;\n";
-  auto forward = vjs::CompileScript(head + "if (x < 1) {\n" + body(32767) + "}\n");
-  ASSERT_TRUE(forward.ok()) << forward.status().ToString();
-  EXPECT_EQ(rel16(*forward, 16), 32767);
-  EXPECT_FALSE(vjs::CompileScript(head + "if (x < 1) {\n" + body(32768) + "}\n").ok());
-  auto backward = vjs::CompileScript(head + "while (x < 1) {\n" + body(32754) + "}\n");
-  ASSERT_TRUE(backward.ok()) << backward.status().ToString();
-  EXPECT_EQ(rel16(*backward, 16), 32754 + 3);          // the exit JZ: body + back-edge
-  EXPECT_EQ(rel16(*backward, 18 + 32754 + 1), -32768);  // the back-edge JMP
-  EXPECT_FALSE(vjs::CompileScript(head + "while (x < 1) {\n" + body(32755) + "}\n").ok());
+  // A literal wraps to i32, and one past 64 bits is an error rather than
+  // an overflow in the host's tokenizer.
+  EXPECT_EQ(RunScript("out(18446744073709551615);\n"), std::vector<uint8_t>{0xff});
+  auto wide = vjs::CompileScript("out(99999999999999999999);\n");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_NE(wide.status().ToString().find("64-bit range"), std::string::npos)
+      << wide.status().ToString();
+
+  // A jump carries the word index of its target, so a body of any length can
+  // be jumped over.  Each statement below is 12 pairs, and was 64 bytes in
+  // the byte code microjs used to emit, whose 16-bit jump offsets reached
+  // 32,767 bytes: each body, at 520 statements, is past that reach.  (The
+  // whole engine image stays under the 256 KB where vlibc's heap begins.)
+  std::string body;
+  for (int i = 0; i < 520; ++i) {
+    body += "x = x + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1;\n";
+  }
+  EXPECT_EQ(RunScript("var x = 0;\nif (x < 1) {\n" + body + "}\nwhile (x < 6000) {\n" + body +
+                      "}\nout(x);\n"),
+            std::vector<uint8_t>{10400 % 256});
 
   // Nesting is capped, so no script can exhaust the host's stack.  The
   // statement, out's argument and its unary operand take five levels, and
@@ -281,43 +275,69 @@ TEST(MicroJs, CompileErrorsAreDiagnosed) {
       << overflow.status().ToString();
 }
 
-// EngineSource decodes whatever bytes it is handed.  Malformed ones decode to
-// the engine's bad-op word, which ends the run: the call exits cleanly with
-// the output written before it.  Each script is built by the vector's range
-// constructor, which allocates exactly its bytes, so the ASan lane catches
-// any read past the end.
+// EngineSource checks whatever bytes it is handed.  It reads whole [op,
+// operand] pairs only and turns a pair without an arm, a jump off the
+// script's pairs or a slot outside the variables into the engine's bad-op
+// word, which ends the run: the call exits cleanly with the output written
+// before it.  Each bad pair is followed by pairs that print 'B', so one let
+// through shows in the output, and each script is allocated to its exact
+// size, so the ASan lane catches any read past the end.
 TEST(MicroJs, MalformedBytecodeStopsAtTheBadOp) {
-  auto out_a = vjs::CompileScript("out(65);\n");
-  ASSERT_TRUE(out_a.ok());
-  ASSERT_EQ(out_a->back(), 0);  // HALT, which each case replaces
-  out_a->pop_back();
-  // Wire ops: 1 PUSH i32, 2 LOAD u8, 15 JMP i16, 17 CALLB builtin nargs;
-  // 26 and up are unassigned.  `out_a` is 9 bytes, so a tail starts at 9.
+  auto compiled = vjs::CompileScript("out(65);\n");
+  ASSERT_TRUE(compiled.ok());
+  // PUSH 65, out, POP, HALT.
+  std::vector<int64_t> out_a(compiled->size() / 8);
+  std::memcpy(out_a.data(), compiled->data(), compiled->size());
+  ASSERT_EQ(out_a, (std::vector<int64_t>{1, 65, 11, 0, 8, 0, 0, 0}));
+  out_a.resize(6);  // without HALT: each case appends its tail
+  // A case's pairs, then PUSH 66, out, POP.  A JZ after PUSH 1 falls through
+  // when it is kept, whatever its target.
+  auto then_b = [](std::vector<int64_t> tail) {
+    tail.insert(tail.end(), {1, 66, 11, 0, 8, 0});
+    return tail;
+  };
   struct Case {
     const char* what;
-    std::vector<uint8_t> tail;
+    std::vector<int64_t> tail;
+    size_t cut = 0;  // bytes taken off the script's end
   };
+  const int64_t end = 6 + 4 + 6;  // the word past a JZ case's last word
   const Case kCases[] = {
-      {"a PUSH cut off inside its operand", {1, 7, 0}},
-      {"a LOAD cut off before its slot", {2}},
-      {"a JMP cut off inside its offset", {15, 0}},
-      {"a CALLB cut off before its argument count", {17, 2}},
-      {"an unknown op", {26}},
-      {"the highest unknown op", {255}},
-      {"an unknown builtin", {17, 4, 1}},
-      {"a builtin given the wrong argument count", {17, 2, 0}},
-      {"a jump past the end", {15, 16, 0}},
-      {"a jump to one past the last byte", {15, 0, 0}},
-      {"a jump before the start", {15, 0, 0x80}},
-      {"a jump into PUSH's operand", {15, 0xf5, 0xff}},  // 12 - 11 = byte 1
-      {"a jump onto an unknown op", {15, 0, 0, 26}},
+      {"a trailing partial word", {11, 0}, 13},
+      {"a pair cut after its op word", {11, 0}, 8},
+      {"op -1", then_b({-1, 0})},
+      {"op 45", then_b({45, 0})},
+      {"op 46", then_b({46, 0})},
+      {"op INT64_MAX", then_b({INT64_MAX, 0})},
+      {"a JMP to an odd word, whose value is out's arm", then_b({1, 11, 8, 0, 4, 7})},
+      {"a JZ to an odd word", then_b({1, 1, 5, 7})},
+      {"a JZ to -2", then_b({1, 1, 5, -2})},
+      {"a JZ to the word past the end", then_b({1, 1, 5, end})},
+      {"a LOAD of slot 256", then_b({2, 256})},
+      {"a LOAD of slot -1", then_b({2, -1})},
+      {"a STORE to slot 256", then_b({1, 7, 3, 256})},
+      {"a STORE to slot -1", then_b({1, 7, 3, -1})},
       {"no HALT", {}},
   };
+  // The same pairs in range are kept.
+  const Case kKept[] = {
+      {"a JZ to word 0", then_b({1, 1, 5, 0})},
+      {"a JZ to the last pair", then_b({1, 1, 5, end - 2})},
+      {"a LOAD of slot 255", then_b({2, 255})},
+      {"a STORE to slot 0", then_b({1, 7, 3, 0})},
+  };
+  auto run = [&](const Case& c) {
+    std::vector<int64_t> words = out_a;
+    words.insert(words.end(), c.tail.begin(), c.tail.end());
+    std::vector<uint8_t> script(words.size() * 8 - c.cut);
+    std::memcpy(script.data(), words.data(), script.size());
+    return RunBytecode(script);
+  };
   for (const Case& c : kCases) {
-    std::vector<uint8_t> bytes = *out_a;
-    bytes.insert(bytes.end(), c.tail.begin(), c.tail.end());
-    const std::vector<uint8_t> script(bytes.begin(), bytes.end());
-    EXPECT_EQ(RunBytecode(script), std::vector<uint8_t>{'A'}) << c.what;
+    EXPECT_EQ(run(c), std::vector<uint8_t>{'A'}) << c.what;
+  }
+  for (const Case& c : kKept) {
+    EXPECT_EQ(run(c), (std::vector<uint8_t>{'A', 'B'})) << c.what;
   }
   EXPECT_TRUE(RunBytecode(std::vector<uint8_t>()).empty()) << "an empty script";
 }

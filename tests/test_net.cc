@@ -737,10 +737,29 @@ TEST_P(ServerModeTest, HeadOfTheLimitServesAndOneByteMoreGets413) {
   }
 }
 
+// Appends what the guest has written to *out, sleeping 1 ms if it has
+// written nothing; false once `deadline` has passed.  The tests' reads poll
+// rather than block in ByteChannel's Read: a guest that frames a request
+// wrong waits for bytes the test never sends, so a blocking read would
+// never return.
+bool Poll(wasp::ByteChannel& channel, std::chrono::steady_clock::time_point deadline,
+          std::string* out) {
+  if (std::chrono::steady_clock::now() >= deadline) {
+    return false;
+  }
+  const std::vector<uint8_t> bytes = channel.host().Drain();
+  out->append(bytes.begin(), bytes.end());
+  if (bytes.empty()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 // Reads one Content-Length-framed response off the channel's host end
-// (leftover bytes stay in *stream); true iff it is a 200.
+// (leftover bytes stay in *stream); true iff it is a 200 that arrived
+// within 10 s.
 bool Read200(wasp::ByteChannel& channel, std::string* stream) {
-  char buf[4096];
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (true) {
     auto head = vnet::FrameResponseHead(*stream);
     if (head.ok() && stream->size() >= head->head_bytes + head->content_length) {
@@ -750,18 +769,17 @@ bool Read200(wasp::ByteChannel& channel, std::string* stream) {
     if (!head.ok() && head.status().code() != vbase::Code::kFailedPrecondition) {
       return false;
     }
-    const uint64_t n = channel.host().Read(buf, sizeof(buf));
-    if (n == 0) {
+    if (!Poll(channel, deadline, stream)) {
       return false;
     }
-    stream->append(buf, n);
   }
 }
 
 // Serves `n` GETs of /f.txt on one keep-alive connection.  Pipelined: every
 // request is written before the server starts; otherwise each is written
 // once the previous response has arrived.  The connection ends with
-// Connection: close on the last request, or with the client's EOF.
+// Connection: close on the last request, or with the client's EOF.  A
+// response that is not a 200, or has not arrived within 10 s, is an error.
 vbase::Result<vnet::ServeStats> ServeGets(vnet::StaticHttpServer& server, vnet::ServeMode mode,
                                           int n, bool pipelined, bool close) {
   wasp::ByteChannel channel;
@@ -782,11 +800,15 @@ vbase::Result<vnet::ServeStats> ServeGets(vnet::StaticHttpServer& server, vnet::
       channel.host().WriteString(request(k));
     }
   }
-  EXPECT_TRUE(ok) << "a response was not a 200";
-  if (!pipelined && (!close || !ok)) {
+  // After a failed read the guest may still wait for a request: EOF ends it.
+  if (!ok || (!pipelined && !close)) {
     channel.host().CloseWrite();
   }
-  return served.get();
+  auto stats = served.get();
+  if (stats.ok() && !ok) {
+    return vbase::Internal("a response was not a 200 within 10 s");
+  }
+  return stats;
 }
 
 TEST_P(ServerModeTest, KeepAliveGetsCostTwoExitsEachPlusOneAtEofPlusOneCold) {
@@ -805,7 +827,8 @@ TEST_P(ServerModeTest, KeepAliveGetsCostTwoExitsEachPlusOneAtEofPlusOneCold) {
   files.PutFile("/f.txt", PatternBody(512, 4));
   vnet::StaticHttpServer server(&runtime, &files);
   // Warm-up: the first snapshot-mode invocation also takes the snapshot.
-  ASSERT_TRUE(ServeGets(server, GetParam(), 1, true, true).ok());
+  auto warm_up = ServeGets(server, GetParam(), 1, true, true);
+  ASSERT_TRUE(warm_up.ok()) << warm_up.status().ToString();
   const uint64_t cold = GetParam() == vnet::ServeMode::kVirtine ? 1 : 0;
   for (const bool pipelined : {true, false}) {
     for (const bool close : {true, false}) {
@@ -834,7 +857,8 @@ TEST(KeepAliveGuest, AWarmConnectionRepairsOnePage) {
   files.PutFile("/f.txt", PatternBody(512, 4));
   vnet::StaticHttpServer server(&runtime, &files);
   constexpr vnet::ServeMode kMode = vnet::ServeMode::kVirtineSnapshot;
-  ASSERT_TRUE(ServeGets(server, kMode, 1, true, true).ok());  // takes the snapshot
+  auto capture = ServeGets(server, kMode, 1, true, true);  // takes the snapshot
+  ASSERT_TRUE(capture.ok()) << capture.status().ToString();
   for (const int requests : {1, 8}) {
     for (const bool pipelined : {true, false}) {
       const uint64_t before = runtime.pool().stats().delta_pages;
@@ -848,18 +872,11 @@ TEST(KeepAliveGuest, AWarmConnectionRepairsOnePage) {
 }
 
 // Appends what the guest writes to *out until it holds `n` more bytes;
-// false if more arrive, or if they have not arrived within 10 s (a guest
-// that answered short waits for a request the test never sends, so a
-// blocking read would never return).
+// false if more arrive, or if they have not arrived within 10 s.
 bool ReadBytes(wasp::ByteChannel& channel, size_t n, std::string* out) {
   const size_t want = out->size() + n;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (out->size() < want && std::chrono::steady_clock::now() < deadline) {
-    const std::vector<uint8_t> bytes = channel.host().Drain();
-    out->append(bytes.begin(), bytes.end());
-    if (bytes.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+  while (out->size() < want && Poll(channel, deadline, out)) {
   }
   return out->size() == want;
 }

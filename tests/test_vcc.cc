@@ -618,6 +618,12 @@ TEST(VccErrors, UsefulDiagnostics) {
   EXPECT_FALSE(vcc::CompileProgram("int main() { break; }").ok());
   EXPECT_FALSE(vcc::CompileProgram("virtine int g = 3; int main() { return 0; }").ok());
   EXPECT_FALSE(vcc::CompileVirtines("int main() { return 0; }").ok());  // no annotations
+  // A literal past 64 bits is an error, not an overflow in the lexer.
+  EXPECT_EQ(RunProgram("int main() { return 0xffffffffffffffff; }"), -1);
+  auto wide = vcc::CompileToAsm("int main() { return 99999999999999999999; }\n");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_NE(wide.status().ToString().find("64-bit range"), std::string::npos)
+      << wide.status().ToString();
 }
 
 // Nesting is capped, so no source can exhaust the host's stack in the parser

@@ -2,14 +2,14 @@
 //
 // A seeded generator writes microjs scripts: declared variables, nested
 // while/if/else with bounded trip counts, every binary operator with a
-// literal right operand (which EngineSource folds into the operator's K arm)
-// and with a variable or computed one (its plain arm), ! and unary minus,
+// literal right operand (which CompileScript emits as the operator's K form)
+// and with a variable or computed one (its plain form), ! and unary minus,
 // literals that wrap to negative i32s, and all four builtins.  Each script's
-// wire bytecode, as CompileScript emits it, runs in two places:
+// [op, operand] word pairs, as CompileScript emits them, run in two places:
 //
-//   - a host-side reference interpreter written here from the wire op table
-//     in vjs.cc, with 64-bit wrapping arithmetic and an arithmetic >>,
-//     independent of EngineSource's translator and of the guest engine;
+//   - a host-side reference interpreter written here from the engine's op
+//     numbering, with 64-bit wrapping arithmetic and an arithmetic >>,
+//     independent of EngineSource's check and of the guest engine;
 //   - the engine virtine in a snapshotting Runtime: a cold call that
 //     captures the snapshot, then a warm call on a second input.
 //
@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,34 +42,28 @@ constexpr size_t kMinInput = 8;
 
 // --- The reference interpreter ----------------------------------------------
 
-// The wire ops, numbered as in vjs.cc's op table.
-enum WireOp : uint8_t {
+// The engine's ops, numbered as its arms in vjs.cc.  Binary operator i (in
+// Operator order) is op kBinary + i, or kBinaryK + i with its literal right
+// operand in the operand word.
+enum : int64_t {
   kHalt = 0,
-  kPush = 1,   // i32 little-endian
-  kLoad = 2,   // u8 slot
-  kStore = 3,  // u8 slot
-  kAdd = 4,
-  kSub = 5,
-  kMul = 6,
-  kDiv = 7,
-  kMod = 8,
-  kLt = 9,
-  kLe = 10,
-  kGt = 11,
-  kGe = 12,
-  kEq = 13,
-  kNe = 14,
-  kJmp = 15,    // i16 relative to the next instruction
-  kJz = 16,     // pops the condition
-  kCallB = 17,  // u8 builtin (input_len, input, out, b64), u8 argument count
-  kAnd = 18,
-  kOr = 19,
-  kXor = 20,
-  kShl = 21,
-  kShr = 22,
-  kNot = 23,
-  kNeg = 24,
-  kPop = 25,
+  kPush = 1,   // operand: an i32 literal
+  kLoad = 2,   // operand: a slot
+  kStore = 3,  // operand: a slot
+  kJmp = 4,    // operand: the word index of the target pair
+  kJz = 5,     // the same; pops the condition
+  kNot = 6,
+  kNeg = 7,
+  kPop = 8,
+  kInputLen = 9,
+  kInput = 10,
+  kOut = 11,
+  kB64 = 12,
+  kBinary = 13,
+  kBinaryK = 29,
+};
+enum Operator {
+  kAdd, kSub, kMul, kDiv, kMod, kLt, kLe, kGt, kGe, kEq, kNe, kAnd, kOr, kXor, kShl, kShr,
 };
 
 struct Reference {
@@ -76,86 +71,92 @@ struct Reference {
   std::vector<uint8_t> output;
 };
 
-// Runs wire bytecode over `input` the way the language defines it.
-Reference Interpret(const std::vector<uint8_t>& code, const std::vector<uint8_t>& input) {
-  static const char kB64[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+// Runs CompileScript's word pairs over `input` the way the language defines
+// them.
+Reference Interpret(const std::vector<uint8_t>& bytes, const std::vector<uint8_t>& input) {
+  static const char kB64Tab[] = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
   Reference ref;
+  std::vector<int64_t> code(bytes.size() / 8);
+  std::memcpy(code.data(), bytes.data(), code.size() * 8);
   std::vector<int64_t> stack;
   int64_t vars[256] = {};
   size_t pc = 0;
   auto fail = [&](const std::string& why) {
-    ref.error = why + " at byte " + std::to_string(pc);
+    ref.error = why + " at word " + std::to_string(pc);
     return ref;
   };
-  auto byte = [&](size_t at) -> uint8_t { return at < code.size() ? code[at] : 0; };
   auto pop = [&] {
     const int64_t v = stack.back();
     stack.pop_back();
     return v;
   };
+  if (bytes.size() % 16 != 0) {
+    return fail("a partial pair");
+  }
   for (int steps = 0; steps < 1'000'000; ++steps) {
     if (pc >= code.size()) {
       return fail("ran off the end");
     }
-    const uint8_t op = code[pc++];
-    const size_t pops = op == kHalt || op == kPush || op == kLoad || op == kJmp || op == kCallB
+    const int64_t op = code[pc];
+    const int64_t operand = code[pc + 1];
+    const bool binary = op >= kBinary && op < kBinary + 16;
+    const bool binary_k = op >= kBinaryK && op < kBinaryK + 16;
+    const size_t pops = op == kHalt || op == kPush || op == kLoad || op == kJmp || op == kInputLen
                             ? 0
-                        : op == kStore || op == kJz || op == kNot || op == kNeg || op == kPop
-                            ? 1
-                            : 2;
+                        : binary ? 2
+                                 : 1;
     if (stack.size() < pops) {
       return fail("stack underflow");
     }
+    if ((op == kPush || binary_k) && operand != static_cast<int32_t>(operand)) {
+      return fail("a literal past i32");
+    }
+    if ((op == kLoad || op == kStore) && (operand < 0 || operand >= 256)) {
+      return fail("slot " + std::to_string(operand));
+    }
+    if ((op == kJmp || op == kJz) &&
+        (operand < 0 || operand >= static_cast<int64_t>(code.size()) || operand % 2 != 0)) {
+      return fail("jump target " + std::to_string(operand));
+    }
+    pc += 2;
     switch (op) {
       case kHalt:
         return ref;
-      case kPush: {
-        const uint32_t v = byte(pc) | byte(pc + 1) << 8 | byte(pc + 2) << 16 |
-                           static_cast<uint32_t>(byte(pc + 3)) << 24;
-        pc += 4;
-        stack.push_back(static_cast<int32_t>(v));
+      case kPush:
+        stack.push_back(operand);
         continue;
-      }
       case kLoad:
-        stack.push_back(vars[byte(pc++)]);
+        stack.push_back(vars[operand]);
         continue;
       case kStore:
-        vars[byte(pc++)] = pop();
+        vars[operand] = pop();
         continue;
       case kJmp:
-      case kJz: {
-        const int16_t rel = static_cast<int16_t>(byte(pc) | byte(pc + 1) << 8);
-        pc += 2;
+      case kJz:
         if (op == kJmp || pop() == 0) {
-          pc = static_cast<size_t>(static_cast<int64_t>(pc) + rel);
+          pc = static_cast<size_t>(operand);
         }
         continue;
-      }
-      case kCallB: {
-        const uint8_t builtin = byte(pc);
-        pc += 2;
-        if (builtin != 0 && stack.empty()) {
-          return fail("stack underflow");
-        }
-        if (builtin == 0) {
-          stack.push_back(static_cast<int64_t>(input.size()));
-        } else if (builtin == 1) {
-          const int64_t i = pop();
-          const bool inside = i >= 0 && i < static_cast<int64_t>(input.size());
-          stack.push_back(inside ? input[static_cast<size_t>(i)] : 0);
-        } else if (builtin == 2) {
-          const uint8_t c = static_cast<uint8_t>(pop());
-          if (ref.output.size() < static_cast<size_t>(vjs::kEngineOutputBytes)) {
-            ref.output.push_back(c);
-          }
-          stack.push_back(0);
-        } else if (builtin == 3) {
-          stack.push_back(kB64[pop() & 63]);
-        } else {
-          return fail("unknown builtin");
-        }
+      case kInputLen:
+        stack.push_back(static_cast<int64_t>(input.size()));
+        continue;
+      case kInput: {
+        const int64_t i = pop();
+        const bool inside = i >= 0 && i < static_cast<int64_t>(input.size());
+        stack.push_back(inside ? input[static_cast<size_t>(i)] : 0);
         continue;
       }
+      case kOut: {
+        const uint8_t c = static_cast<uint8_t>(pop());
+        if (ref.output.size() < static_cast<size_t>(vjs::kEngineOutputBytes)) {
+          ref.output.push_back(c);
+        }
+        stack.push_back(0);
+        continue;
+      }
+      case kB64:
+        stack.push_back(kB64Tab[pop() & 63]);
+        continue;
       case kNot:
         stack.back() = stack.back() == 0;
         continue;
@@ -168,18 +169,22 @@ Reference Interpret(const std::vector<uint8_t>& code, const std::vector<uint8_t>
       default:
         break;
     }
-    const int64_t b = pop();
+    if (!binary && !binary_k) {
+      return fail("unknown op " + std::to_string(op));
+    }
+    const int64_t b = binary ? pop() : operand;
     const int64_t a = pop();
     const uint64_t ua = static_cast<uint64_t>(a);
     const uint64_t ub = static_cast<uint64_t>(b);
-    if ((op == kDiv || op == kMod) && (b < 1 || b > 99)) {
+    const int64_t which = op - (binary ? kBinary : kBinaryK);
+    if ((which == kDiv || which == kMod) && (b < 1 || b > 99)) {
       return fail("divisor " + std::to_string(b) + " out of range");
     }
-    if ((op == kShl || op == kShr) && (b < 0 || b > 63)) {
+    if ((which == kShl || which == kShr) && (b < 0 || b > 63)) {
       return fail("shift count " + std::to_string(b) + " out of range");
     }
     int64_t r = 0;
-    switch (op) {
+    switch (which) {
       case kAdd: r = static_cast<int64_t>(ua + ub); break;
       case kSub: r = static_cast<int64_t>(ua - ub); break;
       case kMul: r = static_cast<int64_t>(ua * ub); break;
@@ -195,9 +200,7 @@ Reference Interpret(const std::vector<uint8_t>& code, const std::vector<uint8_t>
       case kOr: r = a | b; break;
       case kXor: r = a ^ b; break;
       case kShl: r = static_cast<int64_t>(ua << b); break;
-      case kShr: r = a >> b; break;
-      default:
-        return fail("unknown op " + std::to_string(op));
+      default: r = a >> b; break;
     }
     stack.push_back(r);
   }
