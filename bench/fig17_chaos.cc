@@ -34,33 +34,38 @@
 // 3. Soak (wall-clock paced).  Rounds of a Vespid arrival trace submitted at
 //    its trace offsets on the real clock, plus an executor burst per round,
 //    both through one threaded executor, under a mild background fault
-//    rate.  After each round's drain the harness samples
-//    the residency gauge, the quarantine gauge, the shell census, and the
-//    executor's queue gauges.  Gates: executor conservation
+//    rate.  The burst samples the executor's accounting law mid-flight, and
+//    after each round's drain the harness samples the residency gauge, the
+//    quarantine gauge, the shell census, and the executor's queue gauges.
+//    Gates: executor conservation
 //    (submitted == completed + faulted + queued + in_flight) at every
 //    sample, all gauges return to zero at quiescence, the shell census
 //    never drifts upward, and retiring the keys at the end releases every
 //    resident byte.
 //
-// 4. Recovery.  The same 33% storm, with the PR's recovery machinery
-//    engaged.  A closed-loop two-key mix (stormed victim + clean co-tenant)
-//    runs twice through the real executor — retry-once on in both runs,
-//    circuit breaker off (A) vs on (B) — and goodput is fault-free
-//    completions per modeled lane-second.  Without the breaker every
-//    stormed invocation burns a lane, dies, and destroys its shell (sync
-//    quarantine), so its replacement pays vm_create; with the breaker the
-//    victim's storm is shed at the door for free.  Gates: goodput with the
-//    breaker >= 1.5x without; the executor's accounting law holds at every
-//    mid-loop observation including across retries; and the phase-2 trace
-//    run again under GovernTrace's breaker discipline sheds only the victim
-//    while the co-tenant's p99 stays within 2x of its fault-free control.
+// 4. Recovery.  The same 33% storm, with the recovery machinery engaged.
+//    A two-key mix (stormed victim + clean co-tenant) runs twice on the
+//    executor in virtual time as a closed loop of 2x lanes clients —
+//    retry-once on in both runs, circuit breaker off (A) vs on (B) — and
+//    goodput is fault-free completions per modeled lane-millisecond of
+//    admitted work.  Without the breaker every stormed invocation burns a
+//    lane, dies, and destroys its shell (sync quarantine), so its
+//    replacement pays vm_create; with the breaker the victim's storm is
+//    shed at the door for free.  Gates: goodput with the breaker >= 1.5x
+//    without; once the loop has settled, the executor's accounting law
+//    holds and every admitted job resolved exactly once, retries included
+//    (the mid-flight sample runs in phase 3, and on worker threads in
+//    test_recovery's Recovery.ConcurrentStormAndProbesKeepAccountingConserved);
+//    with --quick, a second pair on fresh runtimes prints the same columns;
+//    and the phase-2 trace run again under GovernTrace's breaker discipline
+//    sheds only the victim while the co-tenant's p99 stays within 2x of its
+//    fault-free control.
 //
 //   ./fig17_chaos            # full run
 //   ./fig17_chaos --quick    # CI smoke (shorter traces, same gates)
 //   ./fig17_chaos --soak     # extended soak rounds (the ci.sh SOAK=1 lane)
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -428,6 +433,12 @@ int RunSoakPhase(bool quick, bool soak) {
   executor_options.max_queue_depth = 0;
   executor_options.block_when_full = true;
   wasp::Executor executor(&runtime, executor_options);
+  // No bound, quota or breaker: the policy admits every soak job.
+  auto submit = [&executor](const wasp::VirtineSpec& spec) {
+    std::future<wasp::RunOutcome> future;
+    VB_CHECK(executor.TrySubmit(spec, &future), "the soak's executor refused a job");
+    return future;
+  };
   vbase::Table table({"round", "paced", "faulted", "resident B", "census",
                       "quarantined now", "queued", "in flight"});
   for (int round = 0; round < rounds; ++round) {
@@ -443,7 +454,7 @@ int RunSoakPhase(bool quick, bool soak) {
     for (const vnet::TenantTrace::Row& row : trace->rows) {
       std::this_thread::sleep_until(
           origin + std::chrono::microseconds(static_cast<int64_t>(row.arrival_us)));
-      paced.push_back(executor.Submit(row.spec));
+      paced.push_back(submit(row.spec));
     }
     uint64_t round_faulted = 0;
     for (auto& f : paced) {
@@ -460,7 +471,7 @@ int RunSoakPhase(bool quick, bool soak) {
     std::vector<std::future<wasp::RunOutcome>> futures;
     futures.reserve(kBurst);
     for (int i = 0; i < kBurst; ++i) {
-      futures.push_back(executor.Submit(burst_spec));
+      futures.push_back(submit(burst_spec));
       if (i % 8 == 0) {
         CheckExecutorConservation(executor.stats(), &failures);
       }
@@ -532,9 +543,9 @@ int RunSoakPhase(bool quick, bool soak) {
 
 // --- Phase 4: retry-once + circuit breaker goodput under the storm -----------
 
-// One closed-loop run of the two-key mix: `jobs` submissions, victim twice
-// as often as the co-tenant, window 2x lanes in flight so completions feed
-// the breaker before later submissions arrive.
+// One closed-loop run of the two-key mix on the executor in virtual time:
+// `jobs` submissions, victim twice as often as the co-tenant, from 2x lanes
+// clients, so completions feed the breaker before later submissions arrive.
 struct RecoveryRun {
   uint64_t offered = 0;
   uint64_t shed = 0;       // rejected at the door by the open breaker
@@ -547,6 +558,8 @@ struct RecoveryRun {
   uint64_t fresh_creates = 0;
   uint64_t total_cycles = 0;  // modeled cycles burned by admitted work
   double goodput_per_ms = 0;  // ok completions per modeled lane-millisecond
+
+  bool operator==(const RecoveryRun&) const = default;
 };
 
 RecoveryRun RunRecoveryLoad(const visa::Image& image, bool breaker, int jobs,
@@ -575,25 +588,40 @@ RecoveryRun RunRecoveryLoad(const visa::Image& image, bool breaker, int jobs,
   eopts.recovery.breaker_open_threshold = 0.2;
   eopts.recovery.breaker_min_samples = 8;
   eopts.recovery.breaker_open_sheds = 24;
-  wasp::Executor executor(&runtime, eopts);
 
-  auto make_spec = [&image](const char* key, uint64_t arg) {
-    wasp::VirtineSpec spec;
+  std::vector<wasp::Executor::Arrival> arrivals(static_cast<size_t>(jobs));
+  for (int i = 0; i < jobs; ++i) {
+    // The victim's fib(16) costs ~7x the co-tenant's fib(12): the storm
+    // wastes expensive work, the breaker saves it.
+    const bool is_victim = i % 3 != 2;
+    wasp::VirtineSpec& spec = arrivals[static_cast<size_t>(i)].spec;
     spec.image = &image;
-    spec.key = key;
+    spec.key = is_victim ? "victim" : "cotenant";
     spec.use_snapshot = true;
     spec.mem_size = 2ULL << 20;
     spec.word_bytes = 8;
     wasp::ArgPacker packer(spec.word_bytes);
-    packer.AddWord(arg);
+    packer.AddWord(is_victim ? 16 : 12);
     spec.args_page = packer.Finish();
-    return spec;
-  };
+  }
+  const wasp::Executor::VirtualRun virtual_run =
+      wasp::Executor::RunVirtual(&runtime, eopts, std::move(arrivals), 2 * kLanes);
 
   RecoveryRun run;
-  std::deque<std::future<wasp::RunOutcome>> window;
-  auto consume = [&run, failures](std::future<wasp::RunOutcome>& future) {
-    const wasp::RunOutcome outcome = future.get();
+  run.offered = virtual_run.served.size();
+  for (size_t i = 0; i < virtual_run.served.size(); ++i) {
+    const wasp::Executor::Served& served = virtual_run.served[i];
+    const bool is_victim = i % 3 != 2;
+    if (served.admission != wasp::Admission::kAccepted) {
+      if (served.admission != wasp::Admission::kCircuitOpen || !breaker || !is_victim) {
+        std::printf("FAIL: unexpected rejection (admission %d, breaker %d, victim %d)\n",
+                    static_cast<int>(served.admission), breaker, is_victim);
+        ++*failures;
+      }
+      ++run.shed;
+      continue;
+    }
+    const wasp::RunOutcome& outcome = served.outcome;
     ++run.executed;
     run.total_cycles += outcome.stats.total_cycles;
     if (outcome.fault == wasp::FaultKind::kNone) {
@@ -606,40 +634,9 @@ RecoveryRun RunRecoveryLoad(const visa::Image& image, bool breaker, int jobs,
     } else {
       ++run.faulted;
     }
-  };
-  for (int i = 0; i < jobs; ++i) {
-    // The victim's fib(16) costs ~7x the co-tenant's fib(12): the storm
-    // wastes expensive work, the breaker saves it.
-    const bool is_victim = i % 3 != 2;
-    ++run.offered;
-    std::future<wasp::RunOutcome> future;
-    wasp::Admission admission = wasp::Admission::kAccepted;
-    if (!executor.TrySubmit(make_spec(is_victim ? "victim" : "cotenant",
-                                      is_victim ? 16 : 12),
-                            &future, wasp::KeyClass::kLatency, &admission)) {
-      if (admission != wasp::Admission::kCircuitOpen || !breaker || !is_victim) {
-        std::printf("FAIL: unexpected rejection (admission %d, breaker %d, victim %d)\n",
-                    static_cast<int>(admission), breaker, is_victim);
-        ++*failures;
-      }
-      ++run.shed;
-      continue;
-    }
-    window.push_back(std::move(future));
-    if (window.size() >= 2 * kLanes) {
-      consume(window.front());
-      window.pop_front();
-    }
-    if (i % 16 == 0) {
-      CheckExecutorConservation(executor.stats(), failures);
-    }
-  }
-  while (!window.empty()) {
-    consume(window.front());
-    window.pop_front();
   }
 
-  const wasp::ExecutorStats stats = QuiescedExecutorStats(executor);
+  const wasp::ExecutorStats& stats = virtual_run.stats;
   CheckExecutorConservation(stats, failures);
   // The retried-job invariant: every admitted job resolves exactly once,
   // retries never mint or lose a submission.
@@ -673,6 +670,15 @@ int RunRecoveryPhase(bool quick, const StormMix& mix) {
   const int jobs = quick ? 300 : 900;
   const RecoveryRun without = RunRecoveryLoad(*image, /*breaker=*/false, jobs, &failures);
   const RecoveryRun with = RunRecoveryLoad(*image, /*breaker=*/true, jobs, &failures);
+  if (quick) {
+    // The pair is modeled time on the executor's virtual clock, so a second
+    // pair on fresh runtimes must print the same columns.
+    if (RunRecoveryLoad(*image, /*breaker=*/false, jobs, &failures) != without ||
+        RunRecoveryLoad(*image, /*breaker=*/true, jobs, &failures) != with) {
+      std::printf("FAIL: the recovery pair differs on fresh runtimes\n");
+      ++failures;
+    }
+  }
 
   vbase::Table table({"run", "offered", "shed", "executed", "ok", "faulted", "retries",
                       "creates", "Mcycles", "goodput ok/lane-ms"});

@@ -156,7 +156,9 @@ ConfigResult RunConfig(const std::string& name, wasp::CleanMode mode, bool use_s
       std::vector<std::future<wasp::RunOutcome>> futures;
       futures.reserve(static_cast<size_t>(invocations));
       for (int i = 0; i < invocations; ++i) {
-        futures.push_back(executor.Submit(spec));
+        // Unbounded, with no quota or breaker: the policy admits every job.
+        VB_CHECK(executor.TrySubmit(spec, &futures.emplace_back()),
+                 "the threaded pass's executor refused a job");
       }
       for (std::future<wasp::RunOutcome>& future : futures) {
         const wasp::RunOutcome outcome = future.get();

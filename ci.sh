@@ -180,11 +180,14 @@ CARGO_TARGET_DIR="$BUILD_DIR" python3 tools/check_modeled.py > "$BUILD_DIR/model
 # storm on one key keeps the co-tenant's p99 within 2x of fault-free (storm
 # and control on fresh runtimes through the executor in virtual time, at a
 # load that queues the co-tenant in the control), a
-# paced soak through a threaded executor leaves zero gauge drift and zero
-# resident bytes after retirement, and the phase-4 recovery run gates the
+# paced soak through a threaded executor holds executor conservation at
+# every mid-burst sample and leaves zero gauge drift and zero resident bytes
+# after retirement, and the phase-4 recovery pair (a closed loop of 8
+# clients on fresh runtimes through the executor in virtual time) gates the
 # circuit breaker's goodput at >= 1.5x the breaker-off run under the same
-# 33% storm (with retry-exactly-once accounting conserved at every
-# observation).
+# 33% storm, with retry-exactly-once accounting conserved once the loop
+# settles.  The pair runs a second time on fresh runtimes, and the run
+# fails unless every column matches.
 (cd "$BUILD_DIR" && ./fig17_chaos --quick)
 # SOAK=1: the full chaos + wall-clock soak run (minutes, not seconds) —
 # same gates, more rounds, real pacing — plus a wall-clock-paced keep-alive

@@ -46,6 +46,9 @@ vbase::Status Listener::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return vbase::FailedPrecondition("listener already running");
   }
+  if (server_->options().block_when_full && server_->options().max_queue_depth > 0) {
+    return vbase::FailedPrecondition("block_when_full with a max_queue_depth parks the loop");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
     return vbase::Internal(std::string("socket: ") + std::strerror(errno));
@@ -295,7 +298,7 @@ void Listener::Submit(Conn* conn) {
     const uint64_t one = 1;
     [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof(one));
   });
-  conn->job = server_->SubmitConnection(*conn->channel, options_.mode, options_.route,
+  conn->job = server_->SubmitConnection(*conn->channel, options_.mode, ListenerOptions::kRoute,
                                         options_.connection);
 }
 

@@ -51,12 +51,12 @@
 namespace vnet {
 
 struct ListenerOptions {
+  // Every connection's route for SubmitConnection (per-route quotas apply).
+  static constexpr const char* kRoute = "listener";
   // Port to bind on 127.0.0.1; 0 picks an ephemeral port (read it back from
   // port() after Start()).
   uint16_t port = 0;
   ServeMode mode = ServeMode::kNative;
-  // Route key for SubmitConnection (per-route quotas / key classes apply).
-  std::string route = "listener";
   // Per-connection serving policy forwarded to the server; the listener
   // enforces max_requests, and kMaxHeadBytes / kMaxBodyBytes, at the edge.
   ConnectionOptions connection = MakeKeepAliveDefaults();
@@ -83,10 +83,11 @@ struct ListenerStats {
 };
 
 // One TCP listener bound to 127.0.0.1, serving through a ConcurrentHttpServer.
-// The server must be configured with block_when_full = false: admission
-// rejections must answer 503/429 immediately rather than block the event
-// loop.  Start() spawns the event-loop thread; Stop() (or the destructor)
-// drains every in-flight connection job before returning.
+// Start() spawns the event-loop thread, which submits each connection's job,
+// so it fails (FailedPrecondition) when the server would park a submitter
+// (block_when_full with a max_queue_depth): a parked loop forwards no bytes
+// and enforces no idle timeout, so no lane would free.  Stop() (or the
+// destructor) drains every in-flight connection job before returning.
 class Listener {
  public:
   explicit Listener(ConcurrentHttpServer* server, ListenerOptions options = {});

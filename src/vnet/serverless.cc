@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <sstream>
 #include <utility>
 
 #include "src/base/clock.h"
@@ -27,6 +28,14 @@ vbase::Status Vespid::Register(const std::string& name, const std::string& micro
       vrt::Env::kLong64);
   if (!image.ok()) {
     return image.status();
+  }
+  // engine_init carves the engine's arena from vlibc's heap, which would
+  // overwrite an image's tail past the heap base.
+  if (const uint64_t end = image->load_addr + image->size(); end > vrt::kVlibcHeapBase) {
+    std::ostringstream os;
+    os << "engine image ends at 0x" << std::hex << end << ", past vlibc's heap base 0x"
+       << vrt::kVlibcHeapBase;
+    return vbase::InvalidArgument(os.str());
   }
   functions_.push_back(Fn{name, std::move(*image)});
   return vbase::Status::Ok();

@@ -151,7 +151,9 @@ class Vespid {
  public:
   explicit Vespid(wasp::Runtime* runtime);
 
-  // Registers a microjs function under `name`.
+  // Registers a microjs function under `name`.  InvalidArgument when the
+  // compiled engine image ends past vrt::kVlibcHeapBase, where the engine's
+  // arena begins.
   vbase::Status Register(const std::string& name, const std::string& microjs_source);
 
   struct Invocation {

@@ -219,7 +219,7 @@ int __heap_ptr = 0;
 char *malloc(int n) {
   char *p;
   if (__heap_ptr == 0) {
-    __heap_ptr = 262144;
+    __heap_ptr = )vc" << kVlibcHeapBase << R"vc(;
   }
   n = (n + 15) & ~15;
   p = __heap_ptr;

@@ -16,9 +16,14 @@
 #ifndef SRC_VRT_VLIBC_H_
 #define SRC_VRT_VLIBC_H_
 
+#include <cstdint>
 #include <string>
 
 namespace vrt {
+
+// Where malloc's heap starts (256 KB).  A guest image must end at or below
+// it: the heap grows up from here and would overwrite the image's tail.
+inline constexpr uint64_t kVlibcHeapBase = 262144;
 
 // The vlibc source text (vcc dialect).  Prepend to user programs.
 const std::string& VlibcSource();

@@ -4,7 +4,7 @@
 // (vnet/serverless.h) uses so governance disciplines repeat exactly.  The
 // rules live only here:
 //
-//   * Admission order: a checked request meets its key's circuit breaker
+//   * Admission order: a request meets its key's circuit breaker
 //     (the cheapest shed), then its key's quota (jobs queued plus running),
 //     then the global queue bound.  A probe the breaker reserved is handed
 //     back on every later reject, so the breaker never waits on a probe that
@@ -42,7 +42,7 @@ enum class KeyClass {
   kBatch = 1,    // throughput-oriented background work
 };
 
-// Why an admission-checked submission was (or was not) accepted.
+// Why a submission was (or was not) accepted.
 enum class Admission {
   kAccepted,       // admitted; the caller queues it
   kQueueFull,      // global max_queue_depth reached (503 upstream)
@@ -57,7 +57,7 @@ struct AdmissionOptions {
   // Maximum queued (not yet running) jobs; 0 = unbounded.
   size_t max_queue_depth = 0;
   // Per-key cap on jobs in the system (queued + running); 0 = unlimited.
-  // Hard: a checked request over it is shed immediately, never parked.
+  // Hard: a request over it is shed immediately, never parked.
   size_t key_quota = 0;
   // Tiered quotas: a listed key uses its override (0 = explicitly
   // unlimited); unlisted keys fall back to key_quota.  Three entries
@@ -93,7 +93,7 @@ class AdmissionPolicy {
  public:
   explicit AdmissionPolicy(AdmissionOptions options) : options_(std::move(options)) {}
 
-  // Checked admission of one request on `key` while `queued` jobs wait for
+  // Admission of one request on `key` while `queued` jobs wait for
   // a lane: breaker, quota, global bound.  A caller that parks full
   // submitters instead of shedding them passes 0 and waits for space
   // itself.  On kAccepted, `*probe` tells whether the request holds its
@@ -103,8 +103,8 @@ class AdmissionPolicy {
   bool UnderQuota(const std::string& key) const;
   // An admitted request was dropped before it queued: hands back its probe.
   void Withdraw(const std::string& key, bool probe);
-  // A request on `key` entered the queue: it counts toward the key's load
-  // until OnComplete.  Unchecked (blocking) submissions call only this.
+  // An admitted request on `key` entered the queue: it counts toward the
+  // key's load until OnComplete.
   void OnEnqueue(const std::string& key);
 
   // The class the next dequeue serves, given the submission order of each

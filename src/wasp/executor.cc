@@ -72,16 +72,15 @@ Executor::~Executor() {
   }
 }
 
-Admission Executor::Enqueue(Job job, bool may_reject, std::future<RunOutcome>* future) {
+Admission Executor::Enqueue(Job job, std::future<RunOutcome>* future) {
   std::future<RunOutcome> resolved = job.promise.get_future();
   Admission admission = Admission::kAccepted;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    // Checked submissions face the policy: breaker, quota, global bound.  A
+    // Every submission faces the policy: breaker, quota, global bound.  A
     // blocking executor parks on the bound below instead of shedding, so it
-    // shows the policy no queue.  Blocking Submit skips the policy (trusted
-    // closed-loop path) and only waits for space.
-    if (may_reject && !stop_) {
+    // shows the policy no queue.
+    if (!stop_) {
       admission = policy_.Admit(job.key, options_.block_when_full ? 0 : TotalQueuedLocked(),
                                 &job.probe);
       switch (admission) {
@@ -105,7 +104,7 @@ Admission Executor::Enqueue(Job job, bool may_reject, std::future<RunOutcome>* f
       // Re-check the quota after a blocking park: sibling submitters of the
       // same key passed the entry check while this one waited for global
       // space, so enqueueing blindly here would overshoot the cap.
-      if (may_reject && !stop_ && !policy_.UnderQuota(job.key)) {
+      if (!stop_ && !policy_.UnderQuota(job.key)) {
         ++stats_.quota_rejected;
         policy_.Withdraw(job.key, job.probe);
         // This reject consumed a dequeue's notify_one without taking the
@@ -133,27 +132,14 @@ Admission Executor::Enqueue(Job job, bool may_reject, std::future<RunOutcome>* f
   if (admission == Admission::kStopped) {
     RunOutcome outcome;
     outcome.status = vbase::Aborted("executor stopped during submit");
-    job.promise.set_value(std::move(outcome));
-    if (future != nullptr) {
-      *future = std::move(resolved);  // already resolved with the error
-    }
-    return admission;
+    job.promise.set_value(std::move(outcome));  // the future resolves with the error
+  } else {
+    cv_.notify_one();
   }
-  cv_.notify_one();
   if (future != nullptr) {
     *future = std::move(resolved);
   }
   return admission;
-}
-
-std::future<RunOutcome> Executor::Submit(VirtineSpec spec, KeyClass klass) {
-  Job job;
-  job.key = spec.use_snapshot ? spec.key : std::string();
-  job.klass = klass;
-  job.spec = std::move(spec);
-  std::future<RunOutcome> future;
-  Enqueue(std::move(job), /*may_reject=*/false, &future);
-  return future;
 }
 
 bool Executor::TrySubmit(VirtineSpec spec, std::future<RunOutcome>* future, KeyClass klass,
@@ -162,7 +148,7 @@ bool Executor::TrySubmit(VirtineSpec spec, std::future<RunOutcome>* future, KeyC
   job.key = spec.use_snapshot ? spec.key : std::string();
   job.klass = klass;
   job.spec = std::move(spec);
-  const Admission result = Enqueue(std::move(job), /*may_reject=*/true, future);
+  const Admission result = Enqueue(std::move(job), future);
   if (admission != nullptr) {
     *admission = result;
   }
@@ -176,7 +162,7 @@ bool Executor::TrySubmitTask(Task task, std::future<RunOutcome>* future,
   job.key = std::move(affinity_key);
   job.klass = klass;
   job.work = std::move(task);
-  const Admission result = Enqueue(std::move(job), /*may_reject=*/true, future);
+  const Admission result = Enqueue(std::move(job), future);
   if (admission != nullptr) {
     *admission = result;
   }

@@ -3,12 +3,11 @@
 // The paper's serving case studies (the Figure 13 HTTP server, the Figure 15
 // Vespid burst pattern) live or die on sustaining *bursts* of concurrent
 // invocations; a single-lane Invoke() cannot express that.  The executor
-// adds concurrent entry points on top of Runtime::Invoke:
+// adds concurrent entry points on top of Runtime::Invoke, each subject to
+// the admission policy (see ExecutorOptions below):
 //
-//   * Submit(spec) — enqueue one invocation on a fixed worker pool and get
-//     a std::future<RunOutcome> back,
-//   * TrySubmit(spec, &future) — same, but subject to the configured
-//     bounded-admission policy (see ExecutorOptions below), and
+//   * TrySubmit(spec, &future) — enqueue one invocation on a fixed worker
+//     pool and get a std::future<RunOutcome> back, and
 //   * TrySubmitTask(fn, &future) — enqueue an arbitrary serving task on
 //     the same queue and workers, under the same admission policy (the
 //     ConcurrentHttpServer dispatches whole HTTP connections this way, so
@@ -26,14 +25,11 @@
 // the executor accounts and polices.  The rules — per-key quotas (a 429
 // upstream, distinct from a global-full 503), weighted latency/batch
 // dequeue, the per-key fault-rate EWMA and circuit breaker — are
-// wasp::AdmissionPolicy's (admission.h).  The executor calls it under its
-// lock and keeps only what scheduling needs: the class queues, the
-// block_when_full park, the affinity scan, retry-once, and ExecutorStats.
-// Four rules:
+// wasp::AdmissionPolicy's (admission.h), and every job meets them.  The
+// executor calls it under its lock and keeps only what scheduling needs:
+// the class queues, the block_when_full park, the affinity scan,
+// retry-once, and ExecutorStats.  Three rules:
 //
-//   * Blocking Submit skips the breaker and the quota (trusted closed-loop
-//     path: fig9's threaded pass and fig17's soak) but still counts toward
-//     the key's load.
 //   * A block_when_full waiter whose key filled while it was parked for
 //     global space is quota-rejected at wake instead of overshooting the cap
 //     (it hands back any probe it held and passes the wakeup on).
@@ -99,9 +95,8 @@ struct ExecutorOptions : AdmissionOptions {
   int workers = 2;
   // Full-queue policy for TrySubmit / TrySubmitTask: block until a slot
   // frees (never reject — closed-loop semantics) or refuse the job so the
-  // caller sheds load (open-loop semantics).  Blocking Submit always waits
-  // for space regardless of this flag.  The per-key quota is
-  // hard under either policy.
+  // caller sheds load (open-loop semantics).  The per-key quota and the
+  // breaker are hard under either policy.
   bool block_when_full = true;
 };
 
@@ -143,18 +138,13 @@ class Executor {
   Executor& operator=(const Executor&) = delete;
 
   // Enqueues one invocation; the future resolves with its RunOutcome.
-  // Waits for queue space when bounded admission is full.  If the executor
-  // is (or starts) shutting down while the submitter waits, the returned
-  // future resolves with an Aborted outcome instead of running.  Blocking
-  // submissions bypass the per-key quota (trusted closed-loop path).
-  std::future<RunOutcome> Submit(VirtineSpec spec, KeyClass klass = KeyClass::kLatency);
-
-  // Admission-checked enqueue.  Returns false — and does not enqueue — when
-  // the job's key's breaker is open, when the key is at its quota, when the
-  // queue is at max_queue_depth and the policy is reject, or when the
-  // submission races executor shutdown; otherwise (including blocking until space in block_when_full
-  // mode) stores the outcome future in `*future` and returns true.
-  // `admission` (optional) receives the classified decision, so callers can
+  // Returns false — and does not enqueue — when the job's key's breaker is
+  // open, when the key is at its quota, when the queue is at
+  // max_queue_depth and the policy is reject, or when the submission races
+  // executor shutdown (the future then resolves with an Aborted outcome);
+  // otherwise (including blocking until space in block_when_full mode)
+  // stores the outcome future in `*future` and returns true.  `admission`
+  // (optional) receives the classified decision, so callers can
   // distinguish per-key shedding (429) from global overload (503).
   bool TrySubmit(VirtineSpec spec, std::future<RunOutcome>* future,
                  KeyClass klass = KeyClass::kLatency, Admission* admission = nullptr);
@@ -227,7 +217,7 @@ class Executor {
     KeyClass klass = KeyClass::kLatency;
     uint64_t seq = 0;  // submission order (cross-class FIFO when ungoverned)
     Task work;         // the serving task (empty for invocation jobs)
-    // Invocation jobs (Submit/TrySubmit) carry their spec so a recoverable
+    // Invocation jobs (TrySubmit) carry their spec so a recoverable
     // fault can be retried once on a fresh shell.  Generic tasks never carry
     // one — their side effects are opaque, so they are never retried.
     VirtineSpec spec;
@@ -245,10 +235,9 @@ class Executor {
   // `start_workers` = false builds RunVirtual's thread-less executor.
   Executor(Runtime* runtime, ExecutorOptions options, bool start_workers);
 
-  // Shared enqueue path.  `may_reject` selects TrySubmit semantics (honor
-  // the breaker, the quota, and the configured full-queue policy) over
-  // Submit semantics (always block for space, no breaker, no quota).
-  Admission Enqueue(Job job, bool may_reject, std::future<RunOutcome>* future);
+  // Shared enqueue path: the breaker, the quota and the configured
+  // full-queue policy, then the queue.
+  Admission Enqueue(Job job, std::future<RunOutcome>* future);
   // The dequeue step (mu_ held, a job queued): the policy's class pick, then
   // `lane`'s affinity scan within that class.  The job counts in flight.
   Job DequeueLocked(Lane& lane);

@@ -458,7 +458,7 @@ TEST(ExecutorFaults, MixedStormKeepsConservationInvariant) {
   std::vector<std::future<wasp::RunOutcome>> futures;
   futures.reserve(32);
   for (int i = 0; i < 32; ++i) {
-    futures.push_back(executor.Submit(FibSpec(&image, "mixed")));
+    ASSERT_TRUE(executor.TrySubmit(FibSpec(&image, "mixed"), &futures.emplace_back()));
     // The invariant must hold at every observation point, mid-storm included.
     const auto mid = executor.stats();
     EXPECT_EQ(mid.submitted, mid.completed + mid.faulted + mid.queued + mid.in_flight);

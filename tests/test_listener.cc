@@ -409,6 +409,29 @@ TEST(Listener, StopDrainsInFlightConnections) {
   ::close(fd);
 }
 
+// The event loop submits every connection, so a server that parks a
+// submitter on a full queue could stop it for good: Start refuses one.
+TEST(Listener, StartRefusesAServerThatParksOnAFullQueue) {
+  wasp::Runtime runtime;
+  wasp::HostEnv files;
+  vnet::ConcurrentServerOptions sopts;
+  sopts.max_queue_depth = 4;
+  sopts.block_when_full = true;
+  {
+    vnet::ConcurrentHttpServer server(&runtime, &files, sopts);
+    vnet::Listener listener(&server);
+    const vbase::Status status = listener.Start();
+    EXPECT_EQ(status.code(), vbase::Code::kFailedPrecondition) << status.ToString();
+    EXPECT_FALSE(listener.running());
+  }
+  sopts.block_when_full = false;
+  vnet::ConcurrentHttpServer server(&runtime, &files, sopts);
+  vnet::Listener listener(&server);
+  const vbase::Status status = listener.Start();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(listener.running());
+}
+
 // A response larger than the socket takes at once is finished under
 // EPOLLOUT.  The client advertises a 4 KB window and reads only after a
 // pause, so the listener's send meets EAGAIN with most of an 8 MB file

@@ -1293,10 +1293,36 @@ TEST(Vespid, UnknownFunctionIsAnError) {
   EXPECT_FALSE(platform.Invoke("missing", {}).ok());
 }
 
+// `statements` additions of ten, then x's two low bytes.
+std::string StraightLineScript(int statements) {
+  std::string source = "var x = 0;\n";
+  for (int i = 0; i < statements; ++i) {
+    source += "x = x + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1;\n";
+  }
+  return source + "out(x); out(x >> 8);\n";
+}
+
 TEST(Vespid, BadScriptFailsRegistration) {
   wasp::Runtime runtime;
   vnet::Vespid platform(&runtime);
   EXPECT_FALSE(platform.Register("bad", "var = while").ok());
+  // The engine's arena starts at vlibc's heap base and overwrites an image's
+  // tail past it (at 1,300 statements the call returned OK with no output),
+  // so such an image is refused, naming both addresses.  1,200 statements
+  // end 3,872 bytes past the base, in the operand stack's bottom, which only
+  // a deep stack reaches.
+  for (const int statements : {1200, 1300}) {
+    const vbase::Status status = platform.Register("long", StraightLineScript(statements));
+    EXPECT_EQ(status.code(), vbase::Code::kInvalidArgument) << statements;
+    EXPECT_NE(status.message().find("engine image ends at 0x"), std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("past vlibc's heap base 0x40000"), std::string::npos)
+        << status.ToString();
+  }
+  ASSERT_TRUE(platform.Register("fits", StraightLineScript(1100)).ok());
+  auto fits = platform.Invoke("fits", {});
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->output, (std::vector<uint8_t>{11000 & 0xff, 11000 >> 8}));
 }
 
 TEST(BurstSim, ColdStartsSpikeOnBurstsForSlowColdExecutors) {

@@ -509,7 +509,7 @@ TEST(Concurrency, ExecutorDestructionDrainsAllAcceptedFutures) {
       packer.AddWord(static_cast<uint64_t>(i));
       packer.AddWord(1000);
       spec.args_page = packer.Finish();
-      futures.push_back(executor.Submit(spec));
+      ASSERT_TRUE(executor.TrySubmit(spec, &futures.emplace_back()));
     }
     // Executor destroyed with most jobs still queued.
   }
@@ -914,7 +914,7 @@ TEST(Concurrency, ExecutorSubmitResolvesFutures) {
     packer.AddWord(static_cast<uint64_t>(i));
     packer.AddWord(7);
     spec.args_page = packer.Finish();
-    futures.push_back(executor.Submit(spec));
+    ASSERT_TRUE(executor.TrySubmit(spec, &futures.emplace_back()));
   }
   for (int i = 0; i < 16; ++i) {
     wasp::RunOutcome outcome = futures[static_cast<size_t>(i)].get();
